@@ -23,12 +23,11 @@ from .compute import (
     HardwareProfile,
     RooflineBackend,
     TableComputeBackend,
-    estimate_from_table,
     estimate_gemm,
     estimate_memory_op,
     load_hardware_profile,
 )
-from .engine import Estimator, apply_overlap_setting, estimate_phase
+from .engine import Estimator, apply_overlap_setting
 from .errors import BackendError, SpecError, ValidationError
 from .explorer import (
     ConfigPoint,
@@ -44,7 +43,6 @@ from .interpreter import (
     GemmDescriptor,
     MemoryOpDescriptor,
     PhaseContext,
-    arithmetic_intensity,
     detect_all2all,
     detect_allreduce,
     extract_gemm,
@@ -65,7 +63,7 @@ from .moe import (
     stats_from_trace,
     uniform_routing,
 )
-from .overlap import OverlapPlan, effective_sm_tradeoff, overlap_energy, plan_overlap
+from .overlap import OverlapPlan, effective_sm_tradeoff, plan_overlap
 from .spec_lang import (
     DimensionBindings,
     EinsumEquation,

@@ -220,10 +220,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_pareto(args) -> int:
     from .explorer import ConfigPoint
-    with open(_resolve(args.points)) as fh:
+    path = _resolve(args.points)
+    with open(path) as fh:
         payload = json.load(fh)
     points = []
-    for row in payload["points"]:
+    for i, row in enumerate(payload["points"]):
+        if row["feasible"] and not all(
+                isinstance(row.get(key), (int, float))
+                for key in ("latency_s", "energy_j")):
+            raise ValidationError(
+                f"{path}: feasible point #{i} needs numeric latency_s and energy_j")
         ov = row.get("overlap")
         points.append(ConfigPoint(
             phase=row["phase"], batch=row["batch"], isl=row["isl"],

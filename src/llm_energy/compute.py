@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .errors import BackendError, ValidationError
@@ -74,6 +74,10 @@ def load_hardware_profile(path) -> HardwareProfile:
     unknown = set(raw) - _HW_KEYS
     if unknown:
         raise ValidationError(f"{path}: unknown hardware field(s) {sorted(unknown)}")
+    missing = {f.name for f in fields(HardwareProfile)
+               if f.default is MISSING} - set(raw)
+    if missing:
+        raise ValidationError(f"{path}: missing hardware field(s) {sorted(missing)}")
     raw = {k: v for k, v in raw.items() if k != "format_version"}
     raw["total_sm"] = int(raw["total_sm"])
     return HardwareProfile(**raw)
@@ -171,6 +175,9 @@ class GemmCalibrationTable:
                         raise ValidationError(
                             f"{path}:{lineno}: header must be {','.join(expected)}")
                     continue
+                if len(cols) != len(expected):
+                    raise ValidationError(
+                        f"{path}:{lineno}: expected {len(expected)} columns")
                 g, m_, k, n, t, lat, pw = cols
                 point = GemmCalibrationPoint(float(g), float(m_), float(k),
                                              float(n), int(t), float(lat), float(pw))
@@ -195,10 +202,6 @@ class GemmCalibrationTable:
             raise BackendError(
                 "GEMM calibration backend does not support SM-restricted queries")
         return CostEstimate(latency, p.power_w * latency)
-
-
-def estimate_from_table(g: GemmDescriptor, table: GemmCalibrationTable) -> CostEstimate:
-    return table.estimate_gemm(g)
 
 
 class TableComputeBackend:

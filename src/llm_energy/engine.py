@@ -18,6 +18,7 @@ from .interpreter import (
     PhaseContext,
     decode_positions,
     lower_model,
+    _flatten_ops,
     _is_moe_op,
 )
 from .metrics import (
@@ -31,7 +32,14 @@ from .metrics import (
     build_memory_model,
     check_memory,
 )
-from .moe import DEFAULT_TILE, RoutingStats, RoutingTrace, stats_from_trace, uniform_routing
+from .moe import (
+    DEFAULT_TILE,
+    RoutingStats,
+    RoutingTrace,
+    fold_imbalance,
+    stats_from_trace,
+    uniform_routing,
+)
 from .overlap import plan_overlap
 from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
 
@@ -64,10 +72,7 @@ class Estimator:
         self.decode_stride = decode_stride
         self.routing_trace = routing_trace
         self.activation_headroom = activation_headroom
-        self.has_moe = any(
-            _is_moe_op(sub)
-            for op in spec.ops
-            for sub in ([op] if not op.is_attention else op.attn_eqs))
+        self.has_moe = any(_is_moe_op(op) for op in _flatten_ops(spec))
 
     # -- helpers -----------------------------------------------------------
 
@@ -106,9 +111,8 @@ class Estimator:
                        ) -> list[tuple[str, str, float, float]]:
         """(label, category, latency, energy) per kernel for one layer, one GPU.
 
-        MoE imbalance folding happens here: latency follows the bottleneck
-        GPU's effective quantities, energy follows the average GPU's plus
-        idle waiting at p_idle.
+        MoE kernels are priced under the average and the bottleneck GPU's
+        routing statistics and folded by :func:`fold_imbalance`.
         """
         avg_te = stats.avg if stats else None
         lowered = lower_model(self.spec, self.dims, ctx, degrees, moe_te=avg_te)
@@ -124,17 +128,12 @@ class Estimator:
                 continue
             for k_idx, kernel in enumerate(op.kernels):
                 cost = self._price(kernel)
-                category = _kernel_category(kernel)
                 if op.is_moe and lowered_max is not None:
-                    cost_max = self._price(lowered_max[idx].kernels[k_idx])
-                    # The bottleneck GPU need not be slower on every single
-                    # kernel (its per-expert mean can be smaller); the true
-                    # per-kernel maximum across GPUs bounds both, so clamp.
-                    bottleneck = max(cost_max.latency, cost.latency)
-                    energy = (cost.energy
-                              + (bottleneck - cost.latency) * self.hw.p_idle)
-                    cost = CostEstimate(bottleneck, energy)
-                entries.append((op.label, category, cost.latency, cost.energy))
+                    cost = fold_imbalance(
+                        cost, self._price(lowered_max[idx].kernels[k_idx]),
+                        self.hw.p_idle)
+                entries.append((op.label, _kernel_category(kernel),
+                                cost.latency, cost.energy))
         return entries
 
     def _overlap_entries(self, op: LoweredOp, ctx: PhaseContext,
@@ -210,15 +209,6 @@ class Estimator:
 
         report.rows = list(rows.values())
         return report
-
-
-def estimate_phase(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
-                   degrees: dict[str, int], hw: HardwareProfile,
-                   compute_backend, comm_backend: CommBackend,
-                   **kwargs) -> PhaseReport:
-    """One-shot convenience wrapper around :class:`Estimator`."""
-    return Estimator(spec, dims, hw, compute_backend, comm_backend,
-                     **kwargs).estimate(ctx, degrees)
 
 
 def apply_overlap_setting(spec: ModelSpec, stages: int, sm_comm: int,

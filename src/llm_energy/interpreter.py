@@ -62,10 +62,6 @@ class GemmDescriptor:
         return replace(self, m=self.m * fraction)
 
 
-def arithmetic_intensity(g: GemmDescriptor) -> float:
-    return g.arithmetic_intensity
-
-
 @dataclass(frozen=True)
 class CommDescriptor:
     """A collective communication kernel."""
@@ -129,24 +125,38 @@ class PhaseContext:
         return replace(self, decode_position=position)
 
 
-def _sharded_size(symbol: str, dims: DimensionBindings,
-                  shards: dict[str, int]) -> float:
+def local_size(symbol: str, dims: DimensionBindings,
+               shards: dict[str, int]) -> float:
+    """Per-GPU size of ``symbol``: its bound size over its ``{symbol: degree}``
+    shard. Integer sizes must divide evenly."""
     size = dims.size(symbol)
     deg = shards.get(symbol, 1)
-    if deg > 1:
-        if isinstance(size, int) and size % deg:
-            raise ValidationError(
-                f"symbol {symbol!r} size {size} not divisible by degree {deg}")
-        return size / deg
-    return size
+    if deg == 1:
+        return size
+    if isinstance(size, int) and size % deg:
+        raise ValidationError(
+            f"symbol {symbol!r} size {size} not divisible by degree {deg}")
+    return size / deg
 
 
-def _tensor_bytes(operand: str, dims: DimensionBindings,
-                  shards: Optional[dict[str, int]] = None) -> float:
+def operand_bytes(operand: str, dims: DimensionBindings,
+                  shards: dict[str, int]) -> float:
+    """Per-GPU bytes of one tensor operand, multiplied in operand order."""
     prod = 1.0
     for sym in operand:
-        prod *= _sharded_size(sym, dims, shards or {})
+        prod *= local_size(sym, dims, shards)
     return prod * dims.dtype_bytes
+
+
+def op_shards(op: OpSpec, degrees: dict[str, int]) -> dict[str, int]:
+    """The op's ``{symbol: degree}`` shards: its ``parallel`` symbol over the
+    tp or ep group, times its ``cp_dim`` over the cp group."""
+    shards: dict[str, int] = {}
+    if op.parallel is not None:
+        shards[op.parallel] = degrees.get(degree_kind(op.parallel), 1)
+    if op.cp_dim is not None:
+        shards[op.cp_dim] = shards.get(op.cp_dim, 1) * degrees.get("cp", 1)
+    return shards
 
 
 class OuterProduct(Exception):
@@ -154,25 +164,25 @@ class OuterProduct(Exception):
 
 
 def extract_gemm(eq: EinsumEquation, dims: DimensionBindings,
-                 shard: Optional[tuple[str, int]] = None,
+                 shards: Optional[dict[str, int]] = None,
                  label: str = "") -> GemmDescriptor:
     """Map a two-operand contraction onto grouped-GEMM dimensions.
 
     Group symbols (in both inputs and the output) become the group count;
     output symbols exclusive to the first/second operand form M/N; the
-    summation symbols form the contraction. A ``(symbol, degree)`` shard
-    divides that symbol's size before products are taken.
+    summation symbols form the contraction. ``{symbol: degree}`` shards
+    divide those symbols' sizes before products are taken.
     """
     if len(eq.input_operands) != 2:
         raise SpecError(f"{eq.to_text()!r}: GEMM extraction needs exactly two operands")
     if not eq.summation_symbols:
         raise OuterProduct(eq.to_text())
-    shards = {shard[0]: shard[1]} if shard and shard[1] > 1 else {}
+    shards = shards or {}
 
     def prod(symbols) -> float:
         out = 1.0
         for sym in symbols:
-            out *= _sharded_size(sym, dims, shards)
+            out *= local_size(sym, dims, shards)
         return out
 
     a, b = eq.input_operands
@@ -200,7 +210,7 @@ def detect_allreduce(op: OpSpec, dims: DimensionBindings,
         return None
     if op.parallel not in op.equation.summation_symbols:
         return None
-    size = _tensor_bytes(op.equation.output_operand, dims)
+    size = operand_bytes(op.equation.output_operand, dims, {})
     return CommDescriptor(ALLREDUCE, size, world, label=f"{op.label} AllReduce")
 
 
@@ -217,7 +227,7 @@ def detect_all2all(op: OpSpec, prev: Optional[OpSpec], dims: DimensionBindings,
         raise ValidationError("cp_dim transition requires cp degree >= 2")
     if prev.is_attention or prev.equation is None:
         return []
-    size = _tensor_bytes(prev.equation.output_operand, dims) / cp_degree
+    size = operand_bytes(prev.equation.output_operand, dims, {}) / cp_degree
     label = f"{prev.label}->{op.label}"
     return [
         MemoryOpDescriptor(size, label=f"{label} transpose (pre)"),
@@ -250,54 +260,29 @@ def _flatten_ops(spec: ModelSpec) -> list[OpSpec]:
 
 
 def _lower_compute(op: OpSpec, dims: DimensionBindings,
-                   degrees: dict[str, int],
-                   shard_parallel: bool = True) -> KernelDescriptor:
+                   shards: dict[str, int]) -> KernelDescriptor:
     """Lower one op's compute kernel: grouped GEMM or memory op."""
     eq = op.equation
-    shard = None
-    if shard_parallel and op.parallel is not None:
-        deg = degrees[degree_kind(op.parallel)]
-        if deg > 1:
-            shard = (op.parallel, deg)
-    cp_shard = None
-    if op.cp_dim is not None and degrees["cp"] > 1:
-        cp_shard = (op.cp_dim, degrees["cp"])
-
-    shards: dict[str, int] = {}
-    for sh in (shard, cp_shard):
-        if sh:
-            shards[sh[0]] = shards.get(sh[0], 1) * sh[1]
-    local = dims
-    if shards:
-        new_sizes = dict(dims.sizes)
-        for sym, deg in shards.items():
-            size = dims.size(sym)
-            if isinstance(size, int) and size % deg:
-                raise ValidationError(
-                    f"op {op.label!r}: symbol {sym!r} size {size} not divisible by {deg}")
-            new_sizes[sym] = size // deg if isinstance(size, int) else size / deg
-        local = DimensionBindings(new_sizes, dims.dtype_bytes, dims.layers)
-
     if eq.is_single_input:
         # Broadcast/scatter: pure data movement sized by the output tensor.
         return MemoryOpDescriptor(
-            _tensor_bytes(eq.output_operand, local), label=op.label)
+            operand_bytes(eq.output_operand, dims, shards), label=op.label)
 
     try:
-        g = extract_gemm(eq, local, label=op.label)
+        g = extract_gemm(eq, dims, shards, label=op.label)
     except OuterProduct:
-        in_b = sum(_tensor_bytes(o, local) for o in eq.input_operands)
-        out_b = _tensor_bytes(eq.output_operand, local)
+        in_b = sum(operand_bytes(o, dims, shards) for o in eq.input_operands)
+        out_b = operand_bytes(eq.output_operand, dims, shards)
         flops = 1.0
         for sym in eq.all_symbols():
-            flops *= local.size(sym)
+            flops *= local_size(sym, dims, shards)
         return MemoryOpDescriptor(in_b + out_b, flops=flops, label=op.label)
 
     if g.n == 1:
         # Weighted-sum / elementwise-dominated ops (e.g. the MoE reduction):
         # no fresh output columns, so treat as memory bound.
-        in_b = sum(_tensor_bytes(o, local) for o in eq.input_operands)
-        out_b = _tensor_bytes(eq.output_operand, local)
+        in_b = sum(operand_bytes(o, dims, shards) for o in eq.input_operands)
+        out_b = operand_bytes(eq.output_operand, dims, shards)
         return MemoryOpDescriptor(in_b + out_b, flops=g.flops, label=op.label)
     return g
 
@@ -352,8 +337,8 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
             kernels.extend(detect_all2all(op, preceding(op), local, cp_degree))
 
         # MoE ops: statistics are per-GPU, so no further expert shard.
-        shard_parallel = not (is_moe and moe_te is not None)
-        compute = _lower_compute(op, local, degrees, shard_parallel=shard_parallel)
+        shards = op_shards(op, dict(degrees, ep=1) if is_moe else degrees)
+        compute = _lower_compute(op, local, shards)
         kernels.append(compute)
 
         world = degrees[degree_kind(op.parallel)] if op.parallel else 1
@@ -383,17 +368,8 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
                 if j == 0 and not sub.is_attention:
                     # Score tensor read/write around softmax; the framework
                     # does not price softmax FLOPs beyond this traffic.
-                    shards: dict[str, int] = {}
-                    if sub.parallel and degrees[degree_kind(sub.parallel)] > 1:
-                        shards[sub.parallel] = degrees[degree_kind(sub.parallel)]
-                    if sub.cp_dim and cp_degree > 1:
-                        shards[sub.cp_dim] = shards.get(sub.cp_dim, 1) * cp_degree
-                    score_bytes = 1.0
-                    for sym in sub.equation.output_operand:
-                        size = bound.size(sym)
-                        deg = shards.get(sym, 1)
-                        score_bytes *= size / deg
-                    score_bytes *= bound.dtype_bytes
+                    score_bytes = operand_bytes(sub.equation.output_operand,
+                                                bound, op_shards(sub, degrees))
                     lowered.append(LoweredOp(
                         label=f"{op.label}: score",
                         kernels=(MemoryOpDescriptor(2 * score_bytes,

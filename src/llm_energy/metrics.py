@@ -8,8 +8,15 @@ from typing import Optional
 
 from .compute import HardwareProfile
 from .errors import ValidationError
-from .interpreter import DECODE, PREFILL, PhaseContext
-from .spec_lang import DimensionBindings, ModelSpec, OpSpec, degree_kind
+from .interpreter import (
+    DECODE,
+    PREFILL,
+    PhaseContext,
+    _flatten_ops,
+    op_shards,
+    operand_bytes,
+)
+from .spec_lang import RUNTIME_SYMBOLS, DimensionBindings, ModelSpec
 
 CATEGORY_COMPUTE = "compute"
 CATEGORY_COMM = "communication"
@@ -113,9 +120,6 @@ def epot(report: PhaseReport) -> float:
     return report.total_energy / (report.batch * report.osl)
 
 
-_RUNTIME = frozenset({"b", "s", "z", "T"})
-
-
 @dataclass(frozen=True)
 class MemoryModel:
     """Per-GPU DRAM footprint: sharded weights + KV cache + headroom."""
@@ -130,31 +134,15 @@ class MemoryModel:
     def required(self, batch: int, z: int) -> float:
         return self.weight_bytes + self.kv_bytes(batch, z) + self.activation_headroom
 
-    def max_context(self, batch: int, capacity: float) -> int:
-        """Largest context length z fitting in ``capacity`` at this batch size."""
+    def max_context(self, batch: int, capacity: float) -> Optional[int]:
+        """Largest context length z fitting in ``capacity`` at this batch size;
+        None when the spec holds no KV cache, so memory bounds no context."""
         free = capacity - self.weight_bytes - self.activation_headroom
         if free < 0:
             return 0
+        if not self.kv_unit_bytes:
+            return None
         return int(free // (self.kv_unit_bytes * batch))
-
-
-def _op_weight_bytes(op: OpSpec, dims: DimensionBindings,
-                     degrees: dict[str, int]) -> float:
-    if op.is_attention:
-        return sum(_op_weight_bytes(sub, dims, degrees) for sub in op.attn_eqs)
-    eq = op.equation
-    total = 0.0
-    for operand in eq.input_operands:
-        if any(sym in _RUNTIME for sym in operand):
-            continue  # activation or cache operand, not a resident weight
-        size = 1.0
-        for sym in operand:
-            s = dims.size(sym)
-            if op.parallel == sym:
-                s /= degrees[degree_kind(sym)]
-            size *= s
-        total += size * dims.dtype_bytes
-    return total
 
 
 def build_memory_model(spec: ModelSpec, dims: DimensionBindings,
@@ -162,21 +150,30 @@ def build_memory_model(spec: ModelSpec, dims: DimensionBindings,
                        activation_headroom: float = 0.0) -> MemoryModel:
     """Derive the per-GPU memory model from the op list.
 
-    Weight operands are inputs with no runtime symbols, sharded along the
-    op's parallel dimension. KV cache uses the KV-head count K (grouped
-    query attention stores K heads, not H), sharded by tensor parallelism.
+    Weights are the input operands with no runtime symbol, sharded along the
+    op's parallel dimension and replicated across the context-parallel
+    group. The KV cache is every input operand that holds the context ``z``
+    but not the query tokens ``s`` (the ``bKzh`` cache of each attention
+    sub-op), per batch element and context token, sharded like that op.
     """
-    weights = sum(_op_weight_bytes(op, dims, degrees) for op in spec.ops) * layers
-    kv_unit = (2.0 * dims.size("K") * dims.size("h") * dims.dtype_bytes
-               * layers / degrees.get("tp", 1)) if "K" in dims.sizes and "h" in dims.sizes else 0.0
-    return MemoryModel(weights, kv_unit, activation_headroom)
+    weights = kv_unit = 0.0
+    for op in _flatten_ops(spec):
+        for operand in op.equation.input_operands:
+            if not RUNTIME_SYMBOLS.intersection(operand):
+                weights += operand_bytes(operand, dims,
+                                         op_shards(op, dict(degrees, cp=1)))
+            elif "z" in operand and "s" not in operand:
+                per_token = "".join(sym for sym in operand
+                                    if sym not in RUNTIME_SYMBOLS)
+                kv_unit += operand_bytes(per_token, dims, op_shards(op, degrees))
+    return MemoryModel(weights * layers, kv_unit * layers, activation_headroom)
 
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     feasible: bool
     reason: str
-    max_seq_at_batch: int
+    max_seq_at_batch: Optional[int]
     required_bytes: float
     capacity_bytes: float
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .compute import CostEstimate
+from .compute import ZERO_COST, CostEstimate
 from .errors import ValidationError
 
 DEFAULT_TILE = 16
@@ -62,11 +62,12 @@ def quantize_tokens(tokens: float, tile: int) -> float:
 
 def uniform_routing(batch: int, s: int, top_k: int, total_experts: int,
                     ep_degree: int, tile: int = DEFAULT_TILE) -> RoutingStats:
-    """Ideal routing: token-expert assignments spread evenly, no imbalance.
+    """Ideal routing: token-expert assignments spread evenly.
 
     With fewer assignments than experts (small decode batches) only
     ``batch*s*top_k`` experts activate, one token each, padded to the tile
-    floor.
+    floor. When the activated experts do not divide evenly over the EP
+    ranks, the bottleneck GPU holds ``ceil(activated / ep)`` of them.
     """
     if total_experts % ep_degree:
         raise ValidationError(
@@ -76,9 +77,9 @@ def uniform_routing(batch: int, s: int, top_k: int, total_experts: int,
         raise ValidationError("no token-expert assignments")
     activated = min(assignments, total_experts)
     t_eff = quantize_tokens(assignments / activated, tile)
-    e_per_gpu = activated / ep_degree
-    return RoutingStats(t_avg=t_eff, t_max=t_eff,
-                        e_avg=e_per_gpu, e_max=e_per_gpu, source="uniform")
+    e_avg = activated / ep_degree
+    return RoutingStats(t_avg=t_eff, t_max=t_eff, e_avg=e_avg,
+                        e_max=float(math.ceil(e_avg)), source="uniform")
 
 
 @dataclass(frozen=True)
@@ -158,22 +159,28 @@ def stats_from_trace(trace: RoutingTrace, total_experts: int, ep_degree: int,
     )
 
 
+def fold_imbalance(avg: CostEstimate, mx: CostEstimate,
+                   p_idle: float) -> CostEstimate:
+    """One kernel's imbalance fold: bottleneck latency, average energy plus
+    the average GPU idling at ``p_idle`` until the bottleneck finishes.
+
+    latency = L' = max(L(max), L(avg))
+    energy  = E(avg) + (L' - L(avg)) * p_idle
+
+    The bottleneck GPU need not be slower on every single kernel (its
+    per-expert mean can be smaller), but the true per-kernel maximum across
+    GPUs bounds both, hence the clamp.
+    """
+    bottleneck = max(mx.latency, avg.latency)
+    return CostEstimate(bottleneck,
+                        avg.energy + (bottleneck - avg.latency) * p_idle)
+
+
 def aggregate_moe(costs_avg: Sequence[CostEstimate],
                   costs_max: Sequence[CostEstimate],
                   p_idle: float) -> CostEstimate:
-    """Imbalance aggregation: bottleneck latency, average energy plus idle waiting.
-
-    latency = sum_i L_i(max)
-    energy  = sum_i [ E_i(avg) + (L_i(max) - L_i(avg)) * p_idle ]
-    """
+    """Sum of the per-kernel imbalance folds of aligned avg/max cost lists."""
     if len(costs_avg) != len(costs_max):
         raise ValidationError("avg/max cost lists must align one-to-one")
-    latency = 0.0
-    energy = 0.0
-    for avg, mx in zip(costs_avg, costs_max):
-        if mx.latency < avg.latency - 1e-12 * max(1.0, avg.latency):
-            raise ValidationError(
-                "bottleneck latency below average latency: inconsistent inputs")
-        latency += mx.latency
-        energy += avg.energy + (mx.latency - avg.latency) * p_idle
-    return CostEstimate(latency, energy)
+    return sum((fold_imbalance(avg, mx, p_idle)
+                for avg, mx in zip(costs_avg, costs_max)), ZERO_COST)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .comm import CommBackend
-from .compute import CostEstimate
 from .errors import ValidationError
 from .interpreter import (
     ALLGATHER,
@@ -122,11 +121,6 @@ def plan_overlap(g: GemmDescriptor, collective_bytes: float, world: int,
         p_first=first.power,
         p_overlapped=restricted.power,
         label=label)
-
-
-def overlap_energy(plan: OverlapPlan) -> CostEstimate:
-    """Total cost of the plan under the timeline and power-attribution rules."""
-    return CostEstimate(plan.total_latency, plan.total_energy)
 
 
 def effective_sm_tradeoff(g: GemmDescriptor, collective_bytes: float, world: int,

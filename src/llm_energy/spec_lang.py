@@ -25,6 +25,11 @@ ATTENTION_OPCODE = "attention"
 EXPERT_SYMBOLS = frozenset({"E", "A"})
 
 
+# Symbols bound per phase at evaluation time, not from the dims file:
+# batch, query tokens, context tokens and MoE tokens-per-expert.
+RUNTIME_SYMBOLS = frozenset({"b", "s", "z", "T"})
+
+
 def degree_kind(symbol: str) -> str:
     return "ep" if symbol in EXPERT_SYMBOLS else "tp"
 
@@ -315,6 +320,14 @@ def load_bindings(path) -> DimensionBindings:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: dims file must be a JSON object")
+
+    def integer(key: str, value) -> int:
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{path}: dims key {key!r} must be an integer, got {value!r}") from None
+
     sizes: dict[str, int] = {}
     for key, value in raw.items():
         if key in _DIMS_META:
@@ -322,11 +335,11 @@ def load_bindings(path) -> DimensionBindings:
         sym = _DIMS_ALIASES.get(key, key)
         if len(sym) != 1:
             raise ValidationError(f"{path}: unknown dims key {key!r}")
-        sizes[sym] = int(value)
+        sizes[sym] = integer(key, value)
     dims = DimensionBindings(
         sizes,
-        dtype_bytes=int(raw.get("dtype_bytes", 2)),
-        layers=int(raw["layers"]) if "layers" in raw else None,
+        dtype_bytes=integer("dtype_bytes", raw.get("dtype_bytes", 2)),
+        layers=integer("layers", raw["layers"]) if "layers" in raw else None,
     )
     dims.check_derived()
     return dims
@@ -339,11 +352,6 @@ class EvalContextInfo:
     spec: ModelSpec
     dims: DimensionBindings
     degrees: dict[str, int]  # {"tp": n, "ep": n, "cp": n}
-    sharded_sizes: dict[str, int]  # per-GPU size of each annotated symbol
-
-
-# Symbols bound per phase at evaluation time, not from the dims file.
-_RUNTIME_SYMBOLS = frozenset({"b", "s", "z", "T"})
 
 
 def validate_bindings(spec: ModelSpec, dims: DimensionBindings,
@@ -359,15 +367,13 @@ def validate_bindings(spec: ModelSpec, dims: DimensionBindings,
             raise ValidationError(f"{kind} degree must be >= 1, got {deg}")
         full_degrees[kind] = int(deg)
 
-    unbound = spec.symbols() - set(dims.sizes) - _RUNTIME_SYMBOLS
+    unbound = spec.symbols() - set(dims.sizes) - RUNTIME_SYMBOLS
     if unbound:
         raise ValidationError(f"unbound symbol(s) {sorted(unbound)}")
 
-    sharded: dict[str, int] = {}
-
     def check_op(op: OpSpec) -> None:
         for sym, kind in ((op.parallel, None), (op.cp_dim, "cp")):
-            if sym is None or sym in _RUNTIME_SYMBOLS:
+            if sym is None or sym in RUNTIME_SYMBOLS:
                 continue
             deg = full_degrees[kind or degree_kind(sym)]
             size = dims.size(sym)
@@ -376,10 +382,9 @@ def validate_bindings(spec: ModelSpec, dims: DimensionBindings,
                     f"op {op.label!r}: symbol {sym!r} size {size} not divisible "
                     f"by degree {deg}"
                 )
-            sharded[sym] = size // deg
         for sub in op.attn_eqs:
             check_op(sub)
 
     for op in spec.ops:
         check_op(op)
-    return EvalContextInfo(spec, dims, full_degrees, sharded)
+    return EvalContextInfo(spec, dims, full_degrees)

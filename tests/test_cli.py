@@ -143,3 +143,47 @@ def test_repeat_runs_byte_identical(tmp_path):
                      "--batch", "2", "--isl", "1024"]) == EXIT_OK
     assert ((a / "report_prefill.json").read_bytes()
             == (b / "report_prefill.json").read_bytes())
+
+
+def _estimate_with_edited(tmp_path, name, edit):
+    """estimate argv with the fixture ``name`` swapped for an edited copy."""
+    raw = json.loads(fixture_path(name).read_text())
+    edit(raw)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    args = _base_args(tmp_path)
+    args[args.index(f"fixture:{name}")] = str(path)
+    return ["estimate", *args]
+
+
+def _malformed_dims(tmp_path):
+    return _estimate_with_edited(tmp_path, "llama3_8b.json",
+                                 lambda raw: raw.update(m="abc"))
+
+
+def _hw_without_total_sm(tmp_path):
+    return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
+                                 lambda raw: raw.pop("total_sm"))
+
+
+def _short_gemm_row(tmp_path):
+    table = tmp_path / "gemm.csv"
+    table.write_text("G,M,contraction,N,dtype_bytes,latency_s,power_w\n"
+                     "1,16,8192\n")
+    return ["estimate", *_base_args(tmp_path), "--gemm-cal", str(table)]
+
+
+def _feasible_point_without_latency(tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [
+        {"phase": "prefill", "batch": 1, "isl": 512, "osl": 1, "tp": 1,
+         "ep": 1, "cp": 1, "overlap": None, "feasible": True}]}))
+    return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _malformed_dims, _hw_without_total_sm, _short_gemm_row,
+    _feasible_point_without_latency])
+def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
+    assert main(make_argv(tmp_path)) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err

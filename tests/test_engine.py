@@ -93,6 +93,30 @@ def test_moe_trace_imbalance_raises_energy(moe_spec, dims_moe, hw, roofline,
     assert traced.total_latency > balanced.total_latency
 
 
+def test_moe_uniform_bottleneck_prices_whole_expert(moe_spec, dims_moe, hw,
+                                                   roofline, comm_backend):
+    # Batch-1 decode activates 8 of 128 experts. Over EP16 the bottleneck
+    # GPU still holds one whole expert, as every GPU does over EP8, so the
+    # expert GEMMs take as long at EP16 as at EP8. The reduction op is left
+    # unsharded so that top-8 need not divide by EP16.
+    import dataclasses
+    spec = dataclasses.replace(moe_spec, ops=tuple(
+        dataclasses.replace(op, parallel=None) if op.label == "Reduction" else op
+        for op in moe_spec.ops))
+    ctx = PhaseContext(DECODE, 1, 512, osl=1)
+    moe_rows = ("Gate & Up Projection", "Down Projection")
+
+    def latencies(ep):
+        report = _est(spec, dims_moe, hw, roofline, comm_backend).estimate(
+            ctx, {"ep": ep})
+        return {r.label: r.latency for r in report.rows if r.label in moe_rows}
+
+    ep16, ep8 = latencies(16), latencies(8)
+    assert set(ep16) == set(moe_rows)
+    for label in moe_rows:
+        assert ep16[label] == pytest.approx(ep8[label], rel=1e-12)
+
+
 def test_apply_overlap_setting(dense_spec):
     spec = apply_overlap_setting(dense_spec, stages=4, sm_comm=16)
     annotated = [op.label for op in spec.ops if op.overlap_stage is not None]

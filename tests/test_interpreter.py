@@ -1,6 +1,10 @@
 """Lowering tests: GEMM extraction, collective detection, kernel streams."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llm_energy import (
     CommDescriptor,
@@ -12,15 +16,21 @@ from llm_energy import (
     detect_all2all,
     detect_allreduce,
     extract_gemm,
+    load_bindings,
+    load_model_spec,
     lower_model,
     parse_equation,
 )
+from llm_energy.fixtures import fixture_path
 from llm_energy.interpreter import (
     ALLREDUCE,
     ALLTOALL,
     DECODE,
     PREFILL,
+    _flatten_ops,
     decode_positions,
+    op_shards,
+    operand_bytes,
 )
 from llm_energy.spec_lang import OpSpec
 
@@ -44,7 +54,7 @@ def test_extract_gemm_grouped_attention():
 
 def test_extract_gemm_shard():
     dims = DimensionBindings({"b": 1, "s": 2, "m": 4, "F": 32})
-    g = extract_gemm(parse_equation("bsm,mF->bsF"), dims, shard=("F", 2))
+    g = extract_gemm(parse_equation("bsm,mF->bsF"), dims, shards={"F": 2})
     assert g.n == 16
 
 
@@ -65,7 +75,7 @@ def test_sharding_conserves_flops():
     eq = parse_equation("bsm,mF->bsF")
     full = extract_gemm(eq, dims).flops
     for tp in (2, 4, 8):
-        assert extract_gemm(eq, dims, shard=("F", tp)).flops * tp == full
+        assert extract_gemm(eq, dims, shards={"F": tp}).flops * tp == full
 
 
 def test_detect_allreduce_fires_on_summed_parallel():
@@ -191,3 +201,33 @@ def test_decode_positions():
     assert decode_positions(100, 64) == [(1, 64), (65, 36)]
     assert sum(w for _, w in decode_positions(777, 64)) == 777
     assert decode_positions(5, 1) == [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]
+
+
+_FIXTURE_PAIRS = (
+    ("dense_fused", "llama3_8b"), ("dense_fused", "llama3_70b"),
+    ("dense_unfused", "llama3_8b"), ("dense_unfused", "llama3_70b"),
+    ("dense_fused_cp", "llama3_8b"), ("dense_fused_cp", "llama3_70b"),
+    ("moe_fused", "qwen3_30b_a3b"),
+)
+_DEGREES = st.sampled_from([1, 2, 3, 4, 8])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(_FIXTURE_PAIRS), tp=_DEGREES, ep=_DEGREES,
+       cp=_DEGREES, runtime=st.tuples(*[st.integers(1, 64)] * 4))
+def test_operand_bytes_shards_conserve_total(pair, tp, ep, cp, runtime):
+    spec = load_model_spec(fixture_path(f"{pair[0]}.json"))
+    b, s, z, t = runtime
+    dims = load_bindings(fixture_path(f"{pair[1]}.json")).with_sizes(
+        b=b, s=s, z=z, T=t)
+    degrees = {"tp": tp, "ep": ep, "cp": cp}
+    for op in _flatten_ops(spec):
+        shards = op_shards(op, degrees)
+        for operand in (*op.equation.input_operands, op.equation.output_operand):
+            cut = {sym: deg for sym, deg in shards.items() if sym in operand}
+            if all(dims.size(sym) % deg == 0 for sym, deg in cut.items()):
+                assert (operand_bytes(operand, dims, shards) * math.prod(cut.values())
+                        == operand_bytes(operand, dims, {}))
+            else:
+                with pytest.raises(ValidationError):
+                    operand_bytes(operand, dims, shards)

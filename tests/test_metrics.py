@@ -108,6 +108,28 @@ def test_build_memory_model_dense(dense_spec, dims_70b, hw):
         assert mem.kv_unit_bytes == pytest.approx(expected_kv)
 
 
+def test_kv_cache_follows_spec_annotations(cp_spec, dims_70b):
+    # One layer of the QK and AV caches bKzh: 2 x K x h x 2 bytes = 4096 B
+    # per token, split over the cp group by cp_dim K. The spec carries no
+    # parallel annotation, so tp leaves the cache whole.
+    for tp, cp, kv in ((1, 1, 4096), (1, 2, 2048), (1, 4, 1024), (2, 1, 4096)):
+        mem = build_memory_model(cp_spec, dims_70b,
+                                 {"tp": tp, "ep": 1, "cp": cp}, layers=1)
+        assert mem.kv_unit_bytes == kv
+
+
+def test_spec_without_attention_holds_no_kv_cache(dims_8b, hw):
+    from llm_energy import parse_model_spec
+    mlp = parse_model_spec({"ops": [
+        {"eq": "bsm,mf->bsf", "parallel": "f", "label": "Up"},
+        {"eq": "bsf,fm->bsm", "parallel": "f", "label": "Down"}]})
+    mem = build_memory_model(mlp, dims_8b, {"tp": 2, "ep": 1, "cp": 1}, 32)
+    assert mem.kv_unit_bytes == 0
+    assert mem.weight_bytes == 2 * 4096 * 14336 * 2 * 32 / 2
+    verdict = check_memory(mem, PhaseContext(PREFILL, 8, 4096), hw)
+    assert verdict.feasible and verdict.max_seq_at_batch is None
+
+
 def test_doubling_tp_doubles_max_context(dense_spec, dims_70b, hw):
     m4 = build_memory_model(dense_spec, dims_70b, {"tp": 4, "ep": 1, "cp": 1}, 80)
     m8 = build_memory_model(dense_spec, dims_70b, {"tp": 8, "ep": 1, "cp": 1}, 80)

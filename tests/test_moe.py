@@ -12,7 +12,7 @@ from llm_energy import (
     stats_from_trace,
     uniform_routing,
 )
-from llm_energy.moe import quantize_tokens
+from llm_energy.moe import fold_imbalance, quantize_tokens
 
 
 def test_quantize_tokens():
@@ -31,6 +31,21 @@ def test_uniform_decode_tile_floor():
     assert stats.t_avg == stats.t_max == 16.0
     assert stats.e_avg == stats.e_max == 8 / 4  # 8 activated experts over EP4
     assert stats.balanced
+
+
+def test_uniform_bottleneck_holds_whole_expert():
+    # Batch-1 decode activates 8 of 128 experts; over EP16 the average GPU
+    # holds half an expert but the bottleneck GPU holds a whole one.
+    stats = uniform_routing(batch=1, s=1, top_k=8, total_experts=128,
+                            ep_degree=16, tile=16)
+    assert stats.e_avg == 0.5
+    assert stats.e_max == 1.0
+    assert stats.t_avg == stats.t_max == 16.0
+    assert not stats.balanced
+    # 24 activated over EP16: ceil(1.5) = 2 experts on the bottleneck.
+    stats = uniform_routing(batch=3, s=1, top_k=8, total_experts=128,
+                            ep_degree=16, tile=16)
+    assert (stats.e_avg, stats.e_max) == (1.5, 2.0)
 
 
 def test_uniform_prefill():
@@ -145,9 +160,14 @@ def test_aggregate_balanced():
     assert out.energy == 80.0
 
 
-def test_aggregate_inconsistent_rejected():
+def test_aggregate_clamps_bottleneck_to_average():
+    # A bottleneck kernel faster than the average GPU's is clamped to the
+    # average latency and adds no idle energy.
+    avg, mx = CostEstimate(2.0, 10.0), CostEstimate(1.0, 3.0)
+    assert fold_imbalance(avg, mx, 50.0) == avg
+    assert aggregate_moe([avg], [mx], 50.0) == avg
     with pytest.raises(ValidationError):
-        aggregate_moe([CostEstimate(2.0, 10.0)], [CostEstimate(1.0, 10.0)], 50.0)
+        aggregate_moe([avg], [], 50.0)
 
 
 def test_aggregate_energy_lower_bound():

@@ -9,7 +9,6 @@ from llm_energy import (
     RooflineBackend,
     ValidationError,
     effective_sm_tradeoff,
-    overlap_energy,
     plan_overlap,
 )
 from llm_energy.interpreter import ALLREDUCE
@@ -64,9 +63,9 @@ def test_plan_overlap_multistage(hw, comm_backend):
     # Phase i: full-SM 1/4 GEMM partition; phase ii uses fewer SMs, so it is
     # never faster than phase i.
     assert plan.t_gemm_ov >= plan.t_first
-    cost = overlap_energy(plan)
-    assert cost.latency == plan.total_latency
-    assert cost.energy == plan.total_energy
+    assert plan.total_latency == (plan.t_first + plan.t_exposed
+                                  + max(plan.t_gemm_ov, plan.t_comm_ov) * 3)
+    assert plan.total_energy == plan.compute_energy + plan.exposed_energy
 
 
 def test_partition_overhead_dominated(hw, comm_backend):

@@ -15,6 +15,7 @@ from llm_energy import (
     parse_model_spec,
     validate_bindings,
 )
+from llm_energy.interpreter import local_size
 from llm_energy.spec_lang import OpSpec, degree_kind
 
 
@@ -131,7 +132,8 @@ def test_derived_symbol_consistency():
 
 def test_validate_bindings_shard_arithmetic(dense_spec, dims_8b):
     info = validate_bindings(dense_spec, dims_8b, {"tp": 2})
-    assert info.sharded_sizes["K"] == 4  # K=8 per-GPU halves under TP2
+    # K=8 per-GPU halves under TP2
+    assert local_size("K", dims_8b, {"K": info.degrees["tp"]}) == 4
 
 
 def test_validate_bindings_divisibility_error(dense_spec, dims_8b):
@@ -141,7 +143,8 @@ def test_validate_bindings_divisibility_error(dense_spec, dims_8b):
 
 def test_validate_bindings_expert_shard(moe_spec, dims_moe):
     info = validate_bindings(moe_spec, dims_moe, {"tp": 2, "ep": 4})
-    assert info.sharded_sizes["E"] == 32  # 128 experts over EP4
+    # 128 experts over EP4
+    assert local_size("E", dims_moe, {"E": info.degrees["ep"]}) == 32
 
 
 def test_validate_bindings_unbound_symbol(dense_spec):
