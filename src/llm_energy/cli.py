@@ -218,13 +218,22 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+_POINT_FIELDS = ("phase", "batch", "isl", "osl", "tp", "ep", "cp", "feasible")
+
+
 def cmd_pareto(args) -> int:
     from .explorer import ConfigPoint
     path = _resolve(args.points)
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("points"), list):
+        raise ValidationError(f"{path}: needs a 'points' list")
     points = []
     for i, row in enumerate(payload["points"]):
+        missing = [key for key in _POINT_FIELDS
+                   if not isinstance(row, dict) or key not in row]
+        if missing:
+            raise ValidationError(f"{path}: point #{i} lacks {', '.join(missing)}")
         if row["feasible"] and not all(
                 isinstance(row.get(key), (int, float))
                 for key in ("latency_s", "energy_j")):

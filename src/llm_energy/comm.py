@@ -115,8 +115,12 @@ def load_comm_calibration(path) -> CommCalibrationTable:
             kind, world, sm, size, lat, en = cols
             if kind not in VALID_KINDS:
                 raise ValidationError(f"{path}:{lineno}: unknown kind {kind!r}")
-            rows.setdefault((kind, int(world), int(sm)), []).append(
-                (float(size), float(lat), float(en)))
+            try:
+                key = (kind, int(world), int(sm))
+                sample = (float(size), float(lat), float(en))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            rows.setdefault(key, []).append(sample)
     if not header_seen:
         raise ValidationError(f"{path}: missing header row")
 

@@ -79,7 +79,16 @@ def load_hardware_profile(path) -> HardwareProfile:
     if missing:
         raise ValidationError(f"{path}: missing hardware field(s) {sorted(missing)}")
     raw = {k: v for k, v in raw.items() if k != "format_version"}
-    raw["total_sm"] = int(raw["total_sm"])
+    for key, value in raw.items():
+        if key not in ("name", "total_sm") and (
+                isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValidationError(
+                f"{path}: hardware field {key!r} must be a number, got {value!r}")
+    try:
+        raw["total_sm"] = int(raw["total_sm"])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: hardware field 'total_sm' must be an "
+                              f"integer, got {raw['total_sm']!r}") from None
     return HardwareProfile(**raw)
 
 
@@ -179,8 +188,12 @@ class GemmCalibrationTable:
                     raise ValidationError(
                         f"{path}:{lineno}: expected {len(expected)} columns")
                 g, m_, k, n, t, lat, pw = cols
-                point = GemmCalibrationPoint(float(g), float(m_), float(k),
-                                             float(n), int(t), float(lat), float(pw))
+                try:
+                    point = GemmCalibrationPoint(float(g), float(m_), float(k),
+                                                 float(n), int(t), float(lat),
+                                                 float(pw))
+                except ValueError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
                 if point.latency_s <= 0 or point.power_w <= 0:
                     raise ValidationError(f"{path}:{lineno}: non-positive latency/power")
                 points.append(point)

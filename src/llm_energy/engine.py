@@ -45,6 +45,9 @@ from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
 
 DEFAULT_DECODE_STRIDE = 64
 
+# (label, category, latency, energy, reads_context) of one priced kernel.
+Entry = tuple[str, str, float, float, bool]
+
 
 def _kernel_category(kernel) -> str:
     if isinstance(kernel, GemmDescriptor):
@@ -107,21 +110,25 @@ class Estimator:
     # -- per-layer costing -------------------------------------------------
 
     def _layer_entries(self, ctx: PhaseContext, degrees: dict[str, int],
-                       stats: Optional[RoutingStats]
-                       ) -> list[tuple[str, str, float, float]]:
-        """(label, category, latency, energy) per kernel for one layer, one GPU.
+                       stats: Optional[RoutingStats], context_only: bool = False
+                       ) -> list[Entry]:
+        """(label, category, latency, energy, reads_context) per kernel for
+        one layer, one GPU; ``context_only`` prices only the kernels that
+        change with ``z``.
 
         MoE kernels are priced under the average and the bottleneck GPU's
         routing statistics and folded by :func:`fold_imbalance`.
         """
         avg_te = stats.avg if stats else None
-        lowered = lower_model(self.spec, self.dims, ctx, degrees, moe_te=avg_te)
+        lowered = lower_model(self.spec, self.dims, ctx, degrees, moe_te=avg_te,
+                              context_only=context_only)
         lowered_max = None
-        if stats is not None and not stats.balanced:
+        if (stats is not None and not stats.balanced
+                and any(op.is_moe for op in lowered)):
             lowered_max = lower_model(self.spec, self.dims, ctx, degrees,
-                                      moe_te=stats.max)
+                                      moe_te=stats.max, context_only=context_only)
 
-        entries: list[tuple[str, str, float, float]] = []
+        entries: list[Entry] = []
         for idx, op in enumerate(lowered):
             if op.overlap is not None:
                 entries.extend(self._overlap_entries(op, ctx, degrees))
@@ -133,12 +140,11 @@ class Estimator:
                         cost, self._price(lowered_max[idx].kernels[k_idx]),
                         self.hw.p_idle)
                 entries.append((op.label, _kernel_category(kernel),
-                                cost.latency, cost.energy))
+                                cost.latency, cost.energy, op.reads_context))
         return entries
 
     def _overlap_entries(self, op: LoweredOp, ctx: PhaseContext,
-                         degrees: dict[str, int]
-                         ) -> list[tuple[str, str, float, float]]:
+                         degrees: dict[str, int]) -> list[Entry]:
         stages, sm_comm, dim = op.overlap
         if op.gemm is None or op.collective is None:
             raise ValidationError(f"op {op.label!r}: overlap needs a GEMM + collective")
@@ -157,10 +163,12 @@ class Estimator:
             if kernel is op.gemm:
                 continue
             cost = self._price(kernel)
-            out.append((op.label, _kernel_category(kernel), cost.latency, cost.energy))
+            out.append((op.label, _kernel_category(kernel), cost.latency,
+                        cost.energy, op.reads_context))
         out.append((op.label, CATEGORY_COMPUTE, plan.compute_latency,
-                    plan.compute_energy))
-        out.append((op.label, CATEGORY_EXPOSED, plan.t_exposed, plan.exposed_energy))
+                    plan.compute_energy, op.reads_context))
+        out.append((op.label, CATEGORY_EXPOSED, plan.t_exposed, plan.exposed_energy,
+                    op.reads_context))
         return out
 
     # -- phase estimation ----------------------------------------------------
@@ -191,20 +199,30 @@ class Estimator:
 
         rows: dict[tuple[str, str], ReportRow] = {}
 
-        def accumulate(entries, weight: float) -> None:
-            for label, category, latency, energy in entries:
+        def accumulate(entries: list[Entry], weight: float,
+                       invariant_weight: Optional[float] = None) -> None:
+            for label, category, latency, energy, varying in entries:
+                w = weight if varying or invariant_weight is None else invariant_weight
                 scale = 1.0 if category == CATEGORY_COMM else float(gpus)
                 row = rows.setdefault((label, category), ReportRow(label, category))
-                row.add(latency * weight, energy * scale * weight)
+                row.add(latency * w, energy * scale * w)
 
         if ctx.phase == PREFILL:
             stats = self.routing_stats(ctx, degrees)
             accumulate(self._layer_entries(ctx, degrees, stats), float(layers))
         else:
-            for position, width in decode_positions(ctx.osl, self.decode_stride):
-                step_ctx = ctx.at_position(position)
-                stats = self.routing_stats(step_ctx, degrees)
-                accumulate(self._layer_entries(step_ctx, degrees, stats),
+            # Only the kernels that read z change across decode positions;
+            # the rest, and the routing statistics (s = 1 throughout), are
+            # priced once and weighted by the whole phase.
+            positions = decode_positions(ctx.osl, self.decode_stride)
+            first_ctx = ctx.at_position(positions[0][0])
+            stats = self.routing_stats(first_ctx, degrees)
+            steps = sum(width for _, width in positions)
+            accumulate(self._layer_entries(first_ctx, degrees, stats),
+                       float(layers) * positions[0][1], float(layers) * steps)
+            for position, width in positions[1:]:
+                accumulate(self._layer_entries(ctx.at_position(position), degrees,
+                                               stats, context_only=True),
                            float(layers) * width)
 
         report.rows = list(rows.values())

@@ -243,6 +243,7 @@ class LoweredOp:
     label: str
     kernels: tuple[KernelDescriptor, ...]
     is_moe: bool = False  # priced twice (avg/max routing) and imbalance-folded
+    reads_context: bool = False  # kernels change with the context length z
     overlap: Optional[tuple[int, int, str]] = None  # (stages, sm_comm, dim)
     gemm: Optional[GemmDescriptor] = None
     collective: Optional[CommDescriptor] = None
@@ -257,6 +258,15 @@ def _flatten_ops(spec: ModelSpec) -> list[OpSpec]:
         else:
             flat.append(op)
     return flat
+
+
+def reads_context(op: OpSpec) -> bool:
+    """Whether the op's cost reads the context length ``z``: ``z`` is in its
+    equation, or, for attention, in any of its sub-equations."""
+    if op.is_attention:
+        return any(reads_context(sub) for sub in op.attn_eqs)
+    eq = op.equation
+    return "z" in eq.output_operand or any("z" in o for o in eq.input_operands)
 
 
 def _lower_compute(op: OpSpec, dims: DimensionBindings,
@@ -299,12 +309,19 @@ def _is_moe_op(op: OpSpec) -> bool:
 
 def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
                 degrees: dict[str, int],
-                moe_te: Optional[tuple[float, float]] = None) -> list[LoweredOp]:
+                moe_te: Optional[tuple[float, float]] = None,
+                context_only: bool = False) -> list[LoweredOp]:
     """Lower one layer's ops into kernel descriptor groups.
 
     ``moe_te`` binds the effective (tokens-per-expert, experts-per-GPU)
     pair for MoE ops; those ops skip the expert-parallel shard because the
     statistics are already per-GPU.
+
+    In decode, each lowered op is tagged ``reads_context`` when its
+    kernels change with ``z`` from one position to the next: the op reads
+    the context, or it follows one that does and may carry a cp transition
+    sized by that op's output. ``context_only`` lowers just those ops;
+    predecessors still come from the full stream.
     """
     if ctx.phase == DECODE and any(op.overlap_stage for op in spec.ops):
         raise ValidationError("compute-communication overlap is a prefill technique; "
@@ -318,9 +335,19 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
         i = stream_index[id(op)]
         return stream[i - 1] if i > 0 else None
 
+    def varies(op: OpSpec) -> bool:
+        if ctx.phase != DECODE:
+            return False  # z = isl throughout prefill
+        prev = preceding(op)
+        return reads_context(op) or (
+            cp_degree > 1 and prev is not None and reads_context(prev))
+
     lowered: list[LoweredOp] = []
 
     def lower_one(op: OpSpec, parent_label: Optional[str] = None) -> None:
+        varying = varies(op)
+        if context_only and not varying:
+            return
         label = parent_label or op.label
         kernels: list[KernelDescriptor] = []
         local = bound
@@ -356,6 +383,7 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
             label=label,
             kernels=tuple(kernels),
             is_moe=is_moe,
+            reads_context=varying,
             overlap=overlap,
             gemm=compute if isinstance(compute, GemmDescriptor) else None,
             collective=collective,
@@ -366,6 +394,9 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
             for j, sub in enumerate(op.attn_eqs):
                 lower_one(sub, parent_label=f"{op.label}: {sub.label}")
                 if j == 0 and not sub.is_attention:
+                    score_varies = varies(sub)
+                    if context_only and not score_varies:
+                        continue
                     # Score tensor read/write around softmax; the framework
                     # does not price softmax FLOPs beyond this traffic.
                     score_bytes = operand_bytes(sub.equation.output_operand,
@@ -374,6 +405,7 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
                         label=f"{op.label}: score",
                         kernels=(MemoryOpDescriptor(2 * score_bytes,
                                                     label=f"{op.label} score"),),
+                        reads_context=score_varies,
                     ))
         else:
             lower_one(op)

@@ -181,9 +181,40 @@ def _feasible_point_without_latency(tmp_path):
     return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
 
 
+def _point_without_feasible(tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [
+        {"phase": "prefill", "batch": 1, "isl": 512, "osl": 1, "tp": 1,
+         "ep": 1, "cp": 1, "overlap": None, "latency_s": 1.0,
+         "energy_j": 1.0}]}))
+    return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
+
+
+def _hw_with_text_total_sm(tmp_path):
+    return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
+                                 lambda raw: raw.update(total_sm="abc"))
+
+
+def _comm_row_with_text_world(tmp_path):
+    table = tmp_path / "comm.csv"
+    table.write_text("kind,world,sm_count,bytes,latency_s,energy_j\n"
+                     "AllReduce,two,1,1024,1e-5,1e-3\n")
+    args = _base_args(tmp_path)
+    args[args.index("fixture:comm_synthetic.csv")] = str(table)
+    return ["estimate", *args]
+
+
+def _gemm_row_with_text_m(tmp_path):
+    table = tmp_path / "gemm.csv"
+    table.write_text("G,M,contraction,N,dtype_bytes,latency_s,power_w\n"
+                     "1,x,8192,8192,2,1e-3,300\n")
+    return ["estimate", *_base_args(tmp_path), "--gemm-cal", str(table)]
+
+
 @pytest.mark.parametrize("make_argv", [
     _malformed_dims, _hw_without_total_sm, _short_gemm_row,
-    _feasible_point_without_latency])
+    _feasible_point_without_latency, _point_without_feasible,
+    _hw_with_text_total_sm, _comm_row_with_text_world, _gemm_row_with_text_m])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err

@@ -1,17 +1,40 @@
 """End-to-end estimator behavior: accounting, MoE folding, overlap wiring."""
 
+import dataclasses
+import random
+
 import pytest
 
 from llm_energy import (
     Estimator,
+    GemmCalibrationTable,
     PhaseContext,
+    RoutingTrace,
+    TableComputeBackend,
     ValidationError,
     apply_overlap_setting,
     epot,
     etft,
 )
-from llm_energy.interpreter import DECODE, PREFILL
-from llm_energy.metrics import CATEGORY_COMM, CATEGORY_EXPOSED
+from llm_energy import engine
+from llm_energy.fixtures import fixture_path
+from llm_energy.interpreter import (
+    DECODE,
+    PREFILL,
+    CommDescriptor,
+    GemmDescriptor,
+    decode_positions,
+    lower_model,
+    reads_context,
+)
+from llm_energy.metrics import (
+    CATEGORY_COMM,
+    CATEGORY_COMPUTE,
+    CATEGORY_EXPOSED,
+    CATEGORY_MEMORY,
+)
+from llm_energy.moe import fold_imbalance
+from llm_energy.spec_lang import validate_bindings
 
 
 def _est(spec, dims, hw, roofline, comm_backend, **kw):
@@ -170,3 +193,161 @@ def test_tp_sharding_keeps_compute_energy_close(dense_spec, dims_70b, hw,
     assert abs(comp[2] - comp[8]) / comp[8] < 0.05
     comm = {tp: r.category_energy()[CATEGORY_COMM] for tp, r in reports.items()}
     assert comm[8] > comm[2]
+
+
+# -- decode: invariant kernels priced once, context kernels per position ----
+
+def _per_position_rows(est, ctx, degrees):
+    """Decode rows as priced position by position: at every sampled position,
+    the routing statistics, the full lowering (twice for imbalanced MoE) and
+    every kernel's price, weighted by layers x width."""
+    degrees = validate_bindings(est.spec, est.dims, degrees).degrees
+    gpus = est.gpu_count(degrees)
+    rows = {}
+    for position, width in decode_positions(ctx.osl, est.decode_stride):
+        step = ctx.at_position(position)
+        stats = est.routing_stats(step, degrees)
+        lowered = lower_model(est.spec, est.dims, step, degrees,
+                              moe_te=stats.avg if stats else None)
+        lowered_max = None
+        if stats is not None and not stats.balanced:
+            lowered_max = lower_model(est.spec, est.dims, step, degrees,
+                                      moe_te=stats.max)
+        weight = est.layers() * width
+        for idx, op in enumerate(lowered):
+            for k_idx, kernel in enumerate(op.kernels):
+                cost = est._price(kernel)
+                if op.is_moe and lowered_max is not None:
+                    cost = fold_imbalance(
+                        cost, est._price(lowered_max[idx].kernels[k_idx]),
+                        est.hw.p_idle)
+                if isinstance(kernel, CommDescriptor):
+                    category, scale = CATEGORY_COMM, 1
+                elif isinstance(kernel, GemmDescriptor):
+                    category, scale = CATEGORY_COMPUTE, gpus
+                else:
+                    category, scale = CATEGORY_MEMORY, gpus
+                latency, energy = rows.get((op.label, category), (0.0, 0.0))
+                rows[(op.label, category)] = (
+                    latency + cost.latency * weight,
+                    energy + cost.energy * scale * weight)
+    return rows
+
+
+def _skewed_trace():
+    # Every token's eight experts come from the first 40 of 128, so GPU 0
+    # carries most of the expert work at ep 2 and ep 4.
+    rng = random.Random(11)
+    return RoutingTrace(tuple(tuple(rng.sample(range(40), 8)) for _ in range(96)))
+
+
+def _table_backend(hw):
+    return TableComputeBackend(
+        GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv")), hw)
+
+
+@pytest.fixture(scope="module")
+def cp_decode_spec(cp_spec):
+    """The cp fixture with batch as the cp layout and attention cut to QK,
+    so the Output Projection's cp transition is sized by the QK scores:
+    it changes with z although the projection does not read z."""
+    def relayout(op):
+        if op.is_attention:
+            return dataclasses.replace(op, cp_dim=None, attn_eqs=op.attn_eqs[:1])
+        return dataclasses.replace(op, cp_dim="b")
+    return dataclasses.replace(cp_spec, ops=tuple(map(relayout, cp_spec.ops)))
+
+
+_DENSE_CASES = [(spec, {"tp": tp}, None)
+                for spec in ("dense_spec", "unfused_spec") for tp in (1, 2, 4)]
+_MOE_CASES = [("moe_spec", {"tp": 2, "ep": 4}, None),
+              ("moe_spec", {"tp": 2, "ep": 2}, "trace"),
+              ("moe_spec", {"tp": 2, "ep": 4}, "trace")]
+_CP_CASES = [("cp_decode_spec", {"cp": 2}, None)]
+
+
+@pytest.mark.parametrize("stride, osl", [(1, 80), (64, 200)])
+@pytest.mark.parametrize("backend", ["roofline", "table"])
+@pytest.mark.parametrize("spec_name, degrees, routing",
+                         _DENSE_CASES + _MOE_CASES + _CP_CASES)
+def test_decode_matches_per_position_pricing(request, spec_name, degrees, routing,
+                                             backend, stride, osl, hw,
+                                             roofline, comm_backend):
+    spec = request.getfixturevalue(spec_name)
+    dims = request.getfixturevalue("dims_moe" if spec_name == "moe_spec"
+                                   else "dims_8b")
+    compute = roofline if backend == "roofline" else _table_backend(hw)
+    est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride,
+               routing_trace=_skewed_trace() if routing else None)
+    ctx = PhaseContext(DECODE, 2, 512, osl=osl)
+    if routing:
+        assert not est.routing_stats(ctx, degrees).balanced
+    report = est.estimate(ctx, degrees)
+    expected = _per_position_rows(est, ctx, degrees)
+
+    assert [(r.label, r.category) for r in report.rows] == list(expected)
+    for row in report.rows:
+        latency, energy = expected[(row.label, row.category)]
+        assert row.latency == pytest.approx(latency, rel=1e-12)
+        assert row.energy == pytest.approx(energy, rel=1e-12)
+    assert report.total_latency == pytest.approx(
+        sum(lat for lat, _ in expected.values()), rel=1e-12)
+    assert report.total_energy == pytest.approx(
+        sum(en for _, en in expected.values()), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec_name, degrees, routing", [
+    ("dense_spec", {"tp": 2}, None),
+    ("moe_spec", {"tp": 2, "ep": 4}, None),
+    ("moe_spec", {"tp": 2, "ep": 4}, "trace")])
+def test_decode_lowers_full_layer_once(request, monkeypatch, spec_name, degrees,
+                                       routing, hw, roofline, comm_backend):
+    spec = request.getfixturevalue(spec_name)
+    dims = request.getfixturevalue("dims_moe" if spec_name == "moe_spec"
+                                   else "dims_8b")
+    calls = {"routing": 0, "kernels": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[key] += (sum(len(op.kernels) for op in result)
+                           if key == "kernels" else 1)
+            return result
+        return wrapped
+
+    monkeypatch.setattr(engine, "lower_model",
+                        counting(engine.lower_model, "kernels"))
+    monkeypatch.setattr(engine, "stats_from_trace",
+                        counting(engine.stats_from_trace, "routing"))
+    monkeypatch.setattr(engine, "uniform_routing",
+                        counting(engine.uniform_routing, "routing"))
+    est = _est(spec, dims, hw, roofline, comm_backend, decode_stride=1,
+               routing_trace=_skewed_trace() if routing else None)
+    osl = 40
+    report = est.estimate(PhaseContext(DECODE, 2, 512, osl=osl), degrees)
+    assert report.feasible
+
+    # Any routing statistics will do: they size kernels, not their count.
+    full = lower_model(spec, dims, PhaseContext(DECODE, 2, 512, osl=osl),
+                       validate_bindings(spec, dims, degrees).degrees,
+                       moe_te=(16.0, 8.0) if spec_name == "moe_spec" else None)
+    layer_kernels = sum(len(op.kernels) for op in full)
+    # QK, AV and the score traffic: one kernel each, the only ones that
+    # read the context in these specs.
+    context_kernels = sum(len(op.kernels) for op in full if op.reads_context)
+    assert context_kernels == 3
+    # An imbalanced trace lowers the layer a second time for the bottleneck
+    # GPU, once per phase.
+    lowerings = 2 if routing else 1
+    assert calls["routing"] == (1 if spec_name == "moe_spec" else 0)
+    assert calls["kernels"] == (lowerings * layer_kernels
+                                + (osl - 1) * context_kernels)
+
+
+def test_reads_context_marks_attention_by_sub_equations(dense_spec, moe_spec):
+    reading = {op.label for op in dense_spec.ops if reads_context(op)}
+    assert reading == {"Attention"}
+    attention = next(op for op in moe_spec.ops if op.is_attention)
+    assert [reads_context(sub) for sub in attention.attn_eqs] == [True, True]
+    assert not any(reads_context(op) for op in moe_spec.ops
+                   if not op.is_attention)
