@@ -23,7 +23,7 @@ from .explorer import heuristic_compare, insight_queries, pareto_front, sweep
 from .fixtures import fixture_path, list_fixtures
 from .interpreter import DECODE, PREFILL, PhaseContext
 from .moe import DEFAULT_TILE, RoutingTrace
-from .spec_lang import load_bindings, load_model_spec
+from .spec_lang import load_bindings, load_json, load_model_spec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -169,8 +169,7 @@ def _write_plot_data(path: Path, points) -> None:
 
 def cmd_sweep(args) -> int:
     inputs = _load_inputs(args)
-    with open(_resolve(args.grid)) as fh:
-        grid = json.load(fh)
+    grid = load_json(_resolve(args.grid))
     points = sweep(inputs["spec"], inputs["dims"], grid, inputs["hw"],
                    inputs["compute"], inputs["comm"], phase=args.phase,
                    jobs=args.jobs, tile=args.tile,
@@ -224,8 +223,7 @@ _POINT_FIELDS = ("phase", "batch", "isl", "osl", "tp", "ep", "cp", "feasible")
 def cmd_pareto(args) -> int:
     from .explorer import ConfigPoint
     path = _resolve(args.points)
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = load_json(path)
     if not isinstance(payload, dict) or not isinstance(payload.get("points"), list):
         raise ValidationError(f"{path}: needs a 'points' list")
     points = []

@@ -184,8 +184,9 @@ class EffectiveCurve:
         return self._blend(self.curves[0].energy(size), self.curves[1].energy(size))
 
 
-def estimate_comm(c: CommDescriptor, table: CommCalibrationTable) -> CostEstimate:
-    """Interpolated latency/energy for one collective.
+def _collective_curve(c: CommDescriptor,
+                      table: CommCalibrationTable) -> EffectiveCurve:
+    """The curve that prices ``c``: its (kind, world) curves at its SM count.
 
     Descriptors without an SM restriction use the largest calibrated
     sm_count (an unrestricted kernel). AllToAll without its own calibration
@@ -203,18 +204,36 @@ def estimate_comm(c: CommDescriptor, table: CommCalibrationTable) -> CostEstimat
                 f"no calibration for ({c.kind}, world={c.world})")
     counts = table.sm_counts(kind, c.world)
     sm = c.sm_count if c.sm_count is not None else counts[-1]
-    curve = resolve_sm_curve(kind, c.world, sm, table)
+    return resolve_sm_curve(kind, c.world, sm, table)
+
+
+def estimate_comm(c: CommDescriptor, table: CommCalibrationTable) -> CostEstimate:
+    """Interpolated latency/energy for one collective (see
+    :func:`_collective_curve` for the curve chosen)."""
+    curve = _collective_curve(c, table)
     return CostEstimate(curve.latency(c.bytes), curve.energy(c.bytes))
 
 
 class CommBackend:
-    """Thin stateful wrapper used by the engine."""
+    """The engine's comm pricer over one calibration table.
+
+    The curve for each (kind, world, sm_count) is resolved once and kept,
+    so the table must not change while the backend is in use; the table
+    itself keeps no cache. An AllToAll falling back to ReduceScatter warns
+    once per key.
+    """
 
     def __init__(self, table: CommCalibrationTable):
         self.table = table
+        self._curves: dict[tuple, EffectiveCurve] = {}
 
     def estimate(self, c: CommDescriptor) -> CostEstimate:
-        return estimate_comm(c, self.table)
+        key = (c.kind, c.world, c.sm_count)
+        curve = self._curves.get(key)
+        if curve is None:
+            curve = _collective_curve(c, self.table)
+            self._curves[key] = curve
+        return CostEstimate(curve.latency(c.bytes), curve.energy(c.bytes))
 
 
 def synthetic_comm_table(worlds=(2, 4, 8), sm_counts=(1, 4, 16, 108),

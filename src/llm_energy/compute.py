@@ -8,13 +8,13 @@ queries (used by overlap planning).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .errors import BackendError, ValidationError
 from .interpreter import GemmDescriptor, MemoryOpDescriptor
+from .spec_lang import load_json
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ _HW_KEYS = {"peak_flops", "mem_bw", "total_sm", "dram_capacity", "p_idle",
 
 
 def load_hardware_profile(path) -> HardwareProfile:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: hardware profile must be a JSON object")
     unknown = set(raw) - _HW_KEYS
     if unknown:
         raise ValidationError(f"{path}: unknown hardware field(s) {sorted(unknown)}")
@@ -153,6 +154,11 @@ class GemmCalibrationPoint:
         return 2.0 * self.group_count * self.m * self.contraction * self.n
 
 
+def _log_dims(g) -> tuple[float, float, float, float]:
+    return tuple(math.log(max(v, 1.0))
+                 for v in (g.m, g.contraction, g.n, g.group_count))
+
+
 class GemmCalibrationTable:
     """Measured GEMM points; queried by log-space nearest neighbor.
 
@@ -165,6 +171,7 @@ class GemmCalibrationTable:
         if not points:
             raise ValidationError("GEMM calibration table is empty")
         self.points = list(points)
+        self._logs = [(_log_dims(p), p) for p in self.points]
 
     @classmethod
     def load(cls, path) -> "GemmCalibrationTable":
@@ -200,13 +207,15 @@ class GemmCalibrationTable:
         return cls(points)
 
     def _nearest(self, g: GemmDescriptor) -> GemmCalibrationPoint:
-        def key(p: GemmCalibrationPoint) -> float:
-            dist = 0.0
-            for a, b in ((g.m, p.m), (g.contraction, p.contraction),
-                         (g.n, p.n), (g.group_count, p.group_count)):
-                dist += (math.log(max(a, 1.0)) - math.log(max(b, 1.0))) ** 2
-            return dist
-        return min(self.points, key=key)
+        """The first point at the least squared log distance over (M,
+        contraction, N, G), each dimension floored at 1."""
+        qm, qk, qn, qg = _log_dims(g)
+        best, best_dist = None, math.inf
+        for (lm, lk, ln, lg), p in self._logs:
+            dist = (qm - lm) ** 2 + (qk - lk) ** 2 + (qn - ln) ** 2 + (qg - lg) ** 2
+            if dist < best_dist:
+                best, best_dist = p, dist
+        return best
 
     def estimate_gemm(self, g: GemmDescriptor) -> CostEstimate:
         p = self._nearest(g)

@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .comm import CommBackend
 from .compute import CostEstimate, HardwareProfile
-from .errors import ValidationError
-from .interpreter import (
+from .errors import SpecError, ValidationError
+# lower_model is unused here but stays importable from this module: the
+# benchmark's tracer wraps engine.lower_model.
+from .interpreter import (  # noqa: F401
     DECODE,
     PREFILL,
     CommDescriptor,
     GemmDescriptor,
+    LayerPlan,
     LoweredOp,
     MemoryOpDescriptor,
     PhaseContext,
+    compile_layer,
     decode_positions,
     lower_model,
     _flatten_ops,
@@ -57,8 +61,22 @@ def _kernel_category(kernel) -> str:
     return CATEGORY_MEMORY
 
 
+class _Failure(NamedTuple):
+    """A memoized validation failure: the exception type and its message,
+    not the exception, whose traceback would keep its frames alive."""
+
+    kind: type
+    message: str
+
+
 class Estimator:
-    """Prices a model spec under given bindings, hardware, and backends."""
+    """Prices a model spec under given bindings, hardware, and backends.
+
+    What depends only on the parallel degrees (and phase) is computed once
+    per estimator and reused by every evaluation: the validated degrees,
+    the memory model and the compiled :class:`LayerPlan`. Validation
+    failures are memoized as messages and raised again on each evaluation.
+    """
 
     def __init__(self, spec: ModelSpec, dims: DimensionBindings,
                  hw: HardwareProfile, compute_backend, comm_backend: CommBackend,
@@ -76,6 +94,21 @@ class Estimator:
         self.routing_trace = routing_trace
         self.activation_headroom = activation_headroom
         self.has_moe = any(_is_moe_op(op) for op in _flatten_ops(spec))
+        # Entries are published whole, so threads sharing the estimator see
+        # a finished value or none (and then build it themselves).
+        self._memo: dict = {}
+
+    def _memoized(self, key, build):
+        entry = self._memo.get(key)
+        if entry is None:
+            try:
+                entry = build()
+            except (SpecError, ValidationError) as exc:
+                entry = _Failure(type(exc), str(exc))
+            self._memo[key] = entry
+        if isinstance(entry, _Failure):
+            raise entry.kind(entry.message)
+        return entry
 
     # -- helpers -----------------------------------------------------------
 
@@ -85,9 +118,22 @@ class Estimator:
     def gpu_count(self, degrees: dict[str, int]) -> int:
         return max(degrees.get("tp", 1), degrees.get("ep", 1)) * degrees.get("cp", 1)
 
+    def _validated(self, degrees: dict[str, int]) -> dict[str, int]:
+        """``degrees`` checked against the spec and dims, every kind filled in."""
+        return self._memoized(
+            ("degrees", tuple(degrees.items())),
+            lambda: validate_bindings(self.spec, self.dims, degrees).degrees)
+
     def memory_model(self, degrees: dict[str, int]) -> MemoryModel:
-        return build_memory_model(self.spec, self.dims, degrees, self.layers(),
-                                  self.activation_headroom)
+        return self._memoized(
+            ("memory", tuple(degrees.items())),
+            lambda: build_memory_model(self.spec, self.dims, degrees,
+                                       self.layers(), self.activation_headroom))
+
+    def _layer_plan(self, degrees: dict[str, int], phase: str) -> LayerPlan:
+        return self._memoized(
+            ("plan", tuple(degrees.items()), phase),
+            lambda: compile_layer(self.spec, self.dims, degrees, phase))
 
     def routing_stats(self, ctx: PhaseContext,
                       degrees: dict[str, int]) -> Optional[RoutingStats]:
@@ -109,9 +155,9 @@ class Estimator:
 
     # -- per-layer costing -------------------------------------------------
 
-    def _layer_entries(self, ctx: PhaseContext, degrees: dict[str, int],
-                       stats: Optional[RoutingStats], context_only: bool = False
-                       ) -> list[Entry]:
+    def _layer_entries(self, plan: LayerPlan, ctx: PhaseContext,
+                       degrees: dict[str, int], stats: Optional[RoutingStats],
+                       context_only: bool = False) -> list[Entry]:
         """(label, category, latency, energy, reads_context) per kernel for
         one layer, one GPU; ``context_only`` prices only the kernels that
         change with ``z``.
@@ -120,13 +166,12 @@ class Estimator:
         routing statistics and folded by :func:`fold_imbalance`.
         """
         avg_te = stats.avg if stats else None
-        lowered = lower_model(self.spec, self.dims, ctx, degrees, moe_te=avg_te,
-                              context_only=context_only)
+        lowered = plan.lower(ctx, moe_te=avg_te, context_only=context_only)
         lowered_max = None
         if (stats is not None and not stats.balanced
                 and any(op.is_moe for op in lowered)):
-            lowered_max = lower_model(self.spec, self.dims, ctx, degrees,
-                                      moe_te=stats.max, context_only=context_only)
+            lowered_max = plan.lower(ctx, moe_te=stats.max,
+                                     context_only=context_only)
 
         entries: list[Entry] = []
         for idx, op in enumerate(lowered):
@@ -174,8 +219,7 @@ class Estimator:
     # -- phase estimation ----------------------------------------------------
 
     def estimate(self, ctx: PhaseContext, degrees: dict[str, int]) -> PhaseReport:
-        info = validate_bindings(self.spec, self.dims, degrees)
-        degrees = info.degrees
+        degrees = self._validated(degrees)
         layers = self.layers()
         gpus = self.gpu_count(degrees)
         report = PhaseReport(phase=ctx.phase, batch=ctx.batch, isl=ctx.isl,
@@ -207,9 +251,10 @@ class Estimator:
                 row = rows.setdefault((label, category), ReportRow(label, category))
                 row.add(latency * w, energy * scale * w)
 
+        plan = self._layer_plan(degrees, ctx.phase)
         if ctx.phase == PREFILL:
             stats = self.routing_stats(ctx, degrees)
-            accumulate(self._layer_entries(ctx, degrees, stats), float(layers))
+            accumulate(self._layer_entries(plan, ctx, degrees, stats), float(layers))
         else:
             # Only the kernels that read z change across decode positions;
             # the rest, and the routing statistics (s = 1 throughout), are
@@ -218,11 +263,11 @@ class Estimator:
             first_ctx = ctx.at_position(positions[0][0])
             stats = self.routing_stats(first_ctx, degrees)
             steps = sum(width for _, width in positions)
-            accumulate(self._layer_entries(first_ctx, degrees, stats),
+            accumulate(self._layer_entries(plan, first_ctx, degrees, stats),
                        float(layers) * positions[0][1], float(layers) * steps)
             for position, width in positions[1:]:
-                accumulate(self._layer_entries(ctx.at_position(position), degrees,
-                                               stats, context_only=True),
+                accumulate(self._layer_entries(plan, ctx.at_position(position),
+                                               degrees, stats, context_only=True),
                            float(layers) * width)
 
         report.rows = list(rows.values())

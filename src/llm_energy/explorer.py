@@ -56,8 +56,31 @@ class ConfigPoint:
 _GRID_AXES = ("batch", "isl", "osl", "tp", "ep", "cp", "overlap")
 
 
+def _overlap_setting(value) -> OverlapSetting:
+    """A grid overlap value: None or "none", "stages:sm", or [stages, sm]."""
+    if value is None or value == "none":
+        return None
+    try:
+        stages, sm = value.split(":") if isinstance(value, str) else value
+        return int(stages), int(sm)
+    except (TypeError, ValueError):
+        raise ValidationError(f"grid overlap value {value!r} must be 'none', "
+                              "'stages:sm' or [stages, sm]") from None
+
+
+def _grid_int(axis: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"grid axis {axis!r} value {value!r} is not an integer") from None
+
+
 def normalize_grid(grid: dict) -> dict[str, list]:
     """Fill missing axes with singleton defaults and validate values."""
+    if not isinstance(grid, dict):
+        raise ValidationError(
+            "sweep grid must be a JSON object mapping axis names to value lists")
     unknown = set(grid) - set(_GRID_AXES) - {"format_version"}
     if unknown:
         raise ValidationError(f"unknown grid axis/axes {sorted(unknown)}")
@@ -65,24 +88,22 @@ def normalize_grid(grid: dict) -> dict[str, list]:
     defaults = {"batch": [1], "isl": [1], "osl": [1], "tp": [1], "ep": [1],
                 "cp": [1], "overlap": [None]}
     for axis in _GRID_AXES:
-        values = list(dict.fromkeys(
-            tuple(v) if isinstance(v, list) else v
-            for v in grid.get(axis, defaults[axis])))
+        raw = grid.get(axis, defaults[axis])
+        if not isinstance(raw, (list, tuple, range)):
+            raise ValidationError(f"grid axis {axis!r} must be a list, got {raw!r}")
+        try:
+            values = list(dict.fromkeys(
+                tuple(v) if isinstance(v, list) else v for v in raw))
+        except TypeError:
+            raise ValidationError(
+                f"grid axis {axis!r} holds a value that is not a number, "
+                "string or list of them") from None
         if not values:
             raise ValidationError(f"grid axis {axis!r} is empty")
         if axis == "overlap":
-            parsed = []
-            for v in values:
-                if v is None or v == "none":
-                    parsed.append(None)
-                elif isinstance(v, str):
-                    stages, sm = v.split(":")
-                    parsed.append((int(stages), int(sm)))
-                else:
-                    parsed.append((int(v[0]), int(v[1])))
-            values = parsed
+            values = [_overlap_setting(v) for v in values]
         else:
-            values = [int(v) for v in values]
+            values = [_grid_int(axis, v) for v in values]
             if min(values) < 1:
                 raise ValidationError(f"grid axis {axis!r} has non-positive values")
         out[axis] = values
@@ -104,20 +125,23 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
         key=lambda c: tuple((x is not None, x) if i == 6 else x
                             for i, x in enumerate(c)))
 
+    # One estimator per overlap setting: each compiles its layer once per
+    # parallel configuration and reuses it for every batch and sequence
+    # length.
+    estimators = {
+        ov: Estimator(spec if ov is None else apply_overlap_setting(spec, *ov),
+                      dims, hw, compute_backend, comm_backend, **estimator_kwargs)
+        for ov in axes["overlap"] if ov is None or phase != DECODE}
+
     def evaluate(combo) -> ConfigPoint:
         batch, isl, osl, tp, ep, cp, ov = combo
-        run_spec = spec
-        if ov is not None:
-            if phase == DECODE:
-                return ConfigPoint(phase, batch, isl, osl, tp, ep, cp, ov,
-                                   feasible=False,
-                                   infeasible_reason="overlap is prefill-only")
-            run_spec = apply_overlap_setting(spec, ov[0], ov[1])
-        est = Estimator(run_spec, dims, hw, compute_backend, comm_backend,
-                        **estimator_kwargs)
+        if ov is not None and phase == DECODE:
+            return ConfigPoint(phase, batch, isl, osl, tp, ep, cp, ov,
+                               feasible=False,
+                               infeasible_reason="overlap is prefill-only")
         ctx = PhaseContext(phase, batch, isl, osl)
         try:
-            report = est.estimate(ctx, {"tp": tp, "ep": ep, "cp": cp})
+            report = estimators[ov].estimate(ctx, {"tp": tp, "ep": ep, "cp": cp})
         except ValidationError as exc:
             return ConfigPoint(phase, batch, isl, osl, tp, ep, cp, ov,
                                feasible=False, infeasible_reason=str(exc))

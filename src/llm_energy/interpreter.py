@@ -5,15 +5,20 @@ Each op becomes, in order: an optional transpose+all2all+transpose group
 memory op), and an optional AllReduce (sharded contraction dimension).
 The ``attention`` opcode expands to its sub-equations plus a memory op for
 the score tensor.
+
+Lowering runs in two steps: :func:`compile_layer` fixes everything that
+depends only on the spec, dims, parallel degrees and phase, and
+:meth:`LayerPlan.lower` binds the runtime symbols of one evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import SpecError, ValidationError
 from .spec_lang import (
+    RUNTIME_SYMBOLS,
     DimensionBindings,
     EinsumEquation,
     ModelSpec,
@@ -125,12 +130,8 @@ class PhaseContext:
         return replace(self, decode_position=position)
 
 
-def local_size(symbol: str, dims: DimensionBindings,
-               shards: dict[str, int]) -> float:
-    """Per-GPU size of ``symbol``: its bound size over its ``{symbol: degree}``
-    shard. Integer sizes must divide evenly."""
-    size = dims.size(symbol)
-    deg = shards.get(symbol, 1)
+def _shard(symbol: str, size, deg: int):
+    """``size`` over ``deg`` GPUs; integer sizes must divide evenly."""
     if deg == 1:
         return size
     if isinstance(size, int) and size % deg:
@@ -139,13 +140,65 @@ def local_size(symbol: str, dims: DimensionBindings,
     return size / deg
 
 
+def local_size(symbol: str, dims: DimensionBindings,
+               shards: dict[str, int]) -> float:
+    """Per-GPU size of ``symbol``: its bound size over its ``{symbol: degree}``
+    shard. Integer sizes must divide evenly."""
+    return _shard(symbol, dims.size(symbol), shards.get(symbol, 1))
+
+
+# The compiled plan's records are NamedTuples rather than dataclasses:
+# creating the classes costs about a seventh as much, and every CLI call
+# pays it at import.
+class _Product(NamedTuple):
+    """A product of per-GPU symbol sizes, taken from 1.0 in symbol order.
+
+    The leading sizes known when it is built are multiplied into
+    ``prefix``. Each later factor stays a number, or a ``(symbol, degree)``
+    pair read when the product is evaluated: a runtime symbol, or a bound
+    symbol whose shard fails, so that its error is raised where the full
+    product would raise it. Evaluation therefore multiplies the same
+    factors in the same order as a product built from scratch.
+    """
+
+    prefix: float
+    tail: tuple
+
+    @classmethod
+    def of(cls, symbols, dims: DimensionBindings, shards: dict[str, int],
+           runtime: frozenset = frozenset()) -> "_Product":
+        prefix, tail = 1.0, []
+        for sym in symbols:
+            deg = shards.get(sym, 1)
+            factor = (sym, deg)
+            if sym not in runtime:
+                try:
+                    factor = _shard(sym, dims.size(sym), deg)
+                except ValidationError:
+                    pass  # raised again, in order, by value()
+            if tail or type(factor) is tuple:
+                tail.append(factor)
+            else:
+                prefix *= factor
+        return cls(prefix, tuple(tail))
+
+    def value(self, env: dict, dims: DimensionBindings) -> float:
+        """The product with runtime symbols read from ``env``."""
+        prod = self.prefix
+        for factor in self.tail:
+            if type(factor) is tuple:
+                sym, deg = factor
+                size = env.get(sym)
+                prod *= _shard(sym, dims.size(sym) if size is None else size, deg)
+            else:
+                prod *= factor
+        return prod
+
+
 def operand_bytes(operand: str, dims: DimensionBindings,
                   shards: dict[str, int]) -> float:
     """Per-GPU bytes of one tensor operand, multiplied in operand order."""
-    prod = 1.0
-    for sym in operand:
-        prod *= local_size(sym, dims, shards)
-    return prod * dims.dtype_bytes
+    return _Product.of(operand, dims, shards).value({}, dims) * dims.dtype_bytes
 
 
 def op_shards(op: OpSpec, degrees: dict[str, int]) -> dict[str, int]:
@@ -163,6 +216,20 @@ class OuterProduct(Exception):
     """Raised by extract_gemm when the equation has no contraction."""
 
 
+def _gemm_axes(eq: EinsumEquation) -> tuple:
+    """The (group, M, contraction, N) symbols of a two-operand contraction."""
+    if len(eq.input_operands) != 2:
+        raise SpecError(f"{eq.to_text()!r}: GEMM extraction needs exactly two operands")
+    if not eq.summation_symbols:
+        raise OuterProduct(eq.to_text())
+    a, b = eq.input_operands
+    out = set(eq.output_operand)
+    groups = eq.group_symbols
+    m_syms = [s for s in a if s in out and s not in groups]
+    n_syms = [s for s in b if s in out and s not in groups]
+    return groups, m_syms, eq.summation_symbols, n_syms
+
+
 def extract_gemm(eq: EinsumEquation, dims: DimensionBindings,
                  shards: Optional[dict[str, int]] = None,
                  label: str = "") -> GemmDescriptor:
@@ -173,31 +240,21 @@ def extract_gemm(eq: EinsumEquation, dims: DimensionBindings,
     summation symbols form the contraction. ``{symbol: degree}`` shards
     divide those symbols' sizes before products are taken.
     """
-    if len(eq.input_operands) != 2:
-        raise SpecError(f"{eq.to_text()!r}: GEMM extraction needs exactly two operands")
-    if not eq.summation_symbols:
-        raise OuterProduct(eq.to_text())
     shards = shards or {}
-
-    def prod(symbols) -> float:
-        out = 1.0
-        for sym in symbols:
-            out *= local_size(sym, dims, shards)
-        return out
-
-    a, b = eq.input_operands
-    out = set(eq.output_operand)
-    groups = eq.group_symbols
-    m_syms = [s for s in a if s in out and s not in groups]
-    n_syms = [s for s in b if s in out and s not in groups]
     return GemmDescriptor(
-        group_count=prod(groups),
-        m=prod(m_syms),
-        contraction=prod(eq.summation_symbols),
-        n=prod(n_syms),
-        dtype_bytes=dims.dtype_bytes,
-        label=label,
-    )
+        *(_Product.of(axis, dims, shards).value({}, dims) for axis in _gemm_axes(eq)),
+        dtype_bytes=dims.dtype_bytes, label=label)
+
+
+def _allreduce_size(op: OpSpec, dims: DimensionBindings, world: int,
+                    runtime: frozenset = frozenset()) -> Optional[_Product]:
+    """The AllReduce's message size, the full output tensor, when the op's
+    sharded dimension is summed over ``world`` > 1 GPUs; else None."""
+    if op.parallel is None or op.is_attention or world < 2:
+        return None
+    if op.parallel not in op.equation.summation_symbols:
+        return None
+    return _Product.of(op.equation.output_operand, dims, {}, runtime)
 
 
 def detect_allreduce(op: OpSpec, dims: DimensionBindings,
@@ -206,12 +263,34 @@ def detect_allreduce(op: OpSpec, dims: DimensionBindings,
 
     The message size is the full (unsharded) output tensor in bytes.
     """
-    if op.parallel is None or op.is_attention or world < 2:
+    size = _allreduce_size(op, dims, world)
+    if size is None:
         return None
-    if op.parallel not in op.equation.summation_symbols:
+    return CommDescriptor(ALLREDUCE, size.value({}, dims) * dims.dtype_bytes, world,
+                          label=f"{op.label} AllReduce")
+
+
+def _transition_size(op: OpSpec, prev: Optional[OpSpec], dims: DimensionBindings,
+                     cp_degree: int,
+                     runtime: frozenset = frozenset()) -> Optional[_Product]:
+    """The previous op's full output tensor when ``op`` changes the cp
+    layout; else None. The first op of the stream never does."""
+    if prev is None or op.cp_dim == prev.cp_dim:
         return None
-    size = operand_bytes(op.equation.output_operand, dims, {})
-    return CommDescriptor(ALLREDUCE, size, world, label=f"{op.label} AllReduce")
+    if cp_degree < 2:
+        raise ValidationError("cp_dim transition requires cp degree >= 2")
+    if prev.is_attention:
+        return None
+    return _Product.of(prev.equation.output_operand, dims, {}, runtime)
+
+
+def _all2all_kernels(label: str, size: float,
+                     cp_degree: int) -> list[KernelDescriptor]:
+    return [
+        MemoryOpDescriptor(size, label=f"{label} transpose (pre)"),
+        CommDescriptor(ALLTOALL, size, cp_degree, label=f"{label} All2All"),
+        MemoryOpDescriptor(size, label=f"{label} transpose (post)"),
+    ]
 
 
 def detect_all2all(op: OpSpec, prev: Optional[OpSpec], dims: DimensionBindings,
@@ -221,19 +300,12 @@ def detect_all2all(op: OpSpec, prev: Optional[OpSpec], dims: DimensionBindings,
     The message size is the previous op's per-rank output tensor. The first
     op of the stream (no predecessor) never triggers a transition.
     """
-    if prev is None or op.cp_dim == getattr(prev, "cp_dim", None):
+    size = _transition_size(op, prev, dims, cp_degree)
+    if size is None:
         return []
-    if cp_degree < 2:
-        raise ValidationError("cp_dim transition requires cp degree >= 2")
-    if prev.is_attention or prev.equation is None:
-        return []
-    size = operand_bytes(prev.equation.output_operand, dims, {}) / cp_degree
-    label = f"{prev.label}->{op.label}"
-    return [
-        MemoryOpDescriptor(size, label=f"{label} transpose (pre)"),
-        CommDescriptor(ALLTOALL, size, cp_degree, label=f"{label} All2All"),
-        MemoryOpDescriptor(size, label=f"{label} transpose (post)"),
-    ]
+    return _all2all_kernels(f"{prev.label}->{op.label}",
+                            size.value({}, dims) * dims.dtype_bytes / cp_degree,
+                            cp_degree)
 
 
 @dataclass(frozen=True)
@@ -269,42 +341,240 @@ def reads_context(op: OpSpec) -> bool:
     return "z" in eq.output_operand or any("z" in o for o in eq.input_operands)
 
 
-def _lower_compute(op: OpSpec, dims: DimensionBindings,
-                   shards: dict[str, int]) -> KernelDescriptor:
-    """Lower one op's compute kernel: grouped GEMM or memory op."""
-    eq = op.equation
-    if eq.is_single_input:
-        # Broadcast/scatter: pure data movement sized by the output tensor.
-        return MemoryOpDescriptor(
-            operand_bytes(eq.output_operand, dims, shards), label=op.label)
-
-    try:
-        g = extract_gemm(eq, dims, shards, label=op.label)
-    except OuterProduct:
-        in_b = sum(operand_bytes(o, dims, shards) for o in eq.input_operands)
-        out_b = operand_bytes(eq.output_operand, dims, shards)
-        flops = 1.0
-        for sym in eq.all_symbols():
-            flops *= local_size(sym, dims, shards)
-        return MemoryOpDescriptor(in_b + out_b, flops=flops, label=op.label)
-
-    if g.n == 1:
-        # Weighted-sum / elementwise-dominated ops (e.g. the MoE reduction):
-        # no fresh output columns, so treat as memory bound.
-        in_b = sum(operand_bytes(o, dims, shards) for o in eq.input_operands)
-        out_b = operand_bytes(eq.output_operand, dims, shards)
-        return MemoryOpDescriptor(in_b + out_b, flops=g.flops, label=op.label)
-    return g
-
-
 # Effective MoE binding: ops referencing the per-expert token symbol get
 # T and E replaced by routing statistics (already per-GPU quantities).
 MOE_TOKEN_SYMBOL = "T"
+_MOE_RUNTIME = RUNTIME_SYMBOLS | {"E"}
 
 
 def _is_moe_op(op: OpSpec) -> bool:
     return (not op.is_attention
             and MOE_TOKEN_SYMBOL in op.equation.all_symbols())
+
+
+class _Compute(NamedTuple):
+    """One op's compute kernel with its sizes compiled: a grouped GEMM
+    (``gemm`` = group, M, contraction, N), or a memory op sized by the
+    output alone (single input) or by all operands (outer product, with
+    ``flops``, or a GEMM with N = 1)."""
+
+    output: _Product
+    inputs: tuple = ()
+    gemm: Optional[tuple] = None
+    flops: Optional[_Product] = None
+    error: Optional[str] = None  # no GEMM form; raised when lowered
+
+    def lower(self, env: dict, dims: DimensionBindings,
+              label: str) -> KernelDescriptor:
+        if self.error is not None:
+            raise SpecError(self.error)
+        dtype = dims.dtype_bytes
+        if not self.inputs:
+            # Broadcast/scatter: pure data movement sized by the output tensor.
+            return MemoryOpDescriptor(self.output.value(env, dims) * dtype,
+                                      label=label)
+        if self.gemm is not None:
+            g = GemmDescriptor(*(axis.value(env, dims) for axis in self.gemm),
+                               dtype_bytes=dtype, label=label)
+            if g.n != 1:
+                return g
+            # Weighted-sum / elementwise-dominated ops (e.g. the MoE
+            # reduction): no fresh output columns, so treat as memory bound.
+            flops = g.flops
+        in_b = sum(p.value(env, dims) * dtype for p in self.inputs)
+        out_b = self.output.value(env, dims) * dtype
+        if self.gemm is None:
+            flops = self.flops.value(env, dims)
+        return MemoryOpDescriptor(in_b + out_b, flops=flops, label=label)
+
+
+def _compile_compute(op: OpSpec, dims: DimensionBindings,
+                     shards: dict[str, int], runtime: frozenset) -> _Compute:
+    eq = op.equation
+    output = _Product.of(eq.output_operand, dims, shards, runtime)
+    if eq.is_single_input:
+        return _Compute(output)
+    inputs = tuple(_Product.of(o, dims, shards, runtime) for o in eq.input_operands)
+    try:
+        axes = _gemm_axes(eq)
+    except OuterProduct:
+        return _Compute(output, inputs,
+                        flops=_Product.of(eq.all_symbols(), dims, shards, runtime))
+    except SpecError as exc:
+        return _Compute(output, error=str(exc))
+    return _Compute(output, inputs,
+                    gemm=tuple(_Product.of(a, dims, shards, runtime) for a in axes))
+
+
+class _OpStep(NamedTuple):
+    """One op of a LayerPlan: its kernels' sizes compiled, every condition
+    that depends only on the spec, dims, degrees and phase decided."""
+
+    label: str  # of the lowered op; attention sub-ops carry their parent's
+    op: OpSpec
+    is_moe: bool
+    reads_context: bool
+    transition: Optional[tuple]  # (previous output, label, cp degree)
+    compute: _Compute
+    allreduce: Optional[tuple]  # (output, world)
+
+    def lower(self, env: dict, moe_env: Optional[dict],
+              dims: DimensionBindings) -> LoweredOp:
+        op = self.op
+        if self.is_moe:
+            if moe_env is None:
+                raise ValidationError(
+                    f"op {op.label!r} uses the MoE token symbol but no routing "
+                    "statistics were supplied")
+            for sym in ("E", MOE_TOKEN_SYMBOL):
+                if moe_env[sym] <= 0:
+                    raise ValidationError(
+                        f"symbol {sym!r} has non-positive size {moe_env[sym]}")
+            env = moe_env
+        kernels: list[KernelDescriptor] = []
+        if self.transition is not None:
+            size, label, cp_degree = self.transition
+            kernels.extend(_all2all_kernels(
+                label, size.value(env, dims) * dims.dtype_bytes / cp_degree,
+                cp_degree))
+        compute = self.compute.lower(env, dims, op.label)
+        kernels.append(compute)
+
+        collective = None
+        if self.allreduce is not None:
+            size, world = self.allreduce
+            collective = CommDescriptor(
+                ALLREDUCE, size.value(env, dims) * dims.dtype_bytes, world,
+                label=f"{op.label} AllReduce")
+        overlap = None
+        if op.overlap_stage is not None:
+            if collective is None:
+                raise ValidationError(
+                    f"op {op.label!r}: overlap annotated but no collective detected")
+            overlap = (op.overlap_stage, op.overlap_sm, op.overlap_dim)
+        elif collective is not None:
+            kernels.append(collective)
+
+        return LoweredOp(
+            label=self.label,
+            kernels=tuple(kernels),
+            is_moe=self.is_moe,
+            reads_context=self.reads_context,
+            overlap=overlap,
+            gemm=compute if isinstance(compute, GemmDescriptor) else None,
+            collective=collective,
+        )
+
+
+class _ScoreStep(NamedTuple):
+    """Score tensor read/write around softmax; the framework does not price
+    softmax FLOPs beyond this traffic."""
+
+    label: str
+    size: _Product
+    reads_context: bool
+
+    def lower(self, env: dict, moe_env: Optional[dict],
+              dims: DimensionBindings) -> LoweredOp:
+        score_bytes = self.size.value(env, dims) * dims.dtype_bytes
+        return LoweredOp(
+            label=f"{self.label}: score",
+            kernels=(MemoryOpDescriptor(2 * score_bytes, label=f"{self.label} score"),),
+            reads_context=self.reads_context,
+        )
+
+
+class LayerPlan(NamedTuple):
+    """One layer compiled for (spec, dims, degrees, phase); :meth:`lower`
+    binds the runtime symbols of one evaluation."""
+
+    phase: str
+    dims: DimensionBindings
+    steps: tuple = ()
+    error: Optional[str] = None  # the layer cannot be lowered in this phase
+
+    def lower(self, ctx: PhaseContext,
+              moe_te: Optional[tuple[float, float]] = None,
+              context_only: bool = False) -> list[LoweredOp]:
+        """Lower the layer at ``ctx``: kernel descriptor groups in stream
+        order, with ``moe_te`` bound as MoE ops' (T, E) and, under
+        ``context_only``, only the ops tagged ``reads_context``."""
+        if ctx.phase != self.phase:
+            raise ValidationError(
+                f"layer compiled for {self.phase} cannot lower a {ctx.phase} context")
+        if self.error is not None:
+            raise ValidationError(self.error)
+        env = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
+        moe_env = None
+        if moe_te is not None:
+            moe_env = dict(env, **{MOE_TOKEN_SYMBOL: moe_te[0], "E": moe_te[1]})
+        return [step.lower(env, moe_env, self.dims) for step in self.steps
+                if step.reads_context or not context_only]
+
+
+def compile_layer(spec: ModelSpec, dims: DimensionBindings,
+                  degrees: dict[str, int], phase: str) -> LayerPlan:
+    """Compile one layer's lowering for fixed spec, dims, degrees and phase.
+
+    Everything but the runtime symbols b, s and z (and, for MoE ops, the
+    routing statistics T and E) is fixed here: the op stream and each op's
+    predecessor, shards, GEMM symbol partition, local sizes of the bound
+    symbols, collectives, cp transitions, overlap annotations and the
+    ``reads_context`` tags. Errors that lowering would raise are kept and
+    raised by :meth:`LayerPlan.lower`, in the order lowering meets them.
+
+    In decode, each op is tagged ``reads_context`` when its kernels change
+    with ``z`` from one position to the next: the op reads the context, or
+    it follows one that does and may carry a cp transition sized by that
+    op's output.
+    """
+    if phase == DECODE and any(op.overlap_stage for op in spec.ops):
+        return LayerPlan(phase, dims, error=(
+            "compute-communication overlap is a prefill technique; "
+            "not valid under a decode context"))
+    cp_degree = degrees.get("cp", 1)
+
+    def varies(op: OpSpec, prev: Optional[OpSpec]) -> bool:
+        if phase != DECODE:
+            return False  # z = isl throughout prefill
+        return reads_context(op) or (
+            cp_degree > 1 and prev is not None and reads_context(prev))
+
+    def compile_op(op: OpSpec, prev: Optional[OpSpec], label: str) -> _OpStep:
+        is_moe = _is_moe_op(op)
+        runtime = _MOE_RUNTIME if is_moe else RUNTIME_SYMBOLS
+        transition = None
+        if cp_degree > 1:
+            size = _transition_size(op, prev, dims, cp_degree, runtime)
+            if size is not None:
+                transition = (size, f"{prev.label}->{op.label}", cp_degree)
+        # MoE ops: statistics are per-GPU, so no further expert shard.
+        shards = op_shards(op, dict(degrees, ep=1) if is_moe else degrees)
+        world = degrees[degree_kind(op.parallel)] if op.parallel else 1
+        size = _allreduce_size(op, dims, world, runtime)
+        return _OpStep(
+            label=label, op=op, is_moe=is_moe, reads_context=varies(op, prev),
+            transition=transition,
+            compute=_compile_compute(op, dims, shards, runtime),
+            allreduce=None if size is None else (size, world))
+
+    steps: list = []
+    prev = None
+    for op in spec.ops:
+        if not op.is_attention:
+            steps.append(compile_op(op, prev, op.label))
+            prev = op
+            continue
+        for j, sub in enumerate(op.attn_eqs):
+            steps.append(compile_op(sub, prev, f"{op.label}: {sub.label}"))
+            if j == 0 and not sub.is_attention:
+                steps.append(_ScoreStep(
+                    op.label,
+                    _Product.of(sub.equation.output_operand, dims,
+                                op_shards(sub, degrees), RUNTIME_SYMBOLS),
+                    varies(sub, prev)))
+            prev = sub
+    return LayerPlan(phase, dims, tuple(steps))
 
 
 def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
@@ -315,101 +585,12 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
 
     ``moe_te`` binds the effective (tokens-per-expert, experts-per-GPU)
     pair for MoE ops; those ops skip the expert-parallel shard because the
-    statistics are already per-GPU.
-
-    In decode, each lowered op is tagged ``reads_context`` when its
-    kernels change with ``z`` from one position to the next: the op reads
-    the context, or it follows one that does and may carry a cp transition
-    sized by that op's output. ``context_only`` lowers just those ops;
-    predecessors still come from the full stream.
+    statistics are already per-GPU. ``context_only`` lowers just the ops
+    tagged ``reads_context`` (see :func:`compile_layer`); predecessors
+    still come from the full stream.
     """
-    if ctx.phase == DECODE and any(op.overlap_stage for op in spec.ops):
-        raise ValidationError("compute-communication overlap is a prefill technique; "
-                              "not valid under a decode context")
-    bound = dims.with_sizes(b=ctx.batch, s=ctx.s, z=ctx.z)
-    stream = _flatten_ops(spec)
-    stream_index = {id(op): i for i, op in enumerate(stream)}
-    cp_degree = degrees.get("cp", 1)
-
-    def preceding(op: OpSpec) -> Optional[OpSpec]:
-        i = stream_index[id(op)]
-        return stream[i - 1] if i > 0 else None
-
-    def varies(op: OpSpec) -> bool:
-        if ctx.phase != DECODE:
-            return False  # z = isl throughout prefill
-        prev = preceding(op)
-        return reads_context(op) or (
-            cp_degree > 1 and prev is not None and reads_context(prev))
-
-    lowered: list[LoweredOp] = []
-
-    def lower_one(op: OpSpec, parent_label: Optional[str] = None) -> None:
-        varying = varies(op)
-        if context_only and not varying:
-            return
-        label = parent_label or op.label
-        kernels: list[KernelDescriptor] = []
-        local = bound
-        is_moe = _is_moe_op(op)
-        if is_moe and moe_te is not None:
-            t_eff, e_eff = moe_te
-            local = local.with_sizes(**{MOE_TOKEN_SYMBOL: t_eff, "E": e_eff})
-        elif is_moe and moe_te is None:
-            raise ValidationError(
-                f"op {op.label!r} uses the MoE token symbol but no routing "
-                "statistics were supplied")
-
-        if cp_degree > 1:
-            kernels.extend(detect_all2all(op, preceding(op), local, cp_degree))
-
-        # MoE ops: statistics are per-GPU, so no further expert shard.
-        shards = op_shards(op, dict(degrees, ep=1) if is_moe else degrees)
-        compute = _lower_compute(op, local, shards)
-        kernels.append(compute)
-
-        world = degrees[degree_kind(op.parallel)] if op.parallel else 1
-        collective = detect_allreduce(op, local, world)
-        overlap = None
-        if op.overlap_stage is not None:
-            if collective is None:
-                raise ValidationError(
-                    f"op {op.label!r}: overlap annotated but no collective detected")
-            overlap = (op.overlap_stage, op.overlap_sm, op.overlap_dim)
-        elif collective is not None:
-            kernels.append(collective)
-
-        lowered.append(LoweredOp(
-            label=label,
-            kernels=tuple(kernels),
-            is_moe=is_moe,
-            reads_context=varying,
-            overlap=overlap,
-            gemm=compute if isinstance(compute, GemmDescriptor) else None,
-            collective=collective,
-        ))
-
-    for op in spec.ops:
-        if op.is_attention:
-            for j, sub in enumerate(op.attn_eqs):
-                lower_one(sub, parent_label=f"{op.label}: {sub.label}")
-                if j == 0 and not sub.is_attention:
-                    score_varies = varies(sub)
-                    if context_only and not score_varies:
-                        continue
-                    # Score tensor read/write around softmax; the framework
-                    # does not price softmax FLOPs beyond this traffic.
-                    score_bytes = operand_bytes(sub.equation.output_operand,
-                                                bound, op_shards(sub, degrees))
-                    lowered.append(LoweredOp(
-                        label=f"{op.label}: score",
-                        kernels=(MemoryOpDescriptor(2 * score_bytes,
-                                                    label=f"{op.label} score"),),
-                        reads_context=score_varies,
-                    ))
-        else:
-            lower_one(op)
-    return lowered
+    return compile_layer(spec, dims, degrees, ctx.phase).lower(
+        ctx, moe_te=moe_te, context_only=context_only)
 
 
 def decode_positions(osl: int, stride: int) -> list[tuple[int, int]]:

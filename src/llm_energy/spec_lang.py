@@ -256,6 +256,16 @@ def parse_model_spec(document: str | dict) -> ModelSpec:
     return spec
 
 
+def load_json(path):
+    """Decode one JSON input file; a file that is not JSON is a
+    :class:`ValidationError` naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_model_spec(path) -> ModelSpec:
     with open(path) as fh:
         return parse_model_spec(fh.read())
@@ -316,8 +326,7 @@ _DIMS_META = {"dtype_bytes", "layers", "format_version"}
 
 def load_bindings(path) -> DimensionBindings:
     """Load a flat key->integer dims file (symbols plus dtype_bytes/layers aliases)."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: dims file must be a JSON object")
 

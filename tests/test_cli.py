@@ -211,10 +211,65 @@ def _gemm_row_with_text_m(tmp_path):
     return ["estimate", *_base_args(tmp_path), "--gemm-cal", str(table)]
 
 
+def _sweep_over(tmp_path, grid_text):
+    grid = tmp_path / "grid.json"
+    grid.write_text(grid_text)
+    return ["sweep", *_base_args(tmp_path / "out"), "--grid", str(grid)]
+
+
+def _grid_overlap_without_colon(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"overlap": ["bad"]}))
+
+
+def _grid_overlap_short_pair(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"overlap": [[2]]}))
+
+
+def _grid_text_batch(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"batch": ["abc"]}))
+
+
+def _grid_scalar_axis(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"batch": 4}))
+
+
+def _grid_list(tmp_path):
+    return _sweep_over(tmp_path, json.dumps([1, 2]))
+
+
+def _non_json_grid(tmp_path):
+    return _sweep_over(tmp_path, "batch: [1, 2]\n")
+
+
+def _with_non_json(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("{not json")
+    args = _base_args(tmp_path)
+    args[args.index(f"fixture:{name}")] = str(path)
+    return ["estimate", *args]
+
+
+def _non_json_dims(tmp_path):
+    return _with_non_json(tmp_path, "llama3_8b.json")
+
+
+def _non_json_hw(tmp_path):
+    return _with_non_json(tmp_path, "a100_sxm_80g.json")
+
+
+def _non_json_points(tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text("phase,batch\nprefill,1\n")
+    return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
+
+
 @pytest.mark.parametrize("make_argv", [
     _malformed_dims, _hw_without_total_sm, _short_gemm_row,
     _feasible_point_without_latency, _point_without_feasible,
-    _hw_with_text_total_sm, _comm_row_with_text_world, _gemm_row_with_text_m])
+    _hw_with_text_total_sm, _comm_row_with_text_world, _gemm_row_with_text_m,
+    _grid_overlap_without_colon, _grid_overlap_short_pair, _grid_text_batch,
+    _grid_scalar_axis, _grid_list, _non_json_grid, _non_json_dims,
+    _non_json_hw, _non_json_points])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err

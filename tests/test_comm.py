@@ -1,11 +1,15 @@
 """Communication model tests: loading, interpolation, SM resolution."""
 
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llm_energy import (
     BackendError,
+    CommBackend,
     CommDescriptor,
     ValidationError,
     estimate_comm,
@@ -159,3 +163,42 @@ def test_synthetic_table_coverage():
     curve = t.curves[(ALLREDUCE, 2, 108)]
     assert curve.sizes[0] == 1024.0
     assert curve.sizes[-1] == pytest.approx(2 ** 30)
+
+
+_SM_COUNTS = (1, 4, 16, 108)
+_SIZES = synthetic_comm_table().curves[(ALLREDUCE, 2, 1)].sizes
+
+
+@pytest.fixture(scope="module")
+def table_without_alltoall_at_8():
+    """The synthetic table less its AllToAll curves at world 8, which
+    therefore fall back to ReduceScatter."""
+    full = synthetic_comm_table(sm_counts=_SM_COUNTS)
+    return CommCalibrationTable({key: curve for key, curve in full.curves.items()
+                                 if key[:2] != (ALLTOALL, 8)})
+
+
+@pytest.fixture(scope="module")
+def shared_backend(table_without_alltoall_at_8):
+    # One backend across all examples, so most lookups hit its curve memo.
+    return CommBackend(table_without_alltoall_at_8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from([ALLREDUCE, REDUCESCATTER, ALLGATHER, ALLTOALL]),
+       world=st.sampled_from([2, 4, 8]),
+       sm_count=st.one_of(st.none(), st.sampled_from(_SM_COUNTS),
+                          st.integers(1, 200)),
+       size=st.one_of(st.sampled_from(_SIZES), st.floats(1.0, 1e11)))
+def test_backend_memo_matches_estimate_comm(table_without_alltoall_at_8,
+                                           shared_backend, kind, world,
+                                           sm_count, size):
+    # Exact SM hits, blends between calibrated counts, clamps above 108,
+    # floor clamps below 1 KiB, slope extension above 1 GiB and the
+    # AllToAll fallback at world 8.
+    desc = CommDescriptor(kind, size, world, sm_count=sm_count)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = estimate_comm(desc, table_without_alltoall_at_8)
+        assert shared_backend.estimate(desc) == want
+        assert shared_backend.estimate(desc) == want

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llm_energy import (
     BackendError,
@@ -163,3 +165,28 @@ def test_table_backend_substitutable(hw):
     assert restricted.latency > 0
     # Memory ops route to the roofline path.
     assert backend.estimate_memory_op(MemoryOpDescriptor(1024.0)).latency > 0
+
+
+# Few distinct sizes, so tables often hold equidistant and duplicate points.
+_GEMM_DIM = st.one_of(st.sampled_from([0.5, 1.0, 16.0, 256.0, 4096.0]),
+                      st.floats(0.25, 1e5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dims=st.lists(st.tuples(*[_GEMM_DIM] * 4), min_size=1, max_size=12),
+       query=st.tuples(*[_GEMM_DIM] * 4))
+def test_nearest_is_first_least_log_distance(dims, query):
+    table = GemmCalibrationTable([
+        GemmCalibrationPoint(g, m, k, n, 2, 1e-4 * (i + 1), 300.0)
+        for i, (g, m, k, n) in enumerate(dims)])
+    gemm = GemmDescriptor(*query, dtype_bytes=2)
+
+    def log_distance(p):
+        dist = 0.0
+        for a, b in ((gemm.m, p.m), (gemm.contraction, p.contraction),
+                     (gemm.n, p.n), (gemm.group_count, p.group_count)):
+            dist += (math.log(max(a, 1.0)) - math.log(max(b, 1.0))) ** 2
+        return dist
+
+    # min keeps the first of equal keys, so ties resolve to table order.
+    assert table._nearest(gemm) is min(table.points, key=log_distance)

@@ -23,6 +23,7 @@ from llm_energy.interpreter import (
     PREFILL,
     CommDescriptor,
     GemmDescriptor,
+    LayerPlan,
     decode_positions,
     lower_model,
     reads_context,
@@ -315,22 +316,22 @@ def test_decode_lowers_full_layer_once(request, monkeypatch, spec_name, degrees,
             return result
         return wrapped
 
-    monkeypatch.setattr(engine, "lower_model",
-                        counting(engine.lower_model, "kernels"))
+    osl = 40
+    # Any routing statistics will do: they size kernels, not their count.
+    full = lower_model(spec, dims, PhaseContext(DECODE, 2, 512, osl=osl),
+                       validate_bindings(spec, dims, degrees).degrees,
+                       moe_te=(16.0, 8.0) if spec_name == "moe_spec" else None)
+
+    monkeypatch.setattr(LayerPlan, "lower", counting(LayerPlan.lower, "kernels"))
     monkeypatch.setattr(engine, "stats_from_trace",
                         counting(engine.stats_from_trace, "routing"))
     monkeypatch.setattr(engine, "uniform_routing",
                         counting(engine.uniform_routing, "routing"))
     est = _est(spec, dims, hw, roofline, comm_backend, decode_stride=1,
                routing_trace=_skewed_trace() if routing else None)
-    osl = 40
     report = est.estimate(PhaseContext(DECODE, 2, 512, osl=osl), degrees)
     assert report.feasible
 
-    # Any routing statistics will do: they size kernels, not their count.
-    full = lower_model(spec, dims, PhaseContext(DECODE, 2, 512, osl=osl),
-                       validate_bindings(spec, dims, degrees).degrees,
-                       moe_te=(16.0, 8.0) if spec_name == "moe_spec" else None)
     layer_kernels = sum(len(op.kernels) for op in full)
     # QK, AV and the score traffic: one kernel each, the only ones that
     # read the context in these specs.

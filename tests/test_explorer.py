@@ -1,20 +1,31 @@
 """Sweep, Pareto frontier, heuristic recovery, and insight query tests."""
 
 import random
+import sys
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from llm_energy import (
     ConfigPoint,
+    Estimator,
+    GemmCalibrationTable,
+    PhaseContext,
+    RoutingTrace,
+    TableComputeBackend,
     ValidationError,
+    apply_overlap_setting,
     heuristic_compare,
     insight_queries,
     pareto_front,
     recovery_rate,
     sweep,
 )
+from llm_energy import engine
 from llm_energy.explorer import max_overlap_setting, normalize_grid
-from llm_energy.interpreter import PREFILL
+from llm_energy.fixtures import fixture_path
+from llm_energy.interpreter import DECODE, PREFILL
 
 
 def _pt(lat, en, phase=PREFILL, **kw):
@@ -109,6 +120,12 @@ def test_normalize_grid():
         normalize_grid({"batch": [0]})
     with pytest.raises(ValidationError):
         normalize_grid({"batch": []})
+    with pytest.raises(ValidationError, match="JSON object"):
+        normalize_grid([1, 2])
+    for bad in ({"overlap": ["bad"]}, {"overlap": [[2]]}, {"overlap": [5]},
+                {"batch": ["abc"]}, {"batch": 4}, {"batch": [{}]}):
+        with pytest.raises(ValidationError):
+            normalize_grid(bad)
 
 
 def test_sweep_single_point(dense_spec, dims_8b, hw, roofline, comm_backend):
@@ -182,3 +199,135 @@ def test_insight_queries_decode():
 def test_insight_queries_missing_configs_note():
     out = insight_queries([_pt(1.0, 1.0, batch=2, tp=2, isl=100)])
     assert out["notes"]
+
+
+# -- sweep: one compiled layer per (degrees, overlap) group ------------------
+
+def _sweep_point_by_point(spec, dims, grid, hw, compute, comm, phase,
+                          **estimator_kwargs):
+    """The sweep as a fresh Estimator per grid point, in the sweep's order."""
+    axes = normalize_grid(grid)
+    combos = sorted(
+        product(axes["batch"], axes["isl"], axes["osl"], axes["tp"],
+                axes["ep"], axes["cp"], axes["overlap"]),
+        key=lambda c: tuple((x is not None, x) if i == 6 else x
+                            for i, x in enumerate(c)))
+    points = []
+    for batch, isl, osl, tp, ep, cp, ov in combos:
+        head = (phase, batch, isl, osl, tp, ep, cp, ov)
+        run_spec = spec
+        if ov is not None:
+            if phase == DECODE:
+                points.append(ConfigPoint(*head, feasible=False,
+                                          infeasible_reason="overlap is prefill-only"))
+                continue
+            run_spec = apply_overlap_setting(spec, *ov)
+        est = Estimator(run_spec, dims, hw, compute, comm, **estimator_kwargs)
+        try:
+            report = est.estimate(PhaseContext(phase, batch, isl, osl),
+                                  {"tp": tp, "ep": ep, "cp": cp})
+        except ValidationError as exc:
+            points.append(ConfigPoint(*head, feasible=False,
+                                      infeasible_reason=str(exc)))
+            continue
+        if report.feasible:
+            points.append(ConfigPoint(*head, feasible=True,
+                                      latency=report.total_latency,
+                                      energy=report.total_energy))
+        else:
+            points.append(ConfigPoint(*head, feasible=False,
+                                      infeasible_reason=report.infeasible_reason))
+    return points
+
+
+def _skewed_trace():
+    rng = random.Random(5)
+    return RoutingTrace(tuple(tuple(rng.sample(range(40), 8)) for _ in range(64)))
+
+
+# Each case mixes feasible points with lowering errors (overlap at tp 1,
+# s not divisible by cp, overlap or cp in decode), validation errors
+# (K = 8 not divisible by tp 3, E = 128 by ep 3) and memory-infeasible
+# points.
+_SWEEP_CASES = {
+    "dense": ("dense_spec", "dims_8b", PREFILL,
+              {"batch": [1, 64], "isl": [512, 131072], "tp": [1, 2, 3],
+               "overlap": [None, "2:4", "4:16"]}, {}),
+    "unfused": ("unfused_spec", "dims_70b", PREFILL,
+                {"batch": [1, 16], "isl": [1024, 65536], "tp": [1, 4, 8],
+                 "overlap": ["none", "4:32"]}, {}),
+    "cp": ("cp_spec", "dims_8b", PREFILL,
+           {"batch": [2], "isl": [255, 1024], "tp": [1, 2], "cp": [1, 2]}, {}),
+    "cp-decode": ("cp_spec", "dims_8b", DECODE,
+                  {"batch": [2], "isl": [512], "osl": [3], "cp": [1, 2],
+                   "overlap": [None, "2:4"]}, {"decode_stride": 2}),
+    "moe": ("moe_spec", "dims_moe", PREFILL,
+            {"batch": [1, 8], "isl": [128], "tp": [1, 2], "ep": [1, 2, 4],
+             "overlap": [None, "2:4"]}, {}),
+    "moe-trace-decode": ("moe_spec", "dims_moe", DECODE,
+                         {"batch": [1, 4], "isl": [256], "osl": [5],
+                          "ep": [2, 3, 4]}, {"decode_stride": 2, "tile": 4,
+                                          "routing_trace": "trace"}),
+}
+
+
+@pytest.mark.parametrize("backend", ["roofline", "table"])
+@pytest.mark.parametrize("case", list(_SWEEP_CASES))
+def test_sweep_equals_fresh_estimator_per_point(request, case, backend, hw,
+                                                roofline, comm_backend):
+    spec_name, dims_name, phase, grid, kwargs = _SWEEP_CASES[case]
+    spec = request.getfixturevalue(spec_name)
+    dims = request.getfixturevalue(dims_name)
+    compute = roofline if backend == "roofline" else TableComputeBackend(
+        GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv")), hw)
+    if kwargs.get("routing_trace"):
+        kwargs = dict(kwargs, routing_trace=_skewed_trace())
+    got = sweep(spec, dims, grid, hw, compute, comm_backend, phase=phase, **kwargs)
+    want = _sweep_point_by_point(spec, dims, grid, hw, compute, comm_backend,
+                                 phase, **kwargs)
+    assert got == want
+    reasons = " ".join(p.infeasible_reason for p in want)
+    assert any(p.feasible for p in want) and not all(p.feasible for p in want)
+    if case == "dense":
+        assert "no collective detected" in reasons and "GiB" in reasons
+        assert "not divisible by degree 3" in reasons
+
+
+def test_sweep_compiles_once_per_group(monkeypatch, dense_spec, dims_8b, hw,
+                                       roofline, comm_backend):
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(engine, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("validate_bindings", "build_memory_model", "compile_layer"):
+        monkeypatch.setattr(engine, name, counting(name))
+    grid = {"batch": [1, 2, 4], "isl": [256, 512], "tp": [1, 2, 4],
+            "overlap": [None, "2:4"]}
+    points = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
+    assert len(points) == 36
+    # Overlap at tp 1 fails to lower, but only after its layer is compiled.
+    assert sum(not p.feasible for p in points) == 6
+    groups = 3 * 2  # tp x overlap
+    assert calls == {"validate_bindings": groups, "build_memory_model": groups,
+                     "compile_layer": groups}
+
+
+def test_sweep_threads_share_compiled_layers(dense_spec, dims_8b, hw, roofline,
+                                             comm_backend):
+    grid = {"batch": [1, 2, 4, 8], "isl": [256, 512, 1024], "tp": [1, 2, 4, 8],
+            "overlap": [None, "2:4", "4:16"]}
+    serial = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend,
+                         jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

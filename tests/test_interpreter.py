@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llm_energy import (
@@ -22,17 +22,25 @@ from llm_energy import (
     parse_equation,
 )
 from llm_energy.fixtures import fixture_path
+from llm_energy.engine import apply_overlap_setting
 from llm_energy.interpreter import (
     ALLREDUCE,
     ALLTOALL,
     DECODE,
+    MOE_TOKEN_SYMBOL,
     PREFILL,
+    LoweredOp,
+    OuterProduct,
     _flatten_ops,
+    _is_moe_op,
+    compile_layer,
     decode_positions,
+    local_size,
     op_shards,
     operand_bytes,
+    reads_context,
 )
-from llm_energy.spec_lang import OpSpec
+from llm_energy.spec_lang import ModelSpec, OpSpec, degree_kind
 
 
 def _op(eq, label="op", **kw):
@@ -231,3 +239,160 @@ def test_operand_bytes_shards_conserve_total(pair, tp, ep, cp, runtime):
             else:
                 with pytest.raises(ValidationError):
                     operand_bytes(operand, dims, shards)
+
+
+# -- compiled plans against lowering from scratch ------------------------------
+
+def _reference_lower(spec, dims, ctx, degrees, moe_te=None, context_only=False):
+    """Lowering with every size taken from scratch per call: bind b, s, z
+    (and T, E for MoE ops) into the dims, then shard and multiply."""
+    if ctx.phase == DECODE and any(op.overlap_stage for op in spec.ops):
+        raise ValidationError("compute-communication overlap is a prefill "
+                              "technique; not valid under a decode context")
+    bound = dims.with_sizes(b=ctx.batch, s=ctx.s, z=ctx.z)
+    stream = _flatten_ops(spec)
+    cp = degrees.get("cp", 1)
+
+    def preceding(op):
+        i = next(i for i, o in enumerate(stream) if o is op)
+        return stream[i - 1] if i > 0 else None
+
+    def varies(op):
+        prev = preceding(op)
+        return ctx.phase == DECODE and (reads_context(op) or (
+            cp > 1 and prev is not None and reads_context(prev)))
+
+    def compute(op, local, shards):
+        eq = op.equation
+        if eq.is_single_input:
+            return MemoryOpDescriptor(operand_bytes(eq.output_operand, local, shards),
+                                      label=op.label)
+        try:
+            g = extract_gemm(eq, local, shards, label=op.label)
+        except OuterProduct:
+            in_b = sum(operand_bytes(o, local, shards) for o in eq.input_operands)
+            out_b = operand_bytes(eq.output_operand, local, shards)
+            flops = 1.0
+            for sym in eq.all_symbols():
+                flops *= local_size(sym, local, shards)
+            return MemoryOpDescriptor(in_b + out_b, flops=flops, label=op.label)
+        if g.n != 1:
+            return g
+        in_b = sum(operand_bytes(o, local, shards) for o in eq.input_operands)
+        out_b = operand_bytes(eq.output_operand, local, shards)
+        return MemoryOpDescriptor(in_b + out_b, flops=g.flops, label=op.label)
+
+    lowered = []
+
+    def lower_one(op, label):
+        if context_only and not varies(op):
+            return
+        local = bound
+        is_moe = _is_moe_op(op)
+        if is_moe:
+            if moe_te is None:
+                raise ValidationError(
+                    f"op {op.label!r} uses the MoE token symbol but no routing "
+                    "statistics were supplied")
+            local = local.with_sizes(**{MOE_TOKEN_SYMBOL: moe_te[0], "E": moe_te[1]})
+        kernels = detect_all2all(op, preceding(op), local, cp) if cp > 1 else []
+        kern = compute(op, local, op_shards(op, dict(degrees, ep=1) if is_moe
+                                            else degrees))
+        kernels.append(kern)
+        world = degrees[degree_kind(op.parallel)] if op.parallel else 1
+        collective = detect_allreduce(op, local, world)
+        overlap = None
+        if op.overlap_stage is not None:
+            if collective is None:
+                raise ValidationError(
+                    f"op {op.label!r}: overlap annotated but no collective detected")
+            overlap = (op.overlap_stage, op.overlap_sm, op.overlap_dim)
+        elif collective is not None:
+            kernels.append(collective)
+        lowered.append(LoweredOp(
+            label, tuple(kernels), is_moe, varies(op), overlap,
+            kern if isinstance(kern, GemmDescriptor) else None, collective))
+
+    for op in spec.ops:
+        if not op.is_attention:
+            lower_one(op, op.label)
+            continue
+        for j, sub in enumerate(op.attn_eqs):
+            lower_one(sub, f"{op.label}: {sub.label}")
+            if j == 0 and (varies(sub) or not context_only):
+                size = operand_bytes(sub.equation.output_operand, bound,
+                                     op_shards(sub, degrees))
+                lowered.append(LoweredOp(
+                    f"{op.label}: score",
+                    (MemoryOpDescriptor(2 * size, label=f"{op.label} score"),),
+                    reads_context=varies(sub)))
+    return lowered
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValidationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_PLAN_SPECS = ("dense_fused", "dense_unfused", "dense_fused_cp", "moe_fused")
+_PLAN_DIMS = {"dense_fused": ("llama3_8b", "llama3_70b"),
+              "dense_unfused": ("llama3_70b",),
+              "dense_fused_cp": ("llama3_8b",),
+              "moe_fused": ("qwen3_30b_a3b",)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_name=st.sampled_from(_PLAN_SPECS), pick=st.integers(0, 1),
+       overlap=st.booleans(), tp=_DEGREES, ep=st.sampled_from([1, 2, 4]),
+       cp=st.sampled_from([1, 2, 3]), phase=st.sampled_from([PREFILL, DECODE]),
+       batch=st.integers(1, 9), isl=st.integers(1, 600),
+       position=st.integers(1, 4), hidden=st.one_of(st.none(), st.integers(1, 5000)),
+       moe_te=st.one_of(st.none(), st.tuples(
+           st.integers(4, 448).map(lambda n: n / 7),
+           st.integers(2, 192).map(lambda n: n / 3))),
+       context_only=st.booleans())
+@example(spec_name="moe_fused", pick=0, overlap=False, tp=2, ep=4, cp=1,
+         phase=PREFILL, batch=3, isl=100, position=1, hidden=3001,
+         moe_te=(4 / 7, 8 / 3), context_only=False)
+def test_plan_lowers_like_reference(spec_name, pick, overlap, tp, ep, cp, phase,
+                                    batch, isl, position, hidden, moe_te,
+                                    context_only):
+    # Covers indivisible shards (K = 8 by tp 3, s by cp), decode overlap,
+    # overlap without a collective at tp 1, and MoE ops without statistics.
+    # The MoE spec gains an op whose sizes interleave the fractional T with
+    # bound sizes (an odd hidden size m, f = 3 * 256), so that a product
+    # taken in another factor order differs in its last bits.
+    spec = load_model_spec(fixture_path(f"{spec_name}.json"))
+    if spec_name == "moe_fused":
+        spec = ModelSpec(spec.ops + (_op("Tmf->Tmf", label="Spread"),), spec.layers)
+    if overlap:
+        spec = apply_overlap_setting(spec, 2, 8)
+    dims_names = _PLAN_DIMS[spec_name]
+    dims = load_bindings(fixture_path(f"{dims_names[pick % len(dims_names)]}.json"))
+    if hidden is not None:
+        dims = dims.with_sizes(m=hidden)
+    degrees = {"tp": tp, "ep": ep, "cp": cp}
+    ctx = PhaseContext(phase, batch, isl, osl=4, decode_position=position)
+    plan = compile_layer(spec, dims, degrees, phase)
+    for _ in range(2):  # a plan is reusable
+        assert (_outcome(plan.lower, ctx, moe_te=moe_te, context_only=context_only)
+                == _outcome(_reference_lower, spec, dims, ctx, degrees,
+                            moe_te=moe_te, context_only=context_only))
+
+
+def test_three_operand_op_fails_where_lowering_meets_it(dims_8b):
+    # The GEMM form is decided at compile time, but the error comes from
+    # lowering, after the s shard of the first op fails.
+    spec = ModelSpec((_op("bsm,mf->bsf", label="first", cp_dim="s"),
+                      _op("bsf,fm,mk->bsk", label="three")), 1)
+    dims = dims_8b.with_sizes(k=3)
+    plan = compile_layer(spec, dims, {"tp": 1, "ep": 1, "cp": 2}, PREFILL)
+    for isl, message in ((9, "not divisible by degree 2"),
+                         (8, "GEMM extraction needs exactly two operands")):
+        ctx = PhaseContext(PREFILL, 1, isl)
+        got = _outcome(plan.lower, ctx)
+        assert got == _outcome(_reference_lower, spec, dims, ctx,
+                               {"tp": 1, "ep": 1, "cp": 2})
+        assert message in got[1]
