@@ -36,7 +36,7 @@ def main():
         "tp": [2, 4, 8],
         "overlap": ["none", "2:4", "4:16", "4:32"],
     }
-    points = sweep(spec, dims, grid, hw, compute, comm, jobs=4)
+    points = sweep(spec, dims, grid, hw, compute, comm)
     feasible = [p for p in points if p.feasible]
     print(f"swept {len(points)} configurations ({len(feasible)} feasible)")
 

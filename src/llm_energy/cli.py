@@ -19,22 +19,28 @@ from .compute import (
 )
 from .engine import DEFAULT_DECODE_STRIDE, Estimator, apply_overlap_setting
 from .errors import BackendError, SpecError, ValidationError
-from .explorer import heuristic_compare, insight_queries, pareto_front, sweep
+from .explorer import (
+    format_overlap,
+    heuristic_compare,
+    insight_queries,
+    load_points,
+    parse_overlap,
+    pareto_front,
+    sweep,
+)
 from .fixtures import fixture_path, list_fixtures
 from .interpreter import DECODE, PREFILL, PhaseContext
 from .moe import DEFAULT_TILE, RoutingTrace
-from .spec_lang import load_bindings, load_json, load_model_spec
+from .spec_lang import (in_file, load_bindings, load_json, load_model_spec,
+                        validate_bindings)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ESTIMATION = 3
 
 
-def _digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def _resolve(path_str: str) -> Path:
@@ -47,48 +53,22 @@ def _resolve(path_str: str) -> Path:
     return path
 
 
-def _parse_overlap(text: str) -> tuple[int, int]:
-    try:
-        stages, sm = text.split(":")
-        return int(stages), int(sm)
-    except ValueError:
-        raise ValidationError(
-            f"--overlap must be 'stages:sm', got {text!r}") from None
-
-
 def _load_inputs(args) -> dict:
-    paths = {
-        "spec": _resolve(args.spec),
-        "dims": _resolve(args.dims),
-        "hw": _resolve(args.hw),
-        "comm_cal": _resolve(args.comm_cal),
-    }
-    inputs = {
+    paths = {name: _resolve(value) for name, value in (
+        ("spec", args.spec), ("dims", args.dims), ("hw", args.hw),
+        ("comm_cal", args.comm_cal), ("gemm_cal", args.gemm_cal),
+        ("trace", args.trace)) if value}
+    hw = load_hardware_profile(paths["hw"])
+    return {
         "spec": load_model_spec(paths["spec"]),
         "dims": load_bindings(paths["dims"]),
-        "hw": load_hardware_profile(paths["hw"]),
+        "hw": hw,
         "comm": CommBackend(load_comm_calibration(paths["comm_cal"])),
-        "trace": None,
+        "compute": (TableComputeBackend(GemmCalibrationTable.load(paths["gemm_cal"]), hw)
+                    if "gemm_cal" in paths else RooflineBackend(hw)),
+        "trace": RoutingTrace.load(paths["trace"]) if "trace" in paths else None,
+        "digests": {name: _digest(path) for name, path in paths.items()},
     }
-    if getattr(args, "gemm_cal", None):
-        paths["gemm_cal"] = _resolve(args.gemm_cal)
-        inputs["compute"] = TableComputeBackend(
-            GemmCalibrationTable.load(paths["gemm_cal"]), inputs["hw"])
-    else:
-        inputs["compute"] = RooflineBackend(inputs["hw"])
-    if getattr(args, "trace", None):
-        paths["trace"] = _resolve(args.trace)
-        inputs["trace"] = RoutingTrace.load(paths["trace"])
-    inputs["digests"] = {name: _digest(p) for name, p in paths.items()}
-    return inputs
-
-
-def _make_estimator(args, inputs, spec=None) -> Estimator:
-    return Estimator(
-        spec if spec is not None else inputs["spec"],
-        inputs["dims"], inputs["hw"], inputs["compute"], inputs["comm"],
-        tile=args.tile, decode_stride=args.decode_stride,
-        routing_trace=inputs["trace"])
 
 
 def _write_json(path: Path, payload) -> None:
@@ -111,10 +91,12 @@ def _write_report_csv(path: Path, report_dict: dict) -> None:
 def cmd_estimate(args) -> int:
     inputs = _load_inputs(args)
     spec = inputs["spec"]
-    if args.overlap:
-        stages, sm = _parse_overlap(args.overlap)
-        spec = apply_overlap_setting(spec, stages, sm)
-    est = _make_estimator(args, inputs, spec)
+    overlap = parse_overlap(args.overlap)
+    if overlap is not None:
+        spec = apply_overlap_setting(spec, *overlap)
+    est = Estimator(spec, inputs["dims"], inputs["hw"], inputs["compute"],
+                    inputs["comm"], tile=args.tile,
+                    decode_stride=args.decode_stride, routing_trace=inputs["trace"])
     degrees = {"tp": args.tp, "ep": args.ep, "cp": args.cp}
     phases = [PREFILL, DECODE] if args.phase == "both" else [args.phase]
     out_dir = Path(args.out)
@@ -161,20 +143,21 @@ def _write_plot_data(path: Path, points) -> None:
         for p in points:
             if not p.feasible:
                 continue
-            ov = "none" if p.overlap is None else f"{p.overlap[0]}:{p.overlap[1]}"
-            series = f"tp{p.tp}-ov{ov}"
+            series = f"tp{p.tp}-ov{format_overlap(p.overlap) or 'none'}"
             writer.writerow([series, repr(p.latency), repr(p.energy),
                              f"b{p.batch}-isl{p.isl}"])
 
 
 def cmd_sweep(args) -> int:
     inputs = _load_inputs(args)
-    grid = load_json(_resolve(args.grid))
-    points = sweep(inputs["spec"], inputs["dims"], grid, inputs["hw"],
-                   inputs["compute"], inputs["comm"], phase=args.phase,
-                   jobs=args.jobs, tile=args.tile,
-                   decode_stride=args.decode_stride,
-                   routing_trace=inputs["trace"])
+    grid_path = _resolve(args.grid)
+    grid = load_json(grid_path)
+    with in_file(grid_path):  # the grid's faults surface in sweep
+        points = sweep(inputs["spec"], inputs["dims"], grid, inputs["hw"],
+                       inputs["compute"], inputs["comm"], phase=args.phase,
+                       jobs=args.jobs, tile=args.tile,
+                       decode_stride=args.decode_stride,
+                       routing_trace=inputs["trace"])
     out_dir = Path(args.out)
     result = pareto_front(points)
     frontier = result.frontier
@@ -217,34 +200,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_POINT_FIELDS = ("phase", "batch", "isl", "osl", "tp", "ep", "cp", "feasible")
-
-
 def cmd_pareto(args) -> int:
-    from .explorer import ConfigPoint
-    path = _resolve(args.points)
-    payload = load_json(path)
-    if not isinstance(payload, dict) or not isinstance(payload.get("points"), list):
-        raise ValidationError(f"{path}: needs a 'points' list")
-    points = []
-    for i, row in enumerate(payload["points"]):
-        missing = [key for key in _POINT_FIELDS
-                   if not isinstance(row, dict) or key not in row]
-        if missing:
-            raise ValidationError(f"{path}: point #{i} lacks {', '.join(missing)}")
-        if row["feasible"] and not all(
-                isinstance(row.get(key), (int, float))
-                for key in ("latency_s", "energy_j")):
-            raise ValidationError(
-                f"{path}: feasible point #{i} needs numeric latency_s and energy_j")
-        ov = row.get("overlap")
-        points.append(ConfigPoint(
-            phase=row["phase"], batch=row["batch"], isl=row["isl"],
-            osl=row["osl"], tp=row["tp"], ep=row["ep"], cp=row["cp"],
-            overlap=None if ov in (None, "none") else _parse_overlap(ov),
-            feasible=row["feasible"], latency=row.get("latency_s"),
-            energy=row.get("energy_j"),
-            infeasible_reason=row.get("infeasible_reason", "")))
+    points = load_points(_resolve(args.points))
     frontier = pareto_front(points).frontier
     if args.latency_budget is not None:
         frontier = [p for p in frontier if p.latency <= args.latency_budget]
@@ -263,19 +220,15 @@ def cmd_validate(args) -> int:
         try:
             return loader(_resolve(path_str))
         except (SpecError, ValidationError) as exc:
-            problems.append(f"{name} ({path_str}): {exc}")
-            return None
+            problems.append(f"{name}: {exc}")
 
     spec = attempt("spec", args.spec, load_model_spec)
     dims = attempt("dims", args.dims, load_bindings)
     attempt("hardware profile", args.hw, load_hardware_profile)
     attempt("comm calibration", args.comm_cal, load_comm_calibration)
-    if getattr(args, "gemm_cal", None):
-        attempt("gemm calibration", args.gemm_cal, GemmCalibrationTable.load)
-    if getattr(args, "trace", None):
-        attempt("routing trace", args.trace, RoutingTrace.load)
+    attempt("gemm calibration", args.gemm_cal, GemmCalibrationTable.load)
+    attempt("routing trace", args.trace, RoutingTrace.load)
     if spec is not None and dims is not None:
-        from .spec_lang import validate_bindings
         try:
             validate_bindings(spec, dims,
                               {"tp": args.tp, "ep": args.ep, "cp": args.cp})

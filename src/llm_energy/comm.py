@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .compute import CostEstimate
 from .errors import BackendError, ValidationError
 from .interpreter import ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER, CommDescriptor
+from .spec_lang import in_file, read_csv
 
 VALID_KINDS = (ALLREDUCE, REDUCESCATTER, ALLGATHER, ALLTOALL)
 
@@ -33,13 +34,16 @@ class CommCurve:
     def validate(self, key) -> None:
         if len(self.sizes) < 2:
             raise ValidationError(f"comm calibration {key}: need >= 2 points")
+        if not all(0 < v < math.inf for values in
+                   (self.sizes, self.latencies, self.energies) for v in values):
+            raise ValidationError(
+                f"comm calibration {key}: sizes, latencies and energies must "
+                "be positive and finite")
         for prev, cur in zip(self.sizes, self.sizes[1:]):
             if cur <= prev:
                 raise ValidationError(
                     f"comm calibration {key}: sizes must be strictly increasing "
                     f"(saw {prev} then {cur})")
-        if min(self.latencies) <= 0 or min(self.energies) <= 0:
-            raise ValidationError(f"comm calibration {key}: non-positive values")
 
     def _interp(self, values: list[float], size: float) -> float:
         sizes = self.sizes
@@ -75,6 +79,10 @@ class CommCalibrationTable:
 
     def validate(self) -> None:
         for key, curve in self.curves.items():
+            kind, world, sm = key
+            if kind not in VALID_KINDS or world < 2 or sm < 1:
+                raise ValidationError(f"comm calibration {key}: needs a known "
+                                      "kind, world >= 2 and sm_count >= 1")
             curve.validate(key)
 
     def sm_counts(self, kind: str, world: int) -> list[int]:
@@ -85,56 +93,19 @@ class CommCalibrationTable:
 
 
 def load_comm_calibration(path) -> CommCalibrationTable:
-    """Load a delimited calibration file.
-
-    Columns: kind, world, sm_count, bytes, latency_s, energy_j. Lines
-    starting with ``#`` carry provenance.
-    """
-    rows: dict[tuple[str, int, int], list[tuple[float, float, float]]] = {}
-    provenance: list[str] = []
-    header_seen = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                provenance.append(line.lstrip("# "))
-                continue
-            cols = [c.strip() for c in line.split(",")]
-            if not header_seen:
-                expected = ["kind", "world", "sm_count", "bytes", "latency_s",
-                            "energy_j"]
-                if cols != expected:
-                    raise ValidationError(
-                        f"{path}:{lineno}: header must be {','.join(expected)}")
-                header_seen = True
-                continue
-            if len(cols) != 6:
-                raise ValidationError(f"{path}:{lineno}: expected 6 columns")
-            kind, world, sm, size, lat, en = cols
-            if kind not in VALID_KINDS:
-                raise ValidationError(f"{path}:{lineno}: unknown kind {kind!r}")
-            try:
-                key = (kind, int(world), int(sm))
-                sample = (float(size), float(lat), float(en))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            rows.setdefault(key, []).append(sample)
-    if not header_seen:
-        raise ValidationError(f"{path}: missing header row")
-
-    table = CommCalibrationTable(provenance="; ".join(provenance))
-    for key, samples in rows.items():
-        samples.sort(key=lambda r: r[0])
-        for (s0, _, _), (s1, _, _) in zip(samples, samples[1:]):
-            if s0 == s1:
-                raise ValidationError(
-                    f"{path}: duplicate bytes {s0} for key {key}")
-        table.curves[key] = CommCurve([r[0] for r in samples],
-                                      [r[1] for r in samples],
-                                      [r[2] for r in samples])
-    table.validate()
+    """Load a calibration CSV; its ``#`` lines carry provenance."""
+    (kinds, worlds, sms, *values), comments = read_csv(
+        path, ("kind", "world", "sm_count", "bytes", "latency_s", "energy_j"),
+        [str.strip, int, int, float, float, float])
+    samples: dict[tuple[str, int, int], list[tuple[float, float, float]]] = {}
+    for key, sample in zip(zip(kinds, worlds, sms), zip(*values)):
+        samples.setdefault(key, []).append(sample)
+    table = CommCalibrationTable(provenance="; ".join(comments))
+    for key, curve in samples.items():
+        curve.sort(key=lambda r: r[0])
+        table.curves[key] = CommCurve(*map(list, zip(*curve)))
+    with in_file(path):
+        table.validate()
     return table
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional
 
 from .errors import BackendError, ValidationError
 from .interpreter import GemmDescriptor, MemoryOpDescriptor
-from .spec_lang import load_json
+from .spec_lang import as_int, as_number, in_file, load_json, read_csv
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,9 @@ class HardwareProfile:
     name: str = "unnamed"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "name":
+                as_number(getattr(self, f.name), f"hardware field {f.name!r}")
         if not (self.p_max > self.p_idle > 0):
             raise ValidationError("require p_max > p_idle > 0")
         if not (0 < self.compute_efficiency <= 1 and 0 < self.bandwidth_efficiency <= 1):
@@ -62,35 +64,24 @@ class HardwareProfile:
             raise ValidationError("peak_flops/mem_bw/dram_capacity must be positive")
 
 
-_HW_KEYS = {"peak_flops", "mem_bw", "total_sm", "dram_capacity", "p_idle",
-            "p_max", "kernel_launch_overhead", "compute_efficiency",
-            "bandwidth_efficiency", "memory_op_utilization", "name",
-            "format_version"}
+_HW_KEYS = {f.name for f in fields(HardwareProfile)} | {"format_version"}
 
 
 def load_hardware_profile(path) -> HardwareProfile:
     raw = load_json(path)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: hardware profile must be a JSON object")
-    unknown = set(raw) - _HW_KEYS
-    if unknown:
-        raise ValidationError(f"{path}: unknown hardware field(s) {sorted(unknown)}")
-    missing = {f.name for f in fields(HardwareProfile)
-               if f.default is MISSING} - set(raw)
-    if missing:
-        raise ValidationError(f"{path}: missing hardware field(s) {sorted(missing)}")
-    raw = {k: v for k, v in raw.items() if k != "format_version"}
-    for key, value in raw.items():
-        if key not in ("name", "total_sm") and (
-                isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ValidationError(
-                f"{path}: hardware field {key!r} must be a number, got {value!r}")
-    try:
-        raw["total_sm"] = int(raw["total_sm"])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: hardware field 'total_sm' must be an "
-                              f"integer, got {raw['total_sm']!r}") from None
-    return HardwareProfile(**raw)
+    with in_file(path):
+        if not isinstance(raw, dict):
+            raise ValidationError("hardware profile must be a JSON object")
+        unknown = set(raw) - _HW_KEYS
+        if unknown:
+            raise ValidationError(f"unknown hardware field(s) {sorted(unknown)}")
+        missing = {f.name for f in fields(HardwareProfile)
+                   if f.default is MISSING} - set(raw)
+        if missing:
+            raise ValidationError(f"missing hardware field(s) {sorted(missing)}")
+        raw = {key: value for key, value in raw.items() if key != "format_version"}
+        raw["total_sm"] = as_int(raw["total_sm"], "hardware field 'total_sm'")
+        return HardwareProfile(**raw)
 
 
 def _utilization_power(hw: HardwareProfile, u_eff: float) -> float:
@@ -149,6 +140,14 @@ class GemmCalibrationPoint:
     latency_s: float
     power_w: float
 
+    def __post_init__(self):
+        if self.dtype_bytes < 1 or not all(0 < v < math.inf for v in (
+                self.group_count, self.m, self.contraction, self.n,
+                self.flops, self.latency_s, self.power_w)):
+            raise ValidationError(
+                f"{self}: G, M, contraction, N, their FLOPs, latency and power "
+                "must be positive and finite, and dtype_bytes at least 1")
+
     @property
     def flops(self) -> float:
         return 2.0 * self.group_count * self.m * self.contraction * self.n
@@ -175,36 +174,11 @@ class GemmCalibrationTable:
 
     @classmethod
     def load(cls, path) -> "GemmCalibrationTable":
-        points = []
-        with open(path) as fh:
-            header: Optional[list[str]] = None
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cols = [c.strip() for c in line.split(",")]
-                if header is None:
-                    header = cols
-                    expected = ["G", "M", "contraction", "N", "dtype_bytes",
-                                "latency_s", "power_w"]
-                    if header != expected:
-                        raise ValidationError(
-                            f"{path}:{lineno}: header must be {','.join(expected)}")
-                    continue
-                if len(cols) != len(expected):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {len(expected)} columns")
-                g, m_, k, n, t, lat, pw = cols
-                try:
-                    point = GemmCalibrationPoint(float(g), float(m_), float(k),
-                                                 float(n), int(t), float(lat),
-                                                 float(pw))
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
-                if point.latency_s <= 0 or point.power_w <= 0:
-                    raise ValidationError(f"{path}:{lineno}: non-positive latency/power")
-                points.append(point)
-        return cls(points)
+        columns, _ = read_csv(path, ("G", "M", "contraction", "N", "dtype_bytes",
+                                     "latency_s", "power_w"),
+                              [float] * 4 + [int, float, float])
+        with in_file(path):
+            return cls([GemmCalibrationPoint(*row) for row in zip(*columns)])
 
     def _nearest(self, g: GemmDescriptor) -> GemmCalibrationPoint:
         """The first point at the least squared log distance over (M,

@@ -82,8 +82,7 @@ class Estimator:
                  hw: HardwareProfile, compute_backend, comm_backend: CommBackend,
                  *, tile: int = DEFAULT_TILE,
                  decode_stride: int = DEFAULT_DECODE_STRIDE,
-                 routing_trace: Optional[RoutingTrace] = None,
-                 activation_headroom: float = 0.0):
+                 routing_trace: Optional[RoutingTrace] = None):
         self.spec = spec
         self.dims = dims
         self.hw = hw
@@ -92,7 +91,6 @@ class Estimator:
         self.tile = tile
         self.decode_stride = decode_stride
         self.routing_trace = routing_trace
-        self.activation_headroom = activation_headroom
         self.has_moe = any(_is_moe_op(op) for op in _flatten_ops(spec))
         # Entries are published whole, so threads sharing the estimator see
         # a finished value or none (and then build it themselves).
@@ -127,8 +125,7 @@ class Estimator:
     def memory_model(self, degrees: dict[str, int]) -> MemoryModel:
         return self._memoized(
             ("memory", tuple(degrees.items())),
-            lambda: build_memory_model(self.spec, self.dims, degrees,
-                                       self.layers(), self.activation_headroom))
+            lambda: build_memory_model(self.spec, self.dims, degrees, self.layers()))
 
     def _layer_plan(self, degrees: dict[str, int], phase: str) -> LayerPlan:
         return self._memoized(

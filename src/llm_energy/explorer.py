@@ -13,7 +13,7 @@ from .engine import Estimator, apply_overlap_setting
 from .errors import ValidationError
 from .interpreter import DECODE, PREFILL, PhaseContext
 from .metrics import epot, etft
-from .spec_lang import DimensionBindings, ModelSpec
+from .spec_lang import DimensionBindings, ModelSpec, as_int, as_number, in_file, load_json
 
 OverlapSetting = Optional[tuple[int, int]]  # (stages, sm_comm) or None
 
@@ -44,8 +44,7 @@ class ConfigPoint:
         return {
             "phase": self.phase, "batch": self.batch, "isl": self.isl,
             "osl": self.osl, "tp": self.tp, "ep": self.ep, "cp": self.cp,
-            "overlap": (None if self.overlap is None
-                        else f"{self.overlap[0]}:{self.overlap[1]}"),
+            "overlap": format_overlap(self.overlap),
             "feasible": self.feasible,
             "latency_s": self.latency,
             "energy_j": self.energy,
@@ -53,27 +52,57 @@ class ConfigPoint:
         }
 
 
-_GRID_AXES = ("batch", "isl", "osl", "tp", "ep", "cp", "overlap")
-
-
-def _overlap_setting(value) -> OverlapSetting:
-    """A grid overlap value: None or "none", "stages:sm", or [stages, sm]."""
+def parse_overlap(value) -> OverlapSetting:
+    """An overlap setting from its text or JSON form: None or "none",
+    "stages:sm", or [stages, sm]."""
     if value is None or value == "none":
         return None
     try:
         stages, sm = value.split(":") if isinstance(value, str) else value
         return int(stages), int(sm)
-    except (TypeError, ValueError):
-        raise ValidationError(f"grid overlap value {value!r} must be 'none', "
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"overlap setting {value!r} must be 'none', "
                               "'stages:sm' or [stages, sm]") from None
 
 
-def _grid_int(axis: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"grid axis {axis!r} value {value!r} is not an integer") from None
+def format_overlap(setting: OverlapSetting) -> Optional[str]:
+    """The "stages:sm" text of an overlap setting, or None for no overlap."""
+    return None if setting is None else f"{setting[0]}:{setting[1]}"
+
+
+_POINT_FIELDS = ("phase", "batch", "isl", "osl", "tp", "ep", "cp", "feasible")
+
+
+def load_points(path) -> list[ConfigPoint]:
+    """The points of a sweep's ``points.json``: rows of
+    :meth:`ConfigPoint.to_dict` under a ``points`` key."""
+    payload = load_json(path)
+    points = []
+    with in_file(path):
+        if not isinstance(payload, dict) or not isinstance(payload.get("points"), list):
+            raise ValidationError("needs a 'points' list")
+        for i, row in enumerate(payload["points"]):
+            missing = [key for key in _POINT_FIELDS
+                       if not isinstance(row, dict) or key not in row]
+            if missing:
+                raise ValidationError(f"point #{i} lacks {', '.join(missing)}")
+            if row["phase"] not in (PREFILL, DECODE):
+                raise ValidationError(f"point #{i} phase must be {PREFILL!r} or "
+                                      f"{DECODE!r}, got {row['phase']!r}")
+            if row["feasible"]:
+                for key in ("latency_s", "energy_j"):
+                    as_number(row.get(key), f"feasible point #{i} {key}")
+            points.append(ConfigPoint(
+                phase=row["phase"], batch=row["batch"], isl=row["isl"],
+                osl=row["osl"], tp=row["tp"], ep=row["ep"], cp=row["cp"],
+                overlap=parse_overlap(row.get("overlap")),
+                feasible=row["feasible"], latency=row.get("latency_s"),
+                energy=row.get("energy_j"),
+                infeasible_reason=row.get("infeasible_reason", "")))
+    return points
+
+
+_GRID_AXES = ("batch", "isl", "osl", "tp", "ep", "cp", "overlap")
 
 
 def normalize_grid(grid: dict) -> dict[str, list]:
@@ -85,25 +114,17 @@ def normalize_grid(grid: dict) -> dict[str, list]:
     if unknown:
         raise ValidationError(f"unknown grid axis/axes {sorted(unknown)}")
     out: dict[str, list] = {}
-    defaults = {"batch": [1], "isl": [1], "osl": [1], "tp": [1], "ep": [1],
-                "cp": [1], "overlap": [None]}
     for axis in _GRID_AXES:
-        raw = grid.get(axis, defaults[axis])
+        raw = grid.get(axis, [None] if axis == "overlap" else [1])
         if not isinstance(raw, (list, tuple, range)):
             raise ValidationError(f"grid axis {axis!r} must be a list, got {raw!r}")
-        try:
-            values = list(dict.fromkeys(
-                tuple(v) if isinstance(v, list) else v for v in raw))
-        except TypeError:
-            raise ValidationError(
-                f"grid axis {axis!r} holds a value that is not a number, "
-                "string or list of them") from None
-        if not values:
+        if not raw:
             raise ValidationError(f"grid axis {axis!r} is empty")
         if axis == "overlap":
-            values = [_overlap_setting(v) for v in values]
+            values = list(dict.fromkeys(map(parse_overlap, raw)))
         else:
-            values = [_grid_int(axis, v) for v in values]
+            values = list(dict.fromkeys(
+                as_int(v, f"grid axis {axis!r} value") for v in raw))
             if min(values) < 1:
                 raise ValidationError(f"grid axis {axis!r} has non-positive values")
         out[axis] = values

@@ -122,22 +122,21 @@ def epot(report: PhaseReport) -> float:
 
 @dataclass(frozen=True)
 class MemoryModel:
-    """Per-GPU DRAM footprint: sharded weights + KV cache + headroom."""
+    """Per-GPU DRAM footprint: sharded weights + KV cache."""
 
     weight_bytes: float
     kv_unit_bytes: float  # bytes per (batch element x context token)
-    activation_headroom: float = 0.0
 
     def kv_bytes(self, batch: int, z: int) -> float:
         return self.kv_unit_bytes * batch * z
 
     def required(self, batch: int, z: int) -> float:
-        return self.weight_bytes + self.kv_bytes(batch, z) + self.activation_headroom
+        return self.weight_bytes + self.kv_bytes(batch, z)
 
     def max_context(self, batch: int, capacity: float) -> Optional[int]:
         """Largest context length z fitting in ``capacity`` at this batch size;
         None when the spec holds no KV cache, so memory bounds no context."""
-        free = capacity - self.weight_bytes - self.activation_headroom
+        free = capacity - self.weight_bytes
         if free < 0:
             return 0
         if not self.kv_unit_bytes:
@@ -146,8 +145,7 @@ class MemoryModel:
 
 
 def build_memory_model(spec: ModelSpec, dims: DimensionBindings,
-                       degrees: dict[str, int], layers: int,
-                       activation_headroom: float = 0.0) -> MemoryModel:
+                       degrees: dict[str, int], layers: int) -> MemoryModel:
     """Derive the per-GPU memory model from the op list.
 
     Weights are the input operands with no runtime symbol, sharded along the
@@ -166,7 +164,7 @@ def build_memory_model(spec: ModelSpec, dims: DimensionBindings,
                 per_token = "".join(sym for sym in operand
                                     if sym not in RUNTIME_SYMBOLS)
                 kv_unit += operand_bytes(per_token, dims, op_shards(op, degrees))
-    return MemoryModel(weights * layers, kv_unit * layers, activation_headroom)
+    return MemoryModel(weights * layers, kv_unit * layers)
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ def check_memory(mem: MemoryModel, ctx: PhaseContext,
     z_peak = ctx.isl if ctx.phase == PREFILL else ctx.isl + ctx.osl
     required = mem.required(ctx.batch, z_peak)
     max_seq = mem.max_context(ctx.batch, hw.dram_capacity)
-    if mem.weight_bytes + mem.activation_headroom > hw.dram_capacity:
+    if mem.weight_bytes > hw.dram_capacity:
         return FeasibilityVerdict(False, "weights alone exceed DRAM capacity",
                                   0, required, hw.dram_capacity)
     if required > hw.dram_capacity:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .compute import ZERO_COST, CostEstimate
 from .errors import ValidationError
+from .spec_lang import in_file, read_csv
 
 DEFAULT_TILE = 16
 
@@ -90,11 +91,9 @@ class RoutingTrace:
 
     def __post_init__(self):
         if not self.choices:
-            raise ValidationError("routing trace is empty")
-        k = len(self.choices[0])
-        for row in self.choices:
-            if len(row) != k:
-                raise ValidationError("all tokens must pick the same number of experts")
+            raise ValidationError("routing trace has no expert choices")
+        if len(set(map(len, self.choices))) != 1:
+            raise ValidationError("all tokens must pick the same number of experts")
 
     @property
     def top_k(self) -> int:
@@ -102,21 +101,10 @@ class RoutingTrace:
 
     @classmethod
     def load(cls, path) -> "RoutingTrace":
-        rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cols = line.split(",")
-                try:
-                    rows.append(tuple(int(c) for c in cols[1:]))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}:{lineno}: non-integer expert index") from None
-                if not rows[-1]:
-                    raise ValidationError(f"{path}:{lineno}: token row has no experts")
-        return cls(tuple(rows))
+        """Rows of ``token,expert,...,expert``; the token column is not read."""
+        (_, *experts), _ = read_csv(path, None, [None], rest=int)
+        with in_file(path):
+            return cls(tuple(zip(*experts)))
 
 
 def stats_from_trace(trace: RoutingTrace, total_experts: int, ep_degree: int,

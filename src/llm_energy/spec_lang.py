@@ -13,7 +13,10 @@ Symbols are single characters. Dimension sizes are supplied separately via
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from .errors import SpecError, ValidationError
@@ -145,10 +148,10 @@ class OpSpec:
                         f"{self.equation.to_text()!r}"
                     )
         if n_set == 3:
-            if self.overlap_stage < 1:
-                raise SpecError(f"op {self.label!r}: overlap_stage must be >= 1")
-            if self.overlap_sm < 1:
-                raise SpecError(f"op {self.label!r}: overlap_sm must be >= 1")
+            if not all(type(v) is int and v >= 1
+                       for v in (self.overlap_stage, self.overlap_sm)):
+                raise SpecError(f"op {self.label!r}: overlap_stage and "
+                                "overlap_sm must be integers >= 1")
             if self.parallel is None:
                 raise SpecError(f"op {self.label!r}: overlap requires a parallel symbol")
             if not self.is_attention and self.parallel not in self.equation.summation_symbols:
@@ -178,6 +181,8 @@ _OP_KEYS = {"eq", "parallel", "cp_dim", "overlap_stage", "overlap_sm",
 
 
 def _parse_op(obj: dict, index: int) -> OpSpec:
+    if not isinstance(obj, dict):
+        raise SpecError(f"op #{index} must be a JSON object, got {obj!r}")
     unknown = set(obj) - _OP_KEYS
     if unknown:
         raise SpecError(f"op #{index}: unknown field(s) {sorted(unknown)}")
@@ -185,11 +190,12 @@ def _parse_op(obj: dict, index: int) -> OpSpec:
         raise SpecError(f"op #{index}: missing 'eq'")
     eq_text = obj["eq"]
     label = obj.get("label", f"op{index}")
-    attn_eqs = tuple(
-        _parse_op(sub, i) for i, sub in enumerate(obj.get("attn_eqs", []))
-    )
+    subs = obj.get("attn_eqs", [])
+    if not isinstance(subs, list):
+        raise SpecError(f"op #{index}: attn_eqs must be an array")
+    attn_eqs = tuple(_parse_op(sub, i) for i, sub in enumerate(subs))
     equation = None if eq_text == ATTENTION_OPCODE else parse_equation(eq_text)
-    op = OpSpec(
+    return OpSpec(
         equation=equation,
         label=label,
         parallel=obj.get("parallel"),
@@ -199,8 +205,6 @@ def _parse_op(obj: dict, index: int) -> OpSpec:
         overlap_dim=obj.get("overlap"),
         attn_eqs=attn_eqs,
     )
-    op.validate()
-    return op
 
 
 @dataclass(frozen=True)
@@ -213,8 +217,8 @@ class ModelSpec:
     def validate(self) -> None:
         if not self.ops:
             raise SpecError("model spec has no ops")
-        if self.layers < 1:
-            raise SpecError("layers must be >= 1")
+        if type(self.layers) is not int or self.layers < 1:
+            raise SpecError(f"layers must be an integer >= 1, got {self.layers!r}")
         for op in self.ops:
             op.validate()
 
@@ -233,13 +237,8 @@ class ModelSpec:
         return {"layers": self.layers, "ops": [op.to_dict() for op in self.ops]}
 
 
-def parse_model_spec(document: str | dict) -> ModelSpec:
-    """Parse a model-spec document (JSON text or an already-decoded dict)."""
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"model spec is not valid JSON: {exc}") from exc
+def parse_model_spec(document: dict) -> ModelSpec:
+    """Parse a decoded model-spec document (see :func:`load_model_spec`)."""
     if not isinstance(document, dict):
         raise SpecError("model spec must be a JSON object")
     unknown = set(document) - {"layers", "ops", "format_version"}
@@ -250,25 +249,127 @@ def parse_model_spec(document: str | dict) -> ModelSpec:
         raise SpecError("model spec needs a nonempty 'ops' array")
     spec = ModelSpec(
         ops=tuple(_parse_op(op, i) for i, op in enumerate(ops_raw)),
-        layers=int(document.get("layers", 1)),
+        layers=document.get("layers", 1),
     )
     spec.validate()
     return spec
 
 
-def load_json(path):
-    """Decode one JSON input file; a file that is not JSON is a
-    :class:`ValidationError` naming it."""
-    with open(path) as fh:
+# Every input file is read here: a syntax fault is a ValidationError naming the
+# file (and, for CSV, the line). Value ranges are checked by the types built
+# from the file, whose errors ``in_file`` prefixes with the path.
+
+
+@contextmanager
+def open_text(path):
+    """One input file, open as UTF-8 text; a byte that is not UTF-8 is a
+    :class:`ValidationError` naming the file."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def load_json(path):
+    """Decode one JSON input file; a file that is not JSON, or that uses the
+    ``NaN``/``Infinity`` constants, is a :class:`ValidationError` naming it."""
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+
+
+@contextmanager
+def in_file(path):
+    """Name ``path`` in a SpecError or ValidationError raised inside."""
+    try:
+        yield
+    except (SpecError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def as_int(value, what: str) -> int:
+    """``int(value)``; a value it rejects is a ValidationError naming ``what``."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_number(value, what: str):
+    """``value`` if a finite int or float (not a bool); else a ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def _csv_rows(lines, comments: list):
+    """(line number, text) of each line that is neither blank nor a ``#``
+    comment; the text of each comment goes to ``comments``."""
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line[:1] == "#":
+            comments.append(line.lstrip("# "))
+        elif line:
+            yield lineno, line
+
+
+def read_csv(path, header: Optional[Sequence[str]], converters: Sequence,
+             rest=None) -> tuple[list[list], list[str]]:
+    """The columns and the comments of one comma-separated input file.
+
+    With a ``header``, the first row must be exactly that header. Every row
+    must be as wide as the first. Column ``i`` is converted by
+    ``converters[i]`` (``int``, ``float`` or any callable that raises
+    ``ValueError``) and any further column by ``rest``; a column whose
+    converter is None is not read and comes back empty. Rows are split and
+    converted a block at a time, a whole column of the block per ``map``,
+    so a long file's cells are never all held as strings at once.
+    """
+    comments: list[str] = []
+    with open_text(path) as fh:
+        rows = _csv_rows(fh, comments)
+        lineno, first = next(rows, (1, ""))
+        head = first.split(",") if first else []
+        if header is not None and [cell.strip() for cell in head] != list(header):
+            raise ValidationError(f"{path}:{lineno}: header must be {','.join(header)}")
+        if header is None and first:
+            rows = chain([(lineno, first)], rows)
+        width = len(head)
+        converters = list(converters) + [rest] * (width - len(converters))
+        columns: list[list] = [[] for _ in converters]
+        while block := list(islice(rows, 256)):
+            split = [line.split(",") for _, line in block]
+            if set(map(len, split)) - {width}:
+                lineno = next(n for (n, _), row in zip(block, split)
+                              if len(row) != width)
+                raise ValidationError(f"{path}:{lineno}: expected {width} columns")
+            for column, convert, cells in zip(columns, converters, zip(*split)):
+                if convert is None:
+                    continue
+                try:
+                    column.extend(map(convert, cells))
+                except ValueError:
+                    for (lineno, _), cell in zip(block, cells):
+                        try:
+                            convert(cell)
+                        except ValueError as exc:
+                            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    return columns, comments
 
 
 def load_model_spec(path) -> ModelSpec:
-    with open(path) as fh:
-        return parse_model_spec(fh.read())
+    document = load_json(path)
+    with in_file(path):
+        return parse_model_spec(document)
 
 
 # Appendix-style derived-symbol relations, checked when all parts are bound:
@@ -291,6 +392,8 @@ class DimensionBindings:
     def __post_init__(self):
         if self.dtype_bytes < 1:
             raise ValidationError("dtype_bytes must be a positive integer")
+        if self.layers is not None and self.layers < 1:
+            raise ValidationError("layers must be >= 1")
         for sym, size in self.sizes.items():
             if len(sym) != 1:
                 raise ValidationError(f"symbol {sym!r} is not a single character")
@@ -327,31 +430,19 @@ _DIMS_META = {"dtype_bytes", "layers", "format_version"}
 def load_bindings(path) -> DimensionBindings:
     """Load a flat key->integer dims file (symbols plus dtype_bytes/layers aliases)."""
     raw = load_json(path)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: dims file must be a JSON object")
-
-    def integer(key: str, value) -> int:
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"{path}: dims key {key!r} must be an integer, got {value!r}") from None
-
-    sizes: dict[str, int] = {}
-    for key, value in raw.items():
-        if key in _DIMS_META:
-            continue
-        sym = _DIMS_ALIASES.get(key, key)
-        if len(sym) != 1:
-            raise ValidationError(f"{path}: unknown dims key {key!r}")
-        sizes[sym] = integer(key, value)
-    dims = DimensionBindings(
-        sizes,
-        dtype_bytes=integer("dtype_bytes", raw.get("dtype_bytes", 2)),
-        layers=integer("layers", raw["layers"]) if "layers" in raw else None,
-    )
-    dims.check_derived()
-    return dims
+    with in_file(path):
+        if not isinstance(raw, dict):
+            raise ValidationError("dims file must be a JSON object")
+        sizes = {_DIMS_ALIASES.get(key, key): as_int(value, f"dims key {key!r}")
+                 for key, value in raw.items() if key not in _DIMS_META}
+        dims = DimensionBindings(
+            sizes,
+            dtype_bytes=as_int(raw.get("dtype_bytes", 2), "dims key 'dtype_bytes'"),
+            layers=(as_int(raw["layers"], "dims key 'layers'")
+                    if "layers" in raw else None),
+        )
+        dims.check_derived()
+        return dims
 
 
 @dataclass(frozen=True)

@@ -263,13 +263,101 @@ def _non_json_points(tmp_path):
     return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
 
 
+def _estimate_with(tmp_path, flag, data, *extra):
+    """estimate argv with ``flag`` naming a file that holds ``data`` (bytes)."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    args = ["estimate", *_base_args(tmp_path), *extra]
+    if flag in args:
+        args[args.index(flag) + 1] = str(path)
+    else:
+        args += [flag, str(path)]
+    return args
+
+
+_NOT_UTF8 = b"\xff\xfe\x00binary\n"
+
+
+def _binary_spec(tmp_path):
+    return _estimate_with(tmp_path, "--spec", _NOT_UTF8)
+
+
+def _binary_comm_cal(tmp_path):
+    return _estimate_with(tmp_path, "--comm-cal", _NOT_UTF8)
+
+
+def _binary_gemm_cal(tmp_path):
+    return _estimate_with(tmp_path, "--gemm-cal", _NOT_UTF8)
+
+
+def _binary_trace(tmp_path):
+    return _estimate_with(tmp_path, "--trace", _NOT_UTF8)
+
+
+def _spec_with_text_layers(tmp_path):
+    return _estimate_with_edited(tmp_path, "dense_fused.json",
+                                 lambda raw: raw.update(layers="abc"))
+
+
+def _spec_with_number_op(tmp_path):
+    return _estimate_with_edited(tmp_path, "dense_fused.json",
+                                 lambda raw: raw["ops"].append(5))
+
+
+def _spec_with_text_overlap_stage(tmp_path):
+    return _estimate_with_edited(
+        tmp_path, "dense_fused.json",
+        lambda raw: raw["ops"][2].update(overlap_stage="2", overlap_sm=4,
+                                         overlap="s"))
+
+
+_COMM_ROW = "AllReduce,2,108,1024.0,1.0097712592592594e-05,"
+
+
+def _comm_with_row(tmp_path, row):
+    text = fixture_path("comm_synthetic.csv").read_text().replace(_COMM_ROW, row)
+    return _estimate_with(tmp_path, "--comm-cal", text.encode(), "--tp", "2")
+
+
+def _comm_row_with_zero_bytes(tmp_path):
+    return _comm_with_row(tmp_path, "AllReduce,2,108,0,1.0097712592592594e-05,")
+
+
+def _comm_row_with_negative_bytes(tmp_path):
+    return _comm_with_row(tmp_path, "AllReduce,2,108,-5,1.0097712592592594e-05,")
+
+
+def _comm_row_with_nan_latency(tmp_path):
+    return _comm_with_row(tmp_path, "AllReduce,2,108,1024.0,nan,")
+
+
+_GEMM_HEADER = b"G,M,contraction,N,dtype_bytes,latency_s,power_w\n"
+
+
+def _gemm_row_with_zero_m(tmp_path):
+    return _estimate_with(tmp_path, "--gemm-cal",
+                          _GEMM_HEADER + b"1,0,8192,8192,2,1e-3,300\n")
+
+
+def _gemm_row_with_zero_dtype_bytes(tmp_path):
+    return _estimate_with(tmp_path, "--gemm-cal",
+                          _GEMM_HEADER + b"1,16,8192,8192,0,1e-3,300\n")
+
+
 @pytest.mark.parametrize("make_argv", [
     _malformed_dims, _hw_without_total_sm, _short_gemm_row,
     _feasible_point_without_latency, _point_without_feasible,
     _hw_with_text_total_sm, _comm_row_with_text_world, _gemm_row_with_text_m,
     _grid_overlap_without_colon, _grid_overlap_short_pair, _grid_text_batch,
     _grid_scalar_axis, _grid_list, _non_json_grid, _non_json_dims,
-    _non_json_hw, _non_json_points])
+    _non_json_hw, _non_json_points, _binary_spec, _binary_comm_cal,
+    _binary_gemm_cal, _binary_trace, _spec_with_text_layers,
+    _spec_with_number_op, _spec_with_text_overlap_stage,
+    _comm_row_with_zero_bytes, _comm_row_with_negative_bytes,
+    _comm_row_with_nan_latency, _gemm_row_with_zero_m,
+    _gemm_row_with_zero_dtype_bytes])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
-    assert "validation error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert str(tmp_path) in err  # names the malformed file

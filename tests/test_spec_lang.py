@@ -16,7 +16,7 @@ from llm_energy import (
     validate_bindings,
 )
 from llm_energy.interpreter import local_size
-from llm_energy.spec_lang import OpSpec, degree_kind
+from llm_energy.spec_lang import OpSpec, degree_kind, load_json, read_csv
 
 
 def test_parse_basic_contraction():
@@ -187,3 +187,24 @@ def test_dims_aliases(dims_moe):
     assert dims_moe.size("A") == 8
     assert dims_moe.layers == 48
     assert dims_moe.dtype_bytes == 2
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_json_rejects_non_finite_constants(tmp_path, constant):
+    path = tmp_path / "f.json"
+    path.write_text(f'{{"label": {constant}}}')
+    with pytest.raises(ValidationError, match="f.json"):
+        load_json(path)
+
+
+def test_read_csv_names_the_line_of_a_fault(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# note\na, b\n\n1,2\n3,x\n")
+    assert read_csv(path, ("a", "b"), [int, None]) == ([[1, 3], []], ["note"])
+    with pytest.raises(ValidationError, match=r"t\.csv:5: "):
+        read_csv(path, ("a", "b"), [int, int])
+    path.write_text("0,1,2\n1,3,4\n")
+    assert read_csv(path, None, [None], rest=int) == ([[], [1, 3], [2, 4]], [])
+    path.write_text("0,1,2\n1,3\n")
+    with pytest.raises(ValidationError, match=r"t\.csv:2: expected 3 columns"):
+        read_csv(path, None, [None], rest=int)
