@@ -15,7 +15,6 @@ from llm_energy import (
     Estimator,
     PhaseContext,
     RooflineBackend,
-    apply_overlap_setting,
     load_bindings,
     load_comm_calibration,
     load_hardware_profile,
@@ -34,7 +33,10 @@ def main():
     ctx = PhaseContext("prefill", batch=4, isl=4096)
     degrees = {"tp": 8}
 
-    baseline = Estimator(spec, dims, hw, compute, comm).estimate(ctx, degrees)
+    # One estimator prices every setting: it validates the degrees and builds
+    # the memory model once, and compiles the layer once per setting.
+    est = Estimator(spec, dims, hw, compute, comm)
+    baseline = est.estimate(ctx, degrees)
     print(f"sequential baseline: {baseline.total_latency * 1e3:9.3f} ms  "
           f"{baseline.total_energy:9.1f} J")
     print(f"  communication energy: "
@@ -43,8 +45,7 @@ def main():
     print(f"{'stages':>6} {'sm_comm':>8} {'latency':>12} {'energy':>10} "
           f"{'exposed':>9}")
     for stages, sm_comm in [(1, 16), (2, 4), (2, 16), (4, 16), (4, 32), (8, 16)]:
-        ov_spec = apply_overlap_setting(spec, stages=stages, sm_comm=sm_comm)
-        report = Estimator(ov_spec, dims, hw, compute, comm).estimate(ctx, degrees)
+        report = est.estimate(ctx, degrees, overlap=(stages, sm_comm))
         exposed = report.category_energy()["exposed-comm"]
         print(f"{stages:>6} {sm_comm:>8} {report.total_latency * 1e3:>10.3f}ms "
               f"{report.total_energy:>9.1f}J {exposed:>8.1f}J")

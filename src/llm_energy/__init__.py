@@ -27,7 +27,7 @@ from .compute import (
     estimate_memory_op,
     load_hardware_profile,
 )
-from .engine import Estimator, apply_overlap_setting
+from .engine import Estimator
 from .errors import BackendError, SpecError, ValidationError
 from .explorer import (
     ConfigPoint,
@@ -63,7 +63,7 @@ from .moe import (
     stats_from_trace,
     uniform_routing,
 )
-from .overlap import OverlapPlan, effective_sm_tradeoff, plan_overlap
+from .overlap import OverlapPlan, plan_overlap
 from .spec_lang import (
     DimensionBindings,
     EinsumEquation,

@@ -17,7 +17,7 @@ from .compute import (
     TableComputeBackend,
     load_hardware_profile,
 )
-from .engine import DEFAULT_DECODE_STRIDE, Estimator, apply_overlap_setting
+from .engine import DEFAULT_DECODE_STRIDE, Estimator
 from .errors import BackendError, SpecError, ValidationError
 from .explorer import (
     format_overlap,
@@ -44,12 +44,16 @@ def _digest(path: Path) -> str:
 
 
 def _resolve(path_str: str) -> Path:
-    """Accept a plain path or a ``fixture:NAME`` reference."""
+    """Accept a plain path or a ``fixture:NAME`` reference to a file."""
     if path_str.startswith("fixture:"):
-        return fixture_path(path_str.split(":", 1)[1])
+        try:
+            return fixture_path(path_str.split(":", 1)[1])
+        except FileNotFoundError as exc:
+            raise ValidationError(str(exc)) from None
     path = Path(path_str)
-    if not path.exists():
-        raise ValidationError(f"file not found: {path}")
+    if not path.is_file():
+        raise ValidationError(
+            f"{'not a file' if path.exists() else 'file not found'}: {path}")
     return path
 
 
@@ -90,19 +94,17 @@ def _write_report_csv(path: Path, report_dict: dict) -> None:
 
 def cmd_estimate(args) -> int:
     inputs = _load_inputs(args)
-    spec = inputs["spec"]
     overlap = parse_overlap(args.overlap)
-    if overlap is not None:
-        spec = apply_overlap_setting(spec, *overlap)
-    est = Estimator(spec, inputs["dims"], inputs["hw"], inputs["compute"],
+    est = Estimator(inputs["spec"], inputs["dims"], inputs["hw"], inputs["compute"],
                     inputs["comm"], tile=args.tile,
                     decode_stride=args.decode_stride, routing_trace=inputs["trace"])
     degrees = {"tp": args.tp, "ep": args.ep, "cp": args.cp}
     phases = [PREFILL, DECODE] if args.phase == "both" else [args.phase]
+    # Every phase is priced before any report is written.
+    reports = [est.estimate(PhaseContext(phase, args.batch, args.isl, args.osl),
+                            degrees, overlap) for phase in phases]
     out_dir = Path(args.out)
-    for phase in phases:
-        ctx = PhaseContext(phase, args.batch, args.isl, args.osl)
-        report = est.estimate(ctx, degrees)
+    for phase, report in zip(phases, reports):
         payload = report.to_dict()
         payload["meta"].update({"tool_version": __version__,
                                 "input_digests": inputs["digests"]})

@@ -155,43 +155,23 @@ class EffectiveCurve:
         return self._blend(self.curves[0].energy(size), self.curves[1].energy(size))
 
 
-def _collective_curve(c: CommDescriptor,
-                      table: CommCalibrationTable) -> EffectiveCurve:
-    """The curve that prices ``c``: its (kind, world) curves at its SM count.
-
-    Descriptors without an SM restriction use the largest calibrated
-    sm_count (an unrestricted kernel). AllToAll without its own calibration
-    falls back to ReduceScatter curves (factor 1.0) with a warning.
-    """
-    kind = c.kind
-    if not table.has_key(kind, c.world):
-        if kind == ALLTOALL and table.has_key(REDUCESCATTER, c.world):
-            warnings.warn(
-                f"no AllToAll calibration for world={c.world}; "
-                "falling back to ReduceScatter curves")
-            kind = REDUCESCATTER
-        else:
-            raise BackendError(
-                f"no calibration for ({c.kind}, world={c.world})")
-    counts = table.sm_counts(kind, c.world)
-    sm = c.sm_count if c.sm_count is not None else counts[-1]
-    return resolve_sm_curve(kind, c.world, sm, table)
-
-
 def estimate_comm(c: CommDescriptor, table: CommCalibrationTable) -> CostEstimate:
-    """Interpolated latency/energy for one collective (see
-    :func:`_collective_curve` for the curve chosen)."""
-    curve = _collective_curve(c, table)
-    return CostEstimate(curve.latency(c.bytes), curve.energy(c.bytes))
+    """Interpolated latency/energy for one collective, priced by a
+    :class:`CommBackend` of its own."""
+    return CommBackend(table).estimate(c)
 
 
 class CommBackend:
     """The engine's comm pricer over one calibration table.
 
+    A collective is priced on its (kind, world) curves at its SM count.
+    Descriptors without an SM restriction use the largest calibrated
+    sm_count (an unrestricted kernel). AllToAll without its own calibration
+    falls back to ReduceScatter curves (factor 1.0) with a warning.
+
     The curve for each (kind, world, sm_count) is resolved once and kept,
     so the table must not change while the backend is in use; the table
-    itself keeps no cache. An AllToAll falling back to ReduceScatter warns
-    once per key.
+    itself keeps no cache. The AllToAll fallback warns once per key.
     """
 
     def __init__(self, table: CommCalibrationTable):
@@ -202,8 +182,20 @@ class CommBackend:
         key = (c.kind, c.world, c.sm_count)
         curve = self._curves.get(key)
         if curve is None:
-            curve = _collective_curve(c, self.table)
-            self._curves[key] = curve
+            kind, table = c.kind, self.table
+            if not table.has_key(kind, c.world):
+                if kind == ALLTOALL and table.has_key(REDUCESCATTER, c.world):
+                    warnings.warn(
+                        f"no AllToAll calibration for world={c.world}; "
+                        "falling back to ReduceScatter curves")
+                    kind = REDUCESCATTER
+                else:
+                    raise BackendError(
+                        f"no calibration for ({c.kind}, world={c.world})")
+            sm = c.sm_count
+            if sm is None:
+                sm = table.sm_counts(kind, c.world)[-1]
+            curve = self._curves[key] = resolve_sm_curve(kind, c.world, sm, table)
         return CostEstimate(curve.latency(c.bytes), curve.energy(c.bytes))
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple, Optional
 
 from .comm import CommBackend
@@ -72,10 +71,11 @@ class _Failure(NamedTuple):
 class Estimator:
     """Prices a model spec under given bindings, hardware, and backends.
 
-    What depends only on the parallel degrees (and phase) is computed once
-    per estimator and reused by every evaluation: the validated degrees,
-    the memory model and the compiled :class:`LayerPlan`. Validation
-    failures are memoized as messages and raised again on each evaluation.
+    What an evaluation shares with others is computed once per estimator
+    and reused: the validated degrees and the memory model per set of
+    parallel degrees, and the compiled :class:`LayerPlan` per (degrees,
+    phase, overlap setting). Validation failures are memoized as messages
+    and raised again on each evaluation.
     """
 
     def __init__(self, spec: ModelSpec, dims: DimensionBindings,
@@ -127,10 +127,11 @@ class Estimator:
             ("memory", tuple(degrees.items())),
             lambda: build_memory_model(self.spec, self.dims, degrees, self.layers()))
 
-    def _layer_plan(self, degrees: dict[str, int], phase: str) -> LayerPlan:
+    def _layer_plan(self, degrees: dict[str, int], phase: str,
+                    overlap: Optional[tuple[int, int]]) -> LayerPlan:
         return self._memoized(
-            ("plan", tuple(degrees.items()), phase),
-            lambda: compile_layer(self.spec, self.dims, degrees, phase))
+            ("plan", tuple(degrees.items()), phase, overlap),
+            lambda: compile_layer(self.spec, self.dims, degrees, phase, overlap))
 
     def routing_stats(self, ctx: PhaseContext,
                       degrees: dict[str, int]) -> Optional[RoutingStats]:
@@ -188,7 +189,7 @@ class Estimator:
     def _overlap_entries(self, op: LoweredOp, ctx: PhaseContext,
                          degrees: dict[str, int]) -> list[Entry]:
         stages, sm_comm, dim = op.overlap
-        if op.gemm is None or op.collective is None:
+        if op.gemm is None:  # lowering guarantees the collective
             raise ValidationError(f"op {op.label!r}: overlap needs a GEMM + collective")
         bound = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
         dim_size = bound.get(dim, self.dims.sizes.get(dim))
@@ -215,8 +216,15 @@ class Estimator:
 
     # -- phase estimation ----------------------------------------------------
 
-    def estimate(self, ctx: PhaseContext, degrees: dict[str, int]) -> PhaseReport:
+    def estimate(self, ctx: PhaseContext, degrees: dict[str, int],
+                 overlap: Optional[tuple[int, int]] = None) -> PhaseReport:
+        """Price one phase at ``degrees``, with the overlap setting
+        (stages, sm_comm) applied to every eligible op (see
+        :func:`compile_layer`)."""
         degrees = self._validated(degrees)
+        plan = self._layer_plan(degrees, ctx.phase, overlap)
+        if plan.error is not None:
+            raise ValidationError(plan.error)  # whatever the memory verdict
         layers = self.layers()
         gpus = self.gpu_count(degrees)
         report = PhaseReport(phase=ctx.phase, batch=ctx.batch, isl=ctx.isl,
@@ -248,7 +256,6 @@ class Estimator:
                 row = rows.setdefault((label, category), ReportRow(label, category))
                 row.add(latency * w, energy * scale * w)
 
-        plan = self._layer_plan(degrees, ctx.phase)
         if ctx.phase == PREFILL:
             stats = self.routing_stats(ctx, degrees)
             accumulate(self._layer_entries(plan, ctx, degrees, stats), float(layers))
@@ -270,19 +277,3 @@ class Estimator:
         report.rows = list(rows.values())
         return report
 
-
-def apply_overlap_setting(spec: ModelSpec, stages: int, sm_comm: int,
-                          overlap_dim: str = "s") -> ModelSpec:
-    """Annotate every eligible op (sharded contraction containing the overlap
-    dim) with the given overlap setting; others are left untouched."""
-    new_ops = []
-    for op in spec.ops:
-        eligible = (not op.is_attention
-                    and op.parallel is not None
-                    and op.parallel in op.equation.summation_symbols
-                    and overlap_dim in op.equation.all_symbols())
-        if eligible and stages >= 1:
-            op = dataclasses.replace(op, overlap_stage=stages,
-                                     overlap_sm=sm_comm, overlap_dim=overlap_dim)
-        new_ops.append(op)
-    return ModelSpec(tuple(new_ops), spec.layers)

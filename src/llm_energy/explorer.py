@@ -9,11 +9,12 @@ from typing import Optional, Sequence
 
 from .comm import CommBackend
 from .compute import HardwareProfile
-from .engine import Estimator, apply_overlap_setting
+from .engine import Estimator
 from .errors import ValidationError
 from .interpreter import DECODE, PREFILL, PhaseContext
 from .metrics import epot, etft
-from .spec_lang import DimensionBindings, ModelSpec, as_int, as_number, in_file, load_json
+from .spec_lang import (DimensionBindings, ModelSpec, as_int, as_number, in_file,
+                        check_overlap_setting, load_json)
 
 OverlapSetting = Optional[tuple[int, int]]  # (stages, sm_comm) or None
 
@@ -54,15 +55,15 @@ class ConfigPoint:
 
 def parse_overlap(value) -> OverlapSetting:
     """An overlap setting from its text or JSON form: None or "none",
-    "stages:sm", or [stages, sm]."""
+    "stages:sm", or [stages, sm], both integers >= 1."""
     if value is None or value == "none":
         return None
     try:
-        stages, sm = value.split(":") if isinstance(value, str) else value
-        return int(stages), int(sm)
-    except (TypeError, ValueError, OverflowError):
+        stages, sm = map(int, value.split(":")) if isinstance(value, str) else value
+    except (TypeError, ValueError):
         raise ValidationError(f"overlap setting {value!r} must be 'none', "
                               "'stages:sm' or [stages, sm]") from None
+    return check_overlap_setting(stages, sm, f"overlap setting {value!r}")
 
 
 def format_overlap(setting: OverlapSetting) -> Optional[str]:
@@ -146,23 +147,17 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
         key=lambda c: tuple((x is not None, x) if i == 6 else x
                             for i, x in enumerate(c)))
 
-    # One estimator per overlap setting: each compiles its layer once per
-    # parallel configuration and reuses it for every batch and sequence
-    # length.
-    estimators = {
-        ov: Estimator(spec if ov is None else apply_overlap_setting(spec, *ov),
-                      dims, hw, compute_backend, comm_backend, **estimator_kwargs)
-        for ov in axes["overlap"] if ov is None or phase != DECODE}
+    # One estimator for the whole grid: it validates and builds the memory
+    # model once per set of parallel degrees, and compiles the layer once
+    # per (degrees, overlap) group for every batch and sequence length.
+    estimator = Estimator(spec, dims, hw, compute_backend, comm_backend,
+                          **estimator_kwargs)
 
     def evaluate(combo) -> ConfigPoint:
         batch, isl, osl, tp, ep, cp, ov = combo
-        if ov is not None and phase == DECODE:
-            return ConfigPoint(phase, batch, isl, osl, tp, ep, cp, ov,
-                               feasible=False,
-                               infeasible_reason="overlap is prefill-only")
         ctx = PhaseContext(phase, batch, isl, osl)
         try:
-            report = estimators[ov].estimate(ctx, {"tp": tp, "ep": ep, "cp": cp})
+            report = estimator.estimate(ctx, {"tp": tp, "ep": ep, "cp": cp}, ov)
         except ValidationError as exc:
             return ConfigPoint(phase, batch, isl, osl, tp, ep, cp, ov,
                                feasible=False, infeasible_reason=str(exc))

@@ -23,6 +23,7 @@ from .spec_lang import (
     EinsumEquation,
     ModelSpec,
     OpSpec,
+    check_overlap_setting,
     degree_kind,
 )
 
@@ -417,6 +418,7 @@ class _OpStep(NamedTuple):
     transition: Optional[tuple]  # (previous output, label, cp degree)
     compute: _Compute
     allreduce: Optional[tuple]  # (output, world)
+    overlap: Optional[tuple]  # (stages, sm_comm, dim)
 
     def lower(self, env: dict, moe_env: Optional[dict],
               dims: DimensionBindings) -> LoweredOp:
@@ -446,12 +448,10 @@ class _OpStep(NamedTuple):
             collective = CommDescriptor(
                 ALLREDUCE, size.value(env, dims) * dims.dtype_bytes, world,
                 label=f"{op.label} AllReduce")
-        overlap = None
-        if op.overlap_stage is not None:
+        if self.overlap is not None:
             if collective is None:
                 raise ValidationError(
                     f"op {op.label!r}: overlap annotated but no collective detected")
-            overlap = (op.overlap_stage, op.overlap_sm, op.overlap_dim)
         elif collective is not None:
             kernels.append(collective)
 
@@ -460,7 +460,7 @@ class _OpStep(NamedTuple):
             kernels=tuple(kernels),
             is_moe=self.is_moe,
             reads_context=self.reads_context,
-            overlap=overlap,
+            overlap=self.overlap,
             gemm=compute if isinstance(compute, GemmDescriptor) else None,
             collective=collective,
         )
@@ -512,26 +512,50 @@ class LayerPlan(NamedTuple):
                 if step.reads_context or not context_only]
 
 
+def _op_overlap(op: OpSpec, setting: Optional[tuple[int, int]]) -> Optional[tuple]:
+    """The (stages, sm_comm, dim) an op is overlapped with: ``setting``, split
+    along the query tokens ``s``, when the op is eligible (its sharded symbol
+    is summed, so it ends in an AllReduce, and it has ``s``); else its own
+    annotation."""
+    eq = op.equation
+    if (setting is not None and op.parallel in eq.summation_symbols
+            and "s" in eq.all_symbols()):
+        return (*setting, "s")
+    if op.overlap_stage is None:
+        return None
+    return op.overlap_stage, op.overlap_sm, op.overlap_dim
+
+
 def compile_layer(spec: ModelSpec, dims: DimensionBindings,
-                  degrees: dict[str, int], phase: str) -> LayerPlan:
-    """Compile one layer's lowering for fixed spec, dims, degrees and phase.
+                  degrees: dict[str, int], phase: str,
+                  overlap: Optional[tuple[int, int]] = None) -> LayerPlan:
+    """Compile one layer's lowering for fixed spec, dims, degrees, phase
+    and overlap setting.
 
     Everything but the runtime symbols b, s and z (and, for MoE ops, the
     routing statistics T and E) is fixed here: the op stream and each op's
     predecessor, shards, GEMM symbol partition, local sizes of the bound
-    symbols, collectives, cp transitions, overlap annotations and the
+    symbols, collectives, cp transitions, each op's overlap and the
     ``reads_context`` tags. Errors that lowering would raise are kept and
     raised by :meth:`LayerPlan.lower`, in the order lowering meets them.
+
+    The ``overlap`` setting (stages, sm_comm), which must pass
+    :func:`~llm_energy.spec_lang.check_overlap_setting`, replaces the
+    annotation of every eligible top-level op (see :func:`_op_overlap`).
+    Overlap, set or annotated on any op or sub-op, is prefill-only: in
+    decode it is an error of the whole plan.
 
     In decode, each op is tagged ``reads_context`` when its kernels change
     with ``z`` from one position to the next: the op reads the context, or
     it follows one that does and may carry a cp transition sized by that
     op's output.
     """
-    if phase == DECODE and any(op.overlap_stage for op in spec.ops):
-        return LayerPlan(phase, dims, error=(
-            "compute-communication overlap is a prefill technique; "
-            "not valid under a decode context"))
+    if overlap is not None:
+        check_overlap_setting(*overlap, f"overlap setting {overlap!r}")
+    annotated = any(op.overlap_stage is not None
+                    for op in (*spec.ops, *_flatten_ops(spec)))
+    if phase == DECODE and (overlap is not None or annotated):
+        return LayerPlan(phase, dims, error="overlap is prefill-only")
     cp_degree = degrees.get("cp", 1)
 
     def varies(op: OpSpec, prev: Optional[OpSpec]) -> bool:
@@ -540,7 +564,8 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
         return reads_context(op) or (
             cp_degree > 1 and prev is not None and reads_context(prev))
 
-    def compile_op(op: OpSpec, prev: Optional[OpSpec], label: str) -> _OpStep:
+    def compile_op(op: OpSpec, prev: Optional[OpSpec], label: str,
+                   setting: Optional[tuple[int, int]] = None) -> _OpStep:
         is_moe = _is_moe_op(op)
         runtime = _MOE_RUNTIME if is_moe else RUNTIME_SYMBOLS
         transition = None
@@ -556,13 +581,14 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
             label=label, op=op, is_moe=is_moe, reads_context=varies(op, prev),
             transition=transition,
             compute=_compile_compute(op, dims, shards, runtime),
-            allreduce=None if size is None else (size, world))
+            allreduce=None if size is None else (size, world),
+            overlap=_op_overlap(op, setting))
 
     steps: list = []
     prev = None
     for op in spec.ops:
         if not op.is_attention:
-            steps.append(compile_op(op, prev, op.label))
+            steps.append(compile_op(op, prev, op.label, overlap))
             prev = op
             continue
         for j, sub in enumerate(op.attn_eqs):

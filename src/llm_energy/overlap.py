@@ -12,7 +12,6 @@ and short exposed collectives do not reach steady-state NCCL power).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .comm import CommBackend
 from .errors import ValidationError
@@ -40,8 +39,6 @@ class OverlapPlan:
     label: str = ""
 
     def __post_init__(self):
-        if self.stages < 1:
-            raise ValidationError("stages must be >= 1")
         if min(self.t_first, self.t_gemm_ov, self.t_comm_ov, self.t_exposed) < 0:
             raise ValidationError("phase latencies must be nonnegative")
 
@@ -81,15 +78,14 @@ def plan_overlap(g: GemmDescriptor, collective_bytes: float, world: int,
     per-stage ReduceScatter chunks (bytes / stages) overlapped with 1/stages
     GEMM partitions, plus one exposed AllGather chunk at default SMs. The
     per-stage GEMM is re-queried against the backend rather than scaled
-    linearly: small partitions are overhead/intensity dominated.
+    linearly: small partitions are overhead/intensity dominated. The setting
+    must pass :func:`~llm_energy.spec_lang.check_overlap_setting`.
     """
-    if stages < 1:
-        raise ValidationError("stages must be >= 1")
     if overlap_dim_size % stages:
         raise ValidationError(
             f"overlap dimension size {overlap_dim_size} not divisible by "
             f"{stages} stages")
-    if not 1 <= sm_comm < total_sm:
+    if sm_comm >= total_sm:
         raise ValidationError(f"sm_comm must be in [1, total_sm), got {sm_comm}")
 
     part = g.partitioned(1.0 / stages)
@@ -122,16 +118,3 @@ def plan_overlap(g: GemmDescriptor, collective_bytes: float, world: int,
         p_overlapped=restricted.power,
         label=label)
 
-
-def effective_sm_tradeoff(g: GemmDescriptor, collective_bytes: float, world: int,
-                          sm_candidates: Sequence[int], stages: int,
-                          overlap_dim_size: int, compute_backend,
-                          comm_backend: CommBackend,
-                          total_sm: int) -> list[tuple[int, OverlapPlan]]:
-    """Evaluate one plan per candidate communication-SM allocation."""
-    return [
-        (sm, plan_overlap(g, collective_bytes, world, stages, sm,
-                          overlap_dim_size, compute_backend, comm_backend,
-                          total_sm))
-        for sm in sm_candidates
-    ]

@@ -105,6 +105,16 @@ def parse_equation(text: str) -> EinsumEquation:
     return EinsumEquation(tuple(inputs), output, summation, groups)
 
 
+def check_overlap_setting(stages, sm_comm, what: str,
+                          error: type = ValidationError) -> tuple[int, int]:
+    """(stages, sm_comm) if both are integers >= 1, not bools or floats;
+    else ``error`` naming ``what``. The hardware and the shape are checked
+    when the overlap is planned."""
+    if not all(type(v) is int and v >= 1 for v in (stages, sm_comm)):
+        raise error(f"{what}: stages and sm must be integers >= 1")
+    return stages, sm_comm
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """One operation of a model spec, with parallelism/overlap annotations."""
@@ -148,10 +158,8 @@ class OpSpec:
                         f"{self.equation.to_text()!r}"
                     )
         if n_set == 3:
-            if not all(type(v) is int and v >= 1
-                       for v in (self.overlap_stage, self.overlap_sm)):
-                raise SpecError(f"op {self.label!r}: overlap_stage and "
-                                "overlap_sm must be integers >= 1")
+            check_overlap_setting(self.overlap_stage, self.overlap_sm,
+                                  f"op {self.label!r} overlap", SpecError)
             if self.parallel is None:
                 raise SpecError(f"op {self.label!r}: overlap requires a parallel symbol")
             if not self.is_attention and self.parallel not in self.equation.summation_symbols:

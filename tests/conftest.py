@@ -1,9 +1,12 @@
 """Shared fixtures: shipped spec/dims/hardware/calibration files."""
 
+import dataclasses
+
 import pytest
 
 from llm_energy import (
     CommBackend,
+    ModelSpec,
     RooflineBackend,
     load_bindings,
     load_comm_calibration,
@@ -66,3 +69,22 @@ def comm_backend(comm_table):
 @pytest.fixture(scope="session")
 def roofline(hw):
     return RooflineBackend(hw)
+
+
+def _annotate_overlap(spec, stages, sm_comm):
+    """Reference for an overlap setting: ``spec`` with (stages, sm_comm, "s")
+    annotated on every top-level sharded contraction that has ``s``."""
+    ops = []
+    for op in spec.ops:
+        if (not op.is_attention and op.parallel is not None
+                and op.parallel in op.equation.summation_symbols
+                and "s" in op.equation.all_symbols()):
+            op = dataclasses.replace(op, overlap_stage=stages, overlap_sm=sm_comm,
+                                     overlap_dim="s")
+        ops.append(op)
+    return ModelSpec(tuple(ops), spec.layers)
+
+
+@pytest.fixture(scope="session")
+def annotate_overlap():
+    return _annotate_overlap

@@ -56,6 +56,18 @@ def test_missing_file_is_validation_error(tmp_path):
     assert not (tmp_path / "report_prefill.json").exists()
 
 
+def test_estimate_writes_no_report_unless_every_phase_is_priced(tmp_path):
+    # Prefill prices in both cases; decode fails, with overlap (prefill-only)
+    # and with cp 2 (s = 1 does not shard over cp).
+    for spec, flags in (("dense_fused.json", ["--tp", "2", "--overlap", "2:4"]),
+                        ("dense_fused_cp.json", ["--cp", "2"])):
+        out = tmp_path / spec
+        code = main(["estimate", *_base_args(out, spec=spec), *flags,
+                     "--isl", "512", "--osl", "4", "--phase", "both"])
+        assert code == EXIT_VALIDATION
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_validate_clean_and_dirty(tmp_path):
     assert main(["validate", "--spec", "fixture:moe_fused.json",
                  "--dims", "fixture:qwen3_30b_a3b.json"]) == EXIT_OK
@@ -311,6 +323,67 @@ def _spec_with_text_overlap_stage(tmp_path):
                                          overlap="s"))
 
 
+def _estimate_with_spec(tmp_path, spec):
+    args = _base_args(tmp_path)
+    args[args.index("fixture:dense_fused.json")] = spec
+    return ["estimate", *args]
+
+
+def _missing_fixture(tmp_path):
+    return _estimate_with_spec(tmp_path, "fixture:nope.json")
+
+
+def _directory_spec(tmp_path):
+    return _estimate_with_spec(tmp_path, str(tmp_path))
+
+
+def _overlap_flag_without_stages(tmp_path):
+    return ["estimate", *_base_args(tmp_path), "--tp", "2", "--isl", "512",
+            "--overlap", "0:4"]
+
+
+def _grid_overlap_without_stages(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"tp": [2], "overlap": ["0:4"]}))
+
+
+def _grid_overlap_pair_without_stages(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"tp": [2], "overlap": [[0, 4]]}))
+
+
+def _grid_overlap_float_stages(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"tp": [2], "overlap": [[2.5, 4]]}))
+
+
+def _grid_overlap_bool_stages(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"tp": [2], "overlap": [[True, 4]]}))
+
+
+def _grid_overlap_without_sm(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"tp": [2], "overlap": ["2:0"]}))
+
+
+def _point_overlap_without_stages(tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [
+        {"phase": "prefill", "batch": 1, "isl": 512, "osl": 1, "tp": 2,
+         "ep": 1, "cp": 1, "overlap": "0:4", "feasible": True,
+         "latency_s": 1.0, "energy_j": 1.0}]}))
+    return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
+
+
+# What a case's message must name when it is not a file under tmp_path.
+_NAMED = {
+    _missing_fixture: "'nope.json'",
+    _overlap_flag_without_stages: "'0:4'",
+    _grid_overlap_without_stages: "'0:4'",
+    _grid_overlap_pair_without_stages: "[0, 4]",
+    _grid_overlap_float_stages: "[2.5, 4]",
+    _grid_overlap_bool_stages: "[True, 4]",
+    _grid_overlap_without_sm: "'2:0'",
+    _point_overlap_without_stages: "'0:4'",
+}
+
+
 _COMM_ROW = "AllReduce,2,108,1024.0,1.0097712592592594e-05,"
 
 
@@ -355,9 +428,14 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _spec_with_number_op, _spec_with_text_overlap_stage,
     _comm_row_with_zero_bytes, _comm_row_with_negative_bytes,
     _comm_row_with_nan_latency, _gemm_row_with_zero_m,
-    _gemm_row_with_zero_dtype_bytes])
+    _gemm_row_with_zero_dtype_bytes, _missing_fixture, _directory_spec,
+    _overlap_flag_without_stages, _grid_overlap_without_stages,
+    _grid_overlap_pair_without_stages, _grid_overlap_float_stages,
+    _grid_overlap_bool_stages, _grid_overlap_without_sm,
+    _point_overlap_without_stages])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "validation error" in err
-    assert str(tmp_path) in err  # names the malformed file
+    # names the malformed file, or the value
+    assert _NAMED.get(make_argv, str(tmp_path)) in err

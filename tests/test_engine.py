@@ -12,7 +12,6 @@ from llm_energy import (
     RoutingTrace,
     TableComputeBackend,
     ValidationError,
-    apply_overlap_setting,
     epot,
     etft,
 )
@@ -24,6 +23,7 @@ from llm_energy.interpreter import (
     CommDescriptor,
     GemmDescriptor,
     LayerPlan,
+    compile_layer,
     decode_positions,
     lower_model,
     reads_context,
@@ -35,7 +35,7 @@ from llm_energy.metrics import (
     CATEGORY_MEMORY,
 )
 from llm_energy.moe import fold_imbalance
-from llm_energy.spec_lang import validate_bindings
+from llm_energy.spec_lang import ModelSpec, validate_bindings
 
 
 def _est(spec, dims, hw, roofline, comm_backend, **kw):
@@ -141,13 +141,15 @@ def test_moe_uniform_bottleneck_prices_whole_expert(moe_spec, dims_moe, hw,
         assert ep16[label] == pytest.approx(ep8[label], rel=1e-12)
 
 
-def test_apply_overlap_setting(dense_spec):
-    spec = apply_overlap_setting(dense_spec, stages=4, sm_comm=16)
-    annotated = [op.label for op in spec.ops if op.overlap_stage is not None]
-    assert annotated == ["Output Projection", "Down Projection"]
-    for op in spec.ops:
-        if op.overlap_stage is not None:
-            assert (op.overlap_stage, op.overlap_sm, op.overlap_dim) == (4, 16, "s")
+def test_overlap_setting_applies_to_eligible_ops(dense_spec, dims_8b):
+    degrees, ctx = {"tp": 2, "ep": 1, "cp": 1}, PhaseContext(PREFILL, 1, 512)
+    plan = compile_layer(dense_spec, dims_8b, degrees, PREFILL, overlap=(4, 16))
+    overlapped = {op.label: op.overlap for op in plan.lower(ctx) if op.overlap}
+    assert overlapped == {"Output Projection": (4, 16, "s"),
+                          "Down Projection": (4, 16, "s")}
+    for bad in ((0, 4), (2, 0), (True, 4), (2.5, 4)):
+        with pytest.raises(ValidationError, match="integers >= 1"):
+            compile_layer(dense_spec, dims_8b, degrees, PREFILL, overlap=bad)
 
 
 def test_overlap_changes_category_split(dense_spec, dims_70b, hw, roofline,
@@ -155,9 +157,8 @@ def test_overlap_changes_category_split(dense_spec, dims_70b, hw, roofline,
     ctx = PhaseContext(PREFILL, 4, 4096)
     plain = _est(dense_spec, dims_70b, hw, roofline, comm_backend).estimate(
         ctx, {"tp": 8})
-    ov_spec = apply_overlap_setting(dense_spec, 4, 16)
-    ov = _est(ov_spec, dims_70b, hw, roofline, comm_backend).estimate(
-        ctx, {"tp": 8})
+    ov = _est(dense_spec, dims_70b, hw, roofline, comm_backend).estimate(
+        ctx, {"tp": 8}, overlap=(4, 16))
     assert plain.category_energy()[CATEGORY_EXPOSED] == 0.0
     assert ov.category_energy()[CATEGORY_EXPOSED] > 0.0
     # The overlapped ops' AllReduce disappears from the communication rows.
@@ -170,19 +171,30 @@ def test_overlap_stage1_latency_matches_sequential(dense_spec, dims_70b, hw,
     ctx = PhaseContext(PREFILL, 4, 4096)
     plain = _est(dense_spec, dims_70b, hw, roofline, comm_backend).estimate(
         ctx, {"tp": 8})
-    ov_spec = apply_overlap_setting(dense_spec, stages=1, sm_comm=16)
-    degenerate = _est(ov_spec, dims_70b, hw, roofline, comm_backend).estimate(
-        ctx, {"tp": 8})
+    degenerate = _est(dense_spec, dims_70b, hw, roofline, comm_backend).estimate(
+        ctx, {"tp": 8}, overlap=(1, 16))
     assert degenerate.total_latency == pytest.approx(plain.total_latency,
                                                      rel=1e-12)
 
 
 def test_decode_overlap_rejected_by_estimator(dense_spec, dims_8b, hw,
                                               roofline, comm_backend):
-    ov_spec = apply_overlap_setting(dense_spec, 2, 8)
-    est = _est(ov_spec, dims_8b, hw, roofline, comm_backend)
-    with pytest.raises(ValidationError):
-        est.estimate(PhaseContext(DECODE, 1, 128, osl=4), {"tp": 2})
+    decode = PhaseContext(DECODE, 1, 128, osl=4)
+    est = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
+    with pytest.raises(ValidationError, match="overlap is prefill-only"):
+        est.estimate(decode, {"tp": 2}, overlap=(2, 8))
+    # An overlap annotation on an attention sub-op (QK sharded over its
+    # summed head dim h, so it ends in an AllReduce) is prefill-only too.
+    attn = dense_spec.ops[1]
+    qk = dataclasses.replace(attn.attn_eqs[0], parallel="h", overlap_stage=1,
+                             overlap_sm=8, overlap_dim="s")
+    attn = dataclasses.replace(attn, attn_eqs=(qk, *attn.attn_eqs[1:]))
+    spec = ModelSpec((dense_spec.ops[0], attn, *dense_spec.ops[2:]), 1)
+    est = _est(spec, dims_8b, hw, roofline, comm_backend)
+    prefill = est.estimate(PhaseContext(PREFILL, 1, 128), {"tp": 2})
+    assert prefill.category_energy()[CATEGORY_EXPOSED] > 0
+    with pytest.raises(ValidationError, match="overlap is prefill-only"):
+        est.estimate(decode, {"tp": 2})
 
 
 def test_tp_sharding_keeps_compute_energy_close(dense_spec, dims_70b, hw,

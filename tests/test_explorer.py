@@ -15,7 +15,6 @@ from llm_energy import (
     RoutingTrace,
     TableComputeBackend,
     ValidationError,
-    apply_overlap_setting,
     heuristic_compare,
     insight_queries,
     pareto_front,
@@ -203,9 +202,10 @@ def test_insight_queries_missing_configs_note():
 
 # -- sweep: one compiled layer per (degrees, overlap) group ------------------
 
-def _sweep_point_by_point(spec, dims, grid, hw, compute, comm, phase,
-                          **estimator_kwargs):
-    """The sweep as a fresh Estimator per grid point, in the sweep's order."""
+def _sweep_point_by_point(annotate_overlap, spec, dims, grid, hw, compute, comm,
+                          phase, **estimator_kwargs):
+    """The sweep as a fresh Estimator per grid point, in the sweep's order,
+    with each overlap setting annotated on the spec."""
     axes = normalize_grid(grid)
     combos = sorted(
         product(axes["batch"], axes["isl"], axes["osl"], axes["tp"],
@@ -221,7 +221,7 @@ def _sweep_point_by_point(spec, dims, grid, hw, compute, comm, phase,
                 points.append(ConfigPoint(*head, feasible=False,
                                           infeasible_reason="overlap is prefill-only"))
                 continue
-            run_spec = apply_overlap_setting(spec, *ov)
+            run_spec = annotate_overlap(spec, *ov)
         est = Estimator(run_spec, dims, hw, compute, comm, **estimator_kwargs)
         try:
             report = est.estimate(PhaseContext(phase, batch, isl, osl),
@@ -274,7 +274,8 @@ _SWEEP_CASES = {
 @pytest.mark.parametrize("backend", ["roofline", "table"])
 @pytest.mark.parametrize("case", list(_SWEEP_CASES))
 def test_sweep_equals_fresh_estimator_per_point(request, case, backend, hw,
-                                                roofline, comm_backend):
+                                                roofline, comm_backend,
+                                                annotate_overlap):
     spec_name, dims_name, phase, grid, kwargs = _SWEEP_CASES[case]
     spec = request.getfixturevalue(spec_name)
     dims = request.getfixturevalue(dims_name)
@@ -283,8 +284,8 @@ def test_sweep_equals_fresh_estimator_per_point(request, case, backend, hw,
     if kwargs.get("routing_trace"):
         kwargs = dict(kwargs, routing_trace=_skewed_trace())
     got = sweep(spec, dims, grid, hw, compute, comm_backend, phase=phase, **kwargs)
-    want = _sweep_point_by_point(spec, dims, grid, hw, compute, comm_backend,
-                                 phase, **kwargs)
+    want = _sweep_point_by_point(annotate_overlap, spec, dims, grid, hw, compute,
+                                 comm_backend, phase, **kwargs)
     assert got == want
     reasons = " ".join(p.infeasible_reason for p in want)
     assert any(p.feasible for p in want) and not all(p.feasible for p in want)
@@ -313,9 +314,9 @@ def test_sweep_compiles_once_per_group(monkeypatch, dense_spec, dims_8b, hw,
     assert len(points) == 36
     # Overlap at tp 1 fails to lower, but only after its layer is compiled.
     assert sum(not p.feasible for p in points) == 6
-    groups = 3 * 2  # tp x overlap
-    assert calls == {"validate_bindings": groups, "build_memory_model": groups,
-                     "compile_layer": groups}
+    # Validation and the memory model once per tp, a layer per (tp, overlap).
+    assert calls == {"validate_bindings": 3, "build_memory_model": 3,
+                     "compile_layer": 3 * 2}
 
 
 def test_sweep_threads_share_compiled_layers(dense_spec, dims_8b, hw, roofline,

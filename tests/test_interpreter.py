@@ -22,7 +22,6 @@ from llm_energy import (
     parse_equation,
 )
 from llm_energy.fixtures import fixture_path
-from llm_energy.engine import apply_overlap_setting
 from llm_energy.interpreter import (
     ALLREDUCE,
     ALLTOALL,
@@ -247,8 +246,7 @@ def _reference_lower(spec, dims, ctx, degrees, moe_te=None, context_only=False):
     """Lowering with every size taken from scratch per call: bind b, s, z
     (and T, E for MoE ops) into the dims, then shard and multiply."""
     if ctx.phase == DECODE and any(op.overlap_stage for op in spec.ops):
-        raise ValidationError("compute-communication overlap is a prefill "
-                              "technique; not valid under a decode context")
+        raise ValidationError("overlap is prefill-only")
     bound = dims.with_sizes(b=ctx.batch, s=ctx.s, z=ctx.z)
     stream = _flatten_ops(spec)
     cp = degrees.get("cp", 1)
@@ -356,9 +354,9 @@ _PLAN_DIMS = {"dense_fused": ("llama3_8b", "llama3_70b"),
 @example(spec_name="moe_fused", pick=0, overlap=False, tp=2, ep=4, cp=1,
          phase=PREFILL, batch=3, isl=100, position=1, hidden=3001,
          moe_te=(4 / 7, 8 / 3), context_only=False)
-def test_plan_lowers_like_reference(spec_name, pick, overlap, tp, ep, cp, phase,
-                                    batch, isl, position, hidden, moe_te,
-                                    context_only):
+def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
+                                    tp, ep, cp, phase, batch, isl, position,
+                                    hidden, moe_te, context_only):
     # Covers indivisible shards (K = 8 by tp 3, s by cp), decode overlap,
     # overlap without a collective at tp 1, and MoE ops without statistics.
     # The MoE spec gains an op whose sizes interleave the fractional T with
@@ -367,19 +365,23 @@ def test_plan_lowers_like_reference(spec_name, pick, overlap, tp, ep, cp, phase,
     spec = load_model_spec(fixture_path(f"{spec_name}.json"))
     if spec_name == "moe_fused":
         spec = ModelSpec(spec.ops + (_op("Tmf->Tmf", label="Spread"),), spec.layers)
-    if overlap:
-        spec = apply_overlap_setting(spec, 2, 8)
+    setting = (2, 8) if overlap else None
+    annotated = annotate_overlap(spec, *setting) if overlap else spec
     dims_names = _PLAN_DIMS[spec_name]
     dims = load_bindings(fixture_path(f"{dims_names[pick % len(dims_names)]}.json"))
     if hidden is not None:
         dims = dims.with_sizes(m=hidden)
     degrees = {"tp": tp, "ep": ep, "cp": cp}
     ctx = PhaseContext(phase, batch, isl, osl=4, decode_position=position)
-    plan = compile_layer(spec, dims, degrees, phase)
+    want = _outcome(_reference_lower, annotated, dims, ctx, degrees,
+                    moe_te=moe_te, context_only=context_only)
+    if overlap and phase == DECODE:
+        # A setting is prefill-only even on a spec with no op eligible for it.
+        want = (ValidationError, "overlap is prefill-only")
+    plan = compile_layer(spec, dims, degrees, phase, setting)
     for _ in range(2):  # a plan is reusable
         assert (_outcome(plan.lower, ctx, moe_te=moe_te, context_only=context_only)
-                == _outcome(_reference_lower, spec, dims, ctx, degrees,
-                            moe_te=moe_te, context_only=context_only))
+                == want)
 
 
 def test_three_operand_op_fails_where_lowering_meets_it(dims_8b):

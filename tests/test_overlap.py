@@ -8,7 +8,6 @@ from llm_energy import (
     OverlapPlan,
     RooflineBackend,
     ValidationError,
-    effective_sm_tradeoff,
     plan_overlap,
 )
 from llm_energy.interpreter import ALLREDUCE
@@ -94,12 +93,11 @@ def test_divisibility_and_sm_validation(hw, comm_backend):
 def test_effective_sm_tradeoff(hw, comm_backend):
     backend = RooflineBackend(hw)
     g = GemmDescriptor(1, 4096, 8192, 8192, dtype_bytes=2)
-    plans = effective_sm_tradeoff(g, 4096 * 8192 * 2.0, 8, [1, 4, 16],
-                                  stages=4, overlap_dim_size=4096,
-                                  compute_backend=backend,
-                                  comm_backend=comm_backend,
-                                  total_sm=hw.total_sm)
-    assert [sm for sm, _ in plans] == [1, 4, 16]
+    plans = [plan_overlap(g, 4096 * 8192 * 2.0, 8, stages=4, sm_comm=sm,
+                          overlap_dim_size=4096, compute_backend=backend,
+                          comm_backend=comm_backend, total_sm=hw.total_sm)
+             for sm in (1, 4, 16)]
+    assert [p.sm_comm for p in plans] == [1, 4, 16]
     # More communication SMs never slows the RS chunk down.
-    comm_lats = [p.t_comm_ov for _, p in plans]
+    comm_lats = [p.t_comm_ov for p in plans]
     assert comm_lats == sorted(comm_lats, reverse=True)
