@@ -264,7 +264,8 @@ def _add_input_flags(p, need_spec=True):
     p.add_argument("--tile", type=int, default=DEFAULT_TILE,
                    help="grouped-GEMM tile size (1 disables quantization)")
     p.add_argument("--decode-stride", type=int, default=DEFAULT_DECODE_STRIDE,
-                   help="decode step sampling stride (1 = every step)")
+                   help="price every N-th decode position, weighted by N "
+                        "(default 1: every position, the exact sum)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .compute import CostEstimate
 from .errors import BackendError, ValidationError
-from .interpreter import ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER, CommDescriptor
+from .interpreter import (ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER,
+                          CommColumns, CommDescriptor)
 from .spec_lang import in_file, read_csv
 
 VALID_KINDS = (ALLREDUCE, REDUCESCATTER, ALLGATHER, ALLTOALL)
@@ -178,7 +180,7 @@ class CommBackend:
         self.table = table
         self._curves: dict[tuple, EffectiveCurve] = {}
 
-    def estimate(self, c: CommDescriptor) -> CostEstimate:
+    def _curve(self, c) -> EffectiveCurve:
         key = (c.kind, c.world, c.sm_count)
         curve = self._curves.get(key)
         if curve is None:
@@ -196,7 +198,17 @@ class CommBackend:
             if sm is None:
                 sm = table.sm_counts(kind, c.world)[-1]
             curve = self._curves[key] = resolve_sm_curve(kind, c.world, sm, table)
+        return curve
+
+    def estimate(self, c: CommDescriptor) -> CostEstimate:
+        curve = self._curve(c)
         return CostEstimate(curve.latency(c.bytes), curve.energy(c.bytes))
+
+    def estimate_columns(self, c: CommColumns) -> tuple[array, array]:
+        """:meth:`estimate` at each position: (latencies, energies)."""
+        curve = self._curve(c)
+        return (array("d", [curve.latency(size) for size in c.bytes]),
+                array("d", [curve.energy(size) for size in c.bytes]))
 
 
 def synthetic_comm_table(worlds=(2, 4, 8), sm_counts=(1, 4, 16, 108),

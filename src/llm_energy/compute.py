@@ -3,16 +3,21 @@
 Two interchangeable backends: a roofline model driven by a
 :class:`HardwareProfile`, and a calibration-table lookup for imported
 measurements. Both return :class:`CostEstimate` and support SM-restricted
-queries (used by overlap planning).
+queries (used by overlap planning). Each also prices a kernel's columns
+over decode positions (``*_columns``), returning (latencies, energies)
+arrays with the scalar methods' arithmetic, in the same order, at each
+position.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import BackendError, ValidationError
-from .interpreter import GemmDescriptor, MemoryOpDescriptor
+from .interpreter import (GemmColumns, GemmDescriptor, MemoryOpColumns,
+                          MemoryOpDescriptor)
 from .spec_lang import as_int, as_number, in_file, load_json, read_csv
 
 
@@ -88,6 +93,16 @@ def _utilization_power(hw: HardwareProfile, u_eff: float) -> float:
     return hw.p_idle + (hw.p_max - hw.p_idle) * u_eff
 
 
+def _compute_rate(g, hw: HardwareProfile) -> float:
+    """Effective FLOP/s of a GEMM on its available SMs."""
+    sm = g.sm_available if g.sm_available is not None else hw.total_sm
+    if sm < 1:
+        raise ValidationError(f"GEMM {g.label!r}: zero SMs available")
+    if sm > hw.total_sm:
+        raise ValidationError(f"GEMM {g.label!r}: sm_available exceeds total_sm")
+    return hw.peak_flops * hw.compute_efficiency * sm / hw.total_sm
+
+
 def estimate_gemm(g: GemmDescriptor, hw: HardwareProfile) -> CostEstimate:
     """Roofline estimate: max of compute and memory time plus launch overhead.
 
@@ -95,12 +110,7 @@ def estimate_gemm(g: GemmDescriptor, hw: HardwareProfile) -> CostEstimate:
     resource's occupancy fraction, so balanced kernels approach p_max and
     memory-bound decode GEMMs stay well below it.
     """
-    sm = g.sm_available if g.sm_available is not None else hw.total_sm
-    if sm < 1:
-        raise ValidationError(f"GEMM {g.label!r}: zero SMs available")
-    if sm > hw.total_sm:
-        raise ValidationError(f"GEMM {g.label!r}: sm_available exceeds total_sm")
-    t_compute = g.flops / (hw.peak_flops * hw.compute_efficiency * sm / hw.total_sm)
+    t_compute = g.flops / _compute_rate(g, hw)
     t_memory = g.bytes_moved / (hw.mem_bw * hw.bandwidth_efficiency)
     latency = max(t_compute, t_memory) + hw.kernel_launch_overhead
     hi, lo = max(t_compute, t_memory), min(t_compute, t_memory)
@@ -109,12 +119,44 @@ def estimate_gemm(g: GemmDescriptor, hw: HardwareProfile) -> CostEstimate:
     return CostEstimate(latency, power * latency)
 
 
+def estimate_gemm_columns(g: GemmColumns,
+                          hw: HardwareProfile) -> tuple[array, array]:
+    """:func:`estimate_gemm` at each position: (latencies, energies)."""
+    compute_rate = _compute_rate(g, hw)
+    memory_rate = hw.mem_bw * hw.bandwidth_efficiency
+    overhead, p_idle = hw.kernel_launch_overhead, hw.p_idle
+    p_span = hw.p_max - hw.p_idle
+    latencies, energies = array("d"), array("d")
+    for flops, moved in zip(g.flops, g.bytes_moved):
+        t_compute = flops / compute_rate
+        t_memory = moved / memory_rate
+        if t_memory > t_compute:
+            hi, lo = t_memory, t_compute
+        else:
+            hi, lo = t_compute, t_memory
+        latency = hi + overhead
+        u_eff = (1.0 + (lo / hi if hi > 0 else 1.0)) / 2.0
+        latencies.append(latency)
+        energies.append((p_idle + p_span * u_eff) * latency)
+    return latencies, energies
+
+
 def estimate_memory_op(m: MemoryOpDescriptor, hw: HardwareProfile) -> CostEstimate:
     """Bandwidth-bound kernel: read + write traffic at effective bandwidth."""
     latency = 2.0 * m.bytes / (hw.mem_bw * hw.bandwidth_efficiency)
     latency += hw.kernel_launch_overhead
     power = _utilization_power(hw, hw.memory_op_utilization)
     return CostEstimate(latency, power * latency)
+
+
+def estimate_memory_op_columns(m: MemoryOpColumns,
+                               hw: HardwareProfile) -> tuple[array, array]:
+    """:func:`estimate_memory_op` at each position: (latencies, energies)."""
+    rate = hw.mem_bw * hw.bandwidth_efficiency
+    overhead = hw.kernel_launch_overhead
+    power = _utilization_power(hw, hw.memory_op_utilization)
+    latencies = array("d", [2.0 * size / rate + overhead for size in m.bytes])
+    return latencies, array("d", [power * latency for latency in latencies])
 
 
 class RooflineBackend:
@@ -128,6 +170,12 @@ class RooflineBackend:
 
     def estimate_memory_op(self, m: MemoryOpDescriptor) -> CostEstimate:
         return estimate_memory_op(m, self.hw)
+
+    def estimate_gemm_columns(self, g: GemmColumns) -> tuple[array, array]:
+        return estimate_gemm_columns(g, self.hw)
+
+    def estimate_memory_op_columns(self, m: MemoryOpColumns) -> tuple[array, array]:
+        return estimate_memory_op_columns(m, self.hw)
 
 
 @dataclass(frozen=True)
@@ -183,7 +231,10 @@ class GemmCalibrationTable:
     def _nearest(self, g: GemmDescriptor) -> GemmCalibrationPoint:
         """The first point at the least squared log distance over (M,
         contraction, N, G), each dimension floored at 1."""
-        qm, qk, qn, qg = _log_dims(g)
+        return self._nearest_logs(*_log_dims(g))
+
+    def _nearest_logs(self, qm: float, qk: float, qn: float,
+                      qg: float) -> GemmCalibrationPoint:
         best, best_dist = None, math.inf
         for (lm, lk, ln, lg), p in self._logs:
             dist = (qm - lm) ** 2 + (qk - lk) ** 2 + (qn - ln) ** 2 + (qg - lg) ** 2
@@ -198,6 +249,21 @@ class GemmCalibrationTable:
             raise BackendError(
                 "GEMM calibration backend does not support SM-restricted queries")
         return CostEstimate(latency, p.power_w * latency)
+
+    def estimate_gemm_columns(self, g: GemmColumns) -> tuple[array, array]:
+        """:meth:`estimate_gemm` at each position: (latencies, energies)."""
+        if g.sm_available is not None:
+            raise BackendError(
+                "GEMM calibration backend does not support SM-restricted queries")
+        logs = ([math.log(max(v, 1.0)) for v in col]
+                for col in (g.m, g.contraction, g.n, g.group_count))
+        latencies, energies = array("d"), array("d")
+        for query, flops in zip(zip(*logs), g.flops):
+            p = self._nearest_logs(*query)
+            latency = p.latency_s * (flops / p.flops)
+            latencies.append(latency)
+            energies.append(p.power_w * latency)
+        return latencies, energies
 
 
 class TableComputeBackend:
@@ -216,3 +282,11 @@ class TableComputeBackend:
 
     def estimate_memory_op(self, m: MemoryOpDescriptor) -> CostEstimate:
         return estimate_memory_op(m, self.hw)
+
+    def estimate_gemm_columns(self, g: GemmColumns) -> tuple[array, array]:
+        if g.sm_available is not None:
+            return estimate_gemm_columns(g, self.hw)
+        return self.table.estimate_gemm_columns(g)
+
+    def estimate_memory_op_columns(self, m: MemoryOpColumns) -> tuple[array, array]:
+        return estimate_memory_op_columns(m, self.hw)

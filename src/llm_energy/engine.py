@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple, Optional
 
 from .comm import CommBackend
@@ -12,7 +13,9 @@ from .errors import SpecError, ValidationError
 from .interpreter import (  # noqa: F401
     DECODE,
     PREFILL,
+    CommColumns,
     CommDescriptor,
+    GemmColumns,
     GemmDescriptor,
     LayerPlan,
     LoweredOp,
@@ -40,22 +43,24 @@ from .moe import (
     RoutingStats,
     RoutingTrace,
     fold_imbalance,
+    fold_imbalance_columns,
     stats_from_trace,
     uniform_routing,
 )
 from .overlap import plan_overlap
 from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
 
-DEFAULT_DECODE_STRIDE = 64
+DEFAULT_DECODE_STRIDE = 1
 
 # (label, category, latency, energy, reads_context) of one priced kernel.
 Entry = tuple[str, str, float, float, bool]
 
 
 def _kernel_category(kernel) -> str:
-    if isinstance(kernel, GemmDescriptor):
+    """The report category of a kernel descriptor or of its columns."""
+    if isinstance(kernel, (GemmDescriptor, GemmColumns)):
         return CATEGORY_COMPUTE
-    if isinstance(kernel, CommDescriptor):
+    if isinstance(kernel, (CommDescriptor, CommColumns)):
         return CATEGORY_COMM
     return CATEGORY_MEMORY
 
@@ -151,25 +156,30 @@ class Estimator:
             return self.comm_backend.estimate(kernel)
         return self.compute_backend.estimate_memory_op(kernel)
 
+    def _price_columns(self, kernel) -> tuple[array, array]:
+        if isinstance(kernel, GemmColumns):
+            return self.compute_backend.estimate_gemm_columns(kernel)
+        if isinstance(kernel, CommColumns):
+            return self.comm_backend.estimate_columns(kernel)
+        return self.compute_backend.estimate_memory_op_columns(kernel)
+
     # -- per-layer costing -------------------------------------------------
 
     def _layer_entries(self, plan: LayerPlan, ctx: PhaseContext,
-                       degrees: dict[str, int], stats: Optional[RoutingStats],
-                       context_only: bool = False) -> list[Entry]:
+                       degrees: dict[str, int],
+                       stats: Optional[RoutingStats]) -> list[Entry]:
         """(label, category, latency, energy, reads_context) per kernel for
-        one layer, one GPU; ``context_only`` prices only the kernels that
-        change with ``z``.
+        one layer, one GPU.
 
         MoE kernels are priced under the average and the bottleneck GPU's
         routing statistics and folded by :func:`fold_imbalance`.
         """
         avg_te = stats.avg if stats else None
-        lowered = plan.lower(ctx, moe_te=avg_te, context_only=context_only)
+        lowered = plan.lower(ctx, moe_te=avg_te)
         lowered_max = None
         if (stats is not None and not stats.balanced
                 and any(op.is_moe for op in lowered)):
-            lowered_max = plan.lower(ctx, moe_te=stats.max,
-                                     context_only=context_only)
+            lowered_max = plan.lower(ctx, moe_te=stats.max)
 
         entries: list[Entry] = []
         for idx, op in enumerate(lowered):
@@ -185,6 +195,29 @@ class Estimator:
                 entries.append((op.label, _kernel_category(kernel),
                                 cost.latency, cost.energy, op.reads_context))
         return entries
+
+    def _context_columns(self, plan: LayerPlan, ctx: PhaseContext,
+                         positions: list[int], stats: Optional[RoutingStats]
+                         ) -> list[tuple[str, str, array, array]]:
+        """(label, category, latencies, energies) per kernel that reads the
+        context, over decode ``positions``: at each position, what
+        :meth:`_layer_entries` gives for that kernel."""
+        lowered = plan.lower_columns(ctx, positions,
+                                     moe_te=stats.avg if stats else None)
+        lowered_max = None
+        if (stats is not None and not stats.balanced
+                and any(op.is_moe for op in lowered)):
+            lowered_max = plan.lower_columns(ctx, positions, moe_te=stats.max)
+        out = []
+        for idx, op in enumerate(lowered):
+            for k_idx, kernel in enumerate(op.kernels):
+                cost = self._price_columns(kernel)
+                if op.is_moe and lowered_max is not None:
+                    cost = fold_imbalance_columns(
+                        cost, self._price_columns(lowered_max[idx].kernels[k_idx]),
+                        self.hw.p_idle)
+                out.append((op.label, _kernel_category(kernel), *cost))
+        return out
 
     def _overlap_entries(self, op: LoweredOp, ctx: PhaseContext,
                          degrees: dict[str, int]) -> list[Entry]:
@@ -256,23 +289,42 @@ class Estimator:
                 row = rows.setdefault((label, category), ReportRow(label, category))
                 row.add(latency * w, energy * scale * w)
 
+        def accumulate_columns(columns, weights: array) -> None:
+            # Position by position, and within a position kernel by kernel,
+            # as accumulate() would add one position's entries at a time.
+            by_row: dict = {}
+            for label, category, latencies, energies in columns:
+                by_row.setdefault((label, category), []).append(
+                    (latencies, energies))
+            for (label, category), kernels in by_row.items():
+                scale = 1.0 if category == CATEGORY_COMM else float(gpus)
+                row = rows.setdefault((label, category), ReportRow(label, category))
+                latency, energy = row.latency, row.energy
+                for i, w in enumerate(weights):
+                    for latencies, energies in kernels:
+                        latency += latencies[i] * w
+                        energy += energies[i] * scale * w
+                row.latency, row.energy = latency, energy
+
         if ctx.phase == PREFILL:
             stats = self.routing_stats(ctx, degrees)
             accumulate(self._layer_entries(plan, ctx, degrees, stats), float(layers))
         else:
             # Only the kernels that read z change across decode positions;
             # the rest, and the routing statistics (s = 1 throughout), are
-            # priced once and weighted by the whole phase.
+            # priced once, at the first position, and weighted by the whole
+            # phase. The context kernels at the other positions are priced
+            # as columns over those positions.
             positions = decode_positions(ctx.osl, self.decode_stride)
             first_ctx = ctx.at_position(positions[0][0])
             stats = self.routing_stats(first_ctx, degrees)
-            steps = sum(width for _, width in positions)
             accumulate(self._layer_entries(plan, first_ctx, degrees, stats),
-                       float(layers) * positions[0][1], float(layers) * steps)
-            for position, width in positions[1:]:
-                accumulate(self._layer_entries(plan, ctx.at_position(position),
-                                               degrees, stats, context_only=True),
-                           float(layers) * width)
+                       float(layers) * positions[0][1], float(layers) * ctx.osl)
+            rest = positions[1:]
+            if rest:
+                accumulate_columns(
+                    self._context_columns(plan, ctx, [p for p, _ in rest], stats),
+                    array("d", [float(layers) * width for _, width in rest]))
 
         report.rows = list(rows.values())
         return report

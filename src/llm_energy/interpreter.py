@@ -9,12 +9,16 @@ the score tensor.
 Lowering runs in two steps: :func:`compile_layer` fixes everything that
 depends only on the spec, dims, parallel degrees and phase, and
 :meth:`LayerPlan.lower` binds the runtime symbols of one evaluation.
+:meth:`LayerPlan.lower_columns` binds a whole column of decode positions
+at once: it sizes each context kernel over every position, as columns,
+and builds no descriptor per position.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import SpecError, ValidationError
 from .spec_lang import (
@@ -99,6 +103,56 @@ class MemoryOpDescriptor:
 
 
 KernelDescriptor = Union[GemmDescriptor, CommDescriptor, MemoryOpDescriptor]
+
+
+# Column records: one kernel over a column of decode positions, each size a
+# sequence with one value per position, equal to the matching descriptor
+# field at that position. Columns that vary are arrays of doubles, which
+# hold a long decode in a quarter of a list's memory.
+class GemmColumns(NamedTuple):
+    """:class:`GemmDescriptor` sizes over decode positions."""
+
+    group_count: Sequence[float]
+    m: Sequence[float]
+    contraction: Sequence[float]
+    n: Sequence[float]
+    dtype_bytes: int
+    label: str = ""
+    sm_available: Optional[int] = None
+
+    @property
+    def flops(self) -> list:
+        """:attr:`GemmDescriptor.flops` at each position."""
+        return [2.0 * g * m * k * n for g, m, k, n in
+                zip(self.group_count, self.m, self.contraction, self.n)]
+
+    @property
+    def bytes_moved(self) -> list:
+        """:attr:`GemmDescriptor.bytes_moved` at each position."""
+        dtype = self.dtype_bytes
+        return [g * (m * k + k * n + m * n) * dtype for g, m, k, n in
+                zip(self.group_count, self.m, self.contraction, self.n)]
+
+
+class CommColumns(NamedTuple):
+    """:class:`CommDescriptor` message sizes over decode positions."""
+
+    kind: str
+    bytes: Sequence[float]
+    world: int
+    sm_count: Optional[int] = None
+    label: str = ""
+
+
+class MemoryOpColumns(NamedTuple):
+    """:class:`MemoryOpDescriptor` sizes over decode positions."""
+
+    bytes: Sequence[float]
+    flops: Sequence[float]
+    label: str = ""
+
+
+KernelColumns = Union[GemmColumns, CommColumns, MemoryOpColumns]
 
 
 @dataclass(frozen=True)
@@ -194,6 +248,38 @@ class _Product(NamedTuple):
             else:
                 prod *= factor
         return prod
+
+    def column(self, env: dict, dims: DimensionBindings,
+               zs: Sequence[int]) -> Sequence[float]:
+        """:meth:`value` with ``z`` read from each of ``zs`` in turn, the
+        factors multiplied in the same order. ``env`` holds no ``z``."""
+        prod = self.prefix
+        for j, factor in enumerate(self.tail):
+            if type(factor) is tuple:
+                sym, deg = factor
+                if sym == "z":
+                    break
+                size = env.get(sym)
+                prod *= _shard(sym, dims.size(sym) if size is None else size, deg)
+            else:
+                prod *= factor
+        else:
+            return [prod] * len(zs)
+        col = [prod] * len(zs)
+        for factor in self.tail[j:]:
+            if type(factor) is not tuple:
+                col = [c * factor for c in col]
+                continue
+            sym, deg = factor
+            if sym != "z":
+                size = env.get(sym)
+                size = _shard(sym, dims.size(sym) if size is None else size, deg)
+                col = [c * size for c in col]
+            elif deg == 1:
+                col = [c * z for c, z in zip(col, zs)]
+            else:
+                col = [c * _shard(sym, z, deg) for c, z in zip(col, zs)]
+        return array("d", col)
 
 
 def operand_bytes(operand: str, dims: DimensionBindings,
@@ -294,6 +380,17 @@ def _all2all_kernels(label: str, size: float,
     ]
 
 
+def _all2all_columns(label: str, sizes: Sequence[float],
+                     cp_degree: int) -> list[KernelColumns]:
+    """:func:`_all2all_kernels` over decode positions."""
+    no_flops = [0.0] * len(sizes)
+    return [
+        MemoryOpColumns(sizes, no_flops, label=f"{label} transpose (pre)"),
+        CommColumns(ALLTOALL, sizes, cp_degree, label=f"{label} All2All"),
+        MemoryOpColumns(sizes, no_flops, label=f"{label} transpose (post)"),
+    ]
+
+
 def detect_all2all(op: OpSpec, prev: Optional[OpSpec], dims: DimensionBindings,
                    cp_degree: int) -> list[KernelDescriptor]:
     """On a context-parallel layout change, emit transpose + all2all + transpose.
@@ -320,6 +417,15 @@ class LoweredOp:
     overlap: Optional[tuple[int, int, str]] = None  # (stages, sm_comm, dim)
     gemm: Optional[GemmDescriptor] = None
     collective: Optional[CommDescriptor] = None
+
+
+class LoweredColumns(NamedTuple):
+    """One op's kernels over decode positions, in execution order, tagged
+    by the op's label: the columns of its :class:`LoweredOp`."""
+
+    label: str
+    kernels: tuple
+    is_moe: bool = False
 
 
 def _flatten_ops(spec: ModelSpec) -> list[OpSpec]:
@@ -388,6 +494,37 @@ class _Compute(NamedTuple):
             flops = self.flops.value(env, dims)
         return MemoryOpDescriptor(in_b + out_b, flops=flops, label=label)
 
+    def columns(self, env: dict, dims: DimensionBindings, zs: Sequence[int],
+                label: str) -> KernelColumns:
+        """:meth:`lower` at each ``z`` of ``zs``."""
+        if self.error is not None:
+            raise SpecError(self.error)
+        dtype = dims.dtype_bytes
+        if not self.inputs:
+            return MemoryOpColumns(
+                array("d", [v * dtype for v in self.output.column(env, dims, zs)]),
+                [0.0] * len(zs), label=label)
+        if self.gemm is not None:
+            g = GemmColumns(*(axis.column(env, dims, zs) for axis in self.gemm),
+                            dtype_bytes=dtype, label=label)
+            ones = g.n.count(1)
+            if not ones:
+                return g
+            if ones != len(zs):
+                # z grows, so only a fractional MoE size in N can make N = 1
+                # at some positions and not at others.
+                raise ValidationError(
+                    f"op {label!r}: GEMM N is 1 at some decode positions only")
+            flops = g.flops
+        in_b = [sum(sizes) for sizes in zip(*(
+            [v * dtype for v in p.column(env, dims, zs)] for p in self.inputs))]
+        out_b = self.output.column(env, dims, zs)
+        if self.gemm is None:
+            flops = self.flops.column(env, dims, zs)
+        return MemoryOpColumns(
+            array("d", [i + o * dtype for i, o in zip(in_b, out_b)]), flops,
+            label=label)
+
 
 def _compile_compute(op: OpSpec, dims: DimensionBindings,
                      shards: dict[str, int], runtime: frozenset) -> _Compute:
@@ -420,19 +557,24 @@ class _OpStep(NamedTuple):
     allreduce: Optional[tuple]  # (output, world)
     overlap: Optional[tuple]  # (stages, sm_comm, dim)
 
+    def _env(self, env: dict, moe_env: Optional[dict]) -> dict:
+        """The bindings the op's sizes read: ``moe_env`` for an MoE op."""
+        if not self.is_moe:
+            return env
+        if moe_env is None:
+            raise ValidationError(
+                f"op {self.op.label!r} uses the MoE token symbol but no routing "
+                "statistics were supplied")
+        for sym in ("E", MOE_TOKEN_SYMBOL):
+            if moe_env[sym] <= 0:
+                raise ValidationError(
+                    f"symbol {sym!r} has non-positive size {moe_env[sym]}")
+        return moe_env
+
     def lower(self, env: dict, moe_env: Optional[dict],
               dims: DimensionBindings) -> LoweredOp:
         op = self.op
-        if self.is_moe:
-            if moe_env is None:
-                raise ValidationError(
-                    f"op {op.label!r} uses the MoE token symbol but no routing "
-                    "statistics were supplied")
-            for sym in ("E", MOE_TOKEN_SYMBOL):
-                if moe_env[sym] <= 0:
-                    raise ValidationError(
-                        f"symbol {sym!r} has non-positive size {moe_env[sym]}")
-            env = moe_env
+        env = self._env(env, moe_env)
         kernels: list[KernelDescriptor] = []
         if self.transition is not None:
             size, label, cp_degree = self.transition
@@ -465,6 +607,27 @@ class _OpStep(NamedTuple):
             collective=collective,
         )
 
+    def columns(self, env: dict, moe_env: Optional[dict],
+                dims: DimensionBindings, zs: Sequence[int]) -> LoweredColumns:
+        """:meth:`lower` at each ``z`` of ``zs``, in a decode plan (so
+        without overlap)."""
+        op = self.op
+        env = self._env(env, moe_env)
+        dtype = dims.dtype_bytes
+        kernels: list[KernelColumns] = []
+        if self.transition is not None:
+            size, label, cp_degree = self.transition
+            kernels.extend(_all2all_columns(label, array("d", [
+                v * dtype / cp_degree for v in size.column(env, dims, zs)]),
+                cp_degree))
+        kernels.append(self.compute.columns(env, dims, zs, op.label))
+        if self.allreduce is not None:
+            size, world = self.allreduce
+            kernels.append(CommColumns(
+                ALLREDUCE, array("d", [v * dtype for v in size.column(env, dims, zs)]),
+                world, label=f"{op.label} AllReduce"))
+        return LoweredColumns(self.label, tuple(kernels), self.is_moe)
+
 
 class _ScoreStep(NamedTuple):
     """Score tensor read/write around softmax; the framework does not price
@@ -483,6 +646,13 @@ class _ScoreStep(NamedTuple):
             reads_context=self.reads_context,
         )
 
+    def columns(self, env: dict, moe_env: Optional[dict],
+                dims: DimensionBindings, zs: Sequence[int]) -> LoweredColumns:
+        dtype = dims.dtype_bytes
+        return LoweredColumns(f"{self.label}: score", (MemoryOpColumns(
+            array("d", [2 * (v * dtype) for v in self.size.column(env, dims, zs)]),
+            [0.0] * len(zs), label=f"{self.label} score"),))
+
 
 class LayerPlan(NamedTuple):
     """One layer compiled for (spec, dims, degrees, phase); :meth:`lower`
@@ -493,33 +663,58 @@ class LayerPlan(NamedTuple):
     steps: tuple = ()
     error: Optional[str] = None  # the layer cannot be lowered in this phase
 
-    def lower(self, ctx: PhaseContext,
-              moe_te: Optional[tuple[float, float]] = None,
-              context_only: bool = False) -> list[LoweredOp]:
-        """Lower the layer at ``ctx``: kernel descriptor groups in stream
-        order, with ``moe_te`` bound as MoE ops' (T, E) and, under
-        ``context_only``, only the ops tagged ``reads_context``."""
+    def _bindings(self, ctx: PhaseContext, env: dict,
+                  moe_te: Optional[tuple[float, float]]) -> Optional[dict]:
+        """Check that the plan can lower ``ctx``; return the MoE ops'
+        bindings: ``env`` with ``moe_te`` bound as (T, E), if given."""
         if ctx.phase != self.phase:
             raise ValidationError(
                 f"layer compiled for {self.phase} cannot lower a {ctx.phase} context")
         if self.error is not None:
             raise ValidationError(self.error)
+        if moe_te is None:
+            return None
+        return dict(env, **{MOE_TOKEN_SYMBOL: moe_te[0], "E": moe_te[1]})
+
+    def lower(self, ctx: PhaseContext,
+              moe_te: Optional[tuple[float, float]] = None) -> list[LoweredOp]:
+        """Lower the layer at ``ctx``: kernel descriptor groups in stream
+        order, with ``moe_te`` bound as MoE ops' (T, E)."""
         env = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
-        moe_env = None
-        if moe_te is not None:
-            moe_env = dict(env, **{MOE_TOKEN_SYMBOL: moe_te[0], "E": moe_te[1]})
-        return [step.lower(env, moe_env, self.dims) for step in self.steps
-                if step.reads_context or not context_only]
+        moe_env = self._bindings(ctx, env, moe_te)
+        return [step.lower(env, moe_env, self.dims) for step in self.steps]
+
+    def lower_columns(self, ctx: PhaseContext, positions: Sequence[int],
+                      moe_te: Optional[tuple[float, float]] = None
+                      ) -> list[LoweredColumns]:
+        """The ops tagged ``reads_context``, lowered at every decode
+        position of ``positions`` at once: per kernel, its sizes as columns
+        whose i-th values equal the descriptor :meth:`lower` gives at
+        ``ctx.at_position(positions[i])``. The other ops are the same at
+        every position."""
+        env = {"b": ctx.batch, "s": ctx.s}
+        moe_env = self._bindings(ctx, env, moe_te)
+        if ctx.phase != DECODE:
+            raise ValidationError("only a decode layer is lowered over positions")
+        if positions and not 1 <= min(positions) <= max(positions) <= ctx.osl:
+            raise ValidationError("decode_position must be in [1, osl]")
+        zs = array("q", [ctx.isl + position for position in positions])
+        return [step.columns(env, moe_env, self.dims, zs) for step in self.steps
+                if step.reads_context]
+
+
+def _takes_overlap(op: OpSpec) -> bool:
+    """Whether an overlap setting applies to a top-level op: its sharded
+    symbol is summed, so it ends in an AllReduce, and it has ``s``."""
+    eq = op.equation
+    return op.parallel in eq.summation_symbols and "s" in eq.all_symbols()
 
 
 def _op_overlap(op: OpSpec, setting: Optional[tuple[int, int]]) -> Optional[tuple]:
     """The (stages, sm_comm, dim) an op is overlapped with: ``setting``, split
-    along the query tokens ``s``, when the op is eligible (its sharded symbol
-    is summed, so it ends in an AllReduce, and it has ``s``); else its own
+    along the query tokens ``s``, when the op takes it; else its own
     annotation."""
-    eq = op.equation
-    if (setting is not None and op.parallel in eq.summation_symbols
-            and "s" in eq.all_symbols()):
+    if setting is not None and _takes_overlap(op):
         return (*setting, "s")
     if op.overlap_stage is None:
         return None
@@ -541,9 +736,10 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
 
     The ``overlap`` setting (stages, sm_comm), which must pass
     :func:`~llm_energy.spec_lang.check_overlap_setting`, replaces the
-    annotation of every eligible top-level op (see :func:`_op_overlap`).
-    Overlap, set or annotated on any op or sub-op, is prefill-only: in
-    decode it is an error of the whole plan.
+    annotation of every top-level op that takes it (see
+    :func:`_takes_overlap`); a setting that no op takes is an error of the
+    whole plan. Overlap, set or annotated on any op or sub-op, is
+    prefill-only: in decode it is an error of the whole plan.
 
     In decode, each op is tagged ``reads_context`` when its kernels change
     with ``z`` from one position to the next: the op reads the context, or
@@ -556,6 +752,11 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
                     for op in (*spec.ops, *_flatten_ops(spec)))
     if phase == DECODE and (overlap is not None or annotated):
         return LayerPlan(phase, dims, error="overlap is prefill-only")
+    if overlap is not None and not any(
+            _takes_overlap(op) for op in spec.ops if not op.is_attention):
+        return LayerPlan(phase, dims, error=(
+            f"overlap setting {overlap[0]}:{overlap[1]} applies to no op: none "
+            "has both s and a sharded symbol that it sums"))
     cp_degree = degrees.get("cp", 1)
 
     def varies(op: OpSpec, prev: Optional[OpSpec]) -> bool:
@@ -605,27 +806,22 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
 
 def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
                 degrees: dict[str, int],
-                moe_te: Optional[tuple[float, float]] = None,
-                context_only: bool = False) -> list[LoweredOp]:
+                moe_te: Optional[tuple[float, float]] = None) -> list[LoweredOp]:
     """Lower one layer's ops into kernel descriptor groups.
 
     ``moe_te`` binds the effective (tokens-per-expert, experts-per-GPU)
     pair for MoE ops; those ops skip the expert-parallel shard because the
-    statistics are already per-GPU. ``context_only`` lowers just the ops
-    tagged ``reads_context`` (see :func:`compile_layer`); predecessors
-    still come from the full stream.
+    statistics are already per-GPU.
     """
-    return compile_layer(spec, dims, degrees, ctx.phase).lower(
-        ctx, moe_te=moe_te, context_only=context_only)
+    return compile_layer(spec, dims, degrees, ctx.phase).lower(ctx, moe_te=moe_te)
 
 
 def decode_positions(osl: int, stride: int) -> list[tuple[int, int]]:
     """Sampled decode steps as (position, weight) pairs covering [1, osl]."""
     if stride < 1:
         raise ValidationError("decode stride must be >= 1")
-    out = []
-    p = 1
-    while p <= osl:
-        out.append((p, min(stride, osl - p + 1)))
-        p += stride
+    out = [(p, stride) for p in range(1, osl + 1, stride)]
+    if out:
+        last = out[-1][0]
+        out[-1] = (last, osl - last + 1)
     return out

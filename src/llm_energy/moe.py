@@ -11,6 +11,7 @@ idle time of underloaded GPUs at idle power.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,6 +163,16 @@ def fold_imbalance(avg: CostEstimate, mx: CostEstimate,
     bottleneck = max(mx.latency, avg.latency)
     return CostEstimate(bottleneck,
                         avg.energy + (bottleneck - avg.latency) * p_idle)
+
+
+def fold_imbalance_columns(avg: tuple[array, array], mx: tuple[array, array],
+                           p_idle: float) -> tuple[array, array]:
+    """:func:`fold_imbalance` at each position of (latencies, energies)
+    columns."""
+    avg_latency, avg_energy = avg
+    bottleneck = array("d", [max(m, a) for m, a in zip(mx[0], avg_latency)])
+    return bottleneck, array("d", [e + (b - a) * p_idle for e, b, a in
+                                   zip(avg_energy, bottleneck, avg_latency)])
 
 
 def aggregate_moe(costs_avg: Sequence[CostEstimate],

@@ -148,6 +148,17 @@ def test_overlap_flag(tmp_path):
         == EXIT_VALIDATION
 
 
+def test_overlap_setting_no_op_takes_is_validation_error(tmp_path, capsys):
+    # The cp fixture shards no op over tp, so no op ends in an AllReduce that
+    # an overlap setting could hide.
+    code = main(["estimate", *_base_args(tmp_path, spec="dense_fused_cp.json"),
+                 "--phase", "prefill", "--cp", "2", "--batch", "1",
+                 "--isl", "512", "--overlap", "2:4"])
+    assert code == EXIT_VALIDATION
+    assert "overlap setting 2:4 applies to no op" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

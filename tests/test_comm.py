@@ -4,7 +4,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llm_energy import (
@@ -18,7 +18,8 @@ from llm_energy import (
     synthetic_comm_table,
 )
 from llm_energy.comm import CommCalibrationTable, CommCurve
-from llm_energy.interpreter import ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER
+from llm_energy.interpreter import (ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER,
+                                   CommColumns)
 
 
 def _table(sizes, lats, ens, kind=ALLREDUCE, world=2, sm=16):
@@ -202,3 +203,29 @@ def test_backend_memo_matches_estimate_comm(table_without_alltoall_at_8,
         want = estimate_comm(desc, table_without_alltoall_at_8)
         assert shared_backend.estimate(desc) == want
         assert shared_backend.estimate(desc) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from([ALLREDUCE, REDUCESCATTER, ALLGATHER, ALLTOALL]),
+       world=st.sampled_from([2, 4, 8]),
+       sm_count=st.one_of(st.none(), st.sampled_from(_SM_COUNTS),
+                          st.integers(1, 200)),
+       sizes=st.lists(st.one_of(st.sampled_from(_SIZES), st.floats(1.0, 1e11)),
+                      min_size=1, max_size=8))
+# Below the first calibrated size (floor clamp), between sizes
+# (interpolated), on one, above the last (extrapolated), at an SM count
+# between two calibrated ones (blended) and through the AllToAll fallback.
+@example(kind=ALLTOALL, world=8, sm_count=8,
+         sizes=[100.0, 5000.0, _SIZES[3], 2.0 ** 31])
+@example(kind=ALLREDUCE, world=2, sm_count=None,
+         sizes=[100.0, 5000.0, _SIZES[3], 2.0 ** 31])
+def test_column_pricing_equals_scalar_pricing(shared_backend, kind, world,
+                                              sm_count, sizes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        latencies, energies = shared_backend.estimate_columns(
+            CommColumns(kind, sizes, world, sm_count))
+        want = [shared_backend.estimate(CommDescriptor(kind, size, world,
+                                                       sm_count=sm_count))
+                for size in sizes]
+    assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llm_energy import (
@@ -19,6 +19,7 @@ from llm_energy import (
     estimate_memory_op,
 )
 from llm_energy.compute import GemmCalibrationPoint
+from llm_energy.interpreter import GemmColumns, MemoryOpColumns
 from llm_energy.fixtures import fixture_path
 
 
@@ -190,3 +191,50 @@ def test_nearest_is_first_least_log_distance(dims, query):
 
     # min keeps the first of equal keys, so ties resolve to table order.
     assert table._nearest(gemm) is min(table.points, key=log_distance)
+
+
+# Decode columns: 16-row attention GEMMs are memory bound on the A100
+# profile, 4096-row projections compute bound; sizes below 1 exercise the
+# table's log floor.
+_SHAPE = st.tuples(*[st.one_of(st.sampled_from([1.0, 16.0, 256.0, 4096.0, 8192.0]),
+                               st.floats(0.25, 1e5))] * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes=st.lists(_SHAPE, min_size=1, max_size=8),
+       sm_available=st.one_of(st.none(), st.integers(1, 108)),
+       backend=st.sampled_from(["roofline", "table"]))
+@example(shapes=[(1.0, 16.0, 4096.0, 4097.0), (1.0, 4096.0, 4096.0, 4096.0)],
+         sm_available=None, backend="roofline")
+@example(shapes=[(8.0, 16.0, 128.0, 4097.0), (1.0, 4096.0, 8192.0, 8192.0)],
+         sm_available=None, backend="table")
+@example(shapes=[(8.0, 16.0, 128.0, 4097.0), (1.0, 4096.0, 8192.0, 8192.0)],
+         sm_available=64, backend="table")
+def test_column_pricing_equals_scalar_pricing(hw, shapes, sm_available, backend):
+    # Element by element and bit for bit: the same arithmetic in the same
+    # order, including the table's roofline fallback for SM-restricted GEMMs.
+    compute = RooflineBackend(hw) if backend == "roofline" else TableComputeBackend(
+        GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv")), hw)
+    g = GemmColumns(*map(list, zip(*shapes)), dtype_bytes=2, label="g",
+                    sm_available=sm_available)
+    latencies, energies = compute.estimate_gemm_columns(g)
+    want = [compute.estimate_gemm(GemmDescriptor(*shape, dtype_bytes=2, label="g",
+                                                 sm_available=sm_available))
+            for shape in shapes]
+    assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
+
+    sizes = [math.prod(shape) for shape in shapes]
+    latencies, energies = compute.estimate_memory_op_columns(
+        MemoryOpColumns(sizes, [0.0] * len(sizes)))
+    want = [compute.estimate_memory_op(MemoryOpDescriptor(size)) for size in sizes]
+    assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
+
+
+def test_column_pricing_spans_the_roofline_crossover(hw):
+    # The examples above price both sides of the compute/memory crossover.
+    for shape, compute_bound in (((1.0, 16.0, 4096.0, 4097.0), False),
+                                 ((1.0, 4096.0, 4096.0, 4096.0), True)):
+        g = GemmDescriptor(*shape, dtype_bytes=2)
+        t_compute = g.flops / (hw.peak_flops * hw.compute_efficiency)
+        t_memory = g.bytes_moved / (hw.mem_bw * hw.bandwidth_efficiency)
+        assert (t_compute > t_memory) == compute_bound

@@ -1,6 +1,7 @@
 """End-to-end estimator behavior: accounting, MoE folding, overlap wiring."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -33,9 +34,10 @@ from llm_energy.metrics import (
     CATEGORY_COMPUTE,
     CATEGORY_EXPOSED,
     CATEGORY_MEMORY,
+    ReportRow,
 )
 from llm_energy.moe import fold_imbalance
-from llm_energy.spec_lang import ModelSpec, validate_bindings
+from llm_energy.spec_lang import ModelSpec, OpSpec, parse_equation, validate_bindings
 
 
 def _est(spec, dims, hw, roofline, comm_backend, **kw):
@@ -208,16 +210,20 @@ def test_tp_sharding_keeps_compute_energy_close(dense_spec, dims_70b, hw,
     assert comm[8] > comm[2]
 
 
-# -- decode: invariant kernels priced once, context kernels per position ----
+# -- decode: invariant kernels priced once, context kernels as columns -------
 
-def _per_position_rows(est, ctx, degrees):
+def _per_position_rows(est, ctx, degrees, invariant_once=False):
     """Decode rows as priced position by position: at every sampled position,
     the routing statistics, the full lowering (twice for imbalanced MoE) and
-    every kernel's price, weighted by layers x width."""
+    every kernel's price, weighted by layers x width. With
+    ``invariant_once``, a kernel that does not read the context is added at
+    the first position only, weighted by layers x osl, as the estimator adds
+    it."""
     degrees = validate_bindings(est.spec, est.dims, degrees).degrees
     gpus = est.gpu_count(degrees)
     rows = {}
-    for position, width in decode_positions(ctx.osl, est.decode_stride):
+    for n, (position, width) in enumerate(
+            decode_positions(ctx.osl, est.decode_stride)):
         step = ctx.at_position(position)
         stats = est.routing_stats(step, degrees)
         lowered = lower_model(est.spec, est.dims, step, degrees,
@@ -226,8 +232,12 @@ def _per_position_rows(est, ctx, degrees):
         if stats is not None and not stats.balanced:
             lowered_max = lower_model(est.spec, est.dims, step, degrees,
                                       moe_te=stats.max)
-        weight = est.layers() * width
         for idx, op in enumerate(lowered):
+            weight = est.layers() * width
+            if invariant_once and not op.reads_context:
+                if n:
+                    continue
+                weight = est.layers() * ctx.osl
             for k_idx, kernel in enumerate(op.kernels):
                 cost = est._price(kernel)
                 if op.is_moe and lowered_max is not None:
@@ -271,23 +281,43 @@ def cp_decode_spec(cp_spec):
     return dataclasses.replace(cp_spec, ops=tuple(map(relayout, cp_spec.ops)))
 
 
+@pytest.fixture(scope="module")
+def moe_context_spec(moe_spec):
+    """The MoE fixture plus an expert op that reads the context, so its
+    columns are priced under both routing statistics and folded."""
+    extra = OpSpec(equation=parse_equation("ETm,Ezm->ETz"), parallel="E",
+                   label="Expert Context")
+    return dataclasses.replace(moe_spec, ops=moe_spec.ops + (extra,))
+
+
 _DENSE_CASES = [(spec, {"tp": tp}, None)
                 for spec in ("dense_spec", "unfused_spec") for tp in (1, 2, 4)]
 _MOE_CASES = [("moe_spec", {"tp": 2, "ep": 4}, None),
               ("moe_spec", {"tp": 2, "ep": 2}, "trace"),
               ("moe_spec", {"tp": 2, "ep": 4}, "trace")]
 _CP_CASES = [("cp_decode_spec", {"cp": 2}, None)]
+_CASES = (_DENSE_CASES + _MOE_CASES + _CP_CASES
+          + [("moe_context_spec", {"tp": 2, "ep": 4}, "trace")])
 
 
-@pytest.mark.parametrize("stride, osl", [(1, 80), (64, 200)])
-@pytest.mark.parametrize("backend", ["roofline", "table"])
-@pytest.mark.parametrize("spec_name, degrees, routing",
-                         _DENSE_CASES + _MOE_CASES + _CP_CASES)
+def _oracle_case(k, backend, stride, osl):
+    spec_name, degrees, routing = _CASES[k]
+    return pytest.param(spec_name, degrees, routing, backend, stride, osl,
+                        id=f"{spec_name}-degrees{k}-{routing}-{backend}-{stride}-{osl}")
+
+
+@pytest.mark.parametrize(
+    "spec_name, degrees, routing, backend, stride, osl",
+    [_oracle_case(k, backend, stride, osl) for k in range(len(_CASES))
+     for backend in ("roofline", "table") for stride, osl in ((1, 80), (64, 200))]
+    # Every position of a long decode: dense at tp 2, and cp 2, whose
+    # AllToAll transition is a comm column.
+    + [_oracle_case(1, "roofline", 1, 4096), _oracle_case(9, "roofline", 1, 4096)])
 def test_decode_matches_per_position_pricing(request, spec_name, degrees, routing,
                                              backend, stride, osl, hw,
                                              roofline, comm_backend):
     spec = request.getfixturevalue(spec_name)
-    dims = request.getfixturevalue("dims_moe" if spec_name == "moe_spec"
+    dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
     compute = roofline if backend == "roofline" else _table_backend(hw)
     est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride,
@@ -309,52 +339,82 @@ def test_decode_matches_per_position_pricing(request, spec_name, degrees, routin
         sum(en for _, en in expected.values()), rel=1e-12)
 
 
+@pytest.mark.parametrize("stride", [1, 64])
+@pytest.mark.parametrize("backend", ["roofline", "table"])
+@pytest.mark.parametrize("spec_name, degrees, routing", [
+    ("dense_spec", {"tp": 2}, None),
+    ("moe_context_spec", {"tp": 2, "ep": 4}, "trace"),
+    ("cp_decode_spec", {"cp": 2}, None)])
+def test_decode_report_bytes_match_scalar_accumulation(
+        request, spec_name, degrees, routing, backend, stride, hw, roofline,
+        comm_backend):
+    # The columns add each row's terms position by position, kernel by
+    # kernel, as scalar pricing did: the report's bytes are the same.
+    spec = request.getfixturevalue(spec_name)
+    dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
+                                   else "dims_8b")
+    compute = roofline if backend == "roofline" else _table_backend(hw)
+    est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride,
+               routing_trace=_skewed_trace() if routing else None)
+    ctx = PhaseContext(DECODE, 2, 512, osl=300)
+    report = est.estimate(ctx, degrees)
+    expected = dataclasses.replace(report, rows=[
+        ReportRow(label, category, latency, energy) for (label, category),
+        (latency, energy) in _per_position_rows(est, ctx, degrees,
+                                                invariant_once=True).items()])
+    assert (json.dumps(report.to_dict(), indent=2, sort_keys=True)
+            == json.dumps(expected.to_dict(), indent=2, sort_keys=True))
+
+
 @pytest.mark.parametrize("spec_name, degrees, routing", [
     ("dense_spec", {"tp": 2}, None),
     ("moe_spec", {"tp": 2, "ep": 4}, None),
     ("moe_spec", {"tp": 2, "ep": 4}, "trace")])
 def test_decode_lowers_full_layer_once(request, monkeypatch, spec_name, degrees,
                                        routing, hw, roofline, comm_backend):
+    # The context kernels at positions 2..osl are lowered as columns in one
+    # call, so no lowering is repeated per position, whatever osl is.
     spec = request.getfixturevalue(spec_name)
-    dims = request.getfixturevalue("dims_moe" if spec_name == "moe_spec"
+    dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
-    calls = {"routing": 0, "kernels": 0}
+    calls = {}
 
     def counting(fn, key):
         def wrapped(*args, **kwargs):
             result = fn(*args, **kwargs)
-            calls[key] += (sum(len(op.kernels) for op in result)
-                           if key == "kernels" else 1)
+            calls[key] += 1
+            if key == "lower":
+                calls["kernels"] += sum(len(op.kernels) for op in result)
             return result
         return wrapped
 
-    osl = 40
     # Any routing statistics will do: they size kernels, not their count.
-    full = lower_model(spec, dims, PhaseContext(DECODE, 2, 512, osl=osl),
+    full = lower_model(spec, dims, PhaseContext(DECODE, 2, 512, osl=2),
                        validate_bindings(spec, dims, degrees).degrees,
                        moe_te=(16.0, 8.0) if spec_name == "moe_spec" else None)
+    layer_kernels = sum(len(op.kernels) for op in full)
 
-    monkeypatch.setattr(LayerPlan, "lower", counting(LayerPlan.lower, "kernels"))
+    monkeypatch.setattr(LayerPlan, "lower", counting(LayerPlan.lower, "lower"))
+    monkeypatch.setattr(LayerPlan, "lower_columns",
+                        counting(LayerPlan.lower_columns, "columns"))
     monkeypatch.setattr(engine, "stats_from_trace",
                         counting(engine.stats_from_trace, "routing"))
     monkeypatch.setattr(engine, "uniform_routing",
                         counting(engine.uniform_routing, "routing"))
     est = _est(spec, dims, hw, roofline, comm_backend, decode_stride=1,
                routing_trace=_skewed_trace() if routing else None)
-    report = est.estimate(PhaseContext(DECODE, 2, 512, osl=osl), degrees)
-    assert report.feasible
-
-    layer_kernels = sum(len(op.kernels) for op in full)
-    # QK, AV and the score traffic: one kernel each, the only ones that
-    # read the context in these specs.
-    context_kernels = sum(len(op.kernels) for op in full if op.reads_context)
-    assert context_kernels == 3
     # An imbalanced trace lowers the layer a second time for the bottleneck
-    # GPU, once per phase.
+    # GPU, once per phase; no op that reads the context is an MoE op, so
+    # the columns are lowered once.
     lowerings = 2 if routing else 1
-    assert calls["routing"] == (1 if spec_name == "moe_spec" else 0)
-    assert calls["kernels"] == (lowerings * layer_kernels
-                                + (osl - 1) * context_kernels)
+    for osl in (40, 400):
+        calls.update(routing=0, lower=0, kernels=0, columns=0)
+        report = est.estimate(PhaseContext(DECODE, 2, 512, osl=osl), degrees)
+        assert report.feasible
+        assert calls == {"routing": 1 if spec_name == "moe_spec" else 0,
+                         "lower": lowerings,
+                         "kernels": lowerings * layer_kernels,
+                         "columns": 1}
 
 
 def test_reads_context_marks_attention_by_sub_equations(dense_spec, moe_spec):

@@ -153,6 +153,15 @@ def test_sweep_thread_determinism(dense_spec, dims_8b, hw, roofline,
     assert [p.to_dict() for p in serial] == [p.to_dict() for p in threaded]
 
 
+def test_sweep_marks_overlap_setting_no_op_takes_infeasible(cp_spec, dims_8b, hw,
+                                                           roofline, comm_backend):
+    pts = sweep(cp_spec, dims_8b, {"batch": [1], "isl": [1024], "cp": [2],
+                                   "overlap": ["none", "2:4"]},
+                hw, roofline, comm_backend)
+    assert [(p.overlap, p.feasible) for p in pts] == [(None, True), ((2, 4), False)]
+    assert pts[1].infeasible_reason.startswith("overlap setting 2:4 applies to no op")
+
+
 def test_heuristic_compare_identity():
     pts = [_pt(1, 10, batch=1, overlap=(4, 16)), _pt(2, 5, batch=2, overlap=(4, 16))]
     ref = pareto_front(pts).frontier

@@ -28,6 +28,8 @@ from llm_energy.interpreter import (
     DECODE,
     MOE_TOKEN_SYMBOL,
     PREFILL,
+    CommColumns,
+    GemmColumns,
     LoweredOp,
     OuterProduct,
     _flatten_ops,
@@ -327,6 +329,18 @@ def _reference_lower(spec, dims, ctx, degrees, moe_te=None, context_only=False):
     return lowered
 
 
+def _column_kernel(col, i):
+    """The descriptor that kernel columns ``col`` hold at position ``i``."""
+    if isinstance(col, GemmColumns):
+        return GemmDescriptor(col.group_count[i], col.m[i], col.contraction[i],
+                              col.n[i], col.dtype_bytes, col.label,
+                              col.sm_available)
+    if isinstance(col, CommColumns):
+        return CommDescriptor(col.kind, col.bytes[i], col.world, col.sm_count,
+                              col.label)
+    return MemoryOpDescriptor(col.bytes[i], col.flops[i], col.label)
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -349,16 +363,22 @@ _PLAN_DIMS = {"dense_fused": ("llama3_8b", "llama3_70b"),
        position=st.integers(1, 4), hidden=st.one_of(st.none(), st.integers(1, 5000)),
        moe_te=st.one_of(st.none(), st.tuples(
            st.integers(4, 448).map(lambda n: n / 7),
-           st.integers(2, 192).map(lambda n: n / 3))),
-       context_only=st.booleans())
+           st.integers(2, 192).map(lambda n: n / 3))))
 @example(spec_name="moe_fused", pick=0, overlap=False, tp=2, ep=4, cp=1,
          phase=PREFILL, batch=3, isl=100, position=1, hidden=3001,
-         moe_te=(4 / 7, 8 / 3), context_only=False)
+         moe_te=(4 / 7, 8 / 3))
+@example(spec_name="dense_fused_cp", pick=0, overlap=True, tp=1, ep=1, cp=2,
+         phase=PREFILL, batch=2, isl=64, position=1, hidden=None, moe_te=None)
+@example(spec_name="dense_fused", pick=1, overlap=False, tp=2, ep=1, cp=1,
+         phase=DECODE, batch=3, isl=100, position=2, hidden=None, moe_te=None)
 def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
                                     tp, ep, cp, phase, batch, isl, position,
-                                    hidden, moe_te, context_only):
+                                    hidden, moe_te):
     # Covers indivisible shards (K = 8 by tp 3, s by cp), decode overlap,
-    # overlap without a collective at tp 1, and MoE ops without statistics.
+    # overlap without a collective at tp 1, an overlap setting no op takes
+    # (the cp spec has no sharded op), and MoE ops without statistics. In
+    # decode, the columns over positions position..osl hold, position by
+    # position, the context ops lowered from scratch.
     # The MoE spec gains an op whose sizes interleave the fractional T with
     # bound sizes (an odd hidden size m, f = 3 * 256), so that a product
     # taken in another factor order differs in its last bits.
@@ -374,14 +394,29 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
     degrees = {"tp": tp, "ep": ep, "cp": cp}
     ctx = PhaseContext(phase, batch, isl, osl=4, decode_position=position)
     want = _outcome(_reference_lower, annotated, dims, ctx, degrees,
-                    moe_te=moe_te, context_only=context_only)
+                    moe_te=moe_te)
+    positions = list(range(position, ctx.osl + 1))
+    steps = [_outcome(_reference_lower, annotated, dims, ctx.at_position(p),
+                      degrees, moe_te=moe_te, context_only=True)
+             for p in positions]
+    errors = [step for step in steps if isinstance(step, tuple)]
+    want_columns = errors[0] if errors else [
+        [(op.label, op.kernels, op.is_moe) for op in step] for step in steps]
     if overlap and phase == DECODE:
-        # A setting is prefill-only even on a spec with no op eligible for it.
-        want = (ValidationError, "overlap is prefill-only")
+        # A setting is prefill-only even on a spec with no op that takes it.
+        want = want_columns = (ValidationError, "overlap is prefill-only")
+    elif overlap and annotated == spec:
+        want = (ValidationError, "overlap setting 2:8 applies to no op: none "
+                                 "has both s and a sharded symbol that it sums")
     plan = compile_layer(spec, dims, degrees, phase, setting)
     for _ in range(2):  # a plan is reusable
-        assert (_outcome(plan.lower, ctx, moe_te=moe_te, context_only=context_only)
-                == want)
+        assert _outcome(plan.lower, ctx, moe_te=moe_te) == want
+    if phase == DECODE:
+        got = _outcome(plan.lower_columns, ctx, positions, moe_te=moe_te)
+        if isinstance(got, list):
+            got = [[(op.label, tuple(_column_kernel(k, i) for k in op.kernels),
+                     op.is_moe) for op in got] for i in range(len(positions))]
+        assert got == want_columns
 
 
 def test_three_operand_op_fails_where_lowering_meets_it(dims_8b):
