@@ -6,8 +6,11 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .comm import CommBackend, load_comm_calibration
@@ -75,10 +78,48 @@ def _load_inputs(args) -> dict:
     }
 
 
-def _write_json(path: Path, payload) -> None:
+# Encodes one flat row with each key on its own line, at the indentation
+# of rows in a list under a top-level key. The C encoder runs only when no
+# indent is set.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _json_chunks(payload: dict, rows: tuple = ()) -> Iterator[str]:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` of a dict with
+    string keys, in chunks, byte for byte. The lists under the top-level
+    keys ``rows`` hold non-empty dicts of scalars (no list or dict), and
+    each row is encoded by the C encoder, one row per chunk."""
+    if not payload:
+        yield "{}"
+        return
+    opening = "{"
+    for key, value in sorted(payload.items()):
+        yield f"{opening}\n  {json.dumps(key)}: "
+        opening = ","
+        if key not in rows:
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        elif not value:
+            yield "[]"
+        else:
+            before = "["
+            for row in value:
+                # Strip the row's braces to indent them on lines of their own.
+                yield f"{before}\n    {{\n      {_ROW_ENCODER.encode(row)[1:-1]}\n    }}"
+                before = ","
+            yield "\n  ]"
+    yield "\n}"
+
+
+def dumps_json(payload: dict, rows: tuple = ()) -> str:
+    """:func:`_json_chunks` joined: ``json.dumps(payload, indent=2,
+    sort_keys=True)``."""
+    return "".join(_json_chunks(payload, rows))
+
+
+def _write_json(path: Path, payload: dict, rows: tuple = ()) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(payload, rows))
         fh.write("\n")
 
 
@@ -92,7 +133,23 @@ def _write_report_csv(path: Path, report_dict: dict) -> None:
                              repr(row["latency_s"]), repr(row["energy_j"])])
 
 
+def _check_formats(args, known: tuple) -> None:
+    unknown = [name for name in args.format if name not in known]
+    if unknown:
+        raise ValidationError(f"--format: unknown name(s) "
+                              f"{', '.join(map(repr, unknown))}; "
+                              f"choose from {', '.join(known)}")
+
+
+def _check_latency_budget(args) -> None:
+    budget = args.latency_budget
+    if budget is not None and not (math.isfinite(budget) and budget >= 0):
+        raise ValidationError(
+            f"--latency-budget must be a finite number >= 0, got {budget!r}")
+
+
 def cmd_estimate(args) -> int:
+    _check_formats(args, ("json", "csv"))
     inputs = _load_inputs(args)
     overlap = parse_overlap(args.overlap)
     est = Estimator(inputs["spec"], inputs["dims"], inputs["hw"], inputs["compute"],
@@ -121,19 +178,22 @@ def _point_rows(points) -> list[dict]:
     return [p.to_dict() for p in points]
 
 
-def _write_points_csv(path: Path, points) -> None:
+def _write_points_csv(path: Path, rows: list[dict]) -> None:
+    """The points' rows (see :meth:`ConfigPoint.to_dict`) as CSV, with
+    each latency and energy written as its repr."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fields = ["phase", "batch", "isl", "osl", "tp", "ep", "cp", "overlap",
               "feasible", "latency_s", "energy_j", "infeasible_reason"]
+    head = itemgetter(*fields[:9])
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for p in points:
-            row = p.to_dict()
-            for key in ("latency_s", "energy_j"):
-                if row[key] is not None:
-                    row[key] = repr(row[key])
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for row in rows:
+            latency, energy = row["latency_s"], row["energy_j"]
+            writer.writerow((*head(row),
+                             None if latency is None else repr(latency),
+                             None if energy is None else repr(energy),
+                             row["infeasible_reason"]))
 
 
 def _write_plot_data(path: Path, points) -> None:
@@ -151,6 +211,10 @@ def _write_plot_data(path: Path, points) -> None:
 
 
 def cmd_sweep(args) -> int:
+    _check_formats(args, ("json", "csv", "plot"))
+    _check_latency_budget(args)
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     inputs = _load_inputs(args)
     grid_path = _resolve(args.grid)
     grid = load_json(grid_path)
@@ -190,10 +254,10 @@ def cmd_sweep(args) -> int:
         except ValidationError as exc:
             frontier_payload["heuristic"] = {"error": str(exc)}
     if "json" in args.format:
-        _write_json(out_dir / "points.json", payload)
-        _write_json(out_dir / "frontier.json", frontier_payload)
+        _write_json(out_dir / "points.json", payload, rows=("points",))
+        _write_json(out_dir / "frontier.json", frontier_payload, rows=("frontier",))
     if "csv" in args.format:
-        _write_points_csv(out_dir / "points.csv", points)
+        _write_points_csv(out_dir / "points.csv", payload["points"])
     if "plot" in args.format:
         _write_plot_data(out_dir / "plot_data.csv", points)
     n_feas = sum(p.feasible for p in points)
@@ -203,12 +267,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    _check_latency_budget(args)
     points = load_points(_resolve(args.points))
     frontier = pareto_front(points).frontier
     if args.latency_budget is not None:
         frontier = [p for p in frontier if p.latency <= args.latency_budget]
     _write_json(Path(args.out) / "frontier.json",
-                {"format_version": 1, "frontier": _point_rows(frontier)})
+                {"format_version": 1, "frontier": _point_rows(frontier)},
+                rows=("frontier",))
     print(f"{len(frontier)} frontier points", file=sys.stderr)
     return EXIT_OK
 

@@ -15,6 +15,8 @@ import warnings
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 from .compute import CostEstimate
 from .errors import BackendError, ValidationError
@@ -47,29 +49,58 @@ class CommCurve:
                     f"comm calibration {key}: sizes must be strictly increasing "
                     f"(saw {prev} then {cur})")
 
-    def _interp(self, values: list[float], size: float) -> float:
+    @cached_property
+    def _logs(self) -> tuple[list[float], list[float], list[float]]:
+        """``math.log`` of the sizes, latencies and energies, taken once:
+        the samples must not change after the first lookup."""
+        return tuple([math.log(v) for v in values]
+                     for values in (self.sizes, self.latencies, self.energies))
+
+    def _segment(self, size: float) -> tuple[int, int, Optional[float]]:
+        """Where ``size`` falls: the samples (lo, hi) it interpolates
+        between and its log-space fraction, or (i, i, None) to take sample
+        i as it is."""
         sizes = self.sizes
         if size <= sizes[0]:
             # Overhead floor: small messages cost as much as the smallest
             # calibrated transfer.
-            return values[0]
+            return 0, 0, None
         if size >= sizes[-1]:
             lo, hi = len(sizes) - 2, len(sizes) - 1
         else:
             hi = bisect_left(sizes, size)
             lo = hi - 1
             if sizes[hi] == size:
-                return values[hi]
-        x0, x1 = math.log(sizes[lo]), math.log(sizes[hi])
-        y0, y1 = math.log(values[lo]), math.log(values[hi])
-        frac = (math.log(size) - x0) / (x1 - x0)
+                return hi, hi, None
+        log_sizes = self._logs[0]
+        x0, x1 = log_sizes[lo], log_sizes[hi]
+        return lo, hi, (math.log(size) - x0) / (x1 - x0)
+
+    @staticmethod
+    def _interp(values: list[float], logs: list[float],
+                segment: tuple[int, int, Optional[float]]) -> float:
+        lo, hi, frac = segment
+        if frac is None:
+            return values[lo]
+        y0, y1 = logs[lo], logs[hi]
         return math.exp(y0 + frac * (y1 - y0))
 
     def latency(self, size: float) -> float:
-        return self._interp(self.latencies, size)
+        return self._interp(self.latencies, self._logs[1], self._segment(size))
 
     def energy(self, size: float) -> float:
-        return self._interp(self.energies, size)
+        return self._interp(self.energies, self._logs[2], self._segment(size))
+
+    def columns(self, sizes) -> tuple[array, array]:
+        """:meth:`latency` and :meth:`energy` at each of ``sizes``, each
+        size located once for both."""
+        segments = [self._segment(size) for size in sizes]
+        _, log_latencies, log_energies = self._logs
+        interp = self._interp
+        return (array("d", [interp(self.latencies, log_latencies, segment)
+                            for segment in segments]),
+                array("d", [interp(self.energies, log_energies, segment)
+                            for segment in segments]))
 
 
 @dataclass
@@ -156,6 +187,15 @@ class EffectiveCurve:
             return self.curves[0].energy(size)
         return self._blend(self.curves[0].energy(size), self.curves[1].energy(size))
 
+    def columns(self, sizes) -> tuple[array, array]:
+        """:meth:`latency` and :meth:`energy` at each of ``sizes``."""
+        if len(self.curves) == 1:
+            return self.curves[0].columns(sizes)
+        (lat0, en0), (lat1, en1) = (curve.columns(sizes) for curve in self.curves)
+        blend = self._blend
+        return (array("d", [blend(a, b) for a, b in zip(lat0, lat1)]),
+                array("d", [blend(a, b) for a, b in zip(en0, en1)]))
+
 
 def estimate_comm(c: CommDescriptor, table: CommCalibrationTable) -> CostEstimate:
     """Interpolated latency/energy for one collective, priced by a
@@ -205,10 +245,8 @@ class CommBackend:
         return CostEstimate(curve.latency(c.bytes), curve.energy(c.bytes))
 
     def estimate_columns(self, c: CommColumns) -> tuple[array, array]:
-        """:meth:`estimate` at each position: (latencies, energies)."""
-        curve = self._curve(c)
-        return (array("d", [curve.latency(size) for size in c.bytes]),
-                array("d", [curve.energy(size) for size in c.bytes]))
+        """:meth:`estimate` at each point: (latencies, energies)."""
+        return self._curve(c).columns(c.bytes)
 
 
 def synthetic_comm_table(worlds=(2, 4, 8), sm_counts=(1, 4, 16, 108),

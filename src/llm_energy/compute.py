@@ -4,9 +4,10 @@ Two interchangeable backends: a roofline model driven by a
 :class:`HardwareProfile`, and a calibration-table lookup for imported
 measurements. Both return :class:`CostEstimate` and support SM-restricted
 queries (used by overlap planning). Each also prices a kernel's columns
-over decode positions (``*_columns``), returning (latencies, energies)
+over a column of points (``*_columns``: decode positions, or a sweep
+group's batch sizes and sequence lengths), returning (latencies, energies)
 arrays with the scalar methods' arithmetic, in the same order, at each
-position.
+point.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def estimate_gemm(g: GemmDescriptor, hw: HardwareProfile) -> CostEstimate:
 
 def estimate_gemm_columns(g: GemmColumns,
                           hw: HardwareProfile) -> tuple[array, array]:
-    """:func:`estimate_gemm` at each position: (latencies, energies)."""
+    """:func:`estimate_gemm` at each point: (latencies, energies)."""
     compute_rate = _compute_rate(g, hw)
     memory_rate = hw.mem_bw * hw.bandwidth_efficiency
     overhead, p_idle = hw.kernel_launch_overhead, hw.p_idle
@@ -151,7 +152,7 @@ def estimate_memory_op(m: MemoryOpDescriptor, hw: HardwareProfile) -> CostEstima
 
 def estimate_memory_op_columns(m: MemoryOpColumns,
                                hw: HardwareProfile) -> tuple[array, array]:
-    """:func:`estimate_memory_op` at each position: (latencies, energies)."""
+    """:func:`estimate_memory_op` at each point: (latencies, energies)."""
     rate = hw.mem_bw * hw.bandwidth_efficiency
     overhead = hw.kernel_launch_overhead
     power = _utilization_power(hw, hw.memory_op_utilization)
@@ -251,7 +252,7 @@ class GemmCalibrationTable:
         return CostEstimate(latency, p.power_w * latency)
 
     def estimate_gemm_columns(self, g: GemmColumns) -> tuple[array, array]:
-        """:meth:`estimate_gemm` at each position: (latencies, energies)."""
+        """:meth:`estimate_gemm` at each point: (latencies, energies)."""
         if g.sm_available is not None:
             raise BackendError(
                 "GEMM calibration backend does not support SM-restricted queries")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .comm import CommBackend
 from .compute import CostEstimate, HardwareProfile
@@ -18,11 +18,14 @@ from .interpreter import (  # noqa: F401
     GemmColumns,
     GemmDescriptor,
     LayerPlan,
+    LoweredColumns,
     LoweredOp,
     MemoryOpDescriptor,
+    MixedColumns,
     PhaseContext,
     compile_layer,
     decode_positions,
+    is_column,
     lower_model,
     _flatten_ops,
     _is_moe_op,
@@ -47,13 +50,16 @@ from .moe import (
     stats_from_trace,
     uniform_routing,
 )
-from .overlap import plan_overlap
+from .overlap import check_overlap, plan_overlap, plan_overlap_columns
 from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
 
 DEFAULT_DECODE_STRIDE = 1
 
 # (label, category, latency, energy, reads_context) of one priced kernel.
 Entry = tuple[str, str, float, float, bool]
+# (latency, energy, infeasible reason) of one point: the totals of its
+# report, or None and None with the reason it is infeasible.
+Priced = tuple[Optional[float], Optional[float], str]
 
 
 def _kernel_category(kernel) -> str:
@@ -202,12 +208,14 @@ class Estimator:
         """(label, category, latencies, energies) per kernel that reads the
         context, over decode ``positions``: at each position, what
         :meth:`_layer_entries` gives for that kernel."""
-        lowered = plan.lower_columns(ctx, positions,
+        env = {"b": ctx.batch, "s": ctx.s,
+               "z": array("q", [ctx.isl + position for position in positions])}
+        lowered = plan.lower_columns(env, len(positions),
                                      moe_te=stats.avg if stats else None)
         lowered_max = None
         if (stats is not None and not stats.balanced
                 and any(op.is_moe for op in lowered)):
-            lowered_max = plan.lower_columns(ctx, positions, moe_te=stats.max)
+            lowered_max = plan.lower_columns(env, len(positions), moe_te=stats.max)
         out = []
         for idx, op in enumerate(lowered):
             for k_idx, kernel in enumerate(op.kernels):
@@ -329,3 +337,166 @@ class Estimator:
         report.rows = list(rows.values())
         return report
 
+    # -- prefill sweep groups ------------------------------------------------
+
+    def estimate_prefill_group(self, points: Sequence[tuple[int, int]],
+                               degrees: dict[str, int],
+                               overlap: Optional[tuple[int, int]] = None
+                               ) -> list[Priced]:
+        """Price the prefill points (batch, isl) of one (degrees, overlap)
+        group as columns: each kernel of the group's plan is lowered over
+        the points and priced in one pass.
+
+        A point's (latency, energy) are equal, bit for bit, to the totals
+        of the report :meth:`estimate` gives for it, and an infeasible
+        point's reason is the message of the report or ValidationError
+        :meth:`estimate` gives, in the same precedence: the group's
+        validation, then memory per point, then routing statistics, then
+        lowering errors in stream order, then overlap checks op by op.
+        Errors of other kinds propagate, as from :meth:`estimate`, when a
+        point reaches them.
+        """
+        try:
+            degrees = self._validated(degrees)
+            plan = self._layer_plan(degrees, PREFILL, overlap)
+            if plan.error is not None:
+                raise ValidationError(plan.error)
+            memory = self.memory_model(degrees)
+        except ValidationError as exc:
+            return [(None, None, str(exc))] * len(points)
+        out: list = [None] * len(points)
+        live, ctxs, stats = [], [], []
+        trace_stats = None
+        for i, (batch, isl) in enumerate(points):
+            ctx = PhaseContext(PREFILL, batch, isl)
+            verdict = check_memory(memory, ctx, self.hw)
+            if not verdict.feasible:
+                out[i] = (None, None, verdict.reason)
+                continue
+            try:
+                point_stats = (trace_stats if trace_stats is not None
+                               else self.routing_stats(ctx, degrees))
+            except ValidationError as exc:
+                out[i] = (None, None, str(exc))
+                continue
+            if self.routing_trace is not None:
+                trace_stats = point_stats  # the same at every point
+            live.append(i)
+            ctxs.append(ctx)
+            stats.append(point_stats)
+        for i, priced in zip(live, self._prefill_columns(plan, degrees, ctxs, stats)):
+            out[i] = priced
+        return out
+
+    def _prefill_columns(self, plan: LayerPlan, degrees: dict[str, int],
+                         ctxs: list[PhaseContext], stats: list) -> list[Priced]:
+        """:meth:`estimate_prefill_group` of points that fit in memory, with
+        their routing statistics (None for a dense spec)."""
+        n = len(ctxs)
+        if not n:
+            return []
+        env = {"b": array("q", [ctx.batch for ctx in ctxs]),
+               "s": array("q", [ctx.s for ctx in ctxs])}
+        env["z"] = env["s"]  # z = isl throughout prefill
+        moe_avg = moe_max = None
+        if stats[0] is not None:
+            moe_avg = tuple(array("d", col) for col in zip(*(st.avg for st in stats)))
+            if not all(st.balanced for st in stats):
+                # Folding is exact for the balanced points: L' - L = 0.0.
+                moe_max = tuple(array("d", col)
+                                for col in zip(*(st.max for st in stats)))
+        errors: dict = {}
+        try:
+            lowered = plan.lower_columns(env, n, moe_avg, errors)
+            lowered_max = None
+            if moe_max is not None and any(op.is_moe for op in lowered):
+                lowered_max = plan.lower_columns(env, n, moe_max, errors)
+        except MixedColumns as mixed:
+            # Some points lower a GEMM as a memory op, which changes their
+            # rows: price each kind of point as its own group.
+            out: list = [None] * n
+            for flag in (True, False):
+                part = [i for i in range(n) if mixed.ones[i] == flag]
+                priced = self._prefill_columns(plan, degrees,
+                                               [ctxs[i] for i in part],
+                                               [stats[i] for i in part])
+                for i, point in zip(part, priced):
+                    out[i] = point
+            return out
+        for exc in errors.values():
+            if not isinstance(exc, ValidationError):
+                raise exc  # as estimate() raises it, before any pricing
+
+        gpus = float(self.gpu_count(degrees))
+        weight = float(self.layers())
+        rows: dict[tuple[str, str], list] = {}
+
+        def accumulate(label: str, category: str, latencies, energies) -> None:
+            # As estimate() adds one entry to its row, point by point.
+            scale = 1.0 if category == CATEGORY_COMM else gpus
+            row = rows.get((label, category))
+            if row is None:
+                row = rows[(label, category)] = [[0.0] * n, [0.0] * n]
+            row[0] = [a + t * weight for a, t in zip(row[0], latencies)]
+            row[1] = [a + e * scale * weight for a, e in zip(row[1], energies)]
+
+        for idx, op in enumerate(lowered):
+            if len(errors) == n:
+                break  # no point prices this op, so none meets its errors
+            if op.overlap is not None:
+                self._overlap_columns(op, env, n, errors, accumulate)
+                continue
+            for k_idx, kernel in enumerate(op.kernels):
+                cost = self._price_columns(kernel)
+                if op.is_moe and lowered_max is not None:
+                    cost = fold_imbalance_columns(
+                        cost, self._price_columns(lowered_max[idx].kernels[k_idx]),
+                        self.hw.p_idle)
+                accumulate(op.label, _kernel_category(kernel), *cost)
+
+        latencies = [row[0] for row in rows.values()]
+        energies = [row[1] for row in rows.values()]
+        # A report's totals: the builtin sum over its rows, in row order.
+        return [(None, None, str(errors[i])) if i in errors else
+                (sum(row[i] for row in latencies), sum(row[i] for row in energies), "")
+                for i in range(n)]
+
+    def _overlap_columns(self, op: LoweredColumns, env: dict, n: int,
+                         errors: dict, accumulate) -> None:
+        """:meth:`_overlap_entries` over a column of ``n`` points: a point
+        that cannot be overlapped gets its error in ``errors``."""
+        live = [i for i in range(n) if i not in errors]
+        stages, sm_comm, dim = op.overlap
+        try:
+            if op.gemm is None:
+                raise ValidationError(
+                    f"op {op.label!r}: overlap needs a GEMM + collective")
+            dim_size = env.get(dim, self.dims.sizes.get(dim))
+            if dim_size is None:
+                raise ValidationError(f"op {op.label!r}: overlap dim {dim!r} unbound")
+        except ValidationError as exc:
+            for i in live:
+                errors[i] = exc
+            return
+        sizes = dim_size if is_column(dim_size) else [dim_size] * n
+        for i in live:
+            try:
+                check_overlap(int(sizes[i]), stages, sm_comm, self.hw.total_sm)
+            except ValidationError as exc:
+                errors[i] = exc
+        if len(errors) == n:
+            return
+        plan = plan_overlap_columns(op.gemm, op.collective.bytes, op.collective.world,
+                                    stages, sm_comm, self.compute_backend,
+                                    self.comm_backend, self.hw.total_sm,
+                                    label=op.label)
+        # Any kernels lowered ahead of the GEMM (cp transitions) keep their
+        # normal pricing.
+        for kernel in op.kernels:
+            if kernel is op.gemm:
+                continue
+            accumulate(op.label, _kernel_category(kernel),
+                       *self._price_columns(kernel))
+        accumulate(op.label, CATEGORY_COMPUTE, plan.compute_latency,
+                   plan.compute_energy)
+        accumulate(op.label, CATEGORY_EXPOSED, plan.t_exposed, plan.exposed_energy)

@@ -138,14 +138,21 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
           **estimator_kwargs) -> list[ConfigPoint]:
     """Evaluate the Cartesian grid. Infeasible points are flagged, not dropped.
 
-    Output order is the sorted grid product, independent of ``jobs``.
+    The points are evaluated in groups of one (degrees, overlap) setting. A
+    prefill group is priced as columns over its (batch, isl) points
+    (:meth:`Estimator.estimate_prefill_group`); a decode point by
+    :meth:`Estimator.estimate`. ``jobs`` > 1 evaluates groups on that many
+    threads. Output order is the sorted grid product, independent of
+    ``jobs``.
     """
     axes = normalize_grid(grid)
-    combos = sorted(
-        product(axes["batch"], axes["isl"], axes["osl"], axes["tp"],
-                axes["ep"], axes["cp"], axes["overlap"]),
-        key=lambda c: tuple((x is not None, x) if i == 6 else x
-                            for i, x in enumerate(c)))
+    # The product of sorted axes is the sorted product; no overlap sorts
+    # first.
+    combos = list(product(*(sorted(axes[axis], key=lambda v: (v is not None, v))
+                            for axis in _GRID_AXES)))
+    groups: dict[tuple, list[int]] = {}
+    for k, combo in enumerate(combos):
+        groups.setdefault(combo[3:], []).append(k)
 
     # One estimator for the whole grid: it validates and builds the memory
     # model once per set of parallel degrees, and compiles the layer once
@@ -153,26 +160,36 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
     estimator = Estimator(spec, dims, hw, compute_backend, comm_backend,
                           **estimator_kwargs)
 
-    def evaluate(combo) -> ConfigPoint:
-        batch, isl, osl, tp, ep, cp, ov = combo
-        ctx = PhaseContext(phase, batch, isl, osl)
+    def decode_point(batch, isl, osl, degrees, ov):
         try:
-            report = estimator.estimate(ctx, {"tp": tp, "ep": ep, "cp": cp}, ov)
+            report = estimator.estimate(PhaseContext(phase, batch, isl, osl),
+                                        degrees, ov)
         except ValidationError as exc:
-            return ConfigPoint(phase, batch, isl, osl, tp, ep, cp, ov,
-                               feasible=False, infeasible_reason=str(exc))
+            return None, None, str(exc)
         if not report.feasible:
-            return ConfigPoint(phase, batch, isl, osl, tp, ep, cp, ov,
-                               feasible=False,
-                               infeasible_reason=report.infeasible_reason)
-        return ConfigPoint(phase, batch, isl, osl, tp, ep, cp, ov,
-                           feasible=True, latency=report.total_latency,
-                           energy=report.total_energy)
+            return None, None, report.infeasible_reason
+        return report.total_latency, report.total_energy, ""
+
+    def evaluate(group) -> list:
+        (tp, ep, cp, ov), members = group
+        degrees = {"tp": tp, "ep": ep, "cp": cp}
+        if phase == PREFILL:
+            return estimator.estimate_prefill_group(
+                [combos[k][:2] for k in members], degrees, ov)
+        return [decode_point(*combos[k][:3], degrees, ov) for k in members]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(evaluate, combos))
-    return [evaluate(c) for c in combos]
+            priced = list(pool.map(evaluate, groups.items()))
+    else:
+        priced = [evaluate(group) for group in groups.items()]
+    points: list = [None] * len(combos)
+    for members, results in zip(groups.values(), priced):
+        for k, (latency, energy, reason) in zip(members, results):
+            points[k] = ConfigPoint(phase, *combos[k], feasible=latency is not None,
+                                    latency=latency, energy=energy,
+                                    infeasible_reason=reason)
+    return points
 
 
 @dataclass

@@ -9,9 +9,11 @@ the score tensor.
 Lowering runs in two steps: :func:`compile_layer` fixes everything that
 depends only on the spec, dims, parallel degrees and phase, and
 :meth:`LayerPlan.lower` binds the runtime symbols of one evaluation.
-:meth:`LayerPlan.lower_columns` binds a whole column of decode positions
-at once: it sizes each context kernel over every position, as columns,
-and builds no descriptor per position.
+:meth:`LayerPlan.lower_columns` binds a whole column of evaluations at
+once, any of b, s, z, T and E a column over them (the decode positions of
+one point, or the batch sizes and sequence lengths of a sweep group): it
+sizes each kernel over every evaluation, as columns, and builds no
+descriptor per evaluation.
 """
 
 from __future__ import annotations
@@ -105,12 +107,12 @@ class MemoryOpDescriptor:
 KernelDescriptor = Union[GemmDescriptor, CommDescriptor, MemoryOpDescriptor]
 
 
-# Column records: one kernel over a column of decode positions, each size a
-# sequence with one value per position, equal to the matching descriptor
-# field at that position. Columns that vary are arrays of doubles, which
-# hold a long decode in a quarter of a list's memory.
+# Column records: one kernel over a column of evaluations (points), each
+# size a sequence with one value per point, equal to the matching
+# descriptor field at that point. Columns that vary are arrays of doubles,
+# which hold a long decode in a quarter of a list's memory.
 class GemmColumns(NamedTuple):
-    """:class:`GemmDescriptor` sizes over decode positions."""
+    """:class:`GemmDescriptor` sizes over a column of points."""
 
     group_count: Sequence[float]
     m: Sequence[float]
@@ -122,20 +124,20 @@ class GemmColumns(NamedTuple):
 
     @property
     def flops(self) -> list:
-        """:attr:`GemmDescriptor.flops` at each position."""
+        """:attr:`GemmDescriptor.flops` at each point."""
         return [2.0 * g * m * k * n for g, m, k, n in
                 zip(self.group_count, self.m, self.contraction, self.n)]
 
     @property
     def bytes_moved(self) -> list:
-        """:attr:`GemmDescriptor.bytes_moved` at each position."""
+        """:attr:`GemmDescriptor.bytes_moved` at each point."""
         dtype = self.dtype_bytes
         return [g * (m * k + k * n + m * n) * dtype for g, m, k, n in
                 zip(self.group_count, self.m, self.contraction, self.n)]
 
 
 class CommColumns(NamedTuple):
-    """:class:`CommDescriptor` message sizes over decode positions."""
+    """:class:`CommDescriptor` message sizes over a column of points."""
 
     kind: str
     bytes: Sequence[float]
@@ -145,7 +147,7 @@ class CommColumns(NamedTuple):
 
 
 class MemoryOpColumns(NamedTuple):
-    """:class:`MemoryOpDescriptor` sizes over decode positions."""
+    """:class:`MemoryOpDescriptor` sizes over a column of points."""
 
     bytes: Sequence[float]
     flops: Sequence[float]
@@ -185,14 +187,36 @@ class PhaseContext:
         return replace(self, decode_position=position)
 
 
+def _indivisible(symbol: str, size, deg: int) -> ValidationError:
+    return ValidationError(
+        f"symbol {symbol!r} size {size} not divisible by degree {deg}")
+
+
 def _shard(symbol: str, size, deg: int):
     """``size`` over ``deg`` GPUs; integer sizes must divide evenly."""
     if deg == 1:
         return size
     if isinstance(size, int) and size % deg:
-        raise ValidationError(
-            f"symbol {symbol!r} size {size} not divisible by degree {deg}")
+        raise _indivisible(symbol, size, deg)
     return size / deg
+
+
+def _shard_column(symbol: str, sizes: Sequence, deg: int, errors: dict) -> Sequence:
+    """:func:`_shard` at each of ``sizes``. A point whose integer size does
+    not divide keeps the quotient, and its error goes to ``errors`` under
+    the point's index unless it already has one."""
+    if deg == 1:
+        return sizes
+    for i, size in enumerate(sizes):
+        if isinstance(size, int) and size % deg:
+            errors.setdefault(i, _indivisible(symbol, size, deg))
+    return [size / deg for size in sizes]
+
+
+def is_column(value) -> bool:
+    """Whether a runtime binding is a column (one size per point) rather
+    than one size for every point."""
+    return isinstance(value, array)
 
 
 def local_size(symbol: str, dims: DimensionBindings,
@@ -249,37 +273,31 @@ class _Product(NamedTuple):
                 prod *= factor
         return prod
 
-    def column(self, env: dict, dims: DimensionBindings,
-               zs: Sequence[int]) -> Sequence[float]:
-        """:meth:`value` with ``z`` read from each of ``zs`` in turn, the
-        factors multiplied in the same order. ``env`` holds no ``z``."""
-        prod = self.prefix
-        for j, factor in enumerate(self.tail):
+    def column(self, env: dict, dims: DimensionBindings, count: int,
+               errors: dict) -> Sequence[float]:
+        """:meth:`value` at each of ``count`` points, where ``env`` binds
+        each runtime symbol to one size or to a column of sizes (see
+        :func:`is_column`), the factors multiplied in the same order. A
+        point whose shard fails gets its error in ``errors`` (see
+        :func:`_shard_column`); a shard that fails for every point raises."""
+        prod, col = self.prefix, None
+        for factor in self.tail:
             if type(factor) is tuple:
                 sym, deg = factor
-                if sym == "z":
-                    break
                 size = env.get(sym)
-                prod *= _shard(sym, dims.size(sym) if size is None else size, deg)
-            else:
+                if size is None:
+                    size = dims.size(sym)
+                if is_column(size):
+                    sizes = _shard_column(sym, size, deg, errors)
+                    col = ([prod * v for v in sizes] if col is None
+                           else [c * v for c, v in zip(col, sizes)])
+                    continue
+                factor = _shard(sym, size, deg)
+            if col is None:
                 prod *= factor
-        else:
-            return [prod] * len(zs)
-        col = [prod] * len(zs)
-        for factor in self.tail[j:]:
-            if type(factor) is not tuple:
-                col = [c * factor for c in col]
-                continue
-            sym, deg = factor
-            if sym != "z":
-                size = env.get(sym)
-                size = _shard(sym, dims.size(sym) if size is None else size, deg)
-                col = [c * size for c in col]
-            elif deg == 1:
-                col = [c * z for c, z in zip(col, zs)]
             else:
-                col = [c * _shard(sym, z, deg) for c, z in zip(col, zs)]
-        return array("d", col)
+                col = [c * factor for c in col]
+        return [prod] * count if col is None else array("d", col)
 
 
 def operand_bytes(operand: str, dims: DimensionBindings,
@@ -382,7 +400,7 @@ def _all2all_kernels(label: str, size: float,
 
 def _all2all_columns(label: str, sizes: Sequence[float],
                      cp_degree: int) -> list[KernelColumns]:
-    """:func:`_all2all_kernels` over decode positions."""
+    """:func:`_all2all_kernels` over a column of points."""
     no_flops = [0.0] * len(sizes)
     return [
         MemoryOpColumns(sizes, no_flops, label=f"{label} transpose (pre)"),
@@ -420,12 +438,26 @@ class LoweredOp:
 
 
 class LoweredColumns(NamedTuple):
-    """One op's kernels over decode positions, in execution order, tagged
+    """One op's kernels over a column of points, in execution order, tagged
     by the op's label: the columns of its :class:`LoweredOp`."""
 
     label: str
     kernels: tuple
     is_moe: bool = False
+    overlap: Optional[tuple[int, int, str]] = None
+    gemm: Optional[GemmColumns] = None
+    collective: Optional[CommColumns] = None
+
+
+class MixedColumns(ValidationError):
+    """A GEMM column whose N is 1 at some points only: those points lower
+    it as a memory op, so the column holds two kernel kinds. ``ones`` flags
+    the points with N = 1."""
+
+    def __init__(self, label: str, ones: list):
+        super().__init__(f"op {label!r}: GEMM N is 1 at some points of a "
+                         "column only")
+        self.ones = ones
 
 
 def _flatten_ops(spec: ModelSpec) -> list[OpSpec]:
@@ -494,33 +526,34 @@ class _Compute(NamedTuple):
             flops = self.flops.value(env, dims)
         return MemoryOpDescriptor(in_b + out_b, flops=flops, label=label)
 
-    def columns(self, env: dict, dims: DimensionBindings, zs: Sequence[int],
-                label: str) -> KernelColumns:
-        """:meth:`lower` at each ``z`` of ``zs``."""
+    def columns(self, env: dict, dims: DimensionBindings, count: int,
+                errors: dict, label: str) -> KernelColumns:
+        """:meth:`lower` at each of ``count`` points (see
+        :meth:`_Product.column`)."""
         if self.error is not None:
             raise SpecError(self.error)
         dtype = dims.dtype_bytes
         if not self.inputs:
             return MemoryOpColumns(
-                array("d", [v * dtype for v in self.output.column(env, dims, zs)]),
-                [0.0] * len(zs), label=label)
+                array("d", [v * dtype for v in
+                            self.output.column(env, dims, count, errors)]),
+                [0.0] * count, label=label)
         if self.gemm is not None:
-            g = GemmColumns(*(axis.column(env, dims, zs) for axis in self.gemm),
+            g = GemmColumns(*(axis.column(env, dims, count, errors)
+                              for axis in self.gemm),
                             dtype_bytes=dtype, label=label)
             ones = g.n.count(1)
             if not ones:
                 return g
-            if ones != len(zs):
-                # z grows, so only a fractional MoE size in N can make N = 1
-                # at some positions and not at others.
-                raise ValidationError(
-                    f"op {label!r}: GEMM N is 1 at some decode positions only")
+            if ones != count:
+                raise MixedColumns(label, [n == 1 for n in g.n])
             flops = g.flops
         in_b = [sum(sizes) for sizes in zip(*(
-            [v * dtype for v in p.column(env, dims, zs)] for p in self.inputs))]
-        out_b = self.output.column(env, dims, zs)
+            [v * dtype for v in p.column(env, dims, count, errors)]
+            for p in self.inputs))]
+        out_b = self.output.column(env, dims, count, errors)
         if self.gemm is None:
-            flops = self.flops.column(env, dims, zs)
+            flops = self.flops.column(env, dims, count, errors)
         return MemoryOpColumns(
             array("d", [i + o * dtype for i, o in zip(in_b, out_b)]), flops,
             label=label)
@@ -557,8 +590,11 @@ class _OpStep(NamedTuple):
     allreduce: Optional[tuple]  # (output, world)
     overlap: Optional[tuple]  # (stages, sm_comm, dim)
 
-    def _env(self, env: dict, moe_env: Optional[dict]) -> dict:
-        """The bindings the op's sizes read: ``moe_env`` for an MoE op."""
+    def _env(self, env: dict, moe_env: Optional[dict],
+             errors: Optional[dict] = None) -> dict:
+        """The bindings the op's sizes read: ``moe_env`` for an MoE op. A
+        point of a column whose T or E is not positive gets its error in
+        ``errors``."""
         if not self.is_moe:
             return env
         if moe_env is None:
@@ -566,9 +602,15 @@ class _OpStep(NamedTuple):
                 f"op {self.op.label!r} uses the MoE token symbol but no routing "
                 "statistics were supplied")
         for sym in ("E", MOE_TOKEN_SYMBOL):
-            if moe_env[sym] <= 0:
-                raise ValidationError(
-                    f"symbol {sym!r} has non-positive size {moe_env[sym]}")
+            sizes = moe_env[sym]
+            column = is_column(sizes)
+            for i, size in enumerate(sizes if column else (sizes,)):
+                if size <= 0:
+                    exc = ValidationError(
+                        f"symbol {sym!r} has non-positive size {size}")
+                    if not column:
+                        raise exc
+                    errors.setdefault(i, exc)
         return moe_env
 
     def lower(self, env: dict, moe_env: Optional[dict],
@@ -608,25 +650,38 @@ class _OpStep(NamedTuple):
         )
 
     def columns(self, env: dict, moe_env: Optional[dict],
-                dims: DimensionBindings, zs: Sequence[int]) -> LoweredColumns:
-        """:meth:`lower` at each ``z`` of ``zs``, in a decode plan (so
-        without overlap)."""
+                dims: DimensionBindings, count: int,
+                errors: dict) -> LoweredColumns:
+        """:meth:`lower` at each of ``count`` points (see
+        :meth:`_Product.column`)."""
         op = self.op
-        env = self._env(env, moe_env)
+        env = self._env(env, moe_env, errors)
         dtype = dims.dtype_bytes
         kernels: list[KernelColumns] = []
         if self.transition is not None:
             size, label, cp_degree = self.transition
             kernels.extend(_all2all_columns(label, array("d", [
-                v * dtype / cp_degree for v in size.column(env, dims, zs)]),
-                cp_degree))
-        kernels.append(self.compute.columns(env, dims, zs, op.label))
+                v * dtype / cp_degree
+                for v in size.column(env, dims, count, errors)]), cp_degree))
+        compute = self.compute.columns(env, dims, count, errors, op.label)
+        kernels.append(compute)
+
+        collective = None
         if self.allreduce is not None:
             size, world = self.allreduce
-            kernels.append(CommColumns(
-                ALLREDUCE, array("d", [v * dtype for v in size.column(env, dims, zs)]),
-                world, label=f"{op.label} AllReduce"))
-        return LoweredColumns(self.label, tuple(kernels), self.is_moe)
+            collective = CommColumns(
+                ALLREDUCE, array("d", [v * dtype for v in
+                                       size.column(env, dims, count, errors)]),
+                world, label=f"{op.label} AllReduce")
+        if self.overlap is not None:
+            if collective is None:
+                raise ValidationError(
+                    f"op {op.label!r}: overlap annotated but no collective detected")
+        elif collective is not None:
+            kernels.append(collective)
+        return LoweredColumns(
+            self.label, tuple(kernels), self.is_moe, self.overlap,
+            compute if isinstance(compute, GemmColumns) else None, collective)
 
 
 class _ScoreStep(NamedTuple):
@@ -647,11 +702,13 @@ class _ScoreStep(NamedTuple):
         )
 
     def columns(self, env: dict, moe_env: Optional[dict],
-                dims: DimensionBindings, zs: Sequence[int]) -> LoweredColumns:
+                dims: DimensionBindings, count: int,
+                errors: dict) -> LoweredColumns:
         dtype = dims.dtype_bytes
         return LoweredColumns(f"{self.label}: score", (MemoryOpColumns(
-            array("d", [2 * (v * dtype) for v in self.size.column(env, dims, zs)]),
-            [0.0] * len(zs), label=f"{self.label} score"),))
+            array("d", [2 * (v * dtype) for v in
+                        self.size.column(env, dims, count, errors)]),
+            [0.0] * count, label=f"{self.label} score"),))
 
 
 class LayerPlan(NamedTuple):
@@ -663,13 +720,9 @@ class LayerPlan(NamedTuple):
     steps: tuple = ()
     error: Optional[str] = None  # the layer cannot be lowered in this phase
 
-    def _bindings(self, ctx: PhaseContext, env: dict,
-                  moe_te: Optional[tuple[float, float]]) -> Optional[dict]:
-        """Check that the plan can lower ``ctx``; return the MoE ops'
+    def _moe_env(self, env: dict, moe_te: Optional[tuple]) -> Optional[dict]:
+        """Check that the plan can be lowered; return the MoE ops'
         bindings: ``env`` with ``moe_te`` bound as (T, E), if given."""
-        if ctx.phase != self.phase:
-            raise ValidationError(
-                f"layer compiled for {self.phase} cannot lower a {ctx.phase} context")
         if self.error is not None:
             raise ValidationError(self.error)
         if moe_te is None:
@@ -680,27 +733,50 @@ class LayerPlan(NamedTuple):
               moe_te: Optional[tuple[float, float]] = None) -> list[LoweredOp]:
         """Lower the layer at ``ctx``: kernel descriptor groups in stream
         order, with ``moe_te`` bound as MoE ops' (T, E)."""
+        if ctx.phase != self.phase:
+            raise ValidationError(
+                f"layer compiled for {self.phase} cannot lower a {ctx.phase} context")
         env = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
-        moe_env = self._bindings(ctx, env, moe_te)
+        moe_env = self._moe_env(env, moe_te)
         return [step.lower(env, moe_env, self.dims) for step in self.steps]
 
-    def lower_columns(self, ctx: PhaseContext, positions: Sequence[int],
-                      moe_te: Optional[tuple[float, float]] = None
-                      ) -> list[LoweredColumns]:
-        """The ops tagged ``reads_context``, lowered at every decode
-        position of ``positions`` at once: per kernel, its sizes as columns
-        whose i-th values equal the descriptor :meth:`lower` gives at
-        ``ctx.at_position(positions[i])``. The other ops are the same at
-        every position."""
-        env = {"b": ctx.batch, "s": ctx.s}
-        moe_env = self._bindings(ctx, env, moe_te)
-        if ctx.phase != DECODE:
-            raise ValidationError("only a decode layer is lowered over positions")
-        if positions and not 1 <= min(positions) <= max(positions) <= ctx.osl:
-            raise ValidationError("decode_position must be in [1, osl]")
-        zs = array("q", [ctx.isl + position for position in positions])
-        return [step.columns(env, moe_env, self.dims, zs) for step in self.steps
-                if step.reads_context]
+    def lower_columns(self, env: dict, count: int,
+                      moe_te: Optional[tuple] = None,
+                      errors: Optional[dict] = None) -> list[LoweredColumns]:
+        """Lower the layer at ``count`` points at once: per kernel, its
+        sizes as columns whose i-th values equal the descriptor
+        :meth:`lower` gives at point i.
+
+        ``env`` binds b, s and z, and ``moe_te`` the MoE ops' (T, E), each
+        to one size for every point or to a column of sizes (see
+        :func:`is_column`). A decode plan lowers only the ops tagged
+        ``reads_context``: the others are the same at every position.
+
+        Each point gets the error :meth:`lower` would raise at it, the
+        first in stream order. With ``errors``, they are recorded there by
+        point index and lowering goes on for the other points (a failed
+        point's sizes are placeholders); it stops once every point has
+        failed. Without, the first point's error is raised. A GEMM whose N
+        is 1 at some points only raises :class:`MixedColumns`.
+        """
+        moe_env = self._moe_env(env, moe_te)
+        record = {} if errors is None else errors
+        steps = (self.steps if self.phase != DECODE
+                 else [step for step in self.steps if step.reads_context])
+        lowered = []
+        for step in steps:
+            try:
+                lowered.append(step.columns(env, moe_env, self.dims, count, record))
+            except MixedColumns:
+                raise
+            except (SpecError, ValidationError) as exc:
+                for i in range(count):
+                    record.setdefault(i, exc)
+            if len(record) == count:
+                break
+        if errors is None and record:
+            raise record[min(record)]
+        return lowered
 
 
 def _takes_overlap(op: OpSpec) -> bool:

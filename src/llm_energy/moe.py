@@ -167,7 +167,7 @@ def fold_imbalance(avg: CostEstimate, mx: CostEstimate,
 
 def fold_imbalance_columns(avg: tuple[array, array], mx: tuple[array, array],
                            p_idle: float) -> tuple[array, array]:
-    """:func:`fold_imbalance` at each position of (latencies, energies)
+    """:func:`fold_imbalance` at each point of (latencies, energies)
     columns."""
     avg_latency, avg_energy = avg
     bottleneck = array("d", [max(m, a) for m, a in zip(mx[0], avg_latency)])

@@ -11,7 +11,9 @@ and short exposed collectives do not reach steady-state NCCL power).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 from .comm import CommBackend
 from .errors import ValidationError
@@ -19,7 +21,9 @@ from .interpreter import (
     ALLGATHER,
     ALLREDUCE,
     REDUCESCATTER,
+    CommColumns,
     CommDescriptor,
+    GemmColumns,
     GemmDescriptor,
 )
 
@@ -67,6 +71,19 @@ class OverlapPlan:
         return self.compute_energy + self.exposed_energy
 
 
+def check_overlap(overlap_dim_size: int, stages: int, sm_comm: int,
+                  total_sm: int) -> None:
+    """Raise the ValidationError of a setting that cannot split this
+    point: ``stages`` must divide the overlap dimension, and ``sm_comm``
+    must leave SMs for the GEMM."""
+    if overlap_dim_size % stages:
+        raise ValidationError(
+            f"overlap dimension size {overlap_dim_size} not divisible by "
+            f"{stages} stages")
+    if sm_comm >= total_sm:
+        raise ValidationError(f"sm_comm must be in [1, total_sm), got {sm_comm}")
+
+
 def plan_overlap(g: GemmDescriptor, collective_bytes: float, world: int,
                  stages: int, sm_comm: int, overlap_dim_size: int,
                  compute_backend, comm_backend: CommBackend,
@@ -81,13 +98,7 @@ def plan_overlap(g: GemmDescriptor, collective_bytes: float, world: int,
     linearly: small partitions are overhead/intensity dominated. The setting
     must pass :func:`~llm_energy.spec_lang.check_overlap_setting`.
     """
-    if overlap_dim_size % stages:
-        raise ValidationError(
-            f"overlap dimension size {overlap_dim_size} not divisible by "
-            f"{stages} stages")
-    if sm_comm >= total_sm:
-        raise ValidationError(f"sm_comm must be in [1, total_sm), got {sm_comm}")
-
+    check_overlap(overlap_dim_size, stages, sm_comm, total_sm)
     part = g.partitioned(1.0 / stages)
     first = compute_backend.estimate_gemm(part)
 
@@ -118,3 +129,72 @@ def plan_overlap(g: GemmDescriptor, collective_bytes: float, world: int,
         p_overlapped=restricted.power,
         label=label)
 
+
+
+class OverlapColumns(NamedTuple):
+    """:class:`OverlapPlan` at each point of a column: its phase latencies
+    and powers as columns, and its terms with the same arithmetic."""
+
+    stages: int
+    t_first: Sequence[float]
+    t_gemm_ov: Sequence[float]
+    t_comm_ov: Sequence[float]
+    t_exposed: Sequence[float]
+    p_first: Sequence[float]
+    p_overlapped: Sequence[float]
+
+    def _overlapped(self) -> list:
+        """``max(t_gemm_ov, t_comm_ov) * (stages - 1)`` at each point."""
+        k = self.stages - 1
+        return [(c if c > g else g) * k
+                for g, c in zip(self.t_gemm_ov, self.t_comm_ov)]
+
+    @property
+    def compute_latency(self) -> list:
+        return [f + o for f, o in zip(self.t_first, self._overlapped())]
+
+    @property
+    def compute_energy(self) -> list:
+        return [f * pf + o * po for f, pf, o, po in zip(
+            self.t_first, self.p_first, self._overlapped(), self.p_overlapped)]
+
+    @property
+    def exposed_energy(self) -> list:
+        return [t * p for t, p in zip(self.t_exposed, self.p_overlapped)]
+
+
+def _power(cost: tuple[Sequence[float], Sequence[float]]) -> array:
+    """:attr:`~llm_energy.compute.CostEstimate.power` at each point of
+    (latencies, energies) columns."""
+    return array("d", [e / t if t > 0 else 0.0 for t, e in zip(*cost)])
+
+
+def plan_overlap_columns(g: GemmColumns, collective_bytes: Sequence[float],
+                         world: int, stages: int, sm_comm: int,
+                         compute_backend, comm_backend: CommBackend,
+                         total_sm: int, label: str = "") -> OverlapColumns:
+    """:func:`plan_overlap` at each point of a GEMM + AllReduce column pair,
+    each kernel priced as one column. The points must pass
+    :func:`check_overlap`."""
+    fraction = 1.0 / stages
+    part = g._replace(m=[m * fraction for m in g.m])
+    first = compute_backend.estimate_gemm_columns(part)
+
+    if stages == 1:
+        exposed = comm_backend.estimate_columns(CommColumns(
+            ALLREDUCE, collective_bytes, world, label=f"{label} AllReduce"))
+        zeros = [0.0] * len(first[0])
+        p_first = _power(first)
+        return OverlapColumns(1, first[0], zeros, zeros, exposed[0],
+                              p_first, p_first)
+
+    restricted = compute_backend.estimate_gemm_columns(
+        part._replace(sm_available=total_sm - sm_comm))
+    chunk = [size / stages for size in collective_bytes]
+    rs = comm_backend.estimate_columns(CommColumns(
+        REDUCESCATTER, chunk, world, sm_count=sm_comm,
+        label=f"{label} ReduceScatter"))
+    ag = comm_backend.estimate_columns(CommColumns(
+        ALLGATHER, chunk, world, label=f"{label} AllGather"))
+    return OverlapColumns(stages, first[0], restricted[0], rs[0], ag[0],
+                          _power(first), _power(restricted))

@@ -1,10 +1,13 @@
 """CLI contract tests: commands, exit codes, file outputs, determinism."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, main
+from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, dumps_json, main
 from llm_energy.fixtures import fixture_path
 
 
@@ -382,6 +385,41 @@ def _point_overlap_without_stages(tmp_path):
     return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
 
 
+def _sweep_with(tmp_path, *flags):
+    return [*_sweep_over(tmp_path, json.dumps({"tp": [2]})), *flags]
+
+
+def _sweep_format_xml(tmp_path):
+    return _sweep_with(tmp_path, "--format", "xml")
+
+
+def _estimate_format_json_xml(tmp_path):
+    return ["estimate", *_base_args(tmp_path), "--format", "json,xml"]
+
+
+def _sweep_jobs_zero(tmp_path):
+    return _sweep_with(tmp_path, "--jobs", "0")
+
+
+def _sweep_jobs_negative(tmp_path):
+    return _sweep_with(tmp_path, "--jobs", "-3")
+
+
+def _sweep_latency_budget_nan(tmp_path):
+    return _sweep_with(tmp_path, "--latency-budget", "nan")
+
+
+def _sweep_latency_budget_negative(tmp_path):
+    return _sweep_with(tmp_path, "--latency-budget=-1e-3")
+
+
+def _pareto_latency_budget_inf(tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": []}))
+    return ["pareto", "--points", str(points), "--latency-budget", "inf",
+            "--out", str(tmp_path / "p")]
+
+
 # What a case's message must name when it is not a file under tmp_path.
 _NAMED = {
     _missing_fixture: "'nope.json'",
@@ -392,6 +430,13 @@ _NAMED = {
     _grid_overlap_bool_stages: "[True, 4]",
     _grid_overlap_without_sm: "'2:0'",
     _point_overlap_without_stages: "'0:4'",
+    _sweep_format_xml: "'xml'",
+    _estimate_format_json_xml: "'xml'",
+    _sweep_jobs_zero: "got 0",
+    _sweep_jobs_negative: "got -3",
+    _sweep_latency_budget_nan: "got nan",
+    _sweep_latency_budget_negative: "got -0.001",
+    _pareto_latency_budget_inf: "got inf",
 }
 
 
@@ -443,10 +488,38 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _overlap_flag_without_stages, _grid_overlap_without_stages,
     _grid_overlap_pair_without_stages, _grid_overlap_float_stages,
     _grid_overlap_bool_stages, _grid_overlap_without_sm,
-    _point_overlap_without_stages])
+    _point_overlap_without_stages, _sweep_format_xml, _estimate_format_json_xml,
+    _sweep_jobs_zero, _sweep_jobs_negative, _sweep_latency_budget_nan,
+    _sweep_latency_budget_negative, _pareto_latency_budget_inf])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "validation error" in err
     # names the malformed file, or the value
     assert _NAMED.get(make_argv, str(tmp_path)) in err
+
+
+# -- JSON writes -----------------------------------------------------------------
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
+    st.text(), st.sampled_from(['"', "\\", '},\n      {', "\x00\x1f\x7f", "é ∑ 😀"]))
+_ROWS = st.lists(st.dictionaries(st.text(min_size=1), _SCALARS, min_size=1,
+                                 max_size=6), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_ROWS, frontier=_ROWS,
+       meta=st.dictionaries(st.text(), st.recursive(
+           _SCALARS, lambda inner: st.lists(inner, max_size=3)
+           | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6),
+           max_size=3))
+def test_row_lists_write_the_bytes_of_indented_json(points, frontier, meta):
+    # Quotes, backslashes, control characters, a row-boundary lookalike
+    # and non-ASCII text in keys and values; nan, inf and -0.0; None,
+    # bools, ints and empty lists.
+    payload = dict(meta, points=points, frontier=frontier)
+    assert (dumps_json(payload, rows=("points", "frontier"))
+            == json.dumps(payload, indent=2, sort_keys=True))

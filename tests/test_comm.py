@@ -229,3 +229,48 @@ def test_column_pricing_equals_scalar_pricing(shared_backend, kind, world,
                                                        sm_count=sm_count))
                 for size in sizes]
     assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
+
+
+def _interp_from_scratch(curve, values, size):
+    """CommCurve's lookup with every log taken at the query."""
+    sizes = curve.sizes
+    if size <= sizes[0]:
+        return values[0]
+    if size >= sizes[-1]:
+        lo, hi = len(sizes) - 2, len(sizes) - 1
+    else:
+        hi = next(i for i, s in enumerate(sizes) if s >= size)
+        lo = hi - 1
+        if sizes[hi] == size:
+            return values[hi]
+    x0, x1 = math.log(sizes[lo]), math.log(sizes[hi])
+    y0, y1 = math.log(values[lo]), math.log(values[hi])
+    frac = (math.log(size) - x0) / (x1 - x0)
+    return math.exp(y0 + frac * (y1 - y0))
+
+
+_POSITIVE = st.floats(1e-9, 1e12, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=st.lists(st.tuples(_POSITIVE, _POSITIVE, _POSITIVE), min_size=2,
+                        max_size=12, unique_by=lambda sample: sample[0]),
+       queries=st.lists(st.floats(1e-12, 1e15), min_size=1, max_size=10))
+def test_cached_logs_lookup_equals_formula(samples, queries):
+    # The curve takes each sample's log once; every lookup, floor-clamped,
+    # on a sample, interpolated or extrapolated, equals the lookup with the
+    # logs taken at the query.
+    samples.sort()
+    curve = CommCurve(*map(list, zip(*samples)))
+    queries += [s for s, _, _ in samples]
+    def outcome(lookup, *args):
+        try:
+            return lookup(*args)
+        except ArithmeticError as exc:  # sizes with equal logs, or steep
+            return type(exc)            # extrapolation: both ways alike
+
+    for size in queries:
+        assert (outcome(curve.latency, size)
+                == outcome(_interp_from_scratch, curve, curve.latencies, size))
+        assert (outcome(curve.energy, size)
+                == outcome(_interp_from_scratch, curve, curve.energies, size))

@@ -6,6 +6,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from llm_energy import (
     ConfigPoint,
@@ -24,7 +26,7 @@ from llm_energy import (
 from llm_energy import engine
 from llm_energy.explorer import max_overlap_setting, normalize_grid
 from llm_energy.fixtures import fixture_path
-from llm_energy.interpreter import DECODE, PREFILL
+from llm_energy.interpreter import DECODE, PREFILL, LayerPlan
 
 
 def _pt(lat, en, phase=PREFILL, **kw):
@@ -257,7 +259,8 @@ def _skewed_trace():
 # Each case mixes feasible points with lowering errors (overlap at tp 1,
 # s not divisible by cp, overlap or cp in decode), validation errors
 # (K = 8 not divisible by tp 3, E = 128 by ep 3) and memory-infeasible
-# points.
+# points. Both backends run every case: with the table, overlap's
+# SM-restricted GEMMs fall back to the roofline.
 _SWEEP_CASES = {
     "dense": ("dense_spec", "dims_8b", PREFILL,
               {"batch": [1, 64], "isl": [512, 131072], "tp": [1, 2, 3],
@@ -273,6 +276,18 @@ _SWEEP_CASES = {
     "moe": ("moe_spec", "dims_moe", PREFILL,
             {"batch": [1, 8], "isl": [128], "tp": [1, 2], "ep": [1, 2, 4],
              "overlap": [None, "2:4"]}, {}),
+    # isl 510 does not split into 4 stages, in groups whose isl 512 does.
+    "stages": ("dense_spec", "dims_8b", PREFILL,
+               {"batch": [1, 8], "isl": [510, 512], "tp": [2],
+                "overlap": [None, "2:8", "4:16"]}, {}),
+    # 108 SMs for the collective leave none for the GEMM on the A100.
+    "all-sms": ("dense_spec", "dims_8b", PREFILL,
+                {"batch": [2], "isl": [512], "tp": [1, 2],
+                 "overlap": [None, "2:108"]}, {}),
+    "moe-trace": ("moe_spec", "dims_moe", PREFILL,
+                  {"batch": [1, 8], "isl": [128, 96], "tp": [1, 2],
+                   "ep": [2, 3, 4], "overlap": [None, "2:4"]},
+                  {"tile": 4, "routing_trace": "trace"}),
     "moe-trace-decode": ("moe_spec", "dims_moe", DECODE,
                          {"batch": [1, 4], "isl": [256], "osl": [5],
                           "ep": [2, 3, 4]}, {"decode_stride": 2, "tile": 4,
@@ -301,6 +316,74 @@ def test_sweep_equals_fresh_estimator_per_point(request, case, backend, hw,
     if case == "dense":
         assert "no collective detected" in reasons and "GiB" in reasons
         assert "not divisible by degree 3" in reasons
+    if case == "stages":
+        assert "overlap dimension size 510 not divisible by 4 stages" in reasons
+    if case == "all-sms":
+        assert "sm_comm must be in [1, total_sm), got 108" in reasons
+
+
+_FIXTURE_PAIRS = [("dense_spec", "dims_8b"), ("dense_spec", "dims_70b"),
+                  ("unfused_spec", "dims_70b"), ("cp_spec", "dims_8b"),
+                  ("moe_spec", "dims_moe")]
+
+
+def _subset(values, n=3):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=n, unique=True)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=st.sampled_from(_FIXTURE_PAIRS), table=st.booleans(),
+       trace=st.booleans(), batch=_subset([1, 2, 3, 16, 64], 2),
+       isl=_subset([1, 2, 6, 96, 510, 512, 4096, 131072]),
+       tp=_subset([1, 2, 3, 4, 8], 2), ep=_subset([1, 2, 4], 2),
+       cp=_subset([1, 2], 2),
+       overlap=_subset([None, "1:4", "2:8", "4:16", "3:108"], 2))
+def test_random_prefill_grids_equal_fresh_estimator_per_point(
+        request, annotate_overlap, hw, roofline, comm_backend, pair, table, trace,
+        batch, isl, tp, ep, cp, overlap):
+    # Small grids over every fixture pair: isl 1 lowers the attention
+    # scores as a memory op, odd lengths fail cp and stage splits, and the
+    # degrees, memory and SM counts fail in places. The cp spec has no op
+    # that takes an overlap setting, which the reference cannot tell (see
+    # test_sweep_marks_overlap_setting_no_op_takes_infeasible).
+    if pair[0] == "cp_spec":
+        overlap = [None]
+    spec = request.getfixturevalue(pair[0])
+    dims = request.getfixturevalue(pair[1])
+    compute = TableComputeBackend(
+        GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv")), hw
+    ) if table else roofline
+    kwargs = {"routing_trace": _skewed_trace()} if trace else {}
+    grid = {"batch": batch, "isl": isl, "tp": tp, "ep": ep, "cp": cp,
+            "overlap": overlap}
+    got = sweep(spec, dims, grid, hw, compute, comm_backend, **kwargs)
+    assert got == _sweep_point_by_point(annotate_overlap, spec, dims, grid, hw,
+                                        compute, comm_backend, PREFILL, **kwargs)
+
+
+def test_prefill_sweep_lowers_each_group_once_as_columns(
+        monkeypatch, dense_spec, dims_8b, hw, roofline, comm_backend):
+    # No point is lowered or estimated on its own: each (degrees, overlap)
+    # group is lowered once, as columns over its points.
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(LayerPlan, "lower")
+    counting(LayerPlan, "lower_columns")
+    counting(Estimator, "estimate")
+    grid = {"batch": [1, 2, 4], "isl": [256, 512], "tp": [1, 2, 4],
+            "overlap": [None, "2:4"]}
+    points = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
+    assert len(points) == 36 and sum(p.feasible for p in points) == 30
+    assert calls == {"lower_columns": 3 * 2}
 
 
 def test_sweep_compiles_once_per_group(monkeypatch, dense_spec, dims_8b, hw,

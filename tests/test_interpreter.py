@@ -1,6 +1,7 @@
 """Lowering tests: GEMM extraction, collective detection, kernel streams."""
 
 import math
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from llm_energy.interpreter import (
     CommColumns,
     GemmColumns,
     LoweredOp,
+    MixedColumns,
     OuterProduct,
     _flatten_ops,
     _is_moe_op,
@@ -412,11 +414,78 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
     for _ in range(2):  # a plan is reusable
         assert _outcome(plan.lower, ctx, moe_te=moe_te) == want
     if phase == DECODE:
-        got = _outcome(plan.lower_columns, ctx, positions, moe_te=moe_te)
+        env = {"b": batch, "s": 1, "z": array("q", [isl + p for p in positions])}
+        got = _outcome(plan.lower_columns, env, len(positions), moe_te=moe_te)
         if isinstance(got, list):
             got = [[(op.label, tuple(_column_kernel(k, i) for k in op.kernels),
                      op.is_moe) for op in got] for i in range(len(positions))]
         assert got == want_columns
+
+
+def _lower_points(plan, points, moe_te):
+    """Each prefill point's lowering from columns over ``points``: its
+    LoweredOps, or the (type, message) of its error. A column with mixed
+    kernel kinds is split by N = 1 and each part lowered again."""
+    n = len(points)
+    env = {"b": array("q", [b for b, _ in points]),
+           "s": array("q", [isl for _, isl in points])}
+    env["z"] = env["s"]
+    if moe_te is not None:
+        moe_te = tuple(array("d", [v] * n) for v in moe_te)
+    errors = {}
+    try:
+        lowered = plan.lower_columns(env, n, moe_te, errors)
+    except MixedColumns as mixed:
+        out = [None] * n
+        for flag in (True, False):
+            part = [i for i in range(n) if mixed.ones[i] == flag]
+            got = _lower_points(plan, [points[i] for i in part],
+                                None if moe_te is None else (moe_te[0][0], moe_te[1][0]))
+            for i, outcome in zip(part, got):
+                out[i] = outcome
+        return out
+
+    def at(col, i):
+        return None if col is None else _column_kernel(col, i)
+
+    return [(type(errors[i]), str(errors[i])) if i in errors else [
+        LoweredOp(op.label, tuple(_column_kernel(k, i) for k in op.kernels),
+                  op.is_moe, False, op.overlap, at(op.gemm, i), at(op.collective, i))
+        for op in lowered] for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_name=st.sampled_from(_PLAN_SPECS), pick=st.integers(0, 1),
+       overlap=st.sampled_from([None, (1, 8), (2, 8), (4, 200)]), tp=_DEGREES,
+       ep=st.sampled_from([1, 2, 4]), cp=st.sampled_from([1, 2, 3]),
+       points=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 600)),
+                       min_size=1, max_size=6),
+       moe_te=st.one_of(st.none(), st.tuples(
+           st.integers(4, 448).map(lambda n: n / 7),
+           st.integers(2, 192).map(lambda n: n / 3))))
+@example(spec_name="dense_fused", pick=0, overlap=(2, 8), tp=2, ep=1, cp=1,
+         points=[(1, 1), (2, 64), (3, 63)], moe_te=None)
+@example(spec_name="dense_fused_cp", pick=0, overlap=None, tp=1, ep=1, cp=2,
+         points=[(2, 64), (1, 255), (3, 9), (2, 8)], moe_te=None)
+def test_prefill_columns_lower_like_reference_per_point(
+        annotate_overlap, spec_name, pick, overlap, tp, ep, cp, points, moe_te):
+    # Columns over (b, s) points: each point's kernels equal its lowering
+    # from scratch, and each failing point gets its own first error (s by
+    # cp or by tp, overlap without a collective at tp 1), while the other
+    # points lower. At isl 1 the attention scores GEMM has N = 1 and
+    # lowers as a memory op, so a column over isl 1 and more is split.
+    spec = load_model_spec(fixture_path(f"{spec_name}.json"))
+    annotated = annotate_overlap(spec, *overlap) if overlap else spec
+    dims_names = _PLAN_DIMS[spec_name]
+    dims = load_bindings(fixture_path(f"{dims_names[pick % len(dims_names)]}.json"))
+    degrees = {"tp": tp, "ep": ep, "cp": cp}
+    plan = compile_layer(spec, dims, degrees, PREFILL, overlap)
+    if plan.error is not None:
+        return
+    want = [_outcome(_reference_lower, annotated, dims,
+                     PhaseContext(PREFILL, b, isl), degrees, moe_te=moe_te)
+            for b, isl in points]
+    assert _lower_points(plan, points, moe_te) == want
 
 
 def test_three_operand_op_fails_where_lowering_meets_it(dims_8b):
