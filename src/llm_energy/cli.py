@@ -245,7 +245,8 @@ def cmd_sweep(args) -> int:
     }
     if args.heuristic == "max-overlap":
         try:
-            cmp_result = heuristic_compare(points, result.frontier)
+            cmp_result = heuristic_compare(points, result.frontier,
+                                           full_frontier=result.frontier)
             frontier_payload["heuristic"] = {
                 "setting": list(cmp_result["heuristic_setting"]),
                 "heuristic_recovery": cmp_result["heuristic_recovery"],

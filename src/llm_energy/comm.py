@@ -43,11 +43,18 @@ class CommCurve:
             raise ValidationError(
                 f"comm calibration {key}: sizes, latencies and energies must "
                 "be positive and finite")
-        for prev, cur in zip(self.sizes, self.sizes[1:]):
+        logs = [math.log(v) for v in self.sizes]
+        for i in range(1, len(logs)):
+            prev, cur = self.sizes[i - 1], self.sizes[i]
             if cur <= prev:
                 raise ValidationError(
                     f"comm calibration {key}: sizes must be strictly increasing "
                     f"(saw {prev} then {cur})")
+            # Interpolation divides by the difference of the two logs.
+            if logs[i] == logs[i - 1]:
+                raise ValidationError(
+                    f"comm calibration {key}: sizes {prev} and {cur} have the "
+                    "same log, so no segment lies between them")
 
     @cached_property
     def _logs(self) -> tuple[list[float], list[float], list[float]]:

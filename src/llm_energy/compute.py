@@ -207,6 +207,15 @@ def _log_dims(g) -> tuple[float, float, float, float]:
                  for v in (g.m, g.contraction, g.n, g.group_count))
 
 
+def _add(a, b):
+    """``a + b`` where each is a float or a column, added point by point."""
+    if isinstance(a, float):
+        return a + b if isinstance(b, float) else [a + y for y in b]
+    if isinstance(b, float):
+        return [x + b for x in a]
+    return [x + y for x, y in zip(a, b)]
+
+
 class GemmCalibrationTable:
     """Measured GEMM points; queried by log-space nearest neighbor.
 
@@ -256,11 +265,30 @@ class GemmCalibrationTable:
         if g.sm_available is not None:
             raise BackendError(
                 "GEMM calibration backend does not support SM-restricted queries")
-        logs = ([math.log(max(v, 1.0)) for v in col]
-                for col in (g.m, g.contraction, g.n, g.group_count))
+        # A dimension constant along the column is one log, whose squared
+        # distance to each calibration point is taken once.
+        n = len(g.m)
+        queries = [math.log(max(col[0], 1.0)) if n and col.count(col[0]) == n
+                   else [math.log(max(v, 1.0)) for v in col]
+                   for col in (g.m, g.contraction, g.n, g.group_count)]
+        # Per calibration point, its distance at each point of the column:
+        # the terms added in :meth:`_nearest_logs`'s order, so that each
+        # sum is the same float.
+        distances = []
+        for logs, _ in self._logs:
+            dist = None  # a float while every term so far is constant
+            for query, cal in zip(queries, logs):
+                term = ((query - cal) ** 2 if isinstance(query, float)
+                        else [(q - cal) ** 2 for q in query])
+                dist = term if dist is None else _add(dist, term)
+            distances.append(dist)
         latencies, energies = array("d"), array("d")
-        for query, flops in zip(zip(*logs), g.flops):
-            p = self._nearest_logs(*query)
+        points = self.points
+        if isinstance(distances[0], float):  # no dimension varies
+            distances = [[dist] * n for dist in distances]
+        for dists, flops in zip(zip(*distances), g.flops):
+            # The first point at the least distance.
+            p = points[dists.index(min(dists))]
             latency = p.latency_s * (flops / p.flops)
             latencies.append(latency)
             energies.append(p.power_w * latency)

@@ -84,9 +84,9 @@ class Estimator:
 
     What an evaluation shares with others is computed once per estimator
     and reused: the validated degrees and the memory model per set of
-    parallel degrees, and the compiled :class:`LayerPlan` per (degrees,
-    phase, overlap setting). Validation failures are memoized as messages
-    and raised again on each evaluation.
+    parallel degrees, the compiled :class:`LayerPlan` per (degrees, phase),
+    and that plan with each overlap setting applied. Validation failures
+    are memoized as messages and raised again on each evaluation.
     """
 
     def __init__(self, spec: ModelSpec, dims: DimensionBindings,
@@ -140,9 +140,14 @@ class Estimator:
 
     def _layer_plan(self, degrees: dict[str, int], phase: str,
                     overlap: Optional[tuple[int, int]]) -> LayerPlan:
-        return self._memoized(
-            ("plan", tuple(degrees.items()), phase, overlap),
-            lambda: compile_layer(self.spec, self.dims, degrees, phase, overlap))
+        """The layer compiled once per (degrees, phase), with ``overlap``
+        applied to its steps."""
+        key = ("plan", tuple(degrees.items()), phase)
+        plan = self._memoized(
+            key, lambda: compile_layer(self.spec, self.dims, degrees, phase))
+        if overlap is None:
+            return plan
+        return self._memoized((*key, overlap), lambda: plan.with_overlap(overlap))
 
     def routing_stats(self, ctx: PhaseContext,
                       degrees: dict[str, int]) -> Optional[RoutingStats]:
@@ -337,64 +342,90 @@ class Estimator:
         report.rows = list(rows.values())
         return report
 
-    # -- prefill sweep groups ------------------------------------------------
+    # -- prefill sweeps --------------------------------------------------------
 
-    def estimate_prefill_group(self, points: Sequence[tuple[int, int]],
-                               degrees: dict[str, int],
-                               overlap: Optional[tuple[int, int]] = None
-                               ) -> list[Priced]:
-        """Price the prefill points (batch, isl) of one (degrees, overlap)
-        group as columns: each kernel of the group's plan is lowered over
-        the points and priced in one pass.
+    def estimate_prefill_settings(self, points: Sequence[tuple[int, int]],
+                                  degrees: dict[str, int],
+                                  settings: Sequence[Optional[tuple[int, int]]]
+                                  ) -> list[list[Priced]]:
+        """Price the prefill points (batch, isl) at ``degrees`` under each
+        overlap setting of ``settings`` (None for no overlap): one list of
+        results per setting, one result per point.
+
+        The settings share all but the ops they overlap: the degrees are
+        validated, the layer compiled, each point's memory checked and its
+        routing statistics taken once; every op is lowered once as columns
+        over the points, un-overlapped, and each kernel column of an op
+        that a setting leaves un-overlapped is priced at most once. Per
+        setting, only the ops it overlaps are planned
+        (:func:`plan_overlap_columns`), and its rows and totals assembled.
 
         A point's (latency, energy) are equal, bit for bit, to the totals
-        of the report :meth:`estimate` gives for it, and an infeasible
-        point's reason is the message of the report or ValidationError
-        :meth:`estimate` gives, in the same precedence: the group's
-        validation, then memory per point, then routing statistics, then
-        lowering errors in stream order, then overlap checks op by op.
-        Errors of other kinds propagate, as from :meth:`estimate`, when a
-        point reaches them.
+        of the report :meth:`estimate` gives for it under that setting,
+        and an infeasible point's reason is the message of the report or
+        ValidationError :meth:`estimate` gives, in the same precedence:
+        validation, then the plan error, then memory per point, then
+        routing statistics, then lowering errors in stream order, then
+        overlap checks op by op. Errors of other kinds propagate, as from
+        :meth:`estimate`, when a point reaches them, settings in order.
         """
+        out: list = [None] * len(settings)
+        plans, live_settings = [], []
         try:
             degrees = self._validated(degrees)
-            plan = self._layer_plan(degrees, PREFILL, overlap)
-            if plan.error is not None:
-                raise ValidationError(plan.error)
-            memory = self.memory_model(degrees)
         except ValidationError as exc:
-            return [(None, None, str(exc))] * len(points)
-        out: list = [None] * len(points)
+            return [[(None, None, str(exc))] * len(points) for _ in settings]
+        for j, setting in enumerate(settings):
+            try:
+                plan = self._layer_plan(degrees, PREFILL, setting)
+                if plan.error is not None:
+                    raise ValidationError(plan.error)
+                memory = self.memory_model(degrees)
+            except ValidationError as exc:
+                out[j] = [(None, None, str(exc))] * len(points)
+                continue
+            plans.append(plan)
+            live_settings.append(j)
+        if not plans:
+            return out
+
+        shared: list = [None] * len(points)
         live, ctxs, stats = [], [], []
         trace_stats = None
         for i, (batch, isl) in enumerate(points):
             ctx = PhaseContext(PREFILL, batch, isl)
             verdict = check_memory(memory, ctx, self.hw)
             if not verdict.feasible:
-                out[i] = (None, None, verdict.reason)
+                shared[i] = (None, None, verdict.reason)
                 continue
             try:
                 point_stats = (trace_stats if trace_stats is not None
                                else self.routing_stats(ctx, degrees))
             except ValidationError as exc:
-                out[i] = (None, None, str(exc))
+                shared[i] = (None, None, str(exc))
                 continue
             if self.routing_trace is not None:
                 trace_stats = point_stats  # the same at every point
             live.append(i)
             ctxs.append(ctx)
             stats.append(point_stats)
-        for i, priced in zip(live, self._prefill_columns(plan, degrees, ctxs, stats)):
-            out[i] = priced
+        priced = self._prefill_columns(plans, degrees, ctxs, stats)
+        for j, per_point in zip(live_settings, priced):
+            results = list(shared)
+            for i, point in zip(live, per_point):
+                results[i] = point
+            out[j] = results
         return out
 
-    def _prefill_columns(self, plan: LayerPlan, degrees: dict[str, int],
-                         ctxs: list[PhaseContext], stats: list) -> list[Priced]:
-        """:meth:`estimate_prefill_group` of points that fit in memory, with
-        their routing statistics (None for a dense spec)."""
+    def _prefill_columns(self, plans: list[LayerPlan], degrees: dict[str, int],
+                         ctxs: list[PhaseContext], stats: list
+                         ) -> list[list[Priced]]:
+        """:meth:`estimate_prefill_settings` of points that fit in memory,
+        with their routing statistics (None for a dense spec), under the
+        plan of each setting: all are one layer, overlapped differently."""
         n = len(ctxs)
         if not n:
-            return []
+            return [[] for _ in plans]
         env = {"b": array("q", [ctx.batch for ctx in ctxs]),
                "s": array("q", [ctx.s for ctx in ctxs])}
         env["z"] = env["s"]  # z = isl throughout prefill
@@ -405,61 +436,79 @@ class Estimator:
                 # Folding is exact for the balanced points: L' - L = 0.0.
                 moe_max = tuple(array("d", col)
                                 for col in zip(*(st.max for st in stats)))
+        bare = plans[0].unoverlapped()
         errors: dict = {}
+        failed_at: dict = {}
         try:
-            lowered = plan.lower_columns(env, n, moe_avg, errors)
+            lowered = bare.lower_columns(env, n, moe_avg, errors, failed_at)
             lowered_max = None
             if moe_max is not None and any(op.is_moe for op in lowered):
-                lowered_max = plan.lower_columns(env, n, moe_max, errors)
+                # Its errors come after every error of the average lowering.
+                lowered_max = bare.lower_columns(env, n, moe_max, errors)
         except MixedColumns as mixed:
             # Some points lower a GEMM as a memory op, which changes their
             # rows: price each kind of point as its own group.
-            out: list = [None] * n
+            split: list = [[None] * n for _ in plans]
             for flag in (True, False):
                 part = [i for i in range(n) if mixed.ones[i] == flag]
-                priced = self._prefill_columns(plan, degrees,
+                priced = self._prefill_columns(plans, degrees,
                                                [ctxs[i] for i in part],
                                                [stats[i] for i in part])
-                for i, point in zip(part, priced):
-                    out[i] = point
-            return out
-        for exc in errors.values():
-            if not isinstance(exc, ValidationError):
-                raise exc  # as estimate() raises it, before any pricing
+                for results, part_results in zip(split, priced):
+                    for i, point in zip(part, part_results):
+                        results[i] = point
+            return split
 
-        gpus = float(self.gpu_count(degrees))
-        weight = float(self.layers())
-        rows: dict[tuple[str, str], list] = {}
+        costs: dict = {}
 
-        def accumulate(label: str, category: str, latencies, energies) -> None:
-            # As estimate() adds one entry to its row, point by point.
-            scale = 1.0 if category == CATEGORY_COMM else gpus
-            row = rows.get((label, category))
-            if row is None:
-                row = rows[(label, category)] = [[0.0] * n, [0.0] * n]
-            row[0] = [a + t * weight for a, t in zip(row[0], latencies)]
-            row[1] = [a + e * scale * weight for a, e in zip(row[1], energies)]
-
-        for idx, op in enumerate(lowered):
-            if len(errors) == n:
-                break  # no point prices this op, so none meets its errors
-            if op.overlap is not None:
-                self._overlap_columns(op, env, n, errors, accumulate)
-                continue
-            for k_idx, kernel in enumerate(op.kernels):
-                cost = self._price_columns(kernel)
-                if op.is_moe and lowered_max is not None:
+        def price(idx: int, k_idx: int) -> tuple[array, array]:
+            # Each kernel column of an op left un-overlapped once, whichever
+            # settings price it.
+            cost = costs.get((idx, k_idx))
+            if cost is None:
+                cost = self._price_columns(lowered[idx].kernels[k_idx])
+                if lowered[idx].is_moe and lowered_max is not None:
                     cost = fold_imbalance_columns(
                         cost, self._price_columns(lowered_max[idx].kernels[k_idx]),
                         self.hw.p_idle)
-                accumulate(op.label, _kernel_category(kernel), *cost)
+                costs[(idx, k_idx)] = cost
+            return cost
 
-        latencies = [row[0] for row in rows.values()]
-        energies = [row[1] for row in rows.values()]
-        # A report's totals: the builtin sum over its rows, in row order.
-        return [(None, None, str(errors[i])) if i in errors else
-                (sum(row[i] for row in latencies), sum(row[i] for row in energies), "")
-                for i in range(n)]
+        gpus = float(self.gpu_count(degrees))
+        weight = float(self.layers())
+        out = []
+        for plan in plans:
+            ops, point_errors = _overlapped(plan, lowered, errors, failed_at, n)
+            for exc in point_errors.values():
+                if not isinstance(exc, ValidationError):
+                    raise exc  # as estimate() raises it, before any pricing
+            rows: dict[tuple[str, str], list] = {}
+
+            def accumulate(label: str, category: str, latencies, energies) -> None:
+                # As estimate() adds one entry to its row, point by point.
+                scale = 1.0 if category == CATEGORY_COMM else gpus
+                row = rows.get((label, category))
+                if row is None:
+                    row = rows[(label, category)] = [[0.0] * n, [0.0] * n]
+                row[0] = [a + t * weight for a, t in zip(row[0], latencies)]
+                row[1] = [a + e * scale * weight for a, e in zip(row[1], energies)]
+
+            for idx, op in enumerate(ops):
+                if len(point_errors) == n:
+                    break  # no point prices this op, so none meets its errors
+                if op.overlap is not None:
+                    self._overlap_columns(op, env, n, point_errors, accumulate)
+                    continue
+                for k_idx, kernel in enumerate(op.kernels):
+                    accumulate(op.label, _kernel_category(kernel), *price(idx, k_idx))
+
+            # A report's totals: the builtin sum over its rows, in row order.
+            latencies = [sum(point) for point in zip(*(row[0] for row in rows.values()))]
+            energies = [sum(point) for point in zip(*(row[1] for row in rows.values()))]
+            out.append([
+                (None, None, str(point_errors[i])) if i in point_errors else
+                (latencies[i], energies[i], "") for i in range(n)])
+        return out
 
     def _overlap_columns(self, op: LoweredColumns, env: dict, n: int,
                          errors: dict, accumulate) -> None:
@@ -500,3 +549,25 @@ class Estimator:
         accumulate(op.label, CATEGORY_COMPUTE, plan.compute_latency,
                    plan.compute_energy)
         accumulate(op.label, CATEGORY_EXPOSED, plan.t_exposed, plan.exposed_energy)
+
+
+def _overlapped(plan: LayerPlan, lowered: list[LoweredColumns], errors: dict,
+                failed_at: dict, n: int) -> tuple[list[LoweredColumns], dict]:
+    """The columns ``plan`` lowers at ``n`` points, and each point's first
+    lowering error, from the columns and errors of the same plan lowered
+    un-overlapped, with the step of each error in ``failed_at``: each op
+    that ``plan`` overlaps takes its overlapped columns."""
+    ops, errors = list(lowered), dict(errors)
+    for idx, step in enumerate(plan.steps[:len(ops)]):
+        if step.overlap is None:
+            continue
+        try:
+            ops[idx] = step.overlapped(ops[idx])
+        except ValidationError as exc:
+            # Lowering meets this error after any of the step's own, and
+            # then every point has failed.
+            for i in range(n):
+                if failed_at.get(i, idx + 1) > idx:
+                    errors[i] = exc
+            break
+    return ops, errors

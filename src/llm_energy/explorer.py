@@ -138,9 +138,10 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
           **estimator_kwargs) -> list[ConfigPoint]:
     """Evaluate the Cartesian grid. Infeasible points are flagged, not dropped.
 
-    The points are evaluated in groups of one (degrees, overlap) setting. A
-    prefill group is priced as columns over its (batch, isl) points
-    (:meth:`Estimator.estimate_prefill_group`); a decode point by
+    The points are evaluated in groups of one set of parallel degrees. A
+    prefill group is priced as columns over its (batch, isl) points under
+    every overlap setting at once
+    (:meth:`Estimator.estimate_prefill_settings`); a decode point by
     :meth:`Estimator.estimate`. ``jobs`` > 1 evaluates groups on that many
     threads. Output order is the sorted grid product, independent of
     ``jobs``.
@@ -150,13 +151,16 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
     # first.
     combos = list(product(*(sorted(axes[axis], key=lambda v: (v is not None, v))
                             for axis in _GRID_AXES)))
-    groups: dict[tuple, list[int]] = {}
+    # Per (tp, ep, cp): the grid indices of each overlap setting's points,
+    # which are the same (batch, isl, osl) in the same order for every
+    # setting.
+    groups: dict[tuple, dict] = {}
     for k, combo in enumerate(combos):
-        groups.setdefault(combo[3:], []).append(k)
+        groups.setdefault(combo[3:6], {}).setdefault(combo[6], []).append(k)
 
-    # One estimator for the whole grid: it validates and builds the memory
-    # model once per set of parallel degrees, and compiles the layer once
-    # per (degrees, overlap) group for every batch and sequence length.
+    # One estimator for the whole grid: it validates, builds the memory
+    # model and compiles the layer once per set of parallel degrees, for
+    # every batch, sequence length and overlap setting.
     estimator = Estimator(spec, dims, hw, compute_backend, comm_backend,
                           **estimator_kwargs)
 
@@ -171,12 +175,17 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
         return report.total_latency, report.total_energy, ""
 
     def evaluate(group) -> list:
-        (tp, ep, cp, ov), members = group
+        """(grid index, priced) of each point of one degrees group."""
+        (tp, ep, cp), by_setting = group
         degrees = {"tp": tp, "ep": ep, "cp": cp}
         if phase == PREFILL:
-            return estimator.estimate_prefill_group(
-                [combos[k][:2] for k in members], degrees, ov)
-        return [decode_point(*combos[k][:3], degrees, ov) for k in members]
+            members = next(iter(by_setting.values()))
+            priced = estimator.estimate_prefill_settings(
+                [combos[k][:2] for k in members], degrees, list(by_setting))
+            return [point for indices, results in zip(by_setting.values(), priced)
+                    for point in zip(indices, results)]
+        return [(k, decode_point(*combos[k][:3], degrees, ov))
+                for ov, indices in by_setting.items() for k in indices]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -184,8 +193,8 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
     else:
         priced = [evaluate(group) for group in groups.items()]
     points: list = [None] * len(combos)
-    for members, results in zip(groups.values(), priced):
-        for k, (latency, energy, reason) in zip(members, results):
+    for results in priced:
+        for k, (latency, energy, reason) in results:
             points[k] = ConfigPoint(phase, *combos[k], feasible=latency is not None,
                                     latency=latency, energy=energy,
                                     infeasible_reason=reason)
@@ -253,17 +262,20 @@ def recovery_rate(candidate_frontier: Sequence[ConfigPoint],
 
 
 def heuristic_compare(points: Sequence[ConfigPoint],
-                      reference_frontier: Sequence[ConfigPoint]) -> dict:
+                      reference_frontier: Sequence[ConfigPoint],
+                      full_frontier: Optional[Sequence[ConfigPoint]] = None) -> dict:
     """Max-overlap heuristic vs full prediction, scored against a reference.
 
     The heuristic fixes the most aggressive overlap setting and sweeps only
     the remaining axes; its frontier is then compared to the reference by
-    configuration identity.
+    configuration identity. ``full_frontier`` is ``pareto_front(points)``'s
+    frontier, taken here when the caller does not already have it.
     """
     setting = max_overlap_setting(points)
     subset = [p for p in points if p.overlap == setting]
     heuristic_frontier = pareto_front(subset).frontier
-    full_frontier = pareto_front(points).frontier
+    if full_frontier is None:
+        full_frontier = pareto_front(points).frontier
     return {
         "heuristic_setting": setting,
         "heuristic_frontier": heuristic_frontier,

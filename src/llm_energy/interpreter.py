@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import SpecError, ValidationError
@@ -673,15 +674,21 @@ class _OpStep(NamedTuple):
                 ALLREDUCE, array("d", [v * dtype for v in
                                        size.column(env, dims, count, errors)]),
                 world, label=f"{op.label} AllReduce")
-        if self.overlap is not None:
-            if collective is None:
-                raise ValidationError(
-                    f"op {op.label!r}: overlap annotated but no collective detected")
-        elif collective is not None:
             kernels.append(collective)
-        return LoweredColumns(
-            self.label, tuple(kernels), self.is_moe, self.overlap,
+        lowered = LoweredColumns(
+            self.label, tuple(kernels), self.is_moe, None,
             compute if isinstance(compute, GemmColumns) else None, collective)
+        return lowered if self.overlap is None else self.overlapped(lowered)
+
+    def overlapped(self, columns: LoweredColumns) -> LoweredColumns:
+        """This step's columns, overlapped, from its un-overlapped
+        ``columns``: the same without the collective kernel, which is the
+        last. An op with no collective to overlap raises; lowering meets
+        that error after the op's other errors."""
+        if columns.collective is None:
+            raise ValidationError(
+                f"op {self.op.label!r}: overlap annotated but no collective detected")
+        return columns._replace(kernels=columns.kernels[:-1], overlap=self.overlap)
 
 
 class _ScoreStep(NamedTuple):
@@ -691,6 +698,7 @@ class _ScoreStep(NamedTuple):
     label: str
     size: _Product
     reads_context: bool
+    overlap: None = None  # never overlapped
 
     def lower(self, env: dict, moe_env: Optional[dict],
               dims: DimensionBindings) -> LoweredOp:
@@ -719,6 +727,41 @@ class LayerPlan(NamedTuple):
     dims: DimensionBindings
     steps: tuple = ()
     error: Optional[str] = None  # the layer cannot be lowered in this phase
+    # Indices of the steps of the top-level ops that take an overlap
+    # setting (see _takes_overlap).
+    overlap_steps: tuple = ()
+
+    def with_overlap(self, setting: Optional[tuple[int, int]]) -> "LayerPlan":
+        """This plan with the overlap setting (stages, sm_comm) applied:
+        it replaces the overlap of every step in :attr:`overlap_steps`.
+
+        A setting that fails
+        :func:`~llm_energy.spec_lang.check_overlap_setting` raises its
+        error. Overlap is prefill-only, so in decode the result is a plan
+        whose error says so, as it is when no step takes the setting. A
+        plan that has an error keeps it.
+        """
+        if setting is None:
+            return self
+        check_overlap_setting(*setting, f"overlap setting {setting!r}")
+        if self.error is not None:
+            return self
+        if self.phase == DECODE:
+            return LayerPlan(self.phase, self.dims, error="overlap is prefill-only")
+        if not self.overlap_steps:
+            return LayerPlan(self.phase, self.dims, error=(
+                f"overlap setting {setting[0]}:{setting[1]} applies to no op: "
+                "none has both s and a sharded symbol that it sums"))
+        steps = list(self.steps)
+        for index in self.overlap_steps:
+            steps[index] = steps[index]._replace(overlap=(*setting, "s"))
+        return self._replace(steps=tuple(steps))
+
+    def unoverlapped(self) -> "LayerPlan":
+        """This plan with no step overlapped: each op lowers its
+        collective as a kernel of its own."""
+        return self._replace(steps=tuple(step._replace(overlap=None)
+                                         for step in self.steps))
 
     def _moe_env(self, env: dict, moe_te: Optional[tuple]) -> Optional[dict]:
         """Check that the plan can be lowered; return the MoE ops'
@@ -742,7 +785,8 @@ class LayerPlan(NamedTuple):
 
     def lower_columns(self, env: dict, count: int,
                       moe_te: Optional[tuple] = None,
-                      errors: Optional[dict] = None) -> list[LoweredColumns]:
+                      errors: Optional[dict] = None,
+                      failed_at: Optional[dict] = None) -> list[LoweredColumns]:
         """Lower the layer at ``count`` points at once: per kernel, its
         sizes as columns whose i-th values equal the descriptor
         :meth:`lower` gives at point i.
@@ -756,15 +800,18 @@ class LayerPlan(NamedTuple):
         first in stream order. With ``errors``, they are recorded there by
         point index and lowering goes on for the other points (a failed
         point's sizes are placeholders); it stops once every point has
-        failed. Without, the first point's error is raised. A GEMM whose N
-        is 1 at some points only raises :class:`MixedColumns`.
+        failed. Without, the first point's error is raised. ``failed_at``,
+        if given, gets the index of the step that recorded each new error
+        in ``errors``. A GEMM whose N is 1 at some points only raises
+        :class:`MixedColumns`.
         """
         moe_env = self._moe_env(env, moe_te)
         record = {} if errors is None else errors
         steps = (self.steps if self.phase != DECODE
                  else [step for step in self.steps if step.reads_context])
         lowered = []
-        for step in steps:
+        for index, step in enumerate(steps):
+            known = len(record)
             try:
                 lowered.append(step.columns(env, moe_env, self.dims, count, record))
             except MixedColumns:
@@ -772,6 +819,9 @@ class LayerPlan(NamedTuple):
             except (SpecError, ValidationError) as exc:
                 for i in range(count):
                     record.setdefault(i, exc)
+            if failed_at is not None and len(record) > known:
+                # Errors are only ever added, so the new ones come last.
+                failed_at.update((i, index) for i in islice(record, known, None))
             if len(record) == count:
                 break
         if errors is None and record:
@@ -784,17 +834,6 @@ def _takes_overlap(op: OpSpec) -> bool:
     symbol is summed, so it ends in an AllReduce, and it has ``s``."""
     eq = op.equation
     return op.parallel in eq.summation_symbols and "s" in eq.all_symbols()
-
-
-def _op_overlap(op: OpSpec, setting: Optional[tuple[int, int]]) -> Optional[tuple]:
-    """The (stages, sm_comm, dim) an op is overlapped with: ``setting``, split
-    along the query tokens ``s``, when the op takes it; else its own
-    annotation."""
-    if setting is not None and _takes_overlap(op):
-        return (*setting, "s")
-    if op.overlap_stage is None:
-        return None
-    return op.overlap_stage, op.overlap_sm, op.overlap_dim
 
 
 def compile_layer(spec: ModelSpec, dims: DimensionBindings,
@@ -810,29 +849,22 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
     ``reads_context`` tags. Errors that lowering would raise are kept and
     raised by :meth:`LayerPlan.lower`, in the order lowering meets them.
 
-    The ``overlap`` setting (stages, sm_comm), which must pass
-    :func:`~llm_energy.spec_lang.check_overlap_setting`, replaces the
-    annotation of every top-level op that takes it (see
-    :func:`_takes_overlap`); a setting that no op takes is an error of the
-    whole plan. Overlap, set or annotated on any op or sub-op, is
-    prefill-only: in decode it is an error of the whole plan.
+    The ``overlap`` setting (stages, sm_comm) is applied by
+    :meth:`LayerPlan.with_overlap`: it replaces the annotation of every
+    top-level op that takes it (see :func:`_takes_overlap`). Overlap, set
+    or annotated on any op or sub-op, is prefill-only: in decode it is an
+    error of the whole plan.
 
     In decode, each op is tagged ``reads_context`` when its kernels change
     with ``z`` from one position to the next: the op reads the context, or
     it follows one that does and may carry a cp transition sized by that
     op's output.
     """
-    if overlap is not None:
-        check_overlap_setting(*overlap, f"overlap setting {overlap!r}")
     annotated = any(op.overlap_stage is not None
                     for op in (*spec.ops, *_flatten_ops(spec)))
-    if phase == DECODE and (overlap is not None or annotated):
-        return LayerPlan(phase, dims, error="overlap is prefill-only")
-    if overlap is not None and not any(
-            _takes_overlap(op) for op in spec.ops if not op.is_attention):
-        return LayerPlan(phase, dims, error=(
-            f"overlap setting {overlap[0]}:{overlap[1]} applies to no op: none "
-            "has both s and a sharded symbol that it sums"))
+    if phase == DECODE and annotated:
+        return LayerPlan(phase, dims, error="overlap is prefill-only"
+                         ).with_overlap(overlap)
     cp_degree = degrees.get("cp", 1)
 
     def varies(op: OpSpec, prev: Optional[OpSpec]) -> bool:
@@ -841,8 +873,7 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
         return reads_context(op) or (
             cp_degree > 1 and prev is not None and reads_context(prev))
 
-    def compile_op(op: OpSpec, prev: Optional[OpSpec], label: str,
-                   setting: Optional[tuple[int, int]] = None) -> _OpStep:
+    def compile_op(op: OpSpec, prev: Optional[OpSpec], label: str) -> _OpStep:
         is_moe = _is_moe_op(op)
         runtime = _MOE_RUNTIME if is_moe else RUNTIME_SYMBOLS
         transition = None
@@ -859,13 +890,17 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
             transition=transition,
             compute=_compile_compute(op, dims, shards, runtime),
             allreduce=None if size is None else (size, world),
-            overlap=_op_overlap(op, setting))
+            overlap=None if op.overlap_stage is None else (
+                op.overlap_stage, op.overlap_sm, op.overlap_dim))
 
     steps: list = []
+    takes: list = []
     prev = None
     for op in spec.ops:
         if not op.is_attention:
-            steps.append(compile_op(op, prev, op.label, overlap))
+            if _takes_overlap(op):
+                takes.append(len(steps))
+            steps.append(compile_op(op, prev, op.label))
             prev = op
             continue
         for j, sub in enumerate(op.attn_eqs):
@@ -877,7 +912,8 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
                                 op_shards(sub, degrees), RUNTIME_SYMBOLS),
                     varies(sub, prev)))
             prev = sub
-    return LayerPlan(phase, dims, tuple(steps))
+    plan = LayerPlan(phase, dims, tuple(steps), overlap_steps=tuple(takes))
+    return plan.with_overlap(overlap)
 
 
 def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .compute import ZERO_COST, CostEstimate
@@ -100,6 +102,12 @@ class RoutingTrace:
     def top_k(self) -> int:
         return len(self.choices[0])
 
+    @cached_property
+    def expert_counts(self) -> Counter:
+        """Tokens routed to each expert index, counted once per trace; the
+        indices in the order the rows first name them."""
+        return Counter(e for row in self.choices for e in row)
+
     @classmethod
     def load(cls, path) -> "RoutingTrace":
         """Rows of ``token,expert,...,expert``; the token column is not read."""
@@ -122,11 +130,10 @@ def stats_from_trace(trace: RoutingTrace, total_experts: int, ep_degree: int,
     per_gpu = total_experts // ep_degree
 
     tokens_per_expert = [0] * total_experts
-    for row in trace.choices:
-        for e in row:
-            if not 0 <= e < total_experts:
-                raise ValidationError(f"expert index {e} out of range")
-            tokens_per_expert[e] += 1
+    for e, count in trace.expert_counts.items():
+        if not 0 <= e < total_experts:
+            raise ValidationError(f"expert index {e} out of range")
+        tokens_per_expert[e] = count
 
     gpu_t: list[float] = []
     gpu_e: list[float] = []

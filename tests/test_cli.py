@@ -460,6 +460,17 @@ def _comm_row_with_nan_latency(tmp_path):
     return _comm_with_row(tmp_path, "AllReduce,2,108,1024.0,nan,")
 
 
+def _comm_curve_with_equal_logs(tmp_path):
+    # The unrestricted AllReduce curve at world 2 holds only two sizes
+    # whose logs are equal; every larger message extrapolates over them.
+    rows = [row for row in fixture_path("comm_synthetic.csv").read_text().splitlines()
+            if not row.startswith("AllReduce,2,108,")]
+    rows += ["AllReduce,2,108,1000.0,1e-05,0.01",
+             "AllReduce,2,108,1000.0000000000001,2e-05,0.02"]
+    return _estimate_with(tmp_path, "--comm-cal", "\n".join(rows).encode(),
+                          "--tp", "2", "--isl", "1000")
+
+
 _GEMM_HEADER = b"G,M,contraction,N,dtype_bytes,latency_s,power_w\n"
 
 
@@ -483,7 +494,7 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _binary_gemm_cal, _binary_trace, _spec_with_text_layers,
     _spec_with_number_op, _spec_with_text_overlap_stage,
     _comm_row_with_zero_bytes, _comm_row_with_negative_bytes,
-    _comm_row_with_nan_latency, _gemm_row_with_zero_m,
+    _comm_row_with_nan_latency, _comm_curve_with_equal_logs, _gemm_row_with_zero_m,
     _gemm_row_with_zero_dtype_bytes, _missing_fixture, _directory_spec,
     _overlap_flag_without_stages, _grid_overlap_without_stages,
     _grid_overlap_pair_without_stages, _grid_overlap_float_stages,

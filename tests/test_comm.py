@@ -123,6 +123,17 @@ def test_load_rejects_duplicates(tmp_path):
         load_comm_calibration(p)
 
 
+def test_load_rejects_sizes_with_equal_logs(tmp_path):
+    # 1000.0 < 1000.0000000000001, but their logs are equal: no segment
+    # lies between them to interpolate over.
+    p = tmp_path / "cal.csv"
+    p.write_text("kind,world,sm_count,bytes,latency_s,energy_j\n"
+                 "AllReduce,2,16,1000.0,1e-5,1e-2\n"
+                 "AllReduce,2,16,1000.0000000000001,2e-5,2e-2\n")
+    with pytest.raises(ValidationError, match="have the same log"):
+        load_comm_calibration(p)
+
+
 def test_load_minimal_and_provenance(tmp_path):
     p = tmp_path / "cal.csv"
     p.write_text("# measured on rig X\n"

@@ -193,6 +193,28 @@ def test_nearest_is_first_least_log_distance(dims, query):
     assert table._nearest(gemm) is min(table.points, key=log_distance)
 
 
+@settings(max_examples=300, deadline=None)
+@given(dims=st.lists(st.tuples(*[_GEMM_DIM] * 4), min_size=1, max_size=12),
+       columns=st.integers(1, 12).flatmap(lambda n: st.tuples(*[st.one_of(
+           _GEMM_DIM.map(lambda v: [v] * n),
+           st.lists(_GEMM_DIM, min_size=n, max_size=n))] * 4)))
+@example(dims=[(1.0, 16.0, 256.0, 4096.0), (1.0, 16.0, 256.0, 4096.0)],
+         columns=([1.0, 1.0], [16.0, 16.0], [256.0, 4096.0], [0.5, 0.5]))
+def test_table_columns_equal_scalar_lookups(dims, columns):
+    # Dimensions constant along a column, each taken once per calibration
+    # point, and varying ones in any position: each point's latency and
+    # energy equal the scalar lookup's, ties to the first point included.
+    table = GemmCalibrationTable([
+        GemmCalibrationPoint(g, m, k, n, 2, 1e-4 * (i + 1), 300.0 + i)
+        for i, (g, m, k, n) in enumerate(dims)])
+    g_col, m_col, k_col, n_col = columns
+    latencies, energies = table.estimate_gemm_columns(
+        GemmColumns(g_col, m_col, k_col, n_col, dtype_bytes=2))
+    want = [table.estimate_gemm(GemmDescriptor(*shape, dtype_bytes=2))
+            for shape in zip(*columns)]
+    assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
+
+
 # Decode columns: 16-row attention GEMMs are memory bound on the A100
 # profile, 4096-row projections compute bound; sizes below 1 exercise the
 # table's log floor.

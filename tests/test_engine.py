@@ -424,3 +424,32 @@ def test_reads_context_marks_attention_by_sub_equations(dense_spec, moe_spec):
     assert [reads_context(sub) for sub in attention.attn_eqs] == [True, True]
     assert not any(reads_context(op) for op in moe_spec.ops
                    if not op.is_attention)
+
+
+@pytest.mark.parametrize("settings", [[(2, 4), None, (4, 16), (1, 8), (2, 108)],
+                                      [None, (4, 16), (4, 32)]])
+def test_prefill_settings_in_any_order_equal_scalar_estimates(
+        dense_spec, dims_8b, hw, roofline, comm_backend, settings):
+    # The sweep hands settings over sorted, no overlap first; in any order,
+    # each setting's results are the scalar estimate's, the ops it leaves
+    # un-overlapped keeping their collectives.
+    points = [(1, 512), (4, 510), (2, 4096), (64, 131072)]
+    for tp in (1, 2):
+        got = _est(dense_spec, dims_8b, hw, roofline, comm_backend
+                   ).estimate_prefill_settings(points, {"tp": tp}, settings)
+        want = []
+        for setting in settings:
+            results = []
+            for batch, isl in points:
+                try:
+                    report = _est(dense_spec, dims_8b, hw, roofline, comm_backend
+                                  ).estimate(PhaseContext(PREFILL, batch, isl),
+                                             {"tp": tp}, setting)
+                except ValidationError as exc:
+                    results.append((None, None, str(exc)))
+                    continue
+                results.append((report.total_latency, report.total_energy, "")
+                               if report.feasible else
+                               (None, None, report.infeasible_reason))
+            want.append(results)
+        assert got == want

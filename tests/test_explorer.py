@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from llm_energy import (
@@ -26,7 +26,8 @@ from llm_energy import (
 from llm_energy import engine
 from llm_energy.explorer import max_overlap_setting, normalize_grid
 from llm_energy.fixtures import fixture_path
-from llm_energy.interpreter import DECODE, PREFILL, LayerPlan
+from llm_energy.interpreter import DECODE, PREFILL, LayerPlan, lower_model
+from llm_energy.spec_lang import parse_model_spec
 
 
 def _pt(lat, en, phase=PREFILL, **kw):
@@ -183,6 +184,8 @@ def test_full_recovery_bounds_heuristic():
         ref = pareto_front(pts).frontier
         out = heuristic_compare(pts, ref)
         assert out["full_recovery"] >= out["heuristic_recovery"]
+        # The caller's own front, handed in, gives the same comparison.
+        assert heuristic_compare(pts, ref, full_frontier=ref) == out
 
 
 def test_insight_queries_prefill():
@@ -362,10 +365,83 @@ def test_random_prefill_grids_equal_fresh_estimator_per_point(
                                         compute, comm_backend, PREFILL, **kwargs)
 
 
+_SETTING_PAIRS = [("dense_spec", "dims_8b"), ("dense_spec", "dims_70b"),
+                  ("unfused_spec", "dims_70b"), ("moe_spec", "dims_moe"),
+                  ("cp_overlap_spec", "dims_8b")]
+
+# An op that takes overlap settings after one that shards b over cp, and
+# itself sharding s over cp: at tp 1, where it has no collective to
+# overlap, a point with an odd batch fails before it, and a point with an
+# odd length fails in it, before its overlap check.
+@pytest.fixture(scope="session")
+def cp_overlap_spec():
+    return parse_model_spec({"layers": 2, "ops": [
+        {"eq": "bsm,mHh->bsHh", "cp_dim": "b", "label": "In"},
+        {"eq": "bsHh,Hhm->bsm", "parallel": "H", "cp_dim": "s", "label": "Out"}]})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=st.sampled_from(_SETTING_PAIRS), table=st.booleans(),
+       annotation=st.sampled_from([None, (2, 8), (3, 16)]),
+       batch=_subset([1, 2, 16], 2), isl=_subset([1, 96, 100, 510, 511, 512, 131072]),
+       tp=_subset([1, 2, 4, 8], 2), ep=_subset([1, 2, 4], 2), cp=_subset([1, 2], 2),
+       overlap=st.lists(st.sampled_from([None, "1:4", "2:4", "2:8", "3:16", "4:16",
+                                         "4:32", "2:108"]),
+                        min_size=2, max_size=5, unique=True))
+@example(pair=("dense_spec", "dims_8b"), table=True, annotation=(2, 8),
+         batch=[1, 2], isl=[510, 512], tp=[1, 2], ep=[1], cp=[1],
+         overlap=[None, "2:4", "2:8", "4:16", "2:108"])
+@example(pair=("moe_spec", "dims_moe"), table=False, annotation=None,
+         batch=[1, 8], isl=[96, 128], tp=[1, 2], ep=[2, 4], cp=[1],
+         overlap=["2:4", None, "2:8"])
+@example(pair=("cp_overlap_spec", "dims_8b"), table=False, annotation=None,
+         batch=[1, 2], isl=[511, 512], tp=[1, 2], ep=[1], cp=[2],
+         overlap=[None, "2:4"])
+def test_overlap_settings_of_one_degrees_equal_fresh_estimator_per_point(
+        request, annotate_overlap, hw, roofline, comm_backend, pair, table,
+        annotation, batch, isl, tp, ep, cp, overlap):
+    # Two to five settings share each set of degrees: settings with the
+    # same stages, settings that replace the spec's own annotation, tp 1
+    # (no collective to overlap) with points that fail before or in the
+    # op that takes a setting, lengths that do not split into the stages,
+    # all 108 SMs of the A100 for the collective, and the MoE spec under
+    # an imbalanced trace. Each setting's points must be what a fresh
+    # estimator gives for the spec annotated with that setting.
+    spec = request.getfixturevalue(pair[0])
+    if annotation is not None:
+        spec = annotate_overlap(spec, *annotation)
+    dims = request.getfixturevalue(pair[1])
+    compute = TableComputeBackend(
+        GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv")), hw
+    ) if table else roofline
+    kwargs = {"routing_trace": _skewed_trace()} if pair[0] == "moe_spec" else {}
+    grid = {"batch": batch, "isl": isl, "tp": tp, "ep": ep, "cp": cp,
+            "overlap": overlap}
+    got = sweep(spec, dims, grid, hw, compute, comm_backend, **kwargs)
+    assert got == _sweep_point_by_point(annotate_overlap, spec, dims, grid, hw,
+                                        compute, comm_backend, PREFILL, **kwargs)
+
+
+def test_cp_overlap_spec_fails_before_in_and_at_the_overlap_check(
+        cp_overlap_spec, dims_8b, hw, roofline, comm_backend):
+    # The three places where a point of the example above fails at tp 1.
+    points = sweep(cp_overlap_spec, dims_8b,
+                   {"batch": [1, 2], "isl": [511, 512], "cp": [2], "overlap": ["2:4"]},
+                   hw, roofline, comm_backend)
+    assert [p.infeasible_reason for p in points] == [
+        "symbol 'b' size 1 not divisible by degree 2",
+        "symbol 'b' size 1 not divisible by degree 2",
+        "symbol 's' size 511 not divisible by degree 2",
+        "op 'Out': overlap annotated but no collective detected"]
+
+
 def test_prefill_sweep_lowers_each_group_once_as_columns(
         monkeypatch, dense_spec, dims_8b, hw, roofline, comm_backend):
-    # No point is lowered or estimated on its own: each (degrees, overlap)
-    # group is lowered once, as columns over its points.
+    # No point is lowered or estimated on its own, and no overlap setting
+    # lowers the layer again: each set of degrees is lowered once, as
+    # columns over its points, and each of its kernel columns is priced
+    # once. Each setting plans only the ops it overlaps.
     calls = Counter()
 
     def counting(owner, name):
@@ -376,14 +452,25 @@ def test_prefill_sweep_lowers_each_group_once_as_columns(
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
+    layer_kernels = sum(
+        len(op.kernels)
+        for tp in (1, 2, 4)
+        for op in lower_model(dense_spec, dims_8b, PhaseContext(PREFILL, 1, 256),
+                              {"tp": tp, "ep": 1, "cp": 1}))
     counting(LayerPlan, "lower")
     counting(LayerPlan, "lower_columns")
     counting(Estimator, "estimate")
+    counting(Estimator, "_price_columns")
+    counting(engine, "plan_overlap_columns")
     grid = {"batch": [1, 2, 4], "isl": [256, 512], "tp": [1, 2, 4],
-            "overlap": [None, "2:4"]}
+            "overlap": [None, "2:4", "4:16"]}
     points = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
-    assert len(points) == 36 and sum(p.feasible for p in points) == 30
-    assert calls == {"lower_columns": 3 * 2}
+    # Overlap at tp 1 fails to lower: no op there has a collective.
+    assert len(points) == 54 and sum(p.feasible for p in points) == 42
+    # Two overlapped ops (Output and Down Projection) per setting at tp 2
+    # and 4.
+    assert calls == {"lower_columns": 3, "_price_columns": layer_kernels,
+                     "plan_overlap_columns": 2 * 2 * 2}
 
 
 def test_sweep_compiles_once_per_group(monkeypatch, dense_spec, dims_8b, hw,
@@ -406,9 +493,9 @@ def test_sweep_compiles_once_per_group(monkeypatch, dense_spec, dims_8b, hw,
     assert len(points) == 36
     # Overlap at tp 1 fails to lower, but only after its layer is compiled.
     assert sum(not p.feasible for p in points) == 6
-    # Validation and the memory model once per tp, a layer per (tp, overlap).
+    # Validation, the memory model and the layer once per tp.
     assert calls == {"validate_bindings": 3, "build_memory_model": 3,
-                     "compile_layer": 3 * 2}
+                     "compile_layer": 3}
 
 
 def test_sweep_threads_share_compiled_layers(dense_spec, dims_8b, hw, roofline,

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llm_energy import (
     CostEstimate,
@@ -144,6 +146,33 @@ def test_trace_oracle_random():
         assert stats.t_max == pytest.approx(t_max)
         assert stats.e_avg == pytest.approx(e_avg)
         assert stats.e_max == pytest.approx(e_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda top_k: st.lists(
+           st.lists(st.integers(-2, 33), min_size=top_k, max_size=top_k),
+           min_size=1, max_size=80)),
+       layouts=st.lists(st.tuples(st.sampled_from([8, 16, 32]),
+                                  st.sampled_from([1, 2, 4, 8])),
+                        min_size=1, max_size=3),
+       tile=st.sampled_from([1, 4, 16]))
+def test_trace_stats_equal_brute_force(rows, layouts, tile):
+    # One trace read at several expert layouts, as a sweep reads it at
+    # several ep degrees: each read equals the simulator exactly, and an
+    # index out of range names the first such index in row order.
+    choices = tuple(map(tuple, rows))
+    trace = RoutingTrace(choices)
+    flat = [e for row in choices for e in row]
+    for total, ep in layouts:
+        bad = [e for e in flat if not 0 <= e < total]
+        if bad:
+            with pytest.raises(ValidationError,
+                               match=f"^expert index {bad[0]} out of range$"):
+                stats_from_trace(trace, total, ep, tile)
+            continue
+        stats = stats_from_trace(trace, total, ep, tile)
+        assert ((stats.t_avg, stats.t_max, stats.e_avg, stats.e_max)
+                == _brute_force_stats(choices, total, ep, tile))
 
 
 def test_aggregate_direct_substitution():
