@@ -8,7 +8,7 @@ import hashlib
 import json
 import math
 import sys
-from operator import itemgetter
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterator
 
@@ -23,7 +23,6 @@ from .compute import (
 from .engine import DEFAULT_DECODE_STRIDE, Estimator
 from .errors import BackendError, SpecError, ValidationError
 from .explorer import (
-    format_overlap,
     heuristic_compare,
     insight_queries,
     load_points,
@@ -34,8 +33,7 @@ from .explorer import (
 from .fixtures import fixture_path, list_fixtures
 from .interpreter import DECODE, PREFILL, PhaseContext
 from .moe import DEFAULT_TILE, RoutingTrace
-from .spec_lang import (in_file, load_bindings, load_json, load_model_spec,
-                        validate_bindings)
+from .spec_lang import load_bindings, load_json, load_model_spec, validate_bindings
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,17 +76,26 @@ def _load_inputs(args) -> dict:
     }
 
 
-# Encodes one flat row with each key on its own line, at the indentation
-# of rows in a list under a top-level key. The C encoder runs only when no
-# indent is set.
+# Encodes a list of flat rows with each key on its own line, at the
+# indentation of rows in a list under a top-level key. The C encoder runs
+# only when no indent is set.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+# Rows per C-encoder call and per CSV write: one call per row costs more,
+# and one call for a whole list holds all of its text at once (a 1024-row
+# block raised a sweep's peak memory by 2 MB).
+_ROWS_PER_BLOCK = 64
+# Between two rows, as the encoder writes it and as ``indent=2`` does.
+# Strings are encoded with their newlines escaped and rows hold scalars,
+# so the encoder's text has this only between rows.
+_ENCODED_ROW_BREAK = "},\n      {"
+_INDENTED_ROW_BREAK = "\n    },\n    {\n      "
 
 
 def _json_chunks(payload: dict, rows: tuple = ()) -> Iterator[str]:
     """``json.dumps(payload, indent=2, sort_keys=True)`` of a dict with
     string keys, in chunks, byte for byte. The lists under the top-level
     keys ``rows`` hold non-empty dicts of scalars (no list or dict), and
-    each row is encoded by the C encoder, one row per chunk."""
+    are encoded by the C encoder, one chunk per block of rows."""
     if not payload:
         yield "{}"
         return
@@ -101,12 +108,15 @@ def _json_chunks(payload: dict, rows: tuple = ()) -> Iterator[str]:
         elif not value:
             yield "[]"
         else:
-            before = "["
-            for row in value:
-                # Strip the row's braces to indent them on lines of their own.
-                yield f"{before}\n    {{\n      {_ROW_ENCODER.encode(row)[1:-1]}\n    }}"
-                before = ","
-            yield "\n  ]"
+            before = "[\n    {\n      "
+            for start in range(0, len(value), _ROWS_PER_BLOCK):
+                # Strip the block's "[{" and "}]" and put each row's braces
+                # on lines of their own.
+                encoded = _ROW_ENCODER.encode(value[start:start + _ROWS_PER_BLOCK])
+                yield before + encoded[2:-2].replace(_ENCODED_ROW_BREAK,
+                                                     _INDENTED_ROW_BREAK)
+                before = _INDENTED_ROW_BREAK
+            yield "\n    }\n  ]"
     yield "\n}"
 
 
@@ -174,40 +184,49 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _point_rows(points) -> list[dict]:
-    return [p.to_dict() for p in points]
+_POINTS_CSV_HEADER = ["phase", "batch", "isl", "osl", "tp", "ep", "cp", "overlap",
+                      "feasible", "latency_s", "energy_j", "infeasible_reason"]
 
 
-def _write_points_csv(path: Path, rows: list[dict]) -> None:
-    """The points' rows (see :meth:`ConfigPoint.to_dict`) as CSV, with
-    each latency and energy written as its repr."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fields = ["phase", "batch", "isl", "osl", "tp", "ep", "cp", "overlap",
-              "feasible", "latency_s", "energy_j", "infeasible_reason"]
-    head = itemgetter(*fields[:9])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            latency, energy = row["latency_s"], row["energy_j"]
-            writer.writerow((*head(row),
-                             None if latency is None else repr(latency),
-                             None if energy is None else repr(energy),
-                             row["infeasible_reason"]))
+def _write_sweep_csvs(out_dir: Path, points, rows: list[dict],
+                      formats) -> None:
+    """``points.csv`` (format ``csv``): each point's row (see
+    :meth:`ConfigPoint.to_dict`), and ``plot_data.csv`` (format ``plot``):
+    x=latency, y=energy, series=config group (tp/overlap), one row per
+    feasible point. Latencies and energies are written as their repr,
+    taken once for both files, a block of points at a time.
 
-
-def _write_plot_data(path: Path, points) -> None:
-    """x=latency, y=energy, series=config group (tp/overlap), one row per point."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "x_latency_s", "y_energy_j", "label"])
-        for p in points:
-            if not p.feasible:
-                continue
-            series = f"tp{p.tp}-ov{format_overlap(p.overlap) or 'none'}"
-            writer.writerow([series, repr(p.latency), repr(p.energy),
-                             f"b{p.batch}-isl{p.isl}"])
+    No field of ``plot_data.csv`` needs quoting (integers, float reprs,
+    overlap settings), so its lines are written as :mod:`csv` writes
+    them, without a second writer and its 128 KiB record buffer."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as files:
+        table = plot = None
+        if "csv" in formats:
+            table = csv.writer(files.enter_context(
+                open(out_dir / "points.csv", "w", newline="")))
+            table.writerow(_POINTS_CSV_HEADER)
+        if "plot" in formats:
+            plot = files.enter_context(
+                open(out_dir / "plot_data.csv", "w", newline=""))
+            plot.write("series,x_latency_s,y_energy_j,label\r\n")
+        for start in range(0, len(points), _ROWS_PER_BLOCK):
+            stop = start + _ROWS_PER_BLOCK
+            table_rows, plot_lines = [], []
+            for p, row in zip(points[start:stop], rows[start:stop]):
+                latency, energy = repr(p.latency), repr(p.energy)
+                overlap = row["overlap"]
+                table_rows.append((*p[:7], overlap, p.feasible,
+                                   None if p.latency is None else latency,
+                                   None if p.energy is None else energy,
+                                   p.infeasible_reason))
+                if p.feasible:
+                    plot_lines.append(f"tp{p.tp}-ov{overlap or 'none'},{latency},"
+                                      f"{energy},b{p.batch}-isl{p.isl}\r\n")
+            if table is not None:
+                table.writerows(table_rows)
+            if plot is not None:
+                plot.writelines(plot_lines)
 
 
 def cmd_sweep(args) -> int:
@@ -217,13 +236,12 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     inputs = _load_inputs(args)
     grid_path = _resolve(args.grid)
-    grid = load_json(grid_path)
-    with in_file(grid_path):  # the grid's faults surface in sweep
-        points = sweep(inputs["spec"], inputs["dims"], grid, inputs["hw"],
-                       inputs["compute"], inputs["comm"], phase=args.phase,
-                       jobs=args.jobs, tile=args.tile,
-                       decode_stride=args.decode_stride,
-                       routing_trace=inputs["trace"])
+    points = sweep(inputs["spec"], inputs["dims"], load_json(grid_path),
+                   inputs["hw"], inputs["compute"], inputs["comm"],
+                   phase=args.phase, jobs=args.jobs, grid_path=grid_path,
+                   tile=args.tile,
+                   decode_stride=args.decode_stride,
+                   routing_trace=inputs["trace"])
     out_dir = Path(args.out)
     result = pareto_front(points)
     frontier = result.frontier
@@ -236,11 +254,11 @@ def cmd_sweep(args) -> int:
         "input_digests": inputs["digests"],
         "knobs": {"tile": args.tile, "decode_stride": args.decode_stride,
                   "phase": args.phase, "latency_budget": args.latency_budget},
-        "points": _point_rows(points),
+        "points": [p.to_dict() for p in points],
     }
     frontier_payload = {
         "format_version": 1,
-        "frontier": _point_rows(frontier),
+        "frontier": [p.to_dict() for p in frontier],
         "insights": insight_queries(points),
     }
     if args.heuristic == "max-overlap":
@@ -257,10 +275,8 @@ def cmd_sweep(args) -> int:
     if "json" in args.format:
         _write_json(out_dir / "points.json", payload, rows=("points",))
         _write_json(out_dir / "frontier.json", frontier_payload, rows=("frontier",))
-    if "csv" in args.format:
-        _write_points_csv(out_dir / "points.csv", payload["points"])
-    if "plot" in args.format:
-        _write_plot_data(out_dir / "plot_data.csv", points)
+    if "csv" in args.format or "plot" in args.format:
+        _write_sweep_csvs(out_dir, points, payload["points"], args.format)
     n_feas = sum(p.feasible for p in points)
     print(f"{len(points)} points ({n_feas} feasible), "
           f"{len(frontier)} on frontier", file=sys.stderr)
@@ -274,7 +290,8 @@ def cmd_pareto(args) -> int:
     if args.latency_budget is not None:
         frontier = [p for p in frontier if p.latency <= args.latency_budget]
     _write_json(Path(args.out) / "frontier.json",
-                {"format_version": 1, "frontier": _point_rows(frontier)},
+                {"format_version": 1,
+                 "frontier": [p.to_dict() for p in frontier]},
                 rows=("frontier",))
     print(f"{len(frontier)} frontier points", file=sys.stderr)
     return EXIT_OK

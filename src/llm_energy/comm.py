@@ -16,7 +16,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 from .compute import CostEstimate
 from .errors import BackendError, ValidationError
@@ -63,51 +62,40 @@ class CommCurve:
         return tuple([math.log(v) for v in values]
                      for values in (self.sizes, self.latencies, self.energies))
 
-    def _segment(self, size: float) -> tuple[int, int, Optional[float]]:
-        """Where ``size`` falls: the samples (lo, hi) it interpolates
-        between and its log-space fraction, or (i, i, None) to take sample
-        i as it is."""
-        sizes = self.sizes
-        if size <= sizes[0]:
-            # Overhead floor: small messages cost as much as the smallest
-            # calibrated transfer.
-            return 0, 0, None
-        if size >= sizes[-1]:
-            lo, hi = len(sizes) - 2, len(sizes) - 1
-        else:
-            hi = bisect_left(sizes, size)
-            lo = hi - 1
-            if sizes[hi] == size:
-                return hi, hi, None
-        log_sizes = self._logs[0]
-        x0, x1 = log_sizes[lo], log_sizes[hi]
-        return lo, hi, (math.log(size) - x0) / (x1 - x0)
-
-    @staticmethod
-    def _interp(values: list[float], logs: list[float],
-                segment: tuple[int, int, Optional[float]]) -> float:
-        lo, hi, frac = segment
-        if frac is None:
-            return values[lo]
-        y0, y1 = logs[lo], logs[hi]
-        return math.exp(y0 + frac * (y1 - y0))
-
-    def latency(self, size: float) -> float:
-        return self._interp(self.latencies, self._logs[1], self._segment(size))
-
-    def energy(self, size: float) -> float:
-        return self._interp(self.energies, self._logs[2], self._segment(size))
-
     def columns(self, sizes) -> tuple[array, array]:
-        """:meth:`latency` and :meth:`energy` at each of ``sizes``, each
-        size located once for both."""
-        segments = [self._segment(size) for size in sizes]
-        _, log_latencies, log_energies = self._logs
-        interp = self._interp
-        return (array("d", [interp(self.latencies, log_latencies, segment)
-                            for segment in segments]),
-                array("d", [interp(self.energies, log_energies, segment)
-                            for segment in segments]))
+        """(latencies, energies) at each of ``sizes``, each size located
+        once for both. Below the smallest sample the overhead floor is
+        taken (small messages cost as much as the smallest calibrated
+        transfer), a sample's own values at a sample, and otherwise the
+        log-log line through the two samples around the size (the last two
+        above the largest)."""
+        samples, latencies, energies = self.sizes, self.latencies, self.energies
+        log_sizes, log_latencies, log_energies = self._logs
+        smallest, largest, last = samples[0], samples[-1], len(samples) - 1
+        log, exp = math.log, math.exp
+        out_latencies, out_energies = array("d"), array("d")
+        add_latency, add_energy = out_latencies.append, out_energies.append
+        for size in sizes:
+            if size <= smallest:
+                add_latency(latencies[0])
+                add_energy(energies[0])
+                continue
+            if size >= largest:
+                lo, hi = last - 1, last
+            else:
+                hi = bisect_left(samples, size)
+                if samples[hi] == size:
+                    add_latency(latencies[hi])
+                    add_energy(energies[hi])
+                    continue
+                lo = hi - 1
+            x0 = log_sizes[lo]
+            frac = (log(size) - x0) / (log_sizes[hi] - x0)
+            y0 = log_latencies[lo]
+            add_latency(exp(y0 + frac * (log_latencies[hi] - y0)))
+            y0 = log_energies[lo]
+            add_energy(exp(y0 + frac * (log_energies[hi] - y0)))
+        return out_latencies, out_energies
 
 
 @dataclass
@@ -181,27 +169,18 @@ class EffectiveCurve:
     curves: list[CommCurve]
     frac: float
 
-    def _blend(self, a: float, b: float) -> float:
-        return math.exp((1 - self.frac) * math.log(a) + self.frac * math.log(b))
-
-    def latency(self, size: float) -> float:
-        if len(self.curves) == 1:
-            return self.curves[0].latency(size)
-        return self._blend(self.curves[0].latency(size), self.curves[1].latency(size))
-
-    def energy(self, size: float) -> float:
-        if len(self.curves) == 1:
-            return self.curves[0].energy(size)
-        return self._blend(self.curves[0].energy(size), self.curves[1].energy(size))
-
     def columns(self, sizes) -> tuple[array, array]:
-        """:meth:`latency` and :meth:`energy` at each of ``sizes``."""
+        """(latencies, energies) at each of ``sizes``: of the one curve, or
+        the log-space blend of the two at :attr:`frac`."""
         if len(self.curves) == 1:
             return self.curves[0].columns(sizes)
         (lat0, en0), (lat1, en1) = (curve.columns(sizes) for curve in self.curves)
-        blend = self._blend
-        return (array("d", [blend(a, b) for a, b in zip(lat0, lat1)]),
-                array("d", [blend(a, b) for a, b in zip(en0, en1)]))
+        frac, rest = self.frac, 1 - self.frac
+        log, exp = math.log, math.exp
+        return (array("d", [exp(rest * log(a) + frac * log(b))
+                            for a, b in zip(lat0, lat1)]),
+                array("d", [exp(rest * log(a) + frac * log(b))
+                            for a, b in zip(en0, en1)]))
 
 
 def estimate_comm(c: CommDescriptor, table: CommCalibrationTable) -> CostEstimate:
@@ -248,8 +227,8 @@ class CommBackend:
         return curve
 
     def estimate(self, c: CommDescriptor) -> CostEstimate:
-        curve = self._curve(c)
-        return CostEstimate(curve.latency(c.bytes), curve.energy(c.bytes))
+        latencies, energies = self._curve(c).columns((c.bytes,))
+        return CostEstimate(latencies[0], energies[0])
 
     def estimate_columns(self, c: CommColumns) -> tuple[array, array]:
         """:meth:`estimate` at each point: (latencies, energies)."""

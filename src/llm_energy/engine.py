@@ -50,7 +50,7 @@ from .moe import (
     stats_from_trace,
     uniform_routing,
 )
-from .overlap import check_overlap, plan_overlap, plan_overlap_columns
+from .overlap import StageColumns, check_overlap, plan_overlap
 from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
 
 DEFAULT_DECODE_STRIDE = 1
@@ -94,6 +94,8 @@ class Estimator:
                  *, tile: int = DEFAULT_TILE,
                  decode_stride: int = DEFAULT_DECODE_STRIDE,
                  routing_trace: Optional[RoutingTrace] = None):
+        if tile < 1:
+            raise ValidationError(f"tile must be >= 1, got {tile}")
         self.spec = spec
         self.dims = dims
         self.hw = hw
@@ -356,9 +358,12 @@ class Estimator:
         validated, the layer compiled, each point's memory checked and its
         routing statistics taken once; every op is lowered once as columns
         over the points, un-overlapped, and each kernel column of an op
-        that a setting leaves un-overlapped is priced at most once. Per
+        that a setting leaves un-overlapped is priced at most once, and
+        each report row made only of such kernels is summed once. Per
         setting, only the ops it overlaps are planned
-        (:func:`plan_overlap_columns`), and its rows and totals assembled.
+        (:meth:`~llm_energy.overlap.StageColumns.plan`; their terms that
+        depend on the stages alone once per op and stage count), and its
+        other rows and its totals assembled.
 
         A point's (latency, energy) are equal, bit for bit, to the totals
         of the report :meth:`estimate` gives for it under that setting,
@@ -476,44 +481,47 @@ class Estimator:
 
         gpus = float(self.gpu_count(degrees))
         weight = float(self.layers())
+        shared_rows: dict = {}
+        stages_memo: dict = {}
         out = []
         for plan in plans:
             ops, point_errors = _overlapped(plan, lowered, errors, failed_at, n)
             for exc in point_errors.values():
                 if not isinstance(exc, ValidationError):
                     raise exc  # as estimate() raises it, before any pricing
-            rows: dict[tuple[str, str], list] = {}
-
-            def accumulate(label: str, category: str, latencies, energies) -> None:
-                # As estimate() adds one entry to its row, point by point.
-                scale = 1.0 if category == CATEGORY_COMM else gpus
-                row = rows.get((label, category))
-                if row is None:
-                    row = rows[(label, category)] = [[0.0] * n, [0.0] * n]
-                row[0] = [a + t * weight for a, t in zip(row[0], latencies)]
-                row[1] = [a + e * scale * weight for a, e in zip(row[1], energies)]
-
+            # (label, category, latencies, energies, source) of each entry
+            # in stream order. The source is the (op, kernel) index of a
+            # kernel column priced un-overlapped, the same under every
+            # setting, or None for an overlapped op's entries.
+            entries: list = []
             for idx, op in enumerate(ops):
                 if len(point_errors) == n:
                     break  # no point prices this op, so none meets its errors
                 if op.overlap is not None:
-                    self._overlap_columns(op, env, n, point_errors, accumulate)
+                    self._overlap_columns(idx, op, env, n, point_errors,
+                                          stages_memo, entries)
                     continue
                 for k_idx, kernel in enumerate(op.kernels):
-                    accumulate(op.label, _kernel_category(kernel), *price(idx, k_idx))
-
+                    entries.append((op.label, _kernel_category(kernel),
+                                    *price(idx, k_idx), (idx, k_idx)))
+            if len(point_errors) == n:
+                out.append([(None, None, str(point_errors[i])) for i in range(n)])
+                continue
+            rows = _accumulate_rows(entries, n, weight, gpus, shared_rows)
             # A report's totals: the builtin sum over its rows, in row order.
-            latencies = [sum(point) for point in zip(*(row[0] for row in rows.values()))]
-            energies = [sum(point) for point in zip(*(row[1] for row in rows.values()))]
+            latencies = [sum(point) for point in zip(*(row[0] for row in rows))]
+            energies = [sum(point) for point in zip(*(row[1] for row in rows))]
             out.append([
                 (None, None, str(point_errors[i])) if i in point_errors else
                 (latencies[i], energies[i], "") for i in range(n)])
         return out
 
-    def _overlap_columns(self, op: LoweredColumns, env: dict, n: int,
-                         errors: dict, accumulate) -> None:
-        """:meth:`_overlap_entries` over a column of ``n`` points: a point
-        that cannot be overlapped gets its error in ``errors``."""
+    def _overlap_columns(self, idx: int, op: LoweredColumns, env: dict, n: int,
+                         errors: dict, stages_memo: dict, entries: list) -> None:
+        """:meth:`_overlap_entries` over a column of ``n`` points, appended
+        to ``entries``: a point that cannot be overlapped gets its error in
+        ``errors``. The terms of op ``idx`` that depend on the stages alone
+        are priced once per stage count and kept in ``stages_memo``."""
         live = [i for i in range(n) if i not in errors]
         stages, sm_comm, dim = op.overlap
         try:
@@ -535,20 +543,55 @@ class Estimator:
                 errors[i] = exc
         if len(errors) == n:
             return
-        plan = plan_overlap_columns(op.gemm, op.collective.bytes, op.collective.world,
-                                    stages, sm_comm, self.compute_backend,
-                                    self.comm_backend, self.hw.total_sm,
-                                    label=op.label)
+        stage = stages_memo.get((idx, stages))
+        if stage is None:
+            stage = stages_memo[(idx, stages)] = StageColumns(
+                op.gemm, op.collective.bytes, op.collective.world, stages,
+                self.compute_backend, self.comm_backend, label=op.label)
+        plan = stage.plan(sm_comm, self.hw.total_sm)
         # Any kernels lowered ahead of the GEMM (cp transitions) keep their
         # normal pricing.
         for kernel in op.kernels:
             if kernel is op.gemm:
                 continue
-            accumulate(op.label, _kernel_category(kernel),
-                       *self._price_columns(kernel))
-        accumulate(op.label, CATEGORY_COMPUTE, plan.compute_latency,
-                   plan.compute_energy)
-        accumulate(op.label, CATEGORY_EXPOSED, plan.t_exposed, plan.exposed_energy)
+            entries.append((op.label, _kernel_category(kernel),
+                            *self._price_columns(kernel), None))
+        entries.append((op.label, CATEGORY_COMPUTE, plan.compute_latency,
+                        plan.compute_energy, None))
+        entries.append((op.label, CATEGORY_EXPOSED, plan.t_exposed,
+                        plan.exposed_energy, None))
+
+
+def _accumulate_rows(entries: list, n: int, weight: float, gpus: float,
+                     shared: dict) -> list[tuple[list, list]]:
+    """(latencies, energies) of each report row over ``n`` points, rows in
+    first-seen order, each the sum of its entries weighted by ``weight``
+    (energies also by ``gpus``, comm excepted) from 0.0 in stream order, as
+    :meth:`Estimator.estimate` adds one entry to its row, point by point.
+    A row whose entries all have a source is kept in ``shared`` under
+    those sources, and taken from there by every later setting."""
+    by_row: dict = {}
+    for label, category, latencies, energies, source in entries:
+        by_row.setdefault((label, category), []).append(
+            (latencies, energies, source))
+    rows = []
+    for (_, category), parts in by_row.items():
+        sources = tuple(source for _, _, source in parts)
+        reusable = None not in sources
+        row = shared.get(sources) if reusable else None
+        if row is None:
+            scale = 1.0 if category == CATEGORY_COMM else gpus
+            row_latencies, row_energies = [0.0] * n, [0.0] * n
+            for latencies, energies, _ in parts:
+                row_latencies = [a + t * weight
+                                 for a, t in zip(row_latencies, latencies)]
+                row_energies = [a + e * scale * weight
+                                for a, e in zip(row_energies, energies)]
+            row = (row_latencies, row_energies)
+            if reusable:
+                shared[sources] = row
+        rows.append(row)
+    return rows
 
 
 def _overlapped(plan: LayerPlan, lowered: list[LoweredColumns], errors: dict,

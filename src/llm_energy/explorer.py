@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .comm import CommBackend
 from .compute import HardwareProfile
@@ -19,9 +19,10 @@ from .spec_lang import (DimensionBindings, ModelSpec, as_int, as_number, in_file
 OverlapSetting = Optional[tuple[int, int]]  # (stages, sm_comm) or None
 
 
-@dataclass(frozen=True)
-class ConfigPoint:
-    """One evaluated configuration of the sweep grid."""
+class ConfigPoint(NamedTuple):
+    """One evaluated configuration of the sweep grid. A tuple, so a sweep
+    builds its points as cheaply as the interpreter builds its records:
+    ``==`` is tuple equality, and ``_replace`` makes a changed copy."""
 
     phase: str
     batch: int
@@ -42,14 +43,14 @@ class ConfigPoint:
                 self.ep, self.cp, self.overlap)
 
     def to_dict(self) -> dict:
+        # Keys in sorted order, where a sorting JSON encoder puts them.
+        (phase, batch, isl, osl, tp, ep, cp, overlap, feasible, latency, energy,
+         reason) = self
         return {
-            "phase": self.phase, "batch": self.batch, "isl": self.isl,
-            "osl": self.osl, "tp": self.tp, "ep": self.ep, "cp": self.cp,
-            "overlap": format_overlap(self.overlap),
-            "feasible": self.feasible,
-            "latency_s": self.latency,
-            "energy_j": self.energy,
-            "infeasible_reason": self.infeasible_reason,
+            "batch": batch, "cp": cp, "energy_j": energy, "ep": ep,
+            "feasible": feasible, "infeasible_reason": reason, "isl": isl,
+            "latency_s": latency, "osl": osl,
+            "overlap": format_overlap(overlap), "phase": phase, "tp": tp,
         }
 
 
@@ -134,19 +135,23 @@ def normalize_grid(grid: dict) -> dict[str, list]:
 
 def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
           hw: HardwareProfile, compute_backend, comm_backend: CommBackend,
-          phase: str = PREFILL, jobs: int = 1,
+          phase: str = PREFILL, jobs: int = 1, grid_path=None,
           **estimator_kwargs) -> list[ConfigPoint]:
     """Evaluate the Cartesian grid. Infeasible points are flagged, not dropped.
 
     The points are evaluated in groups of one set of parallel degrees. A
-    prefill group is priced as columns over its (batch, isl) points under
-    every overlap setting at once
+    prefill group is priced as columns over its distinct (batch, isl)
+    points (prefill ignores osl) under every overlap setting at once
     (:meth:`Estimator.estimate_prefill_settings`); a decode point by
     :meth:`Estimator.estimate`. ``jobs`` > 1 evaluates groups on that many
     threads. Output order is the sorted grid product, independent of
-    ``jobs``.
+    ``jobs``. ``grid_path``, if given, is named in the grid's own errors.
     """
-    axes = normalize_grid(grid)
+    if grid_path is None:
+        axes = normalize_grid(grid)
+    else:
+        with in_file(grid_path):
+            axes = normalize_grid(grid)
     # The product of sorted axes is the sorted product; no overlap sorts
     # first.
     combos = list(product(*(sorted(axes[axis], key=lambda v: (v is not None, v))
@@ -179,11 +184,16 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
         (tp, ep, cp), by_setting = group
         degrees = {"tp": tp, "ep": ep, "cp": cp}
         if phase == PREFILL:
-            members = next(iter(by_setting.values()))
+            # Prefill ignores osl: each distinct (batch, isl) is priced
+            # once, and its result goes to every osl of the grid.
+            slot: dict = {}  # each distinct (batch, isl): its index
+            slots = [slot.setdefault(combos[k][:2], len(slot))
+                     for k in next(iter(by_setting.values()))]
             priced = estimator.estimate_prefill_settings(
-                [combos[k][:2] for k in members], degrees, list(by_setting))
-            return [point for indices, results in zip(by_setting.values(), priced)
-                    for point in zip(indices, results)]
+                list(slot), degrees, list(by_setting))
+            return [(k, results[j])
+                    for indices, results in zip(by_setting.values(), priced)
+                    for k, j in zip(indices, slots)]
         return [(k, decode_point(*combos[k][:3], degrees, ov))
                 for ov, indices in by_setting.items() for k in indices]
 
@@ -193,11 +203,11 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
     else:
         priced = [evaluate(group) for group in groups.items()]
     points: list = [None] * len(combos)
+    make = ConfigPoint._make
     for results in priced:
         for k, (latency, energy, reason) in results:
-            points[k] = ConfigPoint(phase, *combos[k], feasible=latency is not None,
-                                    latency=latency, energy=energy,
-                                    infeasible_reason=reason)
+            points[k] = make((phase, *combos[k], latency is not None, latency,
+                              energy, reason))
     return points
 
 
@@ -215,31 +225,31 @@ def pareto_front(points: Sequence[ConfigPoint]) -> ParetoResult:
     energy is strictly below every strictly-faster point's energy and
     minimal within its own latency tie group.
     """
-    usable = [p for p in points if p.feasible]
-    phases = {p.phase for p in usable}
+    # (latency, energy, index) of each feasible point: sorted, points of
+    # equal cost keep their input order.
+    ordered = sorted((p.latency, p.energy, k)
+                     for k, p in enumerate(points) if p.feasible)
+    phases = {points[k].phase for _, _, k in ordered}
     if len(phases) > 1:
         raise ValidationError(f"mixed phases in Pareto input: {sorted(phases)}")
-    frontier, dominated = [], []
+    on_front, off_front = [], []
     best_faster = float("inf")  # min energy among strictly lower latencies
     i = 0
-    ordered = sorted(usable, key=lambda p: (p.latency, p.energy))
     while i < len(ordered):
         j = i
-        while j < len(ordered) and ordered[j].latency == ordered[i].latency:
+        while j < len(ordered) and ordered[j][0] == ordered[i][0]:
             j += 1
-        group = ordered[i:j]
-        group_min = group[0].energy
-        for p in group:
-            if p.energy == group_min and p.energy < best_faster:
-                frontier.append(p)
+        group_min = ordered[i][1]
+        for _, energy, k in ordered[i:j]:
+            if energy == group_min and energy < best_faster:
+                on_front.append(k)
             else:
-                dominated.append(p)
+                off_front.append(k)
         best_faster = min(best_faster, group_min)
         i = j
-    # Restore input order for determinism of downstream reports.
-    order = {id(p): k for k, p in enumerate(points)}
-    frontier.sort(key=lambda p: order[id(p)])
-    dominated.sort(key=lambda p: order[id(p)])
+    # Input order, for determinism of downstream reports.
+    frontier = [points[k] for k in sorted(on_front)]
+    dominated = [points[k] for k in sorted(off_front)]
     return ParetoResult(frontier, dominated)
 
 
@@ -292,13 +302,16 @@ def insight_queries(points: Sequence[ConfigPoint]) -> dict:
     phase = feas[0].phase if feas else None
 
     if phase == PREFILL:
+        by_isl: dict[int, list] = {}  # the feasible points of each isl, in order
+        for p in feas:
+            by_isl.setdefault(p.isl, []).append(p)
+        isls = sorted(by_isl)
         rows = []
-        isls = sorted({p.isl for p in feas})
         for isl in isls:
-            a = next((p for p in feas if p.batch == 4 and p.tp == 2
-                      and p.isl == isl and p.overlap is None), None)
-            b = next((p for p in feas if p.batch == 16 and p.tp == 8
-                      and p.isl == isl and p.overlap is None), None)
+            a = next((p for p in by_isl[isl] if p.batch == 4 and p.tp == 2
+                      and p.overlap is None), None)
+            b = next((p for p in by_isl[isl] if p.batch == 16 and p.tp == 8
+                      and p.overlap is None), None)
             if a and b:
                 # Per-request energy comparison at matched ISL.
                 e_a, e_b = a.energy / a.batch, b.energy / b.batch
@@ -311,10 +324,8 @@ def insight_queries(points: Sequence[ConfigPoint]) -> dict:
             out["notes"].append("B4/TP2 vs B16/TP8 comparison needs both configs")
         winners = []
         for isl in isls:
-            cands = [p for p in feas if p.isl == isl]
-            if cands:
-                best = min(cands, key=lambda p: p.energy / p.batch)
-                winners.append({"isl": isl, "winner": best.to_dict()})
+            best = min(by_isl[isl], key=lambda p: p.energy / p.batch)
+            winners.append({"isl": isl, "winner": best.to_dict()})
         out["per_isl_winners"] = winners
 
     if phase == DECODE:

@@ -169,32 +169,47 @@ def _power(cost: tuple[Sequence[float], Sequence[float]]) -> array:
     return array("d", [e / t if t > 0 else 0.0 for t, e in zip(*cost)])
 
 
-def plan_overlap_columns(g: GemmColumns, collective_bytes: Sequence[float],
-                         world: int, stages: int, sm_comm: int,
-                         compute_backend, comm_backend: CommBackend,
-                         total_sm: int, label: str = "") -> OverlapColumns:
-    """:func:`plan_overlap` at each point of a GEMM + AllReduce column pair,
-    each kernel priced as one column. The points must pass
-    :func:`check_overlap`."""
-    fraction = 1.0 / stages
-    part = g._replace(m=[m * fraction for m in g.m])
-    first = compute_backend.estimate_gemm_columns(part)
+class StageColumns:
+    """:func:`plan_overlap` at each point of a GEMM + AllReduce column pair
+    split into ``stages``, each kernel priced as one column, for every
+    ``sm_comm`` the settings of one stage count give. The terms that
+    depend on the stages alone are priced once, by the backends kept for
+    each setting's own terms: the GEMM partition (1 / ``stages`` of its
+    rows) on all SMs, its power, the message per stage, and the exposed
+    collective, an AllGather chunk (the whole AllReduce at one stage).
+    The points must pass :func:`check_overlap`."""
 
-    if stages == 1:
-        exposed = comm_backend.estimate_columns(CommColumns(
-            ALLREDUCE, collective_bytes, world, label=f"{label} AllReduce"))
-        zeros = [0.0] * len(first[0])
-        p_first = _power(first)
-        return OverlapColumns(1, first[0], zeros, zeros, exposed[0],
-                              p_first, p_first)
+    def __init__(self, g: GemmColumns, collective_bytes: Sequence[float],
+                 world: int, stages: int, compute_backend,
+                 comm_backend: CommBackend, label: str = ""):
+        fraction = 1.0 / stages
+        self.stages, self.world, self.label = stages, world, label
+        self.compute_backend, self.comm_backend = compute_backend, comm_backend
+        self.part = g._replace(m=[m * fraction for m in g.m])
+        self.first = compute_backend.estimate_gemm_columns(self.part)
+        self.p_first = _power(self.first)
+        self.chunk = [size / stages for size in collective_bytes]
+        self._exposed = None
 
-    restricted = compute_backend.estimate_gemm_columns(
-        part._replace(sm_available=total_sm - sm_comm))
-    chunk = [size / stages for size in collective_bytes]
-    rs = comm_backend.estimate_columns(CommColumns(
-        REDUCESCATTER, chunk, world, sm_count=sm_comm,
-        label=f"{label} ReduceScatter"))
-    ag = comm_backend.estimate_columns(CommColumns(
-        ALLGATHER, chunk, world, label=f"{label} AllGather"))
-    return OverlapColumns(stages, first[0], restricted[0], rs[0], ag[0],
-                          _power(first), _power(restricted))
+    def plan(self, sm_comm: int, total_sm: int) -> OverlapColumns:
+        """The plan of the setting with ``sm_comm`` SMs for the collective."""
+        first, p_first, stages = self.first, self.p_first, self.stages
+        if stages == 1:
+            t_gemm_ov = t_comm_ov = [0.0] * len(first[0])
+            p_overlapped = p_first
+        else:
+            restricted = self.compute_backend.estimate_gemm_columns(
+                self.part._replace(sm_available=total_sm - sm_comm))
+            t_gemm_ov, p_overlapped = restricted[0], _power(restricted)
+            t_comm_ov = self.comm_backend.estimate_columns(CommColumns(
+                REDUCESCATTER, self.chunk, self.world, sm_count=sm_comm,
+                label=f"{self.label} ReduceScatter"))[0]
+        # The exposed collective is priced after the setting's own kernels,
+        # in plan_overlap's order, so that a backend missing several of
+        # them raises the same BackendError first.
+        if self._exposed is None:
+            kind = ALLREDUCE if stages == 1 else ALLGATHER
+            self._exposed = self.comm_backend.estimate_columns(CommColumns(
+                kind, self.chunk, self.world, label=f"{self.label} {kind}"))[0]
+        return OverlapColumns(stages, first[0], t_gemm_ov, t_comm_ov,
+                              self._exposed, p_first, p_overlapped)

@@ -1,13 +1,20 @@
 """CLI contract tests: commands, exit codes, file outputs, determinism."""
 
+import csv
 import json
 import math
+import tempfile
+from operator import itemgetter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llm_energy import cli
 from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, dumps_json, main
+from llm_energy.explorer import ConfigPoint, format_overlap
 from llm_energy.fixtures import fixture_path
 
 
@@ -57,6 +64,30 @@ def test_missing_file_is_validation_error(tmp_path):
     code = main(["estimate", *args])
     assert code == EXIT_VALIDATION
     assert not (tmp_path / "report_prefill.json").exists()
+
+
+def test_estimate_rejects_tile_below_one(tmp_path, capsys):
+    # A dense spec never quantizes tokens, yet the tile is still checked.
+    code = main(["estimate", *_base_args(tmp_path), "--tile", "0"])
+    assert code == EXIT_VALIDATION
+    assert "tile must be >= 1, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_moe_sweep_rejects_tile_below_one(tmp_path, capsys):
+    # Rejected before any point is priced, not reported as every point's
+    # infeasible reason, and not blamed on the grid.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"batch": [1, 2], "isl": [128], "ep": [1, 2]}))
+    out = tmp_path / "out"
+    code = main(["sweep", *_base_args(out, spec="moe_fused.json",
+                                      dims="qwen3_30b_a3b.json"),
+                 "--grid", str(grid), "--tile", "-1"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error: tile must be >= 1, got -1" in err
+    assert str(grid) not in err
+    assert not out.exists()
 
 
 def test_estimate_writes_no_report_unless_every_phase_is_priced(tmp_path):
@@ -530,7 +561,74 @@ _ROWS = st.lists(st.dictionaries(st.text(min_size=1), _SCALARS, min_size=1,
 def test_row_lists_write_the_bytes_of_indented_json(points, frontier, meta):
     # Quotes, backslashes, control characters, a row-boundary lookalike
     # and non-ASCII text in keys and values; nan, inf and -0.0; None,
-    # bools, ints and empty lists.
+    # bools, ints and empty lists. Lists of up to eight rows span up to
+    # three blocks of three rows.
     payload = dict(meta, points=points, frontier=frontier)
-    assert (dumps_json(payload, rows=("points", "frontier"))
-            == json.dumps(payload, indent=2, sort_keys=True))
+    want = json.dumps(payload, indent=2, sort_keys=True)
+    assert dumps_json(payload, rows=("points", "frontier")) == want
+    with mock.patch.object(cli, "_ROWS_PER_BLOCK", 3):
+        assert dumps_json(payload, rows=("points", "frontier")) == want
+
+
+# -- CSV writes ------------------------------------------------------------------
+
+def _row_at_a_time_points_csv(path, rows):
+    """points.csv as written one row at a time from the rows' dicts."""
+    fields = ["phase", "batch", "isl", "osl", "tp", "ep", "cp", "overlap",
+              "feasible", "latency_s", "energy_j", "infeasible_reason"]
+    head = itemgetter(*fields[:9])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for row in rows:
+            latency, energy = row["latency_s"], row["energy_j"]
+            writer.writerow((*head(row),
+                             None if latency is None else repr(latency),
+                             None if energy is None else repr(energy),
+                             row["infeasible_reason"]))
+
+
+def _row_at_a_time_plot_data(path, points):
+    """plot_data.csv as written one row at a time from the points."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series", "x_latency_s", "y_energy_j", "label"])
+        for p in points:
+            if not p.feasible:
+                continue
+            series = f"tp{p.tp}-ov{format_overlap(p.overlap) or 'none'}"
+            writer.writerow([series, repr(p.latency), repr(p.energy),
+                             f"b{p.batch}-isl{p.isl}"])
+
+
+_COST = st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([-0.0, 0.0, 5e-324, 1e300]))
+_POINTS = st.lists(st.builds(
+    ConfigPoint, phase=st.sampled_from(["prefill", "decode"]),
+    batch=st.integers(1, 2**40), isl=st.integers(1, 2**20), osl=st.integers(1, 64),
+    tp=st.integers(1, 8), ep=st.integers(1, 8), cp=st.integers(1, 8),
+    overlap=st.one_of(st.none(), st.tuples(st.integers(1, 8), st.integers(1, 200))),
+    feasible=st.booleans(), latency=_COST, energy=_COST,
+    infeasible_reason=st.one_of(st.text(), st.sampled_from(
+        ["", "a, b", 'say "no"', "line\nbreak", "cr\r\nlf", ",\"\n"]))),
+    max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=_POINTS, block=st.sampled_from([1, 3, 32]))
+def test_sweep_csvs_write_the_bytes_of_row_at_a_time_writers(points, block):
+    # None latency and energy, feasible or not; no overlap; reasons with
+    # commas, quotes, carriage returns and newlines; nan, inf and -0.0;
+    # lists of up to twelve points in blocks of 1, 3 or 32.
+    rows = [p.to_dict() for p in points]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new"), Path(tmp, "old")
+        with mock.patch.object(cli, "_ROWS_PER_BLOCK", block):
+            cli._write_sweep_csvs(new, points, rows, ("csv", "plot"))
+        old.mkdir()
+        _row_at_a_time_points_csv(old / "points.csv", rows)
+        _row_at_a_time_plot_data(old / "plot_data.csv", points)
+        for name in ("points.csv", "plot_data.csv"):
+            assert (new / name).read_bytes() == (old / name).read_bytes()
+        cli._write_sweep_csvs(Path(tmp, "plot"), points, rows, ("plot",))
+        assert [path.name for path in Path(tmp, "plot").iterdir()] == ["plot_data.csv"]

@@ -71,16 +71,18 @@ def test_sm_curve_exact_and_blend():
     t.curves[(REDUCESCATTER, 8, 16)] = CommCurve([1e3, 1e6], [1e-5, 1e-4],
                                                  [1e-2, 1e-1])
     t.validate()
-    exact = resolve_sm_curve(REDUCESCATTER, 8, 4, t)
-    assert exact.latency(1e3) == 4e-5
+
+    def latency(sm_query):
+        return resolve_sm_curve(REDUCESCATTER, 8, sm_query, t).columns([1e3])[0][0]
+
+    assert latency(4) == 4e-5
     # sm=10 is halfway between 4 and 16: log-blend = geometric mean.
-    blended = resolve_sm_curve(REDUCESCATTER, 8, 10, t)
-    assert blended.latency(1e3) == pytest.approx(
+    assert latency(10) == pytest.approx(
         math.exp(0.5 * (math.log(4e-5) + math.log(1e-5))), rel=1e-12)
-    assert 1e-5 < blended.latency(1e3) < 4e-5
+    assert 1e-5 < latency(10) < 4e-5
     # Outside the calibrated range: clamp to nearest.
-    assert resolve_sm_curve(REDUCESCATTER, 8, 100, t).latency(1e3) == 1e-5
-    assert resolve_sm_curve(REDUCESCATTER, 8, 1, t).latency(1e3) == 4e-5
+    assert latency(100) == 1e-5
+    assert latency(1) == 4e-5
 
 
 def test_fewer_sms_never_faster(comm_table):
@@ -280,8 +282,24 @@ def test_cached_logs_lookup_equals_formula(samples, queries):
         except ArithmeticError as exc:  # sizes with equal logs, or steep
             return type(exc)            # extrapolation: both ways alike
 
+    def lookup(size):
+        latencies, energies = curve.columns([size])
+        return latencies[0], energies[0]
+
+    want = []
     for size in queries:
-        assert (outcome(curve.latency, size)
-                == outcome(_interp_from_scratch, curve, curve.latencies, size))
-        assert (outcome(curve.energy, size)
-                == outcome(_interp_from_scratch, curve, curve.energies, size))
+        got = outcome(lookup, size)
+        expected = tuple(outcome(_interp_from_scratch, curve, values, size)
+                         for values in (curve.latencies, curve.energies))
+        if isinstance(got, type):
+            assert got in expected
+        else:
+            assert got == expected
+        want.append(got)
+    # A column of the same queries, in one pass: each size's latency and
+    # energy as a lookup of that size alone gives them, or its error.
+    if any(isinstance(value, type) for value in want):
+        with pytest.raises(ArithmeticError):
+            curve.columns(queries)
+    else:
+        assert list(zip(*curve.columns(queries))) == want

@@ -453,3 +453,11 @@ def test_prefill_settings_in_any_order_equal_scalar_estimates(
                                (None, None, report.infeasible_reason))
             want.append(results)
         assert got == want
+
+
+@pytest.mark.parametrize("tile", [0, -16])
+def test_estimator_rejects_tile_below_one(dense_spec, dims_8b, hw, roofline,
+                                          comm_backend, tile):
+    # Checked for every spec, not only when an MoE op quantizes tokens.
+    with pytest.raises(ValidationError, match=f"tile must be >= 1, got {tile}"):
+        Estimator(dense_spec, dims_8b, hw, roofline, comm_backend, tile=tile)

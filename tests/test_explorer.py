@@ -27,6 +27,7 @@ from llm_energy import engine
 from llm_energy.explorer import max_overlap_setting, normalize_grid
 from llm_energy.fixtures import fixture_path
 from llm_energy.interpreter import DECODE, PREFILL, LayerPlan, lower_model
+from llm_energy.overlap import StageColumns
 from llm_energy.spec_lang import parse_model_spec
 
 
@@ -35,6 +36,22 @@ def _pt(lat, en, phase=PREFILL, **kw):
                 overlap=None, feasible=True, latency=lat, energy=en)
     base.update(kw)
     return ConfigPoint(**base)
+
+
+def test_config_point_fields_defaults_and_rows():
+    # A tuple of the fields in order, built by keyword or by position.
+    point = ConfigPoint(phase=PREFILL, batch=2, isl=512, osl=1, tp=2, ep=1,
+                        cp=1, overlap=(4, 16), feasible=False)
+    assert point == ConfigPoint(PREFILL, 2, 512, 1, 2, 1, 1, (4, 16), False,
+                                None, None, "")
+    assert point.identity == (PREFILL, 2, 512, 1, 2, 1, 1, (4, 16))
+    assert point.to_dict() == {
+        "phase": PREFILL, "batch": 2, "isl": 512, "osl": 1, "tp": 2, "ep": 1,
+        "cp": 1, "overlap": "4:16", "feasible": False, "latency_s": None,
+        "energy_j": None, "infeasible_reason": ""}
+    assert point != point._replace(latency=1.0)
+    # Equality is tuple equality.
+    assert point == tuple(point) and point[:2] == (PREFILL, 2)
 
 
 def test_frontier_example():
@@ -89,9 +106,15 @@ def test_frontier_matches_oracle_random():
         n = rng.randint(1, 200)
         pts = [_pt(rng.randint(1, 20), rng.randint(1, 20), batch=i)
                for i in range(n)]
-        got = {id(p) for p in pareto_front(pts).frontier}
+        result = pareto_front(pts)
+        got = {id(p) for p in result.frontier}
         want = {id(p) for p in _oracle_frontier(pts)}
         assert got == want
+        # Both lists in input order, ties of equal cost included.
+        assert [id(p) for p in result.frontier] == [id(p) for p in pts
+                                                    if id(p) in want]
+        assert [id(p) for p in result.dominated] == [id(p) for p in pts
+                                                     if id(p) not in want]
 
 
 def test_recovery_rate_example():
@@ -367,7 +390,7 @@ def test_random_prefill_grids_equal_fresh_estimator_per_point(
 
 _SETTING_PAIRS = [("dense_spec", "dims_8b"), ("dense_spec", "dims_70b"),
                   ("unfused_spec", "dims_70b"), ("moe_spec", "dims_moe"),
-                  ("cp_overlap_spec", "dims_8b")]
+                  ("cp_overlap_spec", "dims_8b"), ("shared_label_spec", "dims_8b")]
 
 # An op that takes overlap settings after one that shards b over cp, and
 # itself sharding s over cp: at tp 1, where it has no collective to
@@ -378,6 +401,16 @@ def cp_overlap_spec():
     return parse_model_spec({"layers": 2, "ops": [
         {"eq": "bsm,mHh->bsHh", "cp_dim": "b", "label": "In"},
         {"eq": "bsHh,Hhm->bsm", "parallel": "H", "cp_dim": "s", "label": "Out"}]})
+
+
+# Two ops under one label, the first taking overlap settings: its report
+# rows mix entries of an overlapped op with entries that no setting
+# changes.
+@pytest.fixture(scope="session")
+def shared_label_spec():
+    return parse_model_spec({"layers": 2, "ops": [
+        {"eq": "bsHh,Hhm->bsm", "parallel": "H", "label": "Proj"},
+        {"eq": "bsm,mF->bsF", "parallel": "F", "label": "Proj"}]})
 
 
 @settings(max_examples=60, deadline=None,
@@ -398,6 +431,9 @@ def cp_overlap_spec():
 @example(pair=("cp_overlap_spec", "dims_8b"), table=False, annotation=None,
          batch=[1, 2], isl=[511, 512], tp=[1, 2], ep=[1], cp=[2],
          overlap=[None, "2:4"])
+@example(pair=("shared_label_spec", "dims_8b"), table=False, annotation=None,
+         batch=[1, 2], isl=[512], tp=[2], ep=[1], cp=[1],
+         overlap=["2:4", None, "4:16"])
 def test_overlap_settings_of_one_degrees_equal_fresh_estimator_per_point(
         request, annotate_overlap, hw, roofline, comm_backend, pair, table,
         annotation, batch, isl, tp, ep, cp, overlap):
@@ -461,7 +497,7 @@ def test_prefill_sweep_lowers_each_group_once_as_columns(
     counting(LayerPlan, "lower_columns")
     counting(Estimator, "estimate")
     counting(Estimator, "_price_columns")
-    counting(engine, "plan_overlap_columns")
+    counting(StageColumns, "plan")
     grid = {"batch": [1, 2, 4], "isl": [256, 512], "tp": [1, 2, 4],
             "overlap": [None, "2:4", "4:16"]}
     points = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
@@ -470,7 +506,7 @@ def test_prefill_sweep_lowers_each_group_once_as_columns(
     # Two overlapped ops (Output and Down Projection) per setting at tp 2
     # and 4.
     assert calls == {"lower_columns": 3, "_price_columns": layer_kernels,
-                     "plan_overlap_columns": 2 * 2 * 2}
+                     "plan": 2 * 2 * 2}
 
 
 def test_sweep_compiles_once_per_group(monkeypatch, dense_spec, dims_8b, hw,
@@ -511,3 +547,60 @@ def test_sweep_threads_share_compiled_layers(dense_spec, dims_8b, hw, roofline,
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def test_prefill_prices_each_batch_and_length_once_for_every_osl(
+        monkeypatch, annotate_overlap, dense_spec, dims_8b, hw, roofline,
+        comm_backend):
+    # Prefill ignores osl, so each (batch, isl) of a degrees group is
+    # priced once for both osl values: half the group's grid points per
+    # setting. Each point is still what a fresh estimator gives for it.
+    lengths = []
+    price = Estimator.estimate_prefill_settings
+
+    def counting(self, points, degrees, settings):
+        lengths.append(len(points))
+        return price(self, points, degrees, settings)
+
+    monkeypatch.setattr(Estimator, "estimate_prefill_settings", counting)
+    grid = {"batch": [1, 2, 64], "isl": [510, 512, 131072], "osl": [1, 4],
+            "tp": [1, 2], "overlap": [None, "2:4"]}
+    points = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
+    assert points == _sweep_point_by_point(annotate_overlap, dense_spec, dims_8b,
+                                           grid, hw, roofline, comm_backend,
+                                           PREFILL)
+    assert lengths == [3 * 3, 3 * 3]  # of 3 * 3 * 2 grid points per setting
+    reasons = " ".join(p.infeasible_reason for p in points)
+    assert any(p.feasible for p in points) and "GiB" in reasons
+
+
+def test_settings_with_the_same_stages_share_their_stage_terms(
+        monkeypatch, dense_spec, dims_8b, hw, roofline, comm_backend):
+    # 4:16 and 4:32 split each overlapped op into the same four partitions:
+    # the partition on all SMs and the exposed AllGather chunk are priced
+    # once per op and stage count; each setting prices its own
+    # SM-restricted partition and ReduceScatter chunk.
+    calls = Counter()
+    kinds = Counter()
+    for owner, name in ((engine, "StageColumns"), (StageColumns, "plan")):
+        fn = getattr(owner, name)
+
+        def wrapped(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+    estimate_columns = type(comm_backend).estimate_columns
+
+    def counting_kinds(self, c):
+        kinds[c.kind] += 1
+        return estimate_columns(self, c)
+
+    monkeypatch.setattr(type(comm_backend), "estimate_columns", counting_kinds)
+    grid = {"batch": [1, 4], "isl": [512, 1024], "tp": [2, 4],
+            "overlap": [None, "4:16", "4:32", "2:4"]}
+    points = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
+    assert all(p.feasible for p in points)
+    # Two overlapped ops (Output and Down Projection) at each tp.
+    assert calls == {"StageColumns": 2 * 2 * 2, "plan": 2 * 2 * 3}
+    assert kinds == {"AllReduce": 2 * 2, "AllGather": 2 * 2 * 2,
+                     "ReduceScatter": 2 * 2 * 3}

@@ -10,7 +10,8 @@ from llm_energy import (
     ValidationError,
     plan_overlap,
 )
-from llm_energy.interpreter import ALLREDUCE
+from llm_energy.interpreter import ALLREDUCE, GemmColumns
+from llm_energy.overlap import StageColumns
 
 
 def test_closed_form_substitution():
@@ -65,6 +66,30 @@ def test_plan_overlap_multistage(hw, comm_backend):
     assert plan.total_latency == (plan.t_first + plan.t_exposed
                                   + max(plan.t_gemm_ov, plan.t_comm_ov) * 3)
     assert plan.total_energy == plan.compute_energy + plan.exposed_energy
+
+
+@pytest.mark.parametrize("stages", [1, 2, 4])
+def test_stage_columns_serve_every_sm_comm_like_scalar_plans(hw, comm_backend,
+                                                             stages):
+    # One StageColumns per stage count, shared by settings with different
+    # sm_comm: each plan equals plan_overlap at each point, bit for bit.
+    backend = RooflineBackend(hw)
+    ms = [4096.0, 512.0, 131072.0, 8.0]
+    sizes = [m * 8192 * 2.0 for m in ms]
+    g = GemmColumns([1.0] * 4, ms, [8192.0] * 4, [8192.0] * 4, dtype_bytes=2,
+                    label="x")
+    stage = StageColumns(g, sizes, 8, stages, backend, comm_backend, label="x")
+    for sm_comm in (1, 16, 32, 100):
+        got = stage.plan(sm_comm, hw.total_sm)
+        for i, (m, size) in enumerate(zip(ms, sizes)):
+            want = plan_overlap(GemmDescriptor(1.0, m, 8192.0, 8192.0, 2),
+                                size, world=8, stages=stages, sm_comm=sm_comm,
+                                overlap_dim_size=int(m), compute_backend=backend,
+                                comm_backend=comm_backend, total_sm=hw.total_sm)
+            assert (got.compute_latency[i], got.compute_energy[i],
+                    got.t_exposed[i], got.exposed_energy[i]) == (
+                want.compute_latency, want.compute_energy, want.t_exposed,
+                want.exposed_energy)
 
 
 def test_partition_overhead_dominated(hw, comm_backend):
