@@ -348,8 +348,9 @@ def _add_input_flags(p, need_spec=True):
     p.add_argument("--tile", type=int, default=DEFAULT_TILE,
                    help="grouped-GEMM tile size (1 disables quantization)")
     p.add_argument("--decode-stride", type=int, default=DEFAULT_DECODE_STRIDE,
-                   help="price every N-th decode position, weighted by N "
-                        "(default 1: every position, the exact sum)")
+                   help="sample every N-th decode position, weighted by N, "
+                        "a sum that reads low (default 1: every position, "
+                        "the exact sum, which costs no more)")
 
 
 def build_parser() -> argparse.ArgumentParser:

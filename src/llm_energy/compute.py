@@ -7,7 +7,9 @@ queries (used by overlap planning). Each also prices a kernel's columns
 over a column of points (``*_columns``: decode positions, or a sweep
 group's batch sizes and sequence lengths), returning (latencies, energies)
 arrays with the scalar methods' arithmetic, in the same order, at each
-point.
+point. And each sums a kernel whose sizes are affine in the context length
+z (a line, see :class:`~llm_energy.interpreter.GemmLine`) over a range of z
+in closed form (``*_sum``), within rounding of the sum point by point.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import MISSING, dataclass, fields
+from typing import Optional
 
 from .errors import BackendError, ValidationError
-from .interpreter import (GemmColumns, GemmDescriptor, MemoryOpColumns,
-                          MemoryOpDescriptor)
+from .interpreter import (GemmColumns, GemmDescriptor, GemmLine,
+                          MemoryOpColumns, MemoryOpDescriptor, MemoryOpLine)
 from .spec_lang import as_int, as_number, in_file, load_json, read_csv
 
 
@@ -142,6 +145,99 @@ def estimate_gemm_columns(g: GemmColumns,
     return latencies, energies
 
 
+def _series(line: tuple, zs: range) -> float:
+    """The sum of a (constant, slope) pair's values over ``zs``."""
+    constant, slope = line
+    z_sum = (zs[0] + zs[-1]) * len(zs) // 2  # an integer, exactly
+    return len(zs) * constant + slope * z_sum
+
+
+# Coefficients of 1/x**2, 1/x**4, ... in the asymptotic series of the
+# digamma function: B_2k / 2k, B_2k the Bernoulli numbers. At x >= 10 the
+# first term left out, 1/(12 x**14), is below 1e-15.
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760)
+
+
+def _harmonic(x: float, n: int) -> float:
+    """The sum of 1/(x + k) for k = 0 .. n-1, for x > 0: the digamma
+    difference psi(x + n) - psi(x). Terms are added one by one until x is at
+    least 10; the rest is the difference of two asymptotic series, each
+    term's difference taken in a form that does not cancel."""
+    total = 0.0
+    while x < 10.0 and n:
+        total += 1.0 / x
+        x += 1.0
+        n -= 1
+    if not n:
+        return total
+    y = x + n
+    # ln(y/x) + (1/(2x) - 1/(2y)) + sum of c_k (1/x**2k - 1/y**2k)
+    total += math.log1p(n / x) + n / (2.0 * x * y)
+    ix, iy = 1.0 / (x * x), 1.0 / (y * y)
+    px, py = ix, iy
+    for coefficient in _DIGAMMA_SERIES:
+        total += coefficient * (px - py)
+        px, py = px * ix, py * iy
+    return total
+
+
+def estimate_gemm_sum(g: GemmLine, hw: HardwareProfile,
+                      zs: range) -> tuple[float, float]:
+    """:func:`estimate_gemm` summed over every z of ``zs``: (latency, energy).
+
+    t_compute and t_memory are affine in z, so they cross once at most. The
+    range is split there, the split settled by the scalar branch test at
+    the positions on either side, so that each position takes the branch
+    it takes alone (where rounding could decide the test, the two times
+    are level and either branch costs the same). On each side the latency
+    hi + overhead is affine in z, and the energy is
+    p_idle * latency + p_span / 2 * (hi + overhead + lo + overhead * lo / hi),
+    where the sum of lo / hi is a constant plus a digamma difference.
+    """
+    compute_rate = _compute_rate(g, hw)
+    memory_rate = hw.mem_bw * hw.bandwidth_efficiency
+    f0, f1 = g.flops
+    b0, b1 = g.bytes_moved
+    t_compute = (f0 / compute_rate, f1 / compute_rate)
+    t_memory = (b0 / memory_rate, b1 / memory_rate)
+
+    def memory_bound(z: int) -> bool:
+        return (b0 + b1 * z) / memory_rate > (f0 + f1 * z) / compute_rate
+
+    n = len(zs)
+    first = memory_bound(zs[0])
+    split = n
+    if memory_bound(zs[-1]) != first:
+        # Where the two times meet; the settling steps cover rounding.
+        gain = t_memory[1] - t_compute[1]
+        cross = (t_compute[0] - t_memory[0]) / gain if gain else zs[0]
+        split = min(max(math.ceil((cross - zs.start) / zs.step), 1), n - 1)
+        while memory_bound(zs[split - 1]) != first:
+            split -= 1
+        while memory_bound(zs[split]) == first:
+            split += 1
+    overhead, p_span = hw.kernel_launch_overhead, hw.p_max - hw.p_idle
+    latency = energy = 0.0
+    for part, bound in ((zs[:split], first), (zs[split:], not first)):
+        if not part:
+            continue
+        hi, lo = (t_memory, t_compute) if bound else (t_compute, t_memory)
+        count = len(part)
+        if hi[1] == 0.0:
+            ratio = _series(lo, part) / hi[0]
+        else:
+            # lo/hi = lo1/hi1 + (lo0 - lo1 * hi0 / hi1) / (hi0 + hi1 z)
+            ratio = (count * lo[1] / hi[1]
+                     + (lo[0] - lo[1] * hi[0] / hi[1]) / (hi[1] * part.step)
+                     * _harmonic((hi[0] + hi[1] * part.start) / (hi[1] * part.step),
+                                 count))
+        part_latency = _series(hi, part) + count * overhead
+        latency += part_latency
+        energy += (hw.p_idle * part_latency + p_span / 2.0 * (
+            part_latency + _series(lo, part) + overhead * ratio))
+    return latency, energy
+
+
 def estimate_memory_op(m: MemoryOpDescriptor, hw: HardwareProfile) -> CostEstimate:
     """Bandwidth-bound kernel: read + write traffic at effective bandwidth."""
     latency = 2.0 * m.bytes / (hw.mem_bw * hw.bandwidth_efficiency)
@@ -158,6 +254,15 @@ def estimate_memory_op_columns(m: MemoryOpColumns,
     power = _utilization_power(hw, hw.memory_op_utilization)
     latencies = array("d", [2.0 * size / rate + overhead for size in m.bytes])
     return latencies, array("d", [power * latency for latency in latencies])
+
+
+def estimate_memory_op_sum(m: MemoryOpLine, hw: HardwareProfile,
+                           zs: range) -> tuple[float, float]:
+    """:func:`estimate_memory_op` summed over every z of ``zs``: (latency,
+    energy). The latency is affine in z, an arithmetic series."""
+    latency = (2.0 * _series(m.bytes, zs) / (hw.mem_bw * hw.bandwidth_efficiency)
+               + len(zs) * hw.kernel_launch_overhead)
+    return latency, _utilization_power(hw, hw.memory_op_utilization) * latency
 
 
 class RooflineBackend:
@@ -177,6 +282,13 @@ class RooflineBackend:
 
     def estimate_memory_op_columns(self, m: MemoryOpColumns) -> tuple[array, array]:
         return estimate_memory_op_columns(m, self.hw)
+
+    def estimate_gemm_sum(self, g: GemmLine, zs: range) -> tuple[float, float]:
+        return estimate_gemm_sum(g, self.hw, zs)
+
+    def estimate_memory_op_sum(self, m: MemoryOpLine,
+                               zs: range) -> tuple[float, float]:
+        return estimate_memory_op_sum(m, self.hw, zs)
 
 
 @dataclass(frozen=True)
@@ -295,6 +407,89 @@ class GemmCalibrationTable:
         return latencies, energies
 
 
+    def _nearest_runs(self, g: GemmLine, zs: range) -> Optional[list]:
+        """The point :meth:`_nearest_logs` gives at each z of ``zs`` as runs
+        (point, start, stop) of indices into ``zs``; None when two points
+        are so near a tie that rounding may pick either at many z.
+
+        Only one axis varies, as the log of its size, so each point's
+        squared distance is a parabola in that log, all of one curvature:
+        as z grows, a point is nearest until the first point further along
+        the axis draws level. Each run's end is found there and settled at
+        integer z by :meth:`_nearest_logs` itself, so the "first point at
+        the least distance" rule holds at every z.
+        """
+        axes = (g.m, g.contraction, g.n, g.group_count)  # _log_dims' order
+        query = [math.log(max(constant, 1.0)) for constant, _ in axes]
+        n = len(zs)
+        varying = [i for i, (_, slope) in enumerate(axes) if slope]
+        if not varying:
+            return [(self._nearest_logs(*query), 0, n)]
+        axis = varying[0]
+        slope = axes[axis][1]
+        if slope * zs[0] < 1.0:
+            return None  # the size is floored at 1 at some z
+
+        def nearest(k: int) -> GemmCalibrationPoint:
+            query[axis] = math.log(slope * zs[k])
+            return self._nearest_logs(*query)
+
+        # Per point: its log along the axis, and its other distance terms.
+        lines = {}
+        for logs, point in self._logs:
+            terms = tuple((q - l) ** 2 for i, (q, l) in enumerate(zip(query, logs))
+                          if i != axis)
+            lines[id(point)] = (logs[axis], sum(terms), terms)
+        x_end = math.log(slope * zs[-1])
+        runs, k = [], 0
+        while k < n:
+            p = nearest(k)
+            lp, cp, terms_p = lines[id(p)]
+            stop = n
+            for lq, cq, terms_q in lines.values():
+                dl = lq - lp
+                # Points level with p along the axis tie at every z if all
+                # their other terms are p's, and never if their sum is far
+                # from p's; in between, or nearly level, rounding decides.
+                if abs(dl) < 1e-6 and not (dl == 0.0 and (
+                        terms_q == terms_p or abs(cq - cp) > 1e-9 * (1.0 + cp))):
+                    return None
+                if dl > 0.0:
+                    # The log at which this point draws level with p.
+                    x = (lq + lp) / 2.0 + (cq - cp) / (2.0 * dl)
+                    if x < x_end:
+                        stop = min(stop, math.ceil(
+                            (math.exp(x) / slope - zs.start) / zs.step))
+            stop = min(max(stop, k + 1), n)
+            while stop > k + 1 and nearest(stop - 1) is not p:
+                stop -= 1
+            while stop < n and nearest(stop) is p:
+                stop += 1
+            runs.append((p, k, stop))
+            k = stop
+        return runs
+
+    def estimate_gemm_sum(self, g: GemmLine, zs: range) -> tuple[float, float]:
+        """:meth:`estimate_gemm` summed over every z of ``zs``: (latency,
+        energy). On a run of one nearest point (see :meth:`_nearest_runs`)
+        the latency is that point's latency per FLOP times the FLOPs, which
+        are affine in z. Near-tied points are priced z by z instead."""
+        if g.sm_available is not None:
+            raise BackendError(
+                "GEMM calibration backend does not support SM-restricted queries")
+        runs = self._nearest_runs(g, zs)
+        if runs is None:
+            latencies, energies = self.estimate_gemm_columns(g.columns(zs))
+            return math.fsum(latencies), math.fsum(energies)
+        flops = g.flops
+        latency = energy = 0.0
+        for p, start, stop in runs:
+            part = p.latency_s * (_series(flops, zs[start:stop]) / p.flops)
+            latency += part
+            energy += p.power_w * part
+        return latency, energy
+
+
 class TableComputeBackend:
     """Calibration-backed GEMMs; memory ops fall back to the roofline."""
 
@@ -319,3 +514,12 @@ class TableComputeBackend:
 
     def estimate_memory_op_columns(self, m: MemoryOpColumns) -> tuple[array, array]:
         return estimate_memory_op_columns(m, self.hw)
+
+    def estimate_gemm_sum(self, g: GemmLine, zs: range) -> tuple[float, float]:
+        if g.sm_available is not None:
+            return estimate_gemm_sum(g, self.hw, zs)
+        return self.table.estimate_gemm_sum(g, zs)
+
+    def estimate_memory_op_sum(self, m: MemoryOpLine,
+                               zs: range) -> tuple[float, float]:
+        return estimate_memory_op_sum(m, self.hw, zs)

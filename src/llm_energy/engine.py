@@ -8,8 +8,8 @@ from typing import NamedTuple, Optional, Sequence
 from .comm import CommBackend
 from .compute import CostEstimate, HardwareProfile
 from .errors import SpecError, ValidationError
-# lower_model is unused here but stays importable from this module: the
-# benchmark's tracer wraps engine.lower_model.
+# lower_model and decode_positions are unused here but stay importable from
+# this module: the benchmark's tracer wraps them.
 from .interpreter import (  # noqa: F401
     DECODE,
     PREFILL,
@@ -17,6 +17,7 @@ from .interpreter import (  # noqa: F401
     CommDescriptor,
     GemmColumns,
     GemmDescriptor,
+    GemmLine,
     LayerPlan,
     LoweredColumns,
     LoweredOp,
@@ -25,6 +26,7 @@ from .interpreter import (  # noqa: F401
     PhaseContext,
     compile_layer,
     decode_positions,
+    decode_runs,
     is_column,
     lower_model,
     _flatten_ops,
@@ -63,8 +65,8 @@ Priced = tuple[Optional[float], Optional[float], str]
 
 
 def _kernel_category(kernel) -> str:
-    """The report category of a kernel descriptor or of its columns."""
-    if isinstance(kernel, (GemmDescriptor, GemmColumns)):
+    """The report category of a kernel descriptor, its columns or its line."""
+    if isinstance(kernel, (GemmDescriptor, GemmColumns, GemmLine)):
         return CATEGORY_COMPUTE
     if isinstance(kernel, (CommDescriptor, CommColumns)):
         return CATEGORY_COMM
@@ -96,6 +98,8 @@ class Estimator:
                  routing_trace: Optional[RoutingTrace] = None):
         if tile < 1:
             raise ValidationError(f"tile must be >= 1, got {tile}")
+        if decode_stride < 1:
+            raise ValidationError(f"decode stride must be >= 1, got {decode_stride}")
         self.spec = spec
         self.dims = dims
         self.hw = hw
@@ -175,6 +179,11 @@ class Estimator:
         if isinstance(kernel, CommColumns):
             return self.comm_backend.estimate_columns(kernel)
         return self.compute_backend.estimate_memory_op_columns(kernel)
+
+    def _price_sum(self, line, zs: range) -> tuple[float, float]:
+        if isinstance(line, GemmLine):
+            return self.compute_backend.estimate_gemm_sum(line, zs)
+        return self.compute_backend.estimate_memory_op_sum(line, zs)
 
     # -- per-layer costing -------------------------------------------------
 
@@ -328,18 +337,35 @@ class Estimator:
             # Only the kernels that read z change across decode positions;
             # the rest, and the routing statistics (s = 1 throughout), are
             # priced once, at the first position, and weighted by the whole
-            # phase. The context kernels at the other positions are priced
-            # as columns over those positions.
-            positions = decode_positions(ctx.osl, self.decode_stride)
-            first_ctx = ctx.at_position(positions[0][0])
+            # phase. At the other sampled positions, a context kernel whose
+            # sizes are affine in z is summed over each run of positions in
+            # closed form, in O(1) whatever osl is; the others (collectives,
+            # MoE kernels, sizes not affine in z) are priced as columns over
+            # the positions.
+            (first, first_weight), *later = decode_runs(ctx.osl, self.decode_stride)
+            first_ctx = ctx.at_position(first[0])
             stats = self.routing_stats(first_ctx, degrees)
             accumulate(self._layer_entries(plan, first_ctx, degrees, stats),
-                       float(layers) * positions[0][1], float(layers) * ctx.osl)
-            rest = positions[1:]
+                       float(layers) * first_weight, float(layers) * ctx.osl)
+            rest = [(positions, float(layers) * weight) for positions, weight
+                    in [(first[1:], first_weight), *later] if positions]
             if rest:
+                env = {"b": ctx.batch, "s": ctx.s, "z": 1}
+                for label, line in plan.lower_lines(env):
+                    category = _kernel_category(line)  # never a collective
+                    row = rows.setdefault((label, category),
+                                          ReportRow(label, category))
+                    for positions, weight in rest:
+                        latency, energy = self._price_sum(line, range(
+                            ctx.isl + positions.start, ctx.isl + positions.stop,
+                            positions.step))
+                        row.add(latency * weight, energy * float(gpus) * weight)
+            if rest and plan.context_columns:
                 accumulate_columns(
-                    self._context_columns(plan, ctx, [p for p, _ in rest], stats),
-                    array("d", [float(layers) * width for _, width in rest]))
+                    self._context_columns(plan, ctx, [
+                        p for positions, _ in rest for p in positions], stats),
+                    array("d", [weight for positions, weight in rest
+                                for _ in positions]))
 
         report.rows = list(rows.values())
         return report

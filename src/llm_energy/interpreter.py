@@ -13,7 +13,9 @@ depends only on the spec, dims, parallel degrees and phase, and
 once, any of b, s, z, T and E a column over them (the decode positions of
 one point, or the batch sizes and sequence lengths of a sweep group): it
 sizes each kernel over every evaluation, as columns, and builds no
-descriptor per evaluation.
+descriptor per evaluation. :meth:`LayerPlan.lower_lines` sizes a decode
+context kernel whose sizes are affine in z as a line in z, which a backend
+sums over a range of positions in closed form.
 """
 
 from __future__ import annotations
@@ -158,6 +160,69 @@ class MemoryOpColumns(NamedTuple):
 KernelColumns = Union[GemmColumns, CommColumns, MemoryOpColumns]
 
 
+# Line records: one kernel whose sizes are affine in the context length z,
+# so that a backend can sum its cost over an arithmetic progression of z in
+# closed form. Each size is a (constant, slope) pair, its value at z being
+# constant + slope * z; a size that is a product of symbol sizes has one of
+# the two zero.
+def _times(x: tuple, y: tuple) -> tuple:
+    """The product of two (constant, slope) pairs, at most one of which has
+    a slope."""
+    return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
+
+
+def _plus(x: tuple, y: tuple) -> tuple:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+class GemmLine(NamedTuple):
+    """:class:`GemmDescriptor` sizes affine in z: at most one axis has a
+    slope, so the FLOPs and the bytes moved are affine in z too. A GEMM
+    whose N grows with z is taken to be one at every position: N = 1 there
+    would need a size below 1."""
+
+    group_count: tuple
+    m: tuple
+    contraction: tuple
+    n: tuple
+    dtype_bytes: int
+    label: str = ""
+    sm_available: Optional[int] = None
+
+    @property
+    def flops(self) -> tuple:
+        """:attr:`GemmDescriptor.flops` as a (constant, slope) pair."""
+        flops = (2.0, 0.0)
+        for axis in (self.group_count, self.m, self.contraction, self.n):
+            flops = _times(flops, axis)
+        return flops
+
+    @property
+    def bytes_moved(self) -> tuple:
+        """:attr:`GemmDescriptor.bytes_moved` as a (constant, slope) pair."""
+        m, k, n = self.m, self.contraction, self.n
+        per_group = _plus(_plus(_times(m, k), _times(k, n)), _times(m, n))
+        return _times(_times(self.group_count, per_group),
+                      (float(self.dtype_bytes), 0.0))
+
+    def columns(self, zs: range) -> GemmColumns:
+        """The sizes at each z of ``zs``."""
+        return GemmColumns(*([c + s * z for z in zs] for c, s in
+                             (self.group_count, self.m, self.contraction, self.n)),
+                           self.dtype_bytes, self.label, self.sm_available)
+
+
+class MemoryOpLine(NamedTuple):
+    """:class:`MemoryOpDescriptor` bytes affine in z, as a (constant,
+    slope) pair. Pricing reads no FLOPs of a memory op."""
+
+    bytes: tuple
+    label: str = ""
+
+
+KernelLine = Union[GemmLine, MemoryOpLine]
+
+
 @dataclass(frozen=True)
 class PhaseContext:
     """Workload phase binding the runtime symbols b, s, z."""
@@ -299,6 +364,20 @@ class _Product(NamedTuple):
             else:
                 col = [c * factor for c in col]
         return [prod] * count if col is None else array("d", col)
+
+    @property
+    def affine(self) -> bool:
+        """Whether the product is affine in z: z is a factor at most once,
+        and unsharded, so no position fails a shard."""
+        factors = [f for f in self.tail if type(f) is tuple and f[0] == "z"]
+        return factors in ([], [("z", 1)])
+
+    def line(self, env: dict, dims: DimensionBindings) -> tuple:
+        """An :attr:`affine` product as a (constant, slope) pair in z, with
+        ``env`` binding z to 1: the value is then the slope when z is a
+        factor, and the constant when it is not."""
+        value = self.value(env, dims)
+        return (0.0, value) if ("z", 1) in self.tail else (value, 0.0)
 
 
 def operand_bytes(operand: str, dims: DimensionBindings,
@@ -559,6 +638,29 @@ class _Compute(NamedTuple):
             array("d", [i + o * dtype for i, o in zip(in_b, out_b)]), flops,
             label=label)
 
+    @property
+    def affine(self) -> bool:
+        """Whether the kernel's sizes are affine in z: each size is (see
+        :attr:`_Product.affine`), and a GEMM has z in one axis at most."""
+        axes = self.gemm or ()
+        return (self.error is None
+                and all(p.affine for p in (self.output, *self.inputs, *axes))
+                and sum(("z", 1) in axis.tail for axis in axes) <= 1)
+
+    def line(self, env: dict, dims: DimensionBindings, label: str) -> KernelLine:
+        """:meth:`lower` of an :attr:`affine` kernel as a line, with ``env``
+        binding z to 1 (see :meth:`_Product.line`)."""
+        dtype = (float(dims.dtype_bytes), 0.0)
+        if self.gemm is not None:
+            g = GemmLine(*(axis.line(env, dims) for axis in self.gemm),
+                         dtype_bytes=dims.dtype_bytes, label=label)
+            if g.n != (1, 0.0):
+                return g
+        size = self.output.line(env, dims)
+        for p in self.inputs:
+            size = _plus(size, p.line(env, dims))
+        return MemoryOpLine(_times(size, dtype), label)
+
 
 def _compile_compute(op: OpSpec, dims: DimensionBindings,
                      shards: dict[str, int], runtime: frozenset) -> _Compute:
@@ -590,6 +692,9 @@ class _OpStep(NamedTuple):
     compute: _Compute
     allreduce: Optional[tuple]  # (output, world)
     overlap: Optional[tuple]  # (stages, sm_comm, dim)
+    # A decode context step summed over z in closed form: its one kernel is
+    # affine in z, needs no collective and no routing statistics.
+    line: bool = False
 
     def _env(self, env: dict, moe_env: Optional[dict],
              errors: Optional[dict] = None) -> dict:
@@ -690,6 +795,11 @@ class _OpStep(NamedTuple):
                 f"op {self.op.label!r}: overlap annotated but no collective detected")
         return columns._replace(kernels=columns.kernels[:-1], overlap=self.overlap)
 
+    def lower_line(self, env: dict, dims: DimensionBindings) -> tuple:
+        """(label, kernel line) of a :attr:`line` step (see
+        :meth:`_Compute.line`)."""
+        return self.label, self.compute.line(env, dims, self.op.label)
+
 
 class _ScoreStep(NamedTuple):
     """Score tensor read/write around softmax; the framework does not price
@@ -699,6 +809,7 @@ class _ScoreStep(NamedTuple):
     size: _Product
     reads_context: bool
     overlap: None = None  # never overlapped
+    line: bool = False  # as _OpStep.line
 
     def lower(self, env: dict, moe_env: Optional[dict],
               dims: DimensionBindings) -> LoweredOp:
@@ -717,6 +828,12 @@ class _ScoreStep(NamedTuple):
             array("d", [2 * (v * dtype) for v in
                         self.size.column(env, dims, count, errors)]),
             [0.0] * count, label=f"{self.label} score"),))
+
+    def lower_line(self, env: dict, dims: DimensionBindings) -> tuple:
+        size = self.size.line(env, dims)
+        return f"{self.label}: score", MemoryOpLine(
+            (2 * (size[0] * dims.dtype_bytes), 2 * (size[1] * dims.dtype_bytes)),
+            label=f"{self.label} score")
 
 
 class LayerPlan(NamedTuple):
@@ -794,7 +911,8 @@ class LayerPlan(NamedTuple):
         ``env`` binds b, s and z, and ``moe_te`` the MoE ops' (T, E), each
         to one size for every point or to a column of sizes (see
         :func:`is_column`). A decode plan lowers only the ops tagged
-        ``reads_context``: the others are the same at every position.
+        ``reads_context`` that :meth:`lower_lines` does not: the others
+        are the same at every position.
 
         Each point gets the error :meth:`lower` would raise at it, the
         first in stream order. With ``errors``, they are recorded there by
@@ -807,8 +925,9 @@ class LayerPlan(NamedTuple):
         """
         moe_env = self._moe_env(env, moe_te)
         record = {} if errors is None else errors
-        steps = (self.steps if self.phase != DECODE
-                 else [step for step in self.steps if step.reads_context])
+        steps = (self.steps if self.phase != DECODE else
+                 [step for step in self.steps
+                  if step.reads_context and not step.line])
         lowered = []
         for index, step in enumerate(steps):
             known = len(record)
@@ -827,6 +946,20 @@ class LayerPlan(NamedTuple):
         if errors is None and record:
             raise record[min(record)]
         return lowered
+
+    @property
+    def context_columns(self) -> bool:
+        """Whether a decode plan has context steps that
+        :meth:`lower_columns` lowers: no line form."""
+        return any(step.reads_context and not step.line for step in self.steps)
+
+    def lower_lines(self, env: dict) -> list[tuple[str, KernelLine]]:
+        """The decode context steps whose one kernel is summed over z in
+        closed form (``line``), each as its op label and its kernel's line,
+        with ``env`` binding b and s, and z to 1."""
+        if self.error is not None:
+            raise ValidationError(self.error)
+        return [step.lower_line(env, self.dims) for step in self.steps if step.line]
 
 
 def _takes_overlap(op: OpSpec) -> bool:
@@ -885,13 +1018,16 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
         shards = op_shards(op, dict(degrees, ep=1) if is_moe else degrees)
         world = degrees[degree_kind(op.parallel)] if op.parallel else 1
         size = _allreduce_size(op, dims, world, runtime)
+        compute = _compile_compute(op, dims, shards, runtime)
+        reads = varies(op, prev)
         return _OpStep(
-            label=label, op=op, is_moe=is_moe, reads_context=varies(op, prev),
-            transition=transition,
-            compute=_compile_compute(op, dims, shards, runtime),
+            label=label, op=op, is_moe=is_moe, reads_context=reads,
+            transition=transition, compute=compute,
             allreduce=None if size is None else (size, world),
             overlap=None if op.overlap_stage is None else (
-                op.overlap_stage, op.overlap_sm, op.overlap_dim))
+                op.overlap_stage, op.overlap_sm, op.overlap_dim),
+            line=(reads and not is_moe and transition is None and size is None
+                  and compute.affine))
 
     steps: list = []
     takes: list = []
@@ -906,11 +1042,11 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
         for j, sub in enumerate(op.attn_eqs):
             steps.append(compile_op(sub, prev, f"{op.label}: {sub.label}"))
             if j == 0 and not sub.is_attention:
-                steps.append(_ScoreStep(
-                    op.label,
-                    _Product.of(sub.equation.output_operand, dims,
-                                op_shards(sub, degrees), RUNTIME_SYMBOLS),
-                    varies(sub, prev)))
+                size = _Product.of(sub.equation.output_operand, dims,
+                                   op_shards(sub, degrees), RUNTIME_SYMBOLS)
+                reads = varies(sub, prev)
+                steps.append(_ScoreStep(op.label, size, reads,
+                                        line=reads and size.affine))
             prev = sub
     plan = LayerPlan(phase, dims, tuple(steps), overlap_steps=tuple(takes))
     return plan.with_overlap(overlap)
@@ -928,12 +1064,27 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
     return compile_layer(spec, dims, degrees, ctx.phase).lower(ctx, moe_te=moe_te)
 
 
-def decode_positions(osl: int, stride: int) -> list[tuple[int, int]]:
-    """Sampled decode steps as (position, weight) pairs covering [1, osl]."""
+def decode_runs(osl: int, stride: int) -> list[tuple[range, int]]:
+    """Sampled decode steps as runs (positions, weight) covering [1, osl].
+
+    Every ``stride``-th position from 1 is sampled and weighted by the
+    ``stride`` positions it stands for, the last sampled one by the
+    positions left: a left Riemann sum over the positions, exact at stride
+    1. The positions of one weight form one run, a range; the last sampled
+    position is a run of its own unless it too covers ``stride``.
+    """
     if stride < 1:
         raise ValidationError("decode stride must be >= 1")
-    out = [(p, stride) for p in range(1, osl + 1, stride)]
-    if out:
-        last = out[-1][0]
-        out[-1] = (last, osl - last + 1)
-    return out
+    last = osl - (osl - 1) % stride
+    tail = osl - last + 1
+    if tail == stride:
+        return [(range(1, last + 1, stride), stride)]
+    runs = [(range(1, last, stride), stride), (range(last, last + 1), tail)]
+    return [run for run in runs if run[0]]
+
+
+def decode_positions(osl: int, stride: int) -> list[tuple[int, int]]:
+    """The sampled decode steps of :func:`decode_runs` as (position, weight)
+    pairs, one per position."""
+    return [(position, weight) for positions, weight in decode_runs(osl, stride)
+            for position in positions]

@@ -90,6 +90,31 @@ def test_moe_sweep_rejects_tile_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phase", ["prefill", "decode"])
+def test_estimate_rejects_decode_stride_below_one(tmp_path, capsys, phase):
+    # Rejected up front, for a prefill estimate too, as the tile is.
+    code = main(["estimate", *_base_args(tmp_path), "--phase", phase,
+                 "--osl", "8", "--decode-stride", "0"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("decode stride must be >= 1, got 0") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_decode_sweep_rejects_decode_stride_below_one(tmp_path, capsys):
+    # Not reported as every point's infeasible reason.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"batch": [1, 2], "isl": [128], "osl": [8],
+                                "tp": [1, 2]}))
+    out = tmp_path / "out"
+    code = main(["sweep", *_base_args(out), "--phase", "decode", "--grid",
+                 str(grid), "--decode-stride", "0"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("decode stride must be >= 1, got 0") == 1
+    assert not out.exists()
+
+
 def test_estimate_writes_no_report_unless_every_phase_is_priced(tmp_path):
     # Prefill prices in both cases; decode fails, with overlap (prefill-only)
     # and with cp 2 (s = 1 does not shard over cp).

@@ -18,9 +18,15 @@ from llm_energy import (
     estimate_gemm,
     estimate_memory_op,
 )
-from llm_energy.compute import GemmCalibrationPoint
-from llm_energy.interpreter import GemmColumns, MemoryOpColumns
+from llm_energy.compute import (GemmCalibrationPoint, _harmonic, estimate_gemm_sum,
+                                estimate_memory_op_sum)
+from llm_energy.interpreter import GemmColumns, GemmLine, MemoryOpColumns, MemoryOpLine
 from llm_energy.fixtures import fixture_path
+
+
+# Peak FLOPs at which a G x 4 x 128 attention GEMM, N or contraction = z,
+# turns compute bound at z = 600 on 2 TB/s (see test_engine's _low_peak).
+_CROSSING_PEAK = 2e12 * 1024 / (264 + 1024 / 600)
 
 
 def _ideal_hw(**kw):
@@ -260,3 +266,124 @@ def test_column_pricing_spans_the_roofline_crossover(hw):
         t_compute = g.flops / (hw.peak_flops * hw.compute_efficiency)
         t_memory = g.bytes_moved / (hw.mem_bw * hw.bandwidth_efficiency)
         assert (t_compute > t_memory) == compute_bound
+
+
+# -- sums over an arithmetic progression of z -----------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(1e-3, 1e7), n=st.integers(1, 5000))
+@example(x=9.5, n=1)
+@example(x=10.0, n=1)  # every series term counts
+@example(x=10.0, n=4096)
+@example(x=1e6, n=1)  # ln(y/x) without cancellation
+@example(x=12345.678, n=3)
+def test_harmonic_is_the_sum_of_its_terms(x, n):
+    # The digamma difference psi(x + n) - psi(x) against the terms summed.
+    assert _harmonic(x, n) == pytest.approx(
+        math.fsum(1.0 / (x + k) for k in range(n)), rel=1e-14, abs=0)
+
+
+def _line_with(sizes, axis, slope):
+    """A GemmLine of constant ``sizes`` (G, M, contraction, N) whose
+    ``axis`` is ``slope`` * z instead."""
+    pairs = [(float(v), 0.0) for v in sizes]
+    pairs[axis] = (0.0, float(slope))
+    return GemmLine(*pairs, dtype_bytes=2, label="g")
+
+
+def _per_z(line, zs):
+    """Each z's GemmDescriptor of a line."""
+    return [GemmDescriptor(*(c + s * z for c, s in line[:4]), line.dtype_bytes,
+                           line.label) for z in zs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes=st.tuples(*[st.integers(1, 4096)] * 4), axis=st.integers(0, 3),
+       slope=st.integers(1, 64), start=st.integers(1, 20000),
+       step=st.integers(1, 64), count=st.integers(1, 600),
+       peak=st.floats(1e10, 1e15))
+@example(sizes=(16, 4, 128, 1), axis=3, slope=1, start=514, step=1, count=199,
+         peak=_CROSSING_PEAK)
+@example(sizes=(16, 4, 1, 128), axis=2, slope=1, start=514, step=7, count=28,
+         peak=_CROSSING_PEAK)
+def test_roofline_sum_equals_sum_over_positions(sizes, axis, slope, start, step,
+                                                count, peak):
+    # The crossover inside the range or not: each position takes the
+    # branch it takes alone, and the sums agree within a relative 1e-12.
+    hw = _ideal_hw(peak_flops=peak, mem_bw=2e12, kernel_launch_overhead=5e-6)
+    line = _line_with(sizes, axis, slope)
+    zs = range(start, start + count * step, step)
+    latency, energy = estimate_gemm_sum(line, hw, zs)
+    costs = [estimate_gemm(g, hw) for g in _per_z(line, zs)]
+    assert latency == pytest.approx(math.fsum(c.latency for c in costs), rel=1e-12, abs=0)
+    assert energy == pytest.approx(math.fsum(c.energy for c in costs), rel=1e-12, abs=0)
+    m = MemoryOpLine((3.0 * sizes[0], 2.0 * slope))
+    latency, energy = estimate_memory_op_sum(m, hw, zs)
+    costs = [estimate_memory_op(MemoryOpDescriptor(3.0 * sizes[0] + 2.0 * slope * z),
+                                hw) for z in zs]
+    assert latency == pytest.approx(math.fsum(c.latency for c in costs), rel=1e-12, abs=0)
+    assert energy == pytest.approx(math.fsum(c.energy for c in costs), rel=1e-12, abs=0)
+
+
+def test_roofline_sum_examples_cross_over():
+    # The examples above put the crossover inside their ranges.
+    hw = _ideal_hw(peak_flops=_CROSSING_PEAK, mem_bw=2e12)
+    for sizes, axis, zs in (((16, 4, 128, 1), 3, range(514, 713)),
+                            ((16, 4, 1, 128), 2, range(514, 710, 7))):
+        bound = {g.bytes_moved / hw.mem_bw > g.flops / hw.peak_flops
+                 for g in _per_z(_line_with(sizes, axis, 1), (zs[0], zs[-1]))}
+        assert bound == {True, False}
+
+
+def _grid_table(groups):
+    """A calibration table of every (G, M, contraction, N) with G from
+    ``groups`` and the other sizes a few powers of 2."""
+    return GemmCalibrationTable([
+        GemmCalibrationPoint(g, m, k, n, 2, 1e-4 * (i + 1), 200.0 + i)
+        for i, (g, m, k, n) in enumerate(
+            (g, m, k, n) for g in groups for m in (16, 1024)
+            for k in (128, 8192) for n in (64, 4096, 262144))])
+
+
+@pytest.mark.parametrize("backend", ["fixture", "grid"])
+@pytest.mark.parametrize("axis", [0, 1, 2, 3])
+def test_table_runs_are_the_nearest_point_at_every_z(backend, axis):
+    # Over a few thousand consecutive z, and a stride, each run's point is
+    # the one _nearest_logs gives at every z, and the sum equals the sum of
+    # the per-z lookups. In the grid, a query G of 16 lies as far from 8 as
+    # from 32 in logs, to the last bit: such points tie at every z, and the
+    # first wins throughout.
+    table = (GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv"))
+             if backend == "fixture" else _grid_table((8, 32)))
+    line = _line_with((16, 4, 128, 128), axis, 1)
+    runs_seen = 0
+    for zs in (range(3, 6003), range(100, 300000, 97)):
+        runs = table._nearest_runs(line, zs)
+        assert runs[0][1] == 0 and runs[-1][2] == len(zs)
+        assert all(a[2] == b[1] for a, b in zip(runs, runs[1:]))
+        points = [p for p, start, stop in runs for _ in range(start, stop)]
+        want = [table._nearest(g) for g in _per_z(line, zs)]
+        assert len(points) == len(want)
+        assert all(p is q for p, q in zip(points, want))
+        runs_seen = max(runs_seen, len(runs))
+        latency, energy = table.estimate_gemm_sum(line, zs)
+        costs = [table.estimate_gemm(g) for g in _per_z(line, zs)]
+        assert latency == pytest.approx(math.fsum(c.latency for c in costs), rel=1e-12, abs=0)
+        assert energy == pytest.approx(math.fsum(c.energy for c in costs), rel=1e-12, abs=0)
+    assert runs_seen > 1  # some point draws level with another as z grows
+
+
+def test_table_sum_prices_near_ties_position_by_position():
+    # A query G of 16 lies as far from 4 as from 64 in logs, but the two
+    # squared distances differ in their last bit: rounding picks either
+    # point, a thousand times over, as z changes the other terms. No run
+    # form holds, and the sum is taken over the per-z lookups.
+    table = _grid_table((4, 64))
+    line = _line_with((16, 4, 128, 128), 1, 1)
+    zs = range(3, 6003)
+    want = [table._nearest(g) for g in _per_z(line, zs)]
+    assert sum(p is not q for p, q in zip(want, want[1:])) > 100
+    assert table._nearest_runs(line, zs) is None
+    costs = [table.estimate_gemm(g) for g in _per_z(line, zs)]
+    assert table.estimate_gemm_sum(line, zs) == (
+        math.fsum(c.latency for c in costs), math.fsum(c.energy for c in costs))

@@ -5,11 +5,15 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from llm_energy import (
+    CommBackend,
     Estimator,
     GemmCalibrationTable,
     PhaseContext,
+    RooflineBackend,
     RoutingTrace,
     TableComputeBackend,
     ValidationError,
@@ -23,6 +27,7 @@ from llm_energy.interpreter import (
     PREFILL,
     CommDescriptor,
     GemmDescriptor,
+    GemmLine,
     LayerPlan,
     compile_layer,
     decode_positions,
@@ -331,12 +336,24 @@ def test_decode_matches_per_position_pricing(request, spec_name, degrees, routin
     assert [(r.label, r.category) for r in report.rows] == list(expected)
     for row in report.rows:
         latency, energy = expected[(row.label, row.category)]
-        assert row.latency == pytest.approx(latency, rel=1e-12)
-        assert row.energy == pytest.approx(energy, rel=1e-12)
+        assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)
+        assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
     assert report.total_latency == pytest.approx(
-        sum(lat for lat, _ in expected.values()), rel=1e-12)
+        sum(lat for lat, _ in expected.values()), rel=1e-12, abs=0)
     assert report.total_energy == pytest.approx(
-        sum(en for _, en in expected.values()), rel=1e-12)
+        sum(en for _, en in expected.values()), rel=1e-12, abs=0)
+
+
+def _closed_form_labels(est, degrees):
+    """The labels of the decode rows that the estimator sums over z in
+    closed form, and of the other rows of kernels that read the context."""
+    degrees = validate_bindings(est.spec, est.dims, degrees).degrees
+    plan = compile_layer(est.spec, est.dims, degrees, DECODE)
+    closed = {label for label, _ in plan.lower_lines({"b": 2, "s": 1, "z": 1})}
+    context = {op.label for op in plan.lower(PhaseContext(DECODE, 2, 1, osl=1),
+                                             moe_te=(16.0, 8.0))
+               if op.reads_context}
+    return closed, context - closed
 
 
 @pytest.mark.parametrize("stride", [1, 64])
@@ -348,32 +365,54 @@ def test_decode_matches_per_position_pricing(request, spec_name, degrees, routin
 def test_decode_report_bytes_match_scalar_accumulation(
         request, spec_name, degrees, routing, backend, stride, hw, roofline,
         comm_backend):
-    # The columns add each row's terms position by position, kernel by
-    # kernel, as scalar pricing did: the report's bytes are the same.
+    # Rows of kernels that do not read the context, and of context kernels
+    # priced as columns (the cp transition, the folded MoE expert op), add
+    # each term position by position, kernel by kernel, as scalar pricing
+    # did: their bytes are the same, and so are a one-position report's.
+    # Rows summed over z in closed form are a reassociated sum: they agree
+    # within the tolerance stated for them, a relative 1e-12.
     spec = request.getfixturevalue(spec_name)
     dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
     compute = roofline if backend == "roofline" else _table_backend(hw)
     est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride,
                routing_trace=_skewed_trace() if routing else None)
-    ctx = PhaseContext(DECODE, 2, 512, osl=300)
-    report = est.estimate(ctx, degrees)
-    expected = dataclasses.replace(report, rows=[
-        ReportRow(label, category, latency, energy) for (label, category),
-        (latency, energy) in _per_position_rows(est, ctx, degrees,
-                                                invariant_once=True).items()])
-    assert (json.dumps(report.to_dict(), indent=2, sort_keys=True)
-            == json.dumps(expected.to_dict(), indent=2, sort_keys=True))
+    closed, columns = _closed_form_labels(est, degrees)
+    assert closed and bool(columns) == (spec_name != "dense_spec")
+    for osl in (1, 300):
+        ctx = PhaseContext(DECODE, 2, 512, osl=osl)
+        report = est.estimate(ctx, degrees)
+        expected = _per_position_rows(est, ctx, degrees, invariant_once=True)
+        assert [(r.label, r.category) for r in report.rows] == list(expected)
+        rows = []
+        for row in report.rows:
+            latency, energy = expected[(row.label, row.category)]
+            if osl > 1 and row.label in closed:
+                assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)
+                assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
+                latency, energy = row.latency, row.energy
+            rows.append(ReportRow(row.label, row.category, latency, energy))
+        assert (json.dumps(report.to_dict(), indent=2, sort_keys=True)
+                == json.dumps(dataclasses.replace(report, rows=rows).to_dict(),
+                              indent=2, sort_keys=True))
+
+
+_PRICING = [(RooflineBackend, name) for name in (
+    "estimate_gemm", "estimate_memory_op", "estimate_gemm_columns",
+    "estimate_memory_op_columns", "estimate_gemm_sum", "estimate_memory_op_sum")
+] + [(CommBackend, "estimate"), (CommBackend, "estimate_columns")]
 
 
 @pytest.mark.parametrize("spec_name, degrees, routing", [
     ("dense_spec", {"tp": 2}, None),
     ("moe_spec", {"tp": 2, "ep": 4}, None),
     ("moe_spec", {"tp": 2, "ep": 4}, "trace")])
-def test_decode_lowers_full_layer_once(request, monkeypatch, spec_name, degrees,
-                                       routing, hw, roofline, comm_backend):
-    # The context kernels at positions 2..osl are lowered as columns in one
-    # call, so no lowering is repeated per position, whatever osl is.
+def test_decode_lowers_full_layer_once(
+        request, monkeypatch, spec_name, degrees, routing, hw, roofline,
+        comm_backend):
+    # The full layer is lowered once, at the first position, and each
+    # context kernel is summed over the other positions in closed form: no
+    # lowering or pricing call is repeated per position, whatever osl is.
     spec = request.getfixturevalue(spec_name)
     dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
@@ -382,9 +421,10 @@ def test_decode_lowers_full_layer_once(request, monkeypatch, spec_name, degrees,
     def counting(fn, key):
         def wrapped(*args, **kwargs):
             result = fn(*args, **kwargs)
-            calls[key] += 1
+            calls[key] = calls.get(key, 0) + 1
             if key == "lower":
-                calls["kernels"] += sum(len(op.kernels) for op in result)
+                calls["kernels"] = calls.get("kernels", 0) + sum(
+                    len(op.kernels) for op in result)
             return result
         return wrapped
 
@@ -394,9 +434,10 @@ def test_decode_lowers_full_layer_once(request, monkeypatch, spec_name, degrees,
                        moe_te=(16.0, 8.0) if spec_name == "moe_spec" else None)
     layer_kernels = sum(len(op.kernels) for op in full)
 
-    monkeypatch.setattr(LayerPlan, "lower", counting(LayerPlan.lower, "lower"))
-    monkeypatch.setattr(LayerPlan, "lower_columns",
-                        counting(LayerPlan.lower_columns, "columns"))
+    for name in ("lower", "lower_columns", "lower_lines"):
+        monkeypatch.setattr(LayerPlan, name, counting(getattr(LayerPlan, name), name))
+    for owner, name in _PRICING:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), name))
     monkeypatch.setattr(engine, "stats_from_trace",
                         counting(engine.stats_from_trace, "routing"))
     monkeypatch.setattr(engine, "uniform_routing",
@@ -405,16 +446,108 @@ def test_decode_lowers_full_layer_once(request, monkeypatch, spec_name, degrees,
                routing_trace=_skewed_trace() if routing else None)
     # An imbalanced trace lowers the layer a second time for the bottleneck
     # GPU, once per phase; no op that reads the context is an MoE op, so
-    # the columns are lowered once.
+    # every context kernel has a closed form and none is lowered as columns.
     lowerings = 2 if routing else 1
-    for osl in (40, 400):
-        calls.update(routing=0, lower=0, kernels=0, columns=0)
+    counts = []
+    for osl in (40, 400, 4000):
+        calls.clear()
         report = est.estimate(PhaseContext(DECODE, 2, 512, osl=osl), degrees)
         assert report.feasible
-        assert calls == {"routing": 1 if spec_name == "moe_spec" else 0,
-                         "lower": lowerings,
-                         "kernels": lowerings * layer_kernels,
-                         "columns": 1}
+        assert calls.get("routing", 0) == (spec_name == "moe_spec")
+        assert (calls["lower"], calls["kernels"], calls.get("lower_columns"),
+                calls["lower_lines"]) == (lowerings, lowerings * layer_kernels,
+                                          None, 1)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_decode_column_pricing_is_independent_of_osl(dense_spec, dims_8b, hw,
+                                                     roofline, comm_backend,
+                                                     monkeypatch):
+    # The elements that the backends price as columns on a dense decode:
+    # as many at osl 64 as at osl 4096.
+    priced = []
+
+    def counting(fn, size):
+        def wrapped(self, kernel):
+            priced[-1] += len(size(kernel))
+            return fn(self, kernel)
+        return wrapped
+
+    for owner, name, size in (
+            (RooflineBackend, "estimate_gemm_columns", lambda g: g.m),
+            (RooflineBackend, "estimate_memory_op_columns", lambda m: m.bytes),
+            (CommBackend, "estimate_columns", lambda c: c.bytes)):
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), size))
+    est = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
+    for osl in (64, 4096):
+        priced.append(0)
+        assert est.estimate(PhaseContext(DECODE, 16, 4096, osl=osl),
+                            {"tp": 2}).feasible
+    assert priced[0] == priced[1]
+
+
+def _low_peak(hw):
+    """``hw`` with peak FLOPs so low that Llama3-8B's attention GEMMs turn
+    compute bound at z = 600. Per group and unit of z, QK and AV do
+    2 r h = 1024 FLOPs (r = 4, h = 128) and move (h + r) * 2 = 264 bytes,
+    besides a fixed r h * 2 = 1024 bytes, so the two times meet where
+    1024 z / peak = (1024 + 264 z) / bandwidth."""
+    bandwidth = hw.mem_bw * hw.bandwidth_efficiency
+    return dataclasses.replace(
+        hw, peak_flops=bandwidth * 1024 / (264 + 1024 / 600) / hw.compute_efficiency)
+
+
+def test_low_peak_profile_puts_the_roofline_crossover_inside_the_decode(
+        dense_spec, dims_8b, hw):
+    # Positions 2..200 after isl 512 span z = 514..712; the fixture's
+    # profile keeps the attention GEMMs memory bound over all of them.
+    plan = compile_layer(dense_spec, dims_8b, {"tp": 2, "ep": 1, "cp": 1}, DECODE)
+    gemms = [line for _, line in plan.lower_lines({"b": 2, "s": 1, "z": 1})
+             if isinstance(line, GemmLine)]
+    assert len(gemms) == 2
+    for profile, crosses in ((hw, False), (_low_peak(hw), True)):
+        for g in gemms:
+            bound = set()
+            for z in (514, 712):
+                d = GemmDescriptor(*(c + s * z for c, s in g[:4]), g.dtype_bytes)
+                bound.add(d.bytes_moved / (profile.mem_bw * profile.bandwidth_efficiency)
+                          > d.flops / (profile.peak_flops * profile.compute_efficiency))
+            assert (len(bound) == 2) == crosses
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["fused", "unfused"]), batch=st.integers(1, 64),
+       isl=st.integers(1, 1200), osl=st.integers(1, 300),
+       tp=st.sampled_from([1, 2, 4, 8]), backend=st.sampled_from(["roofline", "table"]),
+       stride=st.sampled_from([1, 7, 64]), low_peak=st.booleans())
+@example(spec="fused", batch=2, isl=512, osl=200, tp=2, backend="roofline",
+         stride=1, low_peak=True)
+@example(spec="unfused", batch=64, isl=400, osl=300, tp=4, backend="roofline",
+         stride=7, low_peak=True)
+def test_closed_form_decode_matches_per_position_sum(
+        dense_spec, unfused_spec, dims_8b, hw, comm_backend, spec, batch, isl,
+        osl, tp, backend, stride, low_peak):
+    # Every row and both totals within a relative 1e-12 of the independent
+    # position-by-position loop, the roofline crossover inside the z range
+    # or not, every stride's runs and last position included.
+    profile = _low_peak(hw) if low_peak else hw
+    compute = RooflineBackend(profile) if backend == "roofline" else _table_backend(profile)
+    est = _est(dense_spec if spec == "fused" else unfused_spec, dims_8b, profile,
+               compute, comm_backend, decode_stride=stride)
+    ctx = PhaseContext(DECODE, batch, isl, osl=osl)
+    report = est.estimate(ctx, {"tp": tp})
+    assert report.feasible
+    expected = _per_position_rows(est, ctx, {"tp": tp})
+    assert [(r.label, r.category) for r in report.rows] == list(expected)
+    for row in report.rows:
+        latency, energy = expected[(row.label, row.category)]
+        assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)
+        assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
+    assert report.total_latency == pytest.approx(
+        sum(lat for lat, _ in expected.values()), rel=1e-12, abs=0)
+    assert report.total_energy == pytest.approx(
+        sum(en for _, en in expected.values()), rel=1e-12, abs=0)
 
 
 def test_reads_context_marks_attention_by_sub_equations(dense_spec, moe_spec):
@@ -461,3 +594,46 @@ def test_estimator_rejects_tile_below_one(dense_spec, dims_8b, hw, roofline,
     # Checked for every spec, not only when an MoE op quantizes tokens.
     with pytest.raises(ValidationError, match=f"tile must be >= 1, got {tile}"):
         Estimator(dense_spec, dims_8b, hw, roofline, comm_backend, tile=tile)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("backend", ["roofline", "table"])
+def test_closed_form_decode_of_every_kernel_form(dims_8b, hw, roofline,
+                                                comm_backend, backend, stride):
+    # Memory ops sized by their output or by every operand, GEMMs with
+    # N = 1 and with z in M, and, under cp, a GEMM that does not read z but
+    # follows one that does in the same cp layout: each summed in closed
+    # form, within a relative 1e-12 of the position-by-position loop.
+    spec = ModelSpec(tuple(
+        OpSpec(equation=parse_equation(eq), cp_dim="b", label=label, **kw)
+        for eq, label, kw in (
+            ("bKz->bKz", "Scale", {}),
+            ("bKz,bKh->bKzh", "Outer", {}),
+            ("bKzh,bKh->bKz", "Narrow", {"parallel": "K"}),
+            ("bKzh,bKhw->bKzw", "Wide", {"parallel": "K"}),
+            ("bKh,hm->bKm", "Constant", {}))), 1)
+    dims = dims_8b.with_sizes(w=64)
+    degrees = {"tp": 2, "cp": 2}
+    compute = roofline if backend == "roofline" else _table_backend(hw)
+    est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride)
+    closed, columns = _closed_form_labels(est, degrees)
+    assert closed == {"Scale", "Outer", "Narrow", "Wide", "Constant"}
+    assert not columns
+    ctx = PhaseContext(DECODE, 6, 3000, osl=700)
+    report = est.estimate(ctx, degrees)
+    expected = _per_position_rows(est, ctx, degrees)
+    assert [(r.label, r.category) for r in report.rows] == list(expected)
+    for row in report.rows:
+        latency, energy = expected[(row.label, row.category)]
+        assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)
+        assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_estimator_rejects_decode_stride_below_one(dense_spec, dims_8b, hw,
+                                                   roofline, comm_backend, stride):
+    # Checked up front, as the tile is, whatever phase is priced.
+    with pytest.raises(ValidationError,
+                       match=f"decode stride must be >= 1, got {stride}"):
+        Estimator(dense_spec, dims_8b, hw, roofline, comm_backend,
+                  decode_stride=stride)

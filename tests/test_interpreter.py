@@ -31,7 +31,9 @@ from llm_energy.interpreter import (
     PREFILL,
     CommColumns,
     GemmColumns,
+    GemmLine,
     LoweredOp,
+    MemoryOpLine,
     MixedColumns,
     OuterProduct,
     _flatten_ops,
@@ -214,6 +216,42 @@ def test_decode_positions():
     assert decode_positions(5, 1) == [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]
 
 
+def _context_ops_spec():
+    """Decode context ops of every kernel form, besides the attention
+    fixtures': a memory op sized by its output, an outer product, GEMMs
+    with N = 1 and with z in M, and an op whose z is sharded by tp."""
+    return ModelSpec((
+        _op("bKz->bKz", label="Scale"),
+        _op("bKz,bKh->bKzh", label="Outer"),
+        _op("bKzh,bKh->bKz", parallel="K", label="Narrow"),
+        _op("bKzh,bKhw->bKzw", parallel="K", label="Wide"),
+        _op("bKzh,hm->bKzm", parallel="z", label="Sharded"),
+    ), 1)
+
+
+@pytest.mark.parametrize("tp", [1, 2])
+def test_line_steps_are_decided_from_the_compiled_sizes(tp):
+    # A context step has a line form when z is a factor, unsharded, of at
+    # most one size product per GEMM axis; read at any z, its line is the
+    # kernel that lowering gives there. z sharded by tp > 1 is not affine.
+    dims = load_bindings(fixture_path("llama3_8b.json")).with_sizes(w=64)
+    plan = compile_layer(_context_ops_spec(), dims, {"tp": tp, "ep": 1, "cp": 1},
+                         DECODE)
+    assert [(step.label, step.line) for step in plan.steps] == [
+        ("Scale", True), ("Outer", True), ("Narrow", True), ("Wide", True),
+        ("Sharded", tp == 1)]
+    assert plan.context_columns == (tp > 1)
+    lines = plan.lower_lines({"b": 3, "s": 1, "z": 1})
+    assert [type(line).__name__ for _, line in lines] == [
+        "MemoryOpLine", "MemoryOpLine", "MemoryOpLine", "GemmLine",
+        "GemmLine"][:len(lines)]
+    for z in (2, 518, 4096):  # z sharded by 2 must divide
+        lowered = plan.lower(PhaseContext(DECODE, 3, z - 1, osl=1))
+        for (label, line), op in zip(lines, lowered):
+            assert (label, len(op.kernels)) == (op.label, 1)
+            assert _line_kernel(line, z) == _line_kernel(op.kernels[0], z)
+
+
 _FIXTURE_PAIRS = (
     ("dense_fused", "llama3_8b"), ("dense_fused", "llama3_70b"),
     ("dense_unfused", "llama3_8b"), ("dense_unfused", "llama3_70b"),
@@ -343,6 +381,23 @@ def _column_kernel(col, i):
     return MemoryOpDescriptor(col.bytes[i], col.flops[i], col.label)
 
 
+def _line_kernel(kernel, z):
+    """A kernel's label and sizes at ``z``: read off a descriptor, or off a
+    line (see GemmLine) with the same factors multiplied in another order,
+    so equal up to rounding. A memory op's FLOPs are not priced, and a line
+    does not carry them."""
+    if isinstance(kernel, GemmLine):
+        return (kernel.label, *(pytest.approx(c + s * z, rel=1e-15, abs=0)
+                                for c, s in kernel[:4]))
+    if isinstance(kernel, MemoryOpLine):
+        return kernel.label, pytest.approx(kernel.bytes[0] + kernel.bytes[1] * z,
+                                           rel=1e-15, abs=0)
+    if isinstance(kernel, GemmDescriptor):
+        return (kernel.label, kernel.group_count, kernel.m, kernel.contraction,
+                kernel.n)
+    return kernel.label, kernel.bytes
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -414,12 +469,29 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
     for _ in range(2):  # a plan is reusable
         assert _outcome(plan.lower, ctx, moe_te=moe_te) == want
     if phase == DECODE:
-        env = {"b": batch, "s": 1, "z": array("q", [isl + p for p in positions])}
+        zs = [isl + p for p in positions]
+        env = {"b": batch, "s": 1, "z": array("q", zs)}
         got = _outcome(plan.lower_columns, env, len(positions), moe_te=moe_te)
-        if isinstance(got, list):
-            got = [[(op.label, tuple(_column_kernel(k, i) for k in op.kernels),
-                     op.is_moe) for op in got] for i in range(len(positions))]
-        assert got == want_columns
+        lines = _outcome(plan.lower_lines, {"b": batch, "s": 1, "z": 1})
+        if isinstance(want_columns, tuple):
+            # The first error in stream order: the lines' or the columns'.
+            assert want_columns in (got, lines)
+            return
+        # The context steps in stream order, each from its line or columns.
+        got, lines = iter(got), iter(lines)
+        context = [(True, next(lines)) if step.line else (False, next(got))
+                   for step in plan.steps if step.reads_context]
+        assert next(got, None) is None and next(lines, None) is None
+        for i, (z, want) in enumerate(zip(zs, want_columns)):
+            assert len(context) == len(want)
+            for (line, op), (label, kernels, is_moe) in zip(context, want):
+                if not line:
+                    assert (op.label, tuple(_column_kernel(k, i) for k in op.kernels),
+                            op.is_moe) == (label, kernels, is_moe)
+                    continue
+                # A line step's one kernel, read at z.
+                assert (op[0], 1, False) == (label, len(kernels), is_moe)
+                assert _line_kernel(op[1], z) == _line_kernel(kernels[0], z)
 
 
 def _lower_points(plan, points, moe_te):
