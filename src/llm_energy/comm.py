@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .compute import CostEstimate
+from .compute import CostEstimate, one_cost
 from .errors import BackendError, ValidationError
 from .interpreter import (ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER,
                           CommColumns, CommDescriptor)
@@ -227,11 +227,11 @@ class CommBackend:
         return curve
 
     def estimate(self, c: CommDescriptor) -> CostEstimate:
-        latencies, energies = self._curve(c).columns((c.bytes,))
-        return CostEstimate(latencies[0], energies[0])
+        """:meth:`estimate_columns` of one collective."""
+        return one_cost(self._curve(c).columns((c.bytes,)))
 
     def estimate_columns(self, c: CommColumns) -> tuple[array, array]:
-        """:meth:`estimate` at each point: (latencies, energies)."""
+        """(latencies, energies) of the collective at each point."""
         return self._curve(c).columns(c.bytes)
 
 

@@ -2,14 +2,15 @@
 
 Two interchangeable backends: a roofline model driven by a
 :class:`HardwareProfile`, and a calibration-table lookup for imported
-measurements. Both return :class:`CostEstimate` and support SM-restricted
-queries (used by overlap planning). Each also prices a kernel's columns
-over a column of points (``*_columns``: decode positions, or a sweep
-group's batch sizes and sequence lengths), returning (latencies, energies)
-arrays with the scalar methods' arithmetic, in the same order, at each
-point. And each sums a kernel whose sizes are affine in the context length
-z (a line, see :class:`~llm_energy.interpreter.GemmLine`) over a range of z
-in closed form (``*_sum``), within rounding of the sum point by point.
+measurements. Both support SM-restricted queries (used by overlap
+planning). Each prices a kernel's columns over a column of points
+(``*_columns``: one evaluation, decode positions, or a sweep group's batch
+sizes and sequence lengths), returning (latencies, energies) arrays; the
+descriptor methods (``estimate_gemm``/``estimate_memory_op``) price one
+kernel as one-point columns and return a :class:`CostEstimate`. And each
+sums a kernel whose sizes are affine in the context length z (a line, see
+:class:`~llm_energy.interpreter.GemmLine`) over a range of z in closed
+form (``*_sum``), within rounding of the sum point by point.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import BackendError, ValidationError
 from .interpreter import (GemmColumns, GemmDescriptor, GemmLine,
-                          MemoryOpColumns, MemoryOpDescriptor, MemoryOpLine)
+                          MemoryOpColumns, MemoryOpDescriptor, MemoryOpLine,
+                          as_columns)
 from .spec_lang import as_int, as_number, in_file, load_json, read_csv
 
 
@@ -41,6 +43,12 @@ class CostEstimate:
 
 
 ZERO_COST = CostEstimate(0.0, 0.0)
+
+
+def one_cost(cost: tuple[Sequence[float], Sequence[float]]) -> CostEstimate:
+    """The cost at the one point of (latencies, energies) columns."""
+    (latency,), (energy,) = cost
+    return CostEstimate(latency, energy)
 
 
 @dataclass(frozen=True)
@@ -108,24 +116,19 @@ def _compute_rate(g, hw: HardwareProfile) -> float:
 
 
 def estimate_gemm(g: GemmDescriptor, hw: HardwareProfile) -> CostEstimate:
-    """Roofline estimate: max of compute and memory time plus launch overhead.
+    """:func:`estimate_gemm_columns` of one GEMM."""
+    return one_cost(estimate_gemm_columns(as_columns(g), hw))
+
+
+def estimate_gemm_columns(g: GemmColumns,
+                          hw: HardwareProfile) -> tuple[array, array]:
+    """Roofline estimate at each point, (latencies, energies): max of
+    compute and memory time plus launch overhead.
 
     Power blends the bound resource (full utilization) with the other
     resource's occupancy fraction, so balanced kernels approach p_max and
     memory-bound decode GEMMs stay well below it.
     """
-    t_compute = g.flops / _compute_rate(g, hw)
-    t_memory = g.bytes_moved / (hw.mem_bw * hw.bandwidth_efficiency)
-    latency = max(t_compute, t_memory) + hw.kernel_launch_overhead
-    hi, lo = max(t_compute, t_memory), min(t_compute, t_memory)
-    u_eff = (1.0 + (lo / hi if hi > 0 else 1.0)) / 2.0
-    power = _utilization_power(hw, u_eff)
-    return CostEstimate(latency, power * latency)
-
-
-def estimate_gemm_columns(g: GemmColumns,
-                          hw: HardwareProfile) -> tuple[array, array]:
-    """:func:`estimate_gemm` at each point: (latencies, energies)."""
     compute_rate = _compute_rate(g, hw)
     memory_rate = hw.mem_bw * hw.bandwidth_efficiency
     overhead, p_idle = hw.kernel_launch_overhead, hw.p_idle
@@ -183,13 +186,15 @@ def _harmonic(x: float, n: int) -> float:
 
 def estimate_gemm_sum(g: GemmLine, hw: HardwareProfile,
                       zs: range) -> tuple[float, float]:
-    """:func:`estimate_gemm` summed over every z of ``zs``: (latency, energy).
+    """:func:`estimate_gemm_columns` summed over every z of ``zs``:
+    (latency, energy).
 
     t_compute and t_memory are affine in z, so they cross once at most. The
-    range is split there, the split settled by the scalar branch test at
-    the positions on either side, so that each position takes the branch
-    it takes alone (where rounding could decide the test, the two times
-    are level and either branch costs the same). On each side the latency
+    range is split there, the split settled by the branch test of
+    :func:`estimate_gemm_columns` at the positions on either side, so that
+    each position takes the branch it takes in a column (where rounding
+    could decide the test, the two times are level and either branch costs
+    the same). On each side the latency
     hi + overhead is affine in z, and the energy is
     p_idle * latency + p_span / 2 * (hi + overhead + lo + overhead * lo / hi),
     where the sum of lo / hi is a constant plus a digamma difference.
@@ -239,16 +244,14 @@ def estimate_gemm_sum(g: GemmLine, hw: HardwareProfile,
 
 
 def estimate_memory_op(m: MemoryOpDescriptor, hw: HardwareProfile) -> CostEstimate:
-    """Bandwidth-bound kernel: read + write traffic at effective bandwidth."""
-    latency = 2.0 * m.bytes / (hw.mem_bw * hw.bandwidth_efficiency)
-    latency += hw.kernel_launch_overhead
-    power = _utilization_power(hw, hw.memory_op_utilization)
-    return CostEstimate(latency, power * latency)
+    """:func:`estimate_memory_op_columns` of one memory op."""
+    return one_cost(estimate_memory_op_columns(as_columns(m), hw))
 
 
 def estimate_memory_op_columns(m: MemoryOpColumns,
                                hw: HardwareProfile) -> tuple[array, array]:
-    """:func:`estimate_memory_op` at each point: (latencies, energies)."""
+    """Bandwidth-bound kernel at each point, (latencies, energies): read +
+    write traffic at effective bandwidth."""
     rate = hw.mem_bw * hw.bandwidth_efficiency
     overhead = hw.kernel_launch_overhead
     power = _utilization_power(hw, hw.memory_op_utilization)
@@ -258,8 +261,8 @@ def estimate_memory_op_columns(m: MemoryOpColumns,
 
 def estimate_memory_op_sum(m: MemoryOpLine, hw: HardwareProfile,
                            zs: range) -> tuple[float, float]:
-    """:func:`estimate_memory_op` summed over every z of ``zs``: (latency,
-    energy). The latency is affine in z, an arithmetic series."""
+    """:func:`estimate_memory_op_columns` summed over every z of ``zs``:
+    (latency, energy). The latency is affine in z, an arithmetic series."""
     latency = (2.0 * _series(m.bytes, zs) / (hw.mem_bw * hw.bandwidth_efficiency)
                + len(zs) * hw.kernel_launch_overhead)
     return latency, _utilization_power(hw, hw.memory_op_utilization) * latency
@@ -350,13 +353,10 @@ class GemmCalibrationTable:
         with in_file(path):
             return cls([GemmCalibrationPoint(*row) for row in zip(*columns)])
 
-    def _nearest(self, g: GemmDescriptor) -> GemmCalibrationPoint:
-        """The first point at the least squared log distance over (M,
-        contraction, N, G), each dimension floored at 1."""
-        return self._nearest_logs(*_log_dims(g))
-
     def _nearest_logs(self, qm: float, qk: float, qn: float,
                       qg: float) -> GemmCalibrationPoint:
+        """The first point at the least squared log distance from the logs
+        of (M, contraction, N, G), each dimension floored at 1."""
         best, best_dist = None, math.inf
         for (lm, lk, ln, lg), p in self._logs:
             dist = (qm - lm) ** 2 + (qk - lk) ** 2 + (qn - ln) ** 2 + (qg - lg) ** 2
@@ -365,15 +365,13 @@ class GemmCalibrationTable:
         return best
 
     def estimate_gemm(self, g: GemmDescriptor) -> CostEstimate:
-        p = self._nearest(g)
-        latency = p.latency_s * (g.flops / p.flops)
-        if g.sm_available is not None:
-            raise BackendError(
-                "GEMM calibration backend does not support SM-restricted queries")
-        return CostEstimate(latency, p.power_w * latency)
+        """:meth:`estimate_gemm_columns` of one GEMM."""
+        return one_cost(self.estimate_gemm_columns(as_columns(g)))
 
     def estimate_gemm_columns(self, g: GemmColumns) -> tuple[array, array]:
-        """:meth:`estimate_gemm` at each point: (latencies, energies)."""
+        """At each point, (latencies, energies): the latency of the nearest
+        calibration point (see :meth:`_nearest_logs`) scaled by the FLOP
+        ratio, at that point's power."""
         if g.sm_available is not None:
             raise BackendError(
                 "GEMM calibration backend does not support SM-restricted queries")
@@ -383,24 +381,25 @@ class GemmCalibrationTable:
         queries = [math.log(max(col[0], 1.0)) if n and col.count(col[0]) == n
                    else [math.log(max(v, 1.0)) for v in col]
                    for col in (g.m, g.contraction, g.n, g.group_count)]
-        # Per calibration point, its distance at each point of the column:
-        # the terms added in :meth:`_nearest_logs`'s order, so that each
-        # sum is the same float.
-        distances = []
-        for logs, _ in self._logs:
-            dist = None  # a float while every term so far is constant
-            for query, cal in zip(queries, logs):
-                term = ((query - cal) ** 2 if isinstance(query, float)
-                        else [(q - cal) ** 2 for q in query])
-                dist = term if dist is None else _add(dist, term)
-            distances.append(dist)
+        if all(isinstance(query, float) for query in queries):
+            nearest = [self._nearest_logs(*queries)] * n  # no dimension varies
+        else:
+            # Per calibration point, its distance at each point of the
+            # column: the terms added in :meth:`_nearest_logs`'s order, so
+            # that each sum is the same float.
+            distances = []
+            for logs, _ in self._logs:
+                dist = None  # a float while every term so far is constant
+                for query, cal in zip(queries, logs):
+                    term = ((query - cal) ** 2 if isinstance(query, float)
+                            else [(q - cal) ** 2 for q in query])
+                    dist = term if dist is None else _add(dist, term)
+                distances.append(dist)
+            # At each point, the first calibration point at the least distance.
+            points = self.points
+            nearest = [points[dists.index(min(dists))] for dists in zip(*distances)]
         latencies, energies = array("d"), array("d")
-        points = self.points
-        if isinstance(distances[0], float):  # no dimension varies
-            distances = [[dist] * n for dist in distances]
-        for dists, flops in zip(zip(*distances), g.flops):
-            # The first point at the least distance.
-            p = points[dists.index(min(dists))]
+        for p, flops in zip(nearest, g.flops):
             latency = p.latency_s * (flops / p.flops)
             latencies.append(latency)
             energies.append(p.power_w * latency)
@@ -498,17 +497,15 @@ class TableComputeBackend:
         self.hw = hw
 
     def estimate_gemm(self, g: GemmDescriptor) -> CostEstimate:
-        if g.sm_available is not None:
-            # Overlap planning needs SM-restricted queries the table cannot
-            # answer; use the roofline for those.
-            return estimate_gemm(g, self.hw)
-        return self.table.estimate_gemm(g)
+        return one_cost(self.estimate_gemm_columns(as_columns(g)))
 
     def estimate_memory_op(self, m: MemoryOpDescriptor) -> CostEstimate:
         return estimate_memory_op(m, self.hw)
 
     def estimate_gemm_columns(self, g: GemmColumns) -> tuple[array, array]:
         if g.sm_available is not None:
+            # Overlap planning needs SM-restricted queries the table cannot
+            # answer; use the roofline for those.
             return estimate_gemm_columns(g, self.hw)
         return self.table.estimate_gemm_columns(g)
 

@@ -1,4 +1,10 @@
-"""End-to-end estimation: lower, price, fold imbalance/overlap, aggregate."""
+"""End-to-end estimation: lower, price, fold imbalance/overlap, aggregate.
+
+Every evaluation is lowered and priced as columns over points: a single
+prefill estimate is a column of one point, a decode estimate prices its
+first position as one point and its other positions as columns over z or
+in closed form (see :meth:`Estimator.estimate`).
+"""
 
 from __future__ import annotations
 
@@ -6,24 +12,22 @@ from array import array
 from typing import NamedTuple, Optional, Sequence
 
 from .comm import CommBackend
-from .compute import CostEstimate, HardwareProfile
+from .compute import CostEstimate, HardwareProfile, one_cost
 from .errors import SpecError, ValidationError
-# lower_model and decode_positions are unused here but stay importable from
-# this module: the benchmark's tracer wraps them.
+# lower_model, plan_overlap and decode_positions, one-evaluation façades
+# that the estimator does not call, stay importable from this module: the
+# benchmark's tracer wraps them here.
 from .interpreter import (  # noqa: F401
     DECODE,
     PREFILL,
     CommColumns,
-    CommDescriptor,
     GemmColumns,
-    GemmDescriptor,
     GemmLine,
     LayerPlan,
     LoweredColumns,
-    LoweredOp,
-    MemoryOpDescriptor,
     MixedColumns,
     PhaseContext,
+    as_columns,
     compile_layer,
     decode_positions,
     decode_runs,
@@ -47,28 +51,25 @@ from .moe import (
     DEFAULT_TILE,
     RoutingStats,
     RoutingTrace,
-    fold_imbalance,
     fold_imbalance_columns,
     stats_from_trace,
     uniform_routing,
 )
-from .overlap import StageColumns, check_overlap, plan_overlap
+from .overlap import StageColumns, check_overlap, plan_overlap  # noqa: F401
 from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
 
 DEFAULT_DECODE_STRIDE = 1
 
-# (label, category, latency, energy, reads_context) of one priced kernel.
-Entry = tuple[str, str, float, float, bool]
 # (latency, energy, infeasible reason) of one point: the totals of its
 # report, or None and None with the reason it is infeasible.
 Priced = tuple[Optional[float], Optional[float], str]
 
 
 def _kernel_category(kernel) -> str:
-    """The report category of a kernel descriptor, its columns or its line."""
-    if isinstance(kernel, (GemmDescriptor, GemmColumns, GemmLine)):
+    """The report category of a kernel's columns or its line."""
+    if isinstance(kernel, (GemmColumns, GemmLine)):
         return CATEGORY_COMPUTE
-    if isinstance(kernel, (CommDescriptor, CommColumns)):
+    if isinstance(kernel, CommColumns):
         return CATEGORY_COMM
     return CATEGORY_MEMORY
 
@@ -167,11 +168,8 @@ class Estimator:
         return uniform_routing(ctx.batch, ctx.s, top_k, e_total, ep, self.tile)
 
     def _price(self, kernel) -> CostEstimate:
-        if isinstance(kernel, GemmDescriptor):
-            return self.compute_backend.estimate_gemm(kernel)
-        if isinstance(kernel, CommDescriptor):
-            return self.comm_backend.estimate(kernel)
-        return self.compute_backend.estimate_memory_op(kernel)
+        """One kernel descriptor's cost: its one-point columns priced."""
+        return one_cost(self._price_columns(as_columns(kernel)))
 
     def _price_columns(self, kernel) -> tuple[array, array]:
         if isinstance(kernel, GemmColumns):
@@ -187,51 +185,22 @@ class Estimator:
 
     # -- per-layer costing -------------------------------------------------
 
-    def _layer_entries(self, plan: LayerPlan, ctx: PhaseContext,
-                       degrees: dict[str, int],
-                       stats: Optional[RoutingStats]) -> list[Entry]:
-        """(label, category, latency, energy, reads_context) per kernel for
-        one layer, one GPU.
+    def _kernel_costs(self, plan: LayerPlan, env: dict, count: int,
+                      stats: Optional[RoutingStats], whole: bool = False
+                      ) -> list[tuple[str, str, array, array, bool]]:
+        """(label, category, latencies, energies, reads_context) of each
+        kernel that ``plan`` lowers at ``count`` points, one layer, one GPU
+        (see :meth:`LayerPlan.lower_columns`, with ``whole``).
 
         MoE kernels are priced under the average and the bottleneck GPU's
-        routing statistics and folded by :func:`fold_imbalance`.
+        routing statistics and folded by :func:`fold_imbalance_columns`.
         """
-        avg_te = stats.avg if stats else None
-        lowered = plan.lower(ctx, moe_te=avg_te)
+        lowered = plan.lower_columns(env, count, stats.avg if stats else None,
+                                     whole=whole)
         lowered_max = None
         if (stats is not None and not stats.balanced
                 and any(op.is_moe for op in lowered)):
-            lowered_max = plan.lower(ctx, moe_te=stats.max)
-
-        entries: list[Entry] = []
-        for idx, op in enumerate(lowered):
-            if op.overlap is not None:
-                entries.extend(self._overlap_entries(op, ctx, degrees))
-                continue
-            for k_idx, kernel in enumerate(op.kernels):
-                cost = self._price(kernel)
-                if op.is_moe and lowered_max is not None:
-                    cost = fold_imbalance(
-                        cost, self._price(lowered_max[idx].kernels[k_idx]),
-                        self.hw.p_idle)
-                entries.append((op.label, _kernel_category(kernel),
-                                cost.latency, cost.energy, op.reads_context))
-        return entries
-
-    def _context_columns(self, plan: LayerPlan, ctx: PhaseContext,
-                         positions: list[int], stats: Optional[RoutingStats]
-                         ) -> list[tuple[str, str, array, array]]:
-        """(label, category, latencies, energies) per kernel that reads the
-        context, over decode ``positions``: at each position, what
-        :meth:`_layer_entries` gives for that kernel."""
-        env = {"b": ctx.batch, "s": ctx.s,
-               "z": array("q", [ctx.isl + position for position in positions])}
-        lowered = plan.lower_columns(env, len(positions),
-                                     moe_te=stats.avg if stats else None)
-        lowered_max = None
-        if (stats is not None and not stats.balanced
-                and any(op.is_moe for op in lowered)):
-            lowered_max = plan.lower_columns(env, len(positions), moe_te=stats.max)
+            lowered_max = plan.lower_columns(env, count, stats.max, whole=whole)
         out = []
         for idx, op in enumerate(lowered):
             for k_idx, kernel in enumerate(op.kernels):
@@ -240,35 +209,8 @@ class Estimator:
                     cost = fold_imbalance_columns(
                         cost, self._price_columns(lowered_max[idx].kernels[k_idx]),
                         self.hw.p_idle)
-                out.append((op.label, _kernel_category(kernel), *cost))
-        return out
-
-    def _overlap_entries(self, op: LoweredOp, ctx: PhaseContext,
-                         degrees: dict[str, int]) -> list[Entry]:
-        stages, sm_comm, dim = op.overlap
-        if op.gemm is None:  # lowering guarantees the collective
-            raise ValidationError(f"op {op.label!r}: overlap needs a GEMM + collective")
-        bound = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
-        dim_size = bound.get(dim, self.dims.sizes.get(dim))
-        if dim_size is None:
-            raise ValidationError(f"op {op.label!r}: overlap dim {dim!r} unbound")
-        plan = plan_overlap(op.gemm, op.collective.bytes, op.collective.world,
-                            stages, sm_comm, int(dim_size),
-                            self.compute_backend, self.comm_backend,
-                            self.hw.total_sm, label=op.label)
-        out = []
-        # Any kernels lowered ahead of the GEMM (cp transitions) keep their
-        # normal pricing.
-        for kernel in op.kernels:
-            if kernel is op.gemm:
-                continue
-            cost = self._price(kernel)
-            out.append((op.label, _kernel_category(kernel), cost.latency,
-                        cost.energy, op.reads_context))
-        out.append((op.label, CATEGORY_COMPUTE, plan.compute_latency,
-                    plan.compute_energy, op.reads_context))
-        out.append((op.label, CATEGORY_EXPOSED, plan.t_exposed, plan.exposed_energy,
-                    op.reads_context))
+                out.append((op.label, _kernel_category(kernel), *cost,
+                            op.reads_context))
         return out
 
     # -- phase estimation ----------------------------------------------------
@@ -303,69 +245,71 @@ class Estimator:
             report.infeasible_reason = verdict.reason
             return report
 
+        if ctx.phase == PREFILL:
+            # One point of the sweeps' column pricing, bound as plain sizes.
+            stats = self.routing_stats(ctx, degrees)
+            [(rows, errors)] = self._prefill_rows(
+                [plan], {"b": ctx.batch, "s": ctx.s, "z": ctx.s}, 1,
+                stats.avg if stats else None,
+                None if stats is None or stats.balanced else stats.max,
+                float(gpus))
+            if errors:
+                raise errors[0]
+            report.rows = [ReportRow(label, category, latency, energy)
+                           for (label, category), ((latency,), (energy,)) in rows]
+            return report
+
+        # Only the kernels that read z change across decode positions; the
+        # rest, and the routing statistics (s = 1 throughout), are priced
+        # once, at the first position, and weighted by the whole phase. At
+        # the other sampled positions, a context kernel whose sizes are
+        # affine in z is summed over each run of positions in closed form,
+        # in O(1) whatever osl is; the others (collectives, MoE kernels,
+        # sizes not affine in z) are priced as columns over the positions.
         rows: dict[tuple[str, str], ReportRow] = {}
 
-        def accumulate(entries: list[Entry], weight: float,
-                       invariant_weight: Optional[float] = None) -> None:
-            for label, category, latency, energy, varying in entries:
-                w = weight if varying or invariant_weight is None else invariant_weight
-                scale = 1.0 if category == CATEGORY_COMM else float(gpus)
-                row = rows.setdefault((label, category), ReportRow(label, category))
-                row.add(latency * w, energy * scale * w)
+        def row_of(label: str, category: str) -> ReportRow:
+            return rows.setdefault((label, category), ReportRow(label, category))
 
-        def accumulate_columns(columns, weights: array) -> None:
+        (first, first_weight), *later = decode_runs(ctx.osl, self.decode_stride)
+        stats = self.routing_stats(ctx.at_position(first[0]), degrees)
+        for label, category, (latency,), (energy,), varying in self._kernel_costs(
+                plan, {"b": ctx.batch, "s": ctx.s, "z": ctx.isl + first[0]}, 1,
+                stats, whole=True):
+            w = float(layers) * (first_weight if varying else ctx.osl)
+            scale = 1.0 if category == CATEGORY_COMM else float(gpus)
+            row_of(label, category).add(latency * w, energy * scale * w)
+        rest = [(positions, float(layers) * weight) for positions, weight
+                in [(first[1:], first_weight), *later] if positions]
+        if rest:
+            env = {"b": ctx.batch, "s": ctx.s, "z": 1}
+            for label, line in plan.lower_lines(env):
+                row = row_of(label, _kernel_category(line))  # never a collective
+                for positions, weight in rest:
+                    latency, energy = self._price_sum(line, range(
+                        ctx.isl + positions.start, ctx.isl + positions.stop,
+                        positions.step))
+                    row.add(latency * weight, energy * float(gpus) * weight)
+        if rest and plan.context_columns:
+            positions = [p for run, _ in rest for p in run]
+            env["z"] = array("q", [ctx.isl + p for p in positions])
+            columns = self._kernel_costs(plan, env, len(positions), stats)
             # Position by position, and within a position kernel by kernel,
-            # as accumulate() would add one position's entries at a time.
+            # as if each position's kernels were added one at a time.
             by_row: dict = {}
-            for label, category, latencies, energies in columns:
+            for label, category, latencies, energies, _ in columns:
                 by_row.setdefault((label, category), []).append(
                     (latencies, energies))
+            weights = [weight for run, weight in rest for _ in run]
             for (label, category), kernels in by_row.items():
                 scale = 1.0 if category == CATEGORY_COMM else float(gpus)
-                row = rows.setdefault((label, category), ReportRow(label, category))
+                row = row_of(label, category)
                 latency, energy = row.latency, row.energy
                 for i, w in enumerate(weights):
                     for latencies, energies in kernels:
                         latency += latencies[i] * w
                         energy += energies[i] * scale * w
                 row.latency, row.energy = latency, energy
-
-        if ctx.phase == PREFILL:
-            stats = self.routing_stats(ctx, degrees)
-            accumulate(self._layer_entries(plan, ctx, degrees, stats), float(layers))
-        else:
-            # Only the kernels that read z change across decode positions;
-            # the rest, and the routing statistics (s = 1 throughout), are
-            # priced once, at the first position, and weighted by the whole
-            # phase. At the other sampled positions, a context kernel whose
-            # sizes are affine in z is summed over each run of positions in
-            # closed form, in O(1) whatever osl is; the others (collectives,
-            # MoE kernels, sizes not affine in z) are priced as columns over
-            # the positions.
-            (first, first_weight), *later = decode_runs(ctx.osl, self.decode_stride)
-            first_ctx = ctx.at_position(first[0])
-            stats = self.routing_stats(first_ctx, degrees)
-            accumulate(self._layer_entries(plan, first_ctx, degrees, stats),
-                       float(layers) * first_weight, float(layers) * ctx.osl)
-            rest = [(positions, float(layers) * weight) for positions, weight
-                    in [(first[1:], first_weight), *later] if positions]
-            if rest:
-                env = {"b": ctx.batch, "s": ctx.s, "z": 1}
-                for label, line in plan.lower_lines(env):
-                    category = _kernel_category(line)  # never a collective
-                    row = rows.setdefault((label, category),
-                                          ReportRow(label, category))
-                    for positions, weight in rest:
-                        latency, energy = self._price_sum(line, range(
-                            ctx.isl + positions.start, ctx.isl + positions.stop,
-                            positions.step))
-                        row.add(latency * weight, energy * float(gpus) * weight)
-            if rest and plan.context_columns:
-                accumulate_columns(
-                    self._context_columns(plan, ctx, [
-                        p for positions, _ in rest for p in positions], stats),
-                    array("d", [weight for positions, weight in rest
-                                for _ in positions]))
 
         report.rows = list(rows.values())
         return report
@@ -467,15 +411,9 @@ class Estimator:
                 # Folding is exact for the balanced points: L' - L = 0.0.
                 moe_max = tuple(array("d", col)
                                 for col in zip(*(st.max for st in stats)))
-        bare = plans[0].unoverlapped()
-        errors: dict = {}
-        failed_at: dict = {}
         try:
-            lowered = bare.lower_columns(env, n, moe_avg, errors, failed_at)
-            lowered_max = None
-            if moe_max is not None and any(op.is_moe for op in lowered):
-                # Its errors come after every error of the average lowering.
-                lowered_max = bare.lower_columns(env, n, moe_max, errors)
+            priced = self._prefill_rows(plans, env, n, moe_avg, moe_max,
+                                        float(self.gpu_count(degrees)))
         except MixedColumns as mixed:
             # Some points lower a GEMM as a memory op, which changes their
             # rows: price each kind of point as its own group.
@@ -489,12 +427,46 @@ class Estimator:
                     for i, point in zip(part, part_results):
                         results[i] = point
             return split
+        out = []
+        for rows, errors in priced:
+            # A report's totals: the builtin sum over its rows, in row order.
+            latencies = [sum(point) for point in zip(*(row[0] for _, row in rows))]
+            energies = [sum(point) for point in zip(*(row[1] for _, row in rows))]
+            out.append([
+                (None, None, str(errors[i])) if i in errors else
+                (latencies[i], energies[i], "") for i in range(n)])
+        return out
 
+    def _prefill_rows(self, plans: list[LayerPlan], env: dict, n: int,
+                      moe_avg: Optional[tuple], moe_max: Optional[tuple],
+                      gpus: float) -> list[tuple[list, dict]]:
+        """Per plan, the report rows of ``n`` prefill points bound by
+        ``env``, and the error of each point that fails: the rows as
+        ((label, category), (latencies, energies)), in report order (none
+        when every point fails), the errors by point index.
+
+        ``moe_avg`` and ``moe_max`` bind the MoE ops' (T, E) under the
+        average and, if any point is imbalanced, the bottleneck GPU's
+        routing. Every op is lowered once, un-overlapped, for all plans,
+        and each kernel column of an op that a plan leaves un-overlapped is
+        priced at most once; a row made only of such kernels is summed
+        once. Errors of kinds other than ValidationError propagate.
+        A GEMM whose N is 1 at some points only raises
+        :class:`~llm_energy.interpreter.MixedColumns`.
+        """
+        bare = plans[0].unoverlapped()
+        errors: dict = {}
+        failed_at: dict = {}
+        lowered = bare.lower_columns(env, n, moe_avg, errors, failed_at)
+        lowered_max = None
+        if moe_max is not None and any(op.is_moe for op in lowered):
+            # Its errors come after every error of the average lowering.
+            lowered_max = bare.lower_columns(env, n, moe_max, errors)
         costs: dict = {}
 
         def price(idx: int, k_idx: int) -> tuple[array, array]:
             # Each kernel column of an op left un-overlapped once, whichever
-            # settings price it.
+            # plans price it.
             cost = costs.get((idx, k_idx))
             if cost is None:
                 cost = self._price_columns(lowered[idx].kernels[k_idx])
@@ -505,7 +477,6 @@ class Estimator:
                 costs[(idx, k_idx)] = cost
             return cost
 
-        gpus = float(self.gpu_count(degrees))
         weight = float(self.layers())
         shared_rows: dict = {}
         stages_memo: dict = {}
@@ -514,11 +485,11 @@ class Estimator:
             ops, point_errors = _overlapped(plan, lowered, errors, failed_at, n)
             for exc in point_errors.values():
                 if not isinstance(exc, ValidationError):
-                    raise exc  # as estimate() raises it, before any pricing
+                    raise exc  # before any pricing
             # (label, category, latencies, energies, source) of each entry
             # in stream order. The source is the (op, kernel) index of a
             # kernel column priced un-overlapped, the same under every
-            # setting, or None for an overlapped op's entries.
+            # plan, or None for an overlapped op's entries.
             entries: list = []
             for idx, op in enumerate(ops):
                 if len(point_errors) == n:
@@ -530,24 +501,19 @@ class Estimator:
                 for k_idx, kernel in enumerate(op.kernels):
                     entries.append((op.label, _kernel_category(kernel),
                                     *price(idx, k_idx), (idx, k_idx)))
-            if len(point_errors) == n:
-                out.append([(None, None, str(point_errors[i])) for i in range(n)])
-                continue
-            rows = _accumulate_rows(entries, n, weight, gpus, shared_rows)
-            # A report's totals: the builtin sum over its rows, in row order.
-            latencies = [sum(point) for point in zip(*(row[0] for row in rows))]
-            energies = [sum(point) for point in zip(*(row[1] for row in rows))]
-            out.append([
-                (None, None, str(point_errors[i])) if i in point_errors else
-                (latencies[i], energies[i], "") for i in range(n)])
+            out.append(([] if len(point_errors) == n else
+                        _accumulate_rows(entries, n, weight, gpus, shared_rows),
+                        point_errors))
         return out
 
     def _overlap_columns(self, idx: int, op: LoweredColumns, env: dict, n: int,
                          errors: dict, stages_memo: dict, entries: list) -> None:
-        """:meth:`_overlap_entries` over a column of ``n`` points, appended
-        to ``entries``: a point that cannot be overlapped gets its error in
-        ``errors``. The terms of op ``idx`` that depend on the stages alone
-        are priced once per stage count and kept in ``stages_memo``."""
+        """The entries of overlapped op ``idx`` over a column of ``n``
+        points, appended to ``entries``: its compute and exposed terms (see
+        :class:`~llm_energy.overlap.StageColumns`) after any kernels lowered
+        ahead of its GEMM. A point that cannot be overlapped gets its error
+        in ``errors``. The terms that depend on the stages alone are priced
+        once per stage count and kept in ``stages_memo``."""
         live = [i for i in range(n) if i not in errors]
         stages, sm_comm, dim = op.overlap
         try:
@@ -589,34 +555,35 @@ class Estimator:
 
 
 def _accumulate_rows(entries: list, n: int, weight: float, gpus: float,
-                     shared: dict) -> list[tuple[list, list]]:
-    """(latencies, energies) of each report row over ``n`` points, rows in
-    first-seen order, each the sum of its entries weighted by ``weight``
-    (energies also by ``gpus``, comm excepted) from 0.0 in stream order, as
-    :meth:`Estimator.estimate` adds one entry to its row, point by point.
-    A row whose entries all have a source is kept in ``shared`` under
-    those sources, and taken from there by every later setting."""
+                     shared: dict) -> list[tuple[tuple, tuple[list, list]]]:
+    """((label, category), (latencies, energies)) of each report row over
+    ``n`` points, rows in first-seen order, each the sum of its entries
+    weighted by ``weight`` (energies also by ``gpus``, comm excepted) from
+    0.0 in stream order, point by point. A row whose entries all have a
+    source is kept in ``shared`` under those sources, and taken from there
+    by every later setting."""
     by_row: dict = {}
     for label, category, latencies, energies, source in entries:
         by_row.setdefault((label, category), []).append(
             (latencies, energies, source))
     rows = []
-    for (_, category), parts in by_row.items():
-        sources = tuple(source for _, _, source in parts)
-        reusable = None not in sources
-        row = shared.get(sources) if reusable else None
+    for key, parts in by_row.items():
+        sources = tuple([source for _, _, source in parts])
+        row = shared.get(sources)  # never kept under a None source
         if row is None:
-            scale = 1.0 if category == CATEGORY_COMM else gpus
-            row_latencies, row_energies = [0.0] * n, [0.0] * n
-            for latencies, energies, _ in parts:
+            scale = 1.0 if key[1] == CATEGORY_COMM else gpus
+            (latencies, energies, _), *more = parts
+            row_latencies = [0.0 + t * weight for t in latencies]
+            row_energies = [0.0 + e * scale * weight for e in energies]
+            for latencies, energies, _ in more:
                 row_latencies = [a + t * weight
                                  for a, t in zip(row_latencies, latencies)]
                 row_energies = [a + e * scale * weight
                                 for a, e in zip(row_energies, energies)]
             row = (row_latencies, row_energies)
-            if reusable:
+            if None not in sources:
                 shared[sources] = row
-        rows.append(row)
+        rows.append((key, row))
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Lower einsum ops into kernel descriptors (GEMMs, collectives, memory ops).
+"""Lower einsum ops into kernels (GEMMs, collectives, memory ops).
 
 Each op becomes, in order: an optional transpose+all2all+transpose group
 (context-parallel layout change), the compute kernel (grouped GEMM or
@@ -8,14 +8,15 @@ the score tensor.
 
 Lowering runs in two steps: :func:`compile_layer` fixes everything that
 depends only on the spec, dims, parallel degrees and phase, and
-:meth:`LayerPlan.lower` binds the runtime symbols of one evaluation.
-:meth:`LayerPlan.lower_columns` binds a whole column of evaluations at
-once, any of b, s, z, T and E a column over them (the decode positions of
-one point, or the batch sizes and sequence lengths of a sweep group): it
-sizes each kernel over every evaluation, as columns, and builds no
-descriptor per evaluation. :meth:`LayerPlan.lower_lines` sizes a decode
-context kernel whose sizes are affine in z as a line in z, which a backend
-sums over a range of positions in closed form.
+:meth:`LayerPlan.lower_columns` binds the runtime symbols of a column of
+evaluations, any of b, s, z, T and E one size for all of them or a column
+over them (one evaluation, the decode positions of one point, or the
+batch sizes and sequence lengths of a sweep group): it sizes each kernel
+over every evaluation, as columns, and builds no descriptor per
+evaluation. :meth:`LayerPlan.lower` gives one evaluation's kernel
+descriptors, read off its one-point columns. :meth:`LayerPlan.lower_lines`
+sizes a decode context kernel whose sizes are affine in z as a line in z,
+which a backend sums over a range of positions in closed form.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class GemmDescriptor:
     @property
     def arithmetic_intensity(self) -> float:
         return self.flops / self.bytes_moved
-
-    def partitioned(self, fraction: float) -> "GemmDescriptor":
-        """Scale M by ``fraction`` (overlap partitions the output rows)."""
-        return replace(self, m=self.m * fraction)
 
 
 @dataclass(frozen=True)
@@ -158,6 +155,30 @@ class MemoryOpColumns(NamedTuple):
 
 
 KernelColumns = Union[GemmColumns, CommColumns, MemoryOpColumns]
+
+
+def as_columns(kernel: KernelDescriptor) -> KernelColumns:
+    """A kernel descriptor as columns over one point."""
+    if isinstance(kernel, GemmDescriptor):
+        return GemmColumns((kernel.group_count,), (kernel.m,), (kernel.contraction,),
+                           (kernel.n,), kernel.dtype_bytes, kernel.label,
+                           kernel.sm_available)
+    if isinstance(kernel, CommDescriptor):
+        return CommColumns(kernel.kind, (kernel.bytes,), kernel.world,
+                           kernel.sm_count, kernel.label)
+    return MemoryOpColumns((kernel.bytes,), (kernel.flops,), kernel.label)
+
+
+def _descriptor(kernel: KernelColumns) -> KernelDescriptor:
+    """The kernel descriptor that one-point columns hold."""
+    if isinstance(kernel, GemmColumns):
+        (g,), (m,), (k,), (n,) = kernel[:4]
+        return GemmDescriptor(g, m, k, n, *kernel[4:])
+    if isinstance(kernel, CommColumns):
+        (size,) = kernel.bytes
+        return CommDescriptor(kernel.kind, size, *kernel[2:])
+    (size,), (flops,) = kernel.bytes, kernel.flops
+    return MemoryOpDescriptor(size, flops, kernel.label)
 
 
 # Line records: one kernel whose sizes are affine in the context length z,
@@ -320,7 +341,7 @@ class _Product(NamedTuple):
                 try:
                     factor = _shard(sym, dims.size(sym), deg)
                 except ValidationError:
-                    pass  # raised again, in order, by value()
+                    pass  # raised again, in order, by column()
             if tail or type(factor) is tuple:
                 tail.append(factor)
             else:
@@ -328,22 +349,16 @@ class _Product(NamedTuple):
         return cls(prefix, tuple(tail))
 
     def value(self, env: dict, dims: DimensionBindings) -> float:
-        """The product with runtime symbols read from ``env``."""
-        prod = self.prefix
-        for factor in self.tail:
-            if type(factor) is tuple:
-                sym, deg = factor
-                size = env.get(sym)
-                prod *= _shard(sym, dims.size(sym) if size is None else size, deg)
-            else:
-                prod *= factor
+        """The product with runtime symbols read from ``env``, each one
+        size: :meth:`column` at one point."""
+        (prod,) = self.column(env, dims, 1, {})
         return prod
 
     def column(self, env: dict, dims: DimensionBindings, count: int,
                errors: dict) -> Sequence[float]:
-        """:meth:`value` at each of ``count`` points, where ``env`` binds
-        each runtime symbol to one size or to a column of sizes (see
-        :func:`is_column`), the factors multiplied in the same order. A
+        """The product at each of ``count`` points, with each runtime
+        symbol read from ``env``, which binds it to one size or to a column
+        of sizes (see :func:`is_column`), the factors multiplied in order. A
         point whose shard fails gets its error in ``errors`` (see
         :func:`_shard_column`); a shard that fails for every point raises."""
         prod, col = self.prefix, None
@@ -469,18 +484,10 @@ def _transition_size(op: OpSpec, prev: Optional[OpSpec], dims: DimensionBindings
     return _Product.of(prev.equation.output_operand, dims, {}, runtime)
 
 
-def _all2all_kernels(label: str, size: float,
-                     cp_degree: int) -> list[KernelDescriptor]:
-    return [
-        MemoryOpDescriptor(size, label=f"{label} transpose (pre)"),
-        CommDescriptor(ALLTOALL, size, cp_degree, label=f"{label} All2All"),
-        MemoryOpDescriptor(size, label=f"{label} transpose (post)"),
-    ]
-
-
 def _all2all_columns(label: str, sizes: Sequence[float],
                      cp_degree: int) -> list[KernelColumns]:
-    """:func:`_all2all_kernels` over a column of points."""
+    """The transpose, All2All and transpose of a cp layout change of
+    ``sizes`` bytes, over a column of points."""
     no_flops = [0.0] * len(sizes)
     return [
         MemoryOpColumns(sizes, no_flops, label=f"{label} transpose (pre)"),
@@ -499,9 +506,9 @@ def detect_all2all(op: OpSpec, prev: Optional[OpSpec], dims: DimensionBindings,
     size = _transition_size(op, prev, dims, cp_degree)
     if size is None:
         return []
-    return _all2all_kernels(f"{prev.label}->{op.label}",
-                            size.value({}, dims) * dims.dtype_bytes / cp_degree,
-                            cp_degree)
+    return [_descriptor(k) for k in _all2all_columns(
+        f"{prev.label}->{op.label}",
+        (size.value({}, dims) * dims.dtype_bytes / cp_degree,), cp_degree)]
 
 
 @dataclass(frozen=True)
@@ -524,9 +531,18 @@ class LoweredColumns(NamedTuple):
     label: str
     kernels: tuple
     is_moe: bool = False
+    reads_context: bool = False
     overlap: Optional[tuple[int, int, str]] = None
     gemm: Optional[GemmColumns] = None
     collective: Optional[CommColumns] = None
+
+    def one_point(self) -> LoweredOp:
+        """The :class:`LoweredOp` of one-point columns."""
+        gemm, collective = (None if k is None else _descriptor(k)
+                            for k in (self.gemm, self.collective))
+        return LoweredOp(self.label, tuple(map(_descriptor, self.kernels)),
+                         self.is_moe, self.reads_context, self.overlap, gemm,
+                         collective)
 
 
 class MixedColumns(ValidationError):
@@ -583,37 +599,15 @@ class _Compute(NamedTuple):
     flops: Optional[_Product] = None
     error: Optional[str] = None  # no GEMM form; raised when lowered
 
-    def lower(self, env: dict, dims: DimensionBindings,
-              label: str) -> KernelDescriptor:
-        if self.error is not None:
-            raise SpecError(self.error)
-        dtype = dims.dtype_bytes
-        if not self.inputs:
-            # Broadcast/scatter: pure data movement sized by the output tensor.
-            return MemoryOpDescriptor(self.output.value(env, dims) * dtype,
-                                      label=label)
-        if self.gemm is not None:
-            g = GemmDescriptor(*(axis.value(env, dims) for axis in self.gemm),
-                               dtype_bytes=dtype, label=label)
-            if g.n != 1:
-                return g
-            # Weighted-sum / elementwise-dominated ops (e.g. the MoE
-            # reduction): no fresh output columns, so treat as memory bound.
-            flops = g.flops
-        in_b = sum(p.value(env, dims) * dtype for p in self.inputs)
-        out_b = self.output.value(env, dims) * dtype
-        if self.gemm is None:
-            flops = self.flops.value(env, dims)
-        return MemoryOpDescriptor(in_b + out_b, flops=flops, label=label)
-
     def columns(self, env: dict, dims: DimensionBindings, count: int,
                 errors: dict, label: str) -> KernelColumns:
-        """:meth:`lower` at each of ``count`` points (see
+        """The kernel's sizes at each of ``count`` points (see
         :meth:`_Product.column`)."""
         if self.error is not None:
             raise SpecError(self.error)
         dtype = dims.dtype_bytes
         if not self.inputs:
+            # Broadcast/scatter: pure data movement sized by the output tensor.
             return MemoryOpColumns(
                 array("d", [v * dtype for v in
                             self.output.column(env, dims, count, errors)]),
@@ -627,6 +621,8 @@ class _Compute(NamedTuple):
                 return g
             if ones != count:
                 raise MixedColumns(label, [n == 1 for n in g.n])
+            # Weighted-sum / elementwise-dominated ops (e.g. the MoE
+            # reduction): no fresh output columns, so treat as memory bound.
             flops = g.flops
         in_b = [sum(sizes) for sizes in zip(*(
             [v * dtype for v in p.column(env, dims, count, errors)]
@@ -648,7 +644,7 @@ class _Compute(NamedTuple):
                 and sum(("z", 1) in axis.tail for axis in axes) <= 1)
 
     def line(self, env: dict, dims: DimensionBindings, label: str) -> KernelLine:
-        """:meth:`lower` of an :attr:`affine` kernel as a line, with ``env``
+        """The sizes of an :attr:`affine` kernel as a line, with ``env``
         binding z to 1 (see :meth:`_Product.line`)."""
         dtype = (float(dims.dtype_bytes), 0.0)
         if self.gemm is not None:
@@ -719,46 +715,10 @@ class _OpStep(NamedTuple):
                     errors.setdefault(i, exc)
         return moe_env
 
-    def lower(self, env: dict, moe_env: Optional[dict],
-              dims: DimensionBindings) -> LoweredOp:
-        op = self.op
-        env = self._env(env, moe_env)
-        kernels: list[KernelDescriptor] = []
-        if self.transition is not None:
-            size, label, cp_degree = self.transition
-            kernels.extend(_all2all_kernels(
-                label, size.value(env, dims) * dims.dtype_bytes / cp_degree,
-                cp_degree))
-        compute = self.compute.lower(env, dims, op.label)
-        kernels.append(compute)
-
-        collective = None
-        if self.allreduce is not None:
-            size, world = self.allreduce
-            collective = CommDescriptor(
-                ALLREDUCE, size.value(env, dims) * dims.dtype_bytes, world,
-                label=f"{op.label} AllReduce")
-        if self.overlap is not None:
-            if collective is None:
-                raise ValidationError(
-                    f"op {op.label!r}: overlap annotated but no collective detected")
-        elif collective is not None:
-            kernels.append(collective)
-
-        return LoweredOp(
-            label=self.label,
-            kernels=tuple(kernels),
-            is_moe=self.is_moe,
-            reads_context=self.reads_context,
-            overlap=self.overlap,
-            gemm=compute if isinstance(compute, GemmDescriptor) else None,
-            collective=collective,
-        )
-
     def columns(self, env: dict, moe_env: Optional[dict],
                 dims: DimensionBindings, count: int,
                 errors: dict) -> LoweredColumns:
-        """:meth:`lower` at each of ``count`` points (see
+        """The op's kernels at each of ``count`` points (see
         :meth:`_Product.column`)."""
         op = self.op
         env = self._env(env, moe_env, errors)
@@ -781,7 +741,7 @@ class _OpStep(NamedTuple):
                 world, label=f"{op.label} AllReduce")
             kernels.append(collective)
         lowered = LoweredColumns(
-            self.label, tuple(kernels), self.is_moe, None,
+            self.label, tuple(kernels), self.is_moe, self.reads_context, None,
             compute if isinstance(compute, GemmColumns) else None, collective)
         return lowered if self.overlap is None else self.overlapped(lowered)
 
@@ -811,15 +771,6 @@ class _ScoreStep(NamedTuple):
     overlap: None = None  # never overlapped
     line: bool = False  # as _OpStep.line
 
-    def lower(self, env: dict, moe_env: Optional[dict],
-              dims: DimensionBindings) -> LoweredOp:
-        score_bytes = self.size.value(env, dims) * dims.dtype_bytes
-        return LoweredOp(
-            label=f"{self.label}: score",
-            kernels=(MemoryOpDescriptor(2 * score_bytes, label=f"{self.label} score"),),
-            reads_context=self.reads_context,
-        )
-
     def columns(self, env: dict, moe_env: Optional[dict],
                 dims: DimensionBindings, count: int,
                 errors: dict) -> LoweredColumns:
@@ -827,7 +778,8 @@ class _ScoreStep(NamedTuple):
         return LoweredColumns(f"{self.label}: score", (MemoryOpColumns(
             array("d", [2 * (v * dtype) for v in
                         self.size.column(env, dims, count, errors)]),
-            [0.0] * count, label=f"{self.label} score"),))
+            [0.0] * count, label=f"{self.label} score"),),
+            reads_context=self.reads_context)
 
     def lower_line(self, env: dict, dims: DimensionBindings) -> tuple:
         size = self.size.line(env, dims)
@@ -837,8 +789,9 @@ class _ScoreStep(NamedTuple):
 
 
 class LayerPlan(NamedTuple):
-    """One layer compiled for (spec, dims, degrees, phase); :meth:`lower`
-    binds the runtime symbols of one evaluation."""
+    """One layer compiled for (spec, dims, degrees, phase);
+    :meth:`lower_columns` binds the runtime symbols of a column of
+    evaluations."""
 
     phase: str
     dims: DimensionBindings
@@ -877,6 +830,8 @@ class LayerPlan(NamedTuple):
     def unoverlapped(self) -> "LayerPlan":
         """This plan with no step overlapped: each op lowers its
         collective as a kernel of its own."""
+        if not any(step.overlap for step in self.steps):
+            return self
         return self._replace(steps=tuple(step._replace(overlap=None)
                                          for step in self.steps))
 
@@ -892,29 +847,30 @@ class LayerPlan(NamedTuple):
     def lower(self, ctx: PhaseContext,
               moe_te: Optional[tuple[float, float]] = None) -> list[LoweredOp]:
         """Lower the layer at ``ctx``: kernel descriptor groups in stream
-        order, with ``moe_te`` bound as MoE ops' (T, E)."""
+        order, with ``moe_te`` bound as MoE ops' (T, E), read off the
+        layer's one-point columns (:meth:`lower_columns`)."""
         if ctx.phase != self.phase:
             raise ValidationError(
                 f"layer compiled for {self.phase} cannot lower a {ctx.phase} context")
         env = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
-        moe_env = self._moe_env(env, moe_te)
-        return [step.lower(env, moe_env, self.dims) for step in self.steps]
+        return [op.one_point()
+                for op in self.lower_columns(env, 1, moe_te, whole=True)]
 
     def lower_columns(self, env: dict, count: int,
                       moe_te: Optional[tuple] = None,
                       errors: Optional[dict] = None,
-                      failed_at: Optional[dict] = None) -> list[LoweredColumns]:
+                      failed_at: Optional[dict] = None,
+                      whole: bool = False) -> list[LoweredColumns]:
         """Lower the layer at ``count`` points at once: per kernel, its
-        sizes as columns whose i-th values equal the descriptor
-        :meth:`lower` gives at point i.
+        sizes as columns whose i-th values are the kernel's at point i.
 
         ``env`` binds b, s and z, and ``moe_te`` the MoE ops' (T, E), each
         to one size for every point or to a column of sizes (see
-        :func:`is_column`). A decode plan lowers only the ops tagged
-        ``reads_context`` that :meth:`lower_lines` does not: the others
-        are the same at every position.
+        :func:`is_column`). Unless ``whole``, a decode plan lowers only the
+        ops tagged ``reads_context`` that :meth:`lower_lines` does not: the
+        others are the same at every position.
 
-        Each point gets the error :meth:`lower` would raise at it, the
+        Each point gets the error that lowering it alone would raise, the
         first in stream order. With ``errors``, they are recorded there by
         point index and lowering goes on for the other points (a failed
         point's sizes are placeholders); it stops once every point has
@@ -925,7 +881,7 @@ class LayerPlan(NamedTuple):
         """
         moe_env = self._moe_env(env, moe_te)
         record = {} if errors is None else errors
-        steps = (self.steps if self.phase != DECODE else
+        steps = (self.steps if whole or self.phase != DECODE else
                  [step for step in self.steps
                   if step.reads_context and not step.line])
         lowered = []
@@ -980,7 +936,8 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
     predecessor, shards, GEMM symbol partition, local sizes of the bound
     symbols, collectives, cp transitions, each op's overlap and the
     ``reads_context`` tags. Errors that lowering would raise are kept and
-    raised by :meth:`LayerPlan.lower`, in the order lowering meets them.
+    raised by :meth:`LayerPlan.lower_columns`, in the order lowering meets
+    them.
 
     The ``overlap`` setting (stages, sm_comm) is applied by
     :meth:`LayerPlan.with_overlap`: it replaces the annotation of every

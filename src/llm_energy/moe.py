@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .compute import ZERO_COST, CostEstimate
+from .compute import ZERO_COST, CostEstimate, one_cost
 from .errors import ValidationError
 from .spec_lang import in_file, read_csv
 
@@ -157,8 +157,17 @@ def stats_from_trace(trace: RoutingTrace, total_experts: int, ep_degree: int,
 
 def fold_imbalance(avg: CostEstimate, mx: CostEstimate,
                    p_idle: float) -> CostEstimate:
-    """One kernel's imbalance fold: bottleneck latency, average energy plus
-    the average GPU idling at ``p_idle`` until the bottleneck finishes.
+    """:func:`fold_imbalance_columns` of one kernel."""
+    return one_cost(fold_imbalance_columns(((avg.latency,), (avg.energy,)),
+                                           ((mx.latency,), (mx.energy,)), p_idle))
+
+
+def fold_imbalance_columns(avg: tuple[array, array], mx: tuple[array, array],
+                           p_idle: float) -> tuple[array, array]:
+    """A kernel's imbalance fold at each point of its (latencies, energies)
+    columns under the average (``avg``) and the bottleneck GPU's (``mx``)
+    routing: bottleneck latency, average energy plus the average GPU
+    idling at ``p_idle`` until the bottleneck finishes.
 
     latency = L' = max(L(max), L(avg))
     energy  = E(avg) + (L' - L(avg)) * p_idle
@@ -167,15 +176,6 @@ def fold_imbalance(avg: CostEstimate, mx: CostEstimate,
     per-expert mean can be smaller), but the true per-kernel maximum across
     GPUs bounds both, hence the clamp.
     """
-    bottleneck = max(mx.latency, avg.latency)
-    return CostEstimate(bottleneck,
-                        avg.energy + (bottleneck - avg.latency) * p_idle)
-
-
-def fold_imbalance_columns(avg: tuple[array, array], mx: tuple[array, array],
-                           p_idle: float) -> tuple[array, array]:
-    """:func:`fold_imbalance` at each point of (latencies, energies)
-    columns."""
     avg_latency, avg_energy = avg
     bottleneck = array("d", [max(m, a) for m, a in zip(mx[0], avg_latency)])
     return bottleneck, array("d", [e + (b - a) * p_idle for e, b, a in

@@ -7,12 +7,15 @@ of the SM-restricted GEMM partition and an SM-restricted ReduceScatter
 chunk, and (iii) one exposed AllGather. Power in phases (ii) and (iii) is
 attributed via the GEMM estimate (most SMs and bandwidth serve compute,
 and short exposed collectives do not reach steady-state NCCL power).
+
+Plans are priced as columns over points (:class:`StageColumns`); a single
+plan (:func:`plan_overlap`) is the plan at one point.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .comm import CommBackend
@@ -22,9 +25,9 @@ from .interpreter import (
     ALLREDUCE,
     REDUCESCATTER,
     CommColumns,
-    CommDescriptor,
     GemmColumns,
     GemmDescriptor,
+    as_columns,
 )
 
 
@@ -88,47 +91,14 @@ def plan_overlap(g: GemmDescriptor, collective_bytes: float, world: int,
                  stages: int, sm_comm: int, overlap_dim_size: int,
                  compute_backend, comm_backend: CommBackend,
                  total_sm: int, label: str = "") -> OverlapPlan:
-    """Build the three-phase plan for one GEMM + AllReduce pair.
-
-    ``stages == 1`` degenerates to the sequential full GEMM followed by the
-    full AllReduce. For ``stages > 1`` the AllReduce decomposes into
-    per-stage ReduceScatter chunks (bytes / stages) overlapped with 1/stages
-    GEMM partitions, plus one exposed AllGather chunk at default SMs. The
-    per-stage GEMM is re-queried against the backend rather than scaled
-    linearly: small partitions are overhead/intensity dominated. The setting
-    must pass :func:`~llm_energy.spec_lang.check_overlap_setting`.
-    """
+    """The three-phase plan for one GEMM + AllReduce pair: the
+    :class:`StageColumns` plan at one point. The setting must pass
+    :func:`~llm_energy.spec_lang.check_overlap_setting`."""
     check_overlap(overlap_dim_size, stages, sm_comm, total_sm)
-    part = g.partitioned(1.0 / stages)
-    first = compute_backend.estimate_gemm(part)
-
-    if stages == 1:
-        exposed = comm_backend.estimate(CommDescriptor(
-            ALLREDUCE, collective_bytes, world, label=f"{label} AllReduce"))
-        return OverlapPlan(
-            stages=1, sm_comm=sm_comm,
-            t_first=first.latency, t_gemm_ov=0.0, t_comm_ov=0.0,
-            t_exposed=exposed.latency,
-            p_first=first.power, p_overlapped=first.power, label=label)
-
-    restricted = compute_backend.estimate_gemm(
-        replace(part, sm_available=total_sm - sm_comm))
-    chunk = collective_bytes / stages
-    rs = comm_backend.estimate(CommDescriptor(
-        REDUCESCATTER, chunk, world, sm_count=sm_comm,
-        label=f"{label} ReduceScatter"))
-    ag = comm_backend.estimate(CommDescriptor(
-        ALLGATHER, chunk, world, label=f"{label} AllGather"))
-    return OverlapPlan(
-        stages=stages, sm_comm=sm_comm,
-        t_first=first.latency,
-        t_gemm_ov=restricted.latency,
-        t_comm_ov=rs.latency,
-        t_exposed=ag.latency,
-        p_first=first.power,
-        p_overlapped=restricted.power,
-        label=label)
-
+    plan = StageColumns(as_columns(g), (collective_bytes,), world, stages,
+                        compute_backend, comm_backend, label).plan(sm_comm, total_sm)
+    return OverlapPlan(stages, sm_comm, *(column[0] for column in plan[1:]),
+                       label=label)
 
 
 class OverlapColumns(NamedTuple):
@@ -170,14 +140,22 @@ def _power(cost: tuple[Sequence[float], Sequence[float]]) -> array:
 
 
 class StageColumns:
-    """:func:`plan_overlap` at each point of a GEMM + AllReduce column pair
-    split into ``stages``, each kernel priced as one column, for every
-    ``sm_comm`` the settings of one stage count give. The terms that
-    depend on the stages alone are priced once, by the backends kept for
-    each setting's own terms: the GEMM partition (1 / ``stages`` of its
-    rows) on all SMs, its power, the message per stage, and the exposed
-    collective, an AllGather chunk (the whole AllReduce at one stage).
-    The points must pass :func:`check_overlap`."""
+    """The three-phase plan at each point of a GEMM + AllReduce column
+    pair split into ``stages``, each kernel priced as one column, for every
+    ``sm_comm`` the settings of one stage count give.
+
+    ``stages == 1`` degenerates to the sequential full GEMM followed by
+    the full AllReduce. For ``stages > 1`` the AllReduce decomposes into
+    per-stage ReduceScatter chunks (bytes / stages) overlapped with
+    1/stages GEMM partitions, plus one exposed AllGather chunk at default
+    SMs. The per-stage GEMM is re-queried against the backend rather than
+    scaled linearly: small partitions are overhead/intensity dominated.
+
+    The terms that depend on the stages alone are priced once, by the
+    backends kept for each setting's own terms: the GEMM partition
+    (1 / ``stages`` of its rows) on all SMs, its power, the message per
+    stage, and the exposed collective, an AllGather chunk (the whole
+    AllReduce at one stage). The points must pass :func:`check_overlap`."""
 
     def __init__(self, g: GemmColumns, collective_bytes: Sequence[float],
                  world: int, stages: int, compute_backend,
@@ -204,9 +182,9 @@ class StageColumns:
             t_comm_ov = self.comm_backend.estimate_columns(CommColumns(
                 REDUCESCATTER, self.chunk, self.world, sm_count=sm_comm,
                 label=f"{self.label} ReduceScatter"))[0]
-        # The exposed collective is priced after the setting's own kernels,
-        # in plan_overlap's order, so that a backend missing several of
-        # them raises the same BackendError first.
+        # The exposed collective is priced last, after the setting's own
+        # kernels, so that a backend missing several of them raises for the
+        # first of them in the plan's order.
         if self._exposed is None:
             kind = ALLREDUCE if stages == 1 else ALLGATHER
             self._exposed = self.comm_backend.estimate_columns(CommColumns(

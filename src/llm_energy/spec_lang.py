@@ -304,11 +304,11 @@ def in_file(path):
 
 
 def as_int(value, what: str) -> int:
-    """``int(value)``; a value it rejects is a ValidationError naming ``what``."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` if an integer, not a bool, float or string (the rule of
+    :func:`check_overlap_setting`); else a ValidationError naming ``what``."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def as_number(value, what: str):

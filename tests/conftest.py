@@ -1,12 +1,9 @@
 """Shared fixtures: shipped spec/dims/hardware/calibration files."""
 
-import dataclasses
-
 import pytest
 
 from llm_energy import (
     CommBackend,
-    ModelSpec,
     RooflineBackend,
     load_bindings,
     load_comm_calibration,
@@ -14,6 +11,8 @@ from llm_energy import (
     load_model_spec,
 )
 from llm_energy.fixtures import fixture_path
+
+import reference
 
 
 @pytest.fixture(scope="session")
@@ -71,20 +70,6 @@ def roofline(hw):
     return RooflineBackend(hw)
 
 
-def _annotate_overlap(spec, stages, sm_comm):
-    """Reference for an overlap setting: ``spec`` with (stages, sm_comm, "s")
-    annotated on every top-level sharded contraction that has ``s``."""
-    ops = []
-    for op in spec.ops:
-        if (not op.is_attention and op.parallel is not None
-                and op.parallel in op.equation.summation_symbols
-                and "s" in op.equation.all_symbols()):
-            op = dataclasses.replace(op, overlap_stage=stages, overlap_sm=sm_comm,
-                                     overlap_dim="s")
-        ops.append(op)
-    return ModelSpec(tuple(ops), spec.layers)
-
-
 @pytest.fixture(scope="session")
 def annotate_overlap():
-    return _annotate_overlap
+    return reference.annotate_overlap

@@ -243,6 +243,27 @@ def _malformed_dims(tmp_path):
                                  lambda raw: raw.update(m="abc"))
 
 
+def _dims_with_fractional_size(tmp_path):
+    # Priced as m = 4096 before integer inputs were checked by type.
+    return _estimate_with_edited(tmp_path, "llama3_8b.json",
+                                 lambda raw: raw.update(m=4096.7))
+
+
+def _dims_with_bool_dtype_bytes(tmp_path):
+    return _estimate_with_edited(tmp_path, "llama3_8b.json",
+                                 lambda raw: raw.update(dtype_bytes=True))
+
+
+def _dims_with_float_layers(tmp_path):
+    return _estimate_with_edited(tmp_path, "llama3_8b.json",
+                                 lambda raw: raw.update(layers=32.0))
+
+
+def _hw_with_float_total_sm(tmp_path):
+    return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
+                                 lambda raw: raw.update(total_sm=108.0))
+
+
 def _hw_without_total_sm(tmp_path):
     return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
                                  lambda raw: raw.pop("total_sm"))
@@ -309,6 +330,15 @@ def _grid_overlap_short_pair(tmp_path):
 
 def _grid_text_batch(tmp_path):
     return _sweep_over(tmp_path, json.dumps({"batch": ["abc"]}))
+
+
+def _grid_fractional_values(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"batch": [1.5], "isl": [128.5],
+                                             "tp": [2.0]}))
+
+
+def _grid_bool_batch(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"batch": [True]}))
 
 
 def _grid_scalar_axis(tmp_path):
@@ -552,6 +582,8 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _comm_row_with_zero_bytes, _comm_row_with_negative_bytes,
     _comm_row_with_nan_latency, _comm_curve_with_equal_logs, _gemm_row_with_zero_m,
     _gemm_row_with_zero_dtype_bytes, _missing_fixture, _directory_spec,
+    _dims_with_fractional_size, _dims_with_bool_dtype_bytes, _dims_with_float_layers,
+    _hw_with_float_total_sm, _grid_fractional_values, _grid_bool_batch,
     _overlap_flag_without_stages, _grid_overlap_without_stages,
     _grid_overlap_pair_without_stages, _grid_overlap_float_stages,
     _grid_overlap_bool_stages, _grid_overlap_without_sm,

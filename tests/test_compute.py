@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from llm_energy import (
     BackendError,
+    CostEstimate,
     GemmCalibrationTable,
     GemmDescriptor,
     HardwareProfile,
@@ -22,6 +23,8 @@ from llm_energy.compute import (GemmCalibrationPoint, _harmonic, estimate_gemm_s
                                 estimate_memory_op_sum)
 from llm_energy.interpreter import GemmColumns, GemmLine, MemoryOpColumns, MemoryOpLine
 from llm_energy.fixtures import fixture_path
+
+import reference
 
 
 # Peak FLOPs at which a G x 4 x 128 attention GEMM, N or contraction = z,
@@ -196,7 +199,11 @@ def test_nearest_is_first_least_log_distance(dims, query):
         return dist
 
     # min keeps the first of equal keys, so ties resolve to table order.
-    assert table._nearest(gemm) is min(table.points, key=log_distance)
+    nearest = min(table.points, key=log_distance)
+    assert table._nearest_logs(*(math.log(max(v, 1.0)) for v in (
+        gemm.m, gemm.contraction, gemm.n, gemm.group_count))) is nearest
+    latency = nearest.latency_s * (gemm.flops / nearest.flops)
+    assert table.estimate_gemm(gemm) == CostEstimate(latency, nearest.power_w * latency)
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,14 +216,14 @@ def test_nearest_is_first_least_log_distance(dims, query):
 def test_table_columns_equal_scalar_lookups(dims, columns):
     # Dimensions constant along a column, each taken once per calibration
     # point, and varying ones in any position: each point's latency and
-    # energy equal the scalar lookup's, ties to the first point included.
+    # energy equal the reference lookup's, ties to the first point included.
     table = GemmCalibrationTable([
         GemmCalibrationPoint(g, m, k, n, 2, 1e-4 * (i + 1), 300.0 + i)
         for i, (g, m, k, n) in enumerate(dims)])
     g_col, m_col, k_col, n_col = columns
     latencies, energies = table.estimate_gemm_columns(
         GemmColumns(g_col, m_col, k_col, n_col, dtype_bytes=2))
-    want = [table.estimate_gemm(GemmDescriptor(*shape, dtype_bytes=2))
+    want = [reference.table_gemm(table, GemmDescriptor(*shape, dtype_bytes=2))
             for shape in zip(*columns)]
     assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
 
@@ -239,22 +246,22 @@ _SHAPE = st.tuples(*[st.one_of(st.sampled_from([1.0, 16.0, 256.0, 4096.0, 8192.0
 @example(shapes=[(8.0, 16.0, 128.0, 4097.0), (1.0, 4096.0, 8192.0, 8192.0)],
          sm_available=64, backend="table")
 def test_column_pricing_equals_scalar_pricing(hw, shapes, sm_available, backend):
-    # Element by element and bit for bit: the same arithmetic in the same
-    # order, including the table's roofline fallback for SM-restricted GEMMs.
+    # Element by element and bit for bit against the reference formulas,
+    # including the table's roofline fallback for SM-restricted GEMMs.
     compute = RooflineBackend(hw) if backend == "roofline" else TableComputeBackend(
         GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv")), hw)
     g = GemmColumns(*map(list, zip(*shapes)), dtype_bytes=2, label="g",
                     sm_available=sm_available)
     latencies, energies = compute.estimate_gemm_columns(g)
-    want = [compute.estimate_gemm(GemmDescriptor(*shape, dtype_bytes=2, label="g",
-                                                 sm_available=sm_available))
+    want = [reference.price(GemmDescriptor(*shape, dtype_bytes=2, label="g",
+                                           sm_available=sm_available), compute, None)
             for shape in shapes]
     assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
 
     sizes = [math.prod(shape) for shape in shapes]
     latencies, energies = compute.estimate_memory_op_columns(
         MemoryOpColumns(sizes, [0.0] * len(sizes)))
-    want = [compute.estimate_memory_op(MemoryOpDescriptor(size)) for size in sizes]
+    want = [reference.price(MemoryOpDescriptor(size), compute, None) for size in sizes]
     assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
 
 
@@ -314,13 +321,13 @@ def test_roofline_sum_equals_sum_over_positions(sizes, axis, slope, start, step,
     line = _line_with(sizes, axis, slope)
     zs = range(start, start + count * step, step)
     latency, energy = estimate_gemm_sum(line, hw, zs)
-    costs = [estimate_gemm(g, hw) for g in _per_z(line, zs)]
+    costs = [reference.roofline_gemm(g, hw) for g in _per_z(line, zs)]
     assert latency == pytest.approx(math.fsum(c.latency for c in costs), rel=1e-12, abs=0)
     assert energy == pytest.approx(math.fsum(c.energy for c in costs), rel=1e-12, abs=0)
     m = MemoryOpLine((3.0 * sizes[0], 2.0 * slope))
     latency, energy = estimate_memory_op_sum(m, hw, zs)
-    costs = [estimate_memory_op(MemoryOpDescriptor(3.0 * sizes[0] + 2.0 * slope * z),
-                                hw) for z in zs]
+    costs = [reference.roofline_memory_op(
+        MemoryOpDescriptor(3.0 * sizes[0] + 2.0 * slope * z), hw) for z in zs]
     assert latency == pytest.approx(math.fsum(c.latency for c in costs), rel=1e-12, abs=0)
     assert energy == pytest.approx(math.fsum(c.energy for c in costs), rel=1e-12, abs=0)
 
@@ -349,8 +356,8 @@ def _grid_table(groups):
 @pytest.mark.parametrize("axis", [0, 1, 2, 3])
 def test_table_runs_are_the_nearest_point_at_every_z(backend, axis):
     # Over a few thousand consecutive z, and a stride, each run's point is
-    # the one _nearest_logs gives at every z, and the sum equals the sum of
-    # the per-z lookups. In the grid, a query G of 16 lies as far from 8 as
+    # the reference's nearest point at every z, and the sum equals the sum
+    # of the per-z reference lookups. In the grid, a query G of 16 lies as far from 8 as
     # from 32 in logs, to the last bit: such points tie at every z, and the
     # first wins throughout.
     table = (GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv"))
@@ -362,12 +369,12 @@ def test_table_runs_are_the_nearest_point_at_every_z(backend, axis):
         assert runs[0][1] == 0 and runs[-1][2] == len(zs)
         assert all(a[2] == b[1] for a, b in zip(runs, runs[1:]))
         points = [p for p, start, stop in runs for _ in range(start, stop)]
-        want = [table._nearest(g) for g in _per_z(line, zs)]
+        want = [reference.table_nearest(table, g) for g in _per_z(line, zs)]
         assert len(points) == len(want)
         assert all(p is q for p, q in zip(points, want))
         runs_seen = max(runs_seen, len(runs))
         latency, energy = table.estimate_gemm_sum(line, zs)
-        costs = [table.estimate_gemm(g) for g in _per_z(line, zs)]
+        costs = [reference.table_gemm(table, g) for g in _per_z(line, zs)]
         assert latency == pytest.approx(math.fsum(c.latency for c in costs), rel=1e-12, abs=0)
         assert energy == pytest.approx(math.fsum(c.energy for c in costs), rel=1e-12, abs=0)
     assert runs_seen > 1  # some point draws level with another as z grows
@@ -381,9 +388,9 @@ def test_table_sum_prices_near_ties_position_by_position():
     table = _grid_table((4, 64))
     line = _line_with((16, 4, 128, 128), 1, 1)
     zs = range(3, 6003)
-    want = [table._nearest(g) for g in _per_z(line, zs)]
+    want = [reference.table_nearest(table, g) for g in _per_z(line, zs)]
     assert sum(p is not q for p, q in zip(want, want[1:])) > 100
     assert table._nearest_runs(line, zs) is None
-    costs = [table.estimate_gemm(g) for g in _per_z(line, zs)]
+    costs = [reference.table_gemm(table, g) for g in _per_z(line, zs)]
     assert table.estimate_gemm_sum(line, zs) == (
         math.fsum(c.latency for c in costs), math.fsum(c.energy for c in costs))

@@ -30,19 +30,17 @@ from llm_energy.interpreter import (
     GemmLine,
     LayerPlan,
     compile_layer,
-    decode_positions,
     lower_model,
     reads_context,
 )
 from llm_energy.metrics import (
     CATEGORY_COMM,
-    CATEGORY_COMPUTE,
     CATEGORY_EXPOSED,
-    CATEGORY_MEMORY,
     ReportRow,
 )
-from llm_energy.moe import fold_imbalance
 from llm_energy.spec_lang import ModelSpec, OpSpec, parse_equation, validate_bindings
+
+import reference
 
 
 def _est(spec, dims, hw, roofline, comm_backend, **kw):
@@ -217,51 +215,6 @@ def test_tp_sharding_keeps_compute_energy_close(dense_spec, dims_70b, hw,
 
 # -- decode: invariant kernels priced once, context kernels as columns -------
 
-def _per_position_rows(est, ctx, degrees, invariant_once=False):
-    """Decode rows as priced position by position: at every sampled position,
-    the routing statistics, the full lowering (twice for imbalanced MoE) and
-    every kernel's price, weighted by layers x width. With
-    ``invariant_once``, a kernel that does not read the context is added at
-    the first position only, weighted by layers x osl, as the estimator adds
-    it."""
-    degrees = validate_bindings(est.spec, est.dims, degrees).degrees
-    gpus = est.gpu_count(degrees)
-    rows = {}
-    for n, (position, width) in enumerate(
-            decode_positions(ctx.osl, est.decode_stride)):
-        step = ctx.at_position(position)
-        stats = est.routing_stats(step, degrees)
-        lowered = lower_model(est.spec, est.dims, step, degrees,
-                              moe_te=stats.avg if stats else None)
-        lowered_max = None
-        if stats is not None and not stats.balanced:
-            lowered_max = lower_model(est.spec, est.dims, step, degrees,
-                                      moe_te=stats.max)
-        for idx, op in enumerate(lowered):
-            weight = est.layers() * width
-            if invariant_once and not op.reads_context:
-                if n:
-                    continue
-                weight = est.layers() * ctx.osl
-            for k_idx, kernel in enumerate(op.kernels):
-                cost = est._price(kernel)
-                if op.is_moe and lowered_max is not None:
-                    cost = fold_imbalance(
-                        cost, est._price(lowered_max[idx].kernels[k_idx]),
-                        est.hw.p_idle)
-                if isinstance(kernel, CommDescriptor):
-                    category, scale = CATEGORY_COMM, 1
-                elif isinstance(kernel, GemmDescriptor):
-                    category, scale = CATEGORY_COMPUTE, gpus
-                else:
-                    category, scale = CATEGORY_MEMORY, gpus
-                latency, energy = rows.get((op.label, category), (0.0, 0.0))
-                rows[(op.label, category)] = (
-                    latency + cost.latency * weight,
-                    energy + cost.energy * scale * weight)
-    return rows
-
-
 def _skewed_trace():
     # Every token's eight experts come from the first 40 of 128, so GPU 0
     # carries most of the expert work at ep 2 and ep 4.
@@ -331,7 +284,7 @@ def test_decode_matches_per_position_pricing(request, spec_name, degrees, routin
     if routing:
         assert not est.routing_stats(ctx, degrees).balanced
     report = est.estimate(ctx, degrees)
-    expected = _per_position_rows(est, ctx, degrees)
+    expected = reference.reference_rows(est, ctx, degrees)
 
     assert [(r.label, r.category) for r in report.rows] == list(expected)
     for row in report.rows:
@@ -367,8 +320,8 @@ def test_decode_report_bytes_match_scalar_accumulation(
         comm_backend):
     # Rows of kernels that do not read the context, and of context kernels
     # priced as columns (the cp transition, the folded MoE expert op), add
-    # each term position by position, kernel by kernel, as scalar pricing
-    # did: their bytes are the same, and so are a one-position report's.
+    # each term position by position, kernel by kernel, as the reference
+    # does: their bytes are the same, and so are a one-position report's.
     # Rows summed over z in closed form are a reassociated sum: they agree
     # within the tolerance stated for them, a relative 1e-12.
     spec = request.getfixturevalue(spec_name)
@@ -382,7 +335,7 @@ def test_decode_report_bytes_match_scalar_accumulation(
     for osl in (1, 300):
         ctx = PhaseContext(DECODE, 2, 512, osl=osl)
         report = est.estimate(ctx, degrees)
-        expected = _per_position_rows(est, ctx, degrees, invariant_once=True)
+        expected = reference.reference_rows(est, ctx, degrees, invariant_once=True)
         assert [(r.label, r.category) for r in report.rows] == list(expected)
         rows = []
         for row in report.rows:
@@ -410,9 +363,10 @@ _PRICING = [(RooflineBackend, name) for name in (
 def test_decode_lowers_full_layer_once(
         request, monkeypatch, spec_name, degrees, routing, hw, roofline,
         comm_backend):
-    # The full layer is lowered once, at the first position, and each
-    # context kernel is summed over the other positions in closed form: no
-    # lowering or pricing call is repeated per position, whatever osl is.
+    # The full layer is lowered once, at the first position, as one-point
+    # columns, and each context kernel is summed over the other positions in
+    # closed form: no lowering or pricing call is repeated per position,
+    # whatever osl is, and no descriptor is lowered.
     spec = request.getfixturevalue(spec_name)
     dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
@@ -422,7 +376,7 @@ def test_decode_lowers_full_layer_once(
         def wrapped(*args, **kwargs):
             result = fn(*args, **kwargs)
             calls[key] = calls.get(key, 0) + 1
-            if key == "lower":
+            if key == "lower_columns":
                 calls["kernels"] = calls.get("kernels", 0) + sum(
                     len(op.kernels) for op in result)
             return result
@@ -446,7 +400,8 @@ def test_decode_lowers_full_layer_once(
                routing_trace=_skewed_trace() if routing else None)
     # An imbalanced trace lowers the layer a second time for the bottleneck
     # GPU, once per phase; no op that reads the context is an MoE op, so
-    # every context kernel has a closed form and none is lowered as columns.
+    # every context kernel has a closed form and no other columns are
+    # lowered.
     lowerings = 2 if routing else 1
     counts = []
     for osl in (40, 400, 4000):
@@ -454,7 +409,7 @@ def test_decode_lowers_full_layer_once(
         report = est.estimate(PhaseContext(DECODE, 2, 512, osl=osl), degrees)
         assert report.feasible
         assert calls.get("routing", 0) == (spec_name == "moe_spec")
-        assert (calls["lower"], calls["kernels"], calls.get("lower_columns"),
+        assert (calls["lower_columns"], calls["kernels"], calls.get("lower"),
                 calls["lower_lines"]) == (lowerings, lowerings * layer_kernels,
                                           None, 1)
         counts.append(dict(calls))
@@ -538,7 +493,7 @@ def test_closed_form_decode_matches_per_position_sum(
     ctx = PhaseContext(DECODE, batch, isl, osl=osl)
     report = est.estimate(ctx, {"tp": tp})
     assert report.feasible
-    expected = _per_position_rows(est, ctx, {"tp": tp})
+    expected = reference.reference_rows(est, ctx, {"tp": tp})
     assert [(r.label, r.category) for r in report.rows] == list(expected)
     for row in report.rows:
         latency, energy = expected[(row.label, row.category)]
@@ -564,8 +519,9 @@ def test_reads_context_marks_attention_by_sub_equations(dense_spec, moe_spec):
 def test_prefill_settings_in_any_order_equal_scalar_estimates(
         dense_spec, dims_8b, hw, roofline, comm_backend, settings):
     # The sweep hands settings over sorted, no overlap first; in any order,
-    # each setting's results are the scalar estimate's, the ops it leaves
-    # un-overlapped keeping their collectives.
+    # each setting's results are a fresh estimator's for that point and
+    # setting alone, the ops it leaves un-overlapped keeping their
+    # collectives, and each feasible point's totals the reference's.
     points = [(1, 512), (4, 510), (2, 4096), (64, 131072)]
     for tp in (1, 2):
         got = _est(dense_spec, dims_8b, hw, roofline, comm_backend
@@ -574,18 +530,55 @@ def test_prefill_settings_in_any_order_equal_scalar_estimates(
         for setting in settings:
             results = []
             for batch, isl in points:
+                est = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
+                ctx = PhaseContext(PREFILL, batch, isl)
                 try:
-                    report = _est(dense_spec, dims_8b, hw, roofline, comm_backend
-                                  ).estimate(PhaseContext(PREFILL, batch, isl),
-                                             {"tp": tp}, setting)
+                    report = est.estimate(ctx, {"tp": tp}, setting)
                 except ValidationError as exc:
                     results.append((None, None, str(exc)))
                     continue
-                results.append((report.total_latency, report.total_energy, "")
-                               if report.feasible else
-                               (None, None, report.infeasible_reason))
+                if not report.feasible:
+                    results.append((None, None, report.infeasible_reason))
+                    continue
+                rows = reference.reference_rows(est, ctx, {"tp": tp}, setting)
+                results.append((sum(lat for lat, _ in rows.values()),
+                                sum(en for _, en in rows.values()), ""))
             want.append(results)
         assert got == want
+        assert any(point[2] == "" for results in got for point in results)
+
+
+@pytest.mark.parametrize("backend", ["roofline", "table"])
+@pytest.mark.parametrize("spec_name, degrees, routing, setting", [
+    ("dense_spec", {"tp": 2}, None, None),
+    ("dense_spec", {"tp": 2}, None, (4, 16)),
+    ("unfused_spec", {"tp": 4}, None, (1, 8)),
+    ("unfused_spec", {"tp": 1}, None, None),
+    ("moe_spec", {"tp": 2, "ep": 4}, None, None),
+    ("moe_spec", {"tp": 2, "ep": 4}, "trace", None),
+    ("moe_context_spec", {"tp": 2, "ep": 2}, "trace", None),
+    ("cp_spec", {"cp": 2}, None, None)])
+def test_prefill_rows_match_reference(request, spec_name, degrees, routing,
+                                      setting, backend, hw, roofline,
+                                      comm_backend):
+    # A prefill estimate's rows, each term in the reference's order, bit for
+    # bit: overlapped ops planned, imbalanced MoE kernels folded, cp
+    # transitions and the table's roofline fallback included.
+    spec = request.getfixturevalue(spec_name)
+    dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
+                                   else "dims_8b")
+    compute = roofline if backend == "roofline" else _table_backend(hw)
+    est = _est(spec, dims, hw, compute, comm_backend,
+               routing_trace=_skewed_trace() if routing else None)
+    ctx = PhaseContext(PREFILL, 2, 512)
+    if routing:
+        assert not est.routing_stats(ctx, degrees).balanced
+    report = est.estimate(ctx, degrees, setting)
+    assert report.feasible
+    assert [(r.label, r.category, r.latency, r.energy) for r in report.rows] == [
+        (*key, *value) for key, value in
+        reference.reference_rows(est, ctx, degrees, setting).items()]
+    assert (report.category_energy()[CATEGORY_EXPOSED] > 0) == (setting is not None)
 
 
 @pytest.mark.parametrize("tile", [0, -16])
@@ -621,7 +614,7 @@ def test_closed_form_decode_of_every_kernel_form(dims_8b, hw, roofline,
     assert not columns
     ctx = PhaseContext(DECODE, 6, 3000, osl=700)
     report = est.estimate(ctx, degrees)
-    expected = _per_position_rows(est, ctx, degrees)
+    expected = reference.reference_rows(est, ctx, degrees)
     assert [(r.label, r.category) for r in report.rows] == list(expected)
     for row in report.rows:
         latency, energy = expected[(row.label, row.category)]

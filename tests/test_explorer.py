@@ -30,6 +30,8 @@ from llm_energy.interpreter import DECODE, PREFILL, LayerPlan, lower_model
 from llm_energy.overlap import StageColumns
 from llm_energy.spec_lang import parse_model_spec
 
+import reference
+
 
 def _pt(lat, en, phase=PREFILL, **kw):
     base = dict(phase=phase, batch=1, isl=1, osl=1, tp=1, ep=1, cp=1,
@@ -151,6 +153,12 @@ def test_normalize_grid():
                 {"batch": ["abc"]}, {"batch": 4}, {"batch": [{}]}):
         with pytest.raises(ValidationError):
             normalize_grid(bad)
+    # Integers only, as for overlap settings: no bools, floats or strings.
+    for axis, value in (("batch", 1.5), ("isl", 128.5), ("tp", 2.0),
+                        ("batch", True), ("osl", "4")):
+        with pytest.raises(ValidationError,
+                           match=f"grid axis '{axis}' value must be an integer"):
+            normalize_grid({axis: [value]})
 
 
 def test_sweep_single_point(dense_spec, dims_8b, hw, roofline, comm_backend):
@@ -242,7 +250,8 @@ def test_insight_queries_missing_configs_note():
 def _sweep_point_by_point(annotate_overlap, spec, dims, grid, hw, compute, comm,
                           phase, **estimator_kwargs):
     """The sweep as a fresh Estimator per grid point, in the sweep's order,
-    with each overlap setting annotated on the spec."""
+    with each overlap setting annotated on the spec. A feasible prefill
+    point's totals are the reference's, priced from scratch."""
     axes = normalize_grid(grid)
     combos = sorted(
         product(axes["batch"], axes["isl"], axes["osl"], axes["tp"],
@@ -260,17 +269,20 @@ def _sweep_point_by_point(annotate_overlap, spec, dims, grid, hw, compute, comm,
                 continue
             run_spec = annotate_overlap(spec, *ov)
         est = Estimator(run_spec, dims, hw, compute, comm, **estimator_kwargs)
+        ctx, degrees = PhaseContext(phase, batch, isl, osl), {"tp": tp, "ep": ep, "cp": cp}
         try:
-            report = est.estimate(PhaseContext(phase, batch, isl, osl),
-                                  {"tp": tp, "ep": ep, "cp": cp})
+            report = est.estimate(ctx, degrees)
         except ValidationError as exc:
             points.append(ConfigPoint(*head, feasible=False,
                                       infeasible_reason=str(exc)))
             continue
         if report.feasible:
-            points.append(ConfigPoint(*head, feasible=True,
-                                      latency=report.total_latency,
-                                      energy=report.total_energy))
+            latency, energy = report.total_latency, report.total_energy
+            if phase == PREFILL:
+                rows = reference.reference_rows(est, ctx, degrees).values()
+                latency, energy = sum(r[0] for r in rows), sum(r[1] for r in rows)
+            points.append(ConfigPoint(*head, feasible=True, latency=latency,
+                                      energy=energy))
         else:
             points.append(ConfigPoint(*head, feasible=False,
                                       infeasible_reason=report.infeasible_reason))

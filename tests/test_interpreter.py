@@ -27,7 +27,6 @@ from llm_energy.interpreter import (
     ALLREDUCE,
     ALLTOALL,
     DECODE,
-    MOE_TOKEN_SYMBOL,
     PREFILL,
     CommColumns,
     GemmColumns,
@@ -35,17 +34,16 @@ from llm_energy.interpreter import (
     LoweredOp,
     MemoryOpLine,
     MixedColumns,
-    OuterProduct,
     _flatten_ops,
-    _is_moe_op,
     compile_layer,
     decode_positions,
-    local_size,
     op_shards,
     operand_bytes,
     reads_context,
 )
-from llm_energy.spec_lang import ModelSpec, OpSpec, degree_kind
+from llm_energy.spec_lang import ModelSpec, OpSpec
+
+from reference import reference_lower
 
 
 def _op(eq, label="op", **kw):
@@ -284,91 +282,6 @@ def test_operand_bytes_shards_conserve_total(pair, tp, ep, cp, runtime):
 
 # -- compiled plans against lowering from scratch ------------------------------
 
-def _reference_lower(spec, dims, ctx, degrees, moe_te=None, context_only=False):
-    """Lowering with every size taken from scratch per call: bind b, s, z
-    (and T, E for MoE ops) into the dims, then shard and multiply."""
-    if ctx.phase == DECODE and any(op.overlap_stage for op in spec.ops):
-        raise ValidationError("overlap is prefill-only")
-    bound = dims.with_sizes(b=ctx.batch, s=ctx.s, z=ctx.z)
-    stream = _flatten_ops(spec)
-    cp = degrees.get("cp", 1)
-
-    def preceding(op):
-        i = next(i for i, o in enumerate(stream) if o is op)
-        return stream[i - 1] if i > 0 else None
-
-    def varies(op):
-        prev = preceding(op)
-        return ctx.phase == DECODE and (reads_context(op) or (
-            cp > 1 and prev is not None and reads_context(prev)))
-
-    def compute(op, local, shards):
-        eq = op.equation
-        if eq.is_single_input:
-            return MemoryOpDescriptor(operand_bytes(eq.output_operand, local, shards),
-                                      label=op.label)
-        try:
-            g = extract_gemm(eq, local, shards, label=op.label)
-        except OuterProduct:
-            in_b = sum(operand_bytes(o, local, shards) for o in eq.input_operands)
-            out_b = operand_bytes(eq.output_operand, local, shards)
-            flops = 1.0
-            for sym in eq.all_symbols():
-                flops *= local_size(sym, local, shards)
-            return MemoryOpDescriptor(in_b + out_b, flops=flops, label=op.label)
-        if g.n != 1:
-            return g
-        in_b = sum(operand_bytes(o, local, shards) for o in eq.input_operands)
-        out_b = operand_bytes(eq.output_operand, local, shards)
-        return MemoryOpDescriptor(in_b + out_b, flops=g.flops, label=op.label)
-
-    lowered = []
-
-    def lower_one(op, label):
-        if context_only and not varies(op):
-            return
-        local = bound
-        is_moe = _is_moe_op(op)
-        if is_moe:
-            if moe_te is None:
-                raise ValidationError(
-                    f"op {op.label!r} uses the MoE token symbol but no routing "
-                    "statistics were supplied")
-            local = local.with_sizes(**{MOE_TOKEN_SYMBOL: moe_te[0], "E": moe_te[1]})
-        kernels = detect_all2all(op, preceding(op), local, cp) if cp > 1 else []
-        kern = compute(op, local, op_shards(op, dict(degrees, ep=1) if is_moe
-                                            else degrees))
-        kernels.append(kern)
-        world = degrees[degree_kind(op.parallel)] if op.parallel else 1
-        collective = detect_allreduce(op, local, world)
-        overlap = None
-        if op.overlap_stage is not None:
-            if collective is None:
-                raise ValidationError(
-                    f"op {op.label!r}: overlap annotated but no collective detected")
-            overlap = (op.overlap_stage, op.overlap_sm, op.overlap_dim)
-        elif collective is not None:
-            kernels.append(collective)
-        lowered.append(LoweredOp(
-            label, tuple(kernels), is_moe, varies(op), overlap,
-            kern if isinstance(kern, GemmDescriptor) else None, collective))
-
-    for op in spec.ops:
-        if not op.is_attention:
-            lower_one(op, op.label)
-            continue
-        for j, sub in enumerate(op.attn_eqs):
-            lower_one(sub, f"{op.label}: {sub.label}")
-            if j == 0 and (varies(sub) or not context_only):
-                size = operand_bytes(sub.equation.output_operand, bound,
-                                     op_shards(sub, degrees))
-                lowered.append(LoweredOp(
-                    f"{op.label}: score",
-                    (MemoryOpDescriptor(2 * size, label=f"{op.label} score"),),
-                    reads_context=varies(sub)))
-    return lowered
-
-
 def _column_kernel(col, i):
     """The descriptor that kernel columns ``col`` hold at position ``i``."""
     if isinstance(col, GemmColumns):
@@ -450,10 +363,10 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
         dims = dims.with_sizes(m=hidden)
     degrees = {"tp": tp, "ep": ep, "cp": cp}
     ctx = PhaseContext(phase, batch, isl, osl=4, decode_position=position)
-    want = _outcome(_reference_lower, annotated, dims, ctx, degrees,
+    want = _outcome(reference_lower, annotated, dims, ctx, degrees,
                     moe_te=moe_te)
     positions = list(range(position, ctx.osl + 1))
-    steps = [_outcome(_reference_lower, annotated, dims, ctx.at_position(p),
+    steps = [_outcome(reference_lower, annotated, dims, ctx.at_position(p),
                       degrees, moe_te=moe_te, context_only=True)
              for p in positions]
     errors = [step for step in steps if isinstance(step, tuple)]
@@ -554,7 +467,7 @@ def test_prefill_columns_lower_like_reference_per_point(
     plan = compile_layer(spec, dims, degrees, PREFILL, overlap)
     if plan.error is not None:
         return
-    want = [_outcome(_reference_lower, annotated, dims,
+    want = [_outcome(reference_lower, annotated, dims,
                      PhaseContext(PREFILL, b, isl), degrees, moe_te=moe_te)
             for b, isl in points]
     assert _lower_points(plan, points, moe_te) == want
@@ -571,6 +484,6 @@ def test_three_operand_op_fails_where_lowering_meets_it(dims_8b):
                          (8, "GEMM extraction needs exactly two operands")):
         ctx = PhaseContext(PREFILL, 1, isl)
         got = _outcome(plan.lower, ctx)
-        assert got == _outcome(_reference_lower, spec, dims, ctx,
+        assert got == _outcome(reference_lower, spec, dims, ctx,
                                {"tp": 1, "ep": 1, "cp": 2})
         assert message in got[1]

@@ -1,5 +1,7 @@
 """Overlap plan latency/energy rules and the three-phase timeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from llm_energy import (
@@ -12,6 +14,8 @@ from llm_energy import (
 )
 from llm_energy.interpreter import ALLREDUCE, GemmColumns
 from llm_energy.overlap import StageColumns
+
+import reference
 
 
 def test_closed_form_substitution():
@@ -72,7 +76,8 @@ def test_plan_overlap_multistage(hw, comm_backend):
 def test_stage_columns_serve_every_sm_comm_like_scalar_plans(hw, comm_backend,
                                                              stages):
     # One StageColumns per stage count, shared by settings with different
-    # sm_comm: each plan equals plan_overlap at each point, bit for bit.
+    # sm_comm: each plan equals the reference plan at each point, bit for
+    # bit.
     backend = RooflineBackend(hw)
     ms = [4096.0, 512.0, 131072.0, 8.0]
     sizes = [m * 8192 * 2.0 for m in ms]
@@ -82,10 +87,11 @@ def test_stage_columns_serve_every_sm_comm_like_scalar_plans(hw, comm_backend,
     for sm_comm in (1, 16, 32, 100):
         got = stage.plan(sm_comm, hw.total_sm)
         for i, (m, size) in enumerate(zip(ms, sizes)):
-            want = plan_overlap(GemmDescriptor(1.0, m, 8192.0, 8192.0, 2),
-                                size, world=8, stages=stages, sm_comm=sm_comm,
-                                overlap_dim_size=int(m), compute_backend=backend,
-                                comm_backend=comm_backend, total_sm=hw.total_sm)
+            want = reference.plan_overlap(
+                GemmDescriptor(1.0, m, 8192.0, 8192.0, 2), size, world=8,
+                stages=stages, sm_comm=sm_comm, overlap_dim_size=int(m),
+                compute_backend=backend, comm_backend=comm_backend,
+                total_sm=hw.total_sm)
             assert (got.compute_latency[i], got.compute_energy[i],
                     got.t_exposed[i], got.exposed_energy[i]) == (
                 want.compute_latency, want.compute_energy, want.t_exposed,
@@ -98,7 +104,7 @@ def test_partition_overhead_dominated(hw, comm_backend):
     backend = RooflineBackend(hw)
     g = GemmDescriptor(1, 64, 512, 512, dtype_bytes=2)
     full = backend.estimate_gemm(g).latency
-    part = backend.estimate_gemm(g.partitioned(1.0 / 8)).latency
+    part = backend.estimate_gemm(replace(g, m=g.m / 8)).latency
     assert part > full / 8
 
 
