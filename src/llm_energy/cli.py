@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
+import shutil
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -176,7 +178,7 @@ def cmd_estimate(args) -> int:
         payload["meta"].update({"tool_version": __version__,
                                 "input_digests": inputs["digests"]})
         if "json" in args.format:
-            _write_json(out_dir / f"report_{phase}.json", payload)
+            _write_json(out_dir / f"report_{phase}.json", payload, rows=("rows",))
         if "csv" in args.format:
             _write_report_csv(out_dir / f"report_{phase}.csv", payload)
         status = "ok" if report.feasible else f"infeasible: {report.infeasible_reason}"
@@ -353,15 +355,7 @@ def _add_input_flags(p, need_spec=True):
                         "the exact sum, which costs no more)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="llm-energy",
-        description="Analytical energy/latency estimation for distributed "
-                    "LLM inference")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    est = sub.add_parser("estimate", help="single-configuration report")
+def _estimate_arguments(est) -> None:
     _add_input_flags(est)
     est.add_argument("--phase", choices=[PREFILL, DECODE, "both"],
                      default=PREFILL)
@@ -377,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                      type=lambda s: s.split(","))
     est.set_defaults(func=cmd_estimate)
 
-    sw = sub.add_parser("sweep", help="grid sweep + Pareto frontier")
+
+def _sweep_arguments(sw) -> None:
     _add_input_flags(sw)
     sw.add_argument("--grid", required=True, help="grid axes JSON file")
     sw.add_argument("--phase", choices=[PREFILL, DECODE], default=PREFILL)
@@ -389,13 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
                     type=lambda s: s.split(","))
     sw.set_defaults(func=cmd_sweep)
 
-    pf = sub.add_parser("pareto", help="frontier over an existing points file")
+
+def _pareto_arguments(pf) -> None:
     pf.add_argument("--points", required=True)
     pf.add_argument("--latency-budget", type=float, default=None)
     pf.add_argument("--out", default="out")
     pf.set_defaults(func=cmd_pareto)
 
-    va = sub.add_parser("validate", help="check input files for violations")
+
+def _validate_arguments(va) -> None:
     va.add_argument("--spec")
     va.add_argument("--dims")
     va.add_argument("--hw")
@@ -407,9 +404,53 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--cp", type=int, default=1)
     va.set_defaults(func=cmd_validate)
 
-    fx = sub.add_parser("fixtures", help="shipped fixture files")
+
+def _fixtures_arguments(fx) -> None:
     fx.add_argument("fixtures_cmd", choices=["list"])
     fx.set_defaults(func=cmd_fixtures)
+
+
+_SUBCOMMANDS = (
+    ("estimate", "single-configuration report", _estimate_arguments),
+    ("sweep", "grid sweep + Pareto frontier", _sweep_arguments),
+    ("pareto", "frontier over an existing points file", _pareto_arguments),
+    ("validate", "check input files for violations", _validate_arguments),
+    ("fixtures", "shipped fixture files", _fixtures_arguments),
+)
+
+
+class _Subcommand:
+    """Stands in for a subcommand's parser, the ``parser_class`` of the
+    subparsers action: the parser is built, with its arguments, only when
+    argv chooses the subcommand, so a call builds one of the five."""
+
+    def __init__(self, *, add_arguments, **kwargs):
+        self._add_arguments = add_arguments
+        self._kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        self._add_arguments(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``llm-energy`` parser. Help is wrapped at the terminal width,
+    read once here rather than by every ``add_argument``, which builds a
+    formatter to check its metavar."""
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="llm-energy",
+        description="Analytical energy/latency estimation for distributed "
+                    "LLM inference",
+        formatter_class=formatter)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_text, formatter_class=formatter,
+                       add_arguments=add_arguments)
     return parser
 
 

@@ -135,9 +135,10 @@ class Estimator:
         return max(degrees.get("tp", 1), degrees.get("ep", 1)) * degrees.get("cp", 1)
 
     def _validated(self, degrees: dict[str, int]) -> dict[str, int]:
-        """``degrees`` checked against the spec and dims, every kind filled in."""
+        """``degrees`` checked against the spec and dims, every kind filled in.
+        Keyed by type too: ``2.0 == 2`` and ``True == 1``, but only ints pass."""
         return self._memoized(
-            ("degrees", tuple(degrees.items())),
+            ("degrees", *((kind, type(deg), deg) for kind, deg in degrees.items())),
             lambda: validate_bindings(self.spec, self.dims, degrees).degrees)
 
     def memory_model(self, degrees: dict[str, int]) -> MemoryModel:

@@ -15,6 +15,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from .compute import ZERO_COST, CostEstimate, one_cost
@@ -106,7 +107,7 @@ class RoutingTrace:
     def expert_counts(self) -> Counter:
         """Tokens routed to each expert index, counted once per trace; the
         indices in the order the rows first name them."""
-        return Counter(e for row in self.choices for e in row)
+        return Counter(chain.from_iterable(self.choices))
 
     @classmethod
     def load(cls, path) -> "RoutingTrace":

@@ -16,7 +16,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import SpecError, ValidationError
@@ -330,6 +330,34 @@ def _csv_rows(lines, comments: list):
             yield lineno, line
 
 
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(fh, lineno: int, rows: list, numbers: list, comments: list):
+    """Blocks of ``_BLOCK_ROWS`` rows (fewer in the last) from the lines of
+    ``fh`` after line ``lineno``, as (rows, line numbers), where ``rows``
+    and ``numbers`` already hold the first. Rows are as :func:`_csv_rows`
+    gives them; a block of lines with no blank line and no ``#`` is taken
+    whole, without a look at each line."""
+    while lines := list(map(str.strip, islice(fh, _BLOCK_ROWS - len(rows)))):
+        if "" in lines or "#" in ",".join(lines):
+            for lineno, line in enumerate(lines, lineno + 1):
+                if line[:1] == "#":
+                    comments.append(line.lstrip("# "))
+                elif line:
+                    rows.append(line)
+                    numbers.append(lineno)
+        else:
+            rows += lines
+            numbers += range(lineno + 1, lineno + 1 + len(lines))
+            lineno += len(lines)
+        if len(rows) == _BLOCK_ROWS:
+            yield rows, numbers
+            rows, numbers = [], []
+    if rows:
+        yield rows, numbers
+
+
 def read_csv(path, header: Optional[Sequence[str]], converters: Sequence,
              rest=None) -> tuple[list[list], list[str]]:
     """The columns and the comments of one comma-separated input file.
@@ -338,35 +366,46 @@ def read_csv(path, header: Optional[Sequence[str]], converters: Sequence,
     must be as wide as the first. Column ``i`` is converted by
     ``converters[i]`` (``int``, ``float`` or any callable that raises
     ``ValueError``) and any further column by ``rest``; a column whose
-    converter is None is not read and comes back empty. Rows are split and
-    converted a block at a time, a whole column of the block per ``map``,
-    so a long file's cells are never all held as strings at once.
+    converter is ``str`` comes back as read, and one whose converter is
+    None is not read and comes back empty. Rows are split and
+    converted a block of ``_BLOCK_ROWS`` at a time, a whole column of the
+    block per ``map``, so a long file's cells are never all held as strings
+    at once. A fault is named ``path:line``: the first in the first block
+    that has one, a bad width before a bad cell, the leftmost column first.
     """
     comments: list[str] = []
     with open_text(path) as fh:
-        rows = _csv_rows(fh, comments)
-        lineno, first = next(rows, (1, ""))
+        lineno, first = next(_csv_rows(fh, comments), (1, ""))
         head = first.split(",") if first else []
         if header is not None and [cell.strip() for cell in head] != list(header):
             raise ValidationError(f"{path}:{lineno}: header must be {','.join(header)}")
-        if header is None and first:
-            rows = chain([(lineno, first)], rows)
+        data = ([first], [lineno]) if header is None and first else ([], [])
         width = len(head)
         converters = list(converters) + [rest] * (width - len(converters))
         columns: list[list] = [[] for _ in converters]
-        while block := list(islice(rows, 256)):
-            split = [line.split(",") for _, line in block]
-            if set(map(len, split)) - {width}:
-                lineno = next(n for (n, _), row in zip(block, split)
-                              if len(row) != width)
+        for rows, numbers in _row_blocks(fh, lineno, *data, comments):
+            # Joined by ",\n", each row but the first starts its first cell
+            # with the only "\n" of that cell, so the rows are all ``width``
+            # wide exactly when those cells fall at every ``width``-th place.
+            cells = ",\n".join(rows).split(",")
+            starts = ",".join(cells[width::width])
+            if (len(cells) != width * len(rows)
+                    or starts.count("\n") != len(rows) - 1):
+                lineno = next(n for n, row in zip(numbers, rows)
+                              if row.count(",") != width - 1)
                 raise ValidationError(f"{path}:{lineno}: expected {width} columns")
-            for column, convert, cells in zip(columns, converters, zip(*split)):
+            if starts:
+                cells[width::width] = starts[1:].split(",\n")
+            for i, column, convert in zip(range(width), columns, converters):
                 if convert is None:
                     continue
+                if convert is str:
+                    column += cells[i::width]
+                    continue
                 try:
-                    column.extend(map(convert, cells))
+                    column.extend(map(convert, cells[i::width]))
                 except ValueError:
-                    for (lineno, _), cell in zip(block, cells):
+                    for lineno, cell in zip(numbers, cells[i::width]):
                         try:
                             convert(cell)
                         except ValueError as exc:
@@ -471,9 +510,9 @@ def validate_bindings(spec: ModelSpec, dims: DimensionBindings,
     for kind, deg in degrees.items():
         if kind not in full_degrees:
             raise ValidationError(f"unknown parallelism kind {kind!r}")
-        if deg < 1:
+        if as_int(deg, f"{kind} degree") < 1:
             raise ValidationError(f"{kind} degree must be >= 1, got {deg}")
-        full_degrees[kind] = int(deg)
+        full_degrees[kind] = deg
 
     unbound = spec.symbols() - set(dims.sizes) - RUNTIME_SYMBOLS
     if unbound:

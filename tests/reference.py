@@ -7,10 +7,15 @@ size bound into the dims, the roofline GEMM and memory op, the calibration
 table's nearest point, the three-phase overlap plan, the MoE imbalance fold,
 and the report rows built from them. Collectives are priced by the comm
 backend, whose curve lookup has a reference of its own in ``test_comm.py``.
+
+Input files are read the same way, one line and one row at a time: the CSV
+reader, and the comm calibration loader, which appends each row to its
+curve, sorts every curve and checks the curves one by one.
 """
 
 import functools
 import math
+from itertools import chain, islice
 from dataclasses import replace
 
 from llm_energy import (
@@ -26,6 +31,7 @@ from llm_energy import (
 from llm_energy.interpreter import (
     ALLGATHER,
     ALLREDUCE,
+    ALLTOALL,
     DECODE,
     MOE_TOKEN_SYMBOL,
     PREFILL,
@@ -348,3 +354,101 @@ def reference_rows(est, ctx, degrees, overlap=None, invariant_once=False):
                         cost, cost_of(lowered_max[idx].kernels[k_idx]), est.hw.p_idle)
                 add(op.label, _category(kernel), cost, weight)
     return rows
+
+
+# -- input files ------------------------------------------------------------------
+
+
+def _csv_rows(lines, comments):
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if line[:1] == "#":
+            comments.append(line.lstrip("# "))
+        elif line:
+            yield lineno, line
+
+
+def read_csv(path, header, converters, rest=None):
+    """``spec_lang.read_csv`` line by line: each row split on its own and
+    checked a block of 256 rows at a time, the width of every row of a
+    block before its cells, a column at a time."""
+    comments = []
+    with open(path, encoding="utf-8") as fh:
+        try:
+            rows = _csv_rows(fh, comments)
+            lineno, first = next(rows, (1, ""))
+            head = first.split(",") if first else []
+            if header is not None and [cell.strip() for cell in head] != list(header):
+                raise ValidationError(
+                    f"{path}:{lineno}: header must be {','.join(header)}")
+            if header is None and first:
+                rows = chain([(lineno, first)], rows)
+            width = len(head)
+            converters = list(converters) + [rest] * (width - len(converters))
+            columns = [[] for _ in converters]
+            while block := list(islice(rows, 256)):
+                split = [line.split(",") for _, line in block]
+                for (lineno, _), row in zip(block, split):
+                    if len(row) != width:
+                        raise ValidationError(
+                            f"{path}:{lineno}: expected {width} columns")
+                for column, convert, cells in zip(columns, converters, zip(*split)):
+                    if convert is None:
+                        continue
+                    for (lineno, _), cell in zip(block, cells):
+                        try:
+                            column.append(convert(cell))
+                        except ValueError as exc:
+                            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return columns, comments
+
+
+COMM_HEADER = ("kind", "world", "sm_count", "bytes", "latency_s", "energy_j")
+COMM_KINDS = (ALLREDUCE, REDUCESCATTER, ALLGATHER, ALLTOALL)
+
+
+def _check_comm_curve(key, sizes, latencies, energies):
+    kind, world, sm = key
+    if kind not in COMM_KINDS or world < 2 or sm < 1:
+        raise ValidationError(f"comm calibration {key}: needs a known "
+                              "kind, world >= 2 and sm_count >= 1")
+    if len(sizes) < 2:
+        raise ValidationError(f"comm calibration {key}: need >= 2 points")
+    for values in (sizes, latencies, energies):
+        for v in values:
+            if not 0 < v < math.inf:
+                raise ValidationError(
+                    f"comm calibration {key}: sizes, latencies and energies "
+                    "must be positive and finite")
+    for prev, cur in zip(sizes, sizes[1:]):
+        if cur <= prev:
+            raise ValidationError(
+                f"comm calibration {key}: sizes must be strictly increasing "
+                f"(saw {prev} then {cur})")
+        if math.log(cur) == math.log(prev):
+            raise ValidationError(
+                f"comm calibration {key}: sizes {prev} and {cur} have the "
+                "same log, so no segment lies between them")
+
+
+def load_comm_calibration(path):
+    """(curves, provenance) of a comm calibration CSV, where ``curves`` maps
+    each (kind, world, sm_count), in the order the rows first name it, to
+    its (sizes, latencies, energies) sorted by size; or the ValidationError
+    of the first bad cell or the first bad curve."""
+    (kinds, worlds, sms, *values), comments = read_csv(
+        path, COMM_HEADER, [str.strip, int, int, float, float, float])
+    samples = {}
+    for key, sample in zip(zip(kinds, worlds, sms), zip(*values)):
+        samples.setdefault(key, []).append(sample)
+    curves = {}
+    for key, rows in samples.items():
+        rows.sort(key=lambda row: row[0])
+        curves[key] = tuple(map(list, zip(*rows)))
+        try:
+            _check_comm_curve(key, *curves[key])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    return curves, "; ".join(comments)

@@ -28,7 +28,10 @@ def test_estimate_writes_reports(tmp_path):
     code = main(["estimate", *_base_args(tmp_path), "--tp", "2",
                  "--batch", "2", "--isl", "512", "--phase", "prefill"])
     assert code == EXIT_OK
-    report = json.loads((tmp_path / "report_prefill.json").read_text())
+    text = (tmp_path / "report_prefill.json").read_text()
+    report = json.loads(text)
+    # The rows are block-encoded; the file is still json.dumps' indent=2.
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert report["feasible"]
     labels = {r["label"] for r in report["rows"]}
     assert {"QKV Projection", "Output Projection", "Down Projection"} <= labels

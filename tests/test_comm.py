@@ -18,8 +18,11 @@ from llm_energy import (
     synthetic_comm_table,
 )
 from llm_energy.comm import CommCalibrationTable, CommCurve
+from llm_energy.fixtures import fixture_path
 from llm_energy.interpreter import (ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER,
                                    CommColumns)
+
+import reference
 
 
 def _table(sizes, lats, ens, kind=ALLREDUCE, world=2, sm=16):
@@ -303,3 +306,108 @@ def test_cached_logs_lookup_equals_formula(samples, queries):
             curve.columns(queries)
     else:
         assert list(zip(*curve.columns(queries))) == want
+
+
+# -- the loader against the reference ----------------------------------------------
+
+_FIXTURE_LINES = fixture_path("comm_synthetic.csv").read_text().splitlines()
+_PREAMBLE, _ROWS = _FIXTURE_LINES[:2], [line.split(",") for line in _FIXTURE_LINES[2:]]
+_BAD_VALUES = ("nan", "inf", "0", "-1", "-inf", "0.0")
+
+
+def _edit(rows, name, i, j):
+    """Apply one named edit at row ``i`` (with ``j`` its second choice)."""
+    n = len(rows)
+    row = rows[i % n]
+    before = rows[i % n - 1] if i % n else rows[-1]
+    if name == "move":             # a curve's rows no longer contiguous
+        rows.insert(j % n, rows.pop(i % n))
+    elif name == "move two":       # two runs of one curve, each of two rows
+        k = i % (n - 1)
+        pair = rows[k:k + 2]
+        del rows[k:k + 2]
+        rows[j % (n - 1):j % (n - 1)] = pair
+    elif name == "swap":           # two rows out of size order
+        k = i % (n - 1)
+        rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    elif name == "duplicate size":
+        row[3] = before[3]
+    elif name == "equal logs":     # the next float above the size before
+        row[3] = repr(math.nextafter(float(before[3]), math.inf))
+    elif name == "unknown kind":
+        row[0] = "Broadcast"
+    elif name == "world 1":
+        row[1] = "1"
+    elif name == "sm 0":
+        row[2] = "0"
+    elif name == "one-point curve":  # a key of its own, as the last row
+        rows.append([ALLREDUCE, "16", "16", "1024.0", "1e-05", "0.01"])
+    elif name == "value":          # each bad value in each numeric column
+        row[3 + j % 3] = _BAD_VALUES[j // 3 % len(_BAD_VALUES)]
+    elif name == "padded kind":    # other cells, the same key
+        row[0] = f" {row[0]} "
+    elif name == "padded world":
+        row[1] = "0" + row[1]
+    elif name == "text world":     # a cell that is not an integer
+        row[1] = "two"
+    elif name == "text size":
+        row[3] = "x"
+    elif name == "short row":
+        del row[-1]
+    else:
+        raise AssertionError(name)
+
+
+_EDITS = ("move", "move two", "swap", "duplicate size", "equal logs", "unknown kind",
+          "world 1", "sm 0", "one-point curve", "value", "padded kind",
+          "padded world", "text world", "text size", "short row")
+
+
+def _loaded_or_message(load, path):
+    try:
+        return load(path)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_loads_as_reference(path, edits):
+    rows = [list(row) for row in _ROWS]
+    for edit in edits:
+        _edit(rows, *edit)
+    path.write_text("\n".join(_PREAMBLE + [",".join(row) for row in rows]) + "\n")
+    want = _loaded_or_message(reference.load_comm_calibration, path)
+    got = _loaded_or_message(load_comm_calibration, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    curves, provenance = want
+    assert [(key, (curve.sizes, curve.latencies, curve.energies))
+            for key, curve in got.curves.items()] == list(curves.items())
+    assert got.provenance == provenance
+
+
+@pytest.mark.parametrize("edits", [
+    [],
+    *([(name, 500, 90)] for name in _EDITS),
+    *([("value", 500, j)] for j in range(3 * len(_BAD_VALUES))),
+    [("move", 3, 400), ("move", 700, 5)],   # two curves interleaved
+    [("move two", 3, 400)],
+    [("swap", 40, 0), ("padded kind", 41, 0)],
+    [("value", 600, 2), ("text world", 300, 0)],  # the first fault named
+    [("short row", 900, 0), ("text size", 100, 0)],
+], ids=repr)
+def test_loader_equals_reference_on_fixture_edits(tmp_path, edits):
+    _assert_loads_as_reference(tmp_path / "cal.csv", edits)
+
+
+def test_loader_equals_reference_on_random_edits(tmp_path_factory):
+    path = tmp_path_factory.mktemp("comm") / "cal.csv"
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(_EDITS),
+                                    st.integers(0, 2000), st.integers(0, 2000)),
+                          max_size=4))
+    def check(edits):
+        _assert_loads_as_reference(path, edits)
+
+    check()

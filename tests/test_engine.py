@@ -630,3 +630,22 @@ def test_estimator_rejects_decode_stride_below_one(dense_spec, dims_8b, hw,
                        match=f"decode stride must be >= 1, got {stride}"):
         Estimator(dense_spec, dims_8b, hw, roofline, comm_backend,
                   decode_stride=stride)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_degree_that_is_not_an_integer_is_rejected(bad, dense_spec, dims_8b, hw,
+                                                   roofline, comm_backend):
+    # 2.5 was priced as tp 2, and 2.0 and True shared the memo entry of the
+    # integer they equal; each estimator first validates the integer.
+    message = f"^tp degree must be an integer, got {bad!r}$"
+    ctx = PhaseContext(PREFILL, 2, 512)
+    est = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
+    assert est.estimate(ctx, {"tp": int(bad)}).feasible
+    with pytest.raises(ValidationError, match=message):
+        est.estimate(ctx, {"tp": bad})
+    est = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
+    points = [(2, 512), (4, 1024)]
+    [priced] = est.estimate_prefill_settings(points, {"tp": int(bad)}, [None])
+    assert all(latency is not None for latency, _, _ in priced)
+    [results] = est.estimate_prefill_settings(points, {"tp": bad}, [None])
+    assert results == [(None, None, message[1:-1])] * len(points)

@@ -1,6 +1,7 @@
 """MoE routing statistics, tile quantization, and imbalance aggregation."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,8 @@ def test_trace_stats_equal_brute_force(rows, layouts, tile):
     choices = tuple(map(tuple, rows))
     trace = RoutingTrace(choices)
     flat = [e for row in choices for e in row]
+    # Counted in the order the rows first name each index.
+    assert list(trace.expert_counts.items()) == list(Counter(flat).items())
     for total, ep in layouts:
         bad = [e for e in flat if not 0 <= e < total]
         if bad:

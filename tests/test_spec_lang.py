@@ -5,6 +5,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llm_energy import (
     DimensionBindings,
@@ -17,6 +19,8 @@ from llm_energy import (
 )
 from llm_energy.interpreter import local_size
 from llm_energy.spec_lang import OpSpec, degree_kind, load_json, read_csv
+
+import reference
 
 
 def test_parse_basic_contraction():
@@ -195,6 +199,52 @@ def test_load_json_rejects_non_finite_constants(tmp_path, constant):
     path.write_text(f'{{"label": {constant}}}')
     with pytest.raises(ValidationError, match="f.json"):
         load_json(path)
+
+
+_CELL = st.sampled_from(["1", "-3", " 4 ", "07", "2"])
+_ODD_LINE = st.sampled_from(["", "   ", "# note", "  # indented", "#", "1,x", "x",
+                             "1,,2", "1e3,2", "nan,1,2,3", "a#b,1", "1, 2 ,3,4,5"])
+
+
+@st.composite
+def _csv_text(draw):
+    """Lines of rows of one width, with comments, blank lines and faults,
+    often more than one block of rows long."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(_CELL, min_size=width, max_size=width).map(",".join)
+    pattern = draw(st.lists(st.one_of(row, row, _ODD_LINE), min_size=1, max_size=6))
+    lines = pattern * draw(st.integers(1, 300))
+    for index, line in draw(st.lists(st.tuples(st.integers(0, 10 ** 4), _ODD_LINE),
+                                     max_size=3)):
+        lines[index % len(lines)] = line
+    return width, lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_csv_text(), header=st.sampled_from([None, "match", "other"]),
+       converters=st.lists(st.sampled_from([int, float, None, str, str.strip]),
+                           max_size=4),
+       rest=st.sampled_from([None, int, str]),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_read_csv_equals_line_by_line_reference(tmp_path_factory, text, header,
+                                                converters, rest, newline):
+    width, lines = text
+    names = tuple("abcd"[:width])
+    if header is not None:
+        lines = ["# made by hand", ",".join(names), *lines]
+        if header == "other":
+            names = names[::-1] + ("z",)
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(newline.join(lines).encode() + b"\n")
+
+    def outcome(read):
+        try:
+            return read(path, header and names, converters, rest)
+        except ValidationError as exc:
+            return str(exc)
+
+    # repr: a NaN cell is not equal to itself.
+    assert repr(outcome(read_csv)) == repr(outcome(reference.read_csv))
 
 
 def test_read_csv_names_the_line_of_a_fault(tmp_path):
