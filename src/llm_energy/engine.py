@@ -1,14 +1,15 @@
 """End-to-end estimation: lower, price, fold imbalance/overlap, aggregate.
 
 Every evaluation is lowered and priced as columns over points: a single
-prefill estimate is a column of one point, a decode estimate prices its
-first position as one point and its other positions as columns over z or
-in closed form (see :meth:`Estimator.estimate`).
+prefill estimate is a column of one point, a decode estimate prices each
+step once for the whole phase, as one point, in closed form over z or as
+columns over the positions (see :meth:`Estimator.estimate`).
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .comm import CommBackend
@@ -25,6 +26,7 @@ from .interpreter import (  # noqa: F401
     GemmLine,
     LayerPlan,
     LoweredColumns,
+    MemoryOpLine,
     MixedColumns,
     PhaseContext,
     as_columns,
@@ -184,35 +186,19 @@ class Estimator:
             return self.compute_backend.estimate_gemm_sum(line, zs)
         return self.compute_backend.estimate_memory_op_sum(line, zs)
 
-    # -- per-layer costing -------------------------------------------------
-
-    def _kernel_costs(self, plan: LayerPlan, env: dict, count: int,
-                      stats: Optional[RoutingStats], whole: bool = False
-                      ) -> list[tuple[str, str, array, array, bool]]:
-        """(label, category, latencies, energies, reads_context) of each
-        kernel that ``plan`` lowers at ``count`` points, one layer, one GPU
-        (see :meth:`LayerPlan.lower_columns`, with ``whole``).
-
-        MoE kernels are priced under the average and the bottleneck GPU's
-        routing statistics and folded by :func:`fold_imbalance_columns`.
-        """
-        lowered = plan.lower_columns(env, count, stats.avg if stats else None,
-                                     whole=whole)
-        lowered_max = None
-        if (stats is not None and not stats.balanced
-                and any(op.is_moe for op in lowered)):
-            lowered_max = plan.lower_columns(env, count, stats.max, whole=whole)
-        out = []
-        for idx, op in enumerate(lowered):
-            for k_idx, kernel in enumerate(op.kernels):
-                cost = self._price_columns(kernel)
-                if op.is_moe and lowered_max is not None:
-                    cost = fold_imbalance_columns(
-                        cost, self._price_columns(lowered_max[idx].kernels[k_idx]),
-                        self.hw.p_idle)
-                out.append((op.label, _kernel_category(kernel), *cost,
-                            op.reads_context))
-        return out
+    def _priced(self, lowered: list[LoweredColumns],
+                lowered_max: Optional[list[LoweredColumns]], idx: int,
+                k_idx: int) -> tuple[array, array]:
+        """Kernel ``k_idx`` of op ``idx`` priced; an MoE kernel under the
+        average (``lowered``) and, if given, the bottleneck GPU's routing
+        (``lowered_max``), folded by :func:`fold_imbalance_columns`."""
+        op = lowered[idx]
+        cost = self._price_columns(op.kernels[k_idx])
+        if op.is_moe and lowered_max is not None:
+            cost = fold_imbalance_columns(
+                cost, self._price_columns(lowered_max[idx].kernels[k_idx]),
+                self.hw.p_idle)
+        return cost
 
     # -- phase estimation ----------------------------------------------------
 
@@ -260,60 +246,64 @@ class Estimator:
                            for (label, category), ((latency,), (energy,)) in rows]
             return report
 
-        # Only the kernels that read z change across decode positions; the
-        # rest, and the routing statistics (s = 1 throughout), are priced
-        # once, at the first position, and weighted by the whole phase. At
-        # the other sampled positions, a context kernel whose sizes are
-        # affine in z is summed over each run of positions in closed form,
-        # in O(1) whatever osl is; the others (collectives, MoE kernels,
-        # sizes not affine in z) are priced as columns over the positions.
         rows: dict[tuple[str, str], ReportRow] = {}
-
-        def row_of(label: str, category: str) -> ReportRow:
-            return rows.setdefault((label, category), ReportRow(label, category))
-
-        (first, first_weight), *later = decode_runs(ctx.osl, self.decode_stride)
-        stats = self.routing_stats(ctx.at_position(first[0]), degrees)
-        for label, category, (latency,), (energy,), varying in self._kernel_costs(
-                plan, {"b": ctx.batch, "s": ctx.s, "z": ctx.isl + first[0]}, 1,
-                stats, whole=True):
-            w = float(layers) * (first_weight if varying else ctx.osl)
-            scale = 1.0 if category == CATEGORY_COMM else float(gpus)
-            row_of(label, category).add(latency * w, energy * scale * w)
-        rest = [(positions, float(layers) * weight) for positions, weight
-                in [(first[1:], first_weight), *later] if positions]
-        if rest:
-            env = {"b": ctx.batch, "s": ctx.s, "z": 1}
-            for label, line in plan.lower_lines(env):
-                row = row_of(label, _kernel_category(line))  # never a collective
-                for positions, weight in rest:
-                    latency, energy = self._price_sum(line, range(
-                        ctx.isl + positions.start, ctx.isl + positions.stop,
-                        positions.step))
-                    row.add(latency * weight, energy * float(gpus) * weight)
-        if rest and plan.context_columns:
-            positions = [p for run, _ in rest for p in run]
-            env["z"] = array("q", [ctx.isl + p for p in positions])
-            columns = self._kernel_costs(plan, env, len(positions), stats)
-            # Position by position, and within a position kernel by kernel,
-            # as if each position's kernels were added one at a time.
-            by_row: dict = {}
-            for label, category, latencies, energies, _ in columns:
-                by_row.setdefault((label, category), []).append(
-                    (latencies, energies))
-            weights = [weight for run, weight in rest for _ in run]
-            for (label, category), kernels in by_row.items():
-                scale = 1.0 if category == CATEGORY_COMM else float(gpus)
-                row = row_of(label, category)
-                latency, energy = row.latency, row.energy
-                for i, w in enumerate(weights):
-                    for latencies, energies in kernels:
-                        latency += latencies[i] * w
-                        energy += energies[i] * scale * w
-                row.latency, row.energy = latency, energy
-
+        self._decode_rows(plan, ctx, decode_runs(ctx.osl, self.decode_stride),
+                          self.routing_stats(ctx, degrees), float(gpus), rows)
         report.rows = list(rows.values())
         return report
+
+    def _decode_rows(self, plan: LayerPlan, ctx: PhaseContext, runs: list,
+                     stats: Optional[RoutingStats], gpus: float,
+                     rows: dict) -> None:
+        """Add the cost of the decode positions of ``runs`` ((positions,
+        weight) pairs, see :func:`decode_runs`) to ``rows``, the report rows
+        by (label, category). Each step is lowered once for all positions
+        (:meth:`LayerPlan.lower_decode`; s = 1 makes the routing ``stats``
+        the same at each) and priced in stream order: a kernel that does
+        not read the context once, weighted by the layers times the
+        positions the runs stand for; a kernel line in closed form over the
+        z of each run, and any other kernel as columns summed over each
+        run, each run's sum weighted by the layers times its weight."""
+        layers = float(self.layers())
+        zruns = [(range(ctx.isl + p.start, ctx.isl + p.stop, p.step), layers * w)
+                 for p, w in runs]
+        env = {"b": ctx.batch, "s": ctx.s}
+        zs = [zr for zr, _ in zruns]
+        try:
+            lowered = plan.lower_decode(env, zs, stats.avg if stats else None)
+        except MixedColumns:
+            # A GEMM whose N grows with z is 1 at one position, which lowers
+            # it as a memory op: each position is priced on its own.
+            for positions, weight in runs:
+                for p in positions:
+                    self._decode_rows(plan, ctx, [(range(p, p + 1), weight)],
+                                      stats, gpus, rows)
+            return
+        lowered_max = None
+        if (stats is not None and not stats.balanced
+                and any(op.is_moe for op in lowered)):
+            lowered_max = plan.lower_decode(env, zs, stats.max)
+        phase_weight = layers * sum(len(p) * w for p, w in runs)
+        for idx, op in enumerate(lowered):
+            for k_idx, kernel in enumerate(op.kernels):
+                category = _kernel_category(kernel)
+                row = rows.setdefault((op.label, category),
+                                      ReportRow(op.label, category))
+                scale = 1.0 if category == CATEGORY_COMM else gpus
+                if isinstance(kernel, (GemmLine, MemoryOpLine)):
+                    for zr, weight in zruns:
+                        latency, energy = self._price_sum(kernel, zr)
+                        row.add(latency * weight, energy * scale * weight)
+                    continue
+                latencies, energies = self._priced(lowered, lowered_max, idx, k_idx)
+                if not op.reads_context:
+                    row.add(latencies[0] * phase_weight,
+                            energies[0] * scale * phase_weight)
+                    continue
+                latencies, energies = iter(latencies), iter(energies)
+                for zr, weight in zruns:
+                    row.add(sum(islice(latencies, len(zr))) * weight,
+                            sum(islice(energies, len(zr))) * scale * weight)
 
     # -- prefill sweeps --------------------------------------------------------
 
@@ -470,12 +460,8 @@ class Estimator:
             # plans price it.
             cost = costs.get((idx, k_idx))
             if cost is None:
-                cost = self._price_columns(lowered[idx].kernels[k_idx])
-                if lowered[idx].is_moe and lowered_max is not None:
-                    cost = fold_imbalance_columns(
-                        cost, self._price_columns(lowered_max[idx].kernels[k_idx]),
-                        self.hw.p_idle)
-                costs[(idx, k_idx)] = cost
+                cost = costs[(idx, k_idx)] = self._priced(lowered, lowered_max,
+                                                          idx, k_idx)
             return cost
 
         weight = float(self.layers())

@@ -14,16 +14,17 @@ over them (one evaluation, the decode positions of one point, or the
 batch sizes and sequence lengths of a sweep group): it sizes each kernel
 over every evaluation, as columns, and builds no descriptor per
 evaluation. :meth:`LayerPlan.lower` gives one evaluation's kernel
-descriptors, read off its one-point columns. :meth:`LayerPlan.lower_lines`
-sizes a decode context kernel whose sizes are affine in z as a line in z,
-which a backend sums over a range of positions in closed form.
+descriptors, read off its one-point columns. :meth:`LayerPlan.lower_decode`
+lowers each step of a decode layer once for all its positions, a kernel
+affine in the context length z as a line in z, which a backend sums over a
+range of positions in closed form.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
-from itertools import islice
+from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import SpecError, ValidationError
@@ -33,6 +34,7 @@ from .spec_lang import (
     EinsumEquation,
     ModelSpec,
     OpSpec,
+    as_int,
     check_overlap_setting,
     degree_kind,
 )
@@ -257,6 +259,8 @@ class PhaseContext:
     def __post_init__(self):
         if self.phase not in (PREFILL, DECODE):
             raise ValidationError(f"unknown phase {self.phase!r}")
+        for name in ("batch", "isl", "osl", "decode_position"):
+            as_int(getattr(self, name), name)
         if min(self.batch, self.isl, self.osl) < 1:
             raise ValidationError("batch/isl/osl must be positive")
         if self.phase == DECODE and not 1 <= self.decode_position <= self.osl:
@@ -269,9 +273,6 @@ class PhaseContext:
     @property
     def z(self) -> int:
         return self.isl if self.phase == PREFILL else self.isl + self.decode_position
-
-    def at_position(self, position: int) -> "PhaseContext":
-        return replace(self, decode_position=position)
 
 
 def _indivisible(symbol: str, size, deg: int) -> ValidationError:
@@ -379,6 +380,11 @@ class _Product(NamedTuple):
             else:
                 col = [c * factor for c in col]
         return [prod] * count if col is None else array("d", col)
+
+    @property
+    def has_z(self) -> bool:
+        """Whether the context length z is a factor."""
+        return any(type(f) is tuple and f[0] == "z" for f in self.tail)
 
     @property
     def affine(self) -> bool:
@@ -565,15 +571,6 @@ def _flatten_ops(spec: ModelSpec) -> list[OpSpec]:
         else:
             flat.append(op)
     return flat
-
-
-def reads_context(op: OpSpec) -> bool:
-    """Whether the op's cost reads the context length ``z``: ``z`` is in its
-    equation, or, for attention, in any of its sub-equations."""
-    if op.is_attention:
-        return any(reads_context(sub) for sub in op.attn_eqs)
-    eq = op.equation
-    return "z" in eq.output_operand or any("z" in o for o in eq.input_operands)
 
 
 # Effective MoE binding: ops referencing the per-expert token symbol get
@@ -853,22 +850,18 @@ class LayerPlan(NamedTuple):
             raise ValidationError(
                 f"layer compiled for {self.phase} cannot lower a {ctx.phase} context")
         env = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
-        return [op.one_point()
-                for op in self.lower_columns(env, 1, moe_te, whole=True)]
+        return [op.one_point() for op in self.lower_columns(env, 1, moe_te)]
 
     def lower_columns(self, env: dict, count: int,
                       moe_te: Optional[tuple] = None,
                       errors: Optional[dict] = None,
-                      failed_at: Optional[dict] = None,
-                      whole: bool = False) -> list[LoweredColumns]:
+                      failed_at: Optional[dict] = None) -> list[LoweredColumns]:
         """Lower the layer at ``count`` points at once: per kernel, its
         sizes as columns whose i-th values are the kernel's at point i.
 
         ``env`` binds b, s and z, and ``moe_te`` the MoE ops' (T, E), each
         to one size for every point or to a column of sizes (see
-        :func:`is_column`). Unless ``whole``, a decode plan lowers only the
-        ops tagged ``reads_context`` that :meth:`lower_lines` does not: the
-        others are the same at every position.
+        :func:`is_column`).
 
         Each point gets the error that lowering it alone would raise, the
         first in stream order. With ``errors``, they are recorded there by
@@ -880,15 +873,48 @@ class LayerPlan(NamedTuple):
         :class:`MixedColumns`.
         """
         moe_env = self._moe_env(env, moe_te)
+        return self._walk(
+            lambda step, record: step.columns(env, moe_env, self.dims, count, record),
+            count, errors, failed_at)
+
+    def lower_decode(self, env: dict, zs: Sequence[range],
+                     moe_te: Optional[tuple] = None) -> list[LoweredColumns]:
+        """Lower a decode layer at the positions whose context lengths are
+        the z of the ranges ``zs``, each step once, in stream order: a step
+        that does not read the context as one-point columns, a
+        :attr:`~_OpStep.line` step as its one kernel's line (a
+        :data:`KernelLine`), any other as columns over the positions.
+        ``env`` binds b and s, and ``moe_te`` the MoE ops' (T, E). It
+        raises the first position's first error in stream order, or else
+        the earliest failing position's."""
+        count = sum(map(len, zs))
+        point = dict(env, z=1)  # what the steps that do not read z see
+        if any(step.reads_context and not step.line for step in self.steps):
+            env = dict(env, z=array("q", chain.from_iterable(zs)))
+        moe_env, moe_point = self._moe_env(env, moe_te), self._moe_env(point, moe_te)
+
+        def lower(step, record: dict) -> LoweredColumns:
+            if step.line:
+                label, line = step.lower_line(point, self.dims)
+                return LoweredColumns(label, (line,), reads_context=True)
+            if step.reads_context:
+                return step.columns(env, moe_env, self.dims, count, record)
+            # Each size one number, it raises its errors, the same at
+            # every position.
+            return step.columns(point, moe_point, self.dims, 1, {})
+
+        return self._walk(lower, count)
+
+    def _walk(self, lower, count: int, errors: Optional[dict] = None,
+              failed_at: Optional[dict] = None) -> list[LoweredColumns]:
+        """``lower(step, errors)`` of each step in stream order, with the
+        errors of :meth:`lower_columns`: one it raises is every point's."""
         record = {} if errors is None else errors
-        steps = (self.steps if whole or self.phase != DECODE else
-                 [step for step in self.steps
-                  if step.reads_context and not step.line])
         lowered = []
-        for index, step in enumerate(steps):
+        for index, step in enumerate(self.steps):
             known = len(record)
             try:
-                lowered.append(step.columns(env, moe_env, self.dims, count, record))
+                lowered.append(lower(step, record))
             except MixedColumns:
                 raise
             except (SpecError, ValidationError) as exc:
@@ -902,20 +928,6 @@ class LayerPlan(NamedTuple):
         if errors is None and record:
             raise record[min(record)]
         return lowered
-
-    @property
-    def context_columns(self) -> bool:
-        """Whether a decode plan has context steps that
-        :meth:`lower_columns` lowers: no line form."""
-        return any(step.reads_context and not step.line for step in self.steps)
-
-    def lower_lines(self, env: dict) -> list[tuple[str, KernelLine]]:
-        """The decode context steps whose one kernel is summed over z in
-        closed form (``line``), each as its op label and its kernel's line,
-        with ``env`` binding b and s, and z to 1."""
-        if self.error is not None:
-            raise ValidationError(self.error)
-        return [step.lower_line(env, self.dims) for step in self.steps if step.line]
 
 
 def _takes_overlap(op: OpSpec) -> bool:
@@ -945,10 +957,10 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
     or annotated on any op or sub-op, is prefill-only: in decode it is an
     error of the whole plan.
 
-    In decode, each op is tagged ``reads_context`` when its kernels change
-    with ``z`` from one position to the next: the op reads the context, or
-    it follows one that does and may carry a cp transition sized by that
-    op's output.
+    In decode, a step is tagged ``reads_context`` when its kernels change
+    with z from one position to the next: z is a factor of one of its
+    compiled size products (its cp transition's, its compute kernel's, its
+    AllReduce's or its score's).
     """
     annotated = any(op.overlap_stage is not None
                     for op in (*spec.ops, *_flatten_ops(spec)))
@@ -957,33 +969,31 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
                          ).with_overlap(overlap)
     cp_degree = degrees.get("cp", 1)
 
-    def varies(op: OpSpec, prev: Optional[OpSpec]) -> bool:
-        if phase != DECODE:
-            return False  # z = isl throughout prefill
-        return reads_context(op) or (
-            cp_degree > 1 and prev is not None and reads_context(prev))
+    def reads(*sizes: Optional[_Product]) -> bool:
+        # z = isl throughout prefill
+        return phase == DECODE and any(p is not None and p.has_z for p in sizes)
 
     def compile_op(op: OpSpec, prev: Optional[OpSpec], label: str) -> _OpStep:
         is_moe = _is_moe_op(op)
         runtime = _MOE_RUNTIME if is_moe else RUNTIME_SYMBOLS
-        transition = None
-        if cp_degree > 1:
-            size = _transition_size(op, prev, dims, cp_degree, runtime)
-            if size is not None:
-                transition = (size, f"{prev.label}->{op.label}", cp_degree)
+        moved = (_transition_size(op, prev, dims, cp_degree, runtime)
+                 if cp_degree > 1 else None)
+        transition = (None if moved is None else
+                      (moved, f"{prev.label}->{op.label}", cp_degree))
         # MoE ops: statistics are per-GPU, so no further expert shard.
         shards = op_shards(op, dict(degrees, ep=1) if is_moe else degrees)
         world = degrees[degree_kind(op.parallel)] if op.parallel else 1
         size = _allreduce_size(op, dims, world, runtime)
         compute = _compile_compute(op, dims, shards, runtime)
-        reads = varies(op, prev)
+        context = reads(moved, compute.output, *compute.inputs,
+                        *(compute.gemm or ()), compute.flops, size)
         return _OpStep(
-            label=label, op=op, is_moe=is_moe, reads_context=reads,
+            label=label, op=op, is_moe=is_moe, reads_context=context,
             transition=transition, compute=compute,
             allreduce=None if size is None else (size, world),
             overlap=None if op.overlap_stage is None else (
                 op.overlap_stage, op.overlap_sm, op.overlap_dim),
-            line=(reads and not is_moe and transition is None and size is None
+            line=(context and not is_moe and transition is None and size is None
                   and compute.affine))
 
     steps: list = []
@@ -1001,9 +1011,9 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
             if j == 0 and not sub.is_attention:
                 size = _Product.of(sub.equation.output_operand, dims,
                                    op_shards(sub, degrees), RUNTIME_SYMBOLS)
-                reads = varies(sub, prev)
-                steps.append(_ScoreStep(op.label, size, reads,
-                                        line=reads and size.affine))
+                context = reads(size)
+                steps.append(_ScoreStep(op.label, size, context,
+                                        line=context and size.affine))
             prev = sub
     plan = LayerPlan(phase, dims, tuple(steps), overlap_steps=tuple(takes))
     return plan.with_overlap(overlap)

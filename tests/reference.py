@@ -47,7 +47,6 @@ from llm_energy.interpreter import (
     local_size,
     op_shards,
     operand_bytes,
-    reads_context,
 )
 from llm_energy.metrics import (
     CATEGORY_COMM,
@@ -60,7 +59,7 @@ from llm_energy.spec_lang import ModelSpec, degree_kind, validate_bindings
 # -- lowering -------------------------------------------------------------------
 
 
-def reference_lower(spec, dims, ctx, degrees, moe_te=None, context_only=False):
+def reference_lower(spec, dims, ctx, degrees, moe_te=None):
     """Lowering with every size taken from scratch per call: bind b, s, z
     (and T, E for MoE ops) into the dims, then shard and multiply."""
     if ctx.phase == DECODE and any(op.overlap_stage for op in spec.ops):
@@ -73,10 +72,18 @@ def reference_lower(spec, dims, ctx, degrees, moe_te=None, context_only=False):
         i = next(i for i, o in enumerate(stream) if o is op)
         return stream[i - 1] if i > 0 else None
 
+    def has_z(op):
+        eq = op.equation
+        return any("z" in operand for operand in (*eq.input_operands, eq.output_operand))
+
     def varies(op):
+        # In decode, an op's kernels change with z when z is in its
+        # equation, or when it changes the cp layout of an op whose output
+        # holds z, which sizes the transition.
         prev = preceding(op)
-        return ctx.phase == DECODE and (reads_context(op) or (
-            cp > 1 and prev is not None and reads_context(prev)))
+        return ctx.phase == DECODE and (has_z(op) or (
+            cp > 1 and prev is not None and op.cp_dim != prev.cp_dim
+            and "z" in prev.equation.output_operand))
 
     def compute(op, local, shards):
         eq = op.equation
@@ -101,8 +108,6 @@ def reference_lower(spec, dims, ctx, degrees, moe_te=None, context_only=False):
     lowered = []
 
     def lower_one(op, label):
-        if context_only and not varies(op):
-            return
         local = bound
         is_moe = _is_moe_op(op)
         if is_moe:
@@ -135,13 +140,14 @@ def reference_lower(spec, dims, ctx, degrees, moe_te=None, context_only=False):
             continue
         for j, sub in enumerate(op.attn_eqs):
             lower_one(sub, f"{op.label}: {sub.label}")
-            if j == 0 and (varies(sub) or not context_only):
+            if j == 0:
                 size = operand_bytes(sub.equation.output_operand, bound,
                                      op_shards(sub, degrees))
                 lowered.append(LoweredOp(
                     f"{op.label}: score",
                     (MemoryOpDescriptor(2 * size, label=f"{op.label} score"),),
-                    reads_context=varies(sub)))
+                    reads_context=(ctx.phase == DECODE
+                                   and any(map(has_z, op.attn_eqs)))))
     return lowered
 
 
@@ -318,7 +324,7 @@ def reference_rows(est, ctx, degrees, overlap=None, invariant_once=False):
         return price(kernel, est.compute_backend, est.comm_backend)
 
     for n, (position, width) in enumerate(steps):
-        step = ctx if ctx.phase == PREFILL else ctx.at_position(position)
+        step = ctx if ctx.phase == PREFILL else replace(ctx, decode_position=position)
         stats = est.routing_stats(step, degrees)
         lowered = reference_lower(spec, est.dims, step, degrees,
                                   moe_te=stats.avg if stats else None)

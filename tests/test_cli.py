@@ -130,6 +130,16 @@ def test_estimate_writes_no_report_unless_every_phase_is_priced(tmp_path):
         assert not out.exists() or not any(out.iterdir())
 
 
+def test_cp_decode_estimate_is_a_validation_error(tmp_path, capsys):
+    # The cp fixture shards s over cp, and decode has s = 1.
+    code = main(["estimate", *_base_args(tmp_path, spec="dense_fused_cp.json"),
+                 "--phase", "decode", "--cp", "2"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: symbol 's' size 1 not divisible by degree 2\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_validate_clean_and_dirty(tmp_path):
     assert main(["validate", "--spec", "fixture:moe_fused.json",
                  "--dims", "fixture:qwen3_30b_a3b.json"]) == EXIT_OK

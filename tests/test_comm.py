@@ -315,11 +315,20 @@ _PREAMBLE, _ROWS = _FIXTURE_LINES[:2], [line.split(",") for line in _FIXTURE_LIN
 _BAD_VALUES = ("nan", "inf", "0", "-1", "-inf", "0.0")
 
 
+def _put(row, k, value):
+    """Write cell ``k`` of ``row`` if the row has it (a short row may not)
+    and ``value`` is not None."""
+    if k < len(row) and value is not None:
+        row[k] = value
+
+
 def _edit(rows, name, i, j):
-    """Apply one named edit at row ``i`` (with ``j`` its second choice)."""
+    """Apply one named edit at row ``i`` (with ``j`` its second choice).
+    At most four edits leave a row at least its kind and world cells."""
     n = len(rows)
     row = rows[i % n]
     before = rows[i % n - 1] if i % n else rows[-1]
+    size = before[3] if len(before) > 3 else None  # the size before, if any
     if name == "move":             # a curve's rows no longer contiguous
         rows.insert(j % n, rows.pop(i % n))
     elif name == "move two":       # two runs of one curve, each of two rows
@@ -331,19 +340,20 @@ def _edit(rows, name, i, j):
         k = i % (n - 1)
         rows[k], rows[k + 1] = rows[k + 1], rows[k]
     elif name == "duplicate size":
-        row[3] = before[3]
+        _put(row, 3, size)
     elif name == "equal logs":     # the next float above the size before
-        row[3] = repr(math.nextafter(float(before[3]), math.inf))
+        _put(row, 3, None if size is None else
+             repr(math.nextafter(float(size), math.inf)))
     elif name == "unknown kind":
         row[0] = "Broadcast"
     elif name == "world 1":
         row[1] = "1"
     elif name == "sm 0":
-        row[2] = "0"
+        _put(row, 2, "0")
     elif name == "one-point curve":  # a key of its own, as the last row
         rows.append([ALLREDUCE, "16", "16", "1024.0", "1e-05", "0.01"])
     elif name == "value":          # each bad value in each numeric column
-        row[3 + j % 3] = _BAD_VALUES[j // 3 % len(_BAD_VALUES)]
+        _put(row, 3 + j % 3, _BAD_VALUES[j // 3 % len(_BAD_VALUES)])
     elif name == "padded kind":    # other cells, the same key
         row[0] = f" {row[0]} "
     elif name == "padded world":
@@ -351,7 +361,7 @@ def _edit(rows, name, i, j):
     elif name == "text world":     # a cell that is not an integer
         row[1] = "two"
     elif name == "text size":
-        row[3] = "x"
+        _put(row, 3, "x")
     elif name == "short row":
         del row[-1]
     else:
@@ -407,6 +417,7 @@ def test_loader_equals_reference_on_random_edits(tmp_path_factory):
     @given(edits=st.lists(st.tuples(st.sampled_from(_EDITS),
                                     st.integers(0, 2000), st.integers(0, 2000)),
                           max_size=4))
+    @example(edits=[("short row", 0, 0), ("value", 0, 158)])  # a cell it lacks
     def check(edits):
         _assert_loads_as_reference(path, edits)
 

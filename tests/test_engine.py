@@ -29,9 +29,9 @@ from llm_energy.interpreter import (
     GemmDescriptor,
     GemmLine,
     LayerPlan,
+    MemoryOpLine,
     compile_layer,
     lower_model,
-    reads_context,
 )
 from llm_energy.metrics import (
     CATEGORY_COMM,
@@ -297,16 +297,22 @@ def test_decode_matches_per_position_pricing(request, spec_name, degrees, routin
         sum(en for _, en in expected.values()), rel=1e-12, abs=0)
 
 
+def _decode_lowering(spec, dims, degrees):
+    """The decode layer lowered at one position (see
+    :meth:`LayerPlan.lower_decode`); any routing statistics will do."""
+    degrees = validate_bindings(spec, dims, degrees).degrees
+    plan = compile_layer(spec, dims, degrees, DECODE)
+    return plan.lower_decode({"b": 2, "s": 1}, [range(514, 515)],
+                             moe_te=(16.0, 8.0))
+
+
 def _closed_form_labels(est, degrees):
     """The labels of the decode rows that the estimator sums over z in
     closed form, and of the other rows of kernels that read the context."""
-    degrees = validate_bindings(est.spec, est.dims, degrees).degrees
-    plan = compile_layer(est.spec, est.dims, degrees, DECODE)
-    closed = {label for label, _ in plan.lower_lines({"b": 2, "s": 1, "z": 1})}
-    context = {op.label for op in plan.lower(PhaseContext(DECODE, 2, 1, osl=1),
-                                             moe_te=(16.0, 8.0))
-               if op.reads_context}
-    return closed, context - closed
+    lowered = _decode_lowering(est.spec, est.dims, degrees)
+    closed = {op.label for op in lowered
+              if isinstance(op.kernels[0], (GemmLine, MemoryOpLine))}
+    return closed, {op.label for op in lowered if op.reads_context} - closed
 
 
 @pytest.mark.parametrize("stride", [1, 64])
@@ -318,12 +324,13 @@ def _closed_form_labels(est, degrees):
 def test_decode_report_bytes_match_scalar_accumulation(
         request, spec_name, degrees, routing, backend, stride, hw, roofline,
         comm_backend):
-    # Rows of kernels that do not read the context, and of context kernels
-    # priced as columns (the cp transition, the folded MoE expert op), add
-    # each term position by position, kernel by kernel, as the reference
-    # does: their bytes are the same, and so are a one-position report's.
-    # Rows summed over z in closed form are a reassociated sum: they agree
-    # within the tolerance stated for them, a relative 1e-12.
+    # Rows of kernels that do not read the context are priced once and
+    # weighted by the whole phase, as the reference does with
+    # invariant_once: their bytes are the same. Rows of context kernels,
+    # summed over z in closed form or over each run of positions as
+    # columns (the cp transition, the folded MoE expert op), are a
+    # reassociated sum: at every osl they agree within the tolerance stated
+    # for them, a relative 1e-12.
     spec = request.getfixturevalue(spec_name)
     dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
@@ -340,7 +347,7 @@ def test_decode_report_bytes_match_scalar_accumulation(
         rows = []
         for row in report.rows:
             latency, energy = expected[(row.label, row.category)]
-            if osl > 1 and row.label in closed:
+            if row.label in closed | columns:
                 assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)
                 assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
                 latency, energy = row.latency, row.energy
@@ -363,10 +370,11 @@ _PRICING = [(RooflineBackend, name) for name in (
 def test_decode_lowers_full_layer_once(
         request, monkeypatch, spec_name, degrees, routing, hw, roofline,
         comm_backend):
-    # The full layer is lowered once, at the first position, as one-point
-    # columns, and each context kernel is summed over the other positions in
-    # closed form: no lowering or pricing call is repeated per position,
-    # whatever osl is, and no descriptor is lowered.
+    # The layer is lowered once for the whole phase, each step that does
+    # not read the context as one-point columns, and each context kernel is
+    # summed over the positions in closed form: no lowering or pricing call
+    # is repeated per position, whatever osl is, and no descriptor is
+    # lowered.
     spec = request.getfixturevalue(spec_name)
     dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
@@ -376,7 +384,7 @@ def test_decode_lowers_full_layer_once(
         def wrapped(*args, **kwargs):
             result = fn(*args, **kwargs)
             calls[key] = calls.get(key, 0) + 1
-            if key == "lower_columns":
+            if key == "lower_decode":
                 calls["kernels"] = calls.get("kernels", 0) + sum(
                     len(op.kernels) for op in result)
             return result
@@ -388,7 +396,7 @@ def test_decode_lowers_full_layer_once(
                        moe_te=(16.0, 8.0) if spec_name == "moe_spec" else None)
     layer_kernels = sum(len(op.kernels) for op in full)
 
-    for name in ("lower", "lower_columns", "lower_lines"):
+    for name in ("lower", "lower_columns", "lower_decode"):
         monkeypatch.setattr(LayerPlan, name, counting(getattr(LayerPlan, name), name))
     for owner, name in _PRICING:
         monkeypatch.setattr(owner, name, counting(getattr(owner, name), name))
@@ -409,18 +417,21 @@ def test_decode_lowers_full_layer_once(
         report = est.estimate(PhaseContext(DECODE, 2, 512, osl=osl), degrees)
         assert report.feasible
         assert calls.get("routing", 0) == (spec_name == "moe_spec")
-        assert (calls["lower_columns"], calls["kernels"], calls.get("lower"),
-                calls["lower_lines"]) == (lowerings, lowerings * layer_kernels,
-                                          None, 1)
+        assert (calls["lower_decode"], calls["kernels"], calls.get("lower"),
+                calls.get("lower_columns")) == (lowerings, lowerings * layer_kernels,
+                                                None, None)
         counts.append(dict(calls))
     assert counts[0] == counts[1] == counts[2]
 
 
+@pytest.mark.parametrize("degrees", [{"tp": 2}, {"tp": 2, "cp": 2}])
 def test_decode_column_pricing_is_independent_of_osl(dense_spec, dims_8b, hw,
                                                      roofline, comm_backend,
-                                                     monkeypatch):
+                                                     monkeypatch, degrees):
     # The elements that the backends price as columns on a dense decode:
-    # as many at osl 64 as at osl 4096.
+    # as many at osl 64 as at osl 4096. The fused fixture has no cp layout,
+    # so cp 2 changes no kernel: its rows and latencies are cp 1's, bit for
+    # bit (energies count twice the GPUs).
     priced = []
 
     def counting(fn, size):
@@ -437,8 +448,12 @@ def test_decode_column_pricing_is_independent_of_osl(dense_spec, dims_8b, hw,
     est = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
     for osl in (64, 4096):
         priced.append(0)
-        assert est.estimate(PhaseContext(DECODE, 16, 4096, osl=osl),
-                            {"tp": 2}).feasible
+        ctx = PhaseContext(DECODE, 16, 4096, osl=osl)
+        report = est.estimate(ctx, degrees)
+        assert report.feasible
+        assert ([(r.label, r.category, r.latency) for r in report.rows]
+                == [(r.label, r.category, r.latency)
+                    for r in est.estimate(ctx, {"tp": 2}).rows])
     assert priced[0] == priced[1]
 
 
@@ -457,9 +472,8 @@ def test_low_peak_profile_puts_the_roofline_crossover_inside_the_decode(
         dense_spec, dims_8b, hw):
     # Positions 2..200 after isl 512 span z = 514..712; the fixture's
     # profile keeps the attention GEMMs memory bound over all of them.
-    plan = compile_layer(dense_spec, dims_8b, {"tp": 2, "ep": 1, "cp": 1}, DECODE)
-    gemms = [line for _, line in plan.lower_lines({"b": 2, "s": 1, "z": 1})
-             if isinstance(line, GemmLine)]
+    gemms = [op.kernels[0] for op in _decode_lowering(dense_spec, dims_8b, {"tp": 2})
+             if isinstance(op.kernels[0], GemmLine)]
     assert len(gemms) == 2
     for profile, crosses in ((hw, False), (_low_peak(hw), True)):
         for g in gemms:
@@ -505,13 +519,22 @@ def test_closed_form_decode_matches_per_position_sum(
         sum(en for _, en in expected.values()), rel=1e-12, abs=0)
 
 
-def test_reads_context_marks_attention_by_sub_equations(dense_spec, moe_spec):
-    reading = {op.label for op in dense_spec.ops if reads_context(op)}
-    assert reading == {"Attention"}
-    attention = next(op for op in moe_spec.ops if op.is_attention)
-    assert [reads_context(sub) for sub in attention.attn_eqs] == [True, True]
-    assert not any(reads_context(op) for op in moe_spec.ops
-                   if not op.is_attention)
+def test_decode_steps_read_the_context_by_their_compiled_sizes(
+        dense_spec, moe_spec, dims_8b, dims_moe, cp_decode_spec):
+    # Attention's sub-equations and score read z; under cp, so does the cp
+    # transition sized by the QK scores, but not an op that only follows
+    # them. No prefill step reads the context: z = isl throughout.
+    attention = {"Attention: QK", "Attention: score", "Attention: AV"}
+    for spec, dims, degrees, reading in (
+            (dense_spec, dims_8b, {"tp": 2}, attention),
+            (moe_spec, dims_moe, {"tp": 2, "ep": 4}, attention),
+            (cp_decode_spec, dims_8b, {"cp": 2},
+             {"Attention: QK", "Attention: score", "Output Projection"})):
+        assert {op.label for op in _decode_lowering(spec, dims, degrees)
+                if op.reads_context} == reading
+        degrees = validate_bindings(spec, dims, degrees).degrees
+        assert not any(step.reads_context for step in
+                       compile_layer(spec, dims, degrees, PREFILL).steps)
 
 
 @pytest.mark.parametrize("settings", [[(2, 4), None, (4, 16), (1, 8), (2, 108)],
@@ -594,9 +617,10 @@ def test_estimator_rejects_tile_below_one(dense_spec, dims_8b, hw, roofline,
 def test_closed_form_decode_of_every_kernel_form(dims_8b, hw, roofline,
                                                 comm_backend, backend, stride):
     # Memory ops sized by their output or by every operand, GEMMs with
-    # N = 1 and with z in M, and, under cp, a GEMM that does not read z but
-    # follows one that does in the same cp layout: each summed in closed
-    # form, within a relative 1e-12 of the position-by-position loop.
+    # N = 1 and with z in M, each summed in closed form, and, under cp, a
+    # GEMM that does not read z but follows one that does in the same cp
+    # layout, priced once: within a relative 1e-12 of the
+    # position-by-position loop.
     spec = ModelSpec(tuple(
         OpSpec(equation=parse_equation(eq), cp_dim="b", label=label, **kw)
         for eq, label, kw in (
@@ -610,12 +634,32 @@ def test_closed_form_decode_of_every_kernel_form(dims_8b, hw, roofline,
     compute = roofline if backend == "roofline" else _table_backend(hw)
     est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride)
     closed, columns = _closed_form_labels(est, degrees)
-    assert closed == {"Scale", "Outer", "Narrow", "Wide", "Constant"}
+    assert closed == {"Scale", "Outer", "Narrow", "Wide"}
     assert not columns
     ctx = PhaseContext(DECODE, 6, 3000, osl=700)
     report = est.estimate(ctx, degrees)
     expected = reference.reference_rows(est, ctx, degrees)
     assert [(r.label, r.category) for r in report.rows] == list(expected)
+    for row in report.rows:
+        latency, energy = expected[(row.label, row.category)]
+        assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)
+        assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("isl, stride, osl", [(1, 2, 5), (1, 2, 1), (5, 2, 3)])
+def test_decode_gemm_with_n_one_at_one_position(dims_8b, hw, roofline,
+                                                comm_backend, isl, stride, osl):
+    # N = z / 2 is 1 at z = 2 only: that position lowers the GEMM as a
+    # memory op, its own row, and the others as a GEMM, as the reference
+    # does position by position (an isl of 5 never reaches N = 1).
+    spec = ModelSpec((OpSpec(equation=parse_equation("bKh,bKzh->bKz"),
+                             parallel="z", label="Scores"),), 1)
+    est = _est(spec, dims_8b, hw, roofline, comm_backend, decode_stride=stride)
+    ctx = PhaseContext(DECODE, 2, isl, osl=osl)
+    report = est.estimate(ctx, {"tp": 2})
+    expected = reference.reference_rows(est, ctx, {"tp": 2})
+    assert [(r.label, r.category) for r in report.rows] == list(expected)
+    assert len(expected) == (2 if isl == 1 and osl > 1 else 1)
     for row in report.rows:
         latency, energy = expected[(row.label, row.category)]
         assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)

@@ -2,6 +2,7 @@
 
 import math
 from array import array
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from llm_energy import (
     CommDescriptor,
     DimensionBindings,
+    Estimator,
     GemmDescriptor,
     MemoryOpDescriptor,
     PhaseContext,
@@ -39,7 +41,6 @@ from llm_energy.interpreter import (
     decode_positions,
     op_shards,
     operand_bytes,
-    reads_context,
 )
 from llm_energy.spec_lang import ModelSpec, OpSpec
 
@@ -183,6 +184,21 @@ def test_decode_phase_rule(dense_spec, dims_8b):
     assert qkv.gemm.m == 4  # s=1 leaves only the batch factor
 
 
+@pytest.mark.parametrize("bad", [2.5, 512.0, True])
+@pytest.mark.parametrize("field", ["batch", "isl", "osl", "decode_position"])
+def test_phase_sizes_that_are_not_integers_are_rejected(field, bad):
+    # A fractional batch was priced and reported as such, and a fractional
+    # decode position ended in a TypeError inside the estimator.
+    sizes = {"batch": 2, "isl": 512, "osl": 600, "decode_position": 1}
+    assert PhaseContext(DECODE, **sizes).z == 513
+    with pytest.raises(ValidationError,
+                       match=f"^{field} must be an integer, got {bad!r}$"):
+        PhaseContext(DECODE, **dict(sizes, **{field: bad}))
+    if field in ("batch", "isl"):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer"):
+            PhaseContext(PREFILL, **dict({"batch": 2, "isl": 512}, **{field: bad}))
+
+
 def test_scatter_lowered_as_memory_op(moe_spec, dims_moe):
     ctx = PhaseContext(PREFILL, batch=1, isl=64)
     lowered = lower_model(moe_spec, dims_moe, ctx, {"tp": 1, "ep": 1, "cp": 1},
@@ -231,23 +247,43 @@ def _context_ops_spec():
 def test_line_steps_are_decided_from_the_compiled_sizes(tp):
     # A context step has a line form when z is a factor, unsharded, of at
     # most one size product per GEMM axis; read at any z, its line is the
-    # kernel that lowering gives there. z sharded by tp > 1 is not affine.
+    # kernel that lowering gives there. z sharded by tp > 1 is not affine,
+    # so that step is lowered as columns over the positions.
     dims = load_bindings(fixture_path("llama3_8b.json")).with_sizes(w=64)
     plan = compile_layer(_context_ops_spec(), dims, {"tp": tp, "ep": 1, "cp": 1},
                          DECODE)
-    assert [(step.label, step.line) for step in plan.steps] == [
-        ("Scale", True), ("Outer", True), ("Narrow", True), ("Wide", True),
-        ("Sharded", tp == 1)]
-    assert plan.context_columns == (tp > 1)
-    lines = plan.lower_lines({"b": 3, "s": 1, "z": 1})
-    assert [type(line).__name__ for _, line in lines] == [
-        "MemoryOpLine", "MemoryOpLine", "MemoryOpLine", "GemmLine",
-        "GemmLine"][:len(lines)]
+    assert [(step.label, step.reads_context, step.line) for step in plan.steps] == [
+        ("Scale", True, True), ("Outer", True, True), ("Narrow", True, True),
+        ("Wide", True, True), ("Sharded", True, tp == 1)]
     for z in (2, 518, 4096):  # z sharded by 2 must divide
         lowered = plan.lower(PhaseContext(DECODE, 3, z - 1, osl=1))
-        for (label, line), op in zip(lines, lowered):
-            assert (label, len(op.kernels)) == (op.label, 1)
-            assert _line_kernel(line, z) == _line_kernel(op.kernels[0], z)
+        decoded = plan.lower_decode({"b": 3, "s": 1}, [range(z, z + 1)])
+        assert [type(op.kernels[0]).__name__ for op in decoded] == [
+            "MemoryOpLine", "MemoryOpLine", "MemoryOpLine", "GemmLine",
+            "GemmLine" if tp == 1 else "GemmColumns"]
+        for step, got, op in zip(plan.steps, decoded, lowered):
+            kernel = got.kernels[0] if step.line else _column_kernel(got.kernels[0], 0)
+            assert (got.label, len(got.kernels)) == (op.label, 1)
+            assert _line_kernel(kernel, z) == _line_kernel(op.kernels[0], z)
+
+
+@pytest.mark.parametrize("isl, osl, error", [
+    (511, 1, None),
+    (511, 3, "symbol 'z' size 513 not divisible by degree 2"),  # position 2
+    (512, 1, "symbol 'z' size 513 not divisible by degree 2")])  # position 1
+def test_decode_error_is_the_first_failing_positions(hw, roofline, comm_backend,
+                                                      isl, osl, error):
+    # z sharded by tp 2 must divide at every position: the error raised is
+    # the first position's first in stream order, or else the earliest
+    # failing position's.
+    dims = load_bindings(fixture_path("llama3_8b.json")).with_sizes(w=64)
+    est = Estimator(_context_ops_spec(), dims, hw, roofline, comm_backend)
+    ctx = PhaseContext(DECODE, 3, isl, osl=osl)
+    if error is None:
+        assert est.estimate(ctx, {"tp": 2}).feasible
+        return
+    with pytest.raises(ValidationError, match=f"^{error}$"):
+        est.estimate(ctx, {"tp": 2})
 
 
 _FIXTURE_PAIRS = (
@@ -347,8 +383,9 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
     # Covers indivisible shards (K = 8 by tp 3, s by cp), decode overlap,
     # overlap without a collective at tp 1, an overlap setting no op takes
     # (the cp spec has no sharded op), and MoE ops without statistics. In
-    # decode, the columns over positions position..osl hold, position by
-    # position, the context ops lowered from scratch.
+    # decode, the lowering over positions position..osl holds, position by
+    # position, the ops lowered from scratch: a step that reads the context
+    # as columns or as a line, any other as one point.
     # The MoE spec gains an op whose sizes interleave the fractional T with
     # bound sizes (an odd hidden size m, f = 3 * 256), so that a product
     # taken in another factor order differs in its last bits.
@@ -366,12 +403,11 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
     want = _outcome(reference_lower, annotated, dims, ctx, degrees,
                     moe_te=moe_te)
     positions = list(range(position, ctx.osl + 1))
-    steps = [_outcome(reference_lower, annotated, dims, ctx.at_position(p),
-                      degrees, moe_te=moe_te, context_only=True)
+    steps = [_outcome(reference_lower, annotated, dims,
+                      replace(ctx, decode_position=p), degrees, moe_te=moe_te)
              for p in positions]
     errors = [step for step in steps if isinstance(step, tuple)]
-    want_columns = errors[0] if errors else [
-        [(op.label, op.kernels, op.is_moe) for op in step] for step in steps]
+    want_columns = errors[0] if errors else steps
     if overlap and phase == DECODE:
         # A setting is prefill-only even on a spec with no op that takes it.
         want = want_columns = (ValidationError, "overlap is prefill-only")
@@ -383,28 +419,24 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
         assert _outcome(plan.lower, ctx, moe_te=moe_te) == want
     if phase == DECODE:
         zs = [isl + p for p in positions]
-        env = {"b": batch, "s": 1, "z": array("q", zs)}
-        got = _outcome(plan.lower_columns, env, len(positions), moe_te=moe_te)
-        lines = _outcome(plan.lower_lines, {"b": batch, "s": 1, "z": 1})
+        got = _outcome(plan.lower_decode, {"b": batch, "s": 1},
+                       [range(zs[0], zs[-1] + 1)], moe_te=moe_te)
         if isinstance(want_columns, tuple):
-            # The first error in stream order: the lines' or the columns'.
-            assert want_columns in (got, lines)
+            # The earliest failing position's first error in stream order.
+            assert got == want_columns
             return
-        # The context steps in stream order, each from its line or columns.
-        got, lines = iter(got), iter(lines)
-        context = [(True, next(lines)) if step.line else (False, next(got))
-                   for step in plan.steps if step.reads_context]
-        assert next(got, None) is None and next(lines, None) is None
         for i, (z, want) in enumerate(zip(zs, want_columns)):
-            assert len(context) == len(want)
-            for (line, op), (label, kernels, is_moe) in zip(context, want):
-                if not line:
-                    assert (op.label, tuple(_column_kernel(k, i) for k in op.kernels),
-                            op.is_moe) == (label, kernels, is_moe)
+            assert len(got) == len(want)
+            for step, op, ref in zip(plan.steps, got, want):
+                assert ((op.label, op.is_moe, op.reads_context)
+                        == (ref.label, ref.is_moe, ref.reads_context))
+                if step.line:  # its one kernel, read at z
+                    assert len(ref.kernels) == 1
+                    assert (_line_kernel(op.kernels[0], z)
+                            == _line_kernel(ref.kernels[0], z))
                     continue
-                # A line step's one kernel, read at z.
-                assert (op[0], 1, False) == (label, len(kernels), is_moe)
-                assert _line_kernel(op[1], z) == _line_kernel(kernels[0], z)
+                at = i if op.reads_context else 0
+                assert tuple(_column_kernel(k, at) for k in op.kernels) == ref.kernels
 
 
 def _lower_points(plan, points, moe_te):
