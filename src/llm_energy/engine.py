@@ -112,6 +112,10 @@ class Estimator:
         self.decode_stride = decode_stride
         self.routing_trace = routing_trace
         self.has_moe = any(_is_moe_op(op) for op in _flatten_ops(spec))
+        # The trace's experts must lie in E whatever the degrees, so one
+        # out of range fails the estimator, not each evaluation.
+        if self.has_moe and routing_trace is not None and "E" in dims.sizes:
+            routing_trace.check_experts(dims.sizes["E"])
         # Entries are published whole, so threads sharing the estimator see
         # a finished value or none (and then build it themselves).
         self._memo: dict = {}

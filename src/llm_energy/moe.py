@@ -16,11 +16,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .compute import ZERO_COST, CostEstimate, one_cost
 from .errors import ValidationError
-from .spec_lang import in_file, read_csv
+from .spec_lang import csv_blocks, in_file, open_text, read_csv
 
 DEFAULT_TILE = 16
 
@@ -87,21 +87,42 @@ def uniform_routing(batch: int, s: int, top_k: int, total_experts: int,
                         e_max=float(math.ceil(e_avg)), source="uniform")
 
 
-@dataclass(frozen=True)
 class RoutingTrace:
-    """Per-token expert choices: one row of ``top_k`` expert indices per token."""
+    """Per-token expert choices: one row of ``top_k`` expert indices per token.
 
-    choices: tuple[tuple[int, ...], ...]
+    ``RoutingTrace(choices)`` holds the rows it is given. A trace read by
+    :meth:`load` holds what routing statistics read, its per-expert token
+    counts, and builds its rows only when ``choices`` is first read.
+    Traces are equal when their rows are.
+    """
 
-    def __post_init__(self):
-        if not self.choices:
+    def __init__(self, choices: Sequence[Sequence[int]]):
+        if not choices:
             raise ValidationError("routing trace has no expert choices")
-        if len(set(map(len, self.choices))) != 1:
+        if len(set(map(len, choices))) != 1:
             raise ValidationError("all tokens must pick the same number of experts")
+        self.choices = choices
+        self.top_k = len(choices[0])
+        self.path = None  # the file a loaded trace was read from
 
-    @property
-    def top_k(self) -> int:
-        return len(self.choices[0])
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.choices == other.choices
+
+    def __hash__(self):
+        return hash(self.choices)
+
+    @cached_property
+    def choices(self) -> tuple[tuple[int, ...], ...]:
+        """A loaded trace's rows, parsed from the text of its blocks of rows."""
+        width = self.top_k + 1
+        rows: list[tuple[int, ...]] = []
+        for text in self._blocks:
+            cells = text.split(",")
+            del cells[::width]
+            rows += zip(*[map(int, cells)] * self.top_k)
+        return tuple(rows)
 
     @cached_property
     def expert_counts(self) -> Counter:
@@ -111,10 +132,57 @@ class RoutingTrace:
 
     @classmethod
     def load(cls, path) -> "RoutingTrace":
-        """Rows of ``token,expert,...,expert``; the token column is not read."""
-        (_, *experts), _ = read_csv(path, None, [None], rest=int)
-        with in_file(path):
-            return cls(tuple(zip(*experts)))
+        """Rows of ``token,expert,...,expert``; the token column is not read.
+
+        The expert cells are counted as text, a block of rows at a time,
+        and each distinct text is converted once, so the trace holds its
+        per-expert token counts, not its rows. A file that does not count
+        so (a row of another width, a cell that is not an integer, no
+        expert column, no row) is read again by :func:`read_csv`, which
+        converts every cell, for its fault's message.
+        """
+        counted = _counted_cells(path)
+        if counted is None:
+            (_, *experts), _ = read_csv(path, None, [None], rest=int)
+            with in_file(path):
+                trace = cls(tuple(zip(*experts)))
+        else:
+            trace = cls.__new__(cls)
+            trace.top_k, trace._blocks, trace.expert_counts = counted
+        trace.path = path
+        return trace
+
+    def check_experts(self, total_experts: int) -> None:
+        """A ValidationError, naming the trace's file, for the first expert
+        index in row order outside ``[0, total_experts)``."""
+        for e in self.expert_counts:
+            if not 0 <= e < total_experts:
+                raise ValidationError(
+                    f"{self.path or 'routing trace'}: expert index {e} out of "
+                    f"range for {total_experts} experts")
+
+
+def _counted_cells(path) -> Optional[tuple[int, list[str], Counter]]:
+    """(top_k, the text of each block of rows, tokens per expert index in
+    the order the rows first name them) of a trace file, or None if a row
+    is not as wide as the first, a cell is not an integer, or the file has
+    no expert column. Equal indices written differently (``5``, `` 5``,
+    ``+5``, ``05``) are one index."""
+    blocks: list[str] = []
+    texts: Counter = Counter()
+    try:
+        with open_text(path) as fh:
+            width, checked = csv_blocks(path, fh, None, [])
+            for text, cells, _ in checked:
+                del cells[::width]
+                texts.update(cells)
+                blocks.append(text)
+        counts: Counter = Counter()
+        for text, count in texts.items():
+            counts[int(text)] += count
+    except (ValidationError, ValueError):
+        return None
+    return (width - 1, blocks, counts) if width > 1 else None
 
 
 def stats_from_trace(trace: RoutingTrace, total_experts: int, ep_degree: int,

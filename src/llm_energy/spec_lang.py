@@ -17,7 +17,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import SpecError, ValidationError
 
@@ -358,6 +358,45 @@ def _row_blocks(fh, lineno: int, rows: list, numbers: list, comments: list):
         yield rows, numbers
 
 
+def csv_blocks(path, fh, header: Optional[Sequence[str]],
+               comments: list) -> tuple[int, Iterator[tuple[str, list, list]]]:
+    """The width of the comma-separated input file ``path``, open as ``fh``,
+    and its rows a block of ``_BLOCK_ROWS`` at a time, as (text, cells, line
+    numbers): ``text`` joins the block's rows with ``",\\n"``, and ``cells``
+    are its cells in row order. The comments go to ``comments``.
+
+    With a ``header``, the first row must be exactly that header and is not
+    in a block. Every row must be as wide as the first; a row that is not
+    is named ``path:line`` when its block is reached.
+    """
+    lineno, first = next(_csv_rows(fh, comments), (1, ""))
+    head = first.split(",") if first else []
+    if header is not None and [cell.strip() for cell in head] != list(header):
+        raise ValidationError(f"{path}:{lineno}: header must be {','.join(header)}")
+    data = ([first], [lineno]) if header is None and first else ([], [])
+    width = len(head)
+    return width, _checked_blocks(path, width,
+                                  _row_blocks(fh, lineno, *data, comments))
+
+
+def _checked_blocks(path, width: int, blocks) -> Iterator[tuple[str, list, list]]:
+    for rows, numbers in blocks:
+        # Joined by ",\n", each row but the first starts its first cell
+        # with the only "\n" of that cell, so the rows are all ``width``
+        # wide exactly when those cells fall at every ``width``-th place.
+        text = ",\n".join(rows)
+        cells = text.split(",")
+        starts = ",".join(cells[width::width])
+        if (len(cells) != width * len(rows)
+                or starts.count("\n") != len(rows) - 1):
+            lineno = next(n for n, row in zip(numbers, rows)
+                          if row.count(",") != width - 1)
+            raise ValidationError(f"{path}:{lineno}: expected {width} columns")
+        if starts:
+            cells[width::width] = starts[1:].split(",\n")
+        yield text, cells, numbers
+
+
 def read_csv(path, header: Optional[Sequence[str]], converters: Sequence,
              rest=None) -> tuple[list[list], list[str]]:
     """The columns and the comments of one comma-separated input file.
@@ -368,34 +407,18 @@ def read_csv(path, header: Optional[Sequence[str]], converters: Sequence,
     ``ValueError``) and any further column by ``rest``; a column whose
     converter is ``str`` comes back as read, and one whose converter is
     None is not read and comes back empty. Rows are split and
-    converted a block of ``_BLOCK_ROWS`` at a time, a whole column of the
-    block per ``map``, so a long file's cells are never all held as strings
-    at once. A fault is named ``path:line``: the first in the first block
-    that has one, a bad width before a bad cell, the leftmost column first.
+    converted a block of ``_BLOCK_ROWS`` at a time (:func:`csv_blocks`), a
+    whole column of the block per ``map``, so a long file's cells are never
+    all held as strings at once. A fault is named ``path:line``: the first
+    in the first block that has one, a bad width before a bad cell, the
+    leftmost column first.
     """
     comments: list[str] = []
     with open_text(path) as fh:
-        lineno, first = next(_csv_rows(fh, comments), (1, ""))
-        head = first.split(",") if first else []
-        if header is not None and [cell.strip() for cell in head] != list(header):
-            raise ValidationError(f"{path}:{lineno}: header must be {','.join(header)}")
-        data = ([first], [lineno]) if header is None and first else ([], [])
-        width = len(head)
+        width, blocks = csv_blocks(path, fh, header, comments)
         converters = list(converters) + [rest] * (width - len(converters))
         columns: list[list] = [[] for _ in converters]
-        for rows, numbers in _row_blocks(fh, lineno, *data, comments):
-            # Joined by ",\n", each row but the first starts its first cell
-            # with the only "\n" of that cell, so the rows are all ``width``
-            # wide exactly when those cells fall at every ``width``-th place.
-            cells = ",\n".join(rows).split(",")
-            starts = ",".join(cells[width::width])
-            if (len(cells) != width * len(rows)
-                    or starts.count("\n") != len(rows) - 1):
-                lineno = next(n for n, row in zip(numbers, rows)
-                              if row.count(",") != width - 1)
-                raise ValidationError(f"{path}:{lineno}: expected {width} columns")
-            if starts:
-                cells[width::width] = starts[1:].split(",\n")
+        for _, cells, numbers in blocks:
             for i, column, convert in zip(range(width), columns, converters):
                 if convert is None:
                     continue

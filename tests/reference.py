@@ -9,12 +9,14 @@ and the report rows built from them. Collectives are priced by the comm
 backend, whose curve lookup has a reference of its own in ``test_comm.py``.
 
 Input files are read the same way, one line and one row at a time: the CSV
-reader, and the comm calibration loader, which appends each row to its
-curve, sorts every curve and checks the curves one by one.
+reader; the comm calibration loader, which appends each row to its
+curve, sorts every curve and checks the curves one by one; and the routing
+trace loader, which converts every expert cell and counts the rows.
 """
 
 import functools
 import math
+from collections import Counter
 from itertools import chain, islice
 from dataclasses import replace
 
@@ -458,3 +460,15 @@ def load_comm_calibration(path):
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
     return curves, "; ".join(comments)
+
+
+def load_trace(path):
+    """(rows, top_k, tokens per expert index in the order the rows first name
+    them) of a routing trace file: each row's expert cells converted by
+    ``int``, the token column not read; or the ValidationError of the first
+    bad row or cell, or of a file with no expert cell."""
+    (_, *experts), _ = read_csv(path, None, [None], rest=int)
+    choices = tuple(zip(*experts))
+    if not choices:
+        raise ValidationError(f"{path}: routing trace has no expert choices")
+    return choices, len(choices[0]), Counter(chain.from_iterable(choices))

@@ -16,6 +16,7 @@ from llm_energy import cli
 from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, dumps_json, main
 from llm_energy.explorer import ConfigPoint, format_overlap
 from llm_energy.fixtures import fixture_path
+from llm_energy.moe import RoutingTrace
 
 
 def _base_args(out, spec="dense_fused.json", dims="llama3_8b.json"):
@@ -91,6 +92,57 @@ def test_moe_sweep_rejects_tile_below_one(tmp_path, capsys):
     assert "validation error: tile must be >= 1, got -1" in err
     assert str(grid) not in err
     assert not out.exists()
+
+
+def _moe_trace_command(tmp_path, command, experts):
+    """An ``estimate --phase both`` or a decode ``sweep`` argv of the MoE
+    spec (128 experts) with a trace of 64 top-8 rows drawn from ``experts``."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{t}," + ",".join(str(experts[(t + j) % len(experts)])
+                                                 for j in range(8)) + "\n"
+                             for t in range(64)))
+    args = [command, *_base_args(tmp_path / "out", spec="moe_fused.json",
+                                 dims="qwen3_30b_a3b.json"),
+            "--trace", str(trace)]
+    if command == "estimate":
+        return trace, [*args, "--ep", "2", "--isl", "128", "--osl", "8",
+                       "--phase", "both"]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"batch": [1, 4], "isl": [128], "osl": [8],
+                                "ep": [1, 2, 4]}))
+    return trace, [*args, "--grid", str(grid), "--phase", "decode"]
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_trace_expert_out_of_range_is_validation_error(tmp_path, capsys, command):
+    # Whatever the ep degree, so rejected before any point is priced, in a
+    # sweep as in an estimate, naming the trace file.
+    trace, argv = _moe_trace_command(tmp_path, command, [*range(9), 300])
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert (f"validation error: {trace}: expert index 300 out of range for "
+            "128 experts") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_trace_rows_are_never_built(tmp_path, command):
+    # Routing statistics read the per-expert counts: neither a command nor
+    # the trace's top_k builds its rows.
+    loaded = []
+    load = RoutingTrace.load.__func__
+
+    def spy(cls, path):
+        loaded.append(load(cls, path))
+        return loaded[-1]
+
+    _, argv = _moe_trace_command(tmp_path, command, [*range(0, 128, 3)])
+    with mock.patch.object(RoutingTrace, "load", classmethod(spy)):
+        assert main(argv) == EXIT_OK
+    [trace] = loaded
+    assert trace.top_k == 8
+    assert "choices" not in vars(trace)
+    assert sum(trace.expert_counts.values()) == 64 * 8
 
 
 @pytest.mark.parametrize("phase", ["prefill", "decode"])

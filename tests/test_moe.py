@@ -17,6 +17,8 @@ from llm_energy import (
 )
 from llm_energy.moe import fold_imbalance, quantize_tokens
 
+import reference
+
 
 def test_quantize_tokens():
     assert quantize_tokens(1, 16) == 16
@@ -104,6 +106,101 @@ def test_trace_load(tmp_path):
     trace = RoutingTrace.load(p)
     assert trace.top_k == 2
     assert trace.choices == ((1, 3), (0, 2), (1, 1))
+
+
+def test_loaded_trace_holds_counts_and_builds_rows_on_request(tmp_path):
+    p = tmp_path / "trace.csv"
+    p.write_text("0,5,+2\n1, 05,2\ntoken,3,5\n")
+    trace = RoutingTrace.load(p)
+    assert trace.top_k == 2
+    assert list(trace.expert_counts.items()) == [(5, 3), (2, 2), (3, 1)]
+    assert "choices" not in vars(trace)
+    assert trace == RoutingTrace(((5, 2), (5, 2), (3, 5)))
+    assert trace.choices == ((5, 2), (5, 2), (3, 5))
+    assert hash(trace) == hash(RoutingTrace(((5, 2), (5, 2), (3, 5))))
+
+
+def test_check_experts_names_the_trace_file(tmp_path):
+    p = tmp_path / "trace.csv"
+    p.write_text("0,1,7\n1,9,2\n")
+    RoutingTrace.load(p).check_experts(10)
+    with pytest.raises(ValidationError,
+                       match=f"^{p}: expert index 7 out of range for 4 experts$"):
+        RoutingTrace.load(p).check_experts(4)
+    with pytest.raises(ValidationError, match="^routing trace: expert index -1 "):
+        RoutingTrace(((0, -1),)).check_experts(4)
+
+
+# An expert index and the ways a cell may write it; a token cell, which is
+# never read; and lines that are no row.
+_EXPERT_CELL = st.integers(0, 40).flatmap(lambda e: st.sampled_from(
+    [str(e), f" {e}", f"+{e}", f"0{e}", f"{e} ", f"-{e}"]))
+_TOKEN_CELL = st.sampled_from(["0", "17", " 3", "tok", "", "a#b"])
+_NO_ROW = st.sampled_from(["", "   ", "# token,experts", "  # note", "#"])
+_BAD_CELL = st.sampled_from(["x", "", "1.5", "nan", "1e3", "0x1f"])
+
+
+@st.composite
+def _trace_file(draw):
+    """A trace file's bytes: rows of one width among comments and blank
+    lines, often more than one block of rows long, perhaps with a fault."""
+    top_k = draw(st.integers(1, 4))
+    row = st.tuples(_TOKEN_CELL, st.lists(_EXPERT_CELL, min_size=top_k,
+                                          max_size=top_k))
+    pattern = draw(st.permutations([draw(row), *draw(st.lists(
+        st.one_of(row, row, _NO_ROW), max_size=7))]))
+    lines = [",".join([line[0], *line[1]]) if isinstance(line, tuple) else line
+             for line in pattern * draw(st.integers(1, 9) | st.integers(100, 300))]
+    fault = draw(st.sampled_from(["none", "none", "short", "long", "cell",
+                                  "width 1", "empty", "comments", "byte"]))
+    where = draw(st.integers(0, 10 ** 4)) % len(lines)
+    if fault == "short":
+        lines[where] = ",".join(["0"] + ["1"] * (top_k - 1))
+    elif fault == "long":
+        lines[where] = ",".join(["0"] + ["1"] * (top_k + 1))
+    elif fault == "cell":
+        cells = ["0"] + ["1"] * top_k
+        cells[draw(st.integers(0, top_k))] = draw(_BAD_CELL)
+        lines[where] = ",".join(cells)
+    elif fault == "width 1":
+        lines = [line if line.strip()[:1] in ("", "#") else line.split(",")[0]
+                 for line in lines]
+    elif fault in ("empty", "comments"):
+        lines = [] if fault == "empty" else ["# routing trace", "", "#"]
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode() + b"\n"
+    if fault == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _as_loaded(path):
+    trace = RoutingTrace.load(path)
+    top_k, counts = trace.top_k, list(trace.expert_counts.items())
+    assert "choices" not in vars(trace)  # reading these built no rows
+    return trace.choices, top_k, counts
+
+
+def _as_reference(path):
+    choices, top_k, counts = reference.load_trace(path)
+    return choices, top_k, list(counts.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_trace_file())
+def test_trace_load_equals_reference(tmp_path_factory, data):
+    # The rows, top_k and per-expert counts in order, or the message of the
+    # same fault, as converting every cell and counting the rows gives them.
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    path.write_bytes(data)
+
+    def outcome(load):
+        try:
+            return load(path)
+        except ValidationError as exc:
+            return str(exc)
+
+    assert outcome(_as_loaded) == outcome(_as_reference)
 
 
 def _brute_force_stats(choices, total_experts, ep_degree, tile):
