@@ -11,6 +11,7 @@ import math
 import shutil
 import sys
 from contextlib import ExitStack
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -22,9 +23,10 @@ from .compute import (
     TableComputeBackend,
     load_hardware_profile,
 )
-from .engine import DEFAULT_DECODE_STRIDE, Estimator
+from .engine import DEFAULT_DECODE_STRIDE, Estimator, check_trace_experts
 from .errors import BackendError, SpecError, ValidationError
 from .explorer import (
+    format_overlap,
     heuristic_compare,
     insight_queries,
     load_points,
@@ -82,22 +84,26 @@ def _load_inputs(args) -> dict:
 # indentation of rows in a list under a top-level key. The C encoder runs
 # only when no indent is set.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-# Rows per C-encoder call and per CSV write: one call per row costs more,
-# and one call for a whole list holds all of its text at once (a 1024-row
-# block raised a sweep's peak memory by 2 MB).
+# Rows per C-encoder call and per block of the point writer: one call or
+# write per row costs more, and one for a whole list holds all of its text
+# at once (a 1024-row block raised a sweep's peak memory by 2 MB).
 _ROWS_PER_BLOCK = 64
 # Between two rows, as the encoder writes it and as ``indent=2`` does.
 # Strings are encoded with their newlines escaped and rows hold scalars,
 # so the encoder's text has this only between rows.
 _ENCODED_ROW_BREAK = "},\n      {"
 _INDENTED_ROW_BREAK = "\n    },\n    {\n      "
+# A payload value that :func:`_json_chunks` yields as it is, in place of
+# its text, for the caller to write the value's text there.
+_SPLICE = object()
 
 
 def _json_chunks(payload: dict, rows: tuple = ()) -> Iterator[str]:
     """``json.dumps(payload, indent=2, sort_keys=True)`` of a dict with
     string keys, in chunks, byte for byte. The lists under the top-level
     keys ``rows`` hold non-empty dicts of scalars (no list or dict), and
-    are encoded by the C encoder, one chunk per block of rows."""
+    are encoded by the C encoder, one chunk per block of rows. A value
+    that is ``_SPLICE`` is yielded itself."""
     if not payload:
         yield "{}"
         return
@@ -105,7 +111,9 @@ def _json_chunks(payload: dict, rows: tuple = ()) -> Iterator[str]:
     for key, value in sorted(payload.items()):
         yield f"{opening}\n  {json.dumps(key)}: "
         opening = ","
-        if key not in rows:
+        if value is _SPLICE:
+            yield value
+        elif key not in rows:
             yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
         elif not value:
             yield "[]"
@@ -188,22 +196,59 @@ def cmd_estimate(args) -> int:
 
 _POINTS_CSV_HEADER = ["phase", "batch", "isl", "osl", "tp", "ep", "cp", "overlap",
                       "feasible", "latency_s", "energy_j", "infeasible_reason"]
+# A ``points.json`` row as ``indent=2`` writes :meth:`ConfigPoint.to_dict`
+# in a list under a top-level key: the keys in sorted order.
+_POINT_ROW = ("{\n"
+              '      "batch": %d,\n'
+              '      "cp": %d,\n'
+              '      "energy_j": %s,\n'
+              '      "ep": %d,\n'
+              '      "feasible": %s,\n'
+              '      "infeasible_reason": %s,\n'
+              '      "isl": %d,\n'
+              '      "latency_s": %s,\n'
+              '      "osl": %d,\n'
+              '      "overlap": %s,\n'
+              '      "phase": %s,\n'
+              '      "tp": %d\n'
+              "    }")
+# A latency's or energy's repr as the JSON encoder writes the value.
+_JSON_NUMBER = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_sweep_csvs(out_dir: Path, points, rows: list[dict],
-                      formats) -> None:
-    """``points.csv`` (format ``csv``): each point's row (see
-    :meth:`ConfigPoint.to_dict`), and ``plot_data.csv`` (format ``plot``):
+class _Memo(dict):
+    """A dict that fills a missing key with ``function(key)``."""
+
+    def __init__(self, function, *args):
+        super().__init__(*args)
+        self._function = function
+
+    def __missing__(self, key):
+        self[key] = value = self._function(key)
+        return value
+
+
+def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
+    """``points.json`` (format ``json``): ``payload`` with the rows of
+    :meth:`ConfigPoint.to_dict` under ``points``; ``points.csv`` (format
+    ``csv``): each point's row; and ``plot_data.csv`` (format ``plot``):
     x=latency, y=energy, series=config group (tp/overlap), one row per
-    feasible point. Latencies and energies are written as their repr,
-    taken once for both files, a block of points at a time.
+    feasible point. One pass over the points, a block at a time, each
+    block written to every file before the next is formatted; a latency
+    or energy is written as its repr, taken once for all three files.
 
     No field of ``plot_data.csv`` needs quoting (integers, float reprs,
     overlap settings), so its lines are written as :mod:`csv` writes
     them, without a second writer and its 128 KiB record buffer."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    encoded = _Memo(encode_basestring_ascii, {None: "null"})
+    overlaps = _Memo(format_overlap)
     with ExitStack() as files:
-        table = plot = None
+        document = table = plot = None
+        if "json" in formats:
+            document = files.enter_context(open(out_dir / "points.json", "w"))
+            chunks = _json_chunks(dict(payload, points=_SPLICE))
+            document.writelines(iter(chunks.__next__, _SPLICE))
         if "csv" in formats:
             table = csv.writer(files.enter_context(
                 open(out_dir / "points.csv", "w", newline="")))
@@ -212,23 +257,37 @@ def _write_sweep_csvs(out_dir: Path, points, rows: list[dict],
             plot = files.enter_context(
                 open(out_dir / "plot_data.csv", "w", newline=""))
             plot.write("series,x_latency_s,y_energy_j,label\r\n")
+        before = "[\n    "
         for start in range(0, len(points), _ROWS_PER_BLOCK):
-            stop = start + _ROWS_PER_BLOCK
-            table_rows, plot_lines = [], []
-            for p, row in zip(points[start:stop], rows[start:stop]):
-                latency, energy = repr(p.latency), repr(p.energy)
-                overlap = row["overlap"]
-                table_rows.append((*p[:7], overlap, p.feasible,
-                                   None if p.latency is None else latency,
-                                   None if p.energy is None else energy,
-                                   p.infeasible_reason))
-                if p.feasible:
-                    plot_lines.append(f"tp{p.tp}-ov{overlap or 'none'},{latency},"
-                                      f"{energy},b{p.batch}-isl{p.isl}\r\n")
+            json_rows, table_rows, plot_lines = [], [], []
+            for (phase, batch, isl, osl, tp, ep, cp, overlap, feasible, latency,
+                 energy, reason) in points[start:start + _ROWS_PER_BLOCK]:
+                latency_text, energy_text = repr(latency), repr(energy)
+                overlap = overlaps[overlap]
+                json_rows.append(_POINT_ROW % (
+                    batch, cp, _JSON_NUMBER.get(energy_text, energy_text), ep,
+                    "true" if feasible else "false", encoded[reason], isl,
+                    _JSON_NUMBER.get(latency_text, latency_text), osl,
+                    encoded[overlap], encoded[phase], tp))
+                table_rows.append((phase, batch, isl, osl, tp, ep, cp, overlap,
+                                   feasible,
+                                   None if latency is None else latency_text,
+                                   None if energy is None else energy_text,
+                                   reason))
+                if feasible:
+                    plot_lines.append(f"tp{tp}-ov{overlap or 'none'},{latency_text},"
+                                      f"{energy_text},b{batch}-isl{isl}\r\n")
+            if document is not None:
+                document.write(before + ",\n    ".join(json_rows))
+                before = ",\n    "
             if table is not None:
                 table.writerows(table_rows)
             if plot is not None:
                 plot.writelines(plot_lines)
+        if document is not None:
+            document.write("[]" if not points else "\n  ]")
+            document.writelines(chunks)
+            document.write("\n")
 
 
 def cmd_sweep(args) -> int:
@@ -256,7 +315,6 @@ def cmd_sweep(args) -> int:
         "input_digests": inputs["digests"],
         "knobs": {"tile": args.tile, "decode_stride": args.decode_stride,
                   "phase": args.phase, "latency_budget": args.latency_budget},
-        "points": [p.to_dict() for p in points],
     }
     frontier_payload = {
         "format_version": 1,
@@ -274,11 +332,9 @@ def cmd_sweep(args) -> int:
             }
         except ValidationError as exc:
             frontier_payload["heuristic"] = {"error": str(exc)}
+    _write_points(out_dir, payload, points, args.format)
     if "json" in args.format:
-        _write_json(out_dir / "points.json", payload, rows=("points",))
         _write_json(out_dir / "frontier.json", frontier_payload, rows=("frontier",))
-    if "csv" in args.format or "plot" in args.format:
-        _write_sweep_csvs(out_dir, points, payload["points"], args.format)
     n_feas = sum(p.feasible for p in points)
     print(f"{len(points)} points ({n_feas} feasible), "
           f"{len(frontier)} on frontier", file=sys.stderr)
@@ -315,13 +371,17 @@ def cmd_validate(args) -> int:
     attempt("hardware profile", args.hw, load_hardware_profile)
     attempt("comm calibration", args.comm_cal, load_comm_calibration)
     attempt("gemm calibration", args.gemm_cal, GemmCalibrationTable.load)
-    attempt("routing trace", args.trace, RoutingTrace.load)
+    trace = attempt("routing trace", args.trace, RoutingTrace.load)
     if spec is not None and dims is not None:
         try:
             validate_bindings(spec, dims,
                               {"tp": args.tp, "ep": args.ep, "cp": args.cp})
         except ValidationError as exc:
             problems.append(f"spec+dims: {exc}")
+        try:
+            check_trace_experts(spec, dims, trace)
+        except ValidationError as exc:
+            problems.append(f"routing trace: {exc}")
     if problems:
         for p in problems:
             print(f"VIOLATION: {p}")

@@ -84,6 +84,19 @@ class _Failure(NamedTuple):
     message: str
 
 
+def _has_moe(spec: ModelSpec) -> bool:
+    return any(_is_moe_op(op) for op in _flatten_ops(spec))
+
+
+def check_trace_experts(spec: ModelSpec, dims: DimensionBindings,
+                        routing_trace: Optional[RoutingTrace]) -> None:
+    """A ValidationError, naming the trace's file, for an expert index of
+    ``routing_trace`` outside the dims' ``E``, whatever the degrees. Only a
+    spec with an MoE op and a bound ``E`` is checked."""
+    if routing_trace is not None and "E" in dims.sizes and _has_moe(spec):
+        routing_trace.check_experts(dims.sizes["E"])
+
+
 class Estimator:
     """Prices a model spec under given bindings, hardware, and backends.
 
@@ -111,11 +124,9 @@ class Estimator:
         self.tile = tile
         self.decode_stride = decode_stride
         self.routing_trace = routing_trace
-        self.has_moe = any(_is_moe_op(op) for op in _flatten_ops(spec))
-        # The trace's experts must lie in E whatever the degrees, so one
-        # out of range fails the estimator, not each evaluation.
-        if self.has_moe and routing_trace is not None and "E" in dims.sizes:
-            routing_trace.check_experts(dims.sizes["E"])
+        self.has_moe = _has_moe(spec)
+        # One expert out of range fails the estimator, not each evaluation.
+        check_trace_experts(spec, dims, routing_trace)
         # Entries are published whole, so threads sharing the estimator see
         # a finished value or none (and then build it themselves).
         self._memo: dict = {}

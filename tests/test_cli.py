@@ -1,6 +1,7 @@
 """CLI contract tests: commands, exit codes, file outputs, determinism."""
 
 import csv
+import itertools
 import json
 import math
 import tempfile
@@ -205,6 +206,22 @@ def test_validate_clean_and_dirty(tmp_path):
                    "AllReduce,2,16,1024,1e-5,1e-2\n"
                    "AllReduce,2,16,1024,1e-5,1e-2\n")
     assert main(["validate", "--comm-cal", str(dup)]) == EXIT_VALIDATION
+
+
+def test_validate_checks_trace_experts_against_the_dims(tmp_path, capsys):
+    # As estimate and sweep do, for a spec with an MoE op and E bound.
+    trace, _ = _moe_trace_command(tmp_path, "estimate", [*range(9), 300])
+    moe = ["--spec", "fixture:moe_fused.json", "--dims", "fixture:qwen3_30b_a3b.json"]
+    assert main(["validate", *moe, "--trace", str(trace)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == (
+        f"VIOLATION: routing trace: {trace}: expert index 300 out of range "
+        "for 128 experts\n")
+    for argv in (["--trace", str(trace)],
+                 ["--spec", "fixture:dense_fused.json",
+                  "--dims", "fixture:llama3_8b.json", "--trace", str(trace)]):
+        assert main(["validate", *argv]) == EXIT_OK
+    trace, _ = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    assert main(["validate", *moe, "--trace", str(trace)]) == EXIT_OK
 
 
 def test_validate_divisibility(tmp_path):
@@ -736,21 +753,69 @@ _POINTS = st.lists(st.builds(
     max_size=12)
 
 
-@settings(max_examples=150, deadline=None)
-@given(points=_POINTS, block=st.sampled_from([1, 3, 32]))
-def test_sweep_csvs_write_the_bytes_of_row_at_a_time_writers(points, block):
-    # None latency and energy, feasible or not; no overlap; reasons with
-    # commas, quotes, carriage returns and newlines; nan, inf and -0.0;
-    # lists of up to twelve points in blocks of 1, 3 or 32.
+_POINT_FILES = {"json": "points.json", "csv": "points.csv", "plot": "plot_data.csv"}
+
+
+def _row_at_a_time_point_files(out_dir, payload, points):
+    """The three point files as written before the one-pass writer:
+    ``points.json`` by ``json.dumps`` of the rows' dicts, the CSVs one row
+    at a time."""
     rows = [p.to_dict() for p in points]
+    out_dir.mkdir()
+    (out_dir / "points.json").write_text(
+        json.dumps(dict(payload, points=rows), indent=2, sort_keys=True) + "\n")
+    _row_at_a_time_points_csv(out_dir / "points.csv", rows)
+    _row_at_a_time_plot_data(out_dir / "plot_data.csv", points)
+
+
+@pytest.mark.parametrize("formats", [
+    formats for n in (1, 2, 3)
+    for formats in itertools.combinations(("json", "csv", "plot"), n)], ids=",".join)
+@settings(max_examples=150, deadline=None)
+@given(points=_POINTS, block=st.sampled_from([1, 3, 64]),
+       meta=st.dictionaries(st.text(), _SCALARS, max_size=3))
+def test_point_files_write_the_bytes_of_row_at_a_time_writers(formats, points,
+                                                             block, meta):
+    # None latency and energy, feasible or not; no overlap; reasons with
+    # commas, quotes, carriage returns, newlines and non-ASCII text; nan,
+    # inf and -0.0; lists of up to twelve points in blocks of 1, 3 or 64;
+    # keys of the rest of points.json before and after "points".
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new"), Path(tmp, "old")
         with mock.patch.object(cli, "_ROWS_PER_BLOCK", block):
-            cli._write_sweep_csvs(new, points, rows, ("csv", "plot"))
-        old.mkdir()
-        _row_at_a_time_points_csv(old / "points.csv", rows)
-        _row_at_a_time_plot_data(old / "plot_data.csv", points)
-        for name in ("points.csv", "plot_data.csv"):
+            cli._write_points(new, meta, points, formats)
+        _row_at_a_time_point_files(old, meta, points)
+        names = sorted(_POINT_FILES[name] for name in formats)
+        assert sorted(path.name for path in new.iterdir()) == names
+        for name in names:
             assert (new / name).read_bytes() == (old / name).read_bytes()
-        cli._write_sweep_csvs(Path(tmp, "plot"), points, rows, ("plot",))
-        assert [path.name for path in Path(tmp, "plot").iterdir()] == ["plot_data.csv"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--gemm-cal", "fixture:gemm_synthetic.csv"]],
+                         ids=["roofline", "gemm-table"])
+def test_sweep_writes_the_point_files_of_the_points_dicts(tmp_path, flags):
+    # 70B weights do not fit one GPU, nor a 131072-token batch of 64 its
+    # memory: infeasible points among feasible ones, with each overlap.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"batch": [1, 64], "isl": [512, 131072],
+                                "tp": [1, 2, 4], "overlap": ["none", "2:4", "4:32"]}))
+    swept = []
+    sweep = cli.sweep
+
+    def spy(*args, **kwargs):
+        swept.append(sweep(*args, **kwargs))
+        return swept[-1]
+
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "sweep", spy):
+        assert main(["sweep", *_base_args(out, dims="llama3_70b.json"),
+                     "--grid", str(grid), *flags]) == EXIT_OK
+    [points] = swept
+    assert len(points) == 36
+    assert {p.feasible for p in points} == {True, False}
+    assert {p.overlap for p in points} == {None, (2, 4), (4, 32)}
+    payload = json.loads((out / "points.json").read_text())
+    del payload["points"]
+    _row_at_a_time_point_files(tmp_path / "want", payload, points)
+    for name in _POINT_FILES.values():
+        assert (out / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
