@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -11,9 +10,10 @@ import math
 import shutil
 import sys
 from contextlib import ExitStack
+from itertools import takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
 from . import __version__
 from .comm import CommBackend, load_comm_calibration
@@ -37,15 +37,21 @@ from .explorer import (
 from .fixtures import fixture_path, list_fixtures
 from .interpreter import DECODE, PREFILL, PhaseContext
 from .moe import DEFAULT_TILE, RoutingTrace
-from .spec_lang import load_bindings, load_json, load_model_spec, validate_bindings
+from .spec_lang import (
+    InputFile,
+    load_bindings,
+    load_json,
+    load_model_spec,
+    validate_bindings,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ESTIMATION = 3
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _resolve(path_str: str) -> Path:
@@ -63,20 +69,22 @@ def _resolve(path_str: str) -> Path:
 
 
 def _load_inputs(args) -> dict:
-    paths = {name: _resolve(value) for name, value in (
+    """The inputs named by ``args``, each file read once: its loader
+    decodes the bytes that its digest is taken from."""
+    files = {name: InputFile(_resolve(value)) for name, value in (
         ("spec", args.spec), ("dims", args.dims), ("hw", args.hw),
         ("comm_cal", args.comm_cal), ("gemm_cal", args.gemm_cal),
         ("trace", args.trace)) if value}
-    hw = load_hardware_profile(paths["hw"])
+    hw = load_hardware_profile(files["hw"])
     return {
-        "spec": load_model_spec(paths["spec"]),
-        "dims": load_bindings(paths["dims"]),
+        "spec": load_model_spec(files["spec"]),
+        "dims": load_bindings(files["dims"]),
         "hw": hw,
-        "comm": CommBackend(load_comm_calibration(paths["comm_cal"])),
-        "compute": (TableComputeBackend(GemmCalibrationTable.load(paths["gemm_cal"]), hw)
-                    if "gemm_cal" in paths else RooflineBackend(hw)),
-        "trace": RoutingTrace.load(paths["trace"]) if "trace" in paths else None,
-        "digests": {name: _digest(path) for name, path in paths.items()},
+        "comm": CommBackend(load_comm_calibration(files["comm_cal"])),
+        "compute": (TableComputeBackend(GemmCalibrationTable.load(files["gemm_cal"]), hw)
+                    if "gemm_cal" in files else RooflineBackend(hw)),
+        "trace": RoutingTrace.load(files["trace"]) if "trace" in files else None,
+        "digests": {name: _digest(file.data) for name, file in files.items()},
     }
 
 
@@ -96,25 +104,57 @@ _INDENTED_ROW_BREAK = "\n    },\n    {\n      "
 # A payload value that :func:`_json_chunks` yields as it is, in place of
 # its text, for the caller to write the value's text there.
 _SPLICE = object()
+# A float's repr (or None's) as the JSON encoder writes the value.
+_JSON_NUMBER = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, newline: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` with each of its
+    line breaks written as ``newline``: a line break and the indentation
+    of the line that ``value`` starts on. A str, float, int, bool or None,
+    or a dict with str keys, is written by its type; only anything else
+    (a list, say) goes through the encoder, whose ``indent`` runs in pure
+    Python."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        text = repr(value)
+        return _JSON_NUMBER.get(text, text)
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{%s%s%s}" % (inner, ("," + inner).join([
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in sorted(value.items())]), newline)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _json_chunks(payload: dict, rows: tuple = ()) -> Iterator[str]:
     """``json.dumps(payload, indent=2, sort_keys=True)`` of a dict with
     string keys, in chunks, byte for byte. The lists under the top-level
     keys ``rows`` hold non-empty dicts of scalars (no list or dict), and
-    are encoded by the C encoder, one chunk per block of rows. A value
-    that is ``_SPLICE`` is yielded itself."""
+    are encoded by the C encoder, one chunk per block of rows; every other
+    value by :func:`_json_text`. A value that is ``_SPLICE`` is yielded
+    itself."""
     if not payload:
         yield "{}"
         return
     opening = "{"
     for key, value in sorted(payload.items()):
-        yield f"{opening}\n  {json.dumps(key)}: "
+        yield f"{opening}\n  {encode_basestring_ascii(key)}: "
         opening = ","
         if value is _SPLICE:
             yield value
         elif key not in rows:
-            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+            yield _json_text(value, "\n  ")
         elif not value:
             yield "[]"
         else:
@@ -143,14 +183,29 @@ def _write_json(path: Path, payload: dict, rows: tuple = ()) -> None:
         fh.write("\n")
 
 
+# The characters for which :func:`csv.writer` quotes a cell.
+_CSV_QUOTED = frozenset(',"\r\n')
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as :func:`csv.writer` writes it as a cell: quoted, with its
+    quotes doubled, where it holds a comma, a quote or a line break."""
+    if _CSV_QUOTED.isdisjoint(text):
+        return text
+    return '"%s"' % text.replace('"', '""')
+
+
 def _write_report_csv(path: Path, report_dict: dict) -> None:
+    """The report's rows as :func:`csv.writer` writes them, a latency or
+    energy as its repr."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    lines = ["label,category,latency_s,energy_j\r\n"]
+    lines += [f"{_csv_cell(row['label'])},{_csv_cell(row['category'])},"
+              f"{_csv_cell(repr(row['latency_s']))},"
+              f"{_csv_cell(repr(row['energy_j']))}\r\n"
+              for row in report_dict.get("rows", [])]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "category", "latency_s", "energy_j"])
-        for row in report_dict.get("rows", []):
-            writer.writerow([row["label"], row["category"],
-                             repr(row["latency_s"]), repr(row["energy_j"])])
+        fh.writelines(lines)
 
 
 def _check_formats(args, known: tuple) -> None:
@@ -194,8 +249,11 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-_POINTS_CSV_HEADER = ["phase", "batch", "isl", "osl", "tp", "ep", "cp", "overlap",
-                      "feasible", "latency_s", "energy_j", "infeasible_reason"]
+_POINTS_CSV_HEADER = ("phase,batch,isl,osl,tp,ep,cp,overlap,feasible,latency_s,"
+                      "energy_j,infeasible_reason\r\n")
+# A ``points.csv`` row as :func:`csv.writer` writes it, given its strings
+# as cells (:func:`_csv_cell`) and a None latency or energy as "".
+_POINT_LINE = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
 # A ``points.json`` row as ``indent=2`` writes :meth:`ConfigPoint.to_dict`
 # in a list under a top-level key: the keys in sorted order.
 _POINT_ROW = ("{\n"
@@ -212,8 +270,6 @@ _POINT_ROW = ("{\n"
               '      "phase": %s,\n'
               '      "tp": %d\n'
               "    }")
-# A latency's or energy's repr as the JSON encoder writes the value.
-_JSON_NUMBER = {"None": "null", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class _Memo(dict):
@@ -237,11 +293,12 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
     block written to every file before the next is formatted; a latency
     or energy is written as its repr, taken once for all three files.
 
-    No field of ``plot_data.csv`` needs quoting (integers, float reprs,
-    overlap settings), so its lines are written as :mod:`csv` writes
-    them, without a second writer and its 128 KiB record buffer."""
+    The CSV lines are written as :mod:`csv` writes them, each string
+    quoted by :func:`_csv_cell` once. No field of ``plot_data.csv`` needs
+    quoting (integers, float reprs, overlap settings)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     encoded = _Memo(encode_basestring_ascii, {None: "null"})
+    cells = _Memo(_csv_cell, {None: ""})
     overlaps = _Memo(format_overlap)
     with ExitStack() as files:
         document = table = plot = None
@@ -250,16 +307,15 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
             chunks = _json_chunks(dict(payload, points=_SPLICE))
             document.writelines(iter(chunks.__next__, _SPLICE))
         if "csv" in formats:
-            table = csv.writer(files.enter_context(
-                open(out_dir / "points.csv", "w", newline="")))
-            table.writerow(_POINTS_CSV_HEADER)
+            table = files.enter_context(open(out_dir / "points.csv", "w", newline=""))
+            table.write(_POINTS_CSV_HEADER)
         if "plot" in formats:
             plot = files.enter_context(
                 open(out_dir / "plot_data.csv", "w", newline=""))
             plot.write("series,x_latency_s,y_energy_j,label\r\n")
         before = "[\n    "
         for start in range(0, len(points), _ROWS_PER_BLOCK):
-            json_rows, table_rows, plot_lines = [], [], []
+            json_rows, table_lines, plot_lines = [], [], []
             for (phase, batch, isl, osl, tp, ep, cp, overlap, feasible, latency,
                  energy, reason) in points[start:start + _ROWS_PER_BLOCK]:
                 latency_text, energy_text = repr(latency), repr(energy)
@@ -269,11 +325,10 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
                     "true" if feasible else "false", encoded[reason], isl,
                     _JSON_NUMBER.get(latency_text, latency_text), osl,
                     encoded[overlap], encoded[phase], tp))
-                table_rows.append((phase, batch, isl, osl, tp, ep, cp, overlap,
-                                   feasible,
-                                   None if latency is None else latency_text,
-                                   None if energy is None else energy_text,
-                                   reason))
+                table_lines.append(_POINT_LINE % (
+                    cells[phase], batch, isl, osl, tp, ep, cp, cells[overlap],
+                    feasible, "" if latency is None else latency_text,
+                    "" if energy is None else energy_text, cells[reason]))
                 if feasible:
                     plot_lines.append(f"tp{tp}-ov{overlap or 'none'},{latency_text},"
                                       f"{energy_text},b{batch}-isl{isl}\r\n")
@@ -281,7 +336,7 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
                 document.write(before + ",\n    ".join(json_rows))
                 before = ",\n    "
             if table is not None:
-                table.writerows(table_rows)
+                table.writelines(table_lines)
             if plot is not None:
                 plot.writelines(plot_lines)
         if document is not None:
@@ -479,44 +534,59 @@ _SUBCOMMANDS = (
 )
 
 
-class _Subcommand:
-    """Stands in for a subcommand's parser, the ``parser_class`` of the
-    subparsers action: the parser is built, with its arguments, only when
-    argv chooses the subcommand, so a call builds one of the five."""
+_ADD_ARGUMENTS = {name: add_arguments for name, _, add_arguments in _SUBCOMMANDS}
 
-    def __init__(self, *, add_arguments, **kwargs):
-        self._add_arguments = add_arguments
-        self._kwargs = kwargs
 
-    def parse_known_args(self, args=None, namespace=None):
-        parser = argparse.ArgumentParser(**self._kwargs)
-        self._add_arguments(parser)
-        return parser.parse_known_args(args, namespace)
+def _help_formatter():
+    """Help wrapped at the terminal width, read once per parse rather than
+    by every ``add_argument``, which builds a formatter to check its
+    metavar."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``llm-energy`` parser. Help is wrapped at the terminal width,
-    read once here rather than by every ``add_argument``, which builds a
-    formatter to check its metavar."""
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    """The ``llm-energy`` parser, with every subcommand's parser."""
+    formatter = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="llm-energy",
         description="Analytical energy/latency estimation for distributed "
                     "LLM inference",
         formatter_class=formatter)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments in _SUBCOMMANDS:
-        sub.add_parser(name, help=help_text, formatter_class=formatter,
-                       add_arguments=add_arguments)
+        add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 
+def _parse_subcommand(argv: list) -> Optional[argparse.Namespace]:
+    """``argv`` parsed by the parser of the subcommand that its first word
+    names, as the ``llm-energy`` parser would give it; or None where that
+    parser must parse it, which it then does as it always has, messages
+    and all: no subcommand first (``--help``, ``--version``, a missing or
+    unknown one), arguments the subcommand leaves over, or, before any
+    ``--``, an option the top level finds ambiguous among its own
+    (``--=x``: both ``--help`` and ``--version`` start with ``--``)."""
+    add_arguments = _ADD_ARGUMENTS.get(argv[0]) if argv else None
+    if add_arguments is None or any(
+            arg.startswith("--=") for arg in takewhile("--".__ne__, argv)):
+        return None
+    parser = argparse.ArgumentParser(prog=f"llm-energy {argv[0]}",
+                                     formatter_class=_help_formatter())
+    add_arguments(parser)
+    args, leftover = parser.parse_known_args(argv[1:])
+    if leftover:
+        return None
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_subcommand(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecError, ValidationError) as exc:

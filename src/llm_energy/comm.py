@@ -128,6 +128,9 @@ _KINDS = frozenset(VALID_KINDS)
 # A size more than this many times the one before it is larger, and so is
 # its log: each log is within an ulp (< 2e-13) of the exact one.
 _MIN_STEP = 1 + 1e-9
+# Priced comm columns a backend keeps: the equal byte columns it meets are
+# those of one lowering's kernels, a few collectives apart.
+_KEPT_COLUMNS = 8
 
 
 def load_comm_calibration(path) -> CommCalibrationTable:
@@ -266,11 +269,14 @@ class CommBackend:
     The curve for each (kind, world, sm_count) is resolved once and kept,
     so the table must not change while the backend is in use; the table
     itself keeps no cache. The AllToAll fallback warns once per key.
+    The columns of the last ``_KEPT_COLUMNS`` (curve, byte column) pairs
+    priced are kept too, and shared by equal pairs.
     """
 
     def __init__(self, table: CommCalibrationTable):
         self.table = table
         self._curves: dict[tuple, EffectiveCurve] = {}
+        self._priced: dict[tuple, tuple[array, array]] = {}
 
     def _curve(self, c) -> EffectiveCurve:
         key = (c.kind, c.world, c.sm_count)
@@ -297,8 +303,19 @@ class CommBackend:
         return one_cost(self._curve(c).columns((c.bytes,)))
 
     def estimate_columns(self, c: CommColumns) -> tuple[array, array]:
-        """(latencies, energies) of the collective at each point."""
-        return self._curve(c).columns(c.bytes)
+        """(latencies, energies) of the collective at each point. Equal
+        byte columns on one resolved curve (the AllReduces after attention
+        and after the FFN, say) are priced once and share their arrays, so
+        the caller must not change them."""
+        curve, sizes = self._curve(c), c.bytes
+        key = (id(curve), (sizes.typecode, sizes.tobytes())
+               if type(sizes) is array else tuple(sizes))
+        cost = self._priced.get(key)
+        if cost is None:
+            cost = self._priced[key] = curve.columns(sizes)
+            if len(self._priced) > _KEPT_COLUMNS:
+                del self._priced[next(iter(self._priced))]
+        return cost
 
 
 def synthetic_comm_table(worlds=(2, 4, 8), sm_counts=(1, 4, 16, 108),

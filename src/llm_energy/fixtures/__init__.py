@@ -25,11 +25,11 @@ _DESCRIPTIONS = {
 
 
 def fixture_path(name: str) -> Path:
-    path = FIXTURE_DIR / name
-    if not path.exists():
+    """The shipped fixture file ``name``, one of :func:`list_fixtures`."""
+    if name not in _DESCRIPTIONS:
         raise FileNotFoundError(f"no fixture named {name!r}; "
                                 f"known: {sorted(_DESCRIPTIONS)}")
-    return path
+    return FIXTURE_DIR / name
 
 
 def list_fixtures() -> dict[str, str]:

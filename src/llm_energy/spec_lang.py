@@ -12,8 +12,10 @@ Symbols are single characters. Dimension sizes are supplied separately via
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
@@ -268,11 +270,42 @@ def parse_model_spec(document: dict) -> ModelSpec:
 # from the file, whose errors ``in_file`` prefixes with the path.
 
 
+class InputFile:
+    """An input file's path that reads the file once: its bytes,
+    :attr:`data`, are read when first asked for (so where its loader first
+    opens it, and an unreadable file fails in the loaders' order), and
+    :func:`open_text` decodes them instead of opening the file again. It
+    stands for the path wherever the loaders use one: ``str`` and
+    ``os.fspath`` give the path's."""
+
+    __slots__ = ("path", "_data")
+
+    def __init__(self, path):
+        self.path, self._data = path, None
+
+    @property
+    def data(self) -> bytes:
+        if self._data is None:
+            with open(self.path, "rb") as fh:
+                self._data = fh.read()
+        return self._data
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+
 @contextmanager
 def open_text(path):
     """One input file, open as UTF-8 text; a byte that is not UTF-8 is a
-    :class:`ValidationError` naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    :class:`ValidationError` naming the file. An :class:`InputFile`'s
+    bytes are decoded as ``open`` decodes a file, lazily and without a
+    copy of them."""
+    fh = (io.TextIOWrapper(io.BytesIO(path.data), encoding="utf-8")
+          if isinstance(path, InputFile) else open(path, encoding="utf-8"))
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

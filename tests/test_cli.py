@@ -1,10 +1,14 @@
 """CLI contract tests: commands, exit codes, file outputs, determinism."""
 
 import csv
+import hashlib
+import io
 import itertools
 import json
 import math
+import os
 import tempfile
+from collections import Counter
 from operator import itemgetter
 from pathlib import Path
 from unittest import mock
@@ -144,6 +148,91 @@ def test_trace_rows_are_never_built(tmp_path, command):
     assert trace.top_k == 8
     assert "choices" not in vars(trace)
     assert sum(trace.expert_counts.values()) == 64 * 8
+
+
+def _opened(argv) -> Counter:
+    """How many times ``main(argv)``, which must succeed, opens each file."""
+    opened = Counter()
+    real_open = io.open
+
+    def counting(file, *args, **kwargs):
+        opened[os.fspath(file) if isinstance(file, (str, os.PathLike)) else file] += 1
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counting), mock.patch("io.open", counting):
+        assert main(argv) == EXIT_OK
+    return opened
+
+
+def _input_paths(argv) -> dict:
+    """The input file that each input flag of ``argv`` names, by digest name."""
+    paths = {}
+    for flag, value in zip(argv, argv[1:]):
+        name = flag[2:].replace("-", "_")
+        if name in ("spec", "dims", "hw", "comm_cal", "gemm_cal", "trace"):
+            paths[name] = (fixture_path(value[len("fixture:"):])
+                           if value.startswith("fixture:") else Path(value))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_each_input_file_is_opened_once(tmp_path, command):
+    # Its loader decodes the bytes its digest is taken from: the GEMM table
+    # and the routing trace too, in an estimate of both phases and a sweep.
+    trace, argv = _moe_trace_command(tmp_path, command, [*range(0, 128, 3)])
+    argv += ["--gemm-cal", "fixture:gemm_synthetic.csv"]
+    paths = _input_paths(argv)
+    assert set(paths) == {"spec", "dims", "hw", "comm_cal", "gemm_cal", "trace"}
+    opened = _opened(argv)
+    for path in paths.values():
+        assert opened[str(path)] == 1, path
+    out = tmp_path / "out"
+    written = json.loads((out / ("report_prefill.json" if command == "estimate"
+                                 else "points.json")).read_text())
+    digests = (written["meta"] if command == "estimate" else written)["input_digests"]
+    assert digests == {name: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                       for name, path in paths.items()}
+
+
+def test_a_changed_input_is_read_afresh(tmp_path):
+    # Nothing read by one call is kept for the next: the second call
+    # reports the file as it is then.
+    dims = tmp_path / "dims.json"
+    args = _base_args(tmp_path / "out")
+    args[args.index("fixture:llama3_8b.json")] = str(dims)
+    reports = []
+    for name in ("llama3_8b.json", "llama3_70b.json"):
+        data = fixture_path(name).read_bytes()
+        dims.write_bytes(data)
+        assert main(["estimate", *args, "--tp", "2", "--isl", "256"]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report_prefill.json").read_text())
+        assert (report["meta"]["input_digests"]["dims"]
+                == hashlib.sha256(data).hexdigest()[:16])
+        reports.append(report)
+    assert [report["meta"]["layers"] for report in reports] == [32, 80]
+    assert reports[0]["rows"] != reports[1]["rows"]
+
+
+def _fixture_reference_argv(tmp_path, command, reference):
+    if command == "sweep":
+        return ["sweep", *_base_args(tmp_path / "out"), "--grid", reference]
+    if command == "validate":
+        return ["validate", "--spec", reference, "--dims", "fixture:llama3_8b.json"]
+    return _estimate_with_spec(tmp_path / "out", reference)
+
+
+@pytest.mark.parametrize("name", ["", ".", "../fixtures", "__init__.py",
+                                  "gen_calibration.py"])
+@pytest.mark.parametrize("command", ["estimate", "validate", "sweep"])
+def test_fixture_reference_names_a_listed_fixture(tmp_path, capsys, command, name):
+    # The fixtures directory itself and the package's own files are no
+    # fixtures: each is a validation error naming the reference.
+    argv = _fixture_reference_argv(tmp_path, command, f"fixture:{name}")
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert f"no fixture named {name!r}" in out + err
+    assert "estimation error" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("phase", ["prefill", "decode"])
@@ -707,6 +796,49 @@ def test_row_lists_write_the_bytes_of_indented_json(points, frontier, meta):
     assert dumps_json(payload, rows=("points", "frontier")) == want
     with mock.patch.object(cli, "_ROWS_PER_BLOCK", 3):
         assert dumps_json(payload, rows=("points", "frontier")) == want
+
+
+_CELLS = st.one_of(st.text(), st.sampled_from(
+    ["a,b", 'say "no"', "cr\r", "\nlf", "\r\n", ',"\n', "\x00\x1f\x7f", "é ∑ 😀"]))
+_REPORT_COSTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                          st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries(
+           {"label": _CELLS, "category": _CELLS, "latency_s": _REPORT_COSTS,
+            "energy_j": _REPORT_COSTS}), max_size=8),
+       totals=st.tuples(_REPORT_COSTS, _REPORT_COSTS),
+       by_category=st.dictionaries(_CELLS, _REPORT_COSTS, max_size=4),
+       meta=st.dictionaries(st.text(), st.recursive(
+           _SCALARS, lambda inner: st.lists(inner, max_size=3)
+           | st.dictionaries(st.text(), inner, max_size=3)
+           | st.dictionaries(st.integers(-3, 3), inner, max_size=3), max_leaves=8),
+           max_size=4))
+def test_reports_write_the_bytes_of_json_dumps_and_csv_writer(rows, totals,
+                                                             by_category, meta):
+    # A report payload with NaN, infinities, -0.0, 5e-324, non-ASCII and
+    # control characters, and labels holding commas, quotes, carriage
+    # returns and newlines; meta with nested dicts (some keyed by ints),
+    # lists and scalars.
+    payload = {"format_version": 1, "phase": "prefill", "batch": 2, "isl": 512,
+               "osl": 1, "gpu_count": 2, "feasible": True, "rows": rows,
+               "total_latency_s": totals[0], "total_energy_j": totals[1],
+               "category_energy_j": by_category, "category_latency_s": by_category,
+               "meta": dict(meta, degrees={"cp": 1, "ep": 1, "tp": 2},
+                            input_digests={"dims": "0123456789abcdef"})}
+    assert (dumps_json(payload, rows=("rows",))
+            == json.dumps(payload, indent=2, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+        cli._write_report_csv(new, payload)
+        with open(old, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["label", "category", "latency_s", "energy_j"])
+            for row in rows:
+                writer.writerow([row["label"], row["category"],
+                                 repr(row["latency_s"]), repr(row["energy_j"])])
+        assert new.read_bytes() == old.read_bytes()
 
 
 # -- CSV writes ------------------------------------------------------------------

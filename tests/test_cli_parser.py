@@ -7,12 +7,16 @@ prints the same text.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llm_energy import cli
 
@@ -30,6 +34,17 @@ _ARGVS = [
     ["estimate", "--batch", "x"],                      # non-integer --batch
     ["fixtures"],                                      # missing positional
     ["--version"],
+    # Added later, recorded from the parser of the commit before the
+    # subcommand's parser first parsed alone:
+    ["estimate", "--spec", "s", "--dims", "d", "--hw", "h", "--comm-cal", "c",
+     "--bogus"],                                       # leftover argument
+    ["estimate", "--bat", "4"],                        # abbreviated option
+    ["estimate", "--bat", "x"],                        # abbreviated, bad value
+    ["estimate", "--t", "2"],                          # ambiguous abbreviation
+    ["estimate", "--=x"],                              # ambiguous to the top level
+    ["estimate", "--version"],                         # missing required flags
+    ["estimate", "--spec", "s", "--dims", "d", "--hw", "h", "--comm-cal", "c",
+     "--version"],                                     # a top-level option, leftover
 ]
 _WIDTHS = (80, 200)
 
@@ -81,3 +96,37 @@ def test_estimate_adds_no_argument_to_other_subcommands(tmp_path, capsys):
         assert cli.main(argv) == cli.EXIT_OK
     assert "llm-energy estimate" in added
     assert not {f"llm-energy {name}" for name in _SUBCOMMANDS[1:]} & set(added)
+    assert "llm-energy" not in added  # nor the top-level parser's --version
+
+
+def _outcome(parse, argv):
+    """(namespace or exit code, stdout, stderr) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_WORDS = ["--spec", "s", "--sp", "--dims", "d", "--hw", "h", "--comm-cal", "--comm",
+          "c", "--tp", "2", "--t", "--bat", "--batch=3", "x", "-1", "--phase",
+          "decode", "middle", "--format", "json,csv", "--grid", "g", "--points",
+          "--", "--bogus", "--=x", "--version", "--ver", "-h", "--help", "list",
+          "estimate", "sweep"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.tuples(st.sampled_from(_SUBCOMMANDS),
+                      st.lists(st.sampled_from(_WORDS), max_size=12)).map(
+           lambda parts: [parts[0], *parts[1]]))
+def test_a_subcommand_parses_alone_as_the_full_parser_parses_it(argv):
+    # Valid argvs, abbreviations, leftovers, top-level options, "--" and
+    # bad values, with help text at the terminal's width: the same
+    # namespace, or the same exit code and text.
+    def alone_first(argv):
+        return cli._parse_subcommand(argv) or cli.build_parser().parse_args(argv)
+
+    assert (_outcome(alone_first, argv)
+            == _outcome(lambda argv: cli.build_parser().parse_args(argv), argv))

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from llm_energy import (
     resolve_sm_curve,
     synthetic_comm_table,
 )
-from llm_energy.comm import CommCalibrationTable, CommCurve
+from llm_energy.comm import _KEPT_COLUMNS, CommCalibrationTable, CommCurve, EffectiveCurve
 from llm_energy.fixtures import fixture_path
 from llm_energy.interpreter import (ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER,
                                    CommColumns)
@@ -245,6 +247,39 @@ def test_column_pricing_equals_scalar_pricing(shared_backend, kind, world,
                                                        sm_count=sm_count))
                 for size in sizes]
     assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
+
+
+def test_equal_byte_columns_on_one_curve_are_priced_once(comm_table):
+    # The AllReduces after attention and after the FFN carry equal byte
+    # columns: the second takes the first's arrays. Another SM count, or
+    # another column, is priced on its own, and so is a pair pushed out by
+    # _KEPT_COLUMNS later ones.
+    def column(sizes, sm_count=None):
+        return CommColumns(ALLREDUCE, sizes, 2, sm_count)
+
+    backend, fresh = CommBackend(comm_table), CommBackend(comm_table)
+    priced = []
+    columns = EffectiveCurve.columns
+
+    def counting(curve, sizes):
+        priced.append(list(sizes))
+        return columns(curve, sizes)
+
+    sizes = [2.0 ** 20, 3e7, 2.0 ** 31]
+    with mock.patch.object(EffectiveCurve, "columns", counting):
+        first = backend.estimate_columns(column(array("d", sizes)))
+        assert backend.estimate_columns(column(array("d", sizes))) is first
+        assert backend.estimate_columns(column(list(sizes))) == first
+        assert backend.estimate_columns(column(list(sizes))) is not first
+        assert len(priced) == 2
+        other = backend.estimate_columns(column(array("d", sizes), sm_count=4))
+        assert other != first and len(priced) == 3
+        for i in range(_KEPT_COLUMNS):
+            backend.estimate_columns(column(array("d", [1e3 * (i + 1)])))
+        assert backend.estimate_columns(column(array("d", sizes))) == first
+        assert len(priced) == 4 + _KEPT_COLUMNS
+    assert first == fresh.estimate_columns(column(sizes))
+    assert other == fresh.estimate_columns(column(sizes, sm_count=4))
 
 
 def _interp_from_scratch(curve, values, size):
