@@ -15,9 +15,9 @@ from typing import NamedTuple, Optional, Sequence
 from .comm import CommBackend
 from .compute import CostEstimate, HardwareProfile, one_cost
 from .errors import SpecError, ValidationError
-# lower_model, plan_overlap and decode_positions, one-evaluation façades
-# that the estimator does not call, stay importable from this module: the
-# benchmark's tracer wraps them here.
+# lower_model, decode_positions and plan_overlap (below), one-evaluation
+# façades that the estimator does not call, stay importable from this
+# module: the benchmark's tracer wraps them here.
 from .interpreter import (  # noqa: F401
     DECODE,
     PREFILL,
@@ -57,10 +57,18 @@ from .moe import (
     stats_from_trace,
     uniform_routing,
 )
-from .overlap import StageColumns, check_overlap, plan_overlap  # noqa: F401
 from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
 
 DEFAULT_DECODE_STRIDE = 1
+
+
+# The overlap module is imported by the first overlapped estimate, not with
+# the engine. This stand-in keeps the name here and looks the function up
+# on each call, so a patched one is the one called.
+def plan_overlap(*args, **kwargs):
+    from . import overlap
+    return overlap.plan_overlap(*args, **kwargs)
+
 
 # (latency, energy, infeasible reason) of one point: the totals of its
 # report, or None and None with the reason it is infeasible.
@@ -529,6 +537,7 @@ class Estimator:
             for i in live:
                 errors[i] = exc
             return
+        from .overlap import StageColumns, check_overlap
         sizes = dim_size if is_column(dim_size) else [dim_size] * n
         for i in live:
             try:

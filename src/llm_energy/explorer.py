@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
@@ -13,10 +12,8 @@ from .engine import Estimator
 from .errors import ValidationError
 from .interpreter import DECODE, PREFILL, PhaseContext
 from .metrics import epot, etft
-from .spec_lang import (DimensionBindings, ModelSpec, as_int, as_number, in_file,
-                        check_overlap_setting, load_json)
-
-OverlapSetting = Optional[tuple[int, int]]  # (stages, sm_comm) or None
+from .spec_lang import (DimensionBindings, ModelSpec, OverlapSetting, as_int,
+                        as_number, format_overlap, in_file, load_json, parse_overlap)
 
 
 class ConfigPoint(NamedTuple):
@@ -52,24 +49,6 @@ class ConfigPoint(NamedTuple):
             "latency_s": latency, "osl": osl,
             "overlap": format_overlap(overlap), "phase": phase, "tp": tp,
         }
-
-
-def parse_overlap(value) -> OverlapSetting:
-    """An overlap setting from its text or JSON form: None or "none",
-    "stages:sm", or [stages, sm], both integers >= 1."""
-    if value is None or value == "none":
-        return None
-    try:
-        stages, sm = map(int, value.split(":")) if isinstance(value, str) else value
-    except (TypeError, ValueError):
-        raise ValidationError(f"overlap setting {value!r} must be 'none', "
-                              "'stages:sm' or [stages, sm]") from None
-    return check_overlap_setting(stages, sm, f"overlap setting {value!r}")
-
-
-def format_overlap(setting: OverlapSetting) -> Optional[str]:
-    """The "stages:sm" text of an overlap setting, or None for no overlap."""
-    return None if setting is None else f"{setting[0]}:{setting[1]}"
 
 
 _POINT_FIELDS = ("phase", "batch", "isl", "osl", "tp", "ep", "cp", "feasible")
@@ -198,6 +177,7 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
                 for ov, indices in by_setting.items() for k in indices]
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             priced = list(pool.map(evaluate, groups.items()))
     else:

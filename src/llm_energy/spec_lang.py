@@ -117,6 +117,27 @@ def check_overlap_setting(stages, sm_comm, what: str,
     return stages, sm_comm
 
 
+OverlapSetting = Optional[tuple[int, int]]  # (stages, sm_comm) or None
+
+
+def parse_overlap(value) -> OverlapSetting:
+    """An overlap setting from its text or JSON form: None or "none",
+    "stages:sm", or [stages, sm], both integers >= 1."""
+    if value is None or value == "none":
+        return None
+    try:
+        stages, sm = map(int, value.split(":")) if isinstance(value, str) else value
+    except (TypeError, ValueError):
+        raise ValidationError(f"overlap setting {value!r} must be 'none', "
+                              "'stages:sm' or [stages, sm]") from None
+    return check_overlap_setting(stages, sm, f"overlap setting {value!r}")
+
+
+def format_overlap(setting: OverlapSetting) -> Optional[str]:
+    """The "stages:sm" text of an overlap setting, or None for no overlap."""
+    return None if setting is None else f"{setting[0]}:{setting[1]}"
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """One operation of a model spec, with parallelism/overlap annotations."""

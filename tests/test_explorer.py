@@ -23,7 +23,7 @@ from llm_energy import (
     recovery_rate,
     sweep,
 )
-from llm_energy import engine
+from llm_energy import engine, overlap
 from llm_energy.explorer import max_overlap_setting, normalize_grid
 from llm_energy.fixtures import fixture_path
 from llm_energy.interpreter import DECODE, PREFILL, LayerPlan, lower_model
@@ -594,7 +594,7 @@ def test_settings_with_the_same_stages_share_their_stage_terms(
     # SM-restricted partition and ReduceScatter chunk.
     calls = Counter()
     kinds = Counter()
-    for owner, name in ((engine, "StageColumns"), (StageColumns, "plan")):
+    for owner, name in ((overlap, "StageColumns"), (StageColumns, "plan")):
         fn = getattr(owner, name)
 
         def wrapped(*args, _fn=fn, _name=name, **kwargs):
