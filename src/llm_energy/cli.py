@@ -23,7 +23,7 @@ from .compute import (
     TableComputeBackend,
     load_hardware_profile,
 )
-from .engine import DEFAULT_DECODE_STRIDE, Estimator, check_trace_experts
+from .engine import Estimator, check_trace_experts
 from .errors import BackendError, SpecError, ValidationError
 from .fixtures import fixture_path, list_fixtures
 from .interpreter import DECODE, PREFILL, PhaseContext
@@ -240,13 +240,20 @@ def _check_latency_budget(args) -> None:
             f"--latency-budget must be a finite number >= 0, got {budget!r}")
 
 
+def _check_decode_stride(args) -> None:
+    if args.decode_stride != 1:
+        raise ValidationError(
+            f"--decode-stride must be 1: every decode position is summed "
+            f"exactly, got {args.decode_stride}")
+
+
 def cmd_estimate(args) -> int:
     _check_formats(args, ("json", "csv"))
+    _check_decode_stride(args)
     inputs = _load_inputs(args)
     overlap = parse_overlap(args.overlap)
     est = Estimator(inputs["spec"], inputs["dims"], inputs["hw"], inputs["compute"],
-                    inputs["comm"], tile=args.tile,
-                    decode_stride=args.decode_stride, routing_trace=inputs["trace"])
+                    inputs["comm"], tile=args.tile, routing_trace=inputs["trace"])
     degrees = {"tp": args.tp, "ep": args.ep, "cp": args.cp}
     phases = [PREFILL, DECODE] if args.phase == "both" else [args.phase]
     # Every phase is priced before any report is written.
@@ -365,15 +372,14 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
 def cmd_sweep(args) -> int:
     _check_formats(args, ("json", "csv", "plot"))
     _check_latency_budget(args)
+    _check_decode_stride(args)
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     inputs = _load_inputs(args)
     grid_path = _resolve(args.grid)
     points = sweep(inputs["spec"], inputs["dims"], load_json(grid_path),
                    inputs["hw"], inputs["compute"], inputs["comm"],
-                   phase=args.phase, jobs=args.jobs, grid_path=grid_path,
-                   tile=args.tile,
-                   decode_stride=args.decode_stride,
+                   phase=args.phase, grid_path=grid_path, tile=args.tile,
                    routing_trace=inputs["trace"])
     out_dir = Path(args.out)
     result = pareto_front(points)
@@ -385,7 +391,7 @@ def cmd_sweep(args) -> int:
         "format_version": 1,
         "tool_version": __version__,
         "input_digests": inputs["digests"],
-        "knobs": {"tile": args.tile, "decode_stride": args.decode_stride,
+        "knobs": {"tile": args.tile, "decode_stride": 1,
                   "phase": args.phase, "latency_budget": args.latency_budget},
     }
     frontier_payload = {
@@ -482,10 +488,9 @@ def _add_input_flags(p, need_spec=True):
     p.add_argument("--trace", help="optional MoE routing trace CSV")
     p.add_argument("--tile", type=int, default=DEFAULT_TILE,
                    help="grouped-GEMM tile size (1 disables quantization)")
-    p.add_argument("--decode-stride", type=int, default=DEFAULT_DECODE_STRIDE,
-                   help="sample every N-th decode position, weighted by N, "
-                        "a sum that reads low (default 1: every position, "
-                        "the exact sum, which costs no more)")
+    p.add_argument("--decode-stride", type=int, default=1,
+                   help="only 1 is accepted: every decode position is "
+                        "summed exactly")
 
 
 def _estimate_arguments(est) -> None:
@@ -509,7 +514,9 @@ def _sweep_arguments(sw) -> None:
     _add_input_flags(sw)
     sw.add_argument("--grid", required=True, help="grid axes JSON file")
     sw.add_argument("--phase", choices=[PREFILL, DECODE], default=PREFILL)
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="accepted for old scripts: any N >= 1 runs the "
+                         "same serial loop")
     sw.add_argument("--heuristic", choices=["max-overlap"], default=None)
     sw.add_argument("--latency-budget", type=float, default=None)
     sw.add_argument("--out", default="out")

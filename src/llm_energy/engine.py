@@ -9,15 +9,15 @@ columns over the positions (see :meth:`Estimator.estimate`).
 from __future__ import annotations
 
 from array import array
-from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .comm import CommBackend
 from .compute import CostEstimate, HardwareProfile, one_cost
 from .errors import SpecError, ValidationError
-# lower_model, decode_positions and plan_overlap (below), one-evaluation
-# façades that the estimator does not call, stay importable from this
-# module: the benchmark's tracer wraps them here.
+# The benchmark's tracer wraps these names here: decode_positions, which
+# Estimator.estimate looks up in this module on each call, and lower_model
+# and plan_overlap (below), one-evaluation façades the estimator does not
+# call.
 from .interpreter import (  # noqa: F401
     DECODE,
     PREFILL,
@@ -32,7 +32,6 @@ from .interpreter import (  # noqa: F401
     as_columns,
     compile_layer,
     decode_positions,
-    decode_runs,
     is_column,
     lower_model,
     _flatten_ops,
@@ -58,8 +57,6 @@ from .moe import (
     uniform_routing,
 )
 from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
-
-DEFAULT_DECODE_STRIDE = 1
 
 
 # The overlap module is imported by the first overlapped estimate, not with
@@ -118,25 +115,19 @@ class Estimator:
     def __init__(self, spec: ModelSpec, dims: DimensionBindings,
                  hw: HardwareProfile, compute_backend, comm_backend: CommBackend,
                  *, tile: int = DEFAULT_TILE,
-                 decode_stride: int = DEFAULT_DECODE_STRIDE,
                  routing_trace: Optional[RoutingTrace] = None):
         if tile < 1:
             raise ValidationError(f"tile must be >= 1, got {tile}")
-        if decode_stride < 1:
-            raise ValidationError(f"decode stride must be >= 1, got {decode_stride}")
         self.spec = spec
         self.dims = dims
         self.hw = hw
         self.compute_backend = compute_backend
         self.comm_backend = comm_backend
         self.tile = tile
-        self.decode_stride = decode_stride
         self.routing_trace = routing_trace
         self.has_moe = _has_moe(spec)
         # One expert out of range fails the estimator, not each evaluation.
         check_trace_experts(spec, dims, routing_trace)
-        # Entries are published whole, so threads sharing the estimator see
-        # a finished value or none (and then build it themselves).
         self._memo: dict = {}
 
     def _memoized(self, key, build):
@@ -242,7 +233,8 @@ class Estimator:
             "layers": layers,
             "degrees": dict(degrees),
             "tile": self.tile,
-            "decode_stride": self.decode_stride,
+            # Every position is summed; the key keeps the report's bytes.
+            "decode_stride": 1,
             "hardware": self.hw.name,
             "routing": ("trace" if self.routing_trace is not None else
                         ("uniform" if self.has_moe else "dense")),
@@ -270,43 +262,41 @@ class Estimator:
             return report
 
         rows: dict[tuple[str, str], ReportRow] = {}
-        self._decode_rows(plan, ctx, decode_runs(ctx.osl, self.decode_stride),
+        self._decode_rows(plan, ctx, decode_positions(ctx.osl),
                           self.routing_stats(ctx, degrees), float(gpus), rows)
         report.rows = list(rows.values())
         return report
 
-    def _decode_rows(self, plan: LayerPlan, ctx: PhaseContext, runs: list,
-                     stats: Optional[RoutingStats], gpus: float,
-                     rows: dict) -> None:
-        """Add the cost of the decode positions of ``runs`` ((positions,
-        weight) pairs, see :func:`decode_runs`) to ``rows``, the report rows
-        by (label, category). Each step is lowered once for all positions
-        (:meth:`LayerPlan.lower_decode`; s = 1 makes the routing ``stats``
-        the same at each) and priced in stream order: a kernel that does
-        not read the context once, weighted by the layers times the
-        positions the runs stand for; a kernel line in closed form over the
-        z of each run, and any other kernel as columns summed over each
-        run, each run's sum weighted by the layers times its weight."""
+    def _decode_rows(self, plan: LayerPlan, ctx: PhaseContext,
+                     positions: range, stats: Optional[RoutingStats],
+                     gpus: float, rows: dict) -> None:
+        """Add the cost of the decode ``positions`` to ``rows``, the report
+        rows by (label, category). Each step is lowered once for all
+        positions (:meth:`LayerPlan.lower_decode`; s = 1 makes the routing
+        ``stats`` the same at each) and priced in stream order: a kernel
+        that does not read the context once, weighted by the layers times
+        the positions; a kernel line in closed form over their z, and any
+        other kernel as columns summed over them, each sum weighted by the
+        layers."""
         layers = float(self.layers())
-        zruns = [(range(ctx.isl + p.start, ctx.isl + p.stop, p.step), layers * w)
-                 for p, w in runs]
+        zs = range(ctx.isl + positions.start, ctx.isl + positions.stop)
         env = {"b": ctx.batch, "s": ctx.s}
-        zs = [zr for zr, _ in zruns]
         try:
             lowered = plan.lower_decode(env, zs, stats.avg if stats else None)
         except MixedColumns:
             # A GEMM whose N grows with z is 1 at one position, which lowers
-            # it as a memory op: each position is priced on its own.
-            for positions, weight in runs:
-                for p in positions:
-                    self._decode_rows(plan, ctx, [(range(p, p + 1), weight)],
-                                      stats, gpus, rows)
+            # it as a memory op there: each position is priced on its own.
+            # N is 1 only where z equals its shard degree, which divides
+            # neither neighbouring z: the earliest failing position's error
+            # is raised.
+            for p in positions:
+                self._decode_rows(plan, ctx, range(p, p + 1), stats, gpus, rows)
             return
         lowered_max = None
         if (stats is not None and not stats.balanced
                 and any(op.is_moe for op in lowered)):
             lowered_max = plan.lower_decode(env, zs, stats.max)
-        phase_weight = layers * sum(len(p) * w for p, w in runs)
+        phase_weight = layers * len(positions)
         for idx, op in enumerate(lowered):
             for k_idx, kernel in enumerate(op.kernels):
                 category = _kernel_category(kernel)
@@ -314,19 +304,15 @@ class Estimator:
                                       ReportRow(op.label, category))
                 scale = 1.0 if category == CATEGORY_COMM else gpus
                 if isinstance(kernel, (GemmLine, MemoryOpLine)):
-                    for zr, weight in zruns:
-                        latency, energy = self._price_sum(kernel, zr)
-                        row.add(latency * weight, energy * scale * weight)
+                    latency, energy = self._price_sum(kernel, zs)
+                    row.add(latency * layers, energy * scale * layers)
                     continue
                 latencies, energies = self._priced(lowered, lowered_max, idx, k_idx)
                 if not op.reads_context:
                     row.add(latencies[0] * phase_weight,
                             energies[0] * scale * phase_weight)
                     continue
-                latencies, energies = iter(latencies), iter(energies)
-                for zr, weight in zruns:
-                    row.add(sum(islice(latencies, len(zr))) * weight,
-                            sum(islice(energies, len(zr))) * scale * weight)
+                row.add(sum(latencies) * layers, sum(energies) * scale * layers)
 
     # -- prefill sweeps --------------------------------------------------------
 

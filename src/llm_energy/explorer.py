@@ -114,17 +114,17 @@ def normalize_grid(grid: dict) -> dict[str, list]:
 
 def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
           hw: HardwareProfile, compute_backend, comm_backend: CommBackend,
-          phase: str = PREFILL, jobs: int = 1, grid_path=None,
+          phase: str = PREFILL, grid_path=None,
           **estimator_kwargs) -> list[ConfigPoint]:
     """Evaluate the Cartesian grid. Infeasible points are flagged, not dropped.
 
-    The points are evaluated in groups of one set of parallel degrees. A
-    prefill group is priced as columns over its distinct (batch, isl)
-    points (prefill ignores osl) under every overlap setting at once
-    (:meth:`Estimator.estimate_prefill_settings`); a decode point by
-    :meth:`Estimator.estimate`. ``jobs`` > 1 evaluates groups on that many
-    threads. Output order is the sorted grid product, independent of
-    ``jobs``. ``grid_path``, if given, is named in the grid's own errors.
+    The points are evaluated in groups of one set of parallel degrees, one
+    group after another. A prefill group is priced as columns over its
+    distinct (batch, isl) points (prefill ignores osl) under every overlap
+    setting at once (:meth:`Estimator.estimate_prefill_settings`); a
+    decode point by :meth:`Estimator.estimate`. Output order is the sorted
+    grid product. ``grid_path``, if given, is named in the grid's own
+    errors.
     """
     if grid_path is None:
         axes = normalize_grid(grid)
@@ -158,9 +158,9 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
             return None, None, report.infeasible_reason
         return report.total_latency, report.total_energy, ""
 
-    def evaluate(group) -> list:
-        """(grid index, priced) of each point of one degrees group."""
-        (tp, ep, cp), by_setting = group
+    points: list = [None] * len(combos)
+    make = ConfigPoint._make
+    for (tp, ep, cp), by_setting in groups.items():
         degrees = {"tp": tp, "ep": ep, "cp": cp}
         if phase == PREFILL:
             # Prefill ignores osl: each distinct (batch, isl) is priced
@@ -170,21 +170,12 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
                      for k in next(iter(by_setting.values()))]
             priced = estimator.estimate_prefill_settings(
                 list(slot), degrees, list(by_setting))
-            return [(k, results[j])
-                    for indices, results in zip(by_setting.values(), priced)
-                    for k, j in zip(indices, slots)]
-        return [(k, decode_point(*combos[k][:3], degrees, ov))
-                for ov, indices in by_setting.items() for k in indices]
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            priced = list(pool.map(evaluate, groups.items()))
-    else:
-        priced = [evaluate(group) for group in groups.items()]
-    points: list = [None] * len(combos)
-    make = ConfigPoint._make
-    for results in priced:
+            results = [(k, per_point[j])
+                       for indices, per_point in zip(by_setting.values(), priced)
+                       for k, j in zip(indices, slots)]
+        else:
+            results = [(k, decode_point(*combos[k][:3], degrees, ov))
+                       for ov, indices in by_setting.items() for k in indices]
         for k, (latency, energy, reason) in results:
             points[k] = make((phase, *combos[k], latency is not None, latency,
                               energy, reason))

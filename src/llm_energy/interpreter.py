@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import SpecError, ValidationError
@@ -877,20 +877,20 @@ class LayerPlan(NamedTuple):
             lambda step, record: step.columns(env, moe_env, self.dims, count, record),
             count, errors, failed_at)
 
-    def lower_decode(self, env: dict, zs: Sequence[range],
+    def lower_decode(self, env: dict, zs: range,
                      moe_te: Optional[tuple] = None) -> list[LoweredColumns]:
         """Lower a decode layer at the positions whose context lengths are
-        the z of the ranges ``zs``, each step once, in stream order: a step
-        that does not read the context as one-point columns, a
-        :attr:`~_OpStep.line` step as its one kernel's line (a
-        :data:`KernelLine`), any other as columns over the positions.
+        the z of ``zs``, each step once, in stream order: a step that does
+        not read the context as one-point columns, a :attr:`~_OpStep.line`
+        step as its one kernel's line (a :data:`KernelLine`), any other as
+        columns over the positions.
         ``env`` binds b and s, and ``moe_te`` the MoE ops' (T, E). It
         raises the first position's first error in stream order, or else
         the earliest failing position's."""
-        count = sum(map(len, zs))
+        count = len(zs)
         point = dict(env, z=1)  # what the steps that do not read z see
         if any(step.reads_context and not step.line for step in self.steps):
-            env = dict(env, z=array("q", chain.from_iterable(zs)))
+            env = dict(env, z=array("q", zs))
         moe_env, moe_point = self._moe_env(env, moe_te), self._moe_env(point, moe_te)
 
         def lower(step, record: dict) -> LoweredColumns:
@@ -1031,27 +1031,6 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
     return compile_layer(spec, dims, degrees, ctx.phase).lower(ctx, moe_te=moe_te)
 
 
-def decode_runs(osl: int, stride: int) -> list[tuple[range, int]]:
-    """Sampled decode steps as runs (positions, weight) covering [1, osl].
-
-    Every ``stride``-th position from 1 is sampled and weighted by the
-    ``stride`` positions it stands for, the last sampled one by the
-    positions left: a left Riemann sum over the positions, exact at stride
-    1. The positions of one weight form one run, a range; the last sampled
-    position is a run of its own unless it too covers ``stride``.
-    """
-    if stride < 1:
-        raise ValidationError("decode stride must be >= 1")
-    last = osl - (osl - 1) % stride
-    tail = osl - last + 1
-    if tail == stride:
-        return [(range(1, last + 1, stride), stride)]
-    runs = [(range(1, last, stride), stride), (range(last, last + 1), tail)]
-    return [run for run in runs if run[0]]
-
-
-def decode_positions(osl: int, stride: int) -> list[tuple[int, int]]:
-    """The sampled decode steps of :func:`decode_runs` as (position, weight)
-    pairs, one per position."""
-    return [(position, weight) for positions, weight in decode_runs(osl, stride)
-            for position in positions]
+def decode_positions(osl: int) -> range:
+    """The decode positions 1..``osl``, each priced and summed exactly."""
+    return range(1, osl + 1)

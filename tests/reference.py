@@ -45,7 +45,6 @@ from llm_energy.interpreter import (
     OuterProduct,
     _flatten_ops,
     _is_moe_op,
-    decode_positions,
     local_size,
     op_shards,
     operand_bytes,
@@ -302,18 +301,16 @@ def _category(kernel):
 def reference_rows(est, ctx, degrees, overlap=None, invariant_once=False):
     """An estimator's report rows, {(label, category): (latency, energy)} in
     row order, priced from scratch: in prefill once, in decode at every
-    sampled position, the routing statistics, the full lowering (twice for
+    position 1..osl, the routing statistics, the full lowering (twice for
     imbalanced MoE), every kernel's price with MoE kernels folded and
-    overlapped ops planned, each weighted by layers x the positions it
-    stands for. With ``invariant_once``, a decode kernel that does not read
+    overlapped ops planned, each weighted by layers. With ``invariant_once``, a decode kernel that does not read
     the context is added at the first position only, weighted by layers x
     osl, as the estimator adds it. ``overlap`` is a setting (stages,
     sm_comm) that some op takes."""
     degrees = validate_bindings(est.spec, est.dims, degrees).degrees
     spec = est.spec if overlap is None else annotate_overlap(est.spec, *overlap)
     gpus = est.gpu_count(degrees)
-    steps = ([(1, 1)] if ctx.phase == PREFILL
-             else decode_positions(ctx.osl, est.decode_stride))
+    positions = [1] if ctx.phase == PREFILL else range(1, ctx.osl + 1)
     rows = {}
 
     def add(label, category, cost, weight):
@@ -325,7 +322,7 @@ def reference_rows(est, ctx, degrees, overlap=None, invariant_once=False):
     def cost_of(kernel):
         return price(kernel, est.compute_backend, est.comm_backend)
 
-    for n, (position, width) in enumerate(steps):
+    for n, position in enumerate(positions):
         step = ctx if ctx.phase == PREFILL else replace(ctx, decode_position=position)
         stats = est.routing_stats(step, degrees)
         lowered = reference_lower(spec, est.dims, step, degrees,
@@ -335,7 +332,7 @@ def reference_rows(est, ctx, degrees, overlap=None, invariant_once=False):
             lowered_max = reference_lower(spec, est.dims, step, degrees,
                                           moe_te=stats.max)
         for idx, op in enumerate(lowered):
-            weight = est.layers() * width
+            weight = est.layers()
             if invariant_once and not op.reads_context:
                 if n:
                     continue

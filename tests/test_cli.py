@@ -235,28 +235,37 @@ def test_fixture_reference_names_a_listed_fixture(tmp_path, capsys, command, nam
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("phase", ["prefill", "decode"])
-def test_estimate_rejects_decode_stride_below_one(tmp_path, capsys, phase):
-    # Rejected up front, for a prefill estimate too, as the tile is.
+_STRIDE_MESSAGE = "--decode-stride must be 1: every decode position is summed exactly"
+
+
+@pytest.mark.parametrize("stride", [0, -3, 2, 64])
+@pytest.mark.parametrize("phase", ["prefill", "decode", "both"])
+def test_estimate_rejects_decode_stride_other_than_one(tmp_path, capsys, phase,
+                                                        stride):
+    # Every position is summed exactly, so no other stride has a meaning:
+    # rejected up front, for a prefill estimate too, as the tile is.
     code = main(["estimate", *_base_args(tmp_path), "--phase", phase,
-                 "--osl", "8", "--decode-stride", "0"])
+                 "--osl", "8", "--decode-stride", str(stride)])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.count("decode stride must be >= 1, got 0") == 1
+    assert err == f"validation error: {_STRIDE_MESSAGE}, got {stride}\n"
     assert not list(tmp_path.iterdir())
 
 
-def test_decode_sweep_rejects_decode_stride_below_one(tmp_path, capsys):
+@pytest.mark.parametrize("stride", [0, -3, 2, 64])
+@pytest.mark.parametrize("phase", ["prefill", "decode"])
+def test_sweep_rejects_decode_stride_other_than_one(tmp_path, capsys, phase,
+                                                     stride):
     # Not reported as every point's infeasible reason.
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"batch": [1, 2], "isl": [128], "osl": [8],
                                 "tp": [1, 2]}))
     out = tmp_path / "out"
-    code = main(["sweep", *_base_args(out), "--phase", "decode", "--grid",
-                 str(grid), "--decode-stride", "0"])
+    code = main(["sweep", *_base_args(out), "--phase", phase, "--grid",
+                 str(grid), "--decode-stride", str(stride)])
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.count("decode stride must be >= 1, got 0") == 1
+    assert err == f"validation error: {_STRIDE_MESSAGE}, got {stride}\n"
     assert not out.exists()
 
 
@@ -662,6 +671,11 @@ def _sweep_jobs_negative(tmp_path):
     return _sweep_with(tmp_path, "--jobs", "-3")
 
 
+def _estimate_decode_stride_two(tmp_path):
+    return ["estimate", *_base_args(tmp_path), "--phase", "decode",
+            "--decode-stride", "2"]
+
+
 def _sweep_latency_budget_nan(tmp_path):
     return _sweep_with(tmp_path, "--latency-budget", "nan")
 
@@ -691,6 +705,7 @@ _NAMED = {
     _estimate_format_json_xml: "'xml'",
     _sweep_jobs_zero: "got 0",
     _sweep_jobs_negative: "got -3",
+    _estimate_decode_stride_two: "--decode-stride must be 1",
     _sweep_latency_budget_nan: "got nan",
     _sweep_latency_budget_negative: "got -0.001",
     _pareto_latency_budget_inf: "got inf",
@@ -759,7 +774,8 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _grid_overlap_pair_without_stages, _grid_overlap_float_stages,
     _grid_overlap_bool_stages, _grid_overlap_without_sm,
     _point_overlap_without_stages, _sweep_format_xml, _estimate_format_json_xml,
-    _sweep_jobs_zero, _sweep_jobs_negative, _sweep_latency_budget_nan,
+    _sweep_jobs_zero, _sweep_jobs_negative, _estimate_decode_stride_two,
+    _sweep_latency_budget_nan,
     _sweep_latency_budget_negative, _pareto_latency_budget_inf])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION

@@ -140,13 +140,14 @@ def test_an_overlapped_estimate_imports_overlap_not_explorer(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_sweep_imports_the_thread_pool_only_for_jobs(tmp_path, jobs):
+def test_a_sweep_imports_no_thread_pool_at_any_jobs(tmp_path, jobs):
+    # The points are evaluated in one loop, whatever --jobs says.
     (tmp_path / "grid.json").write_text(json.dumps(_GRID))
     modules = _modules_after(tmp_path, [
         "sweep", *_DENSE, "--grid", str(tmp_path / "grid.json"),
         "--jobs", str(jobs), "--out", str(tmp_path / "out")])
     assert "llm_energy.explorer" in modules
-    assert ("concurrent.futures" in modules) == (jobs > 1)
+    assert "concurrent.futures" not in modules
 
 
 def test_a_bare_package_import_loads_no_submodule_and_resolves_each(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end estimator behavior: accounting, MoE folding, overlap wiring."""
 
 import dataclasses
+import functools
 import json
 import random
 
@@ -36,6 +37,7 @@ from llm_energy.interpreter import (
 from llm_energy.metrics import (
     CATEGORY_COMM,
     CATEGORY_EXPOSED,
+    CATEGORY_MEMORY,
     ReportRow,
 )
 from llm_energy.spec_lang import ModelSpec, OpSpec, parse_equation, validate_bindings
@@ -84,17 +86,6 @@ def test_comm_energy_counted_once_compute_per_gpu(dense_spec, dims_8b, hw,
         for op in lowered for k in op.kernels if isinstance(k, CommDescriptor))
     assert report.category_energy()[CATEGORY_COMM] == pytest.approx(
         comm_energy * 32)  # once per event per layer, not per GPU
-
-
-def test_decode_stride_consistency(dense_spec, dims_8b, hw, roofline,
-                                   comm_backend):
-    ctx = PhaseContext(DECODE, 2, 512, osl=32)
-    exact = _est(dense_spec, dims_8b, hw, roofline, comm_backend,
-                 decode_stride=1).estimate(ctx, {"tp": 2})
-    sampled = _est(dense_spec, dims_8b, hw, roofline, comm_backend,
-                   decode_stride=16).estimate(ctx, {"tp": 2})
-    assert sampled.total_energy == pytest.approx(exact.total_energy, rel=0.01)
-    assert epot(sampled) == pytest.approx(epot(exact), rel=0.01)
 
 
 def test_moe_uniform_balanced_no_idle_term(moe_spec, dims_moe, hw, roofline,
@@ -258,27 +249,27 @@ _CASES = (_DENSE_CASES + _MOE_CASES + _CP_CASES
           + [("moe_context_spec", {"tp": 2, "ep": 4}, "trace")])
 
 
-def _oracle_case(k, backend, stride, osl):
+def _oracle_case(k, backend, osl):
     spec_name, degrees, routing = _CASES[k]
-    return pytest.param(spec_name, degrees, routing, backend, stride, osl,
-                        id=f"{spec_name}-degrees{k}-{routing}-{backend}-{stride}-{osl}")
+    return pytest.param(spec_name, degrees, routing, backend, osl,
+                        id=f"{spec_name}-degrees{k}-{routing}-{backend}-{osl}")
 
 
 @pytest.mark.parametrize(
-    "spec_name, degrees, routing, backend, stride, osl",
-    [_oracle_case(k, backend, stride, osl) for k in range(len(_CASES))
-     for backend in ("roofline", "table") for stride, osl in ((1, 80), (64, 200))]
+    "spec_name, degrees, routing, backend, osl",
+    [_oracle_case(k, backend, osl) for k in range(len(_CASES))
+     for backend in ("roofline", "table") for osl in (80, 200)]
     # Every position of a long decode: dense at tp 2, and cp 2, whose
     # AllToAll transition is a comm column.
-    + [_oracle_case(1, "roofline", 1, 4096), _oracle_case(9, "roofline", 1, 4096)])
+    + [_oracle_case(1, "roofline", 4096), _oracle_case(9, "roofline", 4096)])
 def test_decode_matches_per_position_pricing(request, spec_name, degrees, routing,
-                                             backend, stride, osl, hw,
+                                             backend, osl, hw,
                                              roofline, comm_backend):
     spec = request.getfixturevalue(spec_name)
     dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
     compute = roofline if backend == "roofline" else _table_backend(hw)
-    est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride,
+    est = _est(spec, dims, hw, compute, comm_backend,
                routing_trace=_skewed_trace() if routing else None)
     ctx = PhaseContext(DECODE, 2, 512, osl=osl)
     if routing:
@@ -302,7 +293,7 @@ def _decode_lowering(spec, dims, degrees):
     :meth:`LayerPlan.lower_decode`); any routing statistics will do."""
     degrees = validate_bindings(spec, dims, degrees).degrees
     plan = compile_layer(spec, dims, degrees, DECODE)
-    return plan.lower_decode({"b": 2, "s": 1}, [range(514, 515)],
+    return plan.lower_decode({"b": 2, "s": 1}, range(514, 515),
                              moe_te=(16.0, 8.0))
 
 
@@ -315,27 +306,26 @@ def _closed_form_labels(est, degrees):
     return closed, {op.label for op in lowered if op.reads_context} - closed
 
 
-@pytest.mark.parametrize("stride", [1, 64])
 @pytest.mark.parametrize("backend", ["roofline", "table"])
 @pytest.mark.parametrize("spec_name, degrees, routing", [
     ("dense_spec", {"tp": 2}, None),
     ("moe_context_spec", {"tp": 2, "ep": 4}, "trace"),
     ("cp_decode_spec", {"cp": 2}, None)])
 def test_decode_report_bytes_match_scalar_accumulation(
-        request, spec_name, degrees, routing, backend, stride, hw, roofline,
+        request, spec_name, degrees, routing, backend, hw, roofline,
         comm_backend):
     # Rows of kernels that do not read the context are priced once and
     # weighted by the whole phase, as the reference does with
     # invariant_once: their bytes are the same. Rows of context kernels,
-    # summed over z in closed form or over each run of positions as
-    # columns (the cp transition, the folded MoE expert op), are a
+    # summed over z in closed form or over the positions as columns (the
+    # cp transition, the folded MoE expert op), are a
     # reassociated sum: at every osl they agree within the tolerance stated
     # for them, a relative 1e-12.
     spec = request.getfixturevalue(spec_name)
     dims = request.getfixturevalue("dims_moe" if spec_name.startswith("moe")
                                    else "dims_8b")
     compute = roofline if backend == "roofline" else _table_backend(hw)
-    est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride,
+    est = _est(spec, dims, hw, compute, comm_backend,
                routing_trace=_skewed_trace() if routing else None)
     closed, columns = _closed_form_labels(est, degrees)
     assert closed and bool(columns) == (spec_name != "dense_spec")
@@ -404,7 +394,7 @@ def test_decode_lowers_full_layer_once(
                         counting(engine.stats_from_trace, "routing"))
     monkeypatch.setattr(engine, "uniform_routing",
                         counting(engine.uniform_routing, "routing"))
-    est = _est(spec, dims, hw, roofline, comm_backend, decode_stride=1,
+    est = _est(spec, dims, hw, roofline, comm_backend,
                routing_trace=_skewed_trace() if routing else None)
     # An imbalanced trace lowers the layer a second time for the bottleneck
     # GPU, once per phase; no op that reads the context is an MoE op, so
@@ -489,21 +479,21 @@ def test_low_peak_profile_puts_the_roofline_crossover_inside_the_decode(
 @given(spec=st.sampled_from(["fused", "unfused"]), batch=st.integers(1, 64),
        isl=st.integers(1, 1200), osl=st.integers(1, 300),
        tp=st.sampled_from([1, 2, 4, 8]), backend=st.sampled_from(["roofline", "table"]),
-       stride=st.sampled_from([1, 7, 64]), low_peak=st.booleans())
+       low_peak=st.booleans())
 @example(spec="fused", batch=2, isl=512, osl=200, tp=2, backend="roofline",
-         stride=1, low_peak=True)
+         low_peak=True)
 @example(spec="unfused", batch=64, isl=400, osl=300, tp=4, backend="roofline",
-         stride=7, low_peak=True)
+         low_peak=True)
 def test_closed_form_decode_matches_per_position_sum(
         dense_spec, unfused_spec, dims_8b, hw, comm_backend, spec, batch, isl,
-        osl, tp, backend, stride, low_peak):
+        osl, tp, backend, low_peak):
     # Every row and both totals within a relative 1e-12 of the independent
     # position-by-position loop, the roofline crossover inside the z range
-    # or not, every stride's runs and last position included.
+    # or not, the first and last positions included.
     profile = _low_peak(hw) if low_peak else hw
     compute = RooflineBackend(profile) if backend == "roofline" else _table_backend(profile)
     est = _est(dense_spec if spec == "fused" else unfused_spec, dims_8b, profile,
-               compute, comm_backend, decode_stride=stride)
+               compute, comm_backend)
     ctx = PhaseContext(DECODE, batch, isl, osl=osl)
     report = est.estimate(ctx, {"tp": tp})
     assert report.feasible
@@ -612,10 +602,9 @@ def test_estimator_rejects_tile_below_one(dense_spec, dims_8b, hw, roofline,
         Estimator(dense_spec, dims_8b, hw, roofline, comm_backend, tile=tile)
 
 
-@pytest.mark.parametrize("stride", [1, 7])
 @pytest.mark.parametrize("backend", ["roofline", "table"])
 def test_closed_form_decode_of_every_kernel_form(dims_8b, hw, roofline,
-                                                comm_backend, backend, stride):
+                                                comm_backend, backend):
     # Memory ops sized by their output or by every operand, GEMMs with
     # N = 1 and with z in M, each summed in closed form, and, under cp, a
     # GEMM that does not read z but follows one that does in the same cp
@@ -632,7 +621,7 @@ def test_closed_form_decode_of_every_kernel_form(dims_8b, hw, roofline,
     dims = dims_8b.with_sizes(w=64)
     degrees = {"tp": 2, "cp": 2}
     compute = roofline if backend == "roofline" else _table_backend(hw)
-    est = _est(spec, dims, hw, compute, comm_backend, decode_stride=stride)
+    est = _est(spec, dims, hw, compute, comm_backend)
     closed, columns = _closed_form_labels(est, degrees)
     assert closed == {"Scale", "Outer", "Narrow", "Wide"}
     assert not columns
@@ -646,34 +635,35 @@ def test_closed_form_decode_of_every_kernel_form(dims_8b, hw, roofline,
         assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("isl, stride, osl", [(1, 2, 5), (1, 2, 1), (5, 2, 3)])
+@pytest.mark.parametrize("isl, osl, error", [
+    (1, 5, "symbol 'z' size 3 not divisible by degree 2"),  # position 2
+    (1, 1, None),
+    (5, 3, "symbol 'z' size 7 not divisible by degree 2")])  # position 2
 def test_decode_gemm_with_n_one_at_one_position(dims_8b, hw, roofline,
-                                                comm_backend, isl, stride, osl):
-    # N = z / 2 is 1 at z = 2 only: that position lowers the GEMM as a
-    # memory op, its own row, and the others as a GEMM, as the reference
-    # does position by position (an isl of 5 never reaches N = 1).
+                                                comm_backend, isl, osl, error):
+    # N = z / 2 is 1 at z = 2 only, which lowers the GEMM as a memory op
+    # there, its own row. Every position is priced, so past one position an
+    # odd z fails to shard over tp 2: the estimate raises the earliest
+    # failing position's error, as the reference does position by position,
+    # not the error of a column that mixes N = 1 with other N (an isl of 5
+    # never reaches N = 1).
     spec = ModelSpec((OpSpec(equation=parse_equation("bKh,bKzh->bKz"),
                              parallel="z", label="Scores"),), 1)
-    est = _est(spec, dims_8b, hw, roofline, comm_backend, decode_stride=stride)
+    est = _est(spec, dims_8b, hw, roofline, comm_backend)
     ctx = PhaseContext(DECODE, 2, isl, osl=osl)
+    if error is not None:
+        for price in (est.estimate, functools.partial(reference.reference_rows, est)):
+            with pytest.raises(ValidationError, match=f"^{error}$"):
+                price(ctx, {"tp": 2})
+        return
     report = est.estimate(ctx, {"tp": 2})
     expected = reference.reference_rows(est, ctx, {"tp": 2})
     assert [(r.label, r.category) for r in report.rows] == list(expected)
-    assert len(expected) == (2 if isl == 1 and osl > 1 else 1)
+    assert [r.category for r in report.rows] == [CATEGORY_MEMORY]
     for row in report.rows:
         latency, energy = expected[(row.label, row.category)]
         assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)
         assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
-
-
-@pytest.mark.parametrize("stride", [0, -3])
-def test_estimator_rejects_decode_stride_below_one(dense_spec, dims_8b, hw,
-                                                   roofline, comm_backend, stride):
-    # Checked up front, as the tile is, whatever phase is priced.
-    with pytest.raises(ValidationError,
-                       match=f"decode stride must be >= 1, got {stride}"):
-        Estimator(dense_spec, dims_8b, hw, roofline, comm_backend,
-                  decode_stride=stride)
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True])

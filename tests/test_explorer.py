@@ -1,7 +1,6 @@
 """Sweep, Pareto frontier, heuristic recovery, and insight query tests."""
 
 import random
-import sys
 from collections import Counter
 from itertools import product
 
@@ -178,15 +177,6 @@ def test_sweep_cardinality_and_infeasible(dense_spec, dims_70b, hw, roofline,
     assert flags[(64, 131072)] is False
 
 
-def test_sweep_thread_determinism(dense_spec, dims_8b, hw, roofline,
-                                  comm_backend):
-    grid = {"batch": [1, 4], "isl": [256, 1024], "tp": [2, 4]}
-    serial = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
-    threaded = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend,
-                     jobs=4)
-    assert [p.to_dict() for p in serial] == [p.to_dict() for p in threaded]
-
-
 def test_sweep_marks_overlap_setting_no_op_takes_infeasible(cp_spec, dims_8b, hw,
                                                            roofline, comm_backend):
     pts = sweep(cp_spec, dims_8b, {"batch": [1], "isl": [1024], "cp": [2],
@@ -310,7 +300,7 @@ _SWEEP_CASES = {
            {"batch": [2], "isl": [255, 1024], "tp": [1, 2], "cp": [1, 2]}, {}),
     "cp-decode": ("cp_spec", "dims_8b", DECODE,
                   {"batch": [2], "isl": [512], "osl": [3], "cp": [1, 2],
-                   "overlap": [None, "2:4"]}, {"decode_stride": 2}),
+                   "overlap": [None, "2:4"]}, {}),
     "moe": ("moe_spec", "dims_moe", PREFILL,
             {"batch": [1, 8], "isl": [128], "tp": [1, 2], "ep": [1, 2, 4],
              "overlap": [None, "2:4"]}, {}),
@@ -328,7 +318,7 @@ _SWEEP_CASES = {
                   {"tile": 4, "routing_trace": "trace"}),
     "moe-trace-decode": ("moe_spec", "dims_moe", DECODE,
                          {"batch": [1, 4], "isl": [256], "osl": [5],
-                          "ep": [2, 3, 4]}, {"decode_stride": 2, "tile": 4,
+                          "ep": [2, 3, 4]}, {"tile": 4,
                                           "routing_trace": "trace"}),
 }
 
@@ -544,21 +534,6 @@ def test_sweep_compiles_once_per_group(monkeypatch, dense_spec, dims_8b, hw,
     # Validation, the memory model and the layer once per tp.
     assert calls == {"validate_bindings": 3, "build_memory_model": 3,
                      "compile_layer": 3}
-
-
-def test_sweep_threads_share_compiled_layers(dense_spec, dims_8b, hw, roofline,
-                                             comm_backend):
-    grid = {"batch": [1, 2, 4, 8], "isl": [256, 512, 1024], "tp": [1, 2, 4, 8],
-            "overlap": [None, "2:4", "4:16"]}
-    serial = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = sweep(dense_spec, dims_8b, grid, hw, roofline, comm_backend,
-                         jobs=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
 
 
 def test_prefill_prices_each_batch_and_length_once_for_every_osl(

@@ -223,11 +223,10 @@ def test_decode_overlap_rejected(dense_spec, dims_8b):
 
 
 def test_decode_positions():
-    assert decode_positions(1, 64) == [(1, 1)]
-    assert decode_positions(128, 64) == [(1, 64), (65, 64)]
-    assert decode_positions(100, 64) == [(1, 64), (65, 36)]
-    assert sum(w for _, w in decode_positions(777, 64)) == 777
-    assert decode_positions(5, 1) == [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)]
+    # Every position 1..osl, each once: the exact sum, no sample.
+    assert decode_positions(1) == range(1, 2)
+    assert list(decode_positions(5)) == [1, 2, 3, 4, 5]
+    assert len(decode_positions(777)) == 777
 
 
 def _context_ops_spec():
@@ -257,7 +256,7 @@ def test_line_steps_are_decided_from_the_compiled_sizes(tp):
         ("Wide", True, True), ("Sharded", True, tp == 1)]
     for z in (2, 518, 4096):  # z sharded by 2 must divide
         lowered = plan.lower(PhaseContext(DECODE, 3, z - 1, osl=1))
-        decoded = plan.lower_decode({"b": 3, "s": 1}, [range(z, z + 1)])
+        decoded = plan.lower_decode({"b": 3, "s": 1}, range(z, z + 1))
         assert [type(op.kernels[0]).__name__ for op in decoded] == [
             "MemoryOpLine", "MemoryOpLine", "MemoryOpLine", "GemmLine",
             "GemmLine" if tp == 1 else "GemmColumns"]
@@ -420,7 +419,7 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
     if phase == DECODE:
         zs = [isl + p for p in positions]
         got = _outcome(plan.lower_decode, {"b": batch, "s": 1},
-                       [range(zs[0], zs[-1] + 1)], moe_te=moe_te)
+                       range(zs[0], zs[-1] + 1), moe_te=moe_te)
         if isinstance(want_columns, tuple):
             # The earliest failing position's first error in stream order.
             assert got == want_columns

@@ -52,8 +52,7 @@ import reference
 # binds them to, and one-evaluation methods and record constructors.
 _FUNCTIONS = (compute.estimate_gemm, compute.estimate_memory_op, compute.one_cost,
               comm.estimate_comm, overlap.plan_overlap, moe.fold_imbalance,
-              moe.aggregate_moe, interpreter.lower_model, interpreter.decode_positions,
-              interpreter._descriptor)
+              moe.aggregate_moe, interpreter.lower_model, interpreter._descriptor)
 _METHODS = ((LayerPlan, "lower"), (LoweredColumns, "one_point"),
             (_Estimator, "_price"),
             (RooflineBackend, "estimate_gemm"), (RooflineBackend, "estimate_memory_op"),

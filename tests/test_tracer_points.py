@@ -52,3 +52,25 @@ def test_the_commands_call_the_names_the_tracer_wraps(monkeypatch, tmp_path):
                      "llm_energy.cli.pareto_front": 1,
                      "llm_energy.cli.heuristic_compare": 1,
                      "llm_energy.cli.insight_queries": 1}
+
+
+def test_a_decode_estimate_calls_the_traced_decode_positions(monkeypatch, tmp_path):
+    # The tracer counts decode steps by wrapping engine.decode_positions:
+    # the estimator must look it up there, once per decode phase.
+    from llm_energy import cli, engine
+
+    results = []
+    positions = engine.decode_positions
+
+    def recording(osl):
+        results.append(positions(osl))
+        return results[-1]
+    monkeypatch.setattr(engine, "decode_positions", recording)
+    code = cli.main(["estimate", "--spec", "fixture:dense_fused.json",
+                     "--dims", "fixture:llama3_8b.json",
+                     "--hw", "fixture:a100_sxm_80g.json",
+                     "--comm-cal", "fixture:comm_synthetic.csv",
+                     "--phase", "both", "--osl", "5",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert [len(result) for result in results] == [5]
