@@ -67,10 +67,6 @@ def insight_queries(*args, **kwargs):
     return explorer.insight_queries(*args, **kwargs)
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
-
-
 def _resolve(path_str: str) -> Path:
     """Accept a plain path or a ``fixture:NAME`` reference to a file."""
     if path_str.startswith("fixture:"):
@@ -85,24 +81,54 @@ def _resolve(path_str: str) -> Path:
     return path
 
 
+# Parsed input files kept between calls in one process, by (kind, path,
+# sha256 of the bytes read): a file read again with the same bytes is not
+# parsed again. Past _KEPT_INPUTS entries the oldest is dropped. A failed
+# parse is never kept, and nothing changes a parsed input once loaded.
+_KEPT_INPUTS = 16
+_parsed: dict[tuple, object] = {}
+
+
 def _load_inputs(args) -> dict:
-    """The inputs named by ``args``, each file read once: its loader
-    decodes the bytes that its digest is taken from."""
+    """The inputs named by ``args``. Each file is read and hashed once per
+    call, in the loaders' order, and its loader decodes the bytes that its
+    digest is taken from. The spec, dims, hardware and calibration files
+    are parsed only when their (kind, path, bytes) are not in
+    :data:`_parsed`; the routing trace is parsed every call. A loader is
+    looked up when it runs, so a wrapped or patched one sees each parse."""
     files = {name: InputFile(_resolve(value)) for name, value in (
         ("spec", args.spec), ("dims", args.dims), ("hw", args.hw),
         ("comm_cal", args.comm_cal), ("gemm_cal", args.gemm_cal),
         ("trace", args.trace)) if value}
-    hw = load_hardware_profile(files["hw"])
-    return {
-        "spec": load_model_spec(files["spec"]),
-        "dims": load_bindings(files["dims"]),
+    digests = {}
+
+    def parsed(name, loader):
+        file = files[name]
+        sha = hashlib.sha256(file.data)
+        digests[name] = sha.hexdigest()[:16]
+        key = (name, file.path, sha.digest())
+        value = _parsed.get(key)
+        if value is None:
+            value = _parsed[key] = loader(file)
+            if len(_parsed) > _KEPT_INPUTS:
+                del _parsed[next(iter(_parsed))]
+        return value
+
+    hw = parsed("hw", load_hardware_profile)
+    inputs = {
+        "spec": parsed("spec", load_model_spec),
+        "dims": parsed("dims", load_bindings),
         "hw": hw,
-        "comm": CommBackend(load_comm_calibration(files["comm_cal"])),
-        "compute": (TableComputeBackend(GemmCalibrationTable.load(files["gemm_cal"]), hw)
+        "comm": CommBackend(parsed("comm_cal", load_comm_calibration)),
+        "compute": (TableComputeBackend(parsed("gemm_cal", GemmCalibrationTable.load), hw)
                     if "gemm_cal" in files else RooflineBackend(hw)),
-        "trace": RoutingTrace.load(files["trace"]) if "trace" in files else None,
-        "digests": {name: _digest(file.data) for name, file in files.items()},
+        "trace": None,
+        "digests": digests,
     }
+    if "trace" in files:
+        inputs["trace"] = RoutingTrace.load(files["trace"])
+        digests["trace"] = hashlib.sha256(files["trace"].data).hexdigest()[:16]
+    return inputs
 
 
 # Encodes a list of flat rows with each key on its own line, at the

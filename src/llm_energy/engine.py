@@ -261,17 +261,15 @@ class Estimator:
                            for (label, category), ((latency,), (energy,)) in rows]
             return report
 
-        rows: dict[tuple[str, str], ReportRow] = {}
-        self._decode_rows(plan, ctx, decode_positions(ctx.osl),
-                          self.routing_stats(ctx, degrees), float(gpus), rows)
-        report.rows = list(rows.values())
+        report.rows = self._decode_rows(plan, ctx, decode_positions(ctx.osl),
+                                        self.routing_stats(ctx, degrees), float(gpus))
         return report
 
     def _decode_rows(self, plan: LayerPlan, ctx: PhaseContext,
                      positions: range, stats: Optional[RoutingStats],
-                     gpus: float, rows: dict) -> None:
-        """Add the cost of the decode ``positions`` to ``rows``, the report
-        rows by (label, category). Each step is lowered once for all
+                     gpus: float) -> list[ReportRow]:
+        """The report rows of the decode ``positions``, one per (label,
+        category) in stream order. Each step is lowered once for all
         positions (:meth:`LayerPlan.lower_decode`; s = 1 makes the routing
         ``stats`` the same at each) and priced in stream order: a kernel
         that does not read the context once, weighted by the layers times
@@ -281,22 +279,13 @@ class Estimator:
         layers = float(self.layers())
         zs = range(ctx.isl + positions.start, ctx.isl + positions.stop)
         env = {"b": ctx.batch, "s": ctx.s}
-        try:
-            lowered = plan.lower_decode(env, zs, stats.avg if stats else None)
-        except MixedColumns:
-            # A GEMM whose N grows with z is 1 at one position, which lowers
-            # it as a memory op there: each position is priced on its own.
-            # N is 1 only where z equals its shard degree, which divides
-            # neither neighbouring z: the earliest failing position's error
-            # is raised.
-            for p in positions:
-                self._decode_rows(plan, ctx, range(p, p + 1), stats, gpus, rows)
-            return
+        lowered = plan.lower_decode(env, zs, stats.avg if stats else None)
         lowered_max = None
         if (stats is not None and not stats.balanced
                 and any(op.is_moe for op in lowered)):
             lowered_max = plan.lower_decode(env, zs, stats.max)
         phase_weight = layers * len(positions)
+        rows: dict[tuple[str, str], ReportRow] = {}
         for idx, op in enumerate(lowered):
             for k_idx, kernel in enumerate(op.kernels):
                 category = _kernel_category(kernel)
@@ -313,6 +302,7 @@ class Estimator:
                             energies[0] * scale * phase_weight)
                     continue
                 row.add(sum(latencies) * layers, sum(energies) * scale * layers)
+        return list(rows.values())
 
     # -- prefill sweeps --------------------------------------------------------
 

@@ -885,25 +885,42 @@ class LayerPlan(NamedTuple):
         step as its one kernel's line (a :data:`KernelLine`), any other as
         columns over the positions.
         ``env`` binds b and s, and ``moe_te`` the MoE ops' (T, E). It
-        raises the first position's first error in stream order, or else
-        the earliest failing position's."""
+        raises the earliest failing position's first error in stream
+        order, the error that lowering that position alone raises.
+
+        A GEMM whose N grows with z is 1 only where z equals its shard
+        degree, which divides neither neighbouring z, so a column that
+        mixes N = 1 with other N holds a failing position: the walk goes
+        on past such a column and raises that position's error (a mixed
+        column with no failing position would raise
+        :class:`MixedColumns`)."""
         count = len(zs)
         point = dict(env, z=1)  # what the steps that do not read z see
         if any(step.reads_context and not step.line for step in self.steps):
             env = dict(env, z=array("q", zs))
         moe_env, moe_point = self._moe_env(env, moe_te), self._moe_env(point, moe_te)
+        mixed = []
 
         def lower(step, record: dict) -> LoweredColumns:
             if step.line:
                 label, line = step.lower_line(point, self.dims)
                 return LoweredColumns(label, (line,), reads_context=True)
             if step.reads_context:
-                return step.columns(env, moe_env, self.dims, count, record)
+                try:
+                    return step.columns(env, moe_env, self.dims, count, record)
+                except MixedColumns as exc:
+                    # The failing positions' errors are in ``record``; any
+                    # other lowers this GEMM, as a memory op at N = 1.
+                    mixed.append(exc)
+                    return None
             # Each size one number, it raises its errors, the same at
             # every position.
             return step.columns(point, moe_point, self.dims, 1, {})
 
-        return self._walk(lower, count)
+        lowered = self._walk(lower, count)
+        if mixed:
+            raise mixed[0]
+        return lowered
 
     def _walk(self, lower, count: int, errors: Optional[dict] = None,
               failed_at: Optional[dict] = None) -> list[LoweredColumns]:

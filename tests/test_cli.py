@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from llm_energy import cli
 from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, dumps_json, main
+from llm_energy.compute import GemmCalibrationTable
 from llm_energy.explorer import ConfigPoint, format_overlap
 from llm_energy.fixtures import fixture_path
 from llm_energy.moe import RoutingTrace
@@ -195,8 +196,8 @@ def test_each_input_file_is_opened_once(tmp_path, command):
 
 
 def test_a_changed_input_is_read_afresh(tmp_path):
-    # Nothing read by one call is kept for the next: the second call
-    # reports the file as it is then.
+    # A changed file is parsed again: the second call reports the file as
+    # it is then.
     dims = tmp_path / "dims.json"
     args = _base_args(tmp_path / "out")
     args[args.index("fixture:llama3_8b.json")] = str(dims)
@@ -211,6 +212,156 @@ def test_a_changed_input_is_read_afresh(tmp_path):
         reports.append(report)
     assert [report["meta"]["layers"] for report in reports] == [32, 80]
     assert reports[0]["rows"] != reports[1]["rows"]
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """The CLI's memo of parsed inputs, empty for this test alone."""
+    memo = {}
+    monkeypatch.setattr(cli, "_parsed", memo)
+    return memo
+
+
+def _counting(monkeypatch, owner, name) -> Counter:
+    """Count the calls of ``owner.name``, which still runs."""
+    calls = Counter()
+    function = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _outputs(out: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_a_repeated_estimate_parses_its_inputs_once(tmp_path, capsys, monkeypatch,
+                                                    empty_memo):
+    # Each file is still read and hashed, but bytes seen before reuse their
+    # parse: the second call writes the same bytes without loading the
+    # comm table again.
+    loads = _counting(monkeypatch, cli, "load_comm_calibration")
+    argv = ["estimate", *_base_args(tmp_path / "out"), "--gemm-cal",
+            "fixture:gemm_synthetic.csv", "--phase", "both", "--tp", "2",
+            "--isl", "256", "--osl", "6"]
+    seen = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        seen.append((_outputs(tmp_path / "out"), capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert loads == {"load_comm_calibration": 1}
+    assert {kind for kind, _, _ in empty_memo} == {"spec", "dims", "hw", "comm_cal",
+                                                   "gemm_cal"}
+
+
+def _scaled_comm_table(path: Path, factor: float) -> None:
+    """The fixture comm table with every latency times ``factor``."""
+    lines = fixture_path("comm_synthetic.csv").read_text().splitlines(keepends=True)
+    with open(path, "w") as fh:
+        for line in lines:
+            cells = line.split(",")
+            if len(cells) == 6 and not line.startswith(("#", "kind")):
+                cells[4] = repr(float(cells[4]) * factor)
+            fh.write(",".join(cells))
+
+
+def test_an_edited_comm_table_moves_the_report(tmp_path, empty_memo):
+    table = tmp_path / "comm.csv"
+    args = _base_args(tmp_path / "out")
+    args[args.index("fixture:comm_synthetic.csv")] = str(table)
+    reports = []
+    for factor in (1.0, 2.0):
+        _scaled_comm_table(table, factor)
+        assert main(["estimate", *args, "--tp", "2", "--isl", "256"]) == EXIT_OK
+        reports.append(json.loads((tmp_path / "out" / "report_prefill.json").read_text()))
+        assert (reports[-1]["meta"]["input_digests"]["comm_cal"]
+                == hashlib.sha256(table.read_bytes()).hexdigest()[:16])
+    comm = [{row["label"]: row["latency_s"] for row in report["rows"]
+             if row["category"] == "communication"} for report in reports]
+    assert comm[0] and comm[0].keys() == comm[1].keys()
+    assert all(comm[1][label] > comm[0][label] for label in comm[0])
+    assert reports[1]["total_latency_s"] > reports[0]["total_latency_s"]
+
+
+def test_a_malformed_input_is_never_kept(tmp_path, capsys, monkeypatch, empty_memo):
+    # Good, malformed, good again: 0, 2, 0, and the 2 carries a cold run's
+    # message; only the good bytes are kept, so the last call reuses them.
+    dims = tmp_path / "dims.json"
+    args = _base_args(tmp_path / "out")
+    args[args.index("fixture:llama3_8b.json")] = str(dims)
+    argv = ["estimate", *args, "--tp", "2", "--isl", "256"]
+    good = fixture_path("llama3_8b.json").read_bytes()
+    bad = b'{"layers": "many"}\n'
+    dims.write_bytes(bad)
+    assert main(argv) == EXIT_VALIDATION
+    cold = capsys.readouterr()
+    assert "dims key 'layers' must be an integer" in cold.err
+    empty_memo.clear()
+    loads = _counting(monkeypatch, cli, "load_bindings")
+    codes, errors = [], []
+    for data in (good, bad, good):
+        dims.write_bytes(data)
+        codes.append(main(argv))
+        errors.append(capsys.readouterr().err)
+        assert [kind for kind, _, _ in empty_memo].count("dims") == 1
+    assert codes == [EXIT_OK, EXIT_VALIDATION, EXIT_OK]
+    assert errors[1] == cold.err and errors[0] == errors[2]
+    assert loads == {"load_bindings": 2}
+
+
+def test_a_routing_trace_is_loaded_every_call(tmp_path, monkeypatch, empty_memo):
+    loads = _counting(monkeypatch, RoutingTrace, "load")
+    _, argv = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    for _ in range(3):
+        assert main(argv) == EXIT_OK
+    assert loads == {"load": 3}
+    assert "trace" not in {kind for kind, _, _ in empty_memo}
+
+
+def test_the_memo_keeps_at_most_its_bound(tmp_path, empty_memo):
+    # One new dims file per call; past the bound the oldest entry goes.
+    args = _base_args(tmp_path / "out")
+    at = args.index("fixture:llama3_8b.json")
+    data = fixture_path("llama3_8b.json").read_bytes()
+    paths = []
+    for i in range(cli._KEPT_INPUTS + 4):
+        paths.append(tmp_path / f"dims{i}.json")
+        paths[-1].write_bytes(data)
+        args[at] = str(paths[-1])
+        assert main(["estimate", *args, "--tp", "2", "--isl", "256"]) == EXIT_OK
+        assert len(empty_memo) <= cli._KEPT_INPUTS
+    kept = [path for kind, path, _ in empty_memo if kind == "dims"]
+    assert len(empty_memo) == cli._KEPT_INPUTS
+    assert kept == paths[-len(kept):]
+
+
+def test_the_memoized_inputs_stay_as_parsed(tmp_path, empty_memo):
+    # After estimates of both phases, an overlapped prefill on the table
+    # backend and a sweep, every kept input still equals a fresh parse of
+    # its file's bytes: no command changes the inputs that calls share.
+    _, argv = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    table = ["--gemm-cal", "fixture:gemm_synthetic.csv"]
+    assert main([*argv, *table]) == EXIT_OK
+    assert main(["estimate", *_base_args(tmp_path / "out"), *table, "--tp", "2",
+                 "--isl", "256", "--overlap", "2:4"]) == EXIT_OK
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"batch": [1, 4], "isl": [256], "tp": [1, 2],
+                                "overlap": ["none", "2:4"]}))
+    assert main(["sweep", *_base_args(tmp_path / "out"), *table, "--grid", str(grid),
+                 "--heuristic", "max-overlap"]) == EXIT_OK
+    loaders = {"spec": cli.load_model_spec, "dims": cli.load_bindings,
+               "hw": cli.load_hardware_profile, "comm_cal": cli.load_comm_calibration,
+               "gemm_cal": GemmCalibrationTable.load}
+    assert len(empty_memo) == 7  # two specs and two dims files
+    for (kind, path, sha), kept in empty_memo.items():
+        assert hashlib.sha256(path.read_bytes()).digest() == sha
+        fresh = loaders[kind](path)
+        if kind == "gemm_cal":
+            kept, fresh = vars(kept), vars(fresh)
+        assert kept == fresh, (kind, path)
 
 
 def _fixture_reference_argv(tmp_path, command, reference):
@@ -289,6 +440,22 @@ def test_cp_decode_estimate_is_a_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "validation error: symbol 's' size 1 not divisible by degree 2\n")
     assert not list(tmp_path.iterdir())
+
+
+def test_decode_gemm_with_n_one_at_one_position_exits_2(tmp_path, capsys):
+    # N = z / 2 is 1 at z = 2 (position 1), where the GEMM lowers as a
+    # memory op; z = 3 (position 2) does not shard over tp 2, and that
+    # earliest failing position's error is the estimate's.
+    spec = tmp_path / "scores.json"
+    spec.write_text(json.dumps({"ops": [{"eq": "bKh,bKzh->bKz", "parallel": "z",
+                                         "label": "Scores"}]}))
+    out = tmp_path / "out"
+    code = main([*_estimate_with_spec(out, str(spec)), "--phase", "decode",
+                 "--tp", "2", "--isl", "1", "--osl", "5"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation error: symbol 'z' size 3 not divisible by degree 2\n")
+    assert not out.exists()
 
 
 def test_validate_clean_and_dirty(tmp_path):

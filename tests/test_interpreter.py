@@ -285,6 +285,26 @@ def test_decode_error_is_the_first_failing_positions(hw, roofline, comm_backend,
         est.estimate(ctx, {"tp": 2})
 
 
+@pytest.mark.parametrize("zs, error", [
+    (range(2, 3), None),  # N = 1 throughout: a memory op
+    (range(2, 7), "symbol 'z' size 3 not divisible by degree 2"),
+    (range(4, 7), "symbol 'z' size 5 not divisible by degree 2")])
+def test_decode_column_mixing_n_one_raises_the_failing_positions_error(zs, error):
+    # N = z / 2 is 1 at z = 2 only, and 2 divides neither neighbouring z:
+    # a column that mixes N = 1 with other N holds a failing position, and
+    # lower_decode raises that position's error, not MixedColumns.
+    spec = ModelSpec((_op("bKh,bKzh->bKz", parallel="z", label="Scores"),), 1)
+    plan = compile_layer(spec, load_bindings(fixture_path("llama3_8b.json")),
+                         {"tp": 2, "ep": 1, "cp": 1}, DECODE)
+    if error is None:
+        [op] = plan.lower_decode({"b": 2, "s": 1}, zs)
+        assert type(op.kernels[0]).__name__ == "MemoryOpColumns"
+        return
+    with pytest.raises(ValidationError, match=f"^{error}$") as raised:
+        plan.lower_decode({"b": 2, "s": 1}, zs)
+    assert not isinstance(raised.value, MixedColumns)
+
+
 _FIXTURE_PAIRS = (
     ("dense_fused", "llama3_8b"), ("dense_fused", "llama3_70b"),
     ("dense_unfused", "llama3_8b"), ("dense_unfused", "llama3_70b"),
