@@ -81,38 +81,55 @@ def _resolve(path_str: str) -> Path:
     return path
 
 
-# Parsed input files kept between calls in one process, by (kind, path,
-# sha256 of the bytes read): a file read again with the same bytes is not
-# parsed again. Past _KEPT_INPUTS entries the oldest is dropped. A failed
-# parse is never kept, and nothing changes a parsed input once loaded.
-_KEPT_INPUTS = 16
+# What a call derives from unchanged inputs, kept between calls in one
+# process. Each memo drops its oldest entry past its bound.
+# - _parsed: each parsed input file, by (kind, path, sha256 of the bytes
+#   read); a file read again with the same bytes is not parsed again. A
+#   failed parse is never kept, and nothing changes a parsed input once
+#   loaded. 32 holds 16 routing traces with the files they are priced with.
+# - _plans: per (spec, dims) pair of _parsed keys, the Estimator memo of
+#   validated degrees, memory models and compiled layer plans, which depend
+#   on nothing else; past _PLAN_ENTRIES entries a pair's memo starts empty.
+# - _parsers: each subcommand's parser, by (subcommand, terminal width).
+_KEPT_INPUTS = 32
 _parsed: dict[tuple, object] = {}
+_KEPT_PLANS = 8
+_PLAN_ENTRIES = 1024
+_plans: dict[tuple, dict] = {}
+_KEPT_PARSERS = 16
+_parsers: dict[tuple, argparse.ArgumentParser] = {}
+
+
+def _kept(memo: dict, key, bound: int, make):
+    """``memo[key]``, made by ``make()`` and kept if missing: past ``bound``
+    entries the oldest is dropped. Nothing is kept if ``make`` raises."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = make()
+        if len(memo) > bound:
+            del memo[next(iter(memo))]
+    return value
 
 
 def _load_inputs(args) -> dict:
     """The inputs named by ``args``. Each file is read and hashed once per
     call, in the loaders' order, and its loader decodes the bytes that its
-    digest is taken from. The spec, dims, hardware and calibration files
-    are parsed only when their (kind, path, bytes) are not in
-    :data:`_parsed`; the routing trace is parsed every call. A loader is
-    looked up when it runs, so a wrapped or patched one sees each parse."""
+    digest is taken from. A file is parsed only when its (kind, path,
+    bytes) are not in :data:`_parsed`. A loader is looked up when it runs,
+    so a wrapped or patched one sees each parse. ``plans`` is the kept
+    Estimator memo of the spec and dims (:data:`_plans`)."""
     files = {name: InputFile(_resolve(value)) for name, value in (
         ("spec", args.spec), ("dims", args.dims), ("hw", args.hw),
         ("comm_cal", args.comm_cal), ("gemm_cal", args.gemm_cal),
         ("trace", args.trace)) if value}
-    digests = {}
+    digests, keys = {}, {}
 
     def parsed(name, loader):
         file = files[name]
         sha = hashlib.sha256(file.data)
         digests[name] = sha.hexdigest()[:16]
-        key = (name, file.path, sha.digest())
-        value = _parsed.get(key)
-        if value is None:
-            value = _parsed[key] = loader(file)
-            if len(_parsed) > _KEPT_INPUTS:
-                del _parsed[next(iter(_parsed))]
-        return value
+        key = keys[name] = (name, file.path, sha.digest())
+        return _kept(_parsed, key, _KEPT_INPUTS, lambda: loader(file))
 
     hw = parsed("hw", load_hardware_profile)
     inputs = {
@@ -122,12 +139,13 @@ def _load_inputs(args) -> dict:
         "comm": CommBackend(parsed("comm_cal", load_comm_calibration)),
         "compute": (TableComputeBackend(parsed("gemm_cal", GemmCalibrationTable.load), hw)
                     if "gemm_cal" in files else RooflineBackend(hw)),
-        "trace": None,
+        "trace": parsed("trace", RoutingTrace.load) if "trace" in files else None,
         "digests": digests,
     }
-    if "trace" in files:
-        inputs["trace"] = RoutingTrace.load(files["trace"])
-        digests["trace"] = hashlib.sha256(files["trace"].data).hexdigest()[:16]
+    plans = _kept(_plans, (keys["spec"], keys["dims"]), _KEPT_PLANS, dict)
+    if len(plans) > _PLAN_ENTRIES:
+        plans.clear()
+    inputs["plans"] = plans
     return inputs
 
 
@@ -279,7 +297,8 @@ def cmd_estimate(args) -> int:
     inputs = _load_inputs(args)
     overlap = parse_overlap(args.overlap)
     est = Estimator(inputs["spec"], inputs["dims"], inputs["hw"], inputs["compute"],
-                    inputs["comm"], tile=args.tile, routing_trace=inputs["trace"])
+                    inputs["comm"], tile=args.tile, routing_trace=inputs["trace"],
+                    memo=inputs["plans"])
     degrees = {"tp": args.tp, "ep": args.ep, "cp": args.cp}
     phases = [PREFILL, DECODE] if args.phase == "both" else [args.phase]
     # Every phase is priced before any report is written.
@@ -406,7 +425,7 @@ def cmd_sweep(args) -> int:
     points = sweep(inputs["spec"], inputs["dims"], load_json(grid_path),
                    inputs["hw"], inputs["compute"], inputs["comm"],
                    phase=args.phase, grid_path=grid_path, tile=args.tile,
-                   routing_trace=inputs["trace"])
+                   routing_trace=inputs["trace"], memo=inputs["plans"])
     out_dir = Path(args.out)
     result = pareto_front(points)
     frontier = result.frontier
@@ -588,17 +607,16 @@ _SUBCOMMANDS = (
 _ADD_ARGUMENTS = {name: add_arguments for name, _, add_arguments in _SUBCOMMANDS}
 
 
-def _help_formatter():
-    """Help wrapped at the terminal width, read once per parse rather than
-    by every ``add_argument``, which builds a formatter to check its
-    metavar."""
-    return functools.partial(argparse.HelpFormatter,
-                             width=shutil.get_terminal_size().columns - 2)
+def _help_formatter(columns: int):
+    """Help wrapped at a terminal ``columns`` wide, as argparse wraps it at
+    the terminal's width, read once per parse rather than by every
+    ``add_argument``, which builds a formatter to check its metavar."""
+    return functools.partial(argparse.HelpFormatter, width=columns - 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``llm-energy`` parser, with every subcommand's parser."""
-    formatter = _help_formatter()
+    formatter = _help_formatter(shutil.get_terminal_size().columns)
     parser = argparse.ArgumentParser(
         prog="llm-energy",
         description="Analytical energy/latency estimation for distributed "
@@ -618,14 +636,22 @@ def _parse_subcommand(argv: list) -> Optional[argparse.Namespace]:
     and all: no subcommand first (``--help``, ``--version``, a missing or
     unknown one), arguments the subcommand leaves over, or, before any
     ``--``, an option the top level finds ambiguous among its own
-    (``--=x``: both ``--help`` and ``--version`` start with ``--``)."""
+    (``--=x``: both ``--help`` and ``--version`` start with ``--``).
+    The subcommand's parser is built once per terminal width
+    (:data:`_parsers`)."""
     add_arguments = _ADD_ARGUMENTS.get(argv[0]) if argv else None
     if add_arguments is None or any(
             arg.startswith("--=") for arg in takewhile("--".__ne__, argv)):
         return None
-    parser = argparse.ArgumentParser(prog=f"llm-energy {argv[0]}",
-                                     formatter_class=_help_formatter())
-    add_arguments(parser)
+    columns = shutil.get_terminal_size().columns
+
+    def build():
+        parser = argparse.ArgumentParser(prog=f"llm-energy {argv[0]}",
+                                         formatter_class=_help_formatter(columns))
+        add_arguments(parser)
+        return parser
+
+    parser = _kept(_parsers, (argv[0], columns), _KEPT_PARSERS, build)
     args, leftover = parser.parse_known_args(argv[1:])
     if leftover:
         return None

@@ -110,12 +110,17 @@ class Estimator:
     parallel degrees, the compiled :class:`LayerPlan` per (degrees, phase),
     and that plan with each overlap setting applied. Validation failures
     are memoized as messages and raised again on each evaluation.
+
+    That memo depends on the spec and dims alone, not on the hardware, the
+    backends, the tile or the routing trace. ``memo``, if given, is the
+    dict it is kept in, so estimators of one spec and dims can share it.
     """
 
     def __init__(self, spec: ModelSpec, dims: DimensionBindings,
                  hw: HardwareProfile, compute_backend, comm_backend: CommBackend,
                  *, tile: int = DEFAULT_TILE,
-                 routing_trace: Optional[RoutingTrace] = None):
+                 routing_trace: Optional[RoutingTrace] = None,
+                 memo: Optional[dict] = None):
         if tile < 1:
             raise ValidationError(f"tile must be >= 1, got {tile}")
         self.spec = spec
@@ -128,7 +133,7 @@ class Estimator:
         self.has_moe = _has_moe(spec)
         # One expert out of range fails the estimator, not each evaluation.
         check_trace_experts(spec, dims, routing_trace)
-        self._memo: dict = {}
+        self._memo: dict = {} if memo is None else memo
 
     def _memoized(self, key, build):
         entry = self._memo.get(key)

@@ -144,7 +144,8 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
 
     # One estimator for the whole grid: it validates, builds the memory
     # model and compiles the layer once per set of parallel degrees, for
-    # every batch, sequence length and overlap setting.
+    # every batch, sequence length and overlap setting; given the memo of an
+    # earlier estimator of the spec and dims (``memo``), not even once.
     estimator = Estimator(spec, dims, hw, compute_backend, comm_backend,
                           **estimator_kwargs)
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .compute import ZERO_COST, CostEstimate, one_cost
 from .errors import ValidationError
-from .spec_lang import csv_blocks, in_file, open_text, read_csv
+from .spec_lang import InputFile, csv_blocks, in_file, open_text, read_csv
 
 DEFAULT_TILE = 16
 
@@ -92,7 +92,8 @@ class RoutingTrace:
 
     ``RoutingTrace(choices)`` holds the rows it is given. A trace read by
     :meth:`load` holds what routing statistics read, its per-expert token
-    counts, and builds its rows only when ``choices`` is first read.
+    counts, and its file's path: neither the file's bytes nor its text. It
+    reads its rows from that file again when ``choices`` is first read.
     Traces are equal when their rows are.
     """
 
@@ -115,14 +116,9 @@ class RoutingTrace:
 
     @cached_property
     def choices(self) -> tuple[tuple[int, ...], ...]:
-        """A loaded trace's rows, parsed from the text of its blocks of rows."""
-        width = self.top_k + 1
-        rows: list[tuple[int, ...]] = []
-        for text in self._blocks:
-            cells = text.split(",")
-            del cells[::width]
-            rows += zip(*[map(int, cells)] * self.top_k)
-        return tuple(rows)
+        """A loaded trace's rows, read from its file."""
+        (_, *experts), _ = read_csv(self.path, None, [None], rest=int)
+        return tuple(zip(*experts))
 
     @cached_property
     def expert_counts(self) -> Counter:
@@ -139,7 +135,9 @@ class RoutingTrace:
         per-expert token counts, not its rows. A file that does not count
         so (a row of another width, a cell that is not an integer, no
         expert column, no row) is read again by :func:`read_csv`, which
-        converts every cell, for its fault's message.
+        converts every cell, for its fault's message. An
+        :class:`InputFile`'s bytes are read, but the trace keeps only its
+        path.
         """
         counted = _counted_cells(path)
         if counted is None:
@@ -148,8 +146,8 @@ class RoutingTrace:
                 trace = cls(tuple(zip(*experts)))
         else:
             trace = cls.__new__(cls)
-            trace.top_k, trace._blocks, trace.expert_counts = counted
-        trace.path = path
+            trace.top_k, trace.expert_counts = counted
+        trace.path = path.path if isinstance(path, InputFile) else path
         return trace
 
     def check_experts(self, total_experts: int) -> None:
@@ -162,27 +160,24 @@ class RoutingTrace:
                     f"range for {total_experts} experts")
 
 
-def _counted_cells(path) -> Optional[tuple[int, list[str], Counter]]:
-    """(top_k, the text of each block of rows, tokens per expert index in
-    the order the rows first name them) of a trace file, or None if a row
-    is not as wide as the first, a cell is not an integer, or the file has
-    no expert column. Equal indices written differently (``5``, `` 5``,
-    ``+5``, ``05``) are one index."""
-    blocks: list[str] = []
+def _counted_cells(path) -> Optional[tuple[int, Counter]]:
+    """(top_k, tokens per expert index in the order the rows first name
+    them) of a trace file, or None if a row is not as wide as the first, a
+    cell is not an integer, or the file has no expert column. Equal indices
+    written differently (``5``, `` 5``, ``+5``, ``05``) are one index."""
     texts: Counter = Counter()
     try:
         with open_text(path) as fh:
             width, checked = csv_blocks(path, fh, None, [])
-            for text, cells, _ in checked:
+            for _, cells, _ in checked:
                 del cells[::width]
                 texts.update(cells)
-                blocks.append(text)
         counts: Counter = Counter()
         for text, count in texts.items():
             counts[int(text)] += count
     except (ValidationError, ValueError):
         return None
-    return (width - 1, blocks, counts) if width > 1 else None
+    return (width - 1, counts) if width > 1 else None
 
 
 def stats_from_trace(trace: RoutingTrace, total_experts: int, ep_degree: int,

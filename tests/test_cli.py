@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import tempfile
 from collections import Counter
 from operator import itemgetter
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llm_energy import cli
+from llm_energy import cli, engine
 from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, dumps_json, main
 from llm_energy.compute import GemmCalibrationTable
 from llm_energy.explorer import ConfigPoint, format_overlap
@@ -216,10 +217,18 @@ def test_a_changed_input_is_read_afresh(tmp_path):
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """The CLI's memo of parsed inputs, empty for this test alone."""
+    """The CLI's memo of parsed inputs, empty for this test alone, as are
+    its memos of compiled plans and of subcommand parsers."""
     memo = {}
     monkeypatch.setattr(cli, "_parsed", memo)
+    monkeypatch.setattr(cli, "_plans", {})
+    monkeypatch.setattr(cli, "_parsers", {})
     return memo
+
+
+def _empty_memos() -> None:
+    for memo in (cli._parsed, cli._plans, cli._parsers):
+        memo.clear()
 
 
 def _counting(monkeypatch, owner, name) -> Counter:
@@ -312,13 +321,71 @@ def test_a_malformed_input_is_never_kept(tmp_path, capsys, monkeypatch, empty_me
     assert loads == {"load_bindings": 2}
 
 
-def test_a_routing_trace_is_loaded_every_call(tmp_path, monkeypatch, empty_memo):
+def test_a_routing_trace_is_parsed_once_per_path_and_bytes(tmp_path, capsys, monkeypatch,
+                                                          empty_memo):
+    # A kept trace is reused while its bytes stay; an edited trace moves the
+    # report; a malformed one is never kept (good, malformed, good: 0, 2, 0,
+    # the 2 with a cold run's message); and a kept trace whose expert index
+    # is out of range still fails every call.
+    trace, argv = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    good = trace.read_bytes()
     loads = _counting(monkeypatch, RoutingTrace, "load")
-    _, argv = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    seen = []
     for _ in range(3):
         assert main(argv) == EXIT_OK
-    assert loads == {"load": 3}
-    assert "trace" not in {kind for kind, _, _ in empty_memo}
+        seen.append((_outputs(tmp_path / "out"), capsys.readouterr()))
+    assert loads == {"load": 1}
+    assert seen[0] == seen[1] == seen[2]
+    assert [kind for kind, _, _ in empty_memo] == ["hw", "spec", "dims", "comm_cal",
+                                                   "trace"]
+
+    _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 7)])
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert loads == {"load": 2}
+    reports = [json.loads(outputs["report_prefill.json"])
+               for outputs in (seen[0][0], _outputs(tmp_path / "out"))]
+    assert (reports[1]["meta"]["input_digests"]["trace"]
+            == hashlib.sha256(trace.read_bytes()).hexdigest()[:16])
+    assert reports[0]["rows"] != reports[1]["rows"]
+
+    bad = b"0,1,2\n1,x,3\n"
+    trace.write_bytes(bad)
+    _empty_memos()
+    assert main(argv) == EXIT_VALIDATION
+    cold = capsys.readouterr()
+    assert f"{trace}:2" in cold.err
+    codes, errors = [], []
+    for data in (good, bad, good):
+        trace.write_bytes(data)
+        codes.append(main(argv))
+        errors.append(capsys.readouterr().err)
+    assert codes == [EXIT_OK, EXIT_VALIDATION, EXIT_OK]
+    assert errors[1] == cold.err and errors[0] == errors[2] == seen[0][1].err
+    assert [kind for kind, _, _ in empty_memo].count("trace") == 1
+
+    _moe_trace_command(tmp_path, "estimate", [*range(9), 300])
+    before = loads["load"]
+    for _ in range(3):
+        assert main(argv) == EXIT_VALIDATION
+        assert (f"validation error: {trace}: expert index 300 out of range for "
+                "128 experts") in capsys.readouterr().err
+    assert loads["load"] == before + 1
+    assert [kind for kind, _, _ in empty_memo].count("trace") == 2
+
+
+def test_a_kept_trace_holds_counts_and_its_path(tmp_path, empty_memo):
+    # Neither the file's bytes nor its text: its rows are read again from
+    # the path when asked for.
+    trace, argv = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    assert main(argv) == EXIT_OK
+    [kept] = [value for (kind, _, _), value in empty_memo.items() if kind == "trace"]
+    assert set(vars(kept)) == {"top_k", "expert_counts", "path"}
+    assert kept.path == trace and isinstance(kept.path, Path)
+    rows = tuple(tuple(map(int, line.split(",")[1:]))
+                 for line in trace.read_text().splitlines())
+    assert kept.choices == rows
+    assert kept.expert_counts == Counter(itertools.chain.from_iterable(rows))
 
 
 def test_the_memo_keeps_at_most_its_bound(tmp_path, empty_memo):
@@ -336,6 +403,22 @@ def test_the_memo_keeps_at_most_its_bound(tmp_path, empty_memo):
     kept = [path for kind, path, _ in empty_memo if kind == "dims"]
     assert len(empty_memo) == cli._KEPT_INPUTS
     assert kept == paths[-len(kept):]
+    # One plan memo per (spec, dims) pair, the newest kept.
+    assert len(cli._plans) == cli._KEPT_PLANS
+    assert [dims[1] for _, dims in cli._plans] == paths[-cli._KEPT_PLANS:]
+
+
+def test_a_kept_plan_memo_is_emptied_past_its_bound(tmp_path, monkeypatch, empty_memo):
+    # Each call hands the Estimator the memo of its spec and dims, emptied
+    # first if it holds more than _PLAN_ENTRIES entries.
+    monkeypatch.setattr(cli, "_PLAN_ENTRIES", 4)
+    argv = ["estimate", *_base_args(tmp_path / "out"), "--isl", "256"]
+    sizes = []
+    for tp in (1, 2, 1):
+        assert main([*argv, "--tp", str(tp)]) == EXIT_OK
+        [memo] = cli._plans.values()
+        sizes.append(len(memo))
+    assert sizes == [3, 6, 3]
 
 
 def test_the_memoized_inputs_stay_as_parsed(tmp_path, empty_memo):
@@ -354,14 +437,95 @@ def test_the_memoized_inputs_stay_as_parsed(tmp_path, empty_memo):
                  "--heuristic", "max-overlap"]) == EXIT_OK
     loaders = {"spec": cli.load_model_spec, "dims": cli.load_bindings,
                "hw": cli.load_hardware_profile, "comm_cal": cli.load_comm_calibration,
-               "gemm_cal": GemmCalibrationTable.load}
-    assert len(empty_memo) == 7  # two specs and two dims files
+               "gemm_cal": GemmCalibrationTable.load, "trace": RoutingTrace.load}
+    assert len(empty_memo) == 8  # two specs and two dims files
     for (kind, path, sha), kept in empty_memo.items():
         assert hashlib.sha256(path.read_bytes()).digest() == sha
         fresh = loaders[kind](path)
         if kind == "gemm_cal":
             kept, fresh = vars(kept), vars(fresh)
+        elif kind == "trace":
+            kept, fresh = [(trace.top_k, trace.expert_counts, trace.path)
+                           for trace in (kept, fresh)]
         assert kept == fresh, (kind, path)
+
+
+def _slower_hw(path: Path) -> None:
+    """The fixture hardware profile with half its memory bandwidth."""
+    hw = json.loads(fixture_path("a100_sxm_80g.json").read_text())
+    hw.update(name="a100-half-bandwidth", mem_bw=hw["mem_bw"] / 2)
+    path.write_text(json.dumps(hw))
+
+
+def test_kept_state_never_leaks_between_calls(tmp_path, capsys, empty_memo):
+    # Calls that share inputs, compiled plans and parsers, interleaved in
+    # one process, each give what the same call gives after every memo is
+    # emptied: a call's hardware, tile, trace, backend, degrees and overlap
+    # are its own, and an invalid degree fails every time alike.
+    out = tmp_path / "out"
+    hw = tmp_path / "hw.json"
+    _slower_hw(hw)
+    dense = ["estimate", *_base_args(out), "--isl", "256"]
+    _, moe = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    at = moe.index("--trace")
+    untraced = moe[:at] + moe[at + 2:]
+    argvs = [
+        [*dense, "--tp", "2"],
+        [*(str(hw) if arg == "fixture:a100_sxm_80g.json" else arg for arg in dense),
+         "--tp", "2"],
+        [*dense, "--tp", "2", "--gemm-cal", "fixture:gemm_synthetic.csv"],
+        [*dense, "--tp", "2", "--overlap", "2:4"],
+        [*dense, "--tp", "1"],
+        [*dense, "--tp", "3"],
+        [*dense, "--tp", "2", "--overlap", "2:4", "--phase", "decode", "--osl", "4"],
+        [*("fixture:llama3_70b.json" if arg == "fixture:llama3_8b.json" else arg
+           for arg in dense), "--tp", "2"],
+        [*moe, "--tile", "1"],
+        [*moe, "--tile", "16"],
+        [*untraced, "--tile", "16"],
+        [*moe, "--tile", "16", "--ep", "4"],
+        [*moe, "--tile", "16", "--tp", "2"],
+    ]
+
+    def run(argv):
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(argv)
+        return code, capsys.readouterr(), _outputs(out) if out.exists() else {}
+
+    warm = [run(argv) for _ in range(2) for argv in argvs]
+    cold = []
+    for argv in argvs:
+        _empty_memos()
+        cold.append(run(argv))
+    assert warm[:len(argvs)] == warm[len(argvs):] == cold
+    codes = [code for code, _, _ in cold]
+    assert codes == [EXIT_OK] * 5 + [EXIT_VALIDATION] * 2 + [EXIT_OK] * 6
+    assert "overlap is prefill-only" in cold[6][1].err
+    totals = [json.loads(files["report_prefill.json"])["total_latency_s"]
+              if files else None for _, _, files in cold]
+    for a, b in ((0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (8, 9), (9, 10), (9, 11),
+                 (9, 12)):
+        assert totals[a] != totals[b], (argvs[a], argvs[b])
+
+
+def test_a_repeated_sweep_compiles_nothing(tmp_path, capsys, monkeypatch, empty_memo):
+    # The compiled plans of a spec and dims are kept: a repeated sweep, and
+    # an estimate at degrees a sweep compiled, compile no layer.
+    compiles = _counting(monkeypatch, engine, "compile_layer")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"batch": [1, 4], "isl": [256, 512], "tp": [1, 2],
+                                "overlap": ["none", "2:4"]}))
+    argv = ["sweep", *_base_args(tmp_path / "out"), "--grid", str(grid),
+            "--heuristic", "max-overlap"]
+    seen = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        seen.append((_outputs(tmp_path / "out"), capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert compiles == {"compile_layer": 2}  # one per degrees group
+    assert main(["estimate", *_base_args(tmp_path / "est"), "--tp", "2",
+                 "--isl", "256", "--overlap", "2:4"]) == EXIT_OK
+    assert compiles == {"compile_layer": 2}
 
 
 def _fixture_reference_argv(tmp_path, command, reference):

@@ -78,7 +78,43 @@ def test_help_and_errors_match_recorded_text(argv, columns, golden, monkeypatch,
     assert capture(argv, columns, monkeypatch, capsys) == golden[_key(columns, argv)]
 
 
-def test_estimate_adds_no_argument_to_other_subcommands(tmp_path, capsys):
+@pytest.fixture
+def empty_parsers(monkeypatch):
+    """The CLI's memo of subcommand parsers, empty for this test alone."""
+    parsers = {}
+    monkeypatch.setattr(cli, "_parsers", parsers)
+    return parsers
+
+
+def _estimate_argv(out):
+    return ["estimate", "--spec", "fixture:dense_fused.json",
+            "--dims", "fixture:llama3_8b.json", "--hw", "fixture:a100_sxm_80g.json",
+            "--comm-cal", "fixture:comm_synthetic.csv", "--out", str(out)]
+
+
+def test_help_and_errors_after_a_warm_estimate(tmp_path, golden, monkeypatch, capsys):
+    # A kept parser prints what a new one prints.
+    for columns in _WIDTHS:
+        monkeypatch.setenv("COLUMNS", str(columns))
+        assert cli.main(_estimate_argv(tmp_path)) == cli.EXIT_OK
+        for argv in _ARGVS:
+            assert capture(argv, columns, monkeypatch, capsys) == golden[_key(columns, argv)]
+
+
+def test_a_subcommand_parser_is_built_once_per_width(monkeypatch, empty_parsers):
+    # Kept by (subcommand, terminal width), the oldest dropped past the bound.
+    parsed = []
+    for columns in (80, 80, 81, *range(90, 90 + cli._KEPT_PARSERS)):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        parsed.append(vars(cli._parse_subcommand(["fixtures", "list"])))
+        if columns == 81:
+            assert list(empty_parsers) == [("fixtures", 80), ("fixtures", 81)]
+    assert all(namespace == parsed[0] for namespace in parsed)
+    assert list(empty_parsers) == [("fixtures", columns) for columns in
+                                   range(90, 90 + cli._KEPT_PARSERS)]
+
+
+def test_estimate_adds_no_argument_to_other_subcommands(tmp_path, capsys, empty_parsers):
     # Every parser adds its own -h/--help when it is built; only the
     # subcommand's own arguments are counted.
     added = []
@@ -89,9 +125,7 @@ def test_estimate_adds_no_argument_to_other_subcommands(tmp_path, capsys):
             added.append(parser.prog)
         return add_argument(parser, *args, **kwargs)
 
-    argv = ["estimate", "--spec", "fixture:dense_fused.json",
-            "--dims", "fixture:llama3_8b.json", "--hw", "fixture:a100_sxm_80g.json",
-            "--comm-cal", "fixture:comm_synthetic.csv", "--out", str(tmp_path)]
+    argv = _estimate_argv(tmp_path)
     with mock.patch.object(argparse.ArgumentParser, "add_argument", counting):
         assert cli.main(argv) == cli.EXIT_OK
     assert "llm-energy estimate" in added
