@@ -27,6 +27,7 @@ from .engine import Estimator, check_trace_experts
 from .errors import BackendError, SpecError, ValidationError
 from .fixtures import fixture_path, list_fixtures
 from .interpreter import DECODE, PREFILL, PhaseContext
+from .metrics import CATEGORIES, PhaseReport
 from .moe import DEFAULT_TILE, RoutingTrace
 from .spec_lang import (
     InputFile,
@@ -256,17 +257,118 @@ def _csv_cell(text: str) -> str:
     return '"%s"' % text.replace('"', '""')
 
 
-def _write_report_csv(path: Path, report_dict: dict) -> None:
-    """The report's rows as :func:`csv.writer` writes them, a latency or
-    energy as its repr."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["label,category,latency_s,energy_j\r\n"]
-    lines += [f"{_csv_cell(row['label'])},{_csv_cell(row['category'])},"
-              f"{_csv_cell(repr(row['latency_s']))},"
-              f"{_csv_cell(repr(row['energy_j']))}\r\n"
-              for row in report_dict.get("rows", [])]
-    with open(path, "w", newline="") as fh:
-        fh.writelines(lines)
+# A report as ``indent=2`` writes :meth:`PhaseReport.to_dict`, keys sorted,
+# and a line break: a feasible one, whose per-phase keys are filled in
+# (etft_j_per_request and ttft_s, or epot_j_per_token and tpot_s), one of
+# its rows, its sums by category, and an infeasible one.
+_REPORT = ("{\n"
+           '  "batch": %d,\n'
+           '  "category_energy_j": %s,\n'
+           '  "category_latency_s": %s,\n'
+           '  "%s": %s,\n'
+           '  "feasible": true,\n'
+           '  "format_version": 1,\n'
+           '  "gpu_count": %d,\n'
+           '  "isl": %d,\n'
+           '  "meta": %s,\n'
+           '  "osl": %d,\n'
+           '  "phase": %s,\n'
+           '  "rows": %s,\n'
+           '  "total_energy_j": %s,\n'
+           '  "total_latency_s": %s,\n'
+           '  "%s": %s\n'
+           "}\n")
+_REPORT_ROW = ("{\n"
+               '      "category": %s,\n'
+               '      "energy_j": %s,\n'
+               '      "label": %s,\n'
+               '      "latency_s": %s\n'
+               "    }")
+_SORTED_CATEGORIES = sorted(CATEGORIES)
+_BY_CATEGORY = "{\n%s\n  }" % ",\n".join(
+    f"    {encode_basestring_ascii(category)}: %s" for category in _SORTED_CATEGORIES)
+_INFEASIBLE_REPORT = ("{\n"
+                      '  "batch": %d,\n'
+                      '  "feasible": false,\n'
+                      '  "format_version": 1,\n'
+                      '  "gpu_count": %d,\n'
+                      '  "infeasible_reason": %s,\n'
+                      '  "isl": %d,\n'
+                      '  "meta": %s,\n'
+                      '  "osl": %d,\n'
+                      '  "phase": %s\n'
+                      "}\n")
+_REPORT_CSV_HEADER = "label,category,latency_s,energy_j\r\n"
+
+
+def _float_text(value: float) -> str:
+    text = repr(value)
+    return _JSON_NUMBER.get(text, text)
+
+
+def _write_report(out_dir: Path, report: PhaseReport, meta: dict,
+                  formats) -> None:
+    """``report_<phase>.json`` (format ``json``):
+    ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``, with
+    ``meta`` as its meta, and a line break; ``report_<phase>.csv`` (format
+    ``csv``): its rows as :func:`csv.writer` writes them, none for an
+    infeasible report. Both texts come from one pass over the rows, a
+    latency or energy written as its repr, taken once for both; its totals
+    and sums by category are added up as :meth:`PhaseReport.to_dict` adds
+    them. Each file is written with one write into ``out_dir``, which
+    exists."""
+    phase = encode_basestring_ascii(report.phase)
+    if not report.feasible:
+        document = _INFEASIBLE_REPORT % (
+            report.batch, report.gpu_count,
+            encode_basestring_ascii(report.infeasible_reason), report.isl,
+            _json_text(meta, "\n  "), report.osl, phase)
+        table = _REPORT_CSV_HEADER
+    else:
+        energy_by = dict.fromkeys(CATEGORIES, 0.0)
+        latency_by = dict.fromkeys(CATEGORIES, 0.0)
+        latencies, energies, json_rows = [], [], []
+        lines = [_REPORT_CSV_HEADER]
+        for row in report.rows:
+            label, category, latency, energy = (row.label, row.category,
+                                                row.latency, row.energy)
+            latencies.append(latency)
+            energies.append(energy)
+            energy_by[category] += energy
+            latency_by[category] += latency
+            latency_text, energy_text = repr(latency), repr(energy)
+            json_rows.append(_REPORT_ROW % (
+                encode_basestring_ascii(category),
+                _JSON_NUMBER.get(energy_text, energy_text),
+                encode_basestring_ascii(label),
+                _JSON_NUMBER.get(latency_text, latency_text)))
+            lines.append(f"{_csv_cell(label)},{_csv_cell(category)},"
+                         f"{latency_text},{energy_text}\r\n")
+        # The builtin sums over the rows, in row order, as to_dict's.
+        total_latency, total_energy = sum(latencies), sum(energies)
+        if report.phase == PREFILL:
+            per_request = ("etft_j_per_request", total_energy / report.batch)
+            per_phase = ("ttft_s", total_latency)
+        else:
+            per_request = ("epot_j_per_token",
+                           total_energy / (report.batch * report.osl))
+            per_phase = ("tpot_s", total_latency / report.osl)
+        document = _REPORT % (
+            report.batch,
+            _BY_CATEGORY % tuple(_float_text(energy_by[category])
+                                 for category in _SORTED_CATEGORIES),
+            _BY_CATEGORY % tuple(_float_text(latency_by[category])
+                                 for category in _SORTED_CATEGORIES),
+            per_request[0], _float_text(per_request[1]), report.gpu_count,
+            report.isl, _json_text(meta, "\n  "), report.osl, phase,
+            "[\n    %s\n  ]" % ",\n    ".join(json_rows) if json_rows else "[]",
+            _float_text(total_energy), _float_text(total_latency),
+            per_phase[0], _float_text(per_phase[1]))
+        table = "".join(lines)
+    if "json" in formats:
+        (out_dir / f"report_{report.phase}.json").write_text(document)
+    if "csv" in formats:
+        (out_dir / f"report_{report.phase}.csv").write_text(table, newline="")
 
 
 def _check_formats(args, known: tuple) -> None:
@@ -305,14 +407,11 @@ def cmd_estimate(args) -> int:
     reports = [est.estimate(PhaseContext(phase, args.batch, args.isl, args.osl),
                             degrees, overlap) for phase in phases]
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for phase, report in zip(phases, reports):
-        payload = report.to_dict()
-        payload["meta"].update({"tool_version": __version__,
-                                "input_digests": inputs["digests"]})
-        if "json" in args.format:
-            _write_json(out_dir / f"report_{phase}.json", payload, rows=("rows",))
-        if "csv" in args.format:
-            _write_report_csv(out_dir / f"report_{phase}.csv", payload)
+        _write_report(out_dir, report,
+                      dict(report.meta, tool_version=__version__,
+                           input_digests=inputs["digests"]), args.format)
         status = "ok" if report.feasible else f"infeasible: {report.infeasible_reason}"
         print(f"{phase}: {status}", file=sys.stderr)
     return EXIT_OK

@@ -178,14 +178,31 @@ class Estimator:
             return plan
         return self._memoized((*key, overlap), lambda: plan.with_overlap(overlap))
 
+    def _unoverlapped_plan(self, degrees: dict[str, int]) -> LayerPlan:
+        """The prefill layer at ``degrees`` with no step overlapped, kept
+        next to its plan: what every overlap setting lowers first."""
+        return self._memoized(
+            ("plan", tuple(degrees.items()), PREFILL, "unoverlapped"),
+            lambda: self._layer_plan(degrees, PREFILL, None).unoverlapped())
+
     def routing_stats(self, ctx: PhaseContext,
                       degrees: dict[str, int]) -> Optional[RoutingStats]:
+        """The MoE ops' routing statistics at ``ctx`` and ``degrees``, None
+        for a dense spec. A trace's do not depend on ``ctx``: they are taken
+        once per (E, ep, tile) and kept on the trace (:attr:`RoutingTrace.stats`);
+        a failure is raised on every call, never kept."""
         if not self.has_moe:
             return None
         e_total = self.dims.size("E")
         ep = degrees.get("ep", 1)
-        if self.routing_trace is not None:
-            return stats_from_trace(self.routing_trace, e_total, ep, self.tile)
+        trace = self.routing_trace
+        if trace is not None:
+            key = (e_total, ep, self.tile)
+            stats = trace.stats.get(key)
+            if stats is None:
+                stats = trace.stats[key] = stats_from_trace(trace, e_total, ep,
+                                                            self.tile)
+            return stats
         top_k = self.dims.size("A")
         return uniform_routing(ctx.batch, ctx.s, top_k, e_total, ep, self.tile)
 
@@ -206,11 +223,12 @@ class Estimator:
         return self.compute_backend.estimate_memory_op_sum(line, zs)
 
     def _priced(self, lowered: list[LoweredColumns],
-                lowered_max: Optional[list[LoweredColumns]], idx: int,
+                lowered_max: Optional[dict[int, LoweredColumns]], idx: int,
                 k_idx: int) -> tuple[array, array]:
         """Kernel ``k_idx`` of op ``idx`` priced; an MoE kernel under the
         average (``lowered``) and, if given, the bottleneck GPU's routing
-        (``lowered_max``), folded by :func:`fold_imbalance_columns`."""
+        (``lowered_max``, the MoE ops by stream index), folded by
+        :func:`fold_imbalance_columns`."""
         op = lowered[idx]
         cost = self._price_columns(op.kernels[k_idx])
         if op.is_moe and lowered_max is not None:
@@ -256,7 +274,8 @@ class Estimator:
             # One point of the sweeps' column pricing, bound as plain sizes.
             stats = self.routing_stats(ctx, degrees)
             [(rows, errors)] = self._prefill_rows(
-                [plan], {"b": ctx.batch, "s": ctx.s, "z": ctx.s}, 1,
+                [plan], self._unoverlapped_plan(degrees),
+                {"b": ctx.batch, "s": ctx.s, "z": ctx.s}, 1,
                 stats.avg if stats else None,
                 None if stats is None or stats.balanced else stats.max,
                 float(gpus))
@@ -288,7 +307,7 @@ class Estimator:
         lowered_max = None
         if (stats is not None and not stats.balanced
                 and any(op.is_moe for op in lowered)):
-            lowered_max = plan.lower_decode(env, zs, stats.max)
+            lowered_max = plan.lower_decode(env, zs, stats.max, moe_only=True)
         phase_weight = layers * len(positions)
         rows: dict[tuple[str, str], ReportRow] = {}
         for idx, op in enumerate(lowered):
@@ -361,7 +380,6 @@ class Estimator:
 
         shared: list = [None] * len(points)
         live, ctxs, stats = [], [], []
-        trace_stats = None
         for i, (batch, isl) in enumerate(points):
             ctx = PhaseContext(PREFILL, batch, isl)
             verdict = check_memory(memory, ctx, self.hw)
@@ -369,13 +387,10 @@ class Estimator:
                 shared[i] = (None, None, verdict.reason)
                 continue
             try:
-                point_stats = (trace_stats if trace_stats is not None
-                               else self.routing_stats(ctx, degrees))
+                point_stats = self.routing_stats(ctx, degrees)
             except ValidationError as exc:
                 shared[i] = (None, None, str(exc))
                 continue
-            if self.routing_trace is not None:
-                trace_stats = point_stats  # the same at every point
             live.append(i)
             ctxs.append(ctx)
             stats.append(point_stats)
@@ -407,7 +422,8 @@ class Estimator:
                 moe_max = tuple(array("d", col)
                                 for col in zip(*(st.max for st in stats)))
         try:
-            priced = self._prefill_rows(plans, env, n, moe_avg, moe_max,
+            priced = self._prefill_rows(plans, self._unoverlapped_plan(degrees),
+                                        env, n, moe_avg, moe_max,
                                         float(self.gpu_count(degrees)))
         except MixedColumns as mixed:
             # Some points lower a GEMM as a memory op, which changes their
@@ -432,31 +448,33 @@ class Estimator:
                 (latencies[i], energies[i], "") for i in range(n)])
         return out
 
-    def _prefill_rows(self, plans: list[LayerPlan], env: dict, n: int,
+    def _prefill_rows(self, plans: list[LayerPlan], bare: LayerPlan,
+                      env: dict, n: int,
                       moe_avg: Optional[tuple], moe_max: Optional[tuple],
                       gpus: float) -> list[tuple[list, dict]]:
         """Per plan, the report rows of ``n`` prefill points bound by
         ``env``, and the error of each point that fails: the rows as
         ((label, category), (latencies, energies)), in report order (none
-        when every point fails), the errors by point index.
+        when every point fails), the errors by point index. ``bare`` is
+        the plans' layer with no step overlapped.
 
         ``moe_avg`` and ``moe_max`` bind the MoE ops' (T, E) under the
         average and, if any point is imbalanced, the bottleneck GPU's
-        routing. Every op is lowered once, un-overlapped, for all plans,
-        and each kernel column of an op that a plan leaves un-overlapped is
-        priced at most once; a row made only of such kernels is summed
-        once. Errors of kinds other than ValidationError propagate.
-        A GEMM whose N is 1 at some points only raises
+        routing. Every op is lowered once, un-overlapped, for all plans
+        (each MoE op once more for the bottleneck GPU), and each kernel
+        column of an op that a plan leaves un-overlapped is priced at most
+        once; a row made only of such kernels is summed once. Errors of
+        kinds other than ValidationError propagate. A GEMM whose N is 1 at
+        some points only raises
         :class:`~llm_energy.interpreter.MixedColumns`.
         """
-        bare = plans[0].unoverlapped()
         errors: dict = {}
         failed_at: dict = {}
         lowered = bare.lower_columns(env, n, moe_avg, errors, failed_at)
         lowered_max = None
         if moe_max is not None and any(op.is_moe for op in lowered):
             # Its errors come after every error of the average lowering.
-            lowered_max = bare.lower_columns(env, n, moe_max, errors)
+            lowered_max = bare.lower_columns(env, n, moe_max, errors, moe_only=True)
         costs: dict = {}
 
         def price(idx: int, k_idx: int) -> tuple[array, array]:

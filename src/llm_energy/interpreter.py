@@ -797,6 +797,8 @@ class LayerPlan(NamedTuple):
     # Indices of the steps of the top-level ops that take an overlap
     # setting (see _takes_overlap).
     overlap_steps: tuple = ()
+    # Indices of the MoE ops' steps, the only ones that read T and E.
+    moe_steps: tuple = ()
 
     def with_overlap(self, setting: Optional[tuple[int, int]]) -> "LayerPlan":
         """This plan with the overlap setting (stages, sm_comm) applied:
@@ -855,7 +857,9 @@ class LayerPlan(NamedTuple):
     def lower_columns(self, env: dict, count: int,
                       moe_te: Optional[tuple] = None,
                       errors: Optional[dict] = None,
-                      failed_at: Optional[dict] = None) -> list[LoweredColumns]:
+                      failed_at: Optional[dict] = None,
+                      moe_only: bool = False
+                      ) -> list[LoweredColumns] | dict[int, LoweredColumns]:
         """Lower the layer at ``count`` points at once: per kernel, its
         sizes as columns whose i-th values are the kernel's at point i.
 
@@ -870,15 +874,17 @@ class LayerPlan(NamedTuple):
         failed. Without, the first point's error is raised. ``failed_at``,
         if given, gets the index of the step that recorded each new error
         in ``errors``. A GEMM whose N is 1 at some points only raises
-        :class:`MixedColumns`.
+        :class:`MixedColumns`. With ``moe_only``, see :meth:`_walk`.
         """
         moe_env = self._moe_env(env, moe_te)
         return self._walk(
             lambda step, record: step.columns(env, moe_env, self.dims, count, record),
-            count, errors, failed_at)
+            count, errors, failed_at, moe_only)
 
     def lower_decode(self, env: dict, zs: range,
-                     moe_te: Optional[tuple] = None) -> list[LoweredColumns]:
+                     moe_te: Optional[tuple] = None,
+                     moe_only: bool = False
+                     ) -> list[LoweredColumns] | dict[int, LoweredColumns]:
         """Lower a decode layer at the positions whose context lengths are
         the z of ``zs``, each step once, in stream order: a step that does
         not read the context as one-point columns, a :attr:`~_OpStep.line`
@@ -893,10 +899,12 @@ class LayerPlan(NamedTuple):
         mixes N = 1 with other N holds a failing position: the walk goes
         on past such a column and raises that position's error (a mixed
         column with no failing position would raise
-        :class:`MixedColumns`)."""
+        :class:`MixedColumns`). With ``moe_only``, see :meth:`_walk`."""
         count = len(zs)
         point = dict(env, z=1)  # what the steps that do not read z see
-        if any(step.reads_context and not step.line for step in self.steps):
+        steps = ([self.steps[index] for index in self.moe_steps] if moe_only
+                 else self.steps)
+        if any(step.reads_context and not step.line for step in steps):
             env = dict(env, z=array("q", zs))
         moe_env, moe_point = self._moe_env(env, moe_te), self._moe_env(point, moe_te)
         mixed = []
@@ -917,18 +925,26 @@ class LayerPlan(NamedTuple):
             # every position.
             return step.columns(point, moe_point, self.dims, 1, {})
 
-        lowered = self._walk(lower, count)
+        lowered = self._walk(lower, count, moe_only=moe_only)
         if mixed:
             raise mixed[0]
         return lowered
 
     def _walk(self, lower, count: int, errors: Optional[dict] = None,
-              failed_at: Optional[dict] = None) -> list[LoweredColumns]:
+              failed_at: Optional[dict] = None, moe_only: bool = False
+              ) -> list[LoweredColumns] | dict[int, LoweredColumns]:
         """``lower(step, errors)`` of each step in stream order, with the
-        errors of :meth:`lower_columns`: one it raises is every point's."""
+        errors of :meth:`lower_columns`: one it raises is every point's.
+
+        With ``moe_only``, only the :attr:`moe_steps` are lowered, and the
+        result is a dict of their columns by stream index: the bottleneck
+        GPU's lowering, whose other steps bind what the average's do and so
+        meet no error that it has not recorded."""
         record = {} if errors is None else errors
         lowered = []
-        for index, step in enumerate(self.steps):
+        indices = self.moe_steps if moe_only else range(len(self.steps))
+        for index in indices:
+            step = self.steps[index]
             known = len(record)
             try:
                 lowered.append(lower(step, record))
@@ -944,7 +960,7 @@ class LayerPlan(NamedTuple):
                 break
         if errors is None and record:
             raise record[min(record)]
-        return lowered
+        return dict(zip(indices, lowered)) if moe_only else lowered
 
 
 def _takes_overlap(op: OpSpec) -> bool:
@@ -1032,7 +1048,9 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
                 steps.append(_ScoreStep(op.label, size, context,
                                         line=context and size.affine))
             prev = sub
-    plan = LayerPlan(phase, dims, tuple(steps), overlap_steps=tuple(takes))
+    plan = LayerPlan(phase, dims, tuple(steps), overlap_steps=tuple(takes),
+                     moe_steps=tuple(index for index, step in enumerate(steps)
+                                     if isinstance(step, _OpStep) and step.is_moe))
     return plan.with_overlap(overlap)
 
 

@@ -95,6 +95,10 @@ class RoutingTrace:
     counts, and its file's path: neither the file's bytes nor its text. It
     reads its rows from that file again when ``choices`` is first read.
     Traces are equal when their rows are.
+
+    ``stats`` keeps the routing statistics taken of the trace, by
+    (total experts, ep degree, tile), for whoever prices with it; it starts
+    empty and never takes part in equality.
     """
 
     def __init__(self, choices: Sequence[Sequence[int]]):
@@ -105,6 +109,7 @@ class RoutingTrace:
         self.choices = choices
         self.top_k = len(choices[0])
         self.path = None  # the file a loaded trace was read from
+        self.stats: dict[tuple, RoutingStats] = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -147,6 +152,7 @@ class RoutingTrace:
         else:
             trace = cls.__new__(cls)
             trace.top_k, trace.expert_counts = counted
+            trace.stats = {}
         trace.path = path.path if isinstance(path, InputFile) else path
         return trace
 

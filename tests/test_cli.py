@@ -1,6 +1,7 @@
 """CLI contract tests: commands, exit codes, file outputs, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -23,7 +24,9 @@ from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, dumps_json, main
 from llm_energy.compute import GemmCalibrationTable
 from llm_energy.explorer import ConfigPoint, format_overlap
 from llm_energy.fixtures import fixture_path
+from llm_energy.metrics import CATEGORIES, PhaseReport, ReportRow
 from llm_energy.moe import RoutingTrace
+from llm_energy.spec_lang import InputFile
 
 
 def _base_args(out, spec="dense_fused.json", dims="llama3_8b.json"):
@@ -376,16 +379,91 @@ def test_a_routing_trace_is_parsed_once_per_path_and_bytes(tmp_path, capsys, mon
 
 def test_a_kept_trace_holds_counts_and_its_path(tmp_path, empty_memo):
     # Neither the file's bytes nor its text: its rows are read again from
-    # the path when asked for.
+    # the path when asked for. It also keeps the routing statistics priced
+    # with it, by (E, ep, tile).
     trace, argv = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
     assert main(argv) == EXIT_OK
     [kept] = [value for (kind, _, _), value in empty_memo.items() if kind == "trace"]
-    assert set(vars(kept)) == {"top_k", "expert_counts", "path"}
+    assert set(vars(kept)) == {"top_k", "expert_counts", "path", "stats"}
+    assert list(kept.stats) == [(128, 2, 16)]
+    assert not any(isinstance(value, (bytes, str, InputFile))
+                   for value in vars(kept).values())
     assert kept.path == trace and isinstance(kept.path, Path)
     rows = tuple(tuple(map(int, line.split(",")[1:]))
                  for line in trace.read_text().splitlines())
     assert kept.choices == rows
     assert kept.expert_counts == Counter(itertools.chain.from_iterable(rows))
+
+
+def _routing_keys(monkeypatch) -> list:
+    """The (E, ep, tile) of each call of engine.stats_from_trace, which the
+    estimator calls through that name."""
+    keys = []
+    stats_from_trace = engine.stats_from_trace
+
+    def recording(trace, *key):
+        keys.append(key)
+        return stats_from_trace(trace, *key)
+    monkeypatch.setattr(engine, "stats_from_trace", recording)
+    return keys
+
+
+def test_routing_statistics_are_taken_once_per_trace_and_key(tmp_path, capsys,
+                                                             monkeypatch, empty_memo):
+    # --phase both prices both phases with one computation; a call repeated,
+    # or at a tile or ep seen before, takes none; a sweep takes one per ep
+    # it has not seen. Every call writes what it writes after the memos are
+    # emptied, and the kept trace never reads its rows.
+    _, argv = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    _, sweep_argv = _moe_trace_command(tmp_path, "sweep", [*range(0, 128, 3)])
+    keys = _routing_keys(monkeypatch)
+    runs = [[*argv], [*argv], [*argv, "--tile", "4"], [*argv, "--ep", "4"], sweep_argv,
+            [*argv, "--tile", "4"], sweep_argv, [*argv, "--ep", "1"]]
+    seen = []
+    for run in runs:
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        assert main(run) == EXIT_OK
+        seen.append((_outputs(tmp_path / "out"), capsys.readouterr()))
+    assert keys == [(128, 2, 16), (128, 2, 4), (128, 4, 16), (128, 1, 16)]
+    [kept] = [value for (kind, _, _), value in empty_memo.items() if kind == "trace"]
+    assert sorted(kept.stats) == sorted(keys)
+    assert "choices" not in vars(kept)
+    for run, warm in zip(runs, seen):
+        _empty_memos()
+        shutil.rmtree(tmp_path / "out")
+        assert main(run) == EXIT_OK
+        assert (_outputs(tmp_path / "out"), capsys.readouterr()) == warm
+
+    # An edited trace is parsed again, and its statistics taken again.
+    del keys[:]
+    _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 7)])
+    assert main(argv) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert keys == [(128, 2, 16)]
+    assert _outputs(tmp_path / "out") != seen[0][0]
+
+
+def test_a_routing_statistics_failure_is_raised_on_every_call(tmp_path, capsys,
+                                                             monkeypatch, empty_memo):
+    # An expert op sharded by tp leaves ep unchecked by validation, so
+    # E % ep fails in the routing statistics: on every call, with one
+    # message, and nothing is kept; a good ep then prices.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"format_version": 1, "layers": 1, "ops": [
+        {"eq": "bsm,mF->bsF", "parallel": "F", "label": "Up"},
+        {"eq": "ETm,EmF->ETF", "parallel": "F", "label": "Experts"}]}))
+    _, argv = _moe_trace_command(tmp_path, "estimate", [*range(0, 128, 3)])
+    argv[argv.index("fixture:moe_fused.json")] = str(spec)
+    keys = _routing_keys(monkeypatch)
+    for _ in range(3):
+        assert main([*argv, "--ep", "3"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: total_experts 128 not divisible by ep degree 3\n")
+    assert keys == [(128, 3, 16)] * 3
+    [kept] = [value for (kind, _, _), value in empty_memo.items() if kind == "trace"]
+    assert kept.stats == {}
+    assert main(argv) == EXIT_OK
+    assert keys[3:] == [(128, 2, 16)] and list(kept.stats) == [(128, 2, 16)]
 
 
 def test_the_memo_keeps_at_most_its_bound(tmp_path, empty_memo):
@@ -418,7 +496,8 @@ def test_a_kept_plan_memo_is_emptied_past_its_bound(tmp_path, monkeypatch, empty
         assert main([*argv, "--tp", str(tp)]) == EXIT_OK
         [memo] = cli._plans.values()
         sizes.append(len(memo))
-    assert sizes == [3, 6, 3]
+    # Per degrees: validated, memory model, plan and its un-overlapped form.
+    assert sizes == [4, 8, 4]
 
 
 def test_the_memoized_inputs_stay_as_parsed(tmp_path, empty_memo):
@@ -1152,40 +1231,47 @@ _REPORT_COSTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.fixed_dictionaries(
-           {"label": _CELLS, "category": _CELLS, "latency_s": _REPORT_COSTS,
-            "energy_j": _REPORT_COSTS}), max_size=8),
-       totals=st.tuples(_REPORT_COSTS, _REPORT_COSTS),
-       by_category=st.dictionaries(_CELLS, _REPORT_COSTS, max_size=4),
+@given(rows=st.lists(st.tuples(_CELLS, st.sampled_from(CATEGORIES), _REPORT_COSTS,
+                               _REPORT_COSTS), max_size=8),
+       phase=st.sampled_from(["prefill", "decode"]), feasible=st.booleans(),
+       sizes=st.tuples(*[st.integers(1, 2**40)] * 4), reason=_CELLS,
+       formats=st.sampled_from([("json", "csv"), ("json",), ("csv",)]),
        meta=st.dictionaries(st.text(), st.recursive(
            _SCALARS, lambda inner: st.lists(inner, max_size=3)
            | st.dictionaries(st.text(), inner, max_size=3)
            | st.dictionaries(st.integers(-3, 3), inner, max_size=3), max_leaves=8),
            max_size=4))
-def test_reports_write_the_bytes_of_json_dumps_and_csv_writer(rows, totals,
-                                                             by_category, meta):
-    # A report payload with NaN, infinities, -0.0, 5e-324, non-ASCII and
-    # control characters, and labels holding commas, quotes, carriage
-    # returns and newlines; meta with nested dicts (some keyed by ints),
-    # lists and scalars.
-    payload = {"format_version": 1, "phase": "prefill", "batch": 2, "isl": 512,
-               "osl": 1, "gpu_count": 2, "feasible": True, "rows": rows,
-               "total_latency_s": totals[0], "total_energy_j": totals[1],
-               "category_energy_j": by_category, "category_latency_s": by_category,
-               "meta": dict(meta, degrees={"cp": 1, "ep": 1, "tp": 2},
-                            input_digests={"dims": "0123456789abcdef"})}
-    assert (dumps_json(payload, rows=("rows",))
-            == json.dumps(payload, indent=2, sort_keys=True))
+def test_reports_write_the_bytes_of_json_dumps_and_csv_writer(
+        rows, phase, feasible, sizes, reason, formats, meta):
+    # Reports of both phases, feasible or not, with NaN, infinities, -0.0
+    # and 5e-324 as costs, and labels and reasons holding commas, quotes,
+    # carriage returns, newlines, non-ASCII and control characters; meta
+    # with nested dicts (some keyed by ints), lists and scalars. An
+    # infeasible report's rows are in neither file.
+    batch, isl, osl, gpus = sizes
+    report = PhaseReport(phase, batch, isl, osl, gpus,
+                         rows=[ReportRow(*row) for row in rows], feasible=feasible,
+                         infeasible_reason="" if feasible else reason,
+                         meta={"degrees": {"cp": 1, "ep": 1, "tp": 2}})
+    written = dict(meta, input_digests={"dims": "0123456789abcdef"})
     with tempfile.TemporaryDirectory() as tmp:
-        new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
-        cli._write_report_csv(new, payload)
-        with open(old, "w", newline="") as fh:
-            writer = csv.writer(fh)
+        out = Path(tmp)
+        cli._write_report(out, report, dict(report.meta, **written), formats)
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            f"report_{phase}.{kind}" for kind in formats)
+        want = dataclasses.replace(report, meta=dict(report.meta, **written))
+        if "json" in formats:
+            assert ((out / f"report_{phase}.json").read_text()
+                    == json.dumps(want.to_dict(), indent=2, sort_keys=True) + "\n")
+        if "csv" in formats:
+            table = io.StringIO(newline="")
+            writer = csv.writer(table)
             writer.writerow(["label", "category", "latency_s", "energy_j"])
-            for row in rows:
-                writer.writerow([row["label"], row["category"],
-                                 repr(row["latency_s"]), repr(row["energy_j"])])
-        assert new.read_bytes() == old.read_bytes()
+            for label, category, latency, energy in rows if feasible else ():
+                writer.writerow([label, category, repr(latency), repr(energy)])
+            with open(out / f"report_{phase}.csv", newline="") as fh:
+                assert fh.read() == table.getvalue()
+    assert report.meta == {"degrees": {"cp": 1, "ep": 1, "tp": 2}}
 
 
 # -- CSV writes ------------------------------------------------------------------

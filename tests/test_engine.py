@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +41,13 @@ from llm_energy.metrics import (
     CATEGORY_MEMORY,
     ReportRow,
 )
-from llm_energy.spec_lang import ModelSpec, OpSpec, parse_equation, validate_bindings
+from llm_energy.spec_lang import (
+    ModelSpec,
+    OpSpec,
+    parse_equation,
+    parse_model_spec,
+    validate_bindings,
+)
 
 import reference
 
@@ -375,8 +382,11 @@ def test_decode_lowers_full_layer_once(
             result = fn(*args, **kwargs)
             calls[key] = calls.get(key, 0) + 1
             if key == "lower_decode":
+                # The bottleneck GPU's lowering maps stream indices to the
+                # MoE ops' columns.
+                ops = result.values() if isinstance(result, dict) else result
                 calls["kernels"] = calls.get("kernels", 0) + sum(
-                    len(op.kernels) for op in result)
+                    len(op.kernels) for op in ops)
             return result
         return wrapped
 
@@ -385,6 +395,7 @@ def test_decode_lowers_full_layer_once(
                        validate_bindings(spec, dims, degrees).degrees,
                        moe_te=(16.0, 8.0) if spec_name == "moe_spec" else None)
     layer_kernels = sum(len(op.kernels) for op in full)
+    moe_kernels = sum(len(op.kernels) for op in full if op.is_moe)
 
     for name in ("lower", "lower_columns", "lower_decode"):
         monkeypatch.setattr(LayerPlan, name, counting(getattr(LayerPlan, name), name))
@@ -396,20 +407,23 @@ def test_decode_lowers_full_layer_once(
                         counting(engine.uniform_routing, "routing"))
     est = _est(spec, dims, hw, roofline, comm_backend,
                routing_trace=_skewed_trace() if routing else None)
-    # An imbalanced trace lowers the layer a second time for the bottleneck
-    # GPU, once per phase; no op that reads the context is an MoE op, so
-    # every context kernel has a closed form and no other columns are
-    # lowered.
+    # An imbalanced trace lowers the layer's MoE ops a second time for the
+    # bottleneck GPU, once per phase; no op that reads the context is an
+    # MoE op, so every context kernel has a closed form and no other
+    # columns are lowered.
     lowerings = 2 if routing else 1
+    kernels = layer_kernels + (moe_kernels if routing else 0)
+    assert 0 < moe_kernels < layer_kernels or spec_name == "dense_spec"
     counts = []
     for osl in (40, 400, 4000):
         calls.clear()
         report = est.estimate(PhaseContext(DECODE, 2, 512, osl=osl), degrees)
         assert report.feasible
-        assert calls.get("routing", 0) == (spec_name == "moe_spec")
+        # A trace's statistics are taken on its first estimate and kept.
+        assert calls.pop("routing", 0) == (spec_name == "moe_spec"
+                                           and (not routing or osl == 40))
         assert (calls["lower_decode"], calls["kernels"], calls.get("lower"),
-                calls.get("lower_columns")) == (lowerings, lowerings * layer_kernels,
-                                                None, None)
+                calls.get("lower_columns")) == (lowerings, kernels, None, None)
         counts.append(dict(calls))
     assert counts[0] == counts[1] == counts[2]
 
@@ -683,3 +697,158 @@ def test_degree_that_is_not_an_integer_is_rejected(bad, dense_spec, dims_8b, hw,
     assert all(latency is not None for latency, _, _ in priced)
     [results] = est.estimate_prefill_settings(points, {"tp": bad}, [None])
     assert results == [(None, None, message[1:-1])] * len(points)
+
+
+# -- the bottleneck GPU's lowering of the MoE steps --------------------------------
+
+# Top-8-of-128 routings: every expert routed four tokens; a skew onto the
+# first 40 experts; one token, whose experts fall unevenly over the ranks.
+_ROUTINGS = {
+    "balanced": lambda: RoutingTrace(tuple(tuple((8 * t + j) % 128 for j in range(8))
+                                           for t in range(64))),
+    "skewed": lambda: _skewed_trace(),
+    "one-row": lambda: RoutingTrace(((0, 3, 9, 17, 33, 65, 90, 127),)),
+}
+
+
+@pytest.mark.parametrize("tile", [1, 16, 64])
+@pytest.mark.parametrize("ep", [1, 2, 4, 8])
+@pytest.mark.parametrize("routing", list(_ROUTINGS))
+def test_bottleneck_lowering_of_moe_steps_matches_reference(
+        moe_spec, dims_moe, hw, roofline, comm_backend, routing, ep, tile):
+    # The bottleneck GPU's lowering walks the MoE steps only: it is the
+    # whole layer's lowering under the bottleneck's (T, E), restricted to
+    # those steps, in prefill and in decode. The rows built from it equal
+    # the reference's, which lowers the whole layer twice: bit for bit in
+    # prefill, within the closed form's 1e-12 in decode.
+    est = _est(moe_spec, dims_moe, hw, roofline, comm_backend, tile=tile,
+               routing_trace=_ROUTINGS[routing]())
+    degrees = validate_bindings(moe_spec, dims_moe, {"tp": 2, "ep": ep}).degrees
+    stats = est.routing_stats(PhaseContext(PREFILL, 2, 512), degrees)
+    assert stats.balanced == (routing == "balanced" or ep == 1)
+    for phase in (PREFILL, DECODE):
+        plan = compile_layer(moe_spec, dims_moe, degrees, phase)
+        assert list(plan.moe_steps) == [
+            index for index, op in enumerate(plan.lower_columns(
+                {"b": 2, "s": 1, "z": 513}, 1, stats.avg)) if op.is_moe]
+        assert plan.moe_steps
+        if phase == PREFILL:
+            env = {"b": 2, "s": 512, "z": 512}
+            full = plan.lower_columns(env, 1, stats.max)
+            only = plan.lower_columns(env, 1, stats.max, moe_only=True)
+        else:
+            full = plan.lower_decode({"b": 2, "s": 1}, range(513, 553), stats.max)
+            only = plan.lower_decode({"b": 2, "s": 1}, range(513, 553), stats.max,
+                                     moe_only=True)
+        assert only == {index: full[index] for index in plan.moe_steps}
+
+        ctx = PhaseContext(phase, 2, 512, osl=40)
+        report = est.estimate(ctx, degrees)
+        expected = reference.reference_rows(est, ctx, degrees)
+        assert [(r.label, r.category) for r in report.rows] == list(expected)
+        for row in report.rows:
+            latency, energy = expected[(row.label, row.category)]
+            if phase == PREFILL:
+                assert (row.latency, row.energy) == (latency, energy)
+            else:
+                assert row.latency == pytest.approx(latency, rel=1e-12, abs=0)
+                assert row.energy == pytest.approx(energy, rel=1e-12, abs=0)
+
+
+@pytest.fixture(scope="module")
+def moe_between_spec():
+    """An MoE op between two that shard a runtime symbol by tp: at tp 2 a
+    point with an odd s fails before it, one with an odd b after it, each
+    under the average's and the bottleneck's binding alike."""
+    return parse_model_spec({"layers": 2, "ops": [
+        {"eq": "bsm,mF->bsF", "parallel": "s", "label": "Up"},
+        {"eq": "ETm,EmF->ETF", "parallel": "E", "label": "Experts"},
+        {"eq": "bsF,Fm->bsm", "parallel": "b", "label": "Down"}]})
+
+
+def test_lowering_errors_under_both_bindings_keep_message_and_precedence(
+        moe_between_spec, dims_moe, hw, roofline, comm_backend):
+    # Each point's reason in a sweep is the error that lowering it alone
+    # meets first (the reference lowers the whole layer under the average,
+    # then under the bottleneck's routing), and the one the estimate of
+    # that point raises; walking every step for the bottleneck records the
+    # same errors as walking the MoE steps only.
+    spec, degrees = moe_between_spec, {"tp": 2, "ep": 4}
+    est = _est(spec, dims_moe, hw, roofline, comm_backend,
+               routing_trace=_skewed_trace())
+    points = [(3, 511), (2, 512), (1, 1), (4, 6), (3, 6), (2, 7)]
+    stats = est.routing_stats(PhaseContext(PREFILL, 1, 1), degrees)
+    assert not stats.balanced
+    [priced] = est.estimate_prefill_settings(points, degrees, [None])
+    validated = validate_bindings(spec, dims_moe, degrees).degrees
+    want = []
+    for batch, isl in points:
+        ctx = PhaseContext(PREFILL, batch, isl)
+        try:
+            for moe_te in (stats.avg, stats.max):
+                reference.reference_lower(spec, dims_moe, ctx, validated, moe_te)
+        except ValidationError as exc:
+            want.append(str(exc))
+            with pytest.raises(ValidationError) as raised:
+                est.estimate(ctx, degrees)
+            assert str(raised.value) == str(exc)
+            continue
+        want.append("")
+    assert [reason for _, _, reason in priced] == want
+    assert sorted(set(want)) == [
+        "", "symbol 'b' size 3 not divisible by degree 2",
+        "symbol 's' size 1 not divisible by degree 2",
+        "symbol 's' size 511 not divisible by degree 2",
+        "symbol 's' size 7 not divisible by degree 2"]
+
+    plan = compile_layer(spec, dims_moe, validated, PREFILL)
+    env = {"b": array("q", [b for b, _ in points]),
+           "s": array("q", [s for _, s in points])}
+    env["z"] = env["s"]
+    moe_avg, moe_max = ([array("d", [x] * len(points)) for x in te]
+                        for te in (stats.avg, stats.max))
+    walked = []
+    for moe_only in (False, True):
+        errors = {}
+        plan.lower_columns(env, len(points), moe_avg, errors)
+        plan.lower_columns(env, len(points), moe_max, errors, moe_only=moe_only)
+        walked.append({i: str(exc) for i, exc in errors.items()})
+    assert walked[0] == walked[1] == {i: reason for i, reason in enumerate(want)
+                                      if reason}
+
+    # In decode, an odd batch fails after the MoE step, under both bindings.
+    decode_spec = dataclasses.replace(spec, ops=(
+        dataclasses.replace(spec.ops[0], parallel="F"), *spec.ops[1:]))
+    est = _est(decode_spec, dims_moe, hw, roofline, comm_backend,
+               routing_trace=_skewed_trace())
+    with pytest.raises(ValidationError,
+                       match="^symbol 'b' size 3 not divisible by degree 2$"):
+        est.estimate(PhaseContext(DECODE, 3, 64, osl=5), degrees)
+    assert est.estimate(PhaseContext(DECODE, 2, 64, osl=5), degrees).feasible
+
+
+def test_unoverlapped_plan_is_kept_next_to_the_plan(dense_spec, dims_8b, hw, roofline,
+                                                    comm_backend, monkeypatch):
+    # An overlapped prefill lowers the layer un-overlapped first: that plan
+    # is made once per degrees and kept in the memo, and a second call with
+    # it gives the first's rows, which a fresh estimator also gives.
+    made = []
+    unoverlapped = LayerPlan.unoverlapped
+
+    def counting(plan):
+        made.append(plan)
+        return unoverlapped(plan)
+    monkeypatch.setattr(LayerPlan, "unoverlapped", counting)
+    memo = {}
+    ctx = PhaseContext(PREFILL, 2, 512)
+    reports = []
+    for setting in ((4, 16), (4, 16), (2, 4), None):
+        est = _est(dense_spec, dims_8b, hw, roofline, comm_backend, memo=memo)
+        reports.append(est.estimate(ctx, {"tp": 2}, setting))
+    assert len(made) == 1
+    est.estimate_prefill_settings([(2, 512), (4, 1024)], {"tp": 2}, [(4, 16), None])
+    assert len(made) == 1
+    fresh = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
+    assert reports[1] == reports[0] == fresh.estimate(ctx, {"tp": 2}, (4, 16))
+    assert reports[3] == fresh.estimate(ctx, {"tp": 2})
+    assert any(key[-1] == "unoverlapped" for key in memo if key[0] == "plan")

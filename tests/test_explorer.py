@@ -350,6 +350,38 @@ def test_sweep_equals_fresh_estimator_per_point(request, case, backend, hw,
         assert "sm_comm must be in [1, total_sm), got 108" in reasons
 
 
+# Top-8-of-128 routings: every expert routed four tokens, a skew onto the
+# first 40 experts, and one token.
+_ROUTINGS = {
+    "balanced": lambda: RoutingTrace(tuple(tuple((8 * t + j) % 128 for j in range(8))
+                                           for t in range(64))),
+    "skewed": lambda: _skewed_trace(),
+    "one-row": lambda: RoutingTrace(((0, 3, 9, 17, 33, 65, 90, 127),)),
+}
+
+
+@pytest.mark.parametrize("phase", [PREFILL, DECODE])
+@pytest.mark.parametrize("routing", list(_ROUTINGS))
+def test_traced_moe_sweeps_equal_per_point_estimates(moe_spec, dims_moe, hw, roofline,
+                                                     comm_backend, annotate_overlap,
+                                                     routing, phase):
+    # At every ep and tile, each point of a traced sweep equals a fresh
+    # estimator's, which takes the statistics of a trace of its own: the
+    # bottleneck GPU's lowering of the MoE steps and the statistics kept on
+    # the sweep's trace price as the reference does.
+    grid = {"batch": [1, 8], "isl": [128, 1024], "osl": [16], "tp": [1, 2],
+            "ep": [1, 2, 4, 8]}
+    for tile in (1, 16, 64):
+        trace = _ROUTINGS[routing]()
+        got = sweep(moe_spec, dims_moe, grid, hw, roofline, comm_backend, phase=phase,
+                    tile=tile, routing_trace=trace)
+        assert got == _sweep_point_by_point(
+            annotate_overlap, moe_spec, dims_moe, grid, hw, roofline, comm_backend,
+            phase, tile=tile, routing_trace=_ROUTINGS[routing]())
+        assert all(p.feasible for p in got)
+        assert sorted(trace.stats) == [(128, ep, tile) for ep in (1, 2, 4, 8)]
+
+
 _FIXTURE_PAIRS = [("dense_spec", "dims_8b"), ("dense_spec", "dims_70b"),
                   ("unfused_spec", "dims_70b"), ("cp_spec", "dims_8b"),
                   ("moe_spec", "dims_moe")]

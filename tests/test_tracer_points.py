@@ -74,3 +74,30 @@ def test_a_decode_estimate_calls_the_traced_decode_positions(monkeypatch, tmp_pa
                      "--out", str(tmp_path / "out")])
     assert code == 0
     assert [len(result) for result in results] == [5]
+
+
+def test_routing_statistics_are_taken_through_the_traced_name(monkeypatch, tmp_path):
+    # The tracer counts routing computations by wrapping
+    # engine.stats_from_trace: the estimator must look it up there whenever
+    # a trace has no statistics kept for the key, once per phase-both call.
+    from llm_energy import cli, engine
+
+    keys = []
+    stats_from_trace = engine.stats_from_trace
+
+    def recording(trace, *key):
+        keys.append(key)
+        return stats_from_trace(trace, *key)
+    monkeypatch.setattr(engine, "stats_from_trace", recording)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{t}," + ",".join(str((5 * t + j) % 40) for j in range(8))
+                             + "\n" for t in range(32)))
+    code = cli.main(["estimate", "--spec", "fixture:moe_fused.json",
+                     "--dims", "fixture:qwen3_30b_a3b.json",
+                     "--hw", "fixture:a100_sxm_80g.json",
+                     "--comm-cal", "fixture:comm_synthetic.csv",
+                     "--trace", str(trace), "--ep", "4", "--tile", "8",
+                     "--phase", "both", "--osl", "5",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert keys == [(128, 4, 8)]
