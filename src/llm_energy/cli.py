@@ -425,31 +425,50 @@ _POINT_LINE = "%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
 # A ``points.json`` row as ``indent=2`` writes :meth:`ConfigPoint.to_dict`
 # in a list under a top-level key: the keys in sorted order.
 _POINT_ROW = ("{\n"
-              '      "batch": %d,\n'
-              '      "cp": %d,\n'
+              '      "batch": %s,\n'
+              '      "cp": %s,\n'
               '      "energy_j": %s,\n'
-              '      "ep": %d,\n'
+              '      "ep": %s,\n'
               '      "feasible": %s,\n'
               '      "infeasible_reason": %s,\n'
-              '      "isl": %d,\n'
+              '      "isl": %s,\n'
               '      "latency_s": %s,\n'
-              '      "osl": %d,\n'
+              '      "osl": %s,\n'
               '      "overlap": %s,\n'
               '      "phase": %s,\n'
-              '      "tp": %d\n'
+              '      "tp": %s\n'
               "    }")
+# A ``plot_data.csv`` row of a feasible point: series, x, y and label.
+_PLOT_LINE = "tp%s-ov%s,%s,%s,b%s-isl%s\r\n"
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``function(key)``."""
+def _point_templates(phase, osl, tp, ep, cp, overlap, feasible) -> tuple:
+    """The ``points.json`` row, ``points.csv`` line and (if ``feasible``)
+    ``plot_data.csv`` line of the points of one (phase, osl, tp, ep, cp,
+    overlap, feasible): the rows' templates filled with these cells, each
+    ``%`` doubled, leaving ``%s`` for the cells of a point. Those are, in
+    the row: batch, energy, reason, isl, latency; in the line: batch, isl,
+    latency, energy, reason; in the plot line: latency, energy, batch,
+    isl."""
+    def cell(value) -> str:
+        return str(value).replace("%", "%%")
 
-    def __init__(self, function, *args):
-        super().__init__(*args)
-        self._function = function
+    def json_cell(text: Optional[str]) -> str:
+        return "null" if text is None else cell(encode_basestring_ascii(text))
 
-    def __missing__(self, key):
-        self[key] = value = self._function(key)
-        return value
+    def csv_cell(text: Optional[str]) -> str:
+        return "" if text is None else cell(_csv_cell(text))
+
+    overlap = format_overlap(overlap)
+    osl, tp, ep, cp = map(cell, (osl, tp, ep, cp))
+    slot = "%s"
+    return (_POINT_ROW % (slot, cp, slot, ep, "true" if feasible else "false",
+                          slot, slot, slot, osl, json_cell(overlap),
+                          json_cell(phase), tp),
+            _POINT_LINE % (csv_cell(phase), slot, slot, osl, tp, ep, cp,
+                           csv_cell(overlap), cell(feasible), slot, slot, slot),
+            _PLOT_LINE % (tp, cell(overlap or "none"), slot, slot, slot, slot)
+            if feasible else None)
 
 
 def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
@@ -458,16 +477,19 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
     ``csv``): each point's row; and ``plot_data.csv`` (format ``plot``):
     x=latency, y=energy, series=config group (tp/overlap), one row per
     feasible point. One pass over the points, a block at a time, each
-    block written to every file before the next is formatted; a latency
-    or energy is written as its repr, taken once for all three files.
+    block written to every file before the next is formatted.
 
-    The CSV lines are written as :mod:`csv` writes them, each string
-    quoted by :func:`_csv_cell` once. No field of ``plot_data.csv`` needs
-    quoting (integers, float reprs, overlap settings)."""
+    The cells that a point shares with its group (phase, osl, tp, ep, cp,
+    overlap, feasible) are formatted once per group, into templates
+    (:func:`_point_templates`); per point, only its batch, isl, latency,
+    energy and reason are filled in: a latency or energy as its repr,
+    taken once for all three files, and each distinct reason encoded and
+    quoted once. The CSV lines are written as :mod:`csv` writes them. No
+    field of ``plot_data.csv`` needs quoting (integers, float reprs,
+    overlap settings)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    encoded = _Memo(encode_basestring_ascii, {None: "null"})
-    cells = _Memo(_csv_cell, {None: ""})
-    overlaps = _Memo(format_overlap)
+    groups: dict = {}
+    reasons: dict = {None: ("null", "")}  # each reason's JSON and CSV text
     with ExitStack() as files:
         document = table = plot = None
         if "json" in formats:
@@ -486,20 +508,25 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
             json_rows, table_lines, plot_lines = [], [], []
             for (phase, batch, isl, osl, tp, ep, cp, overlap, feasible, latency,
                  energy, reason) in points[start:start + _ROWS_PER_BLOCK]:
+                key = (phase, osl, tp, ep, cp, overlap, feasible)
+                templates = groups.get(key)
+                if templates is None:
+                    templates = groups[key] = _point_templates(*key)
+                row, line, plot_line = templates
+                texts = reasons.get(reason)
+                if texts is None:
+                    texts = reasons[reason] = (encode_basestring_ascii(reason),
+                                               _csv_cell(reason))
                 latency_text, energy_text = repr(latency), repr(energy)
-                overlap = overlaps[overlap]
-                json_rows.append(_POINT_ROW % (
-                    batch, cp, _JSON_NUMBER.get(energy_text, energy_text), ep,
-                    "true" if feasible else "false", encoded[reason], isl,
-                    _JSON_NUMBER.get(latency_text, latency_text), osl,
-                    encoded[overlap], encoded[phase], tp))
-                table_lines.append(_POINT_LINE % (
-                    cells[phase], batch, isl, osl, tp, ep, cp, cells[overlap],
-                    feasible, "" if latency is None else latency_text,
-                    "" if energy is None else energy_text, cells[reason]))
+                json_rows.append(row % (
+                    batch, _JSON_NUMBER.get(energy_text, energy_text), texts[0],
+                    isl, _JSON_NUMBER.get(latency_text, latency_text)))
+                table_lines.append(line % (
+                    batch, isl, "" if latency is None else latency_text,
+                    "" if energy is None else energy_text, texts[1]))
                 if feasible:
-                    plot_lines.append(f"tp{tp}-ov{overlap or 'none'},{latency_text},"
-                                      f"{energy_text},b{batch}-isl{isl}\r\n")
+                    plot_lines.append(plot_line % (latency_text, energy_text,
+                                                   batch, isl))
             if document is not None:
                 document.write(before + ",\n    ".join(json_rows))
                 before = ",\n    "

@@ -79,6 +79,10 @@ class HardwareProfile:
             raise ValidationError("total_sm must be >= 1")
         if min(self.peak_flops, self.mem_bw, self.dram_capacity) <= 0:
             raise ValidationError("peak_flops/mem_bw/dram_capacity must be positive")
+        if self.kernel_launch_overhead < 0:
+            raise ValidationError("kernel_launch_overhead must be >= 0")
+        if not 0 <= self.memory_op_utilization <= 1:
+            raise ValidationError("memory_op_utilization must be in [0, 1]")
 
 
 _HW_KEYS = {f.name for f in fields(HardwareProfile)} | {"format_version"}

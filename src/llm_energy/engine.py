@@ -378,23 +378,32 @@ class Estimator:
         if not plans:
             return out
 
+        # Per point, only the memory test: check_memory is asked for the
+        # reason of a point that fails it, and a context is made only for
+        # such a point, an invalid one (to raise its error) or an MoE spec's
+        # routing statistics.
         shared: list = [None] * len(points)
-        live, ctxs, stats = [], [], []
+        live, stats = [], []
+        fits, capacity, has_moe = memory.fits, self.hw.dram_capacity, self.has_moe
         for i, (batch, isl) in enumerate(points):
-            ctx = PhaseContext(PREFILL, batch, isl)
-            verdict = check_memory(memory, ctx, self.hw)
-            if not verdict.feasible:
-                shared[i] = (None, None, verdict.reason)
+            if type(batch) is not int or type(isl) is not int or batch < 1 or isl < 1:
+                PhaseContext(PREFILL, batch, isl)  # raises its ValidationError
+            if not fits(batch, isl, capacity):
+                shared[i] = (None, None, check_memory(
+                    memory, PhaseContext(PREFILL, batch, isl), self.hw).reason)
                 continue
-            try:
-                point_stats = self.routing_stats(ctx, degrees)
-            except ValidationError as exc:
-                shared[i] = (None, None, str(exc))
-                continue
+            if has_moe:
+                try:
+                    stats.append(self.routing_stats(PhaseContext(PREFILL, batch, isl),
+                                                    degrees))
+                except ValidationError as exc:
+                    shared[i] = (None, None, str(exc))
+                    continue
             live.append(i)
-            ctxs.append(ctx)
-            stats.append(point_stats)
-        priced = self._prefill_columns(plans, degrees, ctxs, stats)
+        if not has_moe:
+            stats = [None] * len(live)
+        priced = self._prefill_columns(plans, degrees,
+                                       [points[i] for i in live], stats)
         for j, per_point in zip(live_settings, priced):
             results = list(shared)
             for i, point in zip(live, per_point):
@@ -403,16 +412,17 @@ class Estimator:
         return out
 
     def _prefill_columns(self, plans: list[LayerPlan], degrees: dict[str, int],
-                         ctxs: list[PhaseContext], stats: list
+                         pairs: list[tuple[int, int]], stats: list
                          ) -> list[list[Priced]]:
-        """:meth:`estimate_prefill_settings` of points that fit in memory,
-        with their routing statistics (None for a dense spec), under the
-        plan of each setting: all are one layer, overlapped differently."""
-        n = len(ctxs)
+        """:meth:`estimate_prefill_settings` of (batch, isl) points that fit
+        in memory, with their routing statistics (None for a dense spec),
+        under the plan of each setting: all are one layer, overlapped
+        differently."""
+        n = len(pairs)
         if not n:
             return [[] for _ in plans]
-        env = {"b": array("q", [ctx.batch for ctx in ctxs]),
-               "s": array("q", [ctx.s for ctx in ctxs])}
+        env = {"b": array("q", [batch for batch, _ in pairs]),
+               "s": array("q", [isl for _, isl in pairs])}
         env["z"] = env["s"]  # z = isl throughout prefill
         moe_avg = moe_max = None
         if stats[0] is not None:
@@ -432,7 +442,7 @@ class Estimator:
             for flag in (True, False):
                 part = [i for i in range(n) if mixed.ones[i] == flag]
                 priced = self._prefill_columns(plans, degrees,
-                                               [ctxs[i] for i in part],
+                                               [pairs[i] for i in part],
                                                [stats[i] for i in part])
                 for results, part_results in zip(split, priced):
                     for i, point in zip(part, part_results):

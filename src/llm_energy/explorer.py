@@ -171,12 +171,14 @@ def sweep(spec: ModelSpec, dims: DimensionBindings, grid: dict,
                      for k in next(iter(by_setting.values()))]
             priced = estimator.estimate_prefill_settings(
                 list(slot), degrees, list(by_setting))
-            results = [(k, per_point[j])
-                       for indices, per_point in zip(by_setting.values(), priced)
-                       for k, j in zip(indices, slots)]
-        else:
-            results = [(k, decode_point(*combos[k][:3], degrees, ov))
-                       for ov, indices in by_setting.items() for k in indices]
+            for indices, per_point in zip(by_setting.values(), priced):
+                for k, j in zip(indices, slots):
+                    result = per_point[j]  # (latency, energy, reason)
+                    points[k] = make((phase, *combos[k], result[0] is not None,
+                                      *result))
+            continue
+        results = [(k, decode_point(*combos[k][:3], degrees, ov))
+                   for ov, indices in by_setting.items() for k in indices]
         for k, (latency, energy, reason) in results:
             points[k] = make((phase, *combos[k], latency is not None, latency,
                               energy, reason))

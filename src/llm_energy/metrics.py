@@ -133,6 +133,13 @@ class MemoryModel:
     def required(self, batch: int, z: int) -> float:
         return self.weight_bytes + self.kv_bytes(batch, z)
 
+    def fits(self, batch: int, z: int, capacity: float) -> bool:
+        """Do the weights, and the weights with the KV cache of ``batch``
+        sequences of context ``z``, fit in ``capacity``? The one test of
+        :func:`check_memory`, in its float order."""
+        return not (self.weight_bytes > capacity
+                    or self.weight_bytes + self.kv_unit_bytes * batch * z > capacity)
+
     def max_context(self, batch: int, capacity: float) -> Optional[int]:
         """Largest context length z fitting in ``capacity`` at this batch size;
         None when the spec holds no KV cache, so memory bounds no context."""
@@ -182,13 +189,13 @@ def check_memory(mem: MemoryModel, ctx: PhaseContext,
     z_peak = ctx.isl if ctx.phase == PREFILL else ctx.isl + ctx.osl
     required = mem.required(ctx.batch, z_peak)
     max_seq = mem.max_context(ctx.batch, hw.dram_capacity)
+    if mem.fits(ctx.batch, z_peak, hw.dram_capacity):
+        return FeasibilityVerdict(True, "", max_seq, required, hw.dram_capacity)
     if mem.weight_bytes > hw.dram_capacity:
         return FeasibilityVerdict(False, "weights alone exceed DRAM capacity",
                                   0, required, hw.dram_capacity)
-    if required > hw.dram_capacity:
-        return FeasibilityVerdict(
-            False,
-            f"needs {required / 2**30:.1f} GiB > {hw.dram_capacity / 2**30:.1f} GiB "
-            f"(max context {max_seq} at batch {ctx.batch})",
-            max_seq, required, hw.dram_capacity)
-    return FeasibilityVerdict(True, "", max_seq, required, hw.dram_capacity)
+    return FeasibilityVerdict(
+        False,
+        f"needs {required / 2**30:.1f} GiB > {hw.dram_capacity / 2**30:.1f} GiB "
+        f"(max context {max_seq} at batch {ctx.batch})",
+        max_seq, required, hw.dram_capacity)

@@ -854,6 +854,24 @@ def _hw_with_float_total_sm(tmp_path):
                                  lambda raw: raw.update(total_sm=108.0))
 
 
+def _hw_with_negative_launch_overhead(tmp_path):
+    # Priced a total latency of -223.9 s and energy of -63767 J.
+    return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
+                                 lambda raw: raw.update(kernel_launch_overhead=-1.0))
+
+
+def _hw_with_memory_op_utilization_above_one(tmp_path):
+    # Priced memory ops above p_max.
+    return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
+                                 lambda raw: raw.update(memory_op_utilization=5.0))
+
+
+def _hw_with_negative_memory_op_utilization(tmp_path):
+    # Priced memory ops at negative energy.
+    return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
+                                 lambda raw: raw.update(memory_op_utilization=-2.0))
+
+
 def _hw_without_total_sm(tmp_path):
     return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
                                  lambda raw: raw.pop("total_sm"))
@@ -1179,7 +1197,9 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _comm_row_with_nan_latency, _comm_curve_with_equal_logs, _gemm_row_with_zero_m,
     _gemm_row_with_zero_dtype_bytes, _missing_fixture, _directory_spec,
     _dims_with_fractional_size, _dims_with_bool_dtype_bytes, _dims_with_float_layers,
-    _hw_with_float_total_sm, _grid_fractional_values, _grid_bool_batch,
+    _hw_with_float_total_sm, _hw_with_negative_launch_overhead,
+    _hw_with_memory_op_utilization_above_one,
+    _hw_with_negative_memory_op_utilization, _grid_fractional_values, _grid_bool_batch,
     _overlap_flag_without_stages, _grid_overlap_without_stages,
     _grid_overlap_pair_without_stages, _grid_overlap_float_stages,
     _grid_overlap_bool_stages, _grid_overlap_without_sm,
@@ -1314,7 +1334,8 @@ _POINTS = st.lists(st.builds(
     overlap=st.one_of(st.none(), st.tuples(st.integers(1, 8), st.integers(1, 200))),
     feasible=st.booleans(), latency=_COST, energy=_COST,
     infeasible_reason=st.one_of(st.text(), st.sampled_from(
-        ["", "a, b", 'say "no"', "line\nbreak", "cr\r\nlf", ",\"\n"]))),
+        ["", "a, b", 'say "no"', "line\nbreak", "cr\r\nlf", ",\"\n", "%s", "100%",
+         "%%d", None]))),
     max_size=12)
 
 
@@ -1342,7 +1363,8 @@ def _row_at_a_time_point_files(out_dir, payload, points):
 def test_point_files_write_the_bytes_of_row_at_a_time_writers(formats, points,
                                                              block, meta):
     # None latency and energy, feasible or not; no overlap; reasons with
-    # commas, quotes, carriage returns, newlines and non-ASCII text; nan,
+    # commas, quotes, carriage returns, newlines, format directives ("%s",
+    # "%%d", a lone "%") and non-ASCII text, and a None reason; nan,
     # inf and -0.0; lists of up to twelve points in blocks of 1, 3 or 64;
     # keys of the rest of points.json before and after "points".
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import random
+import re
 from array import array
 
 import pytest
@@ -697,6 +698,64 @@ def test_degree_that_is_not_an_integer_is_rejected(bad, dense_spec, dims_8b, hw,
     assert all(latency is not None for latency, _, _ in priced)
     [results] = est.estimate_prefill_settings(points, {"tp": bad}, [None])
     assert results == [(None, None, message[1:-1])] * len(points)
+
+
+_MEMORY_POINTS = [(1, 512), (2, 512), (2, 513), (4, 1000), (64, 131072)]
+
+
+@pytest.mark.parametrize("case", ["exactly-full", "one-byte-over", "weights-over",
+                                  "no-kv-cache-full", "no-kv-cache-over"])
+def test_prefill_memory_verdicts_equal_check_memory(case, dense_spec, dims_8b, hw,
+                                                    roofline, comm_backend):
+    # A sweep tests each point with MemoryModel.fits and asks check_memory
+    # only for the reason of a point that fails it: at the boundary, each
+    # point is feasible exactly when check_memory says so, or carries its
+    # reason.
+    est = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
+    memory = est.memory_model(est._validated({"tp": 1}))
+    if case.startswith("no-kv-cache"):
+        memory = dataclasses.replace(memory, kv_unit_bytes=0.0)
+    capacity = {"exactly-full": memory.required(2, 512),
+                "one-byte-over": memory.required(2, 512) - 1,
+                "weights-over": memory.weight_bytes - 1,
+                "no-kv-cache-full": memory.weight_bytes,
+                "no-kv-cache-over": memory.weight_bytes - 1}[case]
+    tight = dataclasses.replace(hw, dram_capacity=capacity)
+    est = _est(dense_spec, dims_8b, tight, roofline, comm_backend)
+    est.memory_model = lambda degrees: memory
+    [results] = est.estimate_prefill_settings(_MEMORY_POINTS, {"tp": 1}, [None])
+    verdicts = [engine.check_memory(memory, PhaseContext(PREFILL, batch, isl), tight)
+                for batch, isl in _MEMORY_POINTS]
+    for (latency, energy, reason), verdict in zip(results, verdicts):
+        if verdict.feasible:
+            assert reason == "" and latency is not None and energy is not None
+        else:
+            assert (latency, energy, reason) == (None, None, verdict.reason)
+    feasible = [verdict.feasible for verdict in verdicts]
+    assert feasible == {"exactly-full": [True, True, False, False, False],
+                        "one-byte-over": [True, False, False, False, False],
+                        "weights-over": [False] * 5,
+                        "no-kv-cache-full": [True] * 5,
+                        "no-kv-cache-over": [False] * 5}[case]
+    if case == "exactly-full":
+        assert verdicts[1].required_bytes == capacity
+    if case.endswith("over") and case != "one-byte-over":
+        assert {verdict.reason for verdict in verdicts} == {
+            "weights alone exceed DRAM capacity"}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 512), "batch/isl/osl must be positive"),
+    ((2, -1), "batch/isl/osl must be positive"),
+    ((2.0, 512), "batch must be an integer, got 2.0"),
+    ((2, True), "isl must be an integer, got True")])
+def test_prefill_point_that_is_not_a_context_raises_its_error(
+        bad, message, dense_spec, dims_8b, hw, roofline, comm_backend):
+    # Behind a feasible and an infeasible point, and ahead of a good one.
+    est = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        est.estimate_prefill_settings([(2, 512), (64, 131072), bad, (1, 128)],
+                                      {"tp": 1}, [None])
 
 
 # -- the bottleneck GPU's lowering of the MoE steps --------------------------------
