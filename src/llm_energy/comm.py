@@ -16,9 +16,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, islice
-from operator import itemgetter, ne, sub
-from typing import Iterator
+from operator import itemgetter
 
 from .compute import CostEstimate, one_cost
 from .errors import BackendError, ValidationError
@@ -124,10 +122,6 @@ class CommCalibrationTable:
 
 
 _HEADER = ("kind", "world", "sm_count", "bytes", "latency_s", "energy_j")
-_KINDS = frozenset(VALID_KINDS)
-# A size more than this many times the one before it is larger, and so is
-# its log: each log is within an ulp (< 2e-13) of the exact one.
-_MIN_STEP = 1 + 1e-9
 # Priced comm columns a backend keeps: the equal byte columns it meets are
 # those of one lowering's kernels, a few collectives apart.
 _KEPT_COLUMNS = 8
@@ -136,74 +130,22 @@ _KEPT_COLUMNS = 8
 def load_comm_calibration(path) -> CommCalibrationTable:
     """Load a calibration CSV; its ``#`` lines carry provenance.
 
-    The rows of one (kind, world, sm_count) are its curve, sorted by size;
-    they need not be contiguous or in order. A file whose every curve is
-    one run of rows in increasing size is checked over whole columns at
-    once; any other is sorted and checked curve by curve, which names the
-    first bad curve. The key cells are read as text and converted once per
-    run, so after a fault in a cell the file is read again cell by cell,
-    which names the first bad cell as ``path:line`` in the file's order."""
-    try:
-        (*key_cells, sizes, latencies, energies), comments = read_csv(
-            path, _HEADER, (str, str, str, float, float, float))
-        cells = list(zip(*key_cells))
-        # The first row of each run of rows with equal key cells.
-        starts = [0, *_pairs_where(cells, ne)] if cells else []
-        keys = [(kind.strip(), int(world), int(sm))
-                for kind, world, sm in map(cells.__getitem__, starts)]
-    except (ValidationError, ValueError):
-        read_csv(path, _HEADER, (str.strip, int, int, float, float, float))
-        raise
-    ends = [*starts[1:], len(cells)]
+    The rows of one (kind, world, sm_count) are its curve, keyed in the
+    order the file first names it; they need not be contiguous or in
+    order. A bad cell is named ``path:line``. Each curve is then sorted by
+    size and checked, which names the first bad curve by its key."""
+    (kinds, worlds, sms, *values), comments = read_csv(
+        path, _HEADER, (str.strip, int, int, float, float, float))
+    samples: dict[tuple[str, int, int], list] = {}
+    for key, sample in zip(zip(kinds, worlds, sms), zip(*values)):
+        samples.setdefault(key, []).append(sample)
     table = CommCalibrationTable(provenance="; ".join(comments))
-    curves = table.curves
-    for key, run in zip(keys, map(slice, starts, ends)):
-        curve = curves.get(key)
-        if curve is None:
-            curves[key] = CommCurve(sizes[run], latencies[run], energies[run])
-        else:  # a key whose rows are not contiguous
-            curve.sizes += sizes[run]
-            curve.latencies += latencies[run]
-            curve.energies += energies[run]
-    if not (len(curves) == len(keys) and _columns_clean(
-            keys, starts, ends, (sizes, latencies, energies))):
-        for curve in curves.values():
-            samples = sorted(zip(curve.sizes, curve.latencies, curve.energies),
-                             key=itemgetter(0))
-            curve.sizes, curve.latencies, curve.energies = map(list, zip(*samples))
-        with in_file(path):
-            table.validate()
+    for key, rows in samples.items():
+        rows.sort(key=itemgetter(0))
+        table.curves[key] = CommCurve(*map(list, zip(*rows)))
+    with in_file(path):
+        table.validate()
     return table
-
-
-def _columns_clean(keys, starts, ends, values) -> bool:
-    """Whether the runs of rows from ``starts`` to ``ends``, one per key,
-    pass :meth:`CommCalibrationTable.validate` as they are, checked over
-    the file's columns: the keys, the run lengths, and the (sizes,
-    latencies, energies) ``values``."""
-    if not keys:
-        return True
-    kinds, worlds, sms = zip(*keys)
-    if not (_KINDS.issuperset(kinds) and min(worlds) >= 2 and min(sms) >= 1
-            and min(map(sub, ends, starts)) >= 2):
-        return False
-    # A NaN or an infinity makes the sum NaN or infinite (so may an
-    # overflow, and then the check curve by curve clears the file).
-    if not all(math.isfinite(sum(column)) and min(column) > 0
-               for column in values):
-        return False
-    # Along a run each size is more than _MIN_STEP times the one before;
-    # only a run's first row may follow a size that is not smaller.
-    return set(starts).issuperset(_pairs_where(values[0], _too_close))
-
-
-def _too_close(size: float, following: float) -> bool:
-    return not following > size * _MIN_STEP
-
-
-def _pairs_where(values: list, test) -> Iterator[int]:
-    """Each ``i`` where ``test(values[i - 1], values[i])``."""
-    return compress(count(1), map(test, values, islice(values, 1, None)))
 
 
 def resolve_sm_curve(kind: str, world: int, sm_query: int,

@@ -11,7 +11,6 @@ from .compute import HardwareProfile
 from .engine import Estimator
 from .errors import ValidationError
 from .interpreter import DECODE, PREFILL, PhaseContext
-from .metrics import epot, etft
 from .spec_lang import (DimensionBindings, ModelSpec, OverlapSetting, as_int,
                         as_number, format_overlap, in_file, load_json, parse_overlap)
 
@@ -51,7 +50,8 @@ class ConfigPoint(NamedTuple):
         }
 
 
-_POINT_FIELDS = ("phase", "batch", "isl", "osl", "tp", "ep", "cp", "feasible")
+_POINT_SIZES = ("batch", "isl", "osl", "tp", "ep", "cp")
+_POINT_FIELDS = ("phase", *_POINT_SIZES, "feasible")
 
 
 def load_points(path) -> list[ConfigPoint]:
@@ -70,6 +70,16 @@ def load_points(path) -> list[ConfigPoint]:
             if row["phase"] not in (PREFILL, DECODE):
                 raise ValidationError(f"point #{i} phase must be {PREFILL!r} or "
                                       f"{DECODE!r}, got {row['phase']!r}")
+            for key in _POINT_SIZES:
+                if as_int(row[key], f"point #{i} {key}") < 1:
+                    raise ValidationError(
+                        f"point #{i} {key} must be >= 1, got {row[key]!r}")
+            if type(row["feasible"]) is not bool:
+                raise ValidationError(f"point #{i} feasible must be true or "
+                                      f"false, got {row['feasible']!r}")
+            if not isinstance(row.get("infeasible_reason", ""), str):
+                raise ValidationError(f"point #{i} infeasible_reason must be a "
+                                      f"string, got {row['infeasible_reason']!r}")
             if row["feasible"]:
                 for key in ("latency_s", "energy_j"):
                     as_number(row.get(key), f"feasible point #{i} {key}")

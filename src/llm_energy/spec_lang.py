@@ -459,8 +459,7 @@ def read_csv(path, header: Optional[Sequence[str]], converters: Sequence,
     must be as wide as the first. Column ``i`` is converted by
     ``converters[i]`` (``int``, ``float`` or any callable that raises
     ``ValueError``) and any further column by ``rest``; a column whose
-    converter is ``str`` comes back as read, and one whose converter is
-    None is not read and comes back empty. Rows are split and
+    converter is None is not read and comes back empty. Rows are split and
     converted a block of ``_BLOCK_ROWS`` at a time (:func:`csv_blocks`), a
     whole column of the block per ``map``, so a long file's cells are never
     all held as strings at once. A fault is named ``path:line``: the first
@@ -475,9 +474,6 @@ def read_csv(path, header: Optional[Sequence[str]], converters: Sequence,
         for _, cells, numbers in blocks:
             for i, column, convert in zip(range(width), columns, converters):
                 if convert is None:
-                    continue
-                if convert is str:
-                    column += cells[i::width]
                     continue
                 try:
                     column.extend(map(convert, cells[i::width]))

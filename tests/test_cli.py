@@ -901,6 +901,39 @@ def _point_without_feasible(tmp_path):
     return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
 
 
+def _pareto_over_point(tmp_path, **edit):
+    points = tmp_path / "points.json"
+    row = {"phase": "prefill", "batch": 1, "isl": 512, "osl": 1, "tp": 1,
+           "ep": 1, "cp": 1, "overlap": None, "feasible": True,
+           "infeasible_reason": "", "latency_s": 1.0, "energy_j": 1.0}
+    points.write_text(json.dumps({"points": [row, {**row, **edit}]}))
+    return ["pareto", "--points", str(points), "--out", str(tmp_path / "p")]
+
+
+def _point_with_text_feasible(tmp_path):
+    return _pareto_over_point(tmp_path, feasible="false")
+
+
+def _point_with_list_batch(tmp_path):
+    return _pareto_over_point(tmp_path, batch=[1])
+
+
+def _point_with_float_isl(tmp_path):
+    return _pareto_over_point(tmp_path, isl=512.0)
+
+
+def _point_with_zero_tp(tmp_path):
+    return _pareto_over_point(tmp_path, tp=0)
+
+
+def _point_with_bool_cp(tmp_path):
+    return _pareto_over_point(tmp_path, cp=True)
+
+
+def _point_with_number_reason(tmp_path):
+    return _pareto_over_point(tmp_path, feasible=False, infeasible_reason=3)
+
+
 def _hw_with_text_total_sm(tmp_path):
     return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
                                  lambda raw: raw.update(total_sm="abc"))
@@ -1187,6 +1220,8 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
 @pytest.mark.parametrize("make_argv", [
     _malformed_dims, _hw_without_total_sm, _short_gemm_row,
     _feasible_point_without_latency, _point_without_feasible,
+    _point_with_text_feasible, _point_with_list_batch, _point_with_float_isl,
+    _point_with_zero_tp, _point_with_bool_cp, _point_with_number_reason,
     _hw_with_text_total_sm, _comm_row_with_text_world, _gemm_row_with_text_m,
     _grid_overlap_without_colon, _grid_overlap_short_pair, _grid_text_batch,
     _grid_scalar_axis, _grid_list, _non_json_grid, _non_json_dims,
@@ -1213,6 +1248,20 @@ def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert "validation error" in err
     # names the malformed file, or the value
     assert _NAMED.get(make_argv, str(tmp_path)) in err
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_point_with_text_feasible, "feasible must be true or false, got 'false'"),
+    (_point_with_list_batch, "batch must be an integer, got [1]"),
+    (_point_with_zero_tp, "tp must be >= 1, got 0"),
+    (_point_with_number_reason, "infeasible_reason must be a string, got 3"),
+])
+def test_a_mistyped_point_is_named(tmp_path, make_argv, message, capsys):
+    assert main(make_argv(tmp_path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == (f"validation error: {tmp_path / 'points.json'}: "
+                            f"point #1 {message}\n")
+    assert not (tmp_path / "p").exists()
 
 
 # -- JSON writes -----------------------------------------------------------------

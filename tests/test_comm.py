@@ -1,6 +1,7 @@
 """Communication model tests: loading, interpolation, SM resolution."""
 
 import math
+import random
 import warnings
 from array import array
 from unittest import mock
@@ -457,3 +458,44 @@ def test_loader_equals_reference_on_random_edits(tmp_path_factory):
         _assert_loads_as_reference(path, edits)
 
     check()
+
+
+def _curves(table):
+    return {key: (curve.sizes, curve.latencies, curve.energies)
+            for key, curve in table.curves.items()}
+
+
+def _prices(table):
+    backend = CommBackend(table)
+    sizes = array("d", [100.0, 1024.0, 3e5, 2.0 ** 24 + 1, 2.0 ** 30, 2.0 ** 32])
+    prices = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for kind in (ALLREDUCE, REDUCESCATTER, ALLGATHER, ALLTOALL):
+            for world in (2, 4, 8):
+                for sm_count in (None, 1, 8, 16, 60, 108, 200):
+                    prices[kind, world, sm_count] = tuple(
+                        column.tobytes() for column in backend.estimate_columns(
+                            CommColumns(kind, sizes, world, sm_count)))
+    return prices
+
+
+@pytest.mark.parametrize("order", ["shuffled", "two keys interleaved"])
+def test_loader_ignores_row_order(tmp_path, comm_table, order):
+    rows = list(_ROWS)
+    if order == "shuffled":
+        random.Random(24).shuffle(rows)
+    else:
+        # The rows of the first two keys alternate, the second's from its
+        # largest size down.
+        first, second = rows[:21], rows[21:42][::-1]
+        keys = [{tuple(row[:3]) for row in group} for group in (first, second)]
+        assert len(keys[0]) == len(keys[1]) == 1 and keys[0] != keys[1]
+        rows[:42] = [row for pair in zip(first, second) for row in pair]
+    assert rows != _ROWS
+    path = tmp_path / "cal.csv"
+    path.write_text("\n".join(_PREAMBLE + [",".join(row) for row in rows]) + "\n")
+    table = load_comm_calibration(path)
+    assert _curves(table) == _curves(comm_table)
+    assert table.provenance == comm_table.provenance
+    assert _prices(table) == _prices(comm_table)
