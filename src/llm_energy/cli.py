@@ -150,19 +150,10 @@ def _load_inputs(args) -> dict:
     return inputs
 
 
-# Encodes a list of flat rows with each key on its own line, at the
-# indentation of rows in a list under a top-level key. The C encoder runs
-# only when no indent is set.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-# Rows per C-encoder call and per block of the point writer: one call or
-# write per row costs more, and one for a whole list holds all of its text
-# at once (a 1024-row block raised a sweep's peak memory by 2 MB).
+# Rows per block of the point writer: one write per row costs more, and
+# one for a whole list holds all of its text at once (a 1024-row block
+# raised a sweep's peak memory by 2 MB).
 _ROWS_PER_BLOCK = 64
-# Between two rows, as the encoder writes it and as ``indent=2`` does.
-# Strings are encoded with their newlines escaped and rows hold scalars,
-# so the encoder's text has this only between rows.
-_ENCODED_ROW_BREAK = "},\n      {"
-_INDENTED_ROW_BREAK = "\n    },\n    {\n      "
 # A payload value that :func:`_json_chunks` yields as it is, in place of
 # its text, for the caller to write the value's text there.
 _SPLICE = object()
@@ -199,50 +190,17 @@ def _json_text(value, newline: str) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
-def _json_chunks(payload: dict, rows: tuple = ()) -> Iterator[str]:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` of a dict with
-    string keys, in chunks, byte for byte. The lists under the top-level
-    keys ``rows`` hold non-empty dicts of scalars (no list or dict), and
-    are encoded by the C encoder, one chunk per block of rows; every other
-    value by :func:`_json_text`. A value that is ``_SPLICE`` is yielded
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` of a non-empty dict
+    with string keys, in chunks, byte for byte: each value by
+    :func:`_json_text`, except that a value that is ``_SPLICE`` is yielded
     itself."""
-    if not payload:
-        yield "{}"
-        return
     opening = "{"
     for key, value in sorted(payload.items()):
         yield f"{opening}\n  {encode_basestring_ascii(key)}: "
         opening = ","
-        if value is _SPLICE:
-            yield value
-        elif key not in rows:
-            yield _json_text(value, "\n  ")
-        elif not value:
-            yield "[]"
-        else:
-            before = "[\n    {\n      "
-            for start in range(0, len(value), _ROWS_PER_BLOCK):
-                # Strip the block's "[{" and "}]" and put each row's braces
-                # on lines of their own.
-                encoded = _ROW_ENCODER.encode(value[start:start + _ROWS_PER_BLOCK])
-                yield before + encoded[2:-2].replace(_ENCODED_ROW_BREAK,
-                                                     _INDENTED_ROW_BREAK)
-                before = _INDENTED_ROW_BREAK
-            yield "\n    }\n  ]"
+        yield value if value is _SPLICE else _json_text(value, "\n  ")
     yield "\n}"
-
-
-def dumps_json(payload: dict, rows: tuple = ()) -> str:
-    """:func:`_json_chunks` joined: ``json.dumps(payload, indent=2,
-    sort_keys=True)``."""
-    return "".join(_json_chunks(payload, rows))
-
-
-def _write_json(path: Path, payload: dict, rows: tuple = ()) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.writelines(_json_chunks(payload, rows))
-        fh.write("\n")
 
 
 # The characters for which :func:`csv.writer` quotes a cell.
@@ -471,19 +429,21 @@ def _point_templates(phase, osl, tp, ep, cp, overlap, feasible) -> tuple:
             if feasible else None)
 
 
-def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
-    """``points.json`` (format ``json``): ``payload`` with the rows of
-    :meth:`ConfigPoint.to_dict` under ``points``; ``points.csv`` (format
+def _write_points(out_dir: Path, payload: dict, points, formats,
+                  key: str = "points") -> None:
+    """``<key>.json`` (format ``json``): ``payload`` with the rows of
+    :meth:`ConfigPoint.to_dict` under ``key``; ``points.csv`` (format
     ``csv``): each point's row; and ``plot_data.csv`` (format ``plot``):
     x=latency, y=energy, series=config group (tp/overlap), one row per
     feasible point. One pass over the points, a block at a time, each
-    block written to every file before the next is formatted.
+    block written to every selected file before the next is formatted; a
+    file that ``formats`` leaves out has none of its lines formatted.
 
     The cells that a point shares with its group (phase, osl, tp, ep, cp,
     overlap, feasible) are formatted once per group, into templates
     (:func:`_point_templates`); per point, only its batch, isl, latency,
     energy and reason are filled in: a latency or energy as its repr,
-    taken once for all three files, and each distinct reason encoded and
+    taken once for all the files, and each distinct reason encoded and
     quoted once. The CSV lines are written as :mod:`csv` writes them. No
     field of ``plot_data.csv`` needs quoting (integers, float reprs,
     overlap settings)."""
@@ -493,8 +453,8 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
     with ExitStack() as files:
         document = table = plot = None
         if "json" in formats:
-            document = files.enter_context(open(out_dir / "points.json", "w"))
-            chunks = _json_chunks(dict(payload, points=_SPLICE))
+            document = files.enter_context(open(out_dir / f"{key}.json", "w"))
+            chunks = _json_chunks(dict(payload, **{key: _SPLICE}))
             document.writelines(iter(chunks.__next__, _SPLICE))
         if "csv" in formats:
             table = files.enter_context(open(out_dir / "points.csv", "w", newline=""))
@@ -508,23 +468,25 @@ def _write_points(out_dir: Path, payload: dict, points, formats) -> None:
             json_rows, table_lines, plot_lines = [], [], []
             for (phase, batch, isl, osl, tp, ep, cp, overlap, feasible, latency,
                  energy, reason) in points[start:start + _ROWS_PER_BLOCK]:
-                key = (phase, osl, tp, ep, cp, overlap, feasible)
-                templates = groups.get(key)
+                group = (phase, osl, tp, ep, cp, overlap, feasible)
+                templates = groups.get(group)
                 if templates is None:
-                    templates = groups[key] = _point_templates(*key)
+                    templates = groups[group] = _point_templates(*group)
                 row, line, plot_line = templates
                 texts = reasons.get(reason)
                 if texts is None:
                     texts = reasons[reason] = (encode_basestring_ascii(reason),
                                                _csv_cell(reason))
                 latency_text, energy_text = repr(latency), repr(energy)
-                json_rows.append(row % (
-                    batch, _JSON_NUMBER.get(energy_text, energy_text), texts[0],
-                    isl, _JSON_NUMBER.get(latency_text, latency_text)))
-                table_lines.append(line % (
-                    batch, isl, "" if latency is None else latency_text,
-                    "" if energy is None else energy_text, texts[1]))
-                if feasible:
+                if document is not None:
+                    json_rows.append(row % (
+                        batch, _JSON_NUMBER.get(energy_text, energy_text), texts[0],
+                        isl, _JSON_NUMBER.get(latency_text, latency_text)))
+                if table is not None:
+                    table_lines.append(line % (
+                        batch, isl, "" if latency is None else latency_text,
+                        "" if energy is None else energy_text, texts[1]))
+                if plot is not None and feasible:
                     plot_lines.append(plot_line % (latency_text, energy_text,
                                                    batch, isl))
             if document is not None:
@@ -565,11 +527,7 @@ def cmd_sweep(args) -> int:
         "knobs": {"tile": args.tile, "decode_stride": 1,
                   "phase": args.phase, "latency_budget": args.latency_budget},
     }
-    frontier_payload = {
-        "format_version": 1,
-        "frontier": [p.to_dict() for p in frontier],
-        "insights": insight_queries(points),
-    }
+    frontier_payload = {"format_version": 1, "insights": insight_queries(points)}
     if args.heuristic == "max-overlap":
         try:
             cmp_result = heuristic_compare(points, result.frontier,
@@ -583,7 +541,7 @@ def cmd_sweep(args) -> int:
             frontier_payload["heuristic"] = {"error": str(exc)}
     _write_points(out_dir, payload, points, args.format)
     if "json" in args.format:
-        _write_json(out_dir / "frontier.json", frontier_payload, rows=("frontier",))
+        _write_points(out_dir, frontier_payload, frontier, ("json",), key="frontier")
     n_feas = sum(p.feasible for p in points)
     print(f"{len(points)} points ({n_feas} feasible), "
           f"{len(frontier)} on frontier", file=sys.stderr)
@@ -597,10 +555,8 @@ def cmd_pareto(args) -> int:
     frontier = pareto_front(points).frontier
     if args.latency_budget is not None:
         frontier = [p for p in frontier if p.latency <= args.latency_budget]
-    _write_json(Path(args.out) / "frontier.json",
-                {"format_version": 1,
-                 "frontier": [p.to_dict() for p in frontier]},
-                rows=("frontier",))
+    _write_points(Path(args.out), {"format_version": 1}, frontier, ("json",),
+                  key="frontier")
     print(f"{len(frontier)} frontier points", file=sys.stderr)
     return EXIT_OK
 

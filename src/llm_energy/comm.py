@@ -132,8 +132,9 @@ def load_comm_calibration(path) -> CommCalibrationTable:
 
     The rows of one (kind, world, sm_count) are its curve, keyed in the
     order the file first names it; they need not be contiguous or in
-    order. A bad cell is named ``path:line``. Each curve is then sorted by
-    size and checked, which names the first bad curve by its key."""
+    order. A bad cell is named ``path:line``, and a file with no row by
+    its path. Each curve is then sorted by size and checked, which names
+    the first bad curve by its key."""
     (kinds, worlds, sms, *values), comments = read_csv(
         path, _HEADER, (str.strip, int, int, float, float, float))
     samples: dict[tuple[str, int, int], list] = {}
@@ -144,6 +145,8 @@ def load_comm_calibration(path) -> CommCalibrationTable:
         rows.sort(key=itemgetter(0))
         table.curves[key] = CommCurve(*map(list, zip(*rows)))
     with in_file(path):
+        if not samples:
+            raise ValidationError("comm calibration has no rows")
         table.validate()
     return table
 

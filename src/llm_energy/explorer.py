@@ -83,10 +83,14 @@ def load_points(path) -> list[ConfigPoint]:
             if row["feasible"]:
                 for key in ("latency_s", "energy_j"):
                     as_number(row.get(key), f"feasible point #{i} {key}")
+            overlap = parse_overlap(row.get("overlap"))
+            if overlap is not None and row["phase"] == DECODE:
+                raise ValidationError(f"point #{i} overlap is prefill-only, "
+                                      f"got {row['overlap']!r} in decode")
             points.append(ConfigPoint(
                 phase=row["phase"], batch=row["batch"], isl=row["isl"],
                 osl=row["osl"], tp=row["tp"], ep=row["ep"], cp=row["cp"],
-                overlap=parse_overlap(row.get("overlap")),
+                overlap=overlap,
                 feasible=row["feasible"], latency=row.get("latency_s"),
                 energy=row.get("energy_j"),
                 infeasible_reason=row.get("infeasible_reason", "")))

@@ -442,12 +442,15 @@ def load_comm_calibration(path):
     """(curves, provenance) of a comm calibration CSV, where ``curves`` maps
     each (kind, world, sm_count), in the order the rows first name it, to
     its (sizes, latencies, energies) sorted by size; or the ValidationError
-    of the first bad cell or the first bad curve."""
+    of the first bad cell, of a file with no row or of the first bad
+    curve."""
     (kinds, worlds, sms, *values), comments = read_csv(
         path, COMM_HEADER, [str.strip, int, int, float, float, float])
     samples = {}
     for key, sample in zip(zip(kinds, worlds, sms), zip(*values)):
         samples.setdefault(key, []).append(sample)
+    if not samples:
+        raise ValidationError(f"{path}: comm calibration has no rows")
     curves = {}
     for key, rows in samples.items():
         rows.sort(key=lambda row: row[0])

@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llm_energy import cli, engine
-from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, dumps_json, main
+from llm_energy.cli import EXIT_OK, EXIT_VALIDATION, main
 from llm_energy.compute import GemmCalibrationTable
-from llm_energy.explorer import ConfigPoint, format_overlap
+from llm_energy.explorer import ConfigPoint, format_overlap, pareto_front
 from llm_energy.fixtures import fixture_path
 from llm_energy.metrics import CATEGORIES, PhaseReport, ReportRow
 from llm_energy.moe import RoutingTrace
@@ -701,7 +701,7 @@ def test_decode_gemm_with_n_one_at_one_position_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_validate_clean_and_dirty(tmp_path):
+def test_validate_clean_and_dirty(tmp_path, capsys):
     assert main(["validate", "--spec", "fixture:moe_fused.json",
                  "--dims", "fixture:qwen3_30b_a3b.json"]) == EXIT_OK
     bad = tmp_path / "bad.json"
@@ -714,6 +714,14 @@ def test_validate_clean_and_dirty(tmp_path):
                    "AllReduce,2,16,1024,1e-5,1e-2\n"
                    "AllReduce,2,16,1024,1e-5,1e-2\n")
     assert main(["validate", "--comm-cal", str(dup)]) == EXIT_VALIDATION
+    # A header and provenance but no row is no calibration at all, as in
+    # estimate and sweep (the malformed-input list below).
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(_COMM_WITHOUT_ROWS)
+    capsys.readouterr()
+    assert main(["validate", "--comm-cal", str(empty)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == (
+        f"VIOLATION: comm calibration: {empty}: comm calibration has no rows\n")
 
 
 def test_validate_checks_trace_experts_against_the_dims(tmp_path, capsys):
@@ -932,6 +940,10 @@ def _point_with_bool_cp(tmp_path):
 
 def _point_with_number_reason(tmp_path):
     return _pareto_over_point(tmp_path, feasible=False, infeasible_reason=3)
+
+
+def _decode_point_with_overlap(tmp_path):
+    return _pareto_over_point(tmp_path, phase="decode", overlap="2:4")
 
 
 def _hw_with_text_total_sm(tmp_path):
@@ -1189,6 +1201,19 @@ def _comm_row_with_negative_bytes(tmp_path):
     return _comm_with_row(tmp_path, "AllReduce,2,108,-5,1.0097712592592594e-05,")
 
 
+_COMM_WITHOUT_ROWS = b"# no rows\nkind,world,sm_count,bytes,latency_s,energy_j\n"
+
+
+def _comm_without_rows(tmp_path):
+    return _estimate_with(tmp_path, "--comm-cal", _COMM_WITHOUT_ROWS)
+
+
+def _sweep_comm_without_rows(tmp_path):
+    table = tmp_path / "comm.csv"
+    table.write_bytes(_COMM_WITHOUT_ROWS)
+    return [*_sweep_over(tmp_path, json.dumps({"tp": [1, 2]})), "--comm-cal", str(table)]
+
+
 def _comm_row_with_nan_latency(tmp_path):
     return _comm_with_row(tmp_path, "AllReduce,2,108,1024.0,nan,")
 
@@ -1229,7 +1254,8 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _binary_gemm_cal, _binary_trace, _spec_with_text_layers,
     _spec_with_number_op, _spec_with_text_overlap_stage,
     _comm_row_with_zero_bytes, _comm_row_with_negative_bytes,
-    _comm_row_with_nan_latency, _comm_curve_with_equal_logs, _gemm_row_with_zero_m,
+    _comm_row_with_nan_latency, _comm_curve_with_equal_logs, _comm_without_rows,
+    _sweep_comm_without_rows, _gemm_row_with_zero_m,
     _gemm_row_with_zero_dtype_bytes, _missing_fixture, _directory_spec,
     _dims_with_fractional_size, _dims_with_bool_dtype_bytes, _dims_with_float_layers,
     _hw_with_float_total_sm, _hw_with_negative_launch_overhead,
@@ -1255,6 +1281,7 @@ def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     (_point_with_list_batch, "batch must be an integer, got [1]"),
     (_point_with_zero_tp, "tp must be >= 1, got 0"),
     (_point_with_number_reason, "infeasible_reason must be a string, got 3"),
+    (_decode_point_with_overlap, "overlap is prefill-only, got '2:4' in decode"),
 ])
 def test_a_mistyped_point_is_named(tmp_path, make_argv, message, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
@@ -1271,26 +1298,10 @@ _SCALARS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
     st.text(), st.sampled_from(['"', "\\", '},\n      {', "\x00\x1f\x7f", "é ∑ 😀"]))
-_ROWS = st.lists(st.dictionaries(st.text(min_size=1), _SCALARS, min_size=1,
-                                 max_size=6), max_size=8)
-
-
-@settings(max_examples=150, deadline=None)
-@given(points=_ROWS, frontier=_ROWS,
-       meta=st.dictionaries(st.text(), st.recursive(
-           _SCALARS, lambda inner: st.lists(inner, max_size=3)
-           | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6),
-           max_size=3))
-def test_row_lists_write_the_bytes_of_indented_json(points, frontier, meta):
-    # Quotes, backslashes, control characters, a row-boundary lookalike
-    # and non-ASCII text in keys and values; nan, inf and -0.0; None,
-    # bools, ints and empty lists. Lists of up to eight rows span up to
-    # three blocks of three rows.
-    payload = dict(meta, points=points, frontier=frontier)
-    want = json.dumps(payload, indent=2, sort_keys=True)
-    assert dumps_json(payload, rows=("points", "frontier")) == want
-    with mock.patch.object(cli, "_ROWS_PER_BLOCK", 3):
-        assert dumps_json(payload, rows=("points", "frontier")) == want
+# Payload values beside a row list: scalars, and lists and dicts of them.
+_PAYLOADS = st.dictionaries(st.text(), st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6), max_size=3)
 
 
 _CELLS = st.one_of(st.text(), st.sampled_from(
@@ -1391,15 +1402,20 @@ _POINTS = st.lists(st.builds(
 _POINT_FILES = {"json": "points.json", "csv": "points.csv", "plot": "plot_data.csv"}
 
 
-def _row_at_a_time_point_files(out_dir, payload, points):
+def _indented_json(payload, key, points) -> str:
+    """``payload`` with the rows' dicts of ``points`` under ``key``, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it, and a line break."""
+    return json.dumps(dict(payload, **{key: [p.to_dict() for p in points]}),
+                      indent=2, sort_keys=True) + "\n"
+
+
+def _row_at_a_time_point_files(out_dir, payload, points, key="points"):
     """The three point files as written before the one-pass writer:
-    ``points.json`` by ``json.dumps`` of the rows' dicts, the CSVs one row
+    ``<key>.json`` by ``json.dumps`` of the rows' dicts, the CSVs one row
     at a time."""
-    rows = [p.to_dict() for p in points]
     out_dir.mkdir()
-    (out_dir / "points.json").write_text(
-        json.dumps(dict(payload, points=rows), indent=2, sort_keys=True) + "\n")
-    _row_at_a_time_points_csv(out_dir / "points.csv", rows)
+    (out_dir / f"{key}.json").write_text(_indented_json(payload, key, points))
+    _row_at_a_time_points_csv(out_dir / "points.csv", [p.to_dict() for p in points])
     _row_at_a_time_plot_data(out_dir / "plot_data.csv", points)
 
 
@@ -1408,20 +1424,22 @@ def _row_at_a_time_point_files(out_dir, payload, points):
     for formats in itertools.combinations(("json", "csv", "plot"), n)], ids=",".join)
 @settings(max_examples=150, deadline=None)
 @given(points=_POINTS, block=st.sampled_from([1, 3, 64]),
-       meta=st.dictionaries(st.text(), _SCALARS, max_size=3))
+       key=st.sampled_from(["points", "frontier"]), meta=_PAYLOADS)
 def test_point_files_write_the_bytes_of_row_at_a_time_writers(formats, points,
-                                                             block, meta):
+                                                             block, key, meta):
     # None latency and energy, feasible or not; no overlap; reasons with
     # commas, quotes, carriage returns, newlines, format directives ("%s",
     # "%%d", a lone "%") and non-ASCII text, and a None reason; nan,
-    # inf and -0.0; lists of up to twelve points in blocks of 1, 3 or 64;
-    # keys of the rest of points.json before and after "points".
+    # inf and -0.0; lists of up to twelve points in blocks of 1, 3 or 64,
+    # under "points" or "frontier". Beside them, keys sorted before and
+    # after the row key, with nested lists and dicts, quotes, backslashes,
+    # control characters, a row-boundary lookalike, nan, inf and -0.0.
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new"), Path(tmp, "old")
         with mock.patch.object(cli, "_ROWS_PER_BLOCK", block):
-            cli._write_points(new, meta, points, formats)
-        _row_at_a_time_point_files(old, meta, points)
-        names = sorted(_POINT_FILES[name] for name in formats)
+            cli._write_points(new, meta, points, formats, key=key)
+        _row_at_a_time_point_files(old, meta, points, key)
+        names = sorted(dict(_POINT_FILES, json=f"{key}.json")[name] for name in formats)
         assert sorted(path.name for path in new.iterdir()) == names
         for name in names:
             assert (new / name).read_bytes() == (old / name).read_bytes()
@@ -1445,7 +1463,8 @@ def test_sweep_writes_the_point_files_of_the_points_dicts(tmp_path, flags):
     out = tmp_path / "out"
     with mock.patch.object(cli, "sweep", spy):
         assert main(["sweep", *_base_args(out, dims="llama3_70b.json"),
-                     "--grid", str(grid), *flags]) == EXIT_OK
+                     "--grid", str(grid), "--heuristic", "max-overlap",
+                     *flags]) == EXIT_OK
     [points] = swept
     assert len(points) == 36
     assert {p.feasible for p in points} == {True, False}
@@ -1455,3 +1474,20 @@ def test_sweep_writes_the_point_files_of_the_points_dicts(tmp_path, flags):
     _row_at_a_time_point_files(tmp_path / "want", payload, points)
     for name in _POINT_FILES.values():
         assert (out / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    # frontier.json: its rows beside the insights and the heuristic's
+    # result; then the frontier of the points file under a latency budget
+    # that drops some of it.
+    frontier = pareto_front(points).frontier
+    payload = json.loads((out / "frontier.json").read_text())
+    del payload["frontier"]
+    assert sorted(payload) == ["format_version", "heuristic", "insights"]
+    assert (out / "frontier.json").read_text() == _indented_json(
+        payload, "frontier", frontier)
+    budget = min(p.latency for p in frontier)
+    kept = [p for p in frontier if p.latency <= budget]
+    assert 0 < len(kept) < len(frontier)
+    assert main(["pareto", "--points", str(out / "points.json"),
+                 "--latency-budget", repr(budget),
+                 "--out", str(tmp_path / "p")]) == EXIT_OK
+    assert (tmp_path / "p" / "frontier.json").read_text() == _indented_json(
+        {"format_version": 1}, "frontier", kept)

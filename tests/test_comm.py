@@ -400,6 +400,8 @@ def _edit(rows, name, i, j):
         _put(row, 3, "x")
     elif name == "short row":
         del row[-1]
+    elif name == "no rows":        # the preamble and header alone
+        rows.clear()
     else:
         raise AssertionError(name)
 
@@ -441,6 +443,7 @@ def _assert_loads_as_reference(path, edits):
     [("swap", 40, 0), ("padded kind", 41, 0)],
     [("value", 600, 2), ("text world", 300, 0)],  # the first fault named
     [("short row", 900, 0), ("text size", 100, 0)],
+    [("no rows", 0, 0)],
 ], ids=repr)
 def test_loader_equals_reference_on_fixture_edits(tmp_path, edits):
     _assert_loads_as_reference(tmp_path / "cal.csv", edits)

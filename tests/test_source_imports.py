@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read in that module."""
+"""Every name a module of the package imports, and every private name it
+defines at module level, is read in that module."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,31 @@ def unread_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
+def unread_private_names(source: str) -> list[str]:
+    """The private names (``_x``, not ``__x__``) that a def, a class or an
+    assignment at module level of ``source`` binds and no expression in it
+    reads, in sorted order. Statements nested in module-level blocks (an
+    ``if``, a ``try``) count; the bodies of functions and classes do not."""
+    tree = ast.parse(source)
+    bound = set()
+    statements = list(tree.body)
+    while statements:
+        node = statements.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+        else:
+            statements.extend(child for child in ast.iter_child_nodes(node)
+                              if isinstance(child, ast.stmt))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in bound - read
+                  if name.startswith("_") and not name.endswith("__"))
+
+
 def test_the_package_has_modules():
     assert len(SOURCES) > 10
 
@@ -51,8 +77,23 @@ def test_every_allowed_name_is_still_imported_and_unread():
         assert name in unread_imports(source)
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_every_private_module_name_is_read(path):
+    assert unread_private_names(path.read_text()) == []
+
+
 def test_the_check_sees_an_unread_import():
     source = ("from __future__ import annotations\n"
               "import math, os.path\nfrom x import a, b as c\n"
               "def f():\n    return a + os.sep\n")
     assert unread_imports(source) == ["c", "math"]
+
+
+def test_the_check_sees_an_unread_private_name():
+    source = ("import os as _os\n__all__ = []\n_A, (_B, c) = 1, (2, 3)\n"
+              "_C: int = 4\n_D = 5\nif _D:\n    _E = 6\n"
+              "try:\n    def _f(_x):\n        _y = _D\n        return _x\n"
+              "except ImportError:\n    pass\n"
+              "class _K:\n    _z = 7\n"
+              "def g():\n    return _A + _f(0)\n")
+    assert unread_private_names(source) == ["_B", "_C", "_E", "_K"]
