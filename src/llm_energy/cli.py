@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
+import os
 import shutil
 import sys
 from contextlib import ExitStack
-from itertools import takewhile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Optional
@@ -91,14 +92,13 @@ def _resolve(path_str: str) -> Path:
 # - _plans: per (spec, dims) pair of _parsed keys, the Estimator memo of
 #   validated degrees, memory models and compiled layer plans, which depend
 #   on nothing else; past _PLAN_ENTRIES entries a pair's memo starts empty.
-# - _parsers: each subcommand's parser, by (subcommand, terminal width).
+# - _parsers: each subcommand's parser, by subcommand name.
 _KEPT_INPUTS = 32
 _parsed: dict[tuple, object] = {}
 _KEPT_PLANS = 8
 _PLAN_ENTRIES = 1024
 _plans: dict[tuple, dict] = {}
-_KEPT_PARSERS = 16
-_parsers: dict[tuple, argparse.ArgumentParser] = {}
+_parsers: dict[str, argparse.ArgumentParser] = {}
 
 
 def _kept(memo: dict, key, bound: int, make):
@@ -148,6 +148,54 @@ def _load_inputs(args) -> dict:
         plans.clear()
     inputs["plans"] = plans
     return inputs
+
+
+# The encoding that ``open(path, "w")`` picks: the locale's, or UTF-8 in
+# UTF-8 mode.
+_ENCODING = io.TextIOWrapper(io.BytesIO()).encoding
+
+
+class _Output:
+    """One file that the CLI writes, as ``open(path, "w")`` writes it on a
+    POSIX system (a line break as it is), less its buffer: each
+    :meth:`write` encodes its text and hands it to ``os.write`` at once,
+    looping on short writes. Every file the CLI writes goes through here.
+    An existing file is truncated in place, as ``open`` does."""
+
+    __slots__ = ("_fd",)
+
+    def __init__(self, path: str):
+        self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode(_ENCODING))
+        while data:
+            data = data[os.write(self._fd, data):]
+
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        os.close(self._fd)
+
+
+def _write_file(path: str, text: str) -> None:
+    with _Output(path) as out:
+        out.write(text)
+
+
+def _output_dir(out_dir) -> str:
+    """The output directory ``out_dir`` as :class:`Path` spells it, made
+    with its parents if it is not a directory."""
+    if not os.path.isdir(out_dir):
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return os.fspath(Path(out_dir))
+
+
+def _output_path(out_dir: str, name: str) -> str:
+    """``str(Path(out_dir) / name)`` for a directory that
+    :func:`_output_dir` spelled."""
+    return name if out_dir == "." else os.path.join(out_dir, name)
 
 
 # Rows per block of the point writer: one write per row costs more, and
@@ -264,7 +312,7 @@ def _float_text(value: float) -> str:
     return _JSON_NUMBER.get(text, text)
 
 
-def _write_report(out_dir: Path, report: PhaseReport, meta: dict,
+def _write_report(out_dir: str, report: PhaseReport, meta: dict,
                   formats) -> None:
     """``report_<phase>.json`` (format ``json``):
     ``json.dumps(report.to_dict(), indent=2, sort_keys=True)``, with
@@ -274,7 +322,7 @@ def _write_report(out_dir: Path, report: PhaseReport, meta: dict,
     latency or energy written as its repr, taken once for both; its totals
     and sums by category are added up as :meth:`PhaseReport.to_dict` adds
     them. Each file is written with one write into ``out_dir``, which
-    exists."""
+    :func:`_output_dir` made."""
     phase = encode_basestring_ascii(report.phase)
     if not report.feasible:
         document = _INFEASIBLE_REPORT % (
@@ -324,9 +372,9 @@ def _write_report(out_dir: Path, report: PhaseReport, meta: dict,
             per_phase[0], _float_text(per_phase[1]))
         table = "".join(lines)
     if "json" in formats:
-        (out_dir / f"report_{report.phase}.json").write_text(document)
+        _write_file(_output_path(out_dir, f"report_{report.phase}.json"), document)
     if "csv" in formats:
-        (out_dir / f"report_{report.phase}.csv").write_text(table, newline="")
+        _write_file(_output_path(out_dir, f"report_{report.phase}.csv"), table)
 
 
 def _check_formats(args, known: tuple) -> None:
@@ -364,8 +412,7 @@ def cmd_estimate(args) -> int:
     # Every phase is priced before any report is written.
     reports = [est.estimate(PhaseContext(phase, args.batch, args.isl, args.osl),
                             degrees, overlap) for phase in phases]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args.out)
     for phase, report in zip(phases, reports):
         _write_report(out_dir, report,
                       dict(report.meta, tool_version=__version__,
@@ -429,7 +476,7 @@ def _point_templates(phase, osl, tp, ep, cp, overlap, feasible) -> tuple:
             if feasible else None)
 
 
-def _write_points(out_dir: Path, payload: dict, points, formats,
+def _write_points(out_dir, payload: dict, points, formats,
                   key: str = "points") -> None:
     """``<key>.json`` (format ``json``): ``payload`` with the rows of
     :meth:`ConfigPoint.to_dict` under ``key``; ``points.csv`` (format
@@ -446,22 +493,24 @@ def _write_points(out_dir: Path, payload: dict, points, formats,
     taken once for all the files, and each distinct reason encoded and
     quoted once. The CSV lines are written as :mod:`csv` writes them. No
     field of ``plot_data.csv`` needs quoting (integers, float reprs,
-    overlap settings)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    overlap settings). ``out_dir`` is made if missing."""
+    out_dir = _output_dir(out_dir)
     groups: dict = {}
     reasons: dict = {None: ("null", "")}  # each reason's JSON and CSV text
     with ExitStack() as files:
         document = table = plot = None
         if "json" in formats:
-            document = files.enter_context(open(out_dir / f"{key}.json", "w"))
+            document = files.enter_context(
+                _Output(_output_path(out_dir, f"{key}.json")))
             chunks = _json_chunks(dict(payload, **{key: _SPLICE}))
-            document.writelines(iter(chunks.__next__, _SPLICE))
+            document.write("".join(iter(chunks.__next__, _SPLICE)))
         if "csv" in formats:
-            table = files.enter_context(open(out_dir / "points.csv", "w", newline=""))
+            table = files.enter_context(
+                _Output(_output_path(out_dir, "points.csv")))
             table.write(_POINTS_CSV_HEADER)
         if "plot" in formats:
             plot = files.enter_context(
-                open(out_dir / "plot_data.csv", "w", newline=""))
+                _Output(_output_path(out_dir, "plot_data.csv")))
             plot.write("series,x_latency_s,y_energy_j,label\r\n")
         before = "[\n    "
         for start in range(0, len(points), _ROWS_PER_BLOCK):
@@ -493,13 +542,11 @@ def _write_points(out_dir: Path, payload: dict, points, formats,
                 document.write(before + ",\n    ".join(json_rows))
                 before = ",\n    "
             if table is not None:
-                table.writelines(table_lines)
+                table.write("".join(table_lines))
             if plot is not None:
-                plot.writelines(plot_lines)
+                plot.write("".join(plot_lines))
         if document is not None:
-            document.write("[]" if not points else "\n  ]")
-            document.writelines(chunks)
-            document.write("\n")
+            document.write("".join(("[]" if not points else "\n  ]", *chunks, "\n")))
 
 
 def cmd_sweep(args) -> int:
@@ -514,7 +561,6 @@ def cmd_sweep(args) -> int:
                    inputs["hw"], inputs["compute"], inputs["comm"],
                    phase=args.phase, grid_path=grid_path, tile=args.tile,
                    routing_trace=inputs["trace"], memo=inputs["plans"])
-    out_dir = Path(args.out)
     result = pareto_front(points)
     frontier = result.frontier
     if args.latency_budget is not None:
@@ -539,9 +585,9 @@ def cmd_sweep(args) -> int:
             }
         except ValidationError as exc:
             frontier_payload["heuristic"] = {"error": str(exc)}
-    _write_points(out_dir, payload, points, args.format)
+    _write_points(args.out, payload, points, args.format)
     if "json" in args.format:
-        _write_points(out_dir, frontier_payload, frontier, ("json",), key="frontier")
+        _write_points(args.out, frontier_payload, frontier, ("json",), key="frontier")
     n_feas = sum(p.feasible for p in points)
     print(f"{len(points)} points ({n_feas} feasible), "
           f"{len(frontier)} on frontier", file=sys.stderr)
@@ -555,7 +601,7 @@ def cmd_pareto(args) -> int:
     frontier = pareto_front(points).frontier
     if args.latency_budget is not None:
         frontier = [p for p in frontier if p.latency <= args.latency_budget]
-    _write_points(Path(args.out), {"format_version": 1}, frontier, ("json",),
+    _write_points(args.out, {"format_version": 1}, frontier, ("json",),
                   key="frontier")
     print(f"{len(frontier)} frontier points", file=sys.stderr)
     return EXIT_OK
@@ -719,21 +765,29 @@ def _parse_subcommand(argv: list) -> Optional[argparse.Namespace]:
     unknown one), arguments the subcommand leaves over, or, before any
     ``--``, an option the top level finds ambiguous among its own
     (``--=x``: both ``--help`` and ``--version`` start with ``--``).
-    The subcommand's parser is built once per terminal width
-    (:data:`_parsers`)."""
+
+    The subcommand's parser is built once per process (:data:`_parsers`),
+    at the terminal's width then; its help and errors are wrapped at the
+    terminal's width when they are printed, which is what a parse that
+    prints nothing never asks for."""
     add_arguments = _ADD_ARGUMENTS.get(argv[0]) if argv else None
-    if add_arguments is None or any(
-            arg.startswith("--=") for arg in takewhile("--".__ne__, argv)):
+    if add_arguments is None:
         return None
-    columns = shutil.get_terminal_size().columns
+    for arg in argv:
+        if arg == "--":
+            break
+        if arg.startswith("--="):
+            return None
 
     def build():
-        parser = argparse.ArgumentParser(prog=f"llm-energy {argv[0]}",
-                                         formatter_class=_help_formatter(columns))
+        parser = argparse.ArgumentParser(
+            prog=f"llm-energy {argv[0]}",
+            formatter_class=_help_formatter(shutil.get_terminal_size().columns))
         add_arguments(parser)
+        parser.formatter_class = argparse.HelpFormatter
         return parser
 
-    parser = _kept(_parsers, (argv[0], columns), _KEPT_PARSERS, build)
+    parser = _kept(_parsers, argv[0], len(_SUBCOMMANDS), build)
     args, leftover = parser.parse_known_args(argv[1:])
     if leftover:
         return None

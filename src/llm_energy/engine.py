@@ -94,11 +94,14 @@ def _has_moe(spec: ModelSpec) -> bool:
 
 
 def check_trace_experts(spec: ModelSpec, dims: DimensionBindings,
-                        routing_trace: Optional[RoutingTrace]) -> None:
+                        routing_trace: Optional[RoutingTrace],
+                        has_moe: Optional[bool] = None) -> None:
     """A ValidationError, naming the trace's file, for an expert index of
     ``routing_trace`` outside the dims' ``E``, whatever the degrees. Only a
-    spec with an MoE op and a bound ``E`` is checked."""
-    if routing_trace is not None and "E" in dims.sizes and _has_moe(spec):
+    spec with an MoE op and a bound ``E`` is checked; ``has_moe``, if
+    given, says whether ``spec`` has one."""
+    if (routing_trace is not None and "E" in dims.sizes
+            and (_has_moe(spec) if has_moe is None else has_moe)):
         routing_trace.check_experts(dims.sizes["E"])
 
 
@@ -132,7 +135,7 @@ class Estimator:
         self.routing_trace = routing_trace
         self.has_moe = _has_moe(spec)
         # One expert out of range fails the estimator, not each evaluation.
-        check_trace_experts(spec, dims, routing_trace)
+        check_trace_experts(spec, dims, routing_trace, self.has_moe)
         self._memo: dict = {} if memo is None else memo
 
     def _memoized(self, key, build):

@@ -12,10 +12,12 @@ Symbols are single characters. Dimension sizes are supplied separately via
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
@@ -291,13 +293,21 @@ def parse_model_spec(document: dict) -> ModelSpec:
 # from the file, whose errors ``in_file`` prefixes with the path.
 
 
+# Bytes per read past an input file's size as fstat gave it.
+_READ_SIZE = 1 << 16
+
+
 class InputFile:
     """An input file's path that reads the file once: its bytes,
     :attr:`data`, are read when first asked for (so where its loader first
     opens it, and an unreadable file fails in the loaders' order), and
     :func:`open_text` decodes them instead of opening the file again. It
     stands for the path wherever the loaders use one: ``str`` and
-    ``os.fspath`` give the path's."""
+    ``os.fspath`` give the path's.
+
+    The bytes are read as ``open(path, "rb").read()`` reads them, with the
+    same errors, but through ``os.open`` and ``os.read`` to the end of the
+    file, without a buffered file object."""
 
     __slots__ = ("path", "_data")
 
@@ -307,8 +317,18 @@ class InputFile:
     @property
     def data(self) -> bytes:
         if self._data is None:
-            with open(self.path, "rb") as fh:
-                self._data = fh.read()
+            path = os.fspath(self.path)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                status = os.fstat(fd)
+                if stat.S_ISDIR(status.st_mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                chunks = [os.read(fd, status.st_size + 1)]
+                while chunks[-1]:
+                    chunks.append(os.read(fd, _READ_SIZE))
+            finally:
+                os.close(fd)
+            self._data = b"".join(chunks)
         return self._data
 
     def __fspath__(self) -> str:
@@ -366,9 +386,18 @@ def as_int(value, what: str) -> int:
 
 
 def as_number(value, what: str):
-    """``value`` if a finite int or float (not a bool); else a ValidationError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    """``value`` if a finite int or float (not a bool); else a ValidationError.
+    An int too large for a float is named by its size: Python will not
+    write an int of more than 4300 digits as text."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValidationError(f"{what} must be a finite number, got an integer "
+                              f"of {value.bit_length()} bits, too large for a "
+                              f"float") from None
+    if not finite:
         raise ValidationError(f"{what} must be a finite number, got {value!r}")
     return value
 

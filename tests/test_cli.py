@@ -156,15 +156,19 @@ def test_trace_rows_are_never_built(tmp_path, command):
 
 
 def _opened(argv) -> Counter:
-    """How many times ``main(argv)``, which must succeed, opens each file."""
+    """How many times ``main(argv)``, which must succeed, opens each file,
+    through ``open`` or ``os.open``."""
     opened = Counter()
-    real_open = io.open
 
-    def counting(file, *args, **kwargs):
-        opened[os.fspath(file) if isinstance(file, (str, os.PathLike)) else file] += 1
-        return real_open(file, *args, **kwargs)
+    def counting(real_open):
+        def count(file, *args, **kwargs):
+            opened[os.fspath(file) if isinstance(file, (str, os.PathLike)) else file] += 1
+            return real_open(file, *args, **kwargs)
+        return count
 
-    with mock.patch("builtins.open", counting), mock.patch("io.open", counting):
+    with mock.patch("builtins.open", counting(io.open)), \
+            mock.patch("io.open", counting(io.open)), \
+            mock.patch("os.open", counting(os.open)):
         assert main(argv) == EXIT_OK
     return opened
 
@@ -724,6 +728,15 @@ def test_validate_clean_and_dirty(tmp_path, capsys):
         f"VIOLATION: comm calibration: {empty}: comm calibration has no rows\n")
 
 
+def test_validate_names_an_integer_too_large_for_a_float(tmp_path, capsys):
+    argv = _hw_with_huge_p_idle(tmp_path)
+    hw = argv[argv.index("--hw") + 1]
+    assert main(["validate", "--hw", hw]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == (
+        f"VIOLATION: hardware profile: {hw}: hardware field 'p_idle' must be a "
+        "finite number, got an integer of 1329 bits, too large for a float\n")
+
+
 def test_validate_checks_trace_experts_against_the_dims(tmp_path, capsys):
     # As estimate and sweep do, for a spec with an MoE op and E bound.
     trace, _ = _moe_trace_command(tmp_path, "estimate", [*range(9), 300])
@@ -944,6 +957,16 @@ def _point_with_number_reason(tmp_path):
 
 def _decode_point_with_overlap(tmp_path):
     return _pareto_over_point(tmp_path, phase="decode", overlap="2:4")
+
+
+def _hw_with_huge_p_idle(tmp_path):
+    # 401 digits: math.isfinite cannot take it as a float.
+    return _estimate_with_edited(tmp_path, "a100_sxm_80g.json",
+                                 lambda raw: raw.update(p_idle=10**400))
+
+
+def _feasible_point_with_huge_latency(tmp_path):
+    return _pareto_over_point(tmp_path, latency_s=10**400)
 
 
 def _hw_with_text_total_sm(tmp_path):
@@ -1267,7 +1290,8 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _point_overlap_without_stages, _sweep_format_xml, _estimate_format_json_xml,
     _sweep_jobs_zero, _sweep_jobs_negative, _estimate_decode_stride_two,
     _sweep_latency_budget_nan,
-    _sweep_latency_budget_negative, _pareto_latency_budget_inf])
+    _sweep_latency_budget_negative, _pareto_latency_budget_inf,
+    _hw_with_huge_p_idle, _feasible_point_with_huge_latency])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -1491,3 +1515,57 @@ def test_sweep_writes_the_point_files_of_the_points_dicts(tmp_path, flags):
                  "--out", str(tmp_path / "p")]) == EXIT_OK
     assert (tmp_path / "p" / "frontier.json").read_text() == _indented_json(
         {"format_version": 1}, "frontier", kept)
+
+
+# -- Rewriting outputs -------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_rewriting_an_existing_out_writes_the_bytes_of_a_fresh_run(tmp_path, command):
+    # The files of a larger run are there first: each is replaced whole.
+    def argv(out, larger):
+        if command == "estimate":
+            return ["estimate", *_base_args(out), "--phase", "both", "--osl", "8",
+                    "--isl", "4096" if larger else "256"]
+        grid = tmp_path / ("larger.json" if larger else "grid.json")
+        grid.write_text(json.dumps({"batch": [1, 2, 4] if larger else [1],
+                                    "tp": [1, 2], "overlap": ["none", "2:4"]}))
+        return ["sweep", *_base_args(out), "--grid", str(grid),
+                "--heuristic", "max-overlap"]
+
+    fresh, again = tmp_path / "fresh", tmp_path / "again"
+    assert main(argv(again, larger=True)) == EXIT_OK
+    larger = _outputs(again)
+    for path in again.iterdir():
+        path.chmod(0o600)
+    files = {path.name: path.stat() for path in again.iterdir()}
+    assert main(argv(fresh, larger=False)) == EXIT_OK
+    assert main(argv(again, larger=False)) == EXIT_OK
+    written = _outputs(again)
+    assert written == _outputs(fresh)
+    assert all(written[name] != data for name, data in larger.items())
+    # Truncated in place, as open(path, "w") does: the same file and mode.
+    for path in again.iterdir():
+        status = path.stat()
+        assert (status.st_ino, status.st_mode) == (files[path.name].st_ino,
+                                                   files[path.name].st_mode)
+
+
+def test_a_linked_report_is_written_through(tmp_path):
+    # A symlinked report writes its target, a hard-linked one both names.
+    out, other = tmp_path / "out", tmp_path / "other"
+    out.mkdir()
+    other.mkdir()
+    argv = ["estimate", *_base_args(out), "--isl", "256"]
+    assert main(["estimate", *_base_args(tmp_path / "fresh"), "--isl", "256"]) == EXIT_OK
+    want = _outputs(tmp_path / "fresh")
+    target = other / "target.json"
+    target.write_text("x" * 10000)
+    (out / "report_prefill.json").symlink_to(target)
+    linked = other / "linked.csv"
+    linked.write_text("y" * 10000)
+    os.link(linked, out / "report_prefill.csv")
+    assert main(argv) == EXIT_OK
+    assert (out / "report_prefill.json").is_symlink()
+    assert target.read_bytes() == want["report_prefill.json"]
+    assert (out / "report_prefill.csv").stat().st_nlink == 2
+    assert linked.read_bytes() == want["report_prefill.csv"]

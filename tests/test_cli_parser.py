@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import io
 import json
+import shutil
 import sys
 from pathlib import Path
 from unittest import mock
@@ -101,17 +102,46 @@ def test_help_and_errors_after_a_warm_estimate(tmp_path, golden, monkeypatch, ca
             assert capture(argv, columns, monkeypatch, capsys) == golden[_key(columns, argv)]
 
 
-def test_a_subcommand_parser_is_built_once_per_width(monkeypatch, empty_parsers):
-    # Kept by (subcommand, terminal width), the oldest dropped past the bound.
-    parsed = []
-    for columns in (80, 80, 81, *range(90, 90 + cli._KEPT_PARSERS)):
+def test_a_subcommand_parser_is_built_once_per_subcommand(monkeypatch, empty_parsers):
+    # Kept by subcommand, whatever the terminal's width.
+    parsed, kept = [], []
+    for columns in (80, 80, 81, 200, 40):
         monkeypatch.setenv("COLUMNS", str(columns))
         parsed.append(vars(cli._parse_subcommand(["fixtures", "list"])))
-        if columns == 81:
-            assert list(empty_parsers) == [("fixtures", 80), ("fixtures", 81)]
+        kept.append(empty_parsers["fixtures"])
     assert all(namespace == parsed[0] for namespace in parsed)
-    assert list(empty_parsers) == [("fixtures", columns) for columns in
-                                   range(90, 90 + cli._KEPT_PARSERS)]
+    assert all(parser is kept[0] for parser in kept)
+    assert cli._parse_subcommand(["validate"]) is not None
+    assert list(empty_parsers) == ["fixtures", "validate"]
+
+
+@pytest.mark.parametrize("built, printed", [(80, 200), (200, 80)])
+def test_help_and_errors_wrap_at_the_width_when_printed(built, printed, golden,
+                                                        monkeypatch, capsys,
+                                                        empty_parsers):
+    # Parsers built at one terminal width print help and errors at the
+    # width the terminal has when they print.
+    for name in _SUBCOMMANDS:
+        capture([name, "--help"], built, monkeypatch, capsys)
+    assert set(empty_parsers) == set(_SUBCOMMANDS)
+    for argv in _ARGVS:
+        assert (capture(argv, printed, monkeypatch, capsys)
+                == golden[_key(printed, argv)])
+
+
+def test_a_warm_estimate_never_asks_the_terminal_width(tmp_path, monkeypatch):
+    argv = _estimate_argv(tmp_path)
+    assert cli.main(argv) == cli.EXIT_OK
+    asked = []
+    get_terminal_size = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        asked.append(args)
+        return get_terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert asked == []
 
 
 def test_estimate_adds_no_argument_to_other_subcommands(tmp_path, capsys, empty_parsers):

@@ -1,5 +1,6 @@
 """Every name a module of the package imports, and every private name it
-defines at module level, is read in that module."""
+defines at module level, is read in that module; and the command line
+writes every file through its one writer."""
 
 import ast
 from pathlib import Path
@@ -60,6 +61,40 @@ def unread_private_names(source: str) -> list[str]:
                   if name.startswith("_") and not name.endswith("__"))
 
 
+def _opens_to_write(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file to write it: ``os.open``, or ``open``
+    (builtin, ``io.open`` or a path's ``open``) with a mode that is not a
+    string constant or that writes, appends, creates or updates."""
+    func = call.func
+    owner = (func.value.id if isinstance(func, ast.Attribute)
+             and isinstance(func.value, ast.Name) else None)
+    if owner == "os":
+        return True
+    # The mode follows the file, unless the path is the receiver.
+    mode = [keyword.value for keyword in call.keywords if keyword.arg == "mode"] or (
+        call.args[1:2] if isinstance(func, ast.Name) or owner == "io" else call.args[:1])
+    return bool(mode) and not (isinstance(mode[0], ast.Constant)
+                               and isinstance(mode[0].value, str)
+                               and not set("wax+") & set(mode[0].value))
+
+
+def file_writers(source: str) -> list[str]:
+    """The module-level functions and classes of ``source`` whose code
+    writes a file (``write_text``, ``write_bytes``, or opening one to write
+    it), in sorted order; ``<module>`` for a write outside them."""
+    writers = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if (name in ("write_text", "write_bytes")
+                    or name == "open" and _opens_to_write(node)):
+                writers.add(getattr(top, "name", "<module>"))
+    return sorted(writers)
+
+
 def test_the_package_has_modules():
     assert len(SOURCES) > 10
 
@@ -97,3 +132,24 @@ def test_the_check_sees_an_unread_private_name():
               "class _K:\n    _z = 7\n"
               "def g():\n    return _A + _f(0)\n")
     assert unread_private_names(source) == ["_B", "_C", "_E", "_K"]
+
+
+def test_the_command_line_writes_files_through_one_writer():
+    # Each output is written as the writer writes it only if no other code
+    # writes one.
+    assert file_writers((PACKAGE / "cli.py").read_text()) == ["_Output"]
+
+
+def test_the_check_sees_every_file_write():
+    source = ("import io, os\nfrom pathlib import Path\n"
+              "def a(p):\n    Path(p).write_text('x')\n"
+              "def b(p):\n    open(p)\n    open('w.txt', 'rb')\n"
+              "    io.open(p, mode='r')\n    Path(p).open()\n"
+              "def c(p):\n    with open(p, mode='a') as fh:\n        pass\n"
+              "class D:\n    def e(self, p):\n        return os.open(p, os.O_RDONLY)\n"
+              "def f(p):\n    p.write_bytes(b'')\n"
+              "def g(p, m):\n    return open(p, m)\n"
+              "def h(p):\n    return Path(p).open('r+')\n"
+              "def i(p):\n    return io.open(p, 'x')\n"
+              "open('log', 'w').close()\n")
+    assert file_writers(source) == ["<module>", "D", "a", "c", "f", "g", "h", "i"]

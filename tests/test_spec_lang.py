@@ -18,7 +18,7 @@ from llm_energy import (
     validate_bindings,
 )
 from llm_energy.interpreter import local_size
-from llm_energy.spec_lang import OpSpec, degree_kind, load_json, read_csv
+from llm_energy.spec_lang import OpSpec, as_number, degree_kind, load_json, read_csv
 
 import reference
 
@@ -258,3 +258,14 @@ def test_read_csv_names_the_line_of_a_fault(tmp_path):
     path.write_text("0,1,2\n1,3\n")
     with pytest.raises(ValidationError, match=r"t\.csv:2: expected 3 columns"):
         read_csv(path, None, [None], rest=int)
+
+
+@pytest.mark.parametrize("digits", [309, 401, 5000])
+def test_an_int_too_large_for_a_float_is_named_by_its_size(digits):
+    # Not by its text: Python writes no int of more than 4300 digits.
+    with pytest.raises(ValidationError) as info:
+        as_number(10**digits, "x")
+    assert str(info.value) == (f"x must be a finite number, got an integer of "
+                               f"{(10**digits).bit_length()} bits, too large "
+                               "for a float")
+    assert as_number(10**308, "x") == 10**308
