@@ -32,6 +32,7 @@ from .metrics import CATEGORIES, PhaseReport
 from .moe import DEFAULT_TILE, RoutingTrace
 from .spec_lang import (
     InputFile,
+    as_int,
     format_overlap,
     load_bindings,
     load_json,
@@ -213,9 +214,9 @@ def _json_text(value, newline: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` with each of its
     line breaks written as ``newline``: a line break and the indentation
     of the line that ``value`` starts on. A str, float, int, bool or None,
-    or a dict with str keys, is written by its type; only anything else
-    (a list, say) goes through the encoder, whose ``indent`` runs in pure
-    Python."""
+    a list or tuple, or a dict with str keys, is written by its type; only
+    anything else (a dict with int keys, say) goes through the encoder,
+    whose ``indent`` runs in pure Python."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -228,6 +229,12 @@ def _json_text(value, newline: str) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[%s%s%s]" % (inner, ("," + inner).join([
+            _json_text(item, inner) for item in value]), newline)
     if kind is dict and all(type(key) is str for key in value):
         if not value:
             return "{}"
@@ -402,6 +409,8 @@ def _check_decode_stride(args) -> None:
 def cmd_estimate(args) -> int:
     _check_formats(args, ("json", "csv"))
     _check_decode_stride(args)
+    for flag in ("batch", "isl", "osl"):
+        as_int(getattr(args, flag), f"--{flag}")
     inputs = _load_inputs(args)
     overlap = parse_overlap(args.overlap)
     est = Estimator(inputs["spec"], inputs["dims"], inputs["hw"], inputs["compute"],
@@ -447,32 +456,47 @@ _POINT_ROW = ("{\n"
 _PLOT_LINE = "tp%s-ov%s,%s,%s,b%s-isl%s\r\n"
 
 
+# A per-point slot of a row template (:func:`_pieces`).
+_SLOT = object()
+
+
+def _pieces(template: str, cells) -> tuple:
+    """The text of ``template`` between its per-point cells: ``cells``
+    fills its ``%s`` slots in order, ``_SLOT`` marking a per-point one."""
+    parts = template.split("%s")
+    pieces, text = [], parts[0]
+    for cell, part in zip(cells, parts[1:]):
+        if cell is _SLOT:
+            pieces.append(text)
+            text = part
+        else:
+            text += cell + part
+    pieces.append(text)
+    return tuple(pieces)
+
+
 def _point_templates(phase, osl, tp, ep, cp, overlap, feasible) -> tuple:
     """The ``points.json`` row, ``points.csv`` line and (if ``feasible``)
     ``plot_data.csv`` line of the points of one (phase, osl, tp, ep, cp,
-    overlap, feasible): the rows' templates filled with these cells, each
-    ``%`` doubled, leaving ``%s`` for the cells of a point. Those are, in
-    the row: batch, energy, reason, isl, latency; in the line: batch, isl,
-    latency, energy, reason; in the plot line: latency, energy, batch,
-    isl."""
-    def cell(value) -> str:
-        return str(value).replace("%", "%%")
-
+    overlap, feasible), each as the text between its per-point cells
+    (:func:`_pieces`). Those are, in the row: batch, energy, reason, isl,
+    latency; in the line: batch, isl, latency, energy, reason; in the plot
+    line: latency, energy, batch, isl."""
     def json_cell(text: Optional[str]) -> str:
-        return "null" if text is None else cell(encode_basestring_ascii(text))
+        return "null" if text is None else encode_basestring_ascii(text)
 
     def csv_cell(text: Optional[str]) -> str:
-        return "" if text is None else cell(_csv_cell(text))
+        return "" if text is None else _csv_cell(text)
 
     overlap = format_overlap(overlap)
-    osl, tp, ep, cp = map(cell, (osl, tp, ep, cp))
-    slot = "%s"
-    return (_POINT_ROW % (slot, cp, slot, ep, "true" if feasible else "false",
-                          slot, slot, slot, osl, json_cell(overlap),
-                          json_cell(phase), tp),
-            _POINT_LINE % (csv_cell(phase), slot, slot, osl, tp, ep, cp,
-                           csv_cell(overlap), cell(feasible), slot, slot, slot),
-            _PLOT_LINE % (tp, cell(overlap or "none"), slot, slot, slot, slot)
+    osl, tp, ep, cp = map(str, (osl, tp, ep, cp))
+    slot = _SLOT
+    return (_pieces(_POINT_ROW, (slot, cp, slot, ep, "true" if feasible else "false",
+                                 slot, slot, slot, osl, json_cell(overlap),
+                                 json_cell(phase), tp)),
+            _pieces(_POINT_LINE, (csv_cell(phase), slot, slot, osl, tp, ep, cp,
+                                  csv_cell(overlap), str(feasible), slot, slot, slot)),
+            _pieces(_PLOT_LINE, (tp, overlap or "none", slot, slot, slot, slot))
             if feasible else None)
 
 
@@ -513,6 +537,7 @@ def _write_points(out_dir, payload: dict, points, formats,
                 _Output(_output_path(out_dir, "plot_data.csv")))
             plot.write("series,x_latency_s,y_energy_j,label\r\n")
         before = "[\n    "
+        number = _JSON_NUMBER.get
         for start in range(0, len(points), _ROWS_PER_BLOCK):
             json_rows, table_lines, plot_lines = [], [], []
             for (phase, batch, isl, osl, tp, ep, cp, overlap, feasible, latency,
@@ -528,16 +553,21 @@ def _write_points(out_dir, payload: dict, points, formats,
                                                _csv_cell(reason))
                 latency_text, energy_text = repr(latency), repr(energy)
                 if document is not None:
-                    json_rows.append(row % (
-                        batch, _JSON_NUMBER.get(energy_text, energy_text), texts[0],
-                        isl, _JSON_NUMBER.get(latency_text, latency_text)))
+                    r0, r1, r2, r3, r4, r5 = row
+                    json_rows.append(
+                        f"{r0}{batch}{r1}{number(energy_text, energy_text)}"
+                        f"{r2}{texts[0]}{r3}{isl}{r4}"
+                        f"{number(latency_text, latency_text)}{r5}")
                 if table is not None:
-                    table_lines.append(line % (
-                        batch, isl, "" if latency is None else latency_text,
-                        "" if energy is None else energy_text, texts[1]))
+                    l0, l1, l2, l3, l4, l5 = line
+                    table_lines.append(
+                        f"{l0}{batch}{l1}{isl}"
+                        f"{l2}{'' if latency is None else latency_text}"
+                        f"{l3}{'' if energy is None else energy_text}{l4}{texts[1]}{l5}")
                 if plot is not None and feasible:
-                    plot_lines.append(plot_line % (latency_text, energy_text,
-                                                   batch, isl))
+                    p0, p1, p2, p3, p4 = plot_line
+                    plot_lines.append(f"{p0}{latency_text}{p1}{energy_text}{p2}{batch}"
+                                      f"{p3}{isl}{p4}")
             if document is not None:
                 document.write(before + ",\n    ".join(json_rows))
                 before = ",\n    "

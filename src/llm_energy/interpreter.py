@@ -130,13 +130,6 @@ class GemmColumns(NamedTuple):
         return [2.0 * g * m * k * n for g, m, k, n in
                 zip(self.group_count, self.m, self.contraction, self.n)]
 
-    @property
-    def bytes_moved(self) -> list:
-        """:attr:`GemmDescriptor.bytes_moved` at each point."""
-        dtype = self.dtype_bytes
-        return [g * (m * k + k * n + m * n) * dtype for g, m, k, n in
-                zip(self.group_count, self.m, self.contraction, self.n)]
-
 
 class CommColumns(NamedTuple):
     """:class:`CommDescriptor` message sizes over a column of points."""

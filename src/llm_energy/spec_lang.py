@@ -379,9 +379,16 @@ def in_file(path):
 
 def as_int(value, what: str) -> int:
     """``value`` if an integer, not a bool, float or string (the rule of
-    :func:`check_overlap_setting`); else a ValidationError naming ``what``."""
+    :func:`check_overlap_setting`), that a float can hold, since sizes are
+    priced as floats; else a ValidationError naming ``what``. An int too
+    large for a float is named by its size, as :func:`as_number` does."""
     if type(value) is not int:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} must be an integer that fits a float, got "
+                              f"one of {value.bit_length()} bits") from None
     return value
 
 

@@ -860,6 +860,16 @@ def _dims_with_fractional_size(tmp_path):
                                  lambda raw: raw.update(m=4096.7))
 
 
+def _dims_with_huge_size(tmp_path):
+    # 401 digits: no float holds it, and the sizes are priced as floats.
+    return _estimate_with_edited(tmp_path, "llama3_8b.json",
+                                 lambda raw: raw.update(m=10**400))
+
+
+def _estimate_with_huge_batch(tmp_path):
+    return ["estimate", *_base_args(tmp_path), "--batch", str(10**400)]
+
+
 def _dims_with_bool_dtype_bytes(tmp_path):
     return _estimate_with_edited(tmp_path, "llama3_8b.json",
                                  lambda raw: raw.update(dtype_bytes=True))
@@ -1015,6 +1025,10 @@ def _grid_fractional_values(tmp_path):
 
 def _grid_bool_batch(tmp_path):
     return _sweep_over(tmp_path, json.dumps({"batch": [True]}))
+
+
+def _grid_huge_batch(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"batch": [10**400]}))
 
 
 def _grid_scalar_axis(tmp_path):
@@ -1205,6 +1219,8 @@ _NAMED = {
     _sweep_latency_budget_nan: "got nan",
     _sweep_latency_budget_negative: "got -0.001",
     _pareto_latency_budget_inf: "got inf",
+    _estimate_with_huge_batch: "--batch must be an integer that fits a float, "
+                               "got one of 1329 bits",
 }
 
 
@@ -1291,7 +1307,8 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _sweep_jobs_zero, _sweep_jobs_negative, _estimate_decode_stride_two,
     _sweep_latency_budget_nan,
     _sweep_latency_budget_negative, _pareto_latency_budget_inf,
-    _hw_with_huge_p_idle, _feasible_point_with_huge_latency])
+    _hw_with_huge_p_idle, _feasible_point_with_huge_latency, _dims_with_huge_size,
+    _estimate_with_huge_batch, _grid_huge_batch])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -1322,10 +1339,13 @@ _SCALARS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
     st.text(), st.sampled_from(['"', "\\", '},\n      {', "\x00\x1f\x7f", "é ∑ 😀"]))
-# Payload values beside a row list: scalars, and lists and dicts of them.
+# Payload values beside a row list: scalars, and lists, tuples and dicts
+# of them, some dicts keyed by ints (which the JSON encoder writes).
 _PAYLOADS = st.dictionaries(st.text(), st.recursive(
     _SCALARS, lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6), max_size=3)
+    | st.lists(inner, max_size=3).map(tuple) | st.just([])
+    | st.dictionaries(st.text(), inner, max_size=3)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3), max_leaves=6), max_size=3)
 
 
 _CELLS = st.one_of(st.text(), st.sampled_from(
@@ -1456,8 +1476,9 @@ def test_point_files_write_the_bytes_of_row_at_a_time_writers(formats, points,
     # "%%d", a lone "%") and non-ASCII text, and a None reason; nan,
     # inf and -0.0; lists of up to twelve points in blocks of 1, 3 or 64,
     # under "points" or "frontier". Beside them, keys sorted before and
-    # after the row key, with nested lists and dicts, quotes, backslashes,
-    # control characters, a row-boundary lookalike, nan, inf and -0.0.
+    # after the row key, with nested lists, tuples and dicts (empty ones
+    # too, some keyed by ints), quotes, backslashes, control characters, a
+    # row-boundary lookalike, nan, inf and -0.0.
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new"), Path(tmp, "old")
         with mock.patch.object(cli, "_ROWS_PER_BLOCK", block):

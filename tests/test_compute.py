@@ -1,6 +1,7 @@
 """Roofline and calibration-table compute backend tests."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from llm_energy import (
     estimate_gemm,
     estimate_memory_op,
 )
+from llm_energy import compute
 from llm_energy.compute import (GemmCalibrationPoint, _harmonic, estimate_gemm_sum,
                                 estimate_memory_op_sum)
 from llm_energy.interpreter import GemmColumns, GemmLine, MemoryOpColumns, MemoryOpLine
@@ -206,6 +208,28 @@ def test_nearest_is_first_least_log_distance(dims, query):
     assert table.estimate_gemm(gemm) == CostEstimate(latency, nearest.power_w * latency)
 
 
+def _constant(value: float, n: int) -> list:
+    return [value] * n
+
+
+def _priced_both_ways(table: GemmCalibrationTable, columns) -> list[list]:
+    """The (latency, energy) pairs of a column of (G, M, contraction, N)
+    priced with any one-axis column read off the envelope, then with none
+    read off it, however long the column."""
+    priced = []
+    for queries_per_point in (0, math.inf):
+        with mock.patch.object(compute, "_ENVELOPE_QUERIES_PER_POINT",
+                               queries_per_point):
+            priced.append(list(zip(*table.estimate_gemm_columns(
+                GemmColumns(*columns, dtype_bytes=2)))))
+    return priced
+
+
+# A power-of-2 grid whose G of 4 and 64 are equally far from 16 in logs.
+_G_4_64_GRID = [(g, m, k, n) for g in (4.0, 64.0) for m in (16.0, 1024.0)
+                for k in (128.0, 8192.0) for n in (64.0, 4096.0, 262144.0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(dims=st.lists(st.tuples(*[_GEMM_DIM] * 4), min_size=1, max_size=12),
        columns=st.integers(1, 12).flatmap(lambda n: st.tuples(*[st.one_of(
@@ -213,19 +237,98 @@ def test_nearest_is_first_least_log_distance(dims, query):
            st.lists(_GEMM_DIM, min_size=n, max_size=n))] * 4)))
 @example(dims=[(1.0, 16.0, 256.0, 4096.0), (1.0, 16.0, 256.0, 4096.0)],
          columns=([1.0, 1.0], [16.0, 16.0], [256.0, 4096.0], [0.5, 0.5]))
+# The near-tie: against G = 4 and G = 64 the squared distances of a query
+# G of 16 differ only by rounding, which picks either as M varies.
+@example(dims=_G_4_64_GRID,
+         columns=(_constant(16.0, 6000), [float(z) for z in range(3, 6003)],
+                  _constant(128.0, 6000), _constant(128.0, 6000)))
+# Two points level along the varying M, a contraction of 1024 as far from
+# one's 256 as from the other's 4096; a third point further along M.
+@example(dims=[(1.0, 256.0, 256.0, 256.0), (1.0, 256.0, 4096.0, 256.0),
+               (1.0, 4096.0, 1024.0, 256.0)],
+         columns=(_constant(1.0, 5), [16.0, 256.0, 1000.0, 4096.0, 1e5],
+                  _constant(1024.0, 5), _constant(256.0, 5)))
+# M = 64 is on the crossing of points at M = 16 and 256, their other
+# sizes equal; queries on it and either side.
+@example(dims=[(1.0, 16.0, 128.0, 128.0), (1.0, 256.0, 128.0, 128.0)],
+         columns=(_constant(1.0, 5), [16.0, 63.99, 64.0, 64.01, 256.0],
+                  _constant(128.0, 5), _constant(128.0, 5)))
+# Duplicate points, at every query as near as each other: the first wins.
+@example(dims=[(1.0, 16.0, 128.0, 128.0), (1.0, 16.0, 128.0, 128.0),
+               (1.0, 4096.0, 128.0, 128.0), (1.0, 4096.0, 128.0, 128.0)],
+         columns=(_constant(1.0, 4), [8.0, 16.0, 256.0, 8192.0],
+                  _constant(128.0, 4), _constant(128.0, 4)))
 def test_table_columns_equal_scalar_lookups(dims, columns):
     # Dimensions constant along a column, each taken once per calibration
     # point, and varying ones in any position: each point's latency and
-    # energy equal the reference lookup's, ties to the first point included.
+    # energy equal the reference lookup's, ties to the first point included,
+    # with one-axis columns read off the envelope and without.
     table = GemmCalibrationTable([
         GemmCalibrationPoint(g, m, k, n, 2, 1e-4 * (i + 1), 300.0 + i)
         for i, (g, m, k, n) in enumerate(dims)])
-    g_col, m_col, k_col, n_col = columns
-    latencies, energies = table.estimate_gemm_columns(
-        GemmColumns(g_col, m_col, k_col, n_col, dtype_bytes=2))
     want = [reference.table_gemm(table, GemmDescriptor(*shape, dtype_bytes=2))
             for shape in zip(*columns)]
-    assert list(zip(latencies, energies)) == [(c.latency, c.energy) for c in want]
+    want = [(c.latency, c.energy) for c in want]
+    assert _priced_both_ways(table, columns) == [want, want]
+
+
+# Factors for one size of a copied point: the same point, a point whose
+# log moved by an ulp or so, and points further off.
+_NUDGES = st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0 + 1e-12,
+                           1.0 + 1e-9, 1.0 + 1e-6, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.lists(st.tuples(*[_GEMM_DIM] * 4), min_size=1, max_size=6),
+       copies=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), _NUDGES),
+                       max_size=6),
+       constants=st.tuples(*[_GEMM_DIM] * 4), axis=st.integers(0, 3),
+       sizes=st.lists(st.one_of(_GEMM_DIM, st.floats(0.25, 1e15),
+                                st.integers(0, 50).map(lambda e: 2.0 ** e)),
+                      min_size=1, max_size=32))
+def test_one_axis_columns_price_near_level_points_as_the_lookup(
+        base, copies, constants, axis, sizes):
+    # Tables holding copies of their points with one size left as it is or
+    # moved by an ulp up to a factor of 2: points level or nearly level
+    # with another along the varying axis, or in their other sizes. One
+    # axis of the column varies over 0.25 .. 1e15; every point's latency
+    # and energy equal the reference lookup's, bit for bit, read off the
+    # envelope or not.
+    dims = list(base)
+    for i, moved, factor in copies:
+        point = list(base[i % len(base)])
+        point[moved] *= factor
+        dims.append(tuple(point))
+    table = GemmCalibrationTable([
+        GemmCalibrationPoint(g, m, k, n, 2, 1e-4 * (i + 1), 300.0 + i)
+        for i, (g, m, k, n) in enumerate(dims)])
+    columns = [_constant(value, len(sizes)) for value in constants]
+    columns[axis] = sizes
+    want = [reference.table_gemm(table, GemmDescriptor(*shape, dtype_bytes=2))
+            for shape in zip(*columns)]
+    want = [(c.latency, c.energy) for c in want]
+    assert _priced_both_ways(table, columns) == [want, want]
+
+
+def test_one_axis_columns_read_the_envelope_from_the_table_size(monkeypatch):
+    # The envelope costs up to O(P**2) for a table of P points, so only a
+    # column of at least P points with one axis varying reads it; a shorter
+    # one, or one with two axes varying, prices through distance columns.
+    table = GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv"))
+    envelope, axes = table._envelope, []
+
+    def counted(axis, query):
+        axes.append(axis)
+        return envelope(axis, query)
+
+    monkeypatch.setattr(table, "_envelope", counted)
+    size = len(table.points)
+    for count, n_varies in ((size - 1, False), (size, False), (size, True)):
+        m_col = [16.0 * (i + 1) for i in range(count)]
+        table.estimate_gemm_columns(GemmColumns(
+            _constant(1.0, count), m_col, _constant(4096.0, count),
+            m_col if n_varies else _constant(4096.0, count), dtype_bytes=2))
+    assert axes == [0]  # M's index in the logs
 
 
 # Decode columns: 16-row attention GEMMs are memory bound on the A100
