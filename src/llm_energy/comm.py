@@ -22,7 +22,7 @@ from .compute import CostEstimate, one_cost
 from .errors import BackendError, ValidationError
 from .interpreter import (ALLGATHER, ALLREDUCE, ALLTOALL, REDUCESCATTER,
                           CommColumns, CommDescriptor)
-from .spec_lang import in_file, read_csv
+from .spec_lang import in_file, int_cell, read_csv
 
 VALID_KINDS = (ALLREDUCE, REDUCESCATTER, ALLGATHER, ALLTOALL)
 
@@ -135,8 +135,8 @@ def load_comm_calibration(path) -> CommCalibrationTable:
     order. A bad cell is named ``path:line``, and a file with no row by
     its path. Each curve is then sorted by size and checked, which names
     the first bad curve by its key."""
-    (kinds, worlds, sms, *values), comments = read_csv(
-        path, _HEADER, (str.strip, int, int, float, float, float))
+    (kinds, worlds, sms, *values), comments = read_csv(path, _HEADER, (
+        str.strip, int_cell("world"), int_cell("sm_count"), float, float, float))
     samples: dict[tuple[str, int, int], list] = {}
     for key, sample in zip(zip(kinds, worlds, sms), zip(*values)):
         samples.setdefault(key, []).append(sample)

@@ -10,23 +10,27 @@ descriptor methods (``estimate_gemm``/``estimate_memory_op``) price one
 kernel as one-point columns and return a :class:`CostEstimate`. And each
 sums a kernel whose sizes are affine in the context length z (a line, see
 :class:`~llm_energy.interpreter.GemmLine`) over a range of z in closed
-form (``*_sum``), within rounding of the sum point by point.
+form (``*_sum``), within rounding of the sum point by point. The table's
+nearest point along one varying size, at each point of a column or on
+each run of z of a line, is read off one envelope (``_reader``).
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Sequence
 
 from .errors import BackendError, ValidationError
 from .interpreter import (GemmColumns, GemmDescriptor, GemmLine,
                           MemoryOpColumns, MemoryOpDescriptor, MemoryOpLine,
                           as_columns)
-from .spec_lang import as_int, as_number, in_file, load_json, read_csv
+from .spec_lang import (as_int, as_number, in_file, int_cell, load_json,
+                        read_csv)
 
 
 @dataclass(frozen=True)
@@ -340,12 +344,12 @@ def _add(a, b):
     return [x + y for x, y in zip(a, b)]
 
 
-# A column point takes its nearest calibration point from an envelope (see
-# GemmCalibrationTable._envelope) only where that point's squared log
-# distance is below every other point's by more than _MARGIN times a bound
-# on the distances and their terms. Rounding moves a computed distance by
-# less than 1e-15 of it, so there the first point at the least distance
-# in floats is that point too; anywhere else the point is looked up.
+# A point of a column or a line takes its nearest calibration point from an
+# envelope (see GemmCalibrationTable._envelope) only where that point's
+# squared log distance is below every other point's by more than _MARGIN
+# times a bound on the distances and their terms. Rounding moves a computed
+# distance by less than 1e-15 of it, so there the first point at the least
+# distance in floats is that point too; anywhere else the point is looked up.
 _MARGIN = 1e-12
 # Above the log of the largest float: every finite size's log is below it.
 _LOG_MAX = 710.0
@@ -371,12 +375,13 @@ class GemmCalibrationTable:
             raise ValidationError("GEMM calibration table is empty")
         self.points = list(points)
         self._logs = [(_log_dims(p), p) for p in self.points]
+        self._axis_logs = [sorted(logs) for logs in zip(*(l for l, _ in self._logs))]
 
     @classmethod
     def load(cls, path) -> "GemmCalibrationTable":
         columns, _ = read_csv(path, ("G", "M", "contraction", "N", "dtype_bytes",
                                      "latency_s", "power_w"),
-                              [float] * 4 + [int, float, float])
+                              [float] * 4 + [int_cell("dtype_bytes"), float, float])
         with in_file(path):
             return cls([GemmCalibrationPoint(*row) for row in zip(*columns)])
 
@@ -391,28 +396,33 @@ class GemmCalibrationTable:
                 best, best_dist = p, dist
         return best
 
-    def _envelope(self, axis: int, query: list) -> tuple[list, list, list]:
+    def _envelope(self, axis: int, query: list, lo: float,
+                  hi: float) -> tuple[list, list, list]:
         """Where along ``axis`` (the index of its log in ``query``, whose
         other logs are fixed) each point is nearest by the margin
-        (:data:`_MARGIN`): (starts, ends, points), sorted, such that for a
-        log x in [starts[i], ends[i]] :meth:`_nearest_logs` gives points[i].
+        (:data:`_MARGIN`), within the logs [lo, hi]: (starts, ends, points),
+        sorted, such that for a log x in [starts[i], ends[i]]
+        :meth:`_nearest_logs` gives points[i].
 
         Along the axis, a point's squared distance is (x - l)**2 + c, l its
         log on the axis and c the sum of its other terms. All of these
         parabolas have one curvature, so the difference of two is a line in
         x: a point w is nearest by the margin where every other point's line
-        less w's is above the margin, an interval from 0 to :data:`_LOG_MAX`
-        cut once per other point. A point whose logs equal an earlier one's
-        is at the same distance at every query, so never first; it is left
+        less w's is above the margin, an interval from lo to hi cut once per
+        other point, taken by l outwards from w, toward [lo, hi] first: so a
+        point nearest only outside it is soon cut empty. Of points level
+        along the axis only the nearest can win; a level point with other
+        terms bit-equal to an earlier one's ties it at every x, so is left
         out."""
         # The other terms, added in _nearest_logs' order.
         (a, qa), (b, qb), (c, qc) = [(i, q) for i, q in enumerate(query) if i != axis]
         lines, seen = [], set()
         for logs, p in self._logs:
-            if logs not in seen:
-                seen.add(logs)
-                rest = (qa - logs[a]) ** 2 + (qb - logs[b]) ** 2 + (qc - logs[c]) ** 2
-                lines.append((logs[axis], rest, p))
+            terms = ((qa - logs[a]) ** 2, (qb - logs[b]) ** 2, (qc - logs[c]) ** 2)
+            key = (logs[axis], *terms)
+            if key not in seen:
+                seen.add(key)
+                lines.append((logs[axis], terms[0] + terms[1] + terms[2], p))
         # A bound on each distance over [0, _LOG_MAX], and on the terms that
         # the cuts below are made of.
         margin = _MARGIN * (1.0 + 2.0 * max(rest for _, rest, _ in lines)
@@ -420,11 +430,16 @@ class GemmCalibrationTable:
         # q's distance less w's is slope * x + (lq**2 + cq) - (lw**2 + cw),
         # slope = 2 * (lw - lq): above the margin where slope * x is above
         # margin - (lq**2 + cq) + (lw**2 + cw).
-        lines = [(lw, lw * lw + cw, w) for lw, cw, w in lines]
+        lines = sorted(((lw, lw * lw + cw, w) for lw, cw, w in lines),
+                       key=lambda line: line[:2])
         spans = []
-        for lw, bw, w in lines:
-            start, end = 0.0, _LOG_MAX
-            for lq, bq, q in lines:
+        for i, (lw, bw, w) in enumerate(lines):
+            if i and lines[i - 1][0] == lw:
+                continue  # a point level with w along the axis is as near
+            start, end = lo, hi
+            left, right = range(i - 1, -1, -1), range(i + 1, len(lines))
+            for j in chain(left, right) if lw > hi else chain(right, left):
+                lq, bq, _ = lines[j]
                 if lq < lw:
                     cut = (margin - bq + bw) / (2.0 * (lw - lq))
                     if cut > start:
@@ -433,14 +448,35 @@ class GemmCalibrationTable:
                     cut = (margin - bq + bw) / (2.0 * (lw - lq))
                     if cut < end:
                         end = cut
-                elif q is not w and margin - bq + bw >= 0.0:
+                elif margin - bq + bw >= 0.0:
                     break  # level along the axis, and not below by the margin
                 if start > end:
                     break  # each cut only narrows the interval
             else:
                 spans.append((start, end, w))
-        spans.sort(key=lambda span: span[0])
         return tuple(map(list, zip(*spans))) if spans else ([], [], [])
+
+    def _reader(self, axis: int, query: list, lo: float, hi: float,
+                count: int):
+        """For ``count`` logs x in [lo, hi] along ``axis``, the other logs
+        those of ``query``: a function of x giving (the point
+        :meth:`_nearest_logs` gives at x, a, b), nearest at every log in
+        [a, b]: x's :meth:`_envelope` interval, else x alone, looked up. A
+        lookup costs O(P), as the envelope does per point whose log is in
+        [lo, hi], so with fewer x than such points every x is looked up."""
+        logs = self._axis_logs[axis]
+        within = bisect_right(logs, hi) - bisect_left(logs, lo)
+        starts, ends, winners = ((), (), ()) if count < (
+            _ENVELOPE_QUERIES_PER_POINT * within) else self._envelope(axis, query, lo, hi)
+        query, nearest_logs = list(query), self._nearest_logs
+
+        def read(x: float) -> tuple:
+            i = bisect_right(starts, x) - 1
+            if i >= 0 and x <= ends[i]:
+                return winners[i], starts[i], ends[i]
+            query[axis] = x
+            return nearest_logs(*query), x, x
+        return read
 
     def estimate_gemm(self, g: GemmDescriptor) -> CostEstimate:
         """:meth:`estimate_gemm_columns` of one GEMM."""
@@ -451,8 +487,7 @@ class GemmCalibrationTable:
         calibration point (see :meth:`_nearest_logs`) scaled by the FLOP
         ratio, at that point's power. Along a column with one varying axis
         and enough points (see :data:`_ENVELOPE_QUERIES_PER_POINT`), each
-        point's nearest is read off the :meth:`_envelope` where it names
-        one."""
+        point's nearest is read off the :meth:`_envelope` (:meth:`_reader`)."""
         if g.sm_available is not None:
             raise BackendError(
                 "GEMM calibration backend does not support SM-restricted queries")
@@ -468,21 +503,9 @@ class GemmCalibrationTable:
             nearest = [self._nearest_logs(*queries)] * count
         elif (len(varying) == 1
               and _ENVELOPE_QUERIES_PER_POINT * len(self._logs) <= count):
-            # One axis varies: each point's nearest from the envelope, or
-            # looked up where the envelope does not name one.
-            axis = varying[0]
-            starts, ends, winners = self._envelope(axis, queries)
-            log, nearest_logs = math.log, self._nearest_logs
-            nearest = []
-            add_nearest = nearest.append
-            for size in columns[axis]:
-                x = log(max(size, 1.0))
-                i = bisect_right(starts, x) - 1
-                if i >= 0 and x <= ends[i]:
-                    add_nearest(winners[i])
-                else:
-                    queries[axis] = x
-                    add_nearest(nearest_logs(*queries))
+            xs = [math.log(max(size, 1.0)) for size in columns[varying[0]]]
+            read = self._reader(varying[0], queries, min(xs), max(xs), count)
+            nearest = [read(x)[0] for x in xs]
         else:
             # Per calibration point, its distance at each point of the
             # column: the terms added in :meth:`_nearest_logs`'s order, so
@@ -509,65 +532,36 @@ class GemmCalibrationTable:
             add_energy(p.power_w * latency)
         return latencies, energies
 
-    def _nearest_runs(self, g: GemmLine, zs: range) -> Optional[list]:
-        """The point :meth:`_nearest_logs` gives at each z of ``zs`` as runs
-        (point, start, stop) of indices into ``zs``; None when two points
-        are so near a tie that rounding may pick either at many z.
+    def _nearest_runs(self, g: GemmLine, zs: range) -> list:
+        """The point :meth:`_nearest_logs` gives at each z of ``zs``, as
+        maximal runs (point, start, stop) of indices into ``zs``.
 
-        Only one axis varies, as the log of its size, so each point's
-        squared distance is a parabola in that log, all of one curvature:
-        as z grows, a point is nearest until the first point further along
-        the axis draws level. Each run's end is found there and settled at
-        integer z by :meth:`_nearest_logs` itself, so the "first point at
-        the least distance" rule holds at every z.
-        """
+        At most one axis varies; its log at z is that of the size
+        :meth:`GemmLine.columns` gives there, floored at 1 as a column is,
+        so monotone in z. A run's point is read (:meth:`_reader`) at its
+        first z, and the run holds the later z whose log is in the interval
+        read with it, one stretch found by bisection."""
         axes = (g.m, g.contraction, g.n, g.group_count)  # _log_dims' order
-        query = [math.log(max(constant, 1.0)) for constant, _ in axes]
-        n = len(zs)
-        varying = [i for i, (_, slope) in enumerate(axes) if slope]
-        if not varying:
-            return [(self._nearest_logs(*query), 0, n)]
-        axis = varying[0]
-        slope = axes[axis][1]
-        if slope * zs[0] < 1.0:
-            return None  # the size is floored at 1 at some z
+        # The varying axis; in a line with none, any axis reads one run.
+        axis = next((i for i, (_, slope) in enumerate(axes) if slope), 0)
+        constant, slope = axes[axis]
+        log, n = math.log, len(zs)
 
-        def nearest(k: int) -> GemmCalibrationPoint:
-            query[axis] = math.log(slope * zs[k])
-            return self._nearest_logs(*query)
+        def log_at(k: int) -> float:
+            return log(max(constant + slope * zs[k], 1.0))
 
-        # Per point: its log along the axis, and its other distance terms.
-        lines = {}
-        for logs, point in self._logs:
-            terms = tuple((q - l) ** 2 for i, (q, l) in enumerate(zip(query, logs))
-                          if i != axis)
-            lines[id(point)] = (logs[axis], sum(terms), terms)
-        x_end = math.log(slope * zs[-1])
+        ends = sorted((log_at(0), log_at(n - 1)))
+        read = self._reader(axis, [log(max(c, 1.0)) for c, _ in axes], *ends, n)
+
         runs, k = [], 0
         while k < n:
-            p = nearest(k)
-            lp, cp, terms_p = lines[id(p)]
-            stop = n
-            for lq, cq, terms_q in lines.values():
-                dl = lq - lp
-                # Points level with p along the axis tie at every z if all
-                # their other terms are p's, and never if their sum is far
-                # from p's; in between, or nearly level, rounding decides.
-                if abs(dl) < 1e-6 and not (dl == 0.0 and (
-                        terms_q == terms_p or abs(cq - cp) > 1e-9 * (1.0 + cp))):
-                    return None
-                if dl > 0.0:
-                    # The log at which this point draws level with p.
-                    x = (lq + lp) / 2.0 + (cq - cp) / (2.0 * dl)
-                    if x < x_end:
-                        stop = min(stop, math.ceil(
-                            (math.exp(x) / slope - zs.start) / zs.step))
-            stop = min(max(stop, k + 1), n)
-            while stop > k + 1 and nearest(stop - 1) is not p:
-                stop -= 1
-            while stop < n and nearest(stop) is p:
-                stop += 1
-            runs.append((p, k, stop))
+            p, lo, hi = read(log_at(k))
+            stop = bisect_left(range(n), True, k + 1,
+                               key=lambda j: not lo <= log_at(j) <= hi)
+            if runs and runs[-1][0] is p:
+                runs[-1] = (p, runs[-1][1], stop)
+            else:
+                runs.append((p, k, stop))
             k = stop
         return runs
 
@@ -575,17 +569,13 @@ class GemmCalibrationTable:
         """:meth:`estimate_gemm` summed over every z of ``zs``: (latency,
         energy). On a run of one nearest point (see :meth:`_nearest_runs`)
         the latency is that point's latency per FLOP times the FLOPs, which
-        are affine in z. Near-tied points are priced z by z instead."""
+        are affine in z."""
         if g.sm_available is not None:
             raise BackendError(
                 "GEMM calibration backend does not support SM-restricted queries")
-        runs = self._nearest_runs(g, zs)
-        if runs is None:
-            latencies, energies = self.estimate_gemm_columns(g.columns(zs))
-            return math.fsum(latencies), math.fsum(energies)
         flops = g.flops
         latency = energy = 0.0
-        for p, start, stop in runs:
+        for p, start, stop in self._nearest_runs(g, zs):
             part = p.latency_s * (_series(flops, zs[start:stop]) / p.flops)
             latency += part
             energy += p.power_w * part

@@ -392,6 +392,12 @@ def as_int(value, what: str) -> int:
     return value
 
 
+def int_cell(name: str):
+    """A :func:`read_csv` converter of the integer column ``name``: ``int``
+    held to :func:`as_int`'s rule (a cell too large for a float is named)."""
+    return lambda cell: as_int(int(cell), name)
+
+
 def as_number(value, what: str):
     """``value`` if a finite int or float (not a bool); else a ValidationError.
     An int too large for a float is named by its size: Python will not

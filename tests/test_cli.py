@@ -1281,6 +1281,39 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
                           _GEMM_HEADER + b"1,16,8192,8192,0,1e-3,300\n")
 
 
+# An integer of 1329 bits: an int, too large for a float.
+_HUGE = 10**400
+_HUGE_MESSAGE = "must be an integer that fits a float, got one of 1329 bits"
+
+
+def _gemm_row_with_huge_dtype_bytes(tmp_path):
+    return _estimate_with(tmp_path, "--gemm-cal",
+                          _GEMM_HEADER + b"1,16,8192,8192,%d,1e-3,300\n" % _HUGE)
+
+
+def _comm_with_rows(tmp_path, world, sm_count):
+    # Two rows, so that their curve alone would pass its checks.
+    rows = "".join(f"AllReduce,{world},{sm_count},{size},1e-05,0.001\n"
+                   for size in (1024.0, 2048.0))
+    text = fixture_path("comm_synthetic.csv").read_text() + rows
+    return _estimate_with(tmp_path, "--comm-cal", text.encode(), "--tp", "2")
+
+
+def _comm_rows_with_huge_world(tmp_path):
+    return _comm_with_rows(tmp_path, _HUGE, 108)
+
+
+def _comm_rows_with_huge_sm_count(tmp_path):
+    return _comm_with_rows(tmp_path, 2, _HUGE)
+
+
+_NAMED.update({
+    _gemm_row_with_huge_dtype_bytes: f"input:2: dtype_bytes {_HUGE_MESSAGE}",
+    _comm_rows_with_huge_world: f"input:1011: world {_HUGE_MESSAGE}",
+    _comm_rows_with_huge_sm_count: f"input:1011: sm_count {_HUGE_MESSAGE}",
+})
+
+
 @pytest.mark.parametrize("make_argv", [
     _malformed_dims, _hw_without_total_sm, _short_gemm_row,
     _feasible_point_without_latency, _point_without_feasible,
@@ -1308,13 +1341,38 @@ def _gemm_row_with_zero_dtype_bytes(tmp_path):
     _sweep_latency_budget_nan,
     _sweep_latency_budget_negative, _pareto_latency_budget_inf,
     _hw_with_huge_p_idle, _feasible_point_with_huge_latency, _dims_with_huge_size,
-    _estimate_with_huge_batch, _grid_huge_batch])
+    _estimate_with_huge_batch, _grid_huge_batch, _gemm_row_with_huge_dtype_bytes,
+    _comm_rows_with_huge_world, _comm_rows_with_huge_sm_count])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "validation error" in err
     # names the malformed file, or the value
     assert _NAMED.get(make_argv, str(tmp_path)) in err
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+@pytest.mark.parametrize("make_argv, flag, line, column", [
+    (_gemm_row_with_huge_dtype_bytes, "--gemm-cal", 2, "dtype_bytes"),
+    (_comm_rows_with_huge_world, "--comm-cal", 1011, "world"),
+    (_comm_rows_with_huge_sm_count, "--comm-cal", 1011, "sm_count"),
+], ids=["gemm-dtype_bytes", "comm-world", "comm-sm_count"])
+def test_a_calibration_integer_too_large_for_a_float_is_named(
+        tmp_path, capsys, command, make_argv, flag, line, column):
+    # As estimate does (above), the first such cell is named by its path
+    # and line, and the integer by its size.
+    argv = make_argv(tmp_path)
+    path = argv[argv.index(flag) + 1]
+    kind = "gemm" if flag == "--gemm-cal" else "comm"
+    message = f"{path}:{line}: {column} {_HUGE_MESSAGE}"
+    if command == "validate":
+        argv = ["validate", flag, path]
+        want = (f"VIOLATION: {kind} calibration: {message}\n", "")
+    else:
+        argv = [*_sweep_over(tmp_path, json.dumps({"tp": [1, 2]})), flag, path]
+        want = ("", f"validation error: {message}\n")
+    assert main(argv) == EXIT_VALIDATION
+    assert tuple(capsys.readouterr()) == want
 
 
 @pytest.mark.parametrize("make_argv, message", [

@@ -285,15 +285,21 @@ _NUDGES = st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53, 1.0 + 1e-12,
        constants=st.tuples(*[_GEMM_DIM] * 4), axis=st.integers(0, 3),
        sizes=st.lists(st.one_of(_GEMM_DIM, st.floats(0.25, 1e15),
                                 st.integers(0, 50).map(lambda e: 2.0 ** e)),
-                      min_size=1, max_size=32))
+                      min_size=1, max_size=32),
+       slope=st.one_of(st.sampled_from([1.0, 3.0]), st.floats(1e-3, 1e4)),
+       zs=st.tuples(st.integers(0, 10**6), st.integers(1, 1000),
+                    st.integers(1, 200)).map(
+           lambda t: range(t[0], t[0] + t[1] * t[2], t[1])))
 def test_one_axis_columns_price_near_level_points_as_the_lookup(
-        base, copies, constants, axis, sizes):
+        base, copies, constants, axis, sizes, slope, zs):
     # Tables holding copies of their points with one size left as it is or
     # moved by an ulp up to a factor of 2: points level or nearly level
     # with another along the varying axis, or in their other sizes. One
     # axis of the column varies over 0.25 .. 1e15; every point's latency
     # and energy equal the reference lookup's, bit for bit, read off the
-    # envelope or not.
+    # envelope or not. A line along the same axis, slope * z, has the
+    # reference's nearest point at every z of its runs, and sums within a
+    # relative 1e-12 of the per-z lookups.
     dims = list(base)
     for i, moved, factor in copies:
         point = list(base[i % len(base)])
@@ -309,17 +315,33 @@ def test_one_axis_columns_price_near_level_points_as_the_lookup(
     want = [(c.latency, c.energy) for c in want]
     assert _priced_both_ways(table, columns) == [want, want]
 
+    line = _line_with(constants, axis, slope)
+    want = [reference.table_nearest(table, g) for g in _per_z(line, zs)]
+    costs = [reference.table_gemm(table, g) for g in _per_z(line, zs)]
+    for queries_per_point in (0, math.inf):  # off the envelope, or looked up
+        with mock.patch.object(compute, "_ENVELOPE_QUERIES_PER_POINT",
+                               queries_per_point):
+            runs = table._nearest_runs(line, zs)
+            latency, energy = table.estimate_gemm_sum(line, zs)
+        points = [p for p, start, stop in runs for _ in range(start, stop)]
+        assert len(points) == len(want) and all(p is q for p, q in zip(points, want))
+        assert latency == pytest.approx(math.fsum(c.latency for c in costs), rel=1e-12, abs=0)
+        assert energy == pytest.approx(math.fsum(c.energy for c in costs), rel=1e-12, abs=0)
+
 
 def test_one_axis_columns_read_the_envelope_from_the_table_size(monkeypatch):
     # The envelope costs up to O(P**2) for a table of P points, so only a
     # column of at least P points with one axis varying reads it; a shorter
     # one, or one with two axes varying, prices through distance columns.
+    # A line reads it only over at least as many z as there are points
+    # along its own stretch of the axis; over fewer it looks each z up, and
+    # its runs are still each z's nearest point.
     table = GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv"))
     envelope, axes = table._envelope, []
 
-    def counted(axis, query):
+    def counted(axis, *rest):
         axes.append(axis)
-        return envelope(axis, query)
+        return envelope(axis, *rest)
 
     monkeypatch.setattr(table, "_envelope", counted)
     size = len(table.points)
@@ -329,6 +351,13 @@ def test_one_axis_columns_read_the_envelope_from_the_table_size(monkeypatch):
             _constant(1.0, count), m_col, _constant(4096.0, count),
             m_col if n_varies else _constant(4096.0, count), dtype_bytes=2))
     assert axes == [0]  # M's index in the logs
+    line = _line_with((1, 0, 4096, 4096), 1, 16)
+    # M of 16 and 16384, with all but one point between; then every M there.
+    for zs in (range(1, 1025, 1023), range(1, 1025)):
+        runs = table._nearest_runs(line, zs)
+        points = [p for p, start, stop in runs for _ in range(start, stop)]
+        assert points == [reference.table_nearest(table, g) for g in _per_z(line, zs)]
+    assert axes == [0, 0]
 
 
 # Decode columns: 16-row attention GEMMs are memory bound on the A100
@@ -455,22 +484,26 @@ def _grid_table(groups):
             for k in (128, 8192) for n in (64, 4096, 262144))])
 
 
-@pytest.mark.parametrize("backend", ["fixture", "grid"])
+@pytest.mark.parametrize("backend", ["fixture", "grid", "near-tie"])
 @pytest.mark.parametrize("axis", [0, 1, 2, 3])
 def test_table_runs_are_the_nearest_point_at_every_z(backend, axis):
     # Over a few thousand consecutive z, and a stride, each run's point is
-    # the reference's nearest point at every z, and the sum equals the sum
-    # of the per-z reference lookups. In the grid, a query G of 16 lies as far from 8 as
-    # from 32 in logs, to the last bit: such points tie at every z, and the
-    # first wins throughout.
+    # the reference's nearest point at every z, and the sum is within a
+    # relative 1e-12 of the sum of the per-z reference lookups. In the
+    # grid, a query G of 16 lies as far from 8 as from 32 in logs, to the
+    # last bit: such points tie at every z, and the first wins throughout.
+    # In the near-tie grid it lies as far from 4 as from 64, but the two
+    # squared distances differ in their last bit: rounding picks either
+    # point, hundreds of times over, as z changes the other terms.
     table = (GemmCalibrationTable.load(fixture_path("gemm_synthetic.csv"))
-             if backend == "fixture" else _grid_table((8, 32)))
+             if backend == "fixture"
+             else _grid_table((8, 32) if backend == "grid" else (4, 64)))
     line = _line_with((16, 4, 128, 128), axis, 1)
     runs_seen = 0
     for zs in (range(3, 6003), range(100, 300000, 97)):
         runs = table._nearest_runs(line, zs)
         assert runs[0][1] == 0 and runs[-1][2] == len(zs)
-        assert all(a[2] == b[1] for a, b in zip(runs, runs[1:]))
+        assert all(a[2] == b[1] and a[0] is not b[0] for a, b in zip(runs, runs[1:]))
         points = [p for p, start, stop in runs for _ in range(start, stop)]
         want = [reference.table_nearest(table, g) for g in _per_z(line, zs)]
         assert len(points) == len(want)
@@ -480,20 +513,34 @@ def test_table_runs_are_the_nearest_point_at_every_z(backend, axis):
         costs = [reference.table_gemm(table, g) for g in _per_z(line, zs)]
         assert latency == pytest.approx(math.fsum(c.latency for c in costs), rel=1e-12, abs=0)
         assert energy == pytest.approx(math.fsum(c.energy for c in costs), rel=1e-12, abs=0)
-    assert runs_seen > 1  # some point draws level with another as z grows
+    # Some point draws level with another as z grows; in the near-tie grid,
+    # G held at 16, the nearest point switches over a hundred times.
+    assert runs_seen > (100 if backend == "near-tie" and axis != 0 else 1)
 
 
-def test_table_sum_prices_near_ties_position_by_position():
-    # A query G of 16 lies as far from 4 as from 64 in logs, but the two
-    # squared distances differ in their last bit: rounding picks either
-    # point, a thousand times over, as z changes the other terms. No run
-    # form holds, and the sum is taken over the per-z lookups.
-    table = _grid_table((4, 64))
-    line = _line_with((16, 4, 128, 128), 1, 1)
+@pytest.mark.parametrize("axis", [1, 2])  # M, contraction
+def test_tied_points_are_read_off_the_envelope(axis, monkeypatch):
+    # In the tie grid, the points at G = 8 and 32 and equal other sizes are
+    # at bit-equal distances from a query G of 16 at every z, and the first
+    # wins. The envelope keeps that first point, so a one-axis column and a
+    # line look a point up only in the margin-wide gap around a crossing,
+    # where the nearest point changes, never along the tied stretch.
+    table = _grid_table((8, 32))
+    line = _line_with((16, 4, 128, 128), axis, 1)
     zs = range(3, 6003)
     want = [reference.table_nearest(table, g) for g in _per_z(line, zs)]
-    assert sum(p is not q for p, q in zip(want, want[1:])) > 100
-    assert table._nearest_runs(line, zs) is None
-    costs = [reference.table_gemm(table, g) for g in _per_z(line, zs)]
-    assert table.estimate_gemm_sum(line, zs) == (
-        math.fsum(c.latency for c in costs), math.fsum(c.energy for c in costs))
+    assert any(p is not q for p, q in zip(want, want[1:]))
+    nearest_logs, looked_up = table._nearest_logs, []
+
+    def counted(*logs):
+        looked_up.append(logs[axis - 1])  # the varying size's log
+        return nearest_logs(*logs)
+
+    monkeypatch.setattr(table, "_nearest_logs", counted)
+    for price in (lambda: table.estimate_gemm_columns(line.columns(zs)),
+                  lambda: table._nearest_runs(line, zs)):
+        looked_up.clear()
+        price()
+        at = [j for j, z in enumerate(zs) if math.log(z) in looked_up]
+        assert len(at) == len(looked_up)
+        assert all(0 < j < len(zs) - 1 and want[j - 1] is not want[j + 1] for j in at)
