@@ -93,13 +93,14 @@ def _resolve(path_str: str) -> Path:
 # - _plans: per (spec, dims) pair of _parsed keys, the Estimator memo of
 #   validated degrees, memory models and compiled layer plans, which depend
 #   on nothing else; past _PLAN_ENTRIES entries a pair's memo starts empty.
-# - _parsers: each subcommand's parser, by subcommand name.
+# - _parsers: each subcommand's parser, by subcommand name, with its
+#   canonical table (:func:`_canonical_table`).
 _KEPT_INPUTS = 32
 _parsed: dict[tuple, object] = {}
 _KEPT_PLANS = 8
 _PLAN_ENTRIES = 1024
 _plans: dict[tuple, dict] = {}
-_parsers: dict[str, argparse.ArgumentParser] = {}
+_parsers: dict[str, tuple[argparse.ArgumentParser, tuple]] = {}
 
 
 def _kept(memo: dict, key, bound: int, make):
@@ -399,6 +400,13 @@ def _check_latency_budget(args) -> None:
             f"--latency-budget must be a finite number >= 0, got {budget!r}")
 
 
+def _check_ints(args, *names) -> None:
+    """Each named integer option of ``args`` held to :func:`as_int`'s rule:
+    one too large for a float is named by its size."""
+    for name in names:
+        as_int(getattr(args, name), "--" + name.replace("_", "-"))
+
+
 def _check_decode_stride(args) -> None:
     if args.decode_stride != 1:
         raise ValidationError(
@@ -408,9 +416,8 @@ def _check_decode_stride(args) -> None:
 
 def cmd_estimate(args) -> int:
     _check_formats(args, ("json", "csv"))
+    _check_ints(args, "tile", "decode_stride", "batch", "isl", "osl")
     _check_decode_stride(args)
-    for flag in ("batch", "isl", "osl"):
-        as_int(getattr(args, flag), f"--{flag}")
     inputs = _load_inputs(args)
     overlap = parse_overlap(args.overlap)
     est = Estimator(inputs["spec"], inputs["dims"], inputs["hw"], inputs["compute"],
@@ -582,6 +589,7 @@ def _write_points(out_dir, payload: dict, points, formats,
 def cmd_sweep(args) -> int:
     _check_formats(args, ("json", "csv", "plot"))
     _check_latency_budget(args)
+    _check_ints(args, "tile", "decode_stride", "jobs")
     _check_decode_stride(args)
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
@@ -787,6 +795,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a type conversion raises for a value that argparse reports as bad.
+_BAD_VALUE = (TypeError, ValueError, argparse.ArgumentTypeError)
+
+
+def _canonical_table(parser: argparse.ArgumentParser) -> tuple:
+    """What :func:`_read_canonical` needs of ``parser``, read off its own
+    actions, as :meth:`~argparse.ArgumentParser.parse_known_args` uses
+    them: each option string of an action that stores one value, with that
+    action's dest, type conversion and choices; the required dests; the
+    values a namespace starts with (each dest's default, then the parser's
+    ``set_defaults``), less any ``SUPPRESS`` one; and the dests whose string
+    default is converted when they are not given. The private argparse
+    names that this needs are read here only."""
+    options, required, defaults, converted = {}, set(), {}, []
+    for action in parser._actions:
+        convert = parser._registry_get("type", action.type, action.type)
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            for option in action.option_strings:
+                options[option] = (action.dest, convert, action.choices)
+        if action.required:
+            required.add(action.dest)
+        if (action.dest is not argparse.SUPPRESS and action.dest not in defaults
+              and action.default is not argparse.SUPPRESS):
+            defaults[action.dest] = action.default
+            if isinstance(action.default, str):
+                converted.append((action.dest, convert))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, frozenset(required), defaults, tuple(converted)
+
+
+def _read_canonical(table: tuple, words: list) -> Optional[dict]:
+    """The namespace's values that ``parse_known_args`` gives ``words`` if
+    they are canonical: ``option value`` pairs, each option an exact key of
+    ``table`` (:func:`_canonical_table`) and no value starting with ``-``,
+    each value converted by its action's type and in its choices, and
+    every required dest given. A repeated option keeps its last value. A
+    string default is converted on every read, as argparse converts it
+    (``--format``'s default is a new list each time). None for any other
+    ``words``."""
+    options, required, defaults, converted = table
+    if len(words) % 2:
+        return None
+    given = {}
+    for option, value in zip(words[::2], words[1::2]):
+        entry = options.get(option)
+        if entry is None or value.startswith("-"):
+            return None
+        dest, convert, choices = entry
+        try:
+            value = convert(value)
+        except _BAD_VALUE:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    if not required.issubset(given):
+        return None
+    values = dict(defaults)
+    for dest, convert in converted:
+        if dest not in given:
+            try:
+                values[dest] = convert(values[dest])
+            except _BAD_VALUE:
+                return None
+    values.update(given)
+    return values
+
+
 def _parse_subcommand(argv: list) -> Optional[argparse.Namespace]:
     """``argv`` parsed by the parser of the subcommand that its first word
     names, as the ``llm-energy`` parser would give it; or None where that
@@ -796,6 +873,13 @@ def _parse_subcommand(argv: list) -> Optional[argparse.Namespace]:
     ``--``, an option the top level finds ambiguous among its own
     (``--=x``: both ``--help`` and ``--version`` start with ``--``).
 
+    A canonical argv (:func:`_read_canonical`) is read off the
+    subcommand parser's actions, with no parse; none of its words is a
+    prefix of a top-level option. Argparse parses every other form as
+    before: help, abbreviations, ``--opt=value``, ``--``, a value starting
+    with ``-``, a positional or leftover word, a bad value and a missing
+    required option, so it alone prints help and errors.
+
     The subcommand's parser is built once per process (:data:`_parsers`),
     at the terminal's width then; its help and errors are wrapped at the
     terminal's width when they are printed, which is what a parse that
@@ -803,11 +887,6 @@ def _parse_subcommand(argv: list) -> Optional[argparse.Namespace]:
     add_arguments = _ADD_ARGUMENTS.get(argv[0]) if argv else None
     if add_arguments is None:
         return None
-    for arg in argv:
-        if arg == "--":
-            break
-        if arg.startswith("--="):
-            return None
 
     def build():
         parser = argparse.ArgumentParser(
@@ -815,12 +894,22 @@ def _parse_subcommand(argv: list) -> Optional[argparse.Namespace]:
             formatter_class=_help_formatter(shutil.get_terminal_size().columns))
         add_arguments(parser)
         parser.formatter_class = argparse.HelpFormatter
-        return parser
+        return parser, _canonical_table(parser)
 
-    parser = _kept(_parsers, argv[0], len(_SUBCOMMANDS), build)
-    args, leftover = parser.parse_known_args(argv[1:])
-    if leftover:
-        return None
+    parser, table = _kept(_parsers, argv[0], len(_SUBCOMMANDS), build)
+    values = _read_canonical(table, argv[1:])
+    if values is not None:
+        args = argparse.Namespace()
+        vars(args).update(values)
+    else:
+        for arg in argv:
+            if arg == "--":
+                break
+            if arg.startswith("--="):
+                return None
+        args, leftover = parser.parse_known_args(argv[1:])
+        if leftover:
+            return None
     args.command = argv[0]
     return args
 

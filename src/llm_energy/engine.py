@@ -56,7 +56,7 @@ from .moe import (
     stats_from_trace,
     uniform_routing,
 )
-from .spec_lang import DimensionBindings, ModelSpec, validate_bindings
+from .spec_lang import DimensionBindings, ModelSpec, as_int, validate_bindings
 
 
 # The overlap module is imported by the first overlapped estimate, not with
@@ -124,7 +124,7 @@ class Estimator:
                  *, tile: int = DEFAULT_TILE,
                  routing_trace: Optional[RoutingTrace] = None,
                  memo: Optional[dict] = None):
-        if tile < 1:
+        if as_int(tile, "tile") < 1:
             raise ValidationError(f"tile must be >= 1, got {tile}")
         self.spec = spec
         self.dims = dims

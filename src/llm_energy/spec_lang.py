@@ -112,10 +112,17 @@ def parse_equation(text: str) -> EinsumEquation:
 def check_overlap_setting(stages, sm_comm, what: str,
                           error: type = ValidationError) -> tuple[int, int]:
     """(stages, sm_comm) if both are integers >= 1, not bools or floats;
-    else ``error`` naming ``what``. The hardware and the shape are checked
+    else ``error`` naming ``what``. Each is held to :func:`as_int`'s rule
+    too, and one too large for a float is named by its size alone, not by
+    ``what``, which may spell it. The hardware and the shape are checked
     when the overlap is planned."""
     if not all(type(v) is int and v >= 1 for v in (stages, sm_comm)):
         raise error(f"{what}: stages and sm must be integers >= 1")
+    try:
+        as_int(stages, "overlap stages")
+        as_int(sm_comm, "overlap sm")
+    except ValidationError as exc:
+        raise error(str(exc)) from None
     return stages, sm_comm
 
 

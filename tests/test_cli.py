@@ -1307,10 +1307,48 @@ def _comm_rows_with_huge_sm_count(tmp_path):
     return _comm_with_rows(tmp_path, 2, _HUGE)
 
 
+def _moe_args(out):
+    return _base_args(out, spec="moe_fused.json", dims="qwen3_30b_a3b.json")
+
+
+def _estimate_moe_with_huge_tile(tmp_path):
+    return ["estimate", *_moe_args(tmp_path), "--ep", "2", "--tile", str(_HUGE)]
+
+
+def _sweep_moe_with_huge_tile(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"ep": [2]}))
+    return ["sweep", *_moe_args(tmp_path / "out"), "--grid", str(grid),
+            "--tile", str(_HUGE)]
+
+
+def _estimate_with_huge_decode_stride(tmp_path):
+    return ["estimate", *_base_args(tmp_path), "--phase", "decode",
+            "--decode-stride", str(_HUGE)]
+
+
+def _sweep_with_huge_jobs(tmp_path):
+    return _sweep_with(tmp_path, "--jobs", str(_HUGE))
+
+
+def _grid_overlap_with_huge_stages(tmp_path):
+    return _sweep_over(tmp_path, json.dumps({"tp": [2], "overlap": [f"{_HUGE}:4"]}))
+
+
+def _overlap_flag_with_huge_sm(tmp_path):
+    return ["estimate", *_base_args(tmp_path), "--tp", "2", "--overlap", f"2:{_HUGE}"]
+
+
 _NAMED.update({
     _gemm_row_with_huge_dtype_bytes: f"input:2: dtype_bytes {_HUGE_MESSAGE}",
     _comm_rows_with_huge_world: f"input:1011: world {_HUGE_MESSAGE}",
     _comm_rows_with_huge_sm_count: f"input:1011: sm_count {_HUGE_MESSAGE}",
+    _estimate_moe_with_huge_tile: f"--tile {_HUGE_MESSAGE}",
+    _sweep_moe_with_huge_tile: f"--tile {_HUGE_MESSAGE}",
+    _estimate_with_huge_decode_stride: f"--decode-stride {_HUGE_MESSAGE}",
+    _sweep_with_huge_jobs: f"--jobs {_HUGE_MESSAGE}",
+    _grid_overlap_with_huge_stages: f"grid.json: overlap stages {_HUGE_MESSAGE}",
+    _overlap_flag_with_huge_sm: f"error: overlap sm {_HUGE_MESSAGE}",
 })
 
 
@@ -1342,13 +1380,18 @@ _NAMED.update({
     _sweep_latency_budget_negative, _pareto_latency_budget_inf,
     _hw_with_huge_p_idle, _feasible_point_with_huge_latency, _dims_with_huge_size,
     _estimate_with_huge_batch, _grid_huge_batch, _gemm_row_with_huge_dtype_bytes,
-    _comm_rows_with_huge_world, _comm_rows_with_huge_sm_count])
+    _comm_rows_with_huge_world, _comm_rows_with_huge_sm_count,
+    _estimate_moe_with_huge_tile, _sweep_moe_with_huge_tile,
+    _estimate_with_huge_decode_stride, _sweep_with_huge_jobs,
+    _grid_overlap_with_huge_stages, _overlap_flag_with_huge_sm])
 def test_malformed_input_is_validation_error(tmp_path, make_argv, capsys):
     assert main(make_argv(tmp_path)) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "validation error" in err
     # names the malformed file, or the value
     assert _NAMED.get(make_argv, str(tmp_path)) in err
+    # an integer too large for a float is named by its size, not its digits
+    assert str(_HUGE) not in err
 
 
 @pytest.mark.parametrize("command", ["validate", "sweep"])

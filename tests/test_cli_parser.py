@@ -144,6 +144,50 @@ def test_a_warm_estimate_never_asks_the_terminal_width(tmp_path, monkeypatch):
     assert asked == []
 
 
+def _sweep_argv(out):
+    grid = out / "grid.json"
+    grid.write_text(json.dumps({"tp": [1, 2]}))
+    return ["sweep", *_estimate_argv(out)[1:], "--grid", str(grid)]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The prog of each parser whose ``parse_known_args`` is called, which
+    still parses."""
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(parser, *args, **kwargs):
+        progs.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    return progs
+
+
+def test_a_warm_canonical_argv_never_reaches_argparse(tmp_path, parses):
+    # Option and value pairs, each option in full: the namespace is read
+    # off the kept parser's actions.
+    for argv in (_estimate_argv(tmp_path), _sweep_argv(tmp_path)):
+        assert cli.main(argv) == cli.EXIT_OK
+        parses.clear()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert parses == []
+
+
+@pytest.mark.parametrize("columns", _WIDTHS)
+def test_every_other_form_reaches_argparse(tmp_path, columns, golden, monkeypatch,
+                                           capsys, parses):
+    # Help, a bad choice or integer, an abbreviation, "--=x", a leftover
+    # and a missing required option, after a warm estimate: argparse parses
+    # each and prints its recorded text.
+    assert cli.main(_estimate_argv(tmp_path)) == cli.EXIT_OK
+    for argv in _ARGVS:
+        parses.clear()
+        assert capture(argv, columns, monkeypatch, capsys) == golden[_key(columns, argv)]
+        assert parses, argv
+
+
 def test_estimate_adds_no_argument_to_other_subcommands(tmp_path, capsys, empty_parsers):
     # Every parser adds its own -h/--help when it is built; only the
     # subcommand's own arguments are counted.
@@ -178,16 +222,46 @@ _WORDS = ["--spec", "s", "--sp", "--dims", "d", "--hw", "h", "--comm-cal", "--co
           "c", "--tp", "2", "--t", "--bat", "--batch=3", "x", "-1", "--phase",
           "decode", "middle", "--format", "json,csv", "--grid", "g", "--points",
           "--", "--bogus", "--=x", "--version", "--ver", "-h", "--help", "list",
-          "estimate", "sweep"]
+          "estimate", "sweep",
+          # Values at the edges of a canonical read: converted by int or
+          # float or not at all, in the choices or not. (Not "nan": a NaN
+          # namespace equals no namespace.)
+          "", " 7", "5_0", "0x10", "1e3", "\u0663", "inf", "2:4", "csv",
+          "max-overlap",
+          "--tile", "--latency-budget", "--overlap", "--heuristic", "--jobs",
+          "--decode-stride"]
+# Each option of _WORDS spelled in full, and each value.
+_OPTIONS = ["--spec", "--dims", "--hw", "--comm-cal", "--tp", "--phase", "--format",
+            "--grid", "--points", "--tile", "--latency-budget", "--overlap",
+            "--heuristic", "--jobs", "--decode-stride"]
+_VALUES = [word for word in _WORDS if not word.startswith("-")]
+# What each subcommand requires, as option and value words.
+_REQUIRED = {"estimate": ["--spec", "s", "--dims", "d", "--hw", "h", "--comm-cal", "c"],
+             "pareto": ["--points", "p"], "validate": [], "fixtures": ["list"]}
+_REQUIRED["sweep"] = [*_REQUIRED["estimate"], "--grid", "g"]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, its required options in three draws of four, option
+    and value pairs and, in half the draws, other words among them: many
+    argvs are canonical or one word away from it."""
+    name = draw(st.sampled_from(_SUBCOMMANDS))
+    words = _REQUIRED[name] if draw(st.integers(0, 3)) else []
+    pieces = draw(st.lists(st.tuples(st.sampled_from(_OPTIONS),
+                                     st.sampled_from(_VALUES)), max_size=3))
+    if draw(st.booleans()):
+        pieces += draw(st.lists(st.sampled_from(_WORDS).map(lambda word: (word,)),
+                                min_size=1, max_size=12))
+    pieces = draw(st.permutations(pieces))
+    return [name, *words, *(word for piece in pieces for word in piece)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(argv=st.tuples(st.sampled_from(_SUBCOMMANDS),
-                      st.lists(st.sampled_from(_WORDS), max_size=12)).map(
-           lambda parts: [parts[0], *parts[1]]))
+@given(argv=_argvs())
 def test_a_subcommand_parses_alone_as_the_full_parser_parses_it(argv):
-    # Valid argvs, abbreviations, leftovers, top-level options, "--" and
-    # bad values, with help text at the terminal's width: the same
+    # Canonical argvs, abbreviations, leftovers, top-level options, "--"
+    # and bad values, with help text at the terminal's width: the same
     # namespace, or the same exit code and text.
     def alone_first(argv):
         return cli._parse_subcommand(argv) or cli.build_parser().parse_args(argv)

@@ -609,12 +609,20 @@ def test_prefill_rows_match_reference(request, spec_name, degrees, routing,
     assert (report.category_energy()[CATEGORY_EXPOSED] > 0) == (setting is not None)
 
 
-@pytest.mark.parametrize("tile", [0, -16])
+@pytest.mark.parametrize("tile, message", [
+    pytest.param(0, "tile must be >= 1, got 0", id="0"),
+    pytest.param(-16, "tile must be >= 1, got -16", id="-16"),
+    pytest.param(10**400, "tile must be an integer that fits a float, "
+                          "got one of 1329 bits", id="huge"),
+    pytest.param(16.0, "tile must be an integer, got 16.0", id="float"),
+])
 def test_estimator_rejects_tile_below_one(dense_spec, dims_8b, hw, roofline,
-                                          comm_backend, tile):
-    # Checked for every spec, not only when an MoE op quantizes tokens.
-    with pytest.raises(ValidationError, match=f"tile must be >= 1, got {tile}"):
+                                          comm_backend, tile, message):
+    # Checked for every spec, not only when an MoE op quantizes tokens; a
+    # tile is an integer that a float can hold, as the CLI's --tile is.
+    with pytest.raises(ValidationError) as error:
         Estimator(dense_spec, dims_8b, hw, roofline, comm_backend, tile=tile)
+    assert str(error.value) == message
 
 
 @pytest.mark.parametrize("backend", ["roofline", "table"])
