@@ -109,10 +109,10 @@ class Estimator:
     """Prices a model spec under given bindings, hardware, and backends.
 
     What an evaluation shares with others is computed once per estimator
-    and reused: the validated degrees and the memory model per set of
-    parallel degrees, the compiled :class:`LayerPlan` per (degrees, phase),
-    and that plan with each overlap setting applied. Validation failures
-    are memoized as messages and raised again on each evaluation.
+    and reused: the validated degrees, the memory model and the compiled
+    :class:`LayerPlan` per set of parallel degrees, one plan for both
+    phases and every overlap setting. Validation failures are memoized as
+    messages and raised again on each evaluation.
 
     That memo depends on the spec and dims alone, not on the hardware, the
     backends, the tile or the routing trace. ``memo``, if given, is the
@@ -170,23 +170,10 @@ class Estimator:
             ("memory", tuple(degrees.items())),
             lambda: build_memory_model(self.spec, self.dims, degrees, self.layers()))
 
-    def _layer_plan(self, degrees: dict[str, int], phase: str,
-                    overlap: Optional[tuple[int, int]]) -> LayerPlan:
-        """The layer compiled once per (degrees, phase), with ``overlap``
-        applied to its steps."""
-        key = ("plan", tuple(degrees.items()), phase)
-        plan = self._memoized(
-            key, lambda: compile_layer(self.spec, self.dims, degrees, phase))
-        if overlap is None:
-            return plan
-        return self._memoized((*key, overlap), lambda: plan.with_overlap(overlap))
-
-    def _unoverlapped_plan(self, degrees: dict[str, int]) -> LayerPlan:
-        """The prefill layer at ``degrees`` with no step overlapped, kept
-        next to its plan: what every overlap setting lowers first."""
-        return self._memoized(
-            ("plan", tuple(degrees.items()), PREFILL, "unoverlapped"),
-            lambda: self._layer_plan(degrees, PREFILL, None).unoverlapped())
+    def _layer_plan(self, degrees: dict[str, int]) -> LayerPlan:
+        """The layer compiled once per set of degrees."""
+        return self._memoized(("plan", tuple(degrees.items())),
+                              lambda: compile_layer(self.spec, self.dims, degrees))
 
     def routing_stats(self, ctx: PhaseContext,
                       degrees: dict[str, int]) -> Optional[RoutingStats]:
@@ -246,11 +233,10 @@ class Estimator:
                  overlap: Optional[tuple[int, int]] = None) -> PhaseReport:
         """Price one phase at ``degrees``, with the overlap setting
         (stages, sm_comm) applied to every eligible op (see
-        :func:`compile_layer`)."""
+        :meth:`~llm_energy.interpreter.LayerPlan.overlaps`)."""
         degrees = self._validated(degrees)
-        plan = self._layer_plan(degrees, ctx.phase, overlap)
-        if plan.error is not None:
-            raise ValidationError(plan.error)  # whatever the memory verdict
+        plan = self._layer_plan(degrees)
+        overlaps = plan.overlaps(overlap, ctx.phase)  # whatever the memory verdict
         layers = self.layers()
         gpus = self.gpu_count(degrees)
         report = PhaseReport(phase=ctx.phase, batch=ctx.batch, isl=ctx.isl,
@@ -277,8 +263,7 @@ class Estimator:
             # One point of the sweeps' column pricing, bound as plain sizes.
             stats = self.routing_stats(ctx, degrees)
             [(rows, errors)] = self._prefill_rows(
-                [plan], self._unoverlapped_plan(degrees),
-                {"b": ctx.batch, "s": ctx.s, "z": ctx.s}, 1,
+                plan, [overlaps], {"b": ctx.batch, "s": ctx.s, "z": ctx.s}, 1,
                 stats.avg if stats else None,
                 None if stats is None or stats.balanced else stats.max,
                 float(gpus))
@@ -356,29 +341,30 @@ class Estimator:
         of the report :meth:`estimate` gives for it under that setting,
         and an infeasible point's reason is the message of the report or
         ValidationError :meth:`estimate` gives, in the same precedence:
-        validation, then the plan error, then memory per point, then
-        routing statistics, then lowering errors in stream order, then
-        overlap checks op by op. Errors of other kinds propagate, as from
-        :meth:`estimate`, when a point reaches them, settings in order.
+        validation, then the setting's overlap error (see
+        :meth:`~llm_energy.interpreter.LayerPlan.overlaps`), then memory
+        per point, then routing statistics, then lowering errors in stream
+        order, then overlap checks op by op. Errors of other kinds
+        propagate, as from :meth:`estimate`, when a point reaches them,
+        settings in order.
         """
         out: list = [None] * len(settings)
-        plans, live_settings = [], []
+        views, live_settings = [], []
         try:
             degrees = self._validated(degrees)
+            plan = self._layer_plan(degrees)
         except ValidationError as exc:
             return [[(None, None, str(exc))] * len(points) for _ in settings]
         for j, setting in enumerate(settings):
             try:
-                plan = self._layer_plan(degrees, PREFILL, setting)
-                if plan.error is not None:
-                    raise ValidationError(plan.error)
+                overlaps = plan.overlaps(setting, PREFILL)
                 memory = self.memory_model(degrees)
             except ValidationError as exc:
                 out[j] = [(None, None, str(exc))] * len(points)
                 continue
-            plans.append(plan)
+            views.append(overlaps)
             live_settings.append(j)
-        if not plans:
+        if not views:
             return out
 
         # Per point, only the memory test: check_memory is asked for the
@@ -405,7 +391,7 @@ class Estimator:
             live.append(i)
         if not has_moe:
             stats = [None] * len(live)
-        priced = self._prefill_columns(plans, degrees,
+        priced = self._prefill_columns(plan, views, degrees,
                                        [points[i] for i in live], stats)
         for j, per_point in zip(live_settings, priced):
             results = list(shared)
@@ -414,16 +400,16 @@ class Estimator:
             out[j] = results
         return out
 
-    def _prefill_columns(self, plans: list[LayerPlan], degrees: dict[str, int],
-                         pairs: list[tuple[int, int]], stats: list
-                         ) -> list[list[Priced]]:
+    def _prefill_columns(self, plan: LayerPlan, views: list[tuple],
+                         degrees: dict[str, int], pairs: list[tuple[int, int]],
+                         stats: list) -> list[list[Priced]]:
         """:meth:`estimate_prefill_settings` of (batch, isl) points that fit
         in memory, with their routing statistics (None for a dense spec),
-        under the plan of each setting: all are one layer, overlapped
-        differently."""
+        under each setting's overlaps in ``views`` (see
+        :meth:`~llm_energy.interpreter.LayerPlan.overlaps`)."""
         n = len(pairs)
         if not n:
-            return [[] for _ in plans]
+            return [[] for _ in views]
         env = {"b": array("q", [batch for batch, _ in pairs]),
                "s": array("q", [isl for _, isl in pairs])}
         env["z"] = env["s"]  # z = isl throughout prefill
@@ -435,16 +421,15 @@ class Estimator:
                 moe_max = tuple(array("d", col)
                                 for col in zip(*(st.max for st in stats)))
         try:
-            priced = self._prefill_rows(plans, self._unoverlapped_plan(degrees),
-                                        env, n, moe_avg, moe_max,
+            priced = self._prefill_rows(plan, views, env, n, moe_avg, moe_max,
                                         float(self.gpu_count(degrees)))
         except MixedColumns as mixed:
             # Some points lower a GEMM as a memory op, which changes their
             # rows: price each kind of point as its own group.
-            split: list = [[None] * n for _ in plans]
+            split: list = [[None] * n for _ in views]
             for flag in (True, False):
                 part = [i for i in range(n) if mixed.ones[i] == flag]
-                priced = self._prefill_columns(plans, degrees,
+                priced = self._prefill_columns(plan, views, degrees,
                                                [pairs[i] for i in part],
                                                [stats[i] for i in part])
                 for results, part_results in zip(split, priced):
@@ -461,38 +446,39 @@ class Estimator:
                 (latencies[i], energies[i], "") for i in range(n)])
         return out
 
-    def _prefill_rows(self, plans: list[LayerPlan], bare: LayerPlan,
+    def _prefill_rows(self, plan: LayerPlan, views: list[tuple],
                       env: dict, n: int,
                       moe_avg: Optional[tuple], moe_max: Optional[tuple],
                       gpus: float) -> list[tuple[list, dict]]:
-        """Per plan, the report rows of ``n`` prefill points bound by
-        ``env``, and the error of each point that fails: the rows as
-        ((label, category), (latencies, energies)), in report order (none
-        when every point fails), the errors by point index. ``bare`` is
-        the plans' layer with no step overlapped.
+        """Per setting's overlaps in ``views`` (see
+        :meth:`~llm_energy.interpreter.LayerPlan.overlaps`), the report
+        rows of ``n`` prefill points bound by ``env``, and the error of
+        each point that fails: the rows as ((label, category), (latencies,
+        energies)), in report order (none when every point fails), the
+        errors by point index.
 
         ``moe_avg`` and ``moe_max`` bind the MoE ops' (T, E) under the
         average and, if any point is imbalanced, the bottleneck GPU's
-        routing. Every op is lowered once, un-overlapped, for all plans
-        (each MoE op once more for the bottleneck GPU), and each kernel
-        column of an op that a plan leaves un-overlapped is priced at most
-        once; a row made only of such kernels is summed once. Errors of
-        kinds other than ValidationError propagate. A GEMM whose N is 1 at
-        some points only raises
+        routing. Every op of ``plan`` is lowered once, un-overlapped, for
+        all settings (each MoE op once more for the bottleneck GPU), and
+        each kernel column of an op that a setting leaves un-overlapped is
+        priced at most once; a row made only of such kernels is summed
+        once. Errors of kinds other than ValidationError propagate. A GEMM
+        whose N is 1 at some points only raises
         :class:`~llm_energy.interpreter.MixedColumns`.
         """
         errors: dict = {}
         failed_at: dict = {}
-        lowered = bare.lower_columns(env, n, moe_avg, errors, failed_at)
+        lowered = plan.lower_columns(env, n, moe_avg, errors, failed_at)
         lowered_max = None
         if moe_max is not None and any(op.is_moe for op in lowered):
             # Its errors come after every error of the average lowering.
-            lowered_max = bare.lower_columns(env, n, moe_max, errors, moe_only=True)
+            lowered_max = plan.lower_columns(env, n, moe_max, errors, moe_only=True)
         costs: dict = {}
 
         def price(idx: int, k_idx: int) -> tuple[array, array]:
             # Each kernel column of an op left un-overlapped once, whichever
-            # plans price it.
+            # settings price it.
             cost = costs.get((idx, k_idx))
             if cost is None:
                 cost = costs[(idx, k_idx)] = self._priced(lowered, lowered_max,
@@ -503,15 +489,16 @@ class Estimator:
         shared_rows: dict = {}
         stages_memo: dict = {}
         out = []
-        for plan in plans:
-            ops, point_errors = _overlapped(plan, lowered, errors, failed_at, n)
+        for overlaps in views:
+            ops, point_errors = plan.overlapped(overlaps, lowered, errors,
+                                                failed_at, n)
             for exc in point_errors.values():
                 if not isinstance(exc, ValidationError):
                     raise exc  # before any pricing
             # (label, category, latencies, energies, source) of each entry
             # in stream order. The source is the (op, kernel) index of a
             # kernel column priced un-overlapped, the same under every
-            # plan, or None for an overlapped op's entries.
+            # setting, or None for an overlapped op's entries.
             entries: list = []
             for idx, op in enumerate(ops):
                 if len(point_errors) == n:
@@ -609,24 +596,3 @@ def _accumulate_rows(entries: list, n: int, weight: float, gpus: float,
         rows.append((key, row))
     return rows
 
-
-def _overlapped(plan: LayerPlan, lowered: list[LoweredColumns], errors: dict,
-                failed_at: dict, n: int) -> tuple[list[LoweredColumns], dict]:
-    """The columns ``plan`` lowers at ``n`` points, and each point's first
-    lowering error, from the columns and errors of the same plan lowered
-    un-overlapped, with the step of each error in ``failed_at``: each op
-    that ``plan`` overlaps takes its overlapped columns."""
-    ops, errors = list(lowered), dict(errors)
-    for idx, step in enumerate(plan.steps[:len(ops)]):
-        if step.overlap is None:
-            continue
-        try:
-            ops[idx] = step.overlapped(ops[idx])
-        except ValidationError as exc:
-            # Lowering meets this error after any of the step's own, and
-            # then every point has failed.
-            for i in range(n):
-                if failed_at.get(i, idx + 1) > idx:
-                    errors[i] = exc
-            break
-    return ops, errors

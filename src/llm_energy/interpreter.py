@@ -7,17 +7,20 @@ The ``attention`` opcode expands to its sub-equations plus a memory op for
 the score tensor.
 
 Lowering runs in two steps: :func:`compile_layer` fixes everything that
-depends only on the spec, dims, parallel degrees and phase, and
-:meth:`LayerPlan.lower_columns` binds the runtime symbols of a column of
-evaluations, any of b, s, z, T and E one size for all of them or a column
-over them (one evaluation, the decode positions of one point, or the
-batch sizes and sequence lengths of a sweep group): it sizes each kernel
-over every evaluation, as columns, and builds no descriptor per
-evaluation. :meth:`LayerPlan.lower` gives one evaluation's kernel
-descriptors, read off its one-point columns. :meth:`LayerPlan.lower_decode`
-lowers each step of a decode layer once for all its positions, a kernel
-affine in the context length z as a line in z, which a backend sums over a
-range of positions in closed form.
+depends only on the spec, dims and parallel degrees, once for both phases
+and every overlap setting, and :meth:`LayerPlan.lower_columns` binds the
+runtime symbols of a column of evaluations, any of b, s, z, T and E one
+size for all of them or a column over them (one evaluation, or the batch
+sizes and sequence lengths of a sweep group): it sizes each kernel over
+every evaluation, as columns, and builds no descriptor per evaluation.
+:meth:`LayerPlan.lower_decode` lowers each step of a decode layer once for
+all its positions, a kernel affine in the context length z as a line in z,
+which a backend sums over a range of positions in closed form.
+
+An overlap setting is a view of the one plan: :meth:`LayerPlan.overlaps`
+gives each step's overlap, which :meth:`LayerPlan.overlapped` applies to
+the columns. :meth:`LayerPlan.lower` gives one evaluation's kernel
+descriptors, read off its one-point columns.
 """
 
 from __future__ import annotations
@@ -668,7 +671,7 @@ def _compile_compute(op: OpSpec, dims: DimensionBindings,
 
 class _OpStep(NamedTuple):
     """One op of a LayerPlan: its kernels' sizes compiled, every condition
-    that depends only on the spec, dims, degrees and phase decided."""
+    that depends only on the spec, dims and degrees decided."""
 
     label: str  # of the lowered op; attention sub-ops carry their parent's
     op: OpSpec
@@ -677,7 +680,6 @@ class _OpStep(NamedTuple):
     transition: Optional[tuple]  # (previous output, label, cp degree)
     compute: _Compute
     allreduce: Optional[tuple]  # (output, world)
-    overlap: Optional[tuple]  # (stages, sm_comm, dim)
     # A decode context step summed over z in closed form: its one kernel is
     # affine in z, needs no collective and no routing statistics.
     line: bool = False
@@ -730,20 +732,9 @@ class _OpStep(NamedTuple):
                                        size.column(env, dims, count, errors)]),
                 world, label=f"{op.label} AllReduce")
             kernels.append(collective)
-        lowered = LoweredColumns(
+        return LoweredColumns(
             self.label, tuple(kernels), self.is_moe, self.reads_context, None,
             compute if isinstance(compute, GemmColumns) else None, collective)
-        return lowered if self.overlap is None else self.overlapped(lowered)
-
-    def overlapped(self, columns: LoweredColumns) -> LoweredColumns:
-        """This step's columns, overlapped, from its un-overlapped
-        ``columns``: the same without the collective kernel, which is the
-        last. An op with no collective to overlap raises; lowering meets
-        that error after the op's other errors."""
-        if columns.collective is None:
-            raise ValidationError(
-                f"op {self.op.label!r}: overlap annotated but no collective detected")
-        return columns._replace(kernels=columns.kernels[:-1], overlap=self.overlap)
 
     def lower_line(self, env: dict, dims: DimensionBindings) -> tuple:
         """(label, kernel line) of a :attr:`line` step (see
@@ -758,7 +749,6 @@ class _ScoreStep(NamedTuple):
     label: str
     size: _Product
     reads_context: bool
-    overlap: None = None  # never overlapped
     line: bool = False  # as _OpStep.line
 
     def columns(self, env: dict, moe_env: Optional[dict],
@@ -779,73 +769,100 @@ class _ScoreStep(NamedTuple):
 
 
 class LayerPlan(NamedTuple):
-    """One layer compiled for (spec, dims, degrees, phase);
-    :meth:`lower_columns` binds the runtime symbols of a column of
-    evaluations."""
+    """One layer compiled for (spec, dims, degrees), in either phase and
+    under any overlap setting; :meth:`lower_columns` binds the runtime
+    symbols of a column of evaluations."""
 
-    phase: str
     dims: DimensionBindings
     steps: tuple = ()
-    error: Optional[str] = None  # the layer cannot be lowered in this phase
+    # The spec's overlap annotation (stages, sm_comm, dim) of each step, or
+    # None, and whether any op or attention sub-op carries one.
+    annotations: tuple = ()
+    annotated: bool = False
     # Indices of the steps of the top-level ops that take an overlap
     # setting (see _takes_overlap).
     overlap_steps: tuple = ()
     # Indices of the MoE ops' steps, the only ones that read T and E.
     moe_steps: tuple = ()
 
-    def with_overlap(self, setting: Optional[tuple[int, int]]) -> "LayerPlan":
-        """This plan with the overlap setting (stages, sm_comm) applied:
-        it replaces the overlap of every step in :attr:`overlap_steps`.
+    def overlaps(self, setting: Optional[tuple[int, int]], phase: str) -> tuple:
+        """The overlap (stages, sm_comm, dim) of each step, or None, in
+        ``phase`` under the overlap ``setting`` (stages, sm_comm), or None
+        for no setting: the spec's annotations, with the setting put on
+        every step in :attr:`overlap_steps`.
 
-        A setting that fails
-        :func:`~llm_energy.spec_lang.check_overlap_setting` raises its
-        error. Overlap is prefill-only, so in decode the result is a plan
-        whose error says so, as it is when no step takes the setting. A
-        plan that has an error keeps it.
+        It raises, in this order: the error of a setting that fails
+        :func:`~llm_energy.spec_lang.check_overlap_setting`; "overlap is
+        prefill-only" in decode, with a setting or an annotation on any op
+        or sub-op; and the error of a setting that no step takes.
         """
+        if setting is not None:
+            check_overlap_setting(*setting, f"overlap setting {setting!r}")
+        if phase == DECODE and (setting is not None or self.annotated):
+            raise ValidationError("overlap is prefill-only")
         if setting is None:
-            return self
-        check_overlap_setting(*setting, f"overlap setting {setting!r}")
-        if self.error is not None:
-            return self
-        if self.phase == DECODE:
-            return LayerPlan(self.phase, self.dims, error="overlap is prefill-only")
+            return self.annotations
         if not self.overlap_steps:
-            return LayerPlan(self.phase, self.dims, error=(
+            raise ValidationError(
                 f"overlap setting {setting[0]}:{setting[1]} applies to no op: "
-                "none has both s and a sharded symbol that it sums"))
-        steps = list(self.steps)
+                "none has both s and a sharded symbol that it sums")
+        overlaps = list(self.annotations)
         for index in self.overlap_steps:
-            steps[index] = steps[index]._replace(overlap=(*setting, "s"))
-        return self._replace(steps=tuple(steps))
+            overlaps[index] = (*setting, "s")
+        return tuple(overlaps)
 
-    def unoverlapped(self) -> "LayerPlan":
-        """This plan with no step overlapped: each op lowers its
-        collective as a kernel of its own."""
-        if not any(step.overlap for step in self.steps):
-            return self
-        return self._replace(steps=tuple(step._replace(overlap=None)
-                                         for step in self.steps))
+    def overlapped(self, overlaps: tuple, lowered: list[LoweredColumns],
+                   errors: dict, failed_at: dict, count: int
+                   ) -> tuple[list[LoweredColumns], dict]:
+        """The columns of ``count`` points under ``overlaps`` (see
+        :meth:`overlaps`), and each point's first lowering error, from the
+        layer's columns and errors lowered un-overlapped by
+        :meth:`lower_columns`, with the step of each error in
+        ``failed_at``: each op that ``overlaps`` sets loses its collective
+        kernel, which is the last, and takes its overlap. An op with no
+        collective to overlap fails every point that has not failed at or
+        before it: lowering meets that error after the op's own."""
+        ops, errors = list(lowered), dict(errors)
+        for idx, overlap in enumerate(overlaps[:len(ops)]):
+            if overlap is None:
+                continue
+            op = ops[idx]
+            if op.collective is None:
+                exc = ValidationError(f"op {self.steps[idx].op.label!r}: overlap "
+                                      "annotated but no collective detected")
+                for i in range(count):
+                    if failed_at.get(i, idx + 1) > idx:
+                        errors[i] = exc
+                break
+            ops[idx] = op._replace(kernels=op.kernels[:-1], overlap=overlap)
+        return ops, errors
+
+    def lower(self, ctx: PhaseContext,
+              moe_te: Optional[tuple[float, float]] = None,
+              overlap: Optional[tuple[int, int]] = None) -> list[LoweredOp]:
+        """Lower the layer at ``ctx`` under the overlap setting ``overlap``
+        (see :meth:`overlaps`): kernel descriptor groups in stream order,
+        with ``moe_te`` bound as MoE ops' (T, E), read off the layer's
+        one-point columns (:meth:`lower_columns`). Only a decode op reads
+        the context: z = isl throughout prefill."""
+        overlaps = self.overlaps(overlap, ctx.phase)
+        env = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
+        errors, failed_at = {}, {}
+        ops, errors = self.overlapped(
+            overlaps, self.lower_columns(env, 1, moe_te, errors, failed_at),
+            errors, failed_at, 1)
+        if errors:
+            raise errors[0]
+        decode = ctx.phase == DECODE
+        return [op._replace(reads_context=decode and op.reads_context).one_point()
+                for op in ops]
 
     def _moe_env(self, env: dict, moe_te: Optional[tuple]) -> Optional[dict]:
-        """Check that the plan can be lowered; return the MoE ops'
-        bindings: ``env`` with ``moe_te`` bound as (T, E), if given."""
-        if self.error is not None:
-            raise ValidationError(self.error)
+        """The MoE ops' bindings: ``env`` with ``moe_te`` bound as (T, E),
+        if given."""
         if moe_te is None:
             return None
         return dict(env, **{MOE_TOKEN_SYMBOL: moe_te[0], "E": moe_te[1]})
-
-    def lower(self, ctx: PhaseContext,
-              moe_te: Optional[tuple[float, float]] = None) -> list[LoweredOp]:
-        """Lower the layer at ``ctx``: kernel descriptor groups in stream
-        order, with ``moe_te`` bound as MoE ops' (T, E), read off the
-        layer's one-point columns (:meth:`lower_columns`)."""
-        if ctx.phase != self.phase:
-            raise ValidationError(
-                f"layer compiled for {self.phase} cannot lower a {ctx.phase} context")
-        env = {"b": ctx.batch, "s": ctx.s, "z": ctx.z}
-        return [op.one_point() for op in self.lower_columns(env, 1, moe_te)]
 
     def lower_columns(self, env: dict, count: int,
                       moe_te: Optional[tuple] = None,
@@ -958,46 +975,45 @@ class LayerPlan(NamedTuple):
 
 def _takes_overlap(op: OpSpec) -> bool:
     """Whether an overlap setting applies to a top-level op: its sharded
-    symbol is summed, so it ends in an AllReduce, and it has ``s``."""
+    symbol is summed, so it ends in an AllReduce, it has ``s``, and it is a
+    GEMM with an N symbol, so it lowers as a GEMM. A two-operand sum with
+    no N symbol (an MoE weighted reduction) lowers as a memory op, which
+    no overlap can split."""
     eq = op.equation
-    return op.parallel in eq.summation_symbols and "s" in eq.all_symbols()
+    if op.parallel not in eq.summation_symbols or "s" not in eq.all_symbols():
+        return False
+    try:
+        return bool(_gemm_axes(eq)[3])
+    except SpecError:
+        return False
 
 
 def compile_layer(spec: ModelSpec, dims: DimensionBindings,
-                  degrees: dict[str, int], phase: str,
-                  overlap: Optional[tuple[int, int]] = None) -> LayerPlan:
-    """Compile one layer's lowering for fixed spec, dims, degrees, phase
-    and overlap setting.
+                  degrees: dict[str, int]) -> LayerPlan:
+    """Compile one layer's lowering for fixed spec, dims and degrees, once
+    for both phases and every overlap setting.
 
     Everything but the runtime symbols b, s and z (and, for MoE ops, the
     routing statistics T and E) is fixed here: the op stream and each op's
     predecessor, shards, GEMM symbol partition, local sizes of the bound
-    symbols, collectives, cp transitions, each op's overlap and the
-    ``reads_context`` tags. Errors that lowering would raise are kept and
-    raised by :meth:`LayerPlan.lower_columns`, in the order lowering meets
-    them.
+    symbols, collectives, cp transitions, each op's overlap annotation,
+    the top-level ops that take an overlap setting (see
+    :func:`_takes_overlap`) and the ``reads_context`` tags. Errors that
+    lowering would raise are kept and raised by
+    :meth:`LayerPlan.lower_columns`, in the order lowering meets them. A
+    phase and an overlap setting give the overlap of each step
+    (:meth:`LayerPlan.overlaps`).
 
-    The ``overlap`` setting (stages, sm_comm) is applied by
-    :meth:`LayerPlan.with_overlap`: it replaces the annotation of every
-    top-level op that takes it (see :func:`_takes_overlap`). Overlap, set
-    or annotated on any op or sub-op, is prefill-only: in decode it is an
-    error of the whole plan.
-
-    In decode, a step is tagged ``reads_context`` when its kernels change
-    with z from one position to the next: z is a factor of one of its
-    compiled size products (its cp transition's, its compute kernel's, its
-    AllReduce's or its score's).
+    A step is tagged ``reads_context`` when its kernels change with z from
+    one decode position to the next: z is a factor of one of its compiled
+    size products (its cp transition's, its compute kernel's, its
+    AllReduce's or its score's). Only decode lowering reads the tag, and
+    the ``line`` tag built on it: z = isl throughout prefill.
     """
-    annotated = any(op.overlap_stage is not None
-                    for op in (*spec.ops, *_flatten_ops(spec)))
-    if phase == DECODE and annotated:
-        return LayerPlan(phase, dims, error="overlap is prefill-only"
-                         ).with_overlap(overlap)
     cp_degree = degrees.get("cp", 1)
 
     def reads(*sizes: Optional[_Product]) -> bool:
-        # z = isl throughout prefill
-        return phase == DECODE and any(p is not None and p.has_z for p in sizes)
+        return any(p is not None and p.has_z for p in sizes)
 
     def compile_op(op: OpSpec, prev: Optional[OpSpec], label: str) -> _OpStep:
         is_moe = _is_moe_op(op)
@@ -1017,8 +1033,6 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
             label=label, op=op, is_moe=is_moe, reads_context=context,
             transition=transition, compute=compute,
             allreduce=None if size is None else (size, world),
-            overlap=None if op.overlap_stage is None else (
-                op.overlap_stage, op.overlap_sm, op.overlap_dim),
             line=(context and not is_moe and transition is None and size is None
                   and compute.affine))
 
@@ -1041,10 +1055,16 @@ def compile_layer(spec: ModelSpec, dims: DimensionBindings,
                 steps.append(_ScoreStep(op.label, size, context,
                                         line=context and size.affine))
             prev = sub
-    plan = LayerPlan(phase, dims, tuple(steps), overlap_steps=tuple(takes),
-                     moe_steps=tuple(index for index, step in enumerate(steps)
-                                     if isinstance(step, _OpStep) and step.is_moe))
-    return plan.with_overlap(overlap)
+    return LayerPlan(
+        dims, tuple(steps),
+        tuple(None if isinstance(step, _ScoreStep) or step.op.overlap_stage is None
+              else (step.op.overlap_stage, step.op.overlap_sm, step.op.overlap_dim)
+              for step in steps),
+        annotated=any(op.overlap_stage is not None
+                      for op in (*spec.ops, *_flatten_ops(spec))),
+        overlap_steps=tuple(takes),
+        moe_steps=tuple(index for index, step in enumerate(steps)
+                        if isinstance(step, _OpStep) and step.is_moe))
 
 
 def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
@@ -1056,7 +1076,7 @@ def lower_model(spec: ModelSpec, dims: DimensionBindings, ctx: PhaseContext,
     pair for MoE ops; those ops skip the expert-parallel shard because the
     statistics are already per-GPU.
     """
-    return compile_layer(spec, dims, degrees, ctx.phase).lower(ctx, moe_te=moe_te)
+    return compile_layer(spec, dims, degrees).lower(ctx, moe_te=moe_te)
 
 
 def decode_positions(osl: int) -> range:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .compute import ZERO_COST, CostEstimate, one_cost
 from .errors import ValidationError
-from .spec_lang import InputFile, csv_blocks, in_file, open_text, read_csv
+from .spec_lang import InputFile, as_int, csv_blocks, in_file, open_text, read_csv
 
 DEFAULT_TILE = 16
 
@@ -73,7 +73,9 @@ def uniform_routing(batch: int, s: int, top_k: int, total_experts: int,
     ``batch*s*top_k`` experts activate, one token each, padded to the tile
     floor. When the activated experts do not divide evenly over the EP
     ranks, the bottleneck GPU holds ``ceil(activated / ep)`` of them.
+    ``tile`` is held to :func:`~llm_energy.spec_lang.as_int`'s rule.
     """
+    as_int(tile, "tile")
     if total_experts % ep_degree:
         raise ValidationError(
             f"total_experts {total_experts} not divisible by ep degree {ep_degree}")
@@ -192,8 +194,10 @@ def stats_from_trace(trace: RoutingTrace, total_experts: int, ep_degree: int,
 
     Experts are placed contiguously by index (experts [0, E/ep) on GPU 0,
     and so on). The bottleneck GPU is the one with the largest total
-    quantized work; averages are taken over all GPUs.
+    quantized work; averages are taken over all GPUs. ``tile`` is held to
+    :func:`~llm_energy.spec_lang.as_int`'s rule.
     """
+    as_int(tile, "tile")
     if total_experts % ep_degree:
         raise ValidationError(
             f"total_experts {total_experts} not divisible by ep degree {ep_degree}")

@@ -154,12 +154,17 @@ def reference_lower(spec, dims, ctx, degrees, moe_te=None):
 
 def annotate_overlap(spec, stages, sm_comm):
     """Reference for an overlap setting: ``spec`` with (stages, sm_comm, "s")
-    annotated on every top-level sharded contraction that has ``s``."""
+    annotated on every top-level sharded contraction that has ``s`` and is
+    a two-operand GEMM with an N symbol: an output symbol of the second
+    operand that the first lacks."""
     ops = []
     for op in spec.ops:
+        eq = op.equation
         if (not op.is_attention and op.parallel is not None
-                and op.parallel in op.equation.summation_symbols
-                and "s" in op.equation.all_symbols()):
+                and op.parallel in eq.summation_symbols
+                and "s" in eq.all_symbols() and len(eq.input_operands) == 2
+                and any(sym in eq.output_operand and sym not in eq.input_operands[0]
+                        for sym in eq.input_operands[1])):
             op = replace(op, overlap_stage=stages, overlap_sm=sm_comm,
                          overlap_dim="s")
         ops.append(op)

@@ -63,6 +63,29 @@ def test_estimate_phase_both(tmp_path):
     assert (tmp_path / "report_decode.json").exists()
 
 
+@pytest.mark.parametrize("tp, ep", [(2, 4), (2, 1), (1, 1), (1, 4)])
+def test_moe_overlap_takes_the_gemm_ops_only(tmp_path, capsys, tp, ep):
+    # The MoE weighted reduction (bsAm,bsA->bsm) sums its sharded A but has
+    # no N symbol, so it lowers as a memory op and no setting overlaps it:
+    # at tp 2 only Output Projection is overlapped, at any ep; at tp 1 it
+    # has no collective, and the setting fails as on a dense spec.
+    code = main(["estimate", *_base_args(tmp_path, "moe_fused.json",
+                                         "qwen3_30b_a3b.json"),
+                 "--batch", "4", "--isl", "512", "--overlap", "2:8",
+                 "--tp", str(tp), "--ep", str(ep)])
+    err = capsys.readouterr().err
+    if tp == 1:
+        assert code == EXIT_VALIDATION
+        assert ("op 'Output Projection': overlap annotated but no collective "
+                "detected") in err
+        return
+    assert code == EXIT_OK, err
+    report = json.loads((tmp_path / "report_prefill.json").read_text())
+    assert report["feasible"]
+    assert {r["label"] for r in report["rows"]
+            if r["category"] == "exposed-comm"} == {"Output Projection"}
+
+
 def test_estimate_infeasible_is_success(tmp_path):
     code = main(["estimate", *_base_args(tmp_path, dims="llama3_70b.json"),
                  "--tp", "2", "--batch", "64", "--isl", "131072"])
@@ -500,8 +523,8 @@ def test_a_kept_plan_memo_is_emptied_past_its_bound(tmp_path, monkeypatch, empty
         assert main([*argv, "--tp", str(tp)]) == EXIT_OK
         [memo] = cli._plans.values()
         sizes.append(len(memo))
-    # Per degrees: validated, memory model, plan and its un-overlapped form.
-    assert sizes == [4, 8, 4]
+    # Per degrees: validated, memory model and the one plan.
+    assert sizes == [3, 6, 3]
 
 
 def test_the_memoized_inputs_stay_as_parsed(tmp_path, empty_memo):
@@ -593,7 +616,8 @@ def test_kept_state_never_leaks_between_calls(tmp_path, capsys, empty_memo):
 
 def test_a_repeated_sweep_compiles_nothing(tmp_path, capsys, monkeypatch, empty_memo):
     # The compiled plans of a spec and dims are kept: a repeated sweep, and
-    # an estimate at degrees a sweep compiled, compile no layer.
+    # an estimate at degrees a sweep compiled, compile no layer, in either
+    # phase: one plan per degrees set serves both and every overlap setting.
     compiles = _counting(monkeypatch, engine, "compile_layer")
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"batch": [1, 4], "isl": [256, 512], "tp": [1, 2],
@@ -609,6 +633,13 @@ def test_a_repeated_sweep_compiles_nothing(tmp_path, capsys, monkeypatch, empty_
     assert main(["estimate", *_base_args(tmp_path / "est"), "--tp", "2",
                  "--isl", "256", "--overlap", "2:4"]) == EXIT_OK
     assert compiles == {"compile_layer": 2}
+    assert main(["estimate", *_base_args(tmp_path / "both"), "--tp", "2",
+                 "--isl", "256", "--phase", "both"]) == EXIT_OK
+    assert compiles == {"compile_layer": 2}
+    [memo] = cli._plans.values()
+    plans = [key[1] for key in memo if key[0] == "plan"]
+    assert len(plans) == 2
+    assert sorted(plans) == sorted(key[1] for key in memo if key[0] == "memory")
 
 
 def _fixture_reference_argv(tmp_path, command, reference):

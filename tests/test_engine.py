@@ -147,13 +147,17 @@ def test_moe_uniform_bottleneck_prices_whole_expert(moe_spec, dims_moe, hw,
 
 def test_overlap_setting_applies_to_eligible_ops(dense_spec, dims_8b):
     degrees, ctx = {"tp": 2, "ep": 1, "cp": 1}, PhaseContext(PREFILL, 1, 512)
-    plan = compile_layer(dense_spec, dims_8b, degrees, PREFILL, overlap=(4, 16))
-    overlapped = {op.label: op.overlap for op in plan.lower(ctx) if op.overlap}
+    plan = compile_layer(dense_spec, dims_8b, degrees)
+    overlapped = {op.label: op.overlap for op in plan.lower(ctx, overlap=(4, 16))
+                  if op.overlap}
     assert overlapped == {"Output Projection": (4, 16, "s"),
                           "Down Projection": (4, 16, "s")}
+    assert [step.label for step, overlap in zip(
+        plan.steps, plan.overlaps((4, 16), PREFILL)) if overlap] == list(overlapped)
     for bad in ((0, 4), (2, 0), (True, 4), (2.5, 4)):
-        with pytest.raises(ValidationError, match="integers >= 1"):
-            compile_layer(dense_spec, dims_8b, degrees, PREFILL, overlap=bad)
+        for phase in (PREFILL, DECODE):
+            with pytest.raises(ValidationError, match="integers >= 1"):
+                plan.overlaps(bad, phase)
 
 
 def test_overlap_changes_category_split(dense_spec, dims_70b, hw, roofline,
@@ -300,7 +304,7 @@ def _decode_lowering(spec, dims, degrees):
     """The decode layer lowered at one position (see
     :meth:`LayerPlan.lower_decode`); any routing statistics will do."""
     degrees = validate_bindings(spec, dims, degrees).degrees
-    plan = compile_layer(spec, dims, degrees, DECODE)
+    plan = compile_layer(spec, dims, degrees)
     return plan.lower_decode({"b": 2, "s": 1}, range(514, 515),
                              moe_te=(16.0, 8.0))
 
@@ -528,7 +532,7 @@ def test_decode_steps_read_the_context_by_their_compiled_sizes(
         dense_spec, moe_spec, dims_8b, dims_moe, cp_decode_spec):
     # Attention's sub-equations and score read z; under cp, so does the cp
     # transition sized by the QK scores, but not an op that only follows
-    # them. No prefill step reads the context: z = isl throughout.
+    # them. No op lowered in prefill reads the context: z = isl throughout.
     attention = {"Attention: QK", "Attention: score", "Attention: AV"}
     for spec, dims, degrees, reading in (
             (dense_spec, dims_8b, {"tp": 2}, attention),
@@ -538,8 +542,8 @@ def test_decode_steps_read_the_context_by_their_compiled_sizes(
         assert {op.label for op in _decode_lowering(spec, dims, degrees)
                 if op.reads_context} == reading
         degrees = validate_bindings(spec, dims, degrees).degrees
-        assert not any(step.reads_context for step in
-                       compile_layer(spec, dims, degrees, PREFILL).steps)
+        assert not any(op.reads_context for op in compile_layer(
+            spec, dims, degrees).lower(PhaseContext(PREFILL, 2, 512), (16.0, 8.0)))
 
 
 @pytest.mark.parametrize("settings", [[(2, 4), None, (4, 16), (1, 8), (2, 108)],
@@ -793,8 +797,8 @@ def test_bottleneck_lowering_of_moe_steps_matches_reference(
     degrees = validate_bindings(moe_spec, dims_moe, {"tp": 2, "ep": ep}).degrees
     stats = est.routing_stats(PhaseContext(PREFILL, 2, 512), degrees)
     assert stats.balanced == (routing == "balanced" or ep == 1)
+    plan = compile_layer(moe_spec, dims_moe, degrees)  # for both phases
     for phase in (PREFILL, DECODE):
-        plan = compile_layer(moe_spec, dims_moe, degrees, phase)
         assert list(plan.moe_steps) == [
             index for index, op in enumerate(plan.lower_columns(
                 {"b": 2, "s": 1, "z": 513}, 1, stats.avg)) if op.is_moe]
@@ -868,7 +872,7 @@ def test_lowering_errors_under_both_bindings_keep_message_and_precedence(
         "symbol 's' size 511 not divisible by degree 2",
         "symbol 's' size 7 not divisible by degree 2"]
 
-    plan = compile_layer(spec, dims_moe, validated, PREFILL)
+    plan = compile_layer(spec, dims_moe, validated)
     env = {"b": array("q", [b for b, _ in points]),
            "s": array("q", [s for _, s in points])}
     env["z"] = env["s"]
@@ -894,18 +898,19 @@ def test_lowering_errors_under_both_bindings_keep_message_and_precedence(
     assert est.estimate(PhaseContext(DECODE, 2, 64, osl=5), degrees).feasible
 
 
-def test_unoverlapped_plan_is_kept_next_to_the_plan(dense_spec, dims_8b, hw, roofline,
-                                                    comm_backend, monkeypatch):
-    # An overlapped prefill lowers the layer un-overlapped first: that plan
-    # is made once per degrees and kept in the memo, and a second call with
-    # it gives the first's rows, which a fresh estimator also gives.
+def test_one_plan_is_kept_for_every_phase_and_overlap_setting(
+        dense_spec, dims_8b, hw, roofline, comm_backend, monkeypatch):
+    # Every overlap setting and both phases lower the one plan of their
+    # degrees: it is compiled once and kept in the memo, and a second call
+    # with a setting gives the first's rows, which a fresh estimator also
+    # gives.
     made = []
-    unoverlapped = LayerPlan.unoverlapped
+    compile_layer = engine.compile_layer
 
-    def counting(plan):
-        made.append(plan)
-        return unoverlapped(plan)
-    monkeypatch.setattr(LayerPlan, "unoverlapped", counting)
+    def counting(*args):
+        made.append(args)
+        return compile_layer(*args)
+    monkeypatch.setattr(engine, "compile_layer", counting)
     memo = {}
     ctx = PhaseContext(PREFILL, 2, 512)
     reports = []
@@ -914,8 +919,10 @@ def test_unoverlapped_plan_is_kept_next_to_the_plan(dense_spec, dims_8b, hw, roo
         reports.append(est.estimate(ctx, {"tp": 2}, setting))
     assert len(made) == 1
     est.estimate_prefill_settings([(2, 512), (4, 1024)], {"tp": 2}, [(4, 16), None])
+    est.estimate(PhaseContext(DECODE, 2, 512, osl=4), {"tp": 2})
     assert len(made) == 1
     fresh = _est(dense_spec, dims_8b, hw, roofline, comm_backend)
     assert reports[1] == reports[0] == fresh.estimate(ctx, {"tp": 2}, (4, 16))
     assert reports[3] == fresh.estimate(ctx, {"tp": 2})
-    assert any(key[-1] == "unoverlapped" for key in memo if key[0] == "plan")
+    assert [key for key in memo if key[0] == "plan"] == [
+        ("plan", (("tp", 2), ("ep", 1), ("cp", 1)))]

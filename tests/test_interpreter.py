@@ -249,8 +249,7 @@ def test_line_steps_are_decided_from_the_compiled_sizes(tp):
     # kernel that lowering gives there. z sharded by tp > 1 is not affine,
     # so that step is lowered as columns over the positions.
     dims = load_bindings(fixture_path("llama3_8b.json")).with_sizes(w=64)
-    plan = compile_layer(_context_ops_spec(), dims, {"tp": tp, "ep": 1, "cp": 1},
-                         DECODE)
+    plan = compile_layer(_context_ops_spec(), dims, {"tp": tp, "ep": 1, "cp": 1})
     assert [(step.label, step.reads_context, step.line) for step in plan.steps] == [
         ("Scale", True, True), ("Outer", True, True), ("Narrow", True, True),
         ("Wide", True, True), ("Sharded", True, tp == 1)]
@@ -295,7 +294,7 @@ def test_decode_column_mixing_n_one_raises_the_failing_positions_error(zs, error
     # lower_decode raises that position's error, not MixedColumns.
     spec = ModelSpec((_op("bKh,bKzh->bKz", parallel="z", label="Scores"),), 1)
     plan = compile_layer(spec, load_bindings(fixture_path("llama3_8b.json")),
-                         {"tp": 2, "ep": 1, "cp": 1}, DECODE)
+                         {"tp": 2, "ep": 1, "cp": 1})
     if error is None:
         [op] = plan.lower_decode({"b": 2, "s": 1}, zs)
         assert type(op.kernels[0]).__name__ == "MemoryOpColumns"
@@ -396,15 +395,21 @@ _PLAN_DIMS = {"dense_fused": ("llama3_8b", "llama3_70b"),
          phase=PREFILL, batch=2, isl=64, position=1, hidden=None, moe_te=None)
 @example(spec_name="dense_fused", pick=1, overlap=False, tp=2, ep=1, cp=1,
          phase=DECODE, batch=3, isl=100, position=2, hidden=None, moe_te=None)
+@example(spec_name="moe_fused", pick=0, overlap=True, tp=2, ep=4, cp=1,
+         phase=PREFILL, batch=4, isl=512, position=1, hidden=None,
+         moe_te=(24.0, 6.0))
 def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
                                     tp, ep, cp, phase, batch, isl, position,
                                     hidden, moe_te):
     # Covers indivisible shards (K = 8 by tp 3, s by cp), decode overlap,
     # overlap without a collective at tp 1, an overlap setting no op takes
-    # (the cp spec has no sharded op), and MoE ops without statistics. In
-    # decode, the lowering over positions position..osl holds, position by
-    # position, the ops lowered from scratch: a step that reads the context
-    # as columns or as a line, any other as one point.
+    # (the cp spec has no sharded op), and MoE ops without statistics. One
+    # plan serves both phases and every setting: lowered under the setting,
+    # it gives the annotated spec's ops, and its overlaps raise the
+    # setting's error. In decode, the lowering over positions
+    # position..osl holds, position by position, the ops lowered from
+    # scratch: a step that reads the context as columns or as a line, any
+    # other as one point.
     # The MoE spec gains an op whose sizes interleave the fractional T with
     # bound sizes (an odd hidden size m, f = 3 * 256), so that a product
     # taken in another factor order differs in its last bits.
@@ -421,22 +426,28 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
     ctx = PhaseContext(phase, batch, isl, osl=4, decode_position=position)
     want = _outcome(reference_lower, annotated, dims, ctx, degrees,
                     moe_te=moe_te)
-    positions = list(range(position, ctx.osl + 1))
-    steps = [_outcome(reference_lower, annotated, dims,
-                      replace(ctx, decode_position=p), degrees, moe_te=moe_te)
-             for p in positions]
-    errors = [step for step in steps if isinstance(step, tuple)]
-    want_columns = errors[0] if errors else steps
+    overlap_error = None
     if overlap and phase == DECODE:
         # A setting is prefill-only even on a spec with no op that takes it.
-        want = want_columns = (ValidationError, "overlap is prefill-only")
+        overlap_error = (ValidationError, "overlap is prefill-only")
     elif overlap and annotated == spec:
-        want = (ValidationError, "overlap setting 2:8 applies to no op: none "
-                                 "has both s and a sharded symbol that it sums")
-    plan = compile_layer(spec, dims, degrees, phase, setting)
+        overlap_error = (ValidationError, "overlap setting 2:8 applies to no op: "
+                                          "none has both s and a sharded symbol "
+                                          "that it sums")
+    plan = compile_layer(spec, dims, degrees)
+    if overlap_error is not None:
+        want = overlap_error
+        assert _outcome(plan.overlaps, setting, phase) == overlap_error
     for _ in range(2):  # a plan is reusable
-        assert _outcome(plan.lower, ctx, moe_te=moe_te) == want
+        assert _outcome(plan.lower, ctx, moe_te=moe_te, overlap=setting) == want
     if phase == DECODE:
+        # A decode position takes no overlap: the plan lowers the spec.
+        positions = list(range(position, ctx.osl + 1))
+        steps = [_outcome(reference_lower, spec, dims,
+                          replace(ctx, decode_position=p), degrees, moe_te=moe_te)
+                 for p in positions]
+        errors = [step for step in steps if isinstance(step, tuple)]
+        want_columns = errors[0] if errors else steps
         zs = [isl + p for p in positions]
         got = _outcome(plan.lower_decode, {"b": batch, "s": 1},
                        range(zs[0], zs[-1] + 1), moe_te=moe_te)
@@ -458,24 +469,27 @@ def test_plan_lowers_like_reference(annotate_overlap, spec_name, pick, overlap,
                 assert tuple(_column_kernel(k, at) for k in op.kernels) == ref.kernels
 
 
-def _lower_points(plan, points, moe_te):
-    """Each prefill point's lowering from columns over ``points``: its
-    LoweredOps, or the (type, message) of its error. A column with mixed
-    kernel kinds is split by N = 1 and each part lowered again."""
+def _lower_points(plan, overlaps, points, moe_te):
+    """Each prefill point's lowering from columns over ``points``, with
+    ``overlaps`` applied (see LayerPlan.overlapped): its LoweredOps, or the
+    (type, message) of its error. A column with mixed kernel kinds is split
+    by N = 1 and each part lowered again."""
     n = len(points)
     env = {"b": array("q", [b for b, _ in points]),
            "s": array("q", [isl for _, isl in points])}
     env["z"] = env["s"]
     if moe_te is not None:
         moe_te = tuple(array("d", [v] * n) for v in moe_te)
-    errors = {}
+    errors, failed_at = {}, {}
     try:
-        lowered = plan.lower_columns(env, n, moe_te, errors)
+        lowered, errors = plan.overlapped(
+            overlaps, plan.lower_columns(env, n, moe_te, errors, failed_at),
+            errors, failed_at, n)
     except MixedColumns as mixed:
         out = [None] * n
         for flag in (True, False):
             part = [i for i in range(n) if mixed.ones[i] == flag]
-            got = _lower_points(plan, [points[i] for i in part],
+            got = _lower_points(plan, overlaps, [points[i] for i in part],
                                 None if moe_te is None else (moe_te[0][0], moe_te[1][0]))
             for i, outcome in zip(part, got):
                 out[i] = outcome
@@ -515,13 +529,15 @@ def test_prefill_columns_lower_like_reference_per_point(
     dims_names = _PLAN_DIMS[spec_name]
     dims = load_bindings(fixture_path(f"{dims_names[pick % len(dims_names)]}.json"))
     degrees = {"tp": tp, "ep": ep, "cp": cp}
-    plan = compile_layer(spec, dims, degrees, PREFILL, overlap)
-    if plan.error is not None:
+    plan = compile_layer(spec, dims, degrees)
+    try:
+        overlaps = plan.overlaps(overlap, PREFILL)
+    except ValidationError:
         return
     want = [_outcome(reference_lower, annotated, dims,
                      PhaseContext(PREFILL, b, isl), degrees, moe_te=moe_te)
             for b, isl in points]
-    assert _lower_points(plan, points, moe_te) == want
+    assert _lower_points(plan, overlaps, points, moe_te) == want
 
 
 def test_three_operand_op_fails_where_lowering_meets_it(dims_8b):
@@ -530,7 +546,7 @@ def test_three_operand_op_fails_where_lowering_meets_it(dims_8b):
     spec = ModelSpec((_op("bsm,mf->bsf", label="first", cp_dim="s"),
                       _op("bsf,fm,mk->bsk", label="three")), 1)
     dims = dims_8b.with_sizes(k=3)
-    plan = compile_layer(spec, dims, {"tp": 1, "ep": 1, "cp": 2}, PREFILL)
+    plan = compile_layer(spec, dims, {"tp": 1, "ep": 1, "cp": 2})
     for isl, message in ((9, "not divisible by degree 2"),
                          (8, "GEMM extraction needs exactly two operands")):
         ctx = PhaseContext(PREFILL, 1, isl)

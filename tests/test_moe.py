@@ -95,6 +95,21 @@ def test_trace_single_token():
     assert stats.e_max == 1.0
 
 
+@pytest.mark.parametrize("price", [
+    lambda tile: uniform_routing(8, 1, 8, 128, 2, tile=tile),
+    lambda tile: stats_from_trace(RoutingTrace(((0, 1), (2, 3))), 4, 2, tile=tile)],
+    ids=["uniform", "trace"])
+def test_a_tile_too_large_for_a_float_is_named(price):
+    # Tiles are quantized as floats: a library caller's tile that a float
+    # cannot hold is named, not left to an OverflowError.
+    with pytest.raises(ValidationError, match="^tile must be an integer that "
+                                              "fits a float, got one of 1329 bits$"):
+        price(10**400)
+    with pytest.raises(ValidationError, match=r"^tile must be an integer, got 16\.0$"):
+        price(16.0)
+    assert price(16).t_avg == 16.0
+
+
 def test_trace_index_out_of_range():
     with pytest.raises(ValidationError):
         stats_from_trace(RoutingTrace(((9,),)), 4, 2)
